@@ -68,4 +68,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

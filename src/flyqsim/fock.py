@@ -240,15 +240,25 @@ def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationSta
                            normalized=False)
 
 
-def sample_mask(probabilities: np.ndarray, rng_stream) -> int:
-    """Draw one basis mask from a probability vector using one uniform."""
-    cumulative = np.cumsum(probabilities)
-    total = cumulative[-1]
-    if total <= 0.0:
+def sample_masks(cumulative: np.ndarray, uniforms) -> np.ndarray:
+    """Inverse-CDF draw of one basis mask per uniform in ``[0, 1)``.
+
+    ``cumulative`` is a running sum of probabilities over the basis: either
+    one 1-D distribution shared by every uniform, or one row per uniform.
+    Uniform ``u`` selects the first mask whose cumulative weight exceeds
+    ``u * total`` (``searchsorted`` with ``side="right"``), so a mask of
+    zero probability is never returned, not even for ``u == 0.0``.
+    """
+    cumulative = np.asarray(cumulative)
+    totals = cumulative[..., -1]
+    if not np.all(totals > 0.0):
         raise ValueError("cannot sample from an all-zero probability vector")
-    u = rng_stream.random() * total
-    mask = int(np.searchsorted(cumulative, u, side="right"))
-    return min(mask, len(probabilities) - 1)
+    draws = np.asarray(uniforms) * totals
+    if cumulative.ndim == 1:
+        masks = np.searchsorted(cumulative, draws, side="right")
+    else:
+        masks = (cumulative <= draws[:, np.newaxis]).sum(axis=1)
+    return np.minimum(masks, cumulative.shape[-1] - 1)
 
 
 def measure_all(state: OccupationState, rng_stream):
@@ -264,7 +274,8 @@ def measure_all(state: OccupationState, rng_stream):
             f"invalid state: norm {norm:.9g} deviates from 1 by more than "
             f"{MEASURE_NORM_ATOL:g}; normalize before measuring"
         )
-    mask = sample_mask(state.probabilities(), rng_stream)
+    mask = int(sample_masks(np.cumsum(state.probabilities()),
+                            rng_stream.random()))
     collapsed = np.zeros(state.dim, dtype=np.complex128)
     collapsed[mask] = 1.0
     return mask, OccupationState(state.n_rails, collapsed)

@@ -41,8 +41,6 @@ from .gates import (
     GateElement,
     PhaseShifter,
     WaveguideCoupler,
-    element_keyword,
-    rails_of,
 )
 from .timing import SepSource
 
@@ -542,21 +540,3 @@ def expand_composites(circuit: Circuit) -> Circuit:
         registers=list(circuit.registers),
     )
 
-
-def validate_rails(circuit: Circuit) -> list[str]:
-    """Structural checks for programmatically built circuits."""
-    problems = []
-    for i, element in enumerate(circuit.elements):
-        for rail in rails_of(element):
-            if not 0 <= rail < circuit.n_rails:
-                problems.append(f"element {i} ({element_keyword(element)}) "
-                                f"references rail {rail} outside 0..{circuit.n_rails - 1}")
-    for seg in circuit.segments:
-        if not 0 <= seg.rail < circuit.n_rails:
-            problems.append(f"segment on rail {seg.rail} outside range")
-        if not 0 <= seg.position <= len(circuit.elements):
-            problems.append(f"segment position {seg.position} outside range")
-    for rail in circuit.detectors:
-        if not 0 <= rail < circuit.n_rails:
-            problems.append(f"detector on rail {rail} outside range")
-    return problems

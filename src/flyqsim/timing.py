@@ -16,10 +16,18 @@ fringes down by ``exp(-l / l_phi)``, the standard reading of a phase
 coherence length.  ``deterministic-factor`` mode skips the noise and just
 reports ``exp(-longest_rail_path / l_phi)`` alongside ideal sampling.
 
-Reproducibility contract: shot ``i`` of a run draws from a dedicated stream
-seeded by ``(master_seed, i)``, with a fixed draw order (one standard normal
-per wire segment in declaration order, then one uniform for readout), so
-serial and parallel evaluation produce identical histograms.
+Reproducibility contract: a run draws every random number from one Philox
+stream, ``np.random.default_rng(np.random.Philox(master_seed))``.  Shot
+``i`` owns the uniforms ``[i*k, (i+1)*k)`` of that stream, consumed in
+order.  In ``off`` and ``deterministic-factor`` modes ``k = 1``: the single
+uniform is the readout draw.  In ``monte-carlo`` mode with ``S`` declared
+segments ``k = 2*ceil(S/2) + 1``: uniform pairs ``(u1, u2)`` give two
+standard normals each by Box-Muller, ``sqrt(-2 ln(1 - u1))`` times
+``cos(2 pi u2)`` and then ``sin(2 pi u2)``; the normals go to the segments
+in declaration order (an odd ``S`` leaves the last one unused), and the
+final uniform is the readout draw.  Readout is inverse-CDF sampling
+(``fock.sample_masks``).  Because every shot consumes a fixed block, the
+histogram does not depend on how shots are chunked.
 """
 
 from __future__ import annotations
@@ -210,13 +218,18 @@ def _initial_amplitudes(circuit) -> np.ndarray:
     return fock.prepare_occupation(circuit.n_rails, occupied).amplitudes
 
 
-def _sample_rows(batch_probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Row-wise inverse-CDF sampling; one uniform per row."""
-    cumulative = np.cumsum(batch_probs, axis=1)
-    totals = cumulative[:, -1:]
-    draws = uniforms[:, np.newaxis] * totals
-    masks = (cumulative < draws).sum(axis=1)
-    return np.minimum(masks, batch_probs.shape[1] - 1)
+def _box_muller(uniforms: np.ndarray, n_normals: int) -> np.ndarray:
+    """Standard normals from uniform pairs, columns (0, 1), (2, 3), ...
+
+    ``1 - u`` lies in ``(0, 1]``, so a uniform of 0.0 gives a finite
+    radius of 0 rather than ``log(0)``.
+    """
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0::2]))
+    angle = (2.0 * math.pi) * uniforms[:, 1::2]
+    normals = np.empty((uniforms.shape[0], 2 * radius.shape[1]))
+    normals[:, 0::2] = radius * np.cos(angle)
+    normals[:, 1::2] = radius * np.sin(angle)
+    return normals[:, :n_normals]
 
 
 def run_shots(circuit, n_shots: int,
@@ -269,28 +282,27 @@ def run_shots(circuit, n_shots: int,
                 idx = fock.rail_occupied_indices(n_rails, seg.rail)
                 segment_plan.append(
                     (position, idx, math.sqrt(seg.length / dephasing.l_phi)))
-        n_draws = len(segment_plan)
+        n_normals = len(segment_plan)
+        uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
+        # bound the per-chunk (shots, 2^n) batch to a few tens of MB
+        chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
     else:
         final = initial[np.newaxis, :].copy()
         for element in circuit.elements:
             apply_element_batch(final, n_rails, element)
-        probs = np.abs(final[0]) ** 2
+        cumulative = np.cumsum(np.abs(final[0]) ** 2)
+        uniforms_per_shot = 1
+        chunk = _SHOT_CHUNK
 
+    stream = np.random.default_rng(np.random.Philox(master_seed))
     total_counts = np.zeros(dim, dtype=np.int64)
     shots: list[ShotResult] = []
 
-    # bound per-chunk memory to a few tens of MB for wide registers
-    chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
     for start in range(0, n_shots, chunk):
         size = min(chunk, n_shots - start)
-        uniforms = np.empty(size)
+        uniforms = stream.random((size, uniforms_per_shot))
         if mc:
-            normals = np.empty((size, n_draws))
-            for i in range(size):
-                stream = np.random.default_rng([master_seed, start + i])
-                if n_draws:
-                    normals[i] = stream.standard_normal(n_draws)
-                uniforms[i] = stream.random()
+            normals = _box_muller(uniforms[:, :-1], n_normals)
             batch = np.broadcast_to(initial, (size, dim)).copy()
             draw = 0
             plan = iter(segment_plan)
@@ -304,20 +316,18 @@ def run_shots(circuit, n_shots: int,
                     next_seg = next(plan, None)
                 if position < len(circuit.elements):
                     apply_element_batch(batch, n_rails, circuit.elements[position])
-            batch_probs = np.abs(batch) ** 2
+            masks = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=1),
+                                      uniforms[:, -1])
         else:
-            for i in range(size):
-                stream = np.random.default_rng([master_seed, start + i])
-                uniforms[i] = stream.random()
-            batch_probs = np.broadcast_to(probs, (size, dim))
-        masks = _sample_rows(batch_probs, uniforms)
+            masks = fock.sample_masks(cumulative, uniforms[:, 0])
         total_counts += np.bincount(masks, minlength=dim)
         if keep_shots:
             for mask in masks:
                 logical = decode(int(mask), register) if register else None
                 shots.append(ShotResult(int(mask), logical, coherence))
 
-    counts = {int(m): int(c) for m, c in enumerate(total_counts) if c}
+    observed = np.flatnonzero(total_counts)
+    counts = dict(zip(observed.tolist(), total_counts[observed].tolist()))
     logical_counts = None
     leak_count = 0
     if register is not None:

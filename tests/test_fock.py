@@ -9,6 +9,7 @@ from flyqsim.fock import (
     fidelity,
     measure_all,
     prepare_occupation,
+    sample_masks,
     vacuum,
 )
 
@@ -198,6 +199,31 @@ def test_measure_rejects_unnormalized():
     state = OccupationState(1, np.array([0.5, 0.5]), normalized=False)
     with pytest.raises(ValueError):
         measure_all(state, np.random.default_rng(0))
+
+
+def test_sample_masks_zero_uniform_skips_zero_probability_mask():
+    cumulative = np.cumsum([0.0, 0.5, 0.5])
+    assert sample_masks(cumulative, np.array([0.0]))[0] == 1
+    rows = np.stack([cumulative, cumulative])
+    assert sample_masks(rows, np.array([0.0, 0.0])).tolist() == [1, 1]
+
+
+def test_sample_masks_forms_match_reference_loop():
+    rng = np.random.default_rng(31)
+    probs = rng.random((50, 8)) * (rng.random((50, 8)) < 0.6)
+    probs[:, 3] += 0.1
+    uniforms = rng.random(50)
+    uniforms[:5] = 0.0
+    cumulative = np.cumsum(probs, axis=1)
+    rows = sample_masks(cumulative, uniforms)
+    for i, u in enumerate(uniforms):
+        draw = u * cumulative[i, -1]
+        expected = next(m for m in range(8) if cumulative[i, m] > draw)
+        assert rows[i] == expected
+        assert probs[i, expected] > 0
+        assert sample_masks(cumulative[i], np.array([u]))[0] == expected
+    with pytest.raises(ValueError):
+        sample_masks(np.zeros(4), np.array([0.5]))
 
 
 def test_fidelity_self():

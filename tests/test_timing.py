@@ -1,9 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
+from flyqsim import timing
 from flyqsim.budget import analyze
-from flyqsim.gates import CompositeGate, CoulombCoupler, PhaseShifter, WaveguideCoupler
+from flyqsim.fock import prepare_occupation, sample_masks
+from flyqsim.gates import (
+    CompositeGate,
+    CoulombCoupler,
+    PhaseShifter,
+    WaveguideCoupler,
+    apply_element,
+)
 from flyqsim.netlist import Circuit, Segment
 from flyqsim.timing import (
     CoincidenceError,
@@ -258,6 +267,41 @@ def test_logical_counts_with_register():
     result = run_shots(circuit, 300, master_seed=8)
     assert result.logical_counts == {"1": 300}
     assert result.leak_count == 0
+
+
+def test_off_mode_follows_stream_contract():
+    # one Philox stream per run; shot i reads uniform i for its readout
+    circuit = mach_zehnder(internal_phase=0.7)
+    result = run_shots(circuit, 60, master_seed=4, keep_shots=True)
+    state = prepare_occupation(2, {0})
+    for element in circuit.elements:
+        state = apply_element(state, element)
+    uniforms = np.random.default_rng(np.random.Philox(4)).random(60)
+    expected = sample_masks(np.cumsum(state.probabilities()), uniforms)
+    assert [shot.mask for shot in result.shots] == expected.tolist()
+
+
+@pytest.mark.parametrize("seed", [21, 2**130])
+@pytest.mark.parametrize("mode", ["off", "factor", "mc"])
+def test_counts_do_not_depend_on_chunk_size(monkeypatch, mode, seed):
+    circuit = mach_zehnder(arm_um=6.0, internal_phase=0.7)
+    # a trailing segment makes the segment count odd in mc mode
+    circuit.segments.append(Segment(1, 4.0, len(circuit.elements)))
+    dephasing = DephasingModel(30.0, mode)
+    histograms = []
+    for chunk in (1, 7, 8192):
+        monkeypatch.setattr(timing, "_SHOT_CHUNK", chunk)
+        histograms.append(run_shots(circuit, 300, dephasing=dephasing,
+                                    master_seed=seed).counts)
+    assert len(histograms[0]) == 2
+    assert histograms[0] == histograms[1] == histograms[2]
+
+
+def test_box_muller_zero_uniform_is_finite():
+    normals = timing._box_muller(np.zeros((1, 4)), 3)
+    assert normals.shape == (1, 3)
+    assert np.all(np.isfinite(normals))
+    assert np.all(np.isfinite(np.exp(1j * 0.5 * normals)))
 
 
 # --- model validation --------------------------------------------------------
