@@ -119,6 +119,11 @@ def _emit_human(out, config, circuit, result, report, schedule_note):
               f"(at {report.assumed_gate_length:g} um per gate)\n")
 
 
+def _write_violations(out, violations) -> None:
+    for violation in violations:
+        out.write(f"coincidence violation: {violation}\n")
+
+
 def run(config: RunConfig, out=None) -> int:
     """Execute one batch run; returns the process exit code."""
     out = out or sys.stdout
@@ -139,22 +144,20 @@ def run(config: RunConfig, out=None) -> int:
     propagation = timing_mod.PropagationModel(config.velocity, config.window)
     dephasing = timing_mod.DephasingModel(config.l_phi, config.dephasing_mode)
     try:
-        table = timing_mod.arrival_times(circuit, propagation)
+        result = timing_mod.run_shots(
+            circuit, config.shots, dephasing=dephasing, master_seed=config.seed,
+            propagation=propagation, allow_desync=config.allow_desync)
     except timing_mod.ConfigError as exc:
         out.write(f"error: {exc}\n")
         return EXIT_PARSE
-    violations = timing_mod.check_coincidence(table, config.window)
-    for violation in violations:
-        out.write(f"coincidence violation: {violation}\n")
-    if violations and not config.allow_desync:
-        out.write(f"schedule rejected: {len(violations)} violation(s); "
+    except timing_mod.CoincidenceError as exc:
+        _write_violations(out, exc.violations)
+        out.write(f"schedule rejected: {len(exc.violations)} violation(s); "
                   f"rerun with --allow-desync to override\n")
         return EXIT_DESYNC
-    schedule_note = "ok" if not violations else "override"
+    _write_violations(out, result.violations)
+    schedule_note = "ok" if not result.violations else "override"
 
-    result = timing_mod.run_shots(
-        circuit, config.shots, dephasing=dephasing, master_seed=config.seed,
-        propagation=propagation, allow_desync=True)
     report = budget_mod.analyze(circuit, config.l_phi, config.gate_length)
 
     if config.output_format == "machine":

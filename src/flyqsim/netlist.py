@@ -53,7 +53,8 @@ _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
 class Segment:
     """Wire of ``length`` um on ``rail``, placed before ``elements[position]``.
 
-    ``position == len(elements)`` marks trailing wire after the last element.
+    ``position == len(elements)`` marks trailing wire after the last element;
+    ``Circuit.segment_groups`` rejects positions and rails out of range.
     """
 
     rail: int
@@ -94,8 +95,26 @@ class Circuit:
             return None
         return _dualrail.DualRailRegister(tuple(pair for _, pair in self.registers))
 
-    def segments_at(self, position: int) -> list:
-        return [s for s in self.segments if s.position == position]
+    def segment_groups(self) -> list:
+        """Segments bucketed by position, in one pass over ``segments``.
+
+        ``groups[p]`` lists the wire placed before ``elements[p]`` (and
+        ``groups[len(elements)]`` the trailing wire), in list order.  This is
+        the one validation point for segments: a ``position`` outside
+        ``[0, len(elements)]`` or a ``rail`` outside ``[0, n_rails)`` raises
+        ``ValueError``.  Not cached, so segments appended after construction
+        are seen.
+        """
+        groups = [[] for _ in range(len(self.elements) + 1)]
+        for seg in self.segments:
+            if not 0 <= seg.position < len(groups):
+                raise ValueError(f"segment position {seg.position} outside "
+                                 f"[0, {len(self.elements)}]: {seg!r}")
+            if not 0 <= seg.rail < self.n_rails:
+                raise ValueError(f"segment rail {seg.rail} outside "
+                                 f"[0, {self.n_rails}): {seg!r}")
+            groups[seg.position].append(seg)
+        return groups
 
     def has_composites(self) -> bool:
         return any(isinstance(e, CompositeGate) for e in self.elements)
@@ -496,8 +515,8 @@ def serialize(circuit: Circuit) -> str:
         lines.append(f"sep q{src.rail} delay={_fmt(src.emission_delay)}ps{empty}")
     for name, (rail0, rail1) in circuit.registers:
         lines.append(f"dualrail {name} q{rail0} q{rail1}")
-    for position in range(len(circuit.elements) + 1):
-        for seg in circuit.segments_at(position):
+    for position, group in enumerate(circuit.segment_groups()):
+        for seg in group:
             lines.append(f"segment q{seg.rail} {_fmt(seg.length)}um")
         if position < len(circuit.elements):
             lines.append(_element_line(circuit.elements[position]))
@@ -529,8 +548,9 @@ def expand_composites(circuit: Circuit) -> Circuit:
         else:
             new_elements.append(element)
     offsets.append(len(new_elements))
-    new_segments = [Segment(s.rail, s.length, offsets[s.position])
-                    for s in circuit.segments]
+    new_segments = [Segment(s.rail, s.length, offsets[position])
+                    for position, group in enumerate(circuit.segment_groups())
+                    for s in group]
     return Circuit(
         n_rails=circuit.n_rails,
         elements=new_elements,

@@ -24,8 +24,9 @@ uniform is the readout draw.  In ``monte-carlo`` mode with ``S`` declared
 segments ``k = 2*ceil(S/2) + 1``: uniform pairs ``(u1, u2)`` give two
 standard normals each by Box-Muller, ``sqrt(-2 ln(1 - u1))`` times
 ``cos(2 pi u2)`` and then ``sin(2 pi u2)``; the normals go to the segments
-in declaration order (an odd ``S`` leaves the last one unused), and the
-final uniform is the readout draw.  Readout is inverse-CDF sampling
+in netlist order: by element position, then declaration order within a
+position (an odd ``S`` leaves the last normal unused), and the final uniform
+is the readout draw.  Readout is inverse-CDF sampling
 (``fock.sample_masks``).  Because every shot consumes a fixed block, the
 histogram does not depend on how shots are chunked.
 """
@@ -162,6 +163,7 @@ class ShotHistogram:
     leak_count: int
     mean_coherence_factor: float
     shots: list = field(default_factory=list)  # ShotResult, only when requested
+    violations: list = field(default_factory=list)  # CoincidenceViolation, when overridden
 
     def probability(self, mask: int) -> float:
         return self.counts.get(mask, 0) / self.n_shots
@@ -182,9 +184,10 @@ def arrival_times(circuit, model: PropagationModel | None = None,
         sources = circuit.sources
     delays = {src.rail: src.emission_delay for src in sources}
     traveled = dict.fromkeys(range(circuit.n_rails), 0.0)
+    groups = circuit.segment_groups()
     table = []
     for index, element in enumerate(circuit.elements):
-        for seg in circuit.segments_at(index):
+        for seg in groups[index]:
             traveled[seg.rail] += seg.length
         rails = rails_of(element)
         missing = [r for r in rails if r not in delays]
@@ -241,10 +244,11 @@ def run_shots(circuit, n_shots: int,
     """Sample ``n_shots`` detector readouts of a scheduled circuit.
 
     The schedule is checked first; violations abort with
-    ``CoincidenceError`` unless ``allow_desync`` overrides.  Results are
-    deterministic in ``master_seed`` (see module docstring for the stream
-    contract).  ``keep_shots`` additionally records one ``ShotResult`` per
-    shot; leave it off for large runs.
+    ``CoincidenceError`` unless ``allow_desync`` overrides, in which case the
+    returned histogram lists them in ``violations`` (empty when the schedule
+    is coincident).  Results are deterministic in ``master_seed`` (see module
+    docstring for the stream contract).  ``keep_shots`` additionally records
+    one ``ShotResult`` per shot; leave it off for large runs.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
@@ -275,14 +279,12 @@ def run_shots(circuit, n_shots: int,
 
     mc = dephasing.mode == MODE_MC
     if mc:
-        # (position, occupied-mask indices, phase std) per declared segment
-        segment_plan = []
-        for position in range(len(circuit.elements) + 1):
-            for seg in circuit.segments_at(position):
-                idx = fock.rail_occupied_indices(n_rails, seg.rail)
-                segment_plan.append(
-                    (position, idx, math.sqrt(seg.length / dephasing.l_phi)))
-        n_normals = len(segment_plan)
+        # per position: (occupied-mask indices, phase std) of each segment
+        segment_plan = [
+            [(fock.rail_occupied_indices(n_rails, seg.rail),
+              math.sqrt(seg.length / dephasing.l_phi)) for seg in group]
+            for group in circuit.segment_groups()]
+        n_normals = sum(len(group) for group in segment_plan)
         uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
         # bound the per-chunk (shots, 2^n) batch to a few tens of MB
         chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
@@ -305,15 +307,11 @@ def run_shots(circuit, n_shots: int,
             normals = _box_muller(uniforms[:, :-1], n_normals)
             batch = np.broadcast_to(initial, (size, dim)).copy()
             draw = 0
-            plan = iter(segment_plan)
-            next_seg = next(plan, None)
-            for position in range(len(circuit.elements) + 1):
-                while next_seg is not None and next_seg[0] == position:
-                    _, idx, std = next_seg
+            for position, group in enumerate(segment_plan):
+                for idx, std in group:
                     phases = np.exp(1j * std * normals[:, draw])
                     batch[:, idx] *= phases[:, np.newaxis]
                     draw += 1
-                    next_seg = next(plan, None)
                 if position < len(circuit.elements):
                     apply_element_batch(batch, n_rails, circuit.elements[position])
             masks = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=1),
@@ -347,4 +345,5 @@ def run_shots(circuit, n_shots: int,
         leak_count=leak_count,
         mean_coherence_factor=coherence,
         shots=shots,
+        violations=violations,
     )

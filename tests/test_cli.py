@@ -28,6 +28,8 @@ set q1
 
 COMPENSATED = DESYNCED.replace("sep q1 delay=0ps", "sep q1 delay=10ps")
 
+TWICE_DESYNCED = DESYNCED.replace("set q0", "segment q1 3um\ncc q0 q1 chit=0.25rad\nset q0")
+
 
 def run_cli(netlist_text, tmp_path, **overrides):
     path = tmp_path / "circuit.fq"
@@ -79,6 +81,23 @@ def test_allow_desync_override(tmp_path):
                          output_format="machine")
     assert code == EXIT_OK
     assert "coincidence=override" in text
+
+
+@pytest.mark.parametrize("allow_desync, exit_code",
+                         [(True, EXIT_OK), (False, EXIT_DESYNC)])
+def test_each_violation_printed_once(tmp_path, allow_desync, exit_code):
+    code, text = run_cli(TWICE_DESYNCED, tmp_path, shots=10,
+                         allow_desync=allow_desync, output_format="machine")
+    assert code == exit_code
+    lines = [line for line in text.splitlines()
+             if line.startswith("coincidence violation:")]
+    assert len(lines) == len(set(lines)) == 2
+    assert ("element 0 (cc q0 q1)" in lines[0]
+            and "element 1 (cc q0 q1)" in lines[1])
+    if allow_desync:
+        assert "coincidence=override" in text
+    else:
+        assert "schedule rejected: 2 violation(s)" in text
 
 
 def test_parse_error_exits_2(tmp_path):

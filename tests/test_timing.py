@@ -186,6 +186,8 @@ def test_run_shots_refuses_desynchronized_circuit():
     assert "cc q0 q1" in str(err.value)
     result = run_shots(circuit, 10, master_seed=0, allow_desync=True)
     assert result.n_shots == 10
+    assert result.violations == err.value.violations
+    assert run_shots(cc_pair_circuit(), 10).violations == []
 
 
 def test_run_shots_requires_expanded_circuit():
