@@ -158,7 +158,8 @@ def run(config: RunConfig, out=None) -> int:
     _write_violations(out, result.violations)
     schedule_note = "ok" if not result.violations else "override"
 
-    report = budget_mod.analyze(circuit, config.l_phi, config.gate_length)
+    report = budget_mod.analyze(circuit, config.l_phi, config.gate_length,
+                                lengths=result.rail_lengths)
 
     if config.output_format == "machine":
         _emit_machine(out, config, circuit, result, report, schedule_note)

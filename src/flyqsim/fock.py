@@ -16,6 +16,17 @@ rails strictly between the pair.  A doubly occupied pair transforms with
 det(u).  Both rules are exercised against a dense second-quantized oracle in
 the test suite.
 
+Every primitive conserves electron number, so a register loaded with k
+electrons never leaves the C(n, k) masks with k set bits.  The batch kernels
+(``mode_unitary_batch`` and the index helpers) therefore take an optional
+electron count and then address the columns of a batch as positions in
+``sector_basis(n_rails, k)``, the sector's masks in ascending order; without
+it they span the full 2^n space, where position and mask coincide.  Shot
+sampling evolves only the sector.  Off-sector amplitudes are exact zeros,
+so the sector evolution does the same floating-point work on the same
+amplitudes and sampled histograms are unchanged.  ``OccupationState`` and
+the single-state functions always use the full space.
+
 All operations are pure: they return new states and never mutate their
 inputs, so shots can be evaluated in parallel as long as each shot owns its
 state copy and random stream.
@@ -105,12 +116,8 @@ def vacuum(n_rails: int) -> OccupationState:
     return OccupationState(n_rails, amps)
 
 
-def prepare_occupation(n_rails: int, occupied) -> OccupationState:
-    """Basis state with one electron on each rail in ``occupied``.
-
-    Models pump-loaded inputs: each selected rail carries exactly one
-    electron, every other rail is empty.
-    """
+def occupation_mask(n_rails: int, occupied) -> int:
+    """Basis mask with bit ``rail`` set for each rail in ``occupied``."""
     _check_n_rails(n_rails)
     mask = 0
     for rail in occupied:
@@ -118,29 +125,70 @@ def prepare_occupation(n_rails: int, occupied) -> OccupationState:
             raise ValueError(f"rail index {rail} out of range for "
                              f"{n_rails} rails")
         mask |= 1 << rail
+    return mask
+
+
+def prepare_occupation(n_rails: int, occupied) -> OccupationState:
+    """Basis state with one electron on each rail in ``occupied``.
+
+    Models pump-loaded inputs: each selected rail carries exactly one
+    electron, every other rail is empty.
+    """
+    mask = occupation_mask(n_rails, occupied)
     amps = np.zeros(1 << n_rails, dtype=np.complex128)
     amps[mask] = 1.0
     return OccupationState(n_rails, amps)
 
 
-@lru_cache(maxsize=128)
-def _mode_block_indices(n_rails: int, lo: int, hi: int):
-    """Index arrays for a two-rail mode unitary on rails ``lo < hi``.
+@lru_cache(maxsize=64)
+def sector_basis(n_rails: int, n_electrons: int | None = None) -> np.ndarray:
+    """Ascending masks with ``n_electrons`` set bits (cached, read-only).
 
-    Returns (m10, m01, m11, signs): masks with only ``lo`` occupied within
-    the pair, their partners with only ``hi`` occupied, masks with both
-    occupied, and the (-1)^k hopping signs from occupied rails strictly
-    between the pair.
+    ``None`` selects the full space, where the basis position of a mask is
+    the mask itself.  A sector is built rail by rail from the recurrence
+    S(m, j) = S(m-1, j) followed by S(m-1, j-1) | 1 << (m-1), which stays
+    ascending; no array of all 2^n masks is formed.
     """
-    dim = 1 << n_rails
-    masks = np.arange(dim, dtype=np.int64)
-    lo_set = (masks >> lo) & 1
-    hi_set = (masks >> hi) & 1
-    m10 = masks[(lo_set == 1) & (hi_set == 0)]
-    m01 = m10 ^ ((1 << lo) | (1 << hi))
-    m11 = masks[(lo_set == 1) & (hi_set == 1)]
+    if n_electrons is None:
+        basis = np.arange(1 << n_rails, dtype=np.int64)
+    elif not 0 <= n_electrons <= n_rails:
+        raise ValueError(f"n_electrons must lie in [0, {n_rails}], "
+                         f"got {n_electrons}")
+    else:
+        empty = np.zeros(0, dtype=np.int64)
+        # rows[j] = S(m, j); counts too low to reach n_electrons on the
+        # rails still to come are dropped to empty arrays
+        rows = [np.zeros(1, dtype=np.int64)] + [empty] * n_electrons
+        for m in range(n_rails):
+            low = max(0, n_electrons - (n_rails - m - 1))
+            rows = [empty] * low + [
+                np.concatenate((rows[j], rows[j - 1] | (1 << m))) if j else rows[0]
+                for j in range(low, n_electrons + 1)]
+        basis = rows[n_electrons]
+    basis.setflags(write=False)
+    return basis
+
+
+@lru_cache(maxsize=128)
+def _mode_block_indices(n_rails: int, lo: int, hi: int,
+                        n_electrons: int | None = None):
+    """Basis-position arrays for a two-rail mode unitary on rails ``lo < hi``.
+
+    Returns (m10, m01, m11, signs) over ``sector_basis(n_rails,
+    n_electrons)``: positions of masks with only ``lo`` occupied within the
+    pair, the positions of their partners with only ``hi`` occupied, masks
+    with both occupied, and the (-1)^k hopping signs from occupied rails
+    strictly between the pair.
+    """
+    basis = sector_basis(n_rails, n_electrons)
+    lo_set = (basis >> lo) & 1
+    hi_set = (basis >> hi) & 1
+    m10 = np.flatnonzero((lo_set == 1) & (hi_set == 0))
+    partners = basis[m10] ^ ((1 << lo) | (1 << hi))
+    m01 = np.searchsorted(basis, partners)
+    m11 = np.flatnonzero((lo_set == 1) & (hi_set == 1))
     between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    parity = np.bitwise_count(m10 & between) & 1
+    parity = np.bitwise_count(basis[m10] & between) & 1
     signs = 1.0 - 2.0 * parity.astype(np.float64)
     for arr in (m10, m01, m11, signs):
         arr.setflags(write=False)
@@ -148,20 +196,21 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int):
 
 
 @lru_cache(maxsize=128)
-def rail_occupied_indices(n_rails: int, rail: int) -> np.ndarray:
-    """Masks in which ``rail`` is occupied (cached, read-only)."""
-    masks = np.arange(1 << n_rails, dtype=np.int64)
-    idx = masks[((masks >> rail) & 1) == 1]
+def rail_occupied_indices(n_rails: int, rail: int,
+                          n_electrons: int | None = None) -> np.ndarray:
+    """Basis positions in which ``rail`` is occupied (cached, read-only)."""
+    basis = sector_basis(n_rails, n_electrons)
+    idx = np.flatnonzero((basis >> rail) & 1)
     idx.setflags(write=False)
     return idx
 
 
 @lru_cache(maxsize=128)
-def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int) -> np.ndarray:
-    """Masks in which both rails are occupied (cached, read-only)."""
-    masks = np.arange(1 << n_rails, dtype=np.int64)
-    both = (((masks >> rail_a) & 1) == 1) & (((masks >> rail_b) & 1) == 1)
-    idx = masks[both]
+def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
+                          n_electrons: int | None = None) -> np.ndarray:
+    """Basis positions in which both rails are occupied (cached, read-only)."""
+    basis = sector_basis(n_rails, n_electrons)
+    idx = np.flatnonzero((basis >> rail_a) & (basis >> rail_b) & 1)
     idx.setflags(write=False)
     return idx
 
@@ -177,25 +226,32 @@ def _check_mode_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray) -> None:
-    """Apply a two-rail mode unitary to a (n_shots, 2^n) batch, in place.
+def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
+                       n_electrons: int | None = None) -> None:
+    """Apply a two-rail mode unitary to a batch of amplitude rows, in place.
 
-    Single source of truth for the block update; ``apply_mode_unitary``
-    wraps it for one state, the shot runner for many.
+    The columns of ``batch`` follow ``sector_basis(n_rails, n_electrons)``:
+    all 2^n masks by default, or the ``n_electrons`` sector.  Single source
+    of truth for the block update; ``apply_mode_unitary`` wraps it for one
+    state, the shot runner for many.
     """
     r0, r1 = rails
     if r0 > r1:
         # reorder so mode 0 is the lower rail; conjugate u by the swap
         r0, r1 = r1, r0
         u = u[::-1, ::-1]
-    m10, m01, m11, signs = _mode_block_indices(n_rails, r0, r1)
+    m10, m01, m11, signs = _mode_block_indices(n_rails, r0, r1, n_electrons)
+    # out-of-place products with a scalar coefficient: numpy rounds an
+    # in-place or array-by-array complex product of a one-amplitude block
+    # differently from a long one, and sector blocks are often that short;
+    # these forms keep the sector evolution bit for bit equal to the full one
     a = batch[:, m10]
     b = batch[:, m01]
-    batch[:, m10] = u[0, 0] * a + (signs * u[0, 1]) * b
-    batch[:, m01] = (signs * u[1, 0]) * a + u[1, 1] * b
+    batch[:, m10] = u[0, 0] * a + u[0, 1] * (signs * b)
+    batch[:, m01] = u[1, 0] * (signs * a) + u[1, 1] * b
     if m11.size:
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        batch[:, m11] *= det
+        batch[:, m11] = batch[:, m11] * det
 
 
 def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
@@ -241,13 +297,16 @@ def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationSta
 
 
 def sample_masks(cumulative: np.ndarray, uniforms) -> np.ndarray:
-    """Inverse-CDF draw of one basis mask per uniform in ``[0, 1)``.
+    """Inverse-CDF draw of one basis position per uniform in ``[0, 1)``.
 
     ``cumulative`` is a running sum of probabilities over the basis: either
     one 1-D distribution shared by every uniform, or one row per uniform.
-    Uniform ``u`` selects the first mask whose cumulative weight exceeds
-    ``u * total`` (``searchsorted`` with ``side="right"``), so a mask of
-    zero probability is never returned, not even for ``u == 0.0``.
+    Uniform ``u`` selects the first position whose cumulative weight exceeds
+    ``u * total`` (``searchsorted`` with ``side="right"``), so a position of
+    zero probability is never returned, not even for ``u == 0.0``.  In the
+    full basis positions are masks; over a sector, ``sector_basis`` maps
+    them back.  Zero-probability masks only repeat a cumulative value, so a
+    sector draw selects the same mask as the full-space draw.
     """
     cumulative = np.asarray(cumulative)
     totals = cumulative[..., -1]

@@ -226,21 +226,27 @@ def apply_element(state: OccupationState, element: GateElement) -> OccupationSta
     return OccupationState(state.n_rails, batch[0], normalized=False)
 
 
-def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement) -> None:
-    """Apply one element to a (n_shots, 2^n) amplitude batch, in place."""
+def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
+                        n_electrons: int | None = None) -> None:
+    """Apply one element to a batch of amplitude rows, in place.
+
+    Columns follow ``fock.sector_basis(n_rails, n_electrons)``: all 2^n
+    masks by default, or the ``n_electrons`` sector.
+    """
     for rail in rails_of(element):
         if not 0 <= rail < n_rails:
             raise ValueError(f"rail index {rail} out of range for "
                              f"{n_rails} rails")
+    # products out of place, as in fock.mode_unitary_batch
     if isinstance(element, PhaseShifter):
-        idx = fock.rail_occupied_indices(n_rails, element.rail)
-        batch[:, idx] *= np.exp(1j * element.phi)
+        idx = fock.rail_occupied_indices(n_rails, element.rail, n_electrons)
+        batch[:, idx] = batch[:, idx] * np.exp(1j * element.phi)
     elif isinstance(element, WaveguideCoupler):
         u = coupler_matrix(element.coupling_length, element.transfer_length)
-        fock.mode_unitary_batch(batch, n_rails, element.rails, u)
+        fock.mode_unitary_batch(batch, n_rails, element.rails, u, n_electrons)
     elif isinstance(element, CoulombCoupler):
-        idx = fock.pair_occupied_indices(n_rails, *element.rails)
-        batch[:, idx] *= np.exp(-2j * element.chi_t)
+        idx = fock.pair_occupied_indices(n_rails, *element.rails, n_electrons)
+        batch[:, idx] = batch[:, idx] * np.exp(-2j * element.chi_t)
     elif isinstance(element, CompositeGate):
         raise ValueError(f"composite gate '{element.name}' must be expanded "
                          f"before simulation")

@@ -41,6 +41,8 @@ from .gates import (
     GateElement,
     PhaseShifter,
     WaveguideCoupler,
+    element_keyword,
+    rails_of,
 )
 from .timing import SepSource
 
@@ -85,6 +87,14 @@ class Circuit:
     registers: list = field(default_factory=list)  # (name, (rail0, rail1))
 
     def __post_init__(self):
+        # the one validation point for element rails: serialize, the budget
+        # and the schedule all index rails without checking them again
+        for index, element in enumerate(self.elements):
+            for rail in rails_of(element):
+                if not 0 <= rail < self.n_rails:
+                    raise ValueError(
+                        f"element {index} ({element_keyword(element)}) rail "
+                        f"{rail} outside [0, {self.n_rails})")
         # canonical segment order: by position, declaration order within one;
         # keeps parse(serialize(c)) == c for any valid circuit
         self.segments = sorted(self.segments, key=lambda s: s.position)

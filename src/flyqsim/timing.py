@@ -29,6 +29,14 @@ position (an odd ``S`` leaves the last normal unused), and the final uniform
 is the readout draw.  Readout is inverse-CDF sampling
 (``fock.sample_masks``).  Because every shot consumes a fixed block, the
 histogram does not depend on how shots are chunked.
+
+Every element and every segment phase conserves electron number, so
+``run_shots`` evolves only the sector of the k electrons its pumps load:
+batches are ``(shots, C(n, k))`` over ``fock.sector_basis(n, k)``, the
+k-electron masks in ascending order, and sampled positions map back to
+masks through that basis.  Off-sector amplitudes are exact zeros, which add
+nothing to the cumulative sum, so the histogram equals a full 2^n
+evolution's for the same seed.
 """
 
 from __future__ import annotations
@@ -38,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock
-from .budget import rail_path_lengths
+from . import budget, fock
 from .dualrail import LogicalOutcome, decode
 from .gates import apply_element_batch, element_keyword, rails_of
 
@@ -164,6 +171,7 @@ class ShotHistogram:
     mean_coherence_factor: float
     shots: list = field(default_factory=list)  # ShotResult, only when requested
     violations: list = field(default_factory=list)  # CoincidenceViolation, when overridden
+    rail_lengths: tuple | None = None  # per-rail path behind the factor; None when off
 
     def probability(self, mask: int) -> float:
         return self.counts.get(mask, 0) / self.n_shots
@@ -216,11 +224,6 @@ def check_coincidence(table, window: float = DEFAULT_WINDOW_PS) -> list[Coincide
     return violations
 
 
-def _initial_amplitudes(circuit) -> np.ndarray:
-    occupied = [src.rail for src in circuit.sources if src.emits]
-    return fock.prepare_occupation(circuit.n_rails, occupied).amplitudes
-
-
 def _box_muller(uniforms: np.ndarray, n_normals: int) -> np.ndarray:
     """Standard normals from uniform pairs, columns (0, 1), (2, 3), ...
 
@@ -265,13 +268,20 @@ def run_shots(circuit, n_shots: int,
         raise CoincidenceError(violations)
 
     n_rails = circuit.n_rails
-    dim = 1 << n_rails
-    initial = _initial_amplitudes(circuit)
+    # every element conserves electron number: evolve only the loaded sector
+    loaded = fock.occupation_mask(
+        n_rails, [src.rail for src in circuit.sources if src.emits])
+    n_electrons = loaded.bit_count()
+    sector = fock.sector_basis(n_rails, n_electrons)
+    dim = sector.size
+    initial = np.zeros(dim, dtype=np.complex128)
+    initial[np.searchsorted(sector, loaded)] = 1.0
 
     if dephasing.mode == MODE_OFF:
         coherence = 1.0
+        lengths = None
     else:
-        lengths = rail_path_lengths(circuit)
+        lengths = tuple(budget.rail_path_lengths(circuit))
         longest = max(lengths) if len(lengths) else 0.0
         coherence = math.exp(-longest / dephasing.l_phi)
 
@@ -279,19 +289,19 @@ def run_shots(circuit, n_shots: int,
 
     mc = dephasing.mode == MODE_MC
     if mc:
-        # per position: (occupied-mask indices, phase std) of each segment
+        # per position: (occupied sector positions, phase std) of each segment
         segment_plan = [
-            [(fock.rail_occupied_indices(n_rails, seg.rail),
+            [(fock.rail_occupied_indices(n_rails, seg.rail, n_electrons),
               math.sqrt(seg.length / dephasing.l_phi)) for seg in group]
             for group in circuit.segment_groups()]
         n_normals = sum(len(group) for group in segment_plan)
         uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
-        # bound the per-chunk (shots, 2^n) batch to a few tens of MB
+        # bound the per-chunk (shots, C(n, k)) batch to a few tens of MB
         chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
     else:
         final = initial[np.newaxis, :].copy()
         for element in circuit.elements:
-            apply_element_batch(final, n_rails, element)
+            apply_element_batch(final, n_rails, element, n_electrons)
         cumulative = np.cumsum(np.abs(final[0]) ** 2)
         uniforms_per_shot = 1
         chunk = _SHOT_CHUNK
@@ -310,22 +320,24 @@ def run_shots(circuit, n_shots: int,
             for position, group in enumerate(segment_plan):
                 for idx, std in group:
                     phases = np.exp(1j * std * normals[:, draw])
-                    batch[:, idx] *= phases[:, np.newaxis]
+                    # out of place, as in fock.mode_unitary_batch
+                    batch[:, idx] = batch[:, idx] * phases[:, np.newaxis]
                     draw += 1
                 if position < len(circuit.elements):
-                    apply_element_batch(batch, n_rails, circuit.elements[position])
-            masks = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=1),
-                                      uniforms[:, -1])
+                    apply_element_batch(batch, n_rails, circuit.elements[position],
+                                        n_electrons)
+            positions = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=1),
+                                          uniforms[:, -1])
         else:
-            masks = fock.sample_masks(cumulative, uniforms[:, 0])
-        total_counts += np.bincount(masks, minlength=dim)
+            positions = fock.sample_masks(cumulative, uniforms[:, 0])
+        total_counts += np.bincount(positions, minlength=dim)
         if keep_shots:
-            for mask in masks:
-                logical = decode(int(mask), register) if register else None
-                shots.append(ShotResult(int(mask), logical, coherence))
+            for mask in sector[positions].tolist():
+                logical = decode(mask, register) if register else None
+                shots.append(ShotResult(mask, logical, coherence))
 
     observed = np.flatnonzero(total_counts)
-    counts = dict(zip(observed.tolist(), total_counts[observed].tolist()))
+    counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))
     logical_counts = None
     leak_count = 0
     if register is not None:
@@ -346,4 +358,5 @@ def run_shots(circuit, n_shots: int,
         mean_coherence_factor=coherence,
         shots=shots,
         violations=violations,
+        rail_lengths=lengths,
     )

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from flyqsim import budget, timing
 from flyqsim.cli import EXIT_DESYNC, EXIT_OK, EXIT_PARSE, RunConfig, main, run
 
 FREDKIN_SWAP_INPUT = """\
@@ -185,3 +186,24 @@ def test_run_config_validation():
         RunConfig(input_path="x", output_format="yaml")
     with pytest.raises(ValueError):
         RunConfig(input_path="x", window=0.0)
+
+
+@pytest.mark.parametrize("mode", ["off", "factor", "mc"])
+def test_rail_path_lengths_computed_once_per_run(tmp_path, monkeypatch, mode):
+    calls = []
+    original = budget.rail_path_lengths
+
+    def counted(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(budget, "rail_path_lengths", counted)
+    # also catch a copy imported by name into the sampler's module
+    monkeypatch.setattr(timing, "rail_path_lengths", counted, raising=False)
+    code, text = run_cli(FREDKIN_SWAP_INPUT.replace("set q0", "segment q1 2um\nset q0"),
+                         tmp_path, shots=50, dephasing_mode=mode,
+                         output_format="machine")
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    # the wire on q1 reaches the report: 2 um plus the Fredkin footprint
+    assert re.search(r"^budget_rail_um 1 2\.28", text, re.M)

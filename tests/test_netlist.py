@@ -250,3 +250,14 @@ def test_expand_remaps_segment_positions():
         0, n_hadamard, n_hadamard + 1]
     # round-trip still holds after expansion
     assert parse_circuit(serialize(expanded)) == expanded
+
+
+@pytest.mark.parametrize("element", [
+    WaveguideCoupler((-1, 0), 0.14, 0.28),
+    PhaseShifter(3, 0.5),
+    CoulombCoupler((0, 5), 0.5),
+    CompositeGate("hadamard", (1, 3)),
+], ids=["bs negative rail", "ps past last", "cc past last", "hadamard past last"])
+def test_element_rail_out_of_range_is_rejected_at_construction(element):
+    with pytest.raises(ValueError, match=r"rail -?\d+ outside \[0, 3\)"):
+        Circuit(3, [PhaseShifter(0, 0.1), element])
