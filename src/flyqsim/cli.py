@@ -51,7 +51,7 @@ class RunConfig:
 
 def _mask_bits(mask: int, n_rails: int) -> str:
     """Occupation string with rail q0 leftmost."""
-    return "".join(str((mask >> r) & 1) for r in range(n_rails))
+    return format(mask, f"0{n_rails}b")[::-1]
 
 
 def _fmt(value) -> str:

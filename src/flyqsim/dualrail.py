@@ -4,40 +4,19 @@ Logical 0 puts the electron on the first rail of a pair (occupation pattern
 (1, 0)), logical 1 on the second (0, 1).  Any measured pattern outside those
 two, meaning an empty or doubly occupied pair, is reported as leakage.
 
-The module also synthesizes the two composite gates the architecture needs:
-
-* ``logical_hadamard``: a balanced waveguide coupler dressed with two fixed
-  phase shifters so the pair subspace transforms exactly by the Hadamard
-  matrix (the bare coupler alone differs from it by i phases).
-* ``fredkin_circuit``: a controlled swap of a target pair, built as an
-  interferometer of two balanced couplers whose internal arm phase is
-  toggled by a Coulomb coupler to the control rail.  The fixed interior
-  phases below were derived against the dense oracle: with them the
-  composite is the identity on the target pair when the control rail is
-  empty, and a swap (up to a global phase) when it is occupied.
+The Hadamard and Fredkin syntheses (``logical_hadamard``,
+``fredkin_circuit``) live in ``gates`` beside the macro table that the
+netlist expands through, and are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .fock import OccupationState, prepare_occupation
-from .gates import (
-    DEFAULT_TRANSFER_LENGTH_UM,
-    CoulombCoupler,
-    GateElement,
-    PhaseShifter,
-    WaveguideCoupler,
-)
+from .gates import fredkin_circuit, logical_hadamard  # noqa: F401  (re-export)
 
 LEAK = "LEAK"
-
-# phase shifter settings derived against the dense oracle (see tests)
-HADAMARD_TRIM_PHASE = -math.pi / 2
-FREDKIN_COMPENSATION_PHASE = math.pi / 2
-FREDKIN_ARM_BIAS_PHASE = math.pi
-FREDKIN_CHI_T = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -100,47 +79,3 @@ def decode(mask: int, register: DualRailRegister) -> LogicalOutcome:
         else:
             bits.append(LEAK)
     return LogicalOutcome(tuple(bits))
-
-
-def logical_hadamard(pair, transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM) -> list[GateElement]:
-    """Balanced coupler plus trim phases: exactly Hadamard on the pair.
-
-    The 50/50 coupler maps the single-electron subspace by
-    (1/sqrt2)[[1, i], [i, 1]]; a -pi/2 shift on the 1-rail before and after
-    turns that into (1/sqrt2)[[1, 1], [1, -1]] with no leftover global
-    phase.  Applying the list twice is the identity.
-    """
-    rail0, rail1 = pair
-    if rail0 == rail1:
-        raise ValueError(f"pair rails must be distinct, got {pair}")
-    return [
-        PhaseShifter(rail1, HADAMARD_TRIM_PHASE),
-        WaveguideCoupler((rail0, rail1), transfer_length / 2.0, transfer_length),
-        PhaseShifter(rail1, HADAMARD_TRIM_PHASE),
-    ]
-
-
-def fredkin_circuit(control_rail: int, target_pair,
-                    transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM) -> list[GateElement]:
-    """Controlled swap of ``target_pair``, toggled by ``control_rail``.
-
-    Interferometer layout: balanced coupler on the targets, a pi bias on the
-    first target arm, a Coulomb coupler (chi_t = pi/2, so the joint occupied
-    component flips sign) between the control rail and that arm, and a
-    second balanced coupler.  The pi/2 shifters fore and aft cancel the
-    residual i phases so that control empty gives the identity exactly and
-    control occupied gives a swap up to a global phase.
-    """
-    target0, target1 = target_pair
-    rails = (control_rail, target0, target1)
-    if len(set(rails)) != 3:
-        raise ValueError(f"control and target rails must be distinct, got {rails}")
-    half = transfer_length / 2.0
-    return [
-        PhaseShifter(target0, FREDKIN_COMPENSATION_PHASE),
-        WaveguideCoupler((target0, target1), half, transfer_length),
-        PhaseShifter(target0, FREDKIN_ARM_BIAS_PHASE),
-        CoulombCoupler((control_rail, target0), FREDKIN_CHI_T),
-        WaveguideCoupler((target0, target1), half, transfer_length),
-        PhaseShifter(target0, FREDKIN_COMPENSATION_PHASE),
-    ]

@@ -19,9 +19,10 @@ the test suite.
 Every primitive conserves electron number, so a register loaded with k
 electrons never leaves the C(n, k) masks with k set bits.  The batch kernels
 (``mode_unitary_batch`` and the index helpers) therefore take an optional
-electron count and then address the columns of a batch as positions in
-``sector_basis(n_rails, k)``, the sector's masks in ascending order; without
-it they span the full 2^n space, where position and mask coincide.  Shot
+electron count and then address the last axis of a ``(dim,)`` state
+vector or a ``(shots, dim)`` batch as positions in ``sector_basis(n_rails,
+k)``, the sector's masks in ascending order; without it they span the full
+2^n space, where position and mask coincide.  Shot
 sampling evolves only the sector.  Off-sector amplitudes are exact zeros,
 so the sector evolution does the same floating-point work on the same
 amplitudes and sampled histograms are unchanged.  ``OccupationState`` and
@@ -116,14 +117,17 @@ def vacuum(n_rails: int) -> OccupationState:
     return OccupationState(n_rails, amps)
 
 
+def _check_rail(n_rails: int, rail: int) -> None:
+    if not 0 <= rail < n_rails:
+        raise ValueError(f"rail index {rail} out of range for {n_rails} rails")
+
+
 def occupation_mask(n_rails: int, occupied) -> int:
     """Basis mask with bit ``rail`` set for each rail in ``occupied``."""
     _check_n_rails(n_rails)
     mask = 0
     for rail in occupied:
-        if not 0 <= rail < n_rails:
-            raise ValueError(f"rail index {rail} out of range for "
-                             f"{n_rails} rails")
+        _check_rail(n_rails, rail)
         mask |= 1 << rail
     return mask
 
@@ -178,8 +182,12 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
     n_electrons)``: positions of masks with only ``lo`` occupied within the
     pair, the positions of their partners with only ``hi`` occupied, masks
     with both occupied, and the (-1)^k hopping signs from occupied rails
-    strictly between the pair.
+    strictly between the pair.  Like the other index helpers it raises
+    ``ValueError`` for a rail outside ``[0, n_rails)``; only valid rails are
+    cached, so the batch kernels need no rail check of their own.
     """
+    _check_rail(n_rails, lo)
+    _check_rail(n_rails, hi)
     basis = sector_basis(n_rails, n_electrons)
     lo_set = (basis >> lo) & 1
     hi_set = (basis >> hi) & 1
@@ -199,6 +207,7 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
 def rail_occupied_indices(n_rails: int, rail: int,
                           n_electrons: int | None = None) -> np.ndarray:
     """Basis positions in which ``rail`` is occupied (cached, read-only)."""
+    _check_rail(n_rails, rail)
     basis = sector_basis(n_rails, n_electrons)
     idx = np.flatnonzero((basis >> rail) & 1)
     idx.setflags(write=False)
@@ -209,6 +218,8 @@ def rail_occupied_indices(n_rails: int, rail: int,
 def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
                           n_electrons: int | None = None) -> np.ndarray:
     """Basis positions in which both rails are occupied (cached, read-only)."""
+    _check_rail(n_rails, rail_a)
+    _check_rail(n_rails, rail_b)
     basis = sector_basis(n_rails, n_electrons)
     idx = np.flatnonzero((basis >> rail_a) & (basis >> rail_b) & 1)
     idx.setflags(write=False)
@@ -228,12 +239,13 @@ def _check_mode_unitary(u: np.ndarray) -> np.ndarray:
 
 def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
                        n_electrons: int | None = None) -> None:
-    """Apply a two-rail mode unitary to a batch of amplitude rows, in place.
+    """Apply a two-rail mode unitary to amplitudes, in place.
 
-    The columns of ``batch`` follow ``sector_basis(n_rails, n_electrons)``:
-    all 2^n masks by default, or the ``n_electrons`` sector.  Single source
-    of truth for the block update; ``apply_mode_unitary`` wraps it for one
-    state, the shot runner for many.
+    ``batch`` is one ``(dim,)`` state vector or a ``(shots, dim)`` batch of
+    rows; its last axis follows ``sector_basis(n_rails, n_electrons)``: all
+    2^n masks by default, or the ``n_electrons`` sector.  Single source of
+    truth for the block update; ``apply_mode_unitary`` and the off/factor
+    shot runner pass one vector, the mc shot runner a batch.
     """
     r0, r1 = rails
     if r0 > r1:
@@ -241,17 +253,20 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
         r0, r1 = r1, r0
         u = u[::-1, ::-1]
     m10, m01, m11, signs = _mode_block_indices(n_rails, r0, r1, n_electrons)
+    doubly_occupied = m11.size > 0
+    if batch.ndim == 2:
+        m10, m01, m11 = (slice(None), m10), (slice(None), m01), (slice(None), m11)
     # out-of-place products with a scalar coefficient: numpy rounds an
     # in-place or array-by-array complex product of a one-amplitude block
     # differently from a long one, and sector blocks are often that short;
     # these forms keep the sector evolution bit for bit equal to the full one
-    a = batch[:, m10]
-    b = batch[:, m01]
-    batch[:, m10] = u[0, 0] * a + u[0, 1] * (signs * b)
-    batch[:, m01] = u[1, 0] * (signs * a) + u[1, 1] * b
-    if m11.size:
+    a = batch[m10]
+    b = batch[m01]
+    batch[m10] = u[0, 0] * a + u[0, 1] * (signs * b)
+    batch[m01] = u[1, 0] * (signs * a) + u[1, 1] * b
+    if doubly_occupied:
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        batch[:, m11] = batch[:, m11] * det
+        batch[m11] = batch[m11] * det
 
 
 def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
@@ -268,13 +283,11 @@ def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
     if r0 == r1:
         raise ValueError(f"rail indices must be distinct, got ({r0}, {r1})")
     for r in (r0, r1):
-        if not 0 <= r < state.n_rails:
-            raise ValueError(f"rail index {r} out of range for "
-                             f"{state.n_rails} rails")
+        _check_rail(state.n_rails, r)
     u = _check_mode_unitary(u)
-    batch = state.amplitudes[np.newaxis, :].copy()
-    mode_unitary_batch(batch, state.n_rails, (r0, r1), u)
-    return OccupationState(state.n_rails, batch[0], normalized=False)
+    amplitudes = state.amplitudes.copy()
+    mode_unitary_batch(amplitudes, state.n_rails, (r0, r1), u)
+    return OccupationState(state.n_rails, amplitudes, normalized=False)
 
 
 def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationState:

@@ -23,6 +23,19 @@ Three physical elements are modeled:
   doubly occupied component is affected, gaining exp(-2i*chi_t); the gate
   conserves electron number (mutual phase modulation, nothing else).
 
+Netlist macros (``CompositeGate``) expand to these primitives.  ``MACROS``
+is the one macro table: per keyword, the rail parameters and the synthesis.
+
+* ``logical_hadamard``: a balanced waveguide coupler dressed with two fixed
+  phase shifters so the pair subspace transforms exactly by the Hadamard
+  matrix (the bare coupler alone differs from it by i phases).
+* ``fredkin_circuit``: a controlled swap of a target pair, built as an
+  interferometer of two balanced couplers whose internal arm phase is
+  toggled by a Coulomb coupler to the control rail.  The fixed interior
+  phases were derived against the dense oracle: with them the composite is
+  the identity on the target pair when the control rail is empty, and a
+  swap (up to a global phase) when it is occupied.
+
 ``build_dense_unitary`` provides the brute-force oracle: it assembles the
 full 2^n x 2^n matrix from dense ladder operators and matrix exponentials,
 deliberately avoiding the block-update path the engine uses, so the two can
@@ -123,9 +136,6 @@ class CoulombCoupler:
         object.__setattr__(self, "length", _check_optional_length(self.length))
 
 
-COMPOSITE_NAMES = ("hadamard", "fredkin")
-
-
 @dataclass(frozen=True)
 class CompositeGate:
     """Netlist macro placeholder, replaced by ``netlist.expand_composites``."""
@@ -135,14 +145,87 @@ class CompositeGate:
 
     def __post_init__(self):
         object.__setattr__(self, "rails", tuple(self.rails))
-        if self.name not in COMPOSITE_NAMES:
+        spec = MACROS.get(self.name)
+        if spec is None:
             raise ValueError(f"unknown composite gate '{self.name}'")
-        expected = 2 if self.name == "hadamard" else 3
+        expected = len(spec[0])
         if len(self.rails) != expected:
             raise ValueError(f"composite '{self.name}' takes {expected} rails, "
                              f"got {len(self.rails)}")
         if len(set(self.rails)) != len(self.rails):
             raise ValueError(f"composite rails must be distinct, got {self.rails}")
+
+
+# phase shifter settings derived against the dense oracle (see tests)
+HADAMARD_TRIM_PHASE = -math.pi / 2
+FREDKIN_COMPENSATION_PHASE = math.pi / 2
+FREDKIN_ARM_BIAS_PHASE = math.pi
+FREDKIN_CHI_T = math.pi / 2
+
+
+def logical_hadamard(pair, transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM) -> list[GateElement]:
+    """Balanced coupler plus trim phases: exactly Hadamard on the pair.
+
+    The 50/50 coupler maps the single-electron subspace by
+    (1/sqrt2)[[1, i], [i, 1]]; a -pi/2 shift on the 1-rail before and after
+    turns that into (1/sqrt2)[[1, 1], [1, -1]] with no leftover global
+    phase.  Applying the list twice is the identity.
+    """
+    rail0, rail1 = pair
+    if rail0 == rail1:
+        raise ValueError(f"pair rails must be distinct, got {pair}")
+    return [
+        PhaseShifter(rail1, HADAMARD_TRIM_PHASE),
+        WaveguideCoupler((rail0, rail1), transfer_length / 2.0, transfer_length),
+        PhaseShifter(rail1, HADAMARD_TRIM_PHASE),
+    ]
+
+
+def fredkin_circuit(control_rail: int, target_pair,
+                    transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM) -> list[GateElement]:
+    """Controlled swap of ``target_pair``, toggled by ``control_rail``.
+
+    Interferometer layout: balanced coupler on the targets, a pi bias on the
+    first target arm, a Coulomb coupler (chi_t = pi/2, so the joint occupied
+    component flips sign) between the control rail and that arm, and a
+    second balanced coupler.  The pi/2 shifters fore and aft cancel the
+    residual i phases so that control empty gives the identity exactly and
+    control occupied gives a swap up to a global phase.
+    """
+    target0, target1 = target_pair
+    rails = (control_rail, target0, target1)
+    if len(set(rails)) != 3:
+        raise ValueError(f"control and target rails must be distinct, got {rails}")
+    half = transfer_length / 2.0
+    return [
+        PhaseShifter(target0, FREDKIN_COMPENSATION_PHASE),
+        WaveguideCoupler((target0, target1), half, transfer_length),
+        PhaseShifter(target0, FREDKIN_ARM_BIAS_PHASE),
+        CoulombCoupler((control_rail, target0), FREDKIN_CHI_T),
+        WaveguideCoupler((target0, target1), half, transfer_length),
+        PhaseShifter(target0, FREDKIN_COMPENSATION_PHASE),
+    ]
+
+
+# The one macro table: keyword -> (rail parameter names, synthesis taking the
+# rails tuple).  ``CompositeGate`` checks its arity here, the netlist parser
+# dispatches on it and derives its usage strings from the parameter names,
+# and ``netlist.expand_composites`` expands through ``macro_elements``.
+MACROS = {
+    "hadamard": (("rail0", "rail1"), logical_hadamard),
+    "fredkin": (("control", "t0", "t1"),
+                lambda rails: fredkin_circuit(rails[0], rails[1:])),
+}
+
+
+@lru_cache(maxsize=4096)
+def macro_elements(name: str, rails: tuple) -> tuple:
+    """Primitive synthesis of macro ``name`` on ``rails`` (cached).
+
+    The elements are frozen, so one tuple is shared by every expansion of the
+    same macro on the same rails.
+    """
+    return tuple(MACROS[name][1](rails))
 
 
 PrimitiveElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler]
@@ -221,32 +304,34 @@ def coulomb_phase(chi_t: float) -> np.ndarray:
 
 def apply_element(state: OccupationState, element: GateElement) -> OccupationState:
     """Engine application of one element to a state (pure)."""
-    batch = state.amplitudes[np.newaxis, :].copy()
-    apply_element_batch(batch, state.n_rails, element)
-    return OccupationState(state.n_rails, batch[0], normalized=False)
+    amplitudes = state.amplitudes.copy()
+    apply_element_batch(amplitudes, state.n_rails, element)
+    return OccupationState(state.n_rails, amplitudes, normalized=False)
 
 
 def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
                         n_electrons: int | None = None) -> None:
-    """Apply one element to a batch of amplitude rows, in place.
+    """Apply one element to amplitudes, in place.
 
-    Columns follow ``fock.sector_basis(n_rails, n_electrons)``: all 2^n
-    masks by default, or the ``n_electrons`` sector.
+    ``batch`` is one ``(dim,)`` state vector or a ``(shots, dim)`` batch of
+    rows; its last axis follows ``fock.sector_basis(n_rails, n_electrons)``:
+    all 2^n masks by default, or the ``n_electrons`` sector.  A rail outside
+    ``[0, n_rails)`` raises ``ValueError`` from the ``fock`` index helpers.
     """
-    for rail in rails_of(element):
-        if not 0 <= rail < n_rails:
-            raise ValueError(f"rail index {rail} out of range for "
-                             f"{n_rails} rails")
     # products out of place, as in fock.mode_unitary_batch
     if isinstance(element, PhaseShifter):
         idx = fock.rail_occupied_indices(n_rails, element.rail, n_electrons)
-        batch[:, idx] = batch[:, idx] * np.exp(1j * element.phi)
+        if batch.ndim == 2:
+            idx = (slice(None), idx)
+        batch[idx] = batch[idx] * np.exp(1j * element.phi)
     elif isinstance(element, WaveguideCoupler):
         u = coupler_matrix(element.coupling_length, element.transfer_length)
         fock.mode_unitary_batch(batch, n_rails, element.rails, u, n_electrons)
     elif isinstance(element, CoulombCoupler):
         idx = fock.pair_occupied_indices(n_rails, *element.rails, n_electrons)
-        batch[:, idx] = batch[:, idx] * np.exp(-2j * element.chi_t)
+        if batch.ndim == 2:
+            idx = (slice(None), idx)
+        batch[idx] = batch[idx] * np.exp(-2j * element.chi_t)
     elif isinstance(element, CompositeGate):
         raise ValueError(f"composite gate '{element.name}' must be expanded "
                          f"before simulation")

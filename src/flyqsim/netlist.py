@@ -23,8 +23,11 @@ The optional ``len=`` attribute records an explicit element footprint in um
 ``bs`` and to zero otherwise.
 
 Parsing is total: malformed input produces diagnostics with 1-based line and
-column positions, never an exception.  ``serialize`` emits a canonical form
-that parses back to a structurally equal circuit.
+column positions, never an exception.  Each line is split into words with
+``str.split``; a word's column is computed only when a diagnostic is written
+about it.  A number must be finite: a literal past the float range, such as
+``1e400``, is an error at its word, as is a malformed one.  ``serialize``
+emits a canonical form that parses back to a structurally equal circuit.
 """
 
 from __future__ import annotations
@@ -32,23 +35,34 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import dualrail as _dualrail
 from .fock import MAX_RAILS
 from .gates import (
+    MACROS,
     CompositeGate,
     CoulombCoupler,
     GateElement,
     PhaseShifter,
     WaveguideCoupler,
     element_keyword,
+    macro_elements,
     rails_of,
 )
 from .timing import SepSource
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
-_RAIL_RE = re.compile(r"q(\d+)$")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
+_WORD_RE = re.compile(r"\S+")
+
+
+def _decimal(digits: str) -> int | None:
+    """Value of a string of decimal digits; None past ``int``'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -87,17 +101,34 @@ class Circuit:
     registers: list = field(default_factory=list)  # (name, (rail0, rail1))
 
     def __post_init__(self):
-        # the one validation point for element rails: serialize, the budget
-        # and the schedule all index rails without checking them again
+        # the one validation point for element, source, detector and register
+        # rails: serialize, the budget and the schedule all index rails
+        # without checking them again
+        n_rails = self.n_rails
         for index, element in enumerate(self.elements):
             for rail in rails_of(element):
-                if not 0 <= rail < self.n_rails:
+                if not 0 <= rail < n_rails:
                     raise ValueError(
                         f"element {index} ({element_keyword(element)}) rail "
-                        f"{rail} outside [0, {self.n_rails})")
+                        f"{rail} outside [0, {n_rails})")
+        source_rails = set()
+        for src in self.sources:
+            if not 0 <= src.rail < n_rails:
+                raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
+            if src.rail in source_rails:
+                raise ValueError(f"two sources on rail {src.rail}")
+            source_rails.add(src.rail)
+        for rail in self.detectors:
+            if not 0 <= rail < n_rails:
+                raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
+        for name, pair in self.registers:
+            for rail in pair:
+                if not 0 <= rail < n_rails:
+                    raise ValueError(f"register '{name}' rail {rail} outside "
+                                     f"[0, {n_rails})")
         # canonical segment order: by position, declaration order within one;
         # keeps parse(serialize(c)) == c for any valid circuit
-        self.segments = sorted(self.segments, key=lambda s: s.position)
+        self.segments = sorted(self.segments, key=attrgetter("position"))
 
     def dual_rail_register(self):
         """Declared pairs as a DualRailRegister, or None when absent."""
@@ -152,7 +183,12 @@ class ParseResult:
 
 
 class _LineParser:
-    """Single-pass statement parser collecting diagnostics."""
+    """Single-pass statement parser collecting diagnostics.
+
+    Each line is split into words with ``str.split``; a handler receives the
+    word list and reports a problem by word index.  The column of a word is
+    computed only when a diagnostic is written, by ``_column``.
+    """
 
     def __init__(self, strict_hardware_phases: bool = False):
         self.strict = strict_hardware_phases
@@ -165,300 +201,311 @@ class _LineParser:
         self.registers: list[tuple[str, tuple[int, int]]] = []
         self._source_rails: set[int] = set()
         self._register_rails: dict[int, str] = {}
+        self._rail_names: dict[str, int] = {}  # canonical "q<i>" -> i
+        self._line_no = 0
+        self._line = ""
 
-    def error(self, line: int, column: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(line, column, message, "error"))
+    def _column(self, index: int) -> int:
+        """1-based column of word ``index`` of the current line.
 
-    def warning(self, line: int, column: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(line, column, message, "warning"))
+        Words are the runs of non-whitespace in the whole line; those before
+        a ``#`` start where the words of the comment-stripped line do.
+        """
+        starts = [match.start() for match in _WORD_RE.finditer(self._line)]
+        return starts[index] + 1
 
-    # --- token helpers -------------------------------------------------
+    def error(self, index: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(
+            self._line_no, self._column(index), message, "error"))
 
-    def _rail(self, tok, line) -> int | None:
-        text, col = tok
-        m = _RAIL_RE.fullmatch(text)
-        if not m:
-            self.error(line, col, f"invalid rail identifier '{text}' "
-                                  f"(rails are named q0..q{(self.n_rails or 1) - 1})")
+    def warning(self, index: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(
+            self._line_no, self._column(index), message, "warning"))
+
+    # --- word helpers --------------------------------------------------
+
+    def _rail(self, words, index) -> int | None:
+        text = words[index]
+        rail = self._rail_names.get(text)
+        if rail is not None:
+            return rail
+        digits = text[1:]
+        if text[:1] != "q" or not digits.isdecimal():
+            self.error(index, f"invalid rail identifier '{text}' "
+                              f"(rails are named q0..q{(self.n_rails or 1) - 1})")
             return None
-        index = int(m.group(1))
-        if self.n_rails is None or index >= self.n_rails:
-            self.error(line, col, f"rail {text} out of range "
-                                  f"(rails {self.n_rails or 0})")
+        rail = _decimal(digits)  # non-canonical spelling: q01, Unicode digits
+        if self.n_rails is None or rail is None or rail >= self.n_rails:
+            self.error(index, f"rail {text} out of range "
+                              f"(rails {self.n_rails or 0})")
             return None
-        return index
+        return rail
 
-    def _number(self, text: str) -> float | None:
-        if not _NUMBER_RE.fullmatch(text):
-            return None
+    def _number(self, text: str, index: int, what: str) -> float | None:
+        """Value of a finite ``_NUMBER_RE`` literal, else None and a diagnostic.
+
+        ``float`` reads a superset of ``_NUMBER_RE``: it also takes ``inf``,
+        ``nan`` and digit groups such as ``1_0``.  A word without ``_`` that
+        ``float`` reads as a finite value therefore matches the pattern, and
+        only the other words are checked against it.
+        """
         try:
-            return float(text)
-        except ValueError:  # pragma: no cover - regex already guards
-            return None
+            value = float(text)
+        except ValueError:
+            value = None
+        if value is not None and "_" not in text and math.isfinite(value):
+            return value
+        if value is None or not _NUMBER_RE.fullmatch(text):
+            self.error(index, f"invalid number '{text}' in {what}")
+        else:  # a literal past the float range, such as 1e400
+            self.error(index, f"{what} must be finite")
+        return None
 
-    def _value_with_unit(self, tok, line, key: str, unit: str) -> float | None:
+    def _value_with_unit(self, words, index, key: str, unit: str) -> float | None:
         """Parse ``key=<number><unit>``; key and unit are case-insensitive."""
-        text, col = tok
-        if "=" not in text:
-            self.error(line, col, f"expected {key}=<value>{unit}, got '{text}'")
+        text = words[index]
+        name, sep, raw = text.partition("=")
+        if not sep:
+            self.error(index, f"expected {key}=<value>{unit}, got '{text}'")
             return None
-        name, _, raw = text.partition("=")
         if name.lower() != key:
-            self.error(line, col, f"expected attribute '{key}', got '{name}'")
+            self.error(index, f"expected attribute '{key}', got '{name}'")
             return None
         if len(raw) < len(unit) or raw[-len(unit):].lower() != unit:
-            self.error(line, col, f"{key} requires a '{unit}' unit suffix, "
-                                  f"got '{raw}'")
+            self.error(index, f"{key} requires a '{unit}' unit suffix, "
+                              f"got '{raw}'")
             return None
-        value = self._number(raw[:-len(unit)])
-        if value is None:
-            self.error(line, col, f"invalid number '{raw[:-len(unit)]}' in {key}")
-            return None
-        return value
+        return self._number(raw[:-len(unit)], index, key)
 
-    def _expect_count(self, tokens, line, count: int, usage: str) -> bool:
-        if len(tokens) - 1 == count:
+    def _expect_count(self, words, count: int, usage: str) -> bool:
+        if len(words) - 1 == count:
             return True
-        # point at the first surplus token, or at the keyword when short
-        col = tokens[count + 1][1] if len(tokens) - 1 > count else tokens[0][1]
-        self.error(line, col, f"usage: {usage}")
+        # point at the first surplus word, or at the keyword when short
+        self.error(count + 1 if len(words) - 1 > count else 0, f"usage: {usage}")
         return False
 
-    def _optional_len(self, tokens, line) -> tuple[float | None, bool]:
+    def _optional_len(self, words) -> tuple[float | None, bool]:
         """Trailing ``len=<x>um`` attribute; returns (value, consumed)."""
-        if tokens and tokens[-1][0].lower().startswith("len="):
-            value = self._value_with_unit(tokens[-1], line, "len", "um")
+        if words[-1].lower().startswith("len="):
+            index = len(words) - 1
+            value = self._value_with_unit(words, index, "len", "um")
             if value is None:
                 return None, True
             if value < 0:
-                self.error(line, tokens[-1][1], "len must be >= 0")
+                self.error(index, "len must be >= 0")
                 return None, True
             return value, True
         return None, False
 
     # --- statement handlers --------------------------------------------
 
-    def _stmt_rails(self, tokens, line):
-        if not self._expect_count(tokens, line, 1, "rails <n>"):
+    def _stmt_rails(self, words):
+        if not self._expect_count(words, 1, "rails <n>"):
             return
         if self.n_rails is not None:
-            self.error(line, tokens[0][1], "duplicate rails declaration")
+            self.error(0, "duplicate rails declaration")
             return
-        text, col = tokens[1]
-        if not text.isdigit():
-            self.error(line, col, f"rail count must be a positive integer, "
-                                  f"got '{text}'")
+        text = words[1]
+        if not text.isdecimal():
+            self.error(1, f"rail count must be a positive integer, got '{text}'")
             return
-        count = int(text)
-        if count < 1:
-            self.error(line, col, "rail count must be >= 1")
+        count = _decimal(text)
+        if count is not None and count < 1:
+            self.error(1, "rail count must be >= 1")
             return
-        if count > MAX_RAILS:
-            self.error(line, col, f"rail count {count} exceeds the capacity "
-                                  f"of {MAX_RAILS}")
+        if count is None or count > MAX_RAILS:
+            self.error(1, f"rail count {text if count is None else count} "
+                          f"exceeds the capacity of {MAX_RAILS}")
             return
         self.n_rails = count
+        self._rail_names = {f"q{rail}": rail for rail in range(count)}
 
-    def _stmt_segment(self, tokens, line):
-        if not self._expect_count(tokens, line, 2, "segment <rail> <length>um"):
+    def _stmt_segment(self, words):
+        if not self._expect_count(words, 2, "segment <rail> <length>um"):
             return
-        rail = self._rail(tokens[1], line)
-        text, col = tokens[2]
+        rail = self._rail(words, 1)
+        text = words[2]
         if len(text) < 2 or text[-2:].lower() != "um":
-            self.error(line, col, f"segment length requires a 'um' suffix, "
-                                  f"got '{text}'")
+            self.error(2, f"segment length requires a 'um' suffix, got '{text}'")
             return
-        length = self._number(text[:-2])
+        length = self._number(text[:-2], 2, "segment length")
         if length is None:
-            self.error(line, col, f"invalid number '{text[:-2]}' in segment length")
             return
         if length < 0:
-            self.error(line, col, "segment length must be >= 0")
+            self.error(2, "segment length must be >= 0")
             return
         if rail is None:
             return
         self.segments.append(Segment(rail, length, len(self.elements)))
 
-    def _stmt_sep(self, tokens, line):
-        if len(tokens) not in (3, 4):
-            self.error(line, tokens[0][1], "usage: sep <rail> delay=<t>ps [empty]")
+    def _stmt_sep(self, words):
+        if len(words) not in (3, 4):
+            self.error(0, "usage: sep <rail> delay=<t>ps [empty]")
             return
-        rail = self._rail(tokens[1], line)
-        delay = self._value_with_unit(tokens[2], line, "delay", "ps")
+        rail = self._rail(words, 1)
+        delay = self._value_with_unit(words, 2, "delay", "ps")
         emits = True
-        if len(tokens) == 4:
-            text, col = tokens[3]
-            if text.lower() != "empty":
-                self.error(line, col, f"unexpected token '{text}' "
-                                      f"(only 'empty' may follow the delay)")
+        if len(words) == 4:
+            if words[3].lower() != "empty":
+                self.error(3, f"unexpected token '{words[3]}' "
+                              f"(only 'empty' may follow the delay)")
                 return
             emits = False
         if rail is None or delay is None:
             return
         if delay < 0:
-            self.error(line, tokens[2][1], "delay must be >= 0")
+            self.error(2, "delay must be >= 0")
             return
         if rail in self._source_rails:
-            self.error(line, tokens[1][1], f"duplicate source for rail q{rail}")
+            self.error(1, f"duplicate source for rail q{rail}")
             return
         self._source_rails.add(rail)
         self.sources.append(SepSource(rail, delay, emits))
 
-    def _stmt_ps(self, tokens, line):
-        length, consumed = self._optional_len(tokens, line)
-        body = tokens[:-1] if consumed else tokens
-        if not self._expect_count(body, line, 2, "ps <rail> phi=<x>rad [len=<x>um]"):
+    def _stmt_ps(self, words):
+        length, consumed = self._optional_len(words)
+        body = words[:-1] if consumed else words
+        if not self._expect_count(body, 2, "ps <rail> phi=<x>rad [len=<x>um]"):
             return
-        rail = self._rail(body[1], line)
-        phi = self._value_with_unit(body[2], line, "phi", "rad")
+        rail = self._rail(body, 1)
+        phi = self._value_with_unit(body, 2, "phi", "rad")
         if rail is None or phi is None:
             return
-        if not math.isfinite(phi):
-            self.error(line, body[2][1], "phi must be finite")
-            return
         if self.strict and not (0.0 < phi < math.pi):
-            self.error(line, body[2][1],
-                       f"phi {phi:g} outside the hardware range (0, pi)")
+            self.error(2, f"phi {phi:g} outside the hardware range (0, pi)")
             return
         self.elements.append(PhaseShifter(rail, phi, length))
 
-    def _coupler_rails(self, tokens, line) -> tuple[int, int] | None:
-        rail_a = self._rail(tokens[1], line)
-        rail_b = self._rail(tokens[2], line)
+    def _coupler_rails(self, words) -> tuple[int, int] | None:
+        rail_a = self._rail(words, 1)
+        rail_b = self._rail(words, 2)
         if rail_a is None or rail_b is None:
             return None
         if rail_a == rail_b:
-            self.error(line, tokens[2][1], "coupler rails must be distinct")
+            self.error(2, "coupler rails must be distinct")
             return None
         return rail_a, rail_b
 
-    def _stmt_bs(self, tokens, line):
-        length, consumed = self._optional_len(tokens, line)
-        body = tokens[:-1] if consumed else tokens
-        if not self._expect_count(body, line, 4,
+    def _stmt_bs(self, words):
+        length, consumed = self._optional_len(words)
+        body = words[:-1] if consumed else words
+        if not self._expect_count(body, 4,
                                   "bs <railA> <railB> lc=<x>um lt=<x>um [len=<x>um]"):
             return
-        rails = self._coupler_rails(body, line)
-        lc = self._value_with_unit(body[3], line, "lc", "um")
-        lt = self._value_with_unit(body[4], line, "lt", "um")
+        rails = self._coupler_rails(body)
+        lc = self._value_with_unit(body, 3, "lc", "um")
+        lt = self._value_with_unit(body, 4, "lt", "um")
         if rails is None or lc is None or lt is None:
             return
         if lc < 0:
-            self.error(line, body[3][1], "lc must be >= 0")
+            self.error(3, "lc must be >= 0")
             return
         if lt <= 0:
-            self.error(line, body[4][1], "lt must be > 0")
+            self.error(4, "lt must be > 0")
             return
         self.elements.append(WaveguideCoupler(rails, lc, lt, length))
 
-    def _stmt_cc(self, tokens, line):
-        length, consumed = self._optional_len(tokens, line)
-        body = tokens[:-1] if consumed else tokens
-        if not self._expect_count(body, line, 3,
+    def _stmt_cc(self, words):
+        length, consumed = self._optional_len(words)
+        body = words[:-1] if consumed else words
+        if not self._expect_count(body, 3,
                                   "cc <railA> <railB> chit=<x>rad [len=<x>um]"):
             return
-        rails = self._coupler_rails(body, line)
-        chi_t = self._value_with_unit(body[3], line, "chit", "rad")
+        rails = self._coupler_rails(body)
+        chi_t = self._value_with_unit(body, 3, "chit", "rad")
         if rails is None or chi_t is None:
-            return
-        if not math.isfinite(chi_t):
-            self.error(line, body[3][1], "chit must be finite")
             return
         self.elements.append(CoulombCoupler(rails, chi_t, length))
 
-    def _stmt_macro(self, tokens, line, name: str, n_args: int, usage: str):
-        if not self._expect_count(tokens, line, n_args, usage):
+    def _stmt_macro(self, words, name: str):
+        params, _ = MACROS[name]
+        usage = " ".join([name] + [f"<{param}>" for param in params])
+        if not self._expect_count(words, len(params), usage):
             return
         rails = []
-        for tok in tokens[1:]:
-            rail = self._rail(tok, line)
+        for index in range(1, len(words)):
+            rail = self._rail(words, index)
             if rail is None:
                 return
             rails.append(rail)
         if len(set(rails)) != len(rails):
-            self.error(line, tokens[1][1], "macro rails must be distinct")
+            self.error(1, "macro rails must be distinct")
             return
         self.elements.append(CompositeGate(name, tuple(rails)))
 
-    def _stmt_dualrail(self, tokens, line):
-        if not self._expect_count(tokens, line, 3, "dualrail <name> <rail0> <rail1>"):
+    def _stmt_dualrail(self, words):
+        if not self._expect_count(words, 3, "dualrail <name> <rail0> <rail1>"):
             return
-        name, col = tokens[1]
+        name = words[1]
         if not _NAME_RE.fullmatch(name):
-            self.error(line, col, f"invalid register name '{name}'")
+            self.error(1, f"invalid register name '{name}'")
             return
-        rail0 = self._rail(tokens[2], line)
-        rail1 = self._rail(tokens[3], line)
+        rail0 = self._rail(words, 2)
+        rail1 = self._rail(words, 3)
         if rail0 is None or rail1 is None:
             return
         if rail0 == rail1:
-            self.error(line, tokens[3][1], "register rails must be distinct")
+            self.error(3, "register rails must be distinct")
             return
         if any(n == name for n, _ in self.registers):
-            self.error(line, col, f"duplicate register name '{name}'")
+            self.error(1, f"duplicate register name '{name}'")
             return
-        for rail, tok in ((rail0, tokens[2]), (rail1, tokens[3])):
+        for rail, index in ((rail0, 2), (rail1, 3)):
             if rail in self._register_rails:
-                self.error(line, tok[1],
-                           f"rail q{rail} already used by register "
-                           f"'{self._register_rails[rail]}'")
+                self.error(index, f"rail q{rail} already used by register "
+                                  f"'{self._register_rails[rail]}'")
                 return
         self._register_rails[rail0] = name
         self._register_rails[rail1] = name
         self.registers.append((name, (rail0, rail1)))
 
-    def _stmt_set(self, tokens, line):
-        if not self._expect_count(tokens, line, 1, "set <rail>"):
+    def _stmt_set(self, words):
+        if not self._expect_count(words, 1, "set <rail>"):
             return
-        rail = self._rail(tokens[1], line)
+        rail = self._rail(words, 1)
         if rail is None:
             return
         if rail in self.detectors:
-            self.warning(line, tokens[1][1], f"duplicate detector on rail q{rail}")
+            self.warning(1, f"duplicate detector on rail q{rail}")
             return
         self.detectors.append(rail)
 
     # --- driver ---------------------------------------------------------
 
     _HANDLERS = {
-        "rails": "_stmt_rails",
-        "segment": "_stmt_segment",
-        "sep": "_stmt_sep",
-        "ps": "_stmt_ps",
-        "bs": "_stmt_bs",
-        "cc": "_stmt_cc",
-        "dualrail": "_stmt_dualrail",
-        "set": "_stmt_set",
+        "rails": _stmt_rails,
+        "segment": _stmt_segment,
+        "sep": _stmt_sep,
+        "ps": _stmt_ps,
+        "bs": _stmt_bs,
+        "cc": _stmt_cc,
+        "dualrail": _stmt_dualrail,
+        "set": _stmt_set,
     }
 
     def feed(self, text: str) -> None:
-        last_line = 1
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            last_line = line_no
-            body = raw.split("#", 1)[0]
-            tokens = [(m.group(0), m.start() + 1)
-                      for m in re.finditer(r"\S+", body)]
-            if not tokens:
+        handlers = self._HANDLERS
+        line_no = 1
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            words = line.partition("#")[0].split()
+            if not words:
                 continue
-            keyword = tokens[0][0].lower()
+            self._line_no = line_no
+            self._line = line
+            keyword = words[0].lower()
             if self.n_rails is None and keyword != "rails":
-                self.error(line_no, tokens[0][1],
-                           "no rails declared (the first statement must be "
-                           "'rails <n>')")
+                self.error(0, "no rails declared (the first statement must be "
+                              "'rails <n>')")
                 continue
-            if keyword == "hadamard":
-                self._stmt_macro(tokens, line_no, "hadamard", 2,
-                                 "hadamard <rail0> <rail1>")
-            elif keyword == "fredkin":
-                self._stmt_macro(tokens, line_no, "fredkin", 3,
-                                 "fredkin <control> <t0> <t1>")
-            elif keyword in self._HANDLERS:
-                getattr(self, self._HANDLERS[keyword])(tokens, line_no)
+            handler = handlers.get(keyword)
+            if handler is not None:
+                handler(self, words)
+            elif keyword in MACROS:
+                self._stmt_macro(words, keyword)
             else:
-                self.error(line_no, tokens[0][1],
-                           f"unknown statement '{tokens[0][0]}'")
+                self.error(0, f"unknown statement '{words[0]}'")
         if self.n_rails is None:
-            self.error(last_line, 1, "no rails declared")
+            self.diagnostics.append(ParseDiagnostic(line_no, 1, "no rails declared"))
 
     def result(self) -> ParseResult:
         if any(d.severity == "error" for d in self.diagnostics):
@@ -547,14 +594,7 @@ def expand_composites(circuit: Circuit) -> Circuit:
     for element in circuit.elements:
         offsets.append(len(new_elements))
         if isinstance(element, CompositeGate):
-            if element.name == "hadamard":
-                new_elements.extend(_dualrail.logical_hadamard(element.rails))
-            elif element.name == "fredkin":
-                control, t0, t1 = element.rails
-                new_elements.extend(_dualrail.fredkin_circuit(control, (t0, t1)))
-            else:  # constructor blocks this; defensive for hand-built objects
-                raise NetlistError([ParseDiagnostic(
-                    1, 1, f"unknown macro '{element.name}'")])
+            new_elements.extend(macro_elements(element.name, element.rails))
         else:
             new_elements.append(element)
     offsets.append(len(new_elements))

@@ -31,12 +31,13 @@ is the readout draw.  Readout is inverse-CDF sampling
 histogram does not depend on how shots are chunked.
 
 Every element and every segment phase conserves electron number, so
-``run_shots`` evolves only the sector of the k electrons its pumps load:
-batches are ``(shots, C(n, k))`` over ``fock.sector_basis(n, k)``, the
-k-electron masks in ascending order, and sampled positions map back to
-masks through that basis.  Off-sector amplitudes are exact zeros, which add
-nothing to the cumulative sum, so the histogram equals a full 2^n
-evolution's for the same seed.
+``run_shots`` evolves only the sector of the k electrons its pumps load,
+over ``fock.sector_basis(n, k)``, the k-electron masks in ascending order:
+one ``(C(n, k),)`` vector in ``off`` and ``deterministic-factor`` modes,
+``(shots, C(n, k))`` batches in ``monte-carlo`` mode.  Sampled positions
+map back to masks through that basis.  Off-sector amplitudes are exact
+zeros, which add nothing to the cumulative sum, so the histogram equals a
+full 2^n evolution's for the same seed.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class DephasingModel:
         object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementArrival:
     """Arrival times (ps) of each involved rail at one placed element."""
 
@@ -191,19 +192,22 @@ def arrival_times(circuit, model: PropagationModel | None = None,
     if sources is None:
         sources = circuit.sources
     delays = {src.rail: src.emission_delay for src in sources}
-    traveled = dict.fromkeys(range(circuit.n_rails), 0.0)
+    velocity = model.velocity
+    traveled = [0.0] * circuit.n_rails
     groups = circuit.segment_groups()
     table = []
     for index, element in enumerate(circuit.elements):
         for seg in groups[index]:
             traveled[seg.rail] += seg.length
         rails = rails_of(element)
-        missing = [r for r in rails if r not in delays]
-        if missing:
-            names = ", ".join(f"q{r}" for r in missing)
+        times = {}
+        try:
+            for r in rails:
+                times[r] = delays[r] + traveled[r] / velocity
+        except KeyError:
+            names = ", ".join(f"q{r}" for r in rails if r not in delays)
             raise ConfigError(f"element {index} ({element_keyword(element)}) "
-                              f"needs a source on {names}")
-        times = {r: delays[r] + traveled[r] / model.velocity for r in rails}
+                              f"needs a source on {names}") from None
         table.append(ElementArrival(index, element_keyword(element), rails, times))
     return table
 
@@ -299,10 +303,10 @@ def run_shots(circuit, n_shots: int,
         # bound the per-chunk (shots, C(n, k)) batch to a few tens of MB
         chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
     else:
-        final = initial[np.newaxis, :].copy()
+        final = initial.copy()
         for element in circuit.elements:
             apply_element_batch(final, n_rails, element, n_electrons)
-        cumulative = np.cumsum(np.abs(final[0]) ** 2)
+        cumulative = np.cumsum(np.abs(final) ** 2)
         uniforms_per_shot = 1
         chunk = _SHOT_CHUNK
 

@@ -207,3 +207,12 @@ def test_rail_path_lengths_computed_once_per_run(tmp_path, monkeypatch, mode):
     assert len(calls) == 1
     # the wire on q1 reaches the report: 2 um plus the Fredkin footprint
     assert re.search(r"^budget_rail_um 1 2\.28", text, re.M)
+
+
+@pytest.mark.parametrize("n_rails", range(1, 13))
+def test_mask_bits_matches_the_per_bit_formula(n_rails):
+    from flyqsim.cli import _mask_bits
+
+    for mask in range(1 << n_rails):
+        expected = "".join(str((mask >> r) & 1) for r in range(n_rails))
+        assert _mask_bits(mask, n_rails) == expected

@@ -261,3 +261,56 @@ def test_expand_remaps_segment_positions():
 def test_element_rail_out_of_range_is_rejected_at_construction(element):
     with pytest.raises(ValueError, match=r"rail -?\d+ outside \[0, 3\)"):
         Circuit(3, [PhaseShifter(0, 0.1), element])
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(sources=[SepSource(0, 0.0), SepSource(5, 0.0)]),
+     r"source rail 5 outside \[0, 3\)"),
+    (dict(sources=[SepSource(-1, 0.0)]), r"source rail -1 outside \[0, 3\)"),
+    (dict(sources=[SepSource(0, 0.0), SepSource(1, 0.0), SepSource(0, 2.0)]),
+     r"two sources on rail 0"),
+    (dict(detectors=[0, 7]), r"detector rail 7 outside \[0, 3\)"),
+    (dict(detectors=[-1]), r"detector rail -1 outside \[0, 3\)"),
+    (dict(registers=[("r", (0, 9))]), r"register 'r' rail 9 outside \[0, 3\)"),
+    (dict(registers=[("a", (0, 1)), ("b", (-2, 2))]),
+     r"register 'b' rail -2 outside \[0, 3\)"),
+], ids=["source past last", "source negative", "duplicate source",
+        "detector past last", "detector negative", "register past last",
+        "register negative"])
+def test_circuit_rejects_bad_source_detector_and_register_rails(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Circuit(3, [PhaseShifter(0, 0.1)], **kwargs)
+
+
+def test_circuit_that_would_serialize_unparseable_text_is_rejected():
+    with pytest.raises(ValueError):
+        Circuit(3, [PhaseShifter(0, 0.1)],
+                sources=[SepSource(0, 0.0), SepSource(5, 0.0)],
+                detectors=[7], registers=[("r", (0, 9))])
+
+
+def test_macro_table_drives_arity_usage_and_expansion():
+    from flyqsim.gates import MACROS
+
+    assert sorted(MACROS) == ["fredkin", "hadamard"]
+    for name, (params, _) in MACROS.items():
+        rails = tuple(range(len(params)))
+        assert CompositeGate(name, rails).rails == rails
+        with pytest.raises(ValueError, match="takes"):
+            CompositeGate(name, rails + (len(params),))
+        usage = " ".join([name] + [f"<{p}>" for p in params])
+        result = parse(f"rails 4\n{name}\n")
+        assert [d.message for d in result.diagnostics] == [f"usage: {usage}"]
+
+
+def test_macro_synthesis_is_cached_and_shared():
+    from flyqsim.gates import macro_elements
+
+    first = macro_elements("fredkin", (0, 1, 2))
+    assert macro_elements("fredkin", (0, 1, 2)) is first
+    assert list(first) == fredkin_circuit(0, (1, 2))
+    circuit = parse_circuit("rails 3\nfredkin q0 q1 q2\nhadamard q1 q2\nfredkin q0 q1 q2\n")
+    expanded = expand_composites(circuit)
+    assert all(a is b for a, b in zip(expanded.elements[:6], first))
+    assert all(a is b for a, b in zip(expanded.elements[9:], first))
+    assert expanded.elements[6:9] == logical_hadamard((1, 2))

@@ -1,0 +1,135 @@
+"""The parser is total: numeric edge cases give diagnostics, never exceptions.
+
+Non-finite numbers (a literal past the float range, such as ``1e400``) are
+errors at the number's word, and so are digit strings longer than ``int``
+converts.  A grammar-shaped property test checks that ``parse`` never raises
+and that every error column is 1 or the start of a word on its line.
+"""
+
+import math
+import re
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from flyqsim.netlist import _NUMBER_RE, _LineParser, parse
+
+
+def diagnostics_of(text):
+    return [(d.line, d.column, d.message) for d in parse(text).diagnostics]
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("rails ²\n",
+     [(1, 7, "rail count must be a positive integer, got '²'"),
+      (1, 1, "no rails declared")]),
+    ("rails 2\nbs q0 q1 lc=1e400um lt=0.28um\n", [(2, 10, "lc must be finite")]),
+    ("rails 2\nbs q0 q1 lc=0.1um lt=1e400um\n", [(2, 19, "lt must be finite")]),
+    ("rails 2\nbs q0 q1 lc=0.1um lt=0.28um len=1e400um\n",
+     [(2, 29, "len must be finite")]),
+    ("rails 1\nps q0 phi=1rad len=1e400um\n", [(2, 16, "len must be finite")]),
+    ("rails 1\nps q0 phi=1rad len=-1e400um\n", [(2, 16, "len must be finite")]),
+    ("rails 2\ncc q0 q1 chit=1rad len=1e400um\n", [(2, 20, "len must be finite")]),
+    ("rails 2\nsegment q1 1e400um\n", [(2, 12, "segment length must be finite")]),
+    ("rails 2\nsegment q1 -1e400um\n", [(2, 12, "segment length must be finite")]),
+    ("rails 2\nsep q0 delay=1e400ps\n", [(2, 8, "delay must be finite")]),
+    # the number is reported even when the rail before it is wrong
+    ("rails 1\nps q9 phi=1e400rad\n",
+     [(2, 4, "rail q9 out of range (rails 1)"), (2, 7, "phi must be finite")]),
+], ids=["rails superscript", "lc", "lt", "bs len", "ps len", "negative len",
+        "cc len", "segment", "negative segment", "delay", "phi after bad rail"])
+def test_numeric_edge_cases_are_diagnostics(text, expected):
+    assert diagnostics_of(text) == expected
+    assert not parse(text).ok
+
+
+def test_digit_strings_past_the_int_limit():
+    nines = "9" * 5000
+    assert diagnostics_of(f"rails {nines}\n") == [
+        (1, 7, f"rail count {nines} exceeds the capacity of 24"),
+        (1, 1, "no rails declared")]
+    assert diagnostics_of(f"rails 2\nset q{nines}\n") == [
+        (2, 5, f"rail q{nines} out of range (rails 2)")]
+
+
+def test_unicode_decimal_digits_are_numbers():
+    # \d and str.isdecimal accept every Unicode decimal digit, and so does int
+    result = parse("rails ٣\nset q٢\nps q１ phi=١.5rad\n")
+    assert result.ok
+    assert result.circuit.n_rails == 3
+    assert result.circuit.detectors == [2]
+    assert result.circuit.elements[0].rail == 1
+    assert result.circuit.elements[0].phi == 1.5
+
+
+# --- grammar-shaped property test ---------------------------------------------
+
+DIGITS = st.text(alphabet="0123456789٣١２²", min_size=1, max_size=5)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.builds(lambda a, b, e: f"{a}.{b}e{e}", DIGITS, DIGITS, DIGITS),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "inf", "nan", "1_0", "", ".",
+                     "-", "+.5", "5.", "1e", "0x10", "٣.٥", "9" * 400]),
+)
+RAILS = st.one_of(
+    st.integers(-2, 30).map(lambda i: f"q{i}"),
+    st.builds(lambda d: f"q{d}", DIGITS),
+    st.sampled_from(["q", "Q1", "qq1", "q-1", "x", "q" + "9" * 5000]),
+)
+UNITS = st.sampled_from(["um", "UM", "ps", "rad", "RAD", "", "u", "m"])
+KEYS = st.sampled_from(["phi", "lc", "lt", "chit", "delay", "len", "LEN", "x", ""])
+WORDS = st.one_of(
+    RAILS,
+    st.builds(lambda k, n, u: f"{k}={n}{u}", KEYS, NUMBERS, UNITS),
+    st.builds(lambda n, u: n + u, NUMBERS, UNITS),
+    st.sampled_from(["empty", "EMPTY", "full", "a", "r_1", "1a", "#", "#x", "=1um"]),
+)
+KEYWORDS = st.sampled_from(["rails", "segment", "sep", "ps", "bs", "cc", "hadamard",
+                            "fredkin", "dualrail", "set", "SET", "bogus"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x1f", "\u00a0", "\u3000", "\u2003"])
+STATEMENTS = st.builds(
+    lambda keyword, words, seps, lead: lead + keyword + "".join(
+        sep + word for sep, word in zip(seps, words)),
+    KEYWORDS, st.lists(WORDS, max_size=6), st.lists(SEPARATORS, min_size=6, max_size=6),
+    st.sampled_from(["", " ", "\t", "\u3000"]))
+HEADERS = st.one_of(st.just("rails 8"), st.just(""),
+                    st.builds(lambda d: f"rails {d}", st.one_of(DIGITS, NUMBERS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(HEADERS, st.lists(STATEMENTS, max_size=12),
+       st.sampled_from(["\n", "\r\n", "\r", "\x0b"]), st.booleans())
+def test_parse_is_total_and_columns_point_at_words(header, statements, newline, strict):
+    text = newline.join([header] + statements)
+    result = parse(text, strict_hardware_phases=strict)
+    lines = text.splitlines()
+    for diag in result.diagnostics:
+        line = lines[diag.line - 1] if lines else ""
+        starts = {m.start() + 1 for m in re.finditer(r"\S+", line)}
+        assert diag.column == 1 or diag.column in starts, (diag, line)
+    if result.ok:
+        assert not result.errors()
+
+
+NUMBER_ALPHABET = "0123456789.eE+-_ infatyINFATY٣١２²x#"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text(alphabet=NUMBER_ALPHABET, min_size=1, max_size=8), NUMBERS))
+def test_number_reads_exactly_the_grammar_literals(text):
+    # _number skips the pattern for words float() reads as finite without "_"
+    assume(text.split() == [text])  # words never hold whitespace
+    parser = _LineParser()
+    parser._line = f"x {text}"
+    value = parser._number(text, 1, "phi")
+    if _NUMBER_RE.fullmatch(text) and math.isfinite(float(text)):
+        assert value == float(text)
+        assert parser.diagnostics == []
+    else:
+        assert value is None
+        (diag,) = parser.diagnostics
+        expected = ("phi must be finite" if _NUMBER_RE.fullmatch(text)
+                    else f"invalid number '{text}' in phi")
+        assert (diag.column, diag.message) == (3, expected)

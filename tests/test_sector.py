@@ -9,6 +9,7 @@ import pytest
 from corpus import random_runnable_circuit
 from flyqsim import fock
 from flyqsim.gates import (
+    CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
     apply_element,
@@ -183,3 +184,57 @@ def test_sampling_allocates_no_full_space_array():
         tracemalloc.stop()
     # one int64 per mask of the 20-rail space alone would take 8 MiB
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("space", ["sector", "full"])
+def test_one_vector_evolves_like_a_batch_row_bit_for_bit(seed, space):
+    rng = np.random.default_rng([91, seed])
+    circuit = random_runnable_circuit(rng, max_rails=7, max_gates=25)
+    n_rails = circuit.n_rails
+    k = int(rng.integers(0, n_rails + 1)) if space == "sector" else None
+    dim = fock.sector_basis(n_rails, k).size
+    start = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    vector = start[0].copy()
+    row = start[:1].copy()
+    rows = start.copy()
+    for element in circuit.elements:
+        apply_element_batch(vector, n_rails, element, k)
+        apply_element_batch(row, n_rails, element, k)
+        apply_element_batch(rows, n_rails, element, k)
+        assert np.array_equal(vector, row[0])
+    for i in range(3):
+        single = start[i].copy()
+        for element in circuit.elements:
+            apply_element_batch(single, n_rails, element, k)
+        assert np.array_equal(single, rows[i])
+
+
+def test_mode_unitary_batch_takes_a_vector_or_a_batch():
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    for n_rails, k in ((6, None), (6, 3), (7, 2)):
+        dim = fock.sector_basis(n_rails, k).size
+        start = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        for rails in ((0, 5), (4, 1), (2, 3)):
+            vector = start[1].copy()
+            batch = start.copy()
+            fock.mode_unitary_batch(vector, n_rails, rails, u, k)
+            fock.mode_unitary_batch(batch, n_rails, rails, u, k)
+            assert np.array_equal(vector, batch[1])
+
+
+@pytest.mark.parametrize("element", [
+    PhaseShifter(3, 0.1),
+    PhaseShifter(-1, 0.1),
+    WaveguideCoupler((0, 5), 0.1, 0.2),
+    WaveguideCoupler((-1, 0), 0.1, 0.2),
+    CoulombCoupler((2, 4), 0.3),
+], ids=["ps past last", "ps negative", "bs past last", "bs negative", "cc past last"])
+@pytest.mark.parametrize("k", [None, 1])
+@pytest.mark.parametrize("shape", ["vector", "batch"])
+def test_apply_element_batch_rejects_rails_out_of_range(element, k, shape):
+    dim = fock.sector_basis(3, k).size
+    amplitudes = np.zeros(dim if shape == "vector" else (2, dim), dtype=np.complex128)
+    with pytest.raises(ValueError, match=r"rail index -?\d+ out of range for 3 rails"):
+        apply_element_batch(amplitudes, 3, element, k)
