@@ -62,7 +62,6 @@ from .timing import (
     PropagationModel,
     SepSource,
     ShotHistogram,
-    ShotResult,
     arrival_times,
     check_coincidence,
     run_shots,

@@ -46,20 +46,14 @@ def rail_path_lengths(circuit) -> list[float]:
 
 
 def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,
-            assumed_gate_length: float = DEFAULT_GATE_LENGTH_UM,
-            lengths=None) -> BudgetReport:
-    """Coherence report for a circuit at a given coherence length.
-
-    ``lengths`` passes per-rail path lengths already computed for this
-    circuit (``ShotHistogram.rail_lengths``), so a run walks its wire once.
-    """
+            assumed_gate_length: float = DEFAULT_GATE_LENGTH_UM) -> BudgetReport:
+    """Coherence report for a circuit at a given coherence length."""
     if not l_phi > 0:
         raise ValueError(f"l_phi must be > 0, got {l_phi}")
     if not assumed_gate_length > 0:
         raise ValueError(f"assumed_gate_length must be > 0, "
                          f"got {assumed_gate_length}")
-    if lengths is None:
-        lengths = rail_path_lengths(circuit)
+    lengths = rail_path_lengths(circuit)
     max_length = max(lengths) if lengths else 0.0
     return BudgetReport(
         per_rail_length=tuple(lengths),

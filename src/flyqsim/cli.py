@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import budget as budget_mod
 from . import netlist as netlist_mod
@@ -21,7 +21,7 @@ EXIT_PARSE = 2
 EXIT_DESYNC = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     input_path: str
     shots: int = 1024
@@ -33,18 +33,24 @@ class RunConfig:
     gate_length: float = budget_mod.DEFAULT_GATE_LENGTH_UM
     output_format: str = "human"
     allow_desync: bool = False
+    propagation: timing_mod.PropagationModel = field(init=False)
+    dephasing: timing_mod.DephasingModel = field(init=False)
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.l_phi > 0:
-            raise ValueError(f"lphi must be > 0, got {self.l_phi}")
-        if not self.velocity > 0:
-            raise ValueError(f"velocity must be > 0, got {self.velocity}")
-        if not self.window > 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
+        # the models check their own values; frozen, so they stay in step
+        # with the fields they were built from
+        object.__setattr__(self, "propagation",
+                           timing_mod.PropagationModel(self.velocity, self.window))
+        object.__setattr__(self, "dephasing",
+                           timing_mod.DephasingModel(self.l_phi, self.dephasing_mode))
+        # the one value no model owns: budget.analyze would reject it only
+        # after the simulation
+        if not self.gate_length > 0:
+            raise ValueError(f"gate_length must be > 0, got {self.gate_length}")
         if self.output_format not in ("human", "machine"):
             raise ValueError(f"unknown output format '{self.output_format}'")
 
@@ -60,7 +66,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_machine(out, config, circuit, result, report, schedule_note):
+def _emit_machine(out, config, circuit, result, report, coherence,
+                  schedule_note):
     lines = [
         "format=machine",
         f"netlist={config.input_path}",
@@ -73,7 +80,7 @@ def _emit_machine(out, config, circuit, result, report, schedule_note):
         f"window_ps={_fmt(config.window)}",
         f"gate_length_um={_fmt(config.gate_length)}",
         f"coincidence={schedule_note}",
-        f"mean_coherence={_fmt(result.mean_coherence_factor)}",
+        f"mean_coherence={_fmt(coherence)}",
     ]
     for mask in sorted(result.counts):
         lines.append(f"count {_mask_bits(mask, circuit.n_rails)} "
@@ -90,7 +97,8 @@ def _emit_machine(out, config, circuit, result, report, schedule_note):
     out.write("\n".join(lines) + "\n")
 
 
-def _emit_human(out, config, circuit, result, report, schedule_note):
+def _emit_human(out, config, circuit, result, report, coherence,
+                schedule_note):
     registers = ", ".join(name for name, _ in circuit.registers)
     out.write(f"netlist {config.input_path}: {circuit.n_rails} rails, "
               f"{len(circuit.elements)} elements\n")
@@ -98,7 +106,7 @@ def _emit_human(out, config, circuit, result, report, schedule_note):
               f"(window {config.window:g} ps, velocity {config.velocity:g} um/ps)\n")
     out.write(f"{config.shots} shots, seed {config.seed}, "
               f"dephasing {config.dephasing_mode}, "
-              f"mean coherence factor {result.mean_coherence_factor:.6g}\n")
+              f"mean coherence factor {coherence:.6g}\n")
     out.write("counts:\n")
     for mask in sorted(result.counts):
         count = result.counts[mask]
@@ -130,7 +138,7 @@ def run(config: RunConfig, out=None) -> int:
     try:
         with open(config.input_path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         out.write(f"error: cannot read {config.input_path}: {exc}\n")
         return EXIT_PARSE
 
@@ -141,12 +149,11 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_PARSE
     circuit = netlist_mod.expand_composites(parsed.circuit)
 
-    propagation = timing_mod.PropagationModel(config.velocity, config.window)
-    dephasing = timing_mod.DephasingModel(config.l_phi, config.dephasing_mode)
     try:
         result = timing_mod.run_shots(
-            circuit, config.shots, dephasing=dephasing, master_seed=config.seed,
-            propagation=propagation, allow_desync=config.allow_desync)
+            circuit, config.shots, dephasing=config.dephasing,
+            master_seed=config.seed, propagation=config.propagation,
+            allow_desync=config.allow_desync)
     except timing_mod.ConfigError as exc:
         out.write(f"error: {exc}\n")
         return EXIT_PARSE
@@ -158,13 +165,13 @@ def run(config: RunConfig, out=None) -> int:
     _write_violations(out, result.violations)
     schedule_note = "ok" if not result.violations else "override"
 
-    report = budget_mod.analyze(circuit, config.l_phi, config.gate_length,
-                                lengths=result.rail_lengths)
+    report = budget_mod.analyze(circuit, config.l_phi, config.gate_length)
+    # the sampler reports no factor: off mode is ideal, the others use the budget's
+    coherence = (1.0 if config.dephasing.mode == timing_mod.MODE_OFF
+                 else report.coherence_factor)
 
-    if config.output_format == "machine":
-        _emit_machine(out, config, circuit, result, report, schedule_note)
-    else:
-        _emit_human(out, config, circuit, result, report, schedule_note)
+    emit = _emit_machine if config.output_format == "machine" else _emit_human
+    emit(out, config, circuit, result, report, coherence, schedule_note)
     return EXIT_OK
 
 

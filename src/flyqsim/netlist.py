@@ -102,8 +102,8 @@ class Circuit:
 
     def __post_init__(self):
         # the one validation point for element, source, detector and register
-        # rails: serialize, the budget and the schedule all index rails
-        # without checking them again
+        # rails and register names: serialize, the budget and the schedule
+        # all index rails without checking them again
         n_rails = self.n_rails
         for index, element in enumerate(self.elements):
             for rail in rails_of(element):
@@ -121,11 +121,19 @@ class Circuit:
         for rail in self.detectors:
             if not 0 <= rail < n_rails:
                 raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
+        names = set()
         for name, pair in self.registers:
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+                raise ValueError(f"invalid register name {name!r}")
+            if name in names:
+                raise ValueError(f"duplicate register name '{name}'")
+            names.add(name)
             for rail in pair:
                 if not 0 <= rail < n_rails:
                     raise ValueError(f"register '{name}' rail {rail} outside "
                                      f"[0, {n_rails})")
+        # rails distinct within and across pairs
+        self.dual_rail_register()
         # canonical segment order: by position, declaration order within one;
         # keeps parse(serialize(c)) == c for any valid circuit
         self.segments = sorted(self.segments, key=attrgetter("position"))

@@ -13,8 +13,9 @@ the occupied components of its rail, drawn per shot with variance
 ``l / l_phi``.  Two interferometer arms of length ``l`` then accumulate a
 relative phase of variance ``2 l / l_phi``, which averages interference
 fringes down by ``exp(-l / l_phi)``, the standard reading of a phase
-coherence length.  ``deterministic-factor`` mode skips the noise and just
-reports ``exp(-longest_rail_path / l_phi)`` alongside ideal sampling.
+coherence length.  ``deterministic-factor`` mode samples exactly as ``off``;
+its analytic factor ``exp(-longest_rail_path / l_phi)`` is the coherence
+budget's (``budget.analyze``), not the sampler's.
 
 Reproducibility contract: a run draws every random number from one Philox
 stream, ``np.random.default_rng(np.random.Philox(master_seed))``.  Shot
@@ -47,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import budget, fock
-from .dualrail import LogicalOutcome, decode
+from . import fock
+from .dualrail import decode
 from .gates import apply_element_batch, element_keyword, rails_of
 
 DEFAULT_VELOCITY_UM_PS = 0.1
@@ -153,13 +154,6 @@ class CoincidenceViolation:
                 f"|dt| = {self.delta:g} ps ({arrivals})")
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    mask: int
-    logical: LogicalOutcome | None
-    coherence_factor: float
-
-
 @dataclass
 class ShotHistogram:
     """Aggregated sampling run."""
@@ -169,10 +163,7 @@ class ShotHistogram:
     counts: dict                  # mask -> count, only nonzero entries
     logical_counts: dict | None   # outcome string -> count, when registers exist
     leak_count: int
-    mean_coherence_factor: float
-    shots: list = field(default_factory=list)  # ShotResult, only when requested
     violations: list = field(default_factory=list)  # CoincidenceViolation, when overridden
-    rail_lengths: tuple | None = None  # per-rail path behind the factor; None when off
 
     def probability(self, mask: int) -> float:
         return self.counts.get(mask, 0) / self.n_shots
@@ -246,16 +237,17 @@ def run_shots(circuit, n_shots: int,
               dephasing: DephasingModel | None = None,
               master_seed: int = 0,
               propagation: PropagationModel | None = None,
-              allow_desync: bool = False,
-              keep_shots: bool = False) -> ShotHistogram:
+              allow_desync: bool = False) -> ShotHistogram:
     """Sample ``n_shots`` detector readouts of a scheduled circuit.
 
     The schedule is checked first; violations abort with
     ``CoincidenceError`` unless ``allow_desync`` overrides, in which case the
     returned histogram lists them in ``violations`` (empty when the schedule
     is coincident).  Results are deterministic in ``master_seed`` (see module
-    docstring for the stream contract).  ``keep_shots`` additionally records
-    one ``ShotResult`` per shot; leave it off for large runs.
+    docstring for the stream contract).  ``deterministic-factor`` mode samples
+    exactly as ``off``; its analytic factor is ``budget.analyze``'s
+    ``coherence_factor``.  The histogram is the whole result: shots are
+    i.i.d. given the seed, so no per-shot record is kept.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
@@ -281,14 +273,6 @@ def run_shots(circuit, n_shots: int,
     initial = np.zeros(dim, dtype=np.complex128)
     initial[np.searchsorted(sector, loaded)] = 1.0
 
-    if dephasing.mode == MODE_OFF:
-        coherence = 1.0
-        lengths = None
-    else:
-        lengths = tuple(budget.rail_path_lengths(circuit))
-        longest = max(lengths) if len(lengths) else 0.0
-        coherence = math.exp(-longest / dephasing.l_phi)
-
     register = circuit.dual_rail_register()
 
     mc = dephasing.mode == MODE_MC
@@ -312,7 +296,6 @@ def run_shots(circuit, n_shots: int,
 
     stream = np.random.default_rng(np.random.Philox(master_seed))
     total_counts = np.zeros(dim, dtype=np.int64)
-    shots: list[ShotResult] = []
 
     for start in range(0, n_shots, chunk):
         size = min(chunk, n_shots - start)
@@ -335,10 +318,6 @@ def run_shots(circuit, n_shots: int,
         else:
             positions = fock.sample_masks(cumulative, uniforms[:, 0])
         total_counts += np.bincount(positions, minlength=dim)
-        if keep_shots:
-            for mask in sector[positions].tolist():
-                logical = decode(mask, register) if register else None
-                shots.append(ShotResult(mask, logical, coherence))
 
     observed = np.flatnonzero(total_counts)
     counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))
@@ -359,8 +338,5 @@ def run_shots(circuit, n_shots: int,
         counts=counts,
         logical_counts=logical_counts,
         leak_count=leak_count,
-        mean_coherence_factor=coherence,
-        shots=shots,
         violations=violations,
-        rail_lengths=lengths,
     )

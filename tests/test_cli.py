@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -115,6 +116,15 @@ def test_missing_file_exits_2(tmp_path):
     assert "cannot read" in out.getvalue()
 
 
+def test_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "latin1.fq"
+    path.write_bytes("rails 2\n# caf\u00e9\n".encode("latin-1"))
+    out = io.StringIO()
+    code = run(RunConfig(input_path=str(path)), out=out)
+    assert code == EXIT_PARSE
+    assert out.getvalue().startswith(f"error: cannot read {path}: ")
+
+
 def test_missing_source_exits_2(tmp_path):
     text = "rails 2\nsep q0 delay=0ps\ncc q0 q1 chit=0.5rad\n"
     code, output = run_cli(text, tmp_path)
@@ -172,11 +182,20 @@ def test_main_entry_point(tmp_path, capsys):
     assert "count 101 50" in captured.out
 
 
-def test_main_rejects_bad_config(tmp_path):
+def test_main_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "c.fq"
     path.write_text(FREDKIN_SWAP_INPUT)
     assert main([str(path), "--shots", "0"]) == EXIT_PARSE
     assert main([str(path), "--seed", "-5"]) == EXIT_PARSE
+    # the models' own checks, with their messages
+    assert main([str(path), "--lphi", "0"]) == EXIT_PARSE
+    assert capsys.readouterr().err.endswith("error: l_phi must be > 0, got 0.0\n")
+    # rejected at config time, not by the budget after the simulation
+    for value in ("0", "-1", "nan"):
+        assert main([str(path), "--gate-length", value]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gate_length must be > 0")
+        assert captured.out == ""
 
 
 def test_run_config_validation():
@@ -186,6 +205,15 @@ def test_run_config_validation():
         RunConfig(input_path="x", output_format="yaml")
     with pytest.raises(ValueError):
         RunConfig(input_path="x", window=0.0)
+    with pytest.raises(ValueError, match="unknown dephasing mode"):
+        RunConfig(input_path="x", dephasing_mode="thermal")
+    # the config builds each model once and cannot drift from it
+    config = RunConfig(input_path="x", l_phi=12.0, velocity=0.2, window=3.0,
+                       dephasing_mode="mc")
+    assert config.dephasing == timing.DephasingModel(12.0, "monte-carlo")
+    assert config.propagation == timing.PropagationModel(0.2, 3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.l_phi = 5.0
 
 
 @pytest.mark.parametrize("mode", ["off", "factor", "mc"])

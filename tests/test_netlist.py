@@ -282,6 +282,20 @@ def test_circuit_rejects_bad_source_detector_and_register_rails(kwargs, match):
         Circuit(3, [PhaseShifter(0, 0.1)], **kwargs)
 
 
+@pytest.mark.parametrize("registers,match", [
+    ([("a", (0, 1)), ("b", (1, 2))], r"register rails must be distinct"),
+    ([("a", (0, 1)), ("a", (2, 3))], r"duplicate register name 'a'"),
+    ([("a", (2, 2))], r"register rails must be distinct"),
+    ([("1x", (0, 1))], r"invalid register name '1x'"),
+    ([("a b", (0, 1))], r"invalid register name 'a b'"),
+], ids=["shared rail", "repeated name", "repeated rail in pair",
+        "name starts with digit", "name with space"])
+def test_circuit_rejects_registers_the_parser_rejects(registers, match):
+    # serialize would write each as a dualrail line that parse refuses
+    with pytest.raises(ValueError, match=match):
+        Circuit(4, [PhaseShifter(0, 0.1)], registers=registers)
+
+
 def test_circuit_that_would_serialize_unparseable_text_is_rejected():
     with pytest.raises(ValueError):
         Circuit(3, [PhaseShifter(0, 0.1)],

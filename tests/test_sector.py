@@ -98,10 +98,8 @@ def _mesh(n_rails):
 def test_empty_register_samples_the_vacuum(mode):
     assert np.array_equal(fock.sector_basis(5, 0), [0])
     result = run_shots(_register(5, set(), _mesh(5)), 50,
-                       dephasing=DephasingModel(30.0, mode), master_seed=3,
-                       keep_shots=True)
+                       dephasing=DephasingModel(30.0, mode), master_seed=3)
     assert result.counts == {0: 50}
-    assert {shot.mask for shot in result.shots} == {0}
 
 
 @pytest.mark.parametrize("mode", ["off", "factor", "mc"])

@@ -1,9 +1,11 @@
+import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from flyqsim import timing
+from flyqsim import cli, timing
 from flyqsim.budget import analyze
 from flyqsim.fock import prepare_occupation, sample_masks
 from flyqsim.gates import (
@@ -13,7 +15,7 @@ from flyqsim.gates import (
     WaveguideCoupler,
     apply_element,
 )
-from flyqsim.netlist import Circuit, Segment
+from flyqsim.netlist import Circuit, Segment, serialize
 from flyqsim.timing import (
     CoincidenceError,
     ConfigError,
@@ -200,24 +202,39 @@ def test_run_shots_requires_expanded_circuit():
         run_shots(circuit, 5)
 
 
-def test_factor_mode_matches_budget_report():
+def test_factor_mode_matches_budget_report(tmp_path):
     circuit = mach_zehnder(arm_um=12.0)
     dephasing = DephasingModel(l_phi=30.0, mode="factor")
     result = run_shots(circuit, 50, dephasing=dephasing, master_seed=1)
-    report = analyze(circuit, l_phi=30.0)
-    assert result.mean_coherence_factor == pytest.approx(
-        report.coherence_factor, abs=1e-12)
     # ideal sampling: the port is still deterministic in factor mode
     assert result.counts == {0b10: 50}
+    # a factor-mode run reports the budget's factor as its mean coherence
+    path = tmp_path / "mz.fq"
+    path.write_text(serialize(circuit))
+    out = io.StringIO()
+    config = cli.RunConfig(str(path), shots=50, seed=1, dephasing_mode="factor",
+                           l_phi=30.0, output_format="machine")
+    assert cli.run(config, out=out) == cli.EXIT_OK
+    lines = out.getvalue().splitlines()
+    values = dict(line.split("=", 1) for line in lines if "=" in line)
+    report = analyze(circuit, l_phi=30.0)
+    assert float(values["mean_coherence"]) == pytest.approx(
+        report.coherence_factor, abs=1e-12)
+    assert values["mean_coherence"] == values["budget_coherence"]
+    assert "count 01 50" in lines
 
 
 def test_factor_mode_coherence_value():
-    circuit = mach_zehnder(arm_um=30.0)
-    dephasing = DephasingModel(l_phi=30.0, mode="deterministic-factor")
-    result = run_shots(circuit, 10, dephasing=dephasing, master_seed=0)
+    circuit = mach_zehnder(arm_um=30.0, internal_phase=0.7)
     # max rail path: 30 um arm + two 0.14 um couplers
     expected = math.exp(-30.28 / 30.0)
-    assert result.mean_coherence_factor == pytest.approx(expected, abs=1e-12)
+    assert analyze(circuit, l_phi=30.0).coherence_factor == pytest.approx(
+        expected, abs=1e-12)
+    # the factor is the budget's: factor mode samples exactly as off
+    dephasing = DephasingModel(l_phi=30.0, mode="deterministic-factor")
+    factor = run_shots(circuit, 200, dephasing=dephasing, master_seed=0)
+    assert len(factor.counts) == 2
+    assert factor.counts == run_shots(circuit, 200, master_seed=0).counts
 
 
 def test_monte_carlo_visibility_quick():
@@ -251,18 +268,6 @@ def test_monte_carlo_preserves_occupation_statistics():
     assert result.counts.get(0b11, 0) == 0
 
 
-def test_keep_shots_records_results():
-    circuit = mach_zehnder(arm_um=6.0)
-    dephasing = DephasingModel(l_phi=30.0, mode="factor")
-    result = run_shots(circuit, 25, dephasing=dephasing, master_seed=2,
-                       keep_shots=True)
-    assert len(result.shots) == 25
-    expected_factor = math.exp(-analyze(circuit).max_length / 30.0)
-    for shot in result.shots:
-        assert shot.mask == 0b10
-        assert shot.coherence_factor == pytest.approx(expected_factor, abs=1e-12)
-
-
 def test_logical_counts_with_register():
     circuit = mach_zehnder()
     circuit.registers = [("a", (0, 1))]
@@ -271,16 +276,39 @@ def test_logical_counts_with_register():
     assert result.leak_count == 0
 
 
+def shot_masks(circuit, n_shots, mode, seed):
+    """Shot i's mask, read as the one count run i+1 adds to run i."""
+    dephasing = DephasingModel(30.0, mode)
+    masks = []
+    previous = Counter()
+    for n in range(1, n_shots + 1):
+        counts = Counter(run_shots(circuit, n, dephasing=dephasing,
+                                   master_seed=seed).counts)
+        added = counts - previous
+        assert not previous - counts, f"shot {n - 1} removed a count"
+        assert sum(added.values()) == 1, f"shot {n - 1} added {dict(added)}"
+        masks.extend(added)
+        previous = counts
+    return masks
+
+
 def test_off_mode_follows_stream_contract():
     # one Philox stream per run; shot i reads uniform i for its readout
     circuit = mach_zehnder(internal_phase=0.7)
-    result = run_shots(circuit, 60, master_seed=4, keep_shots=True)
     state = prepare_occupation(2, {0})
     for element in circuit.elements:
         state = apply_element(state, element)
     uniforms = np.random.default_rng(np.random.Philox(4)).random(60)
     expected = sample_masks(np.cumsum(state.probabilities()), uniforms)
-    assert [shot.mask for shot in result.shots] == expected.tolist()
+    assert shot_masks(circuit, 60, "off", seed=4) == expected.tolist()
+
+
+@pytest.mark.parametrize("mode", ["factor", "mc"])
+def test_each_extra_shot_adds_one_count(mode):
+    # shot i owns a fixed block of the stream, so a longer run only appends
+    circuit = mach_zehnder(arm_um=6.0, internal_phase=0.7)
+    masks = shot_masks(circuit, 40, mode, seed=4)
+    assert len(set(masks)) == 2
 
 
 @pytest.mark.parametrize("seed", [21, 2**130])
