@@ -35,9 +35,8 @@ class BudgetReport:
 def rail_path_lengths(circuit) -> list[float]:
     """Total traversed length per rail: segments plus element footprints."""
     lengths = [0.0] * circuit.n_rails
-    for group in circuit.segment_groups():
-        for seg in group:
-            lengths[seg.rail] += seg.length
+    for seg in circuit.segments:
+        lengths[seg.rail] += seg.length
     for element in circuit.elements:
         footprint = physical_length(element)
         for rail in rails_of(element):

@@ -26,16 +26,16 @@ Parsing is total: malformed input produces diagnostics with 1-based line and
 column positions, never an exception.  Each line is split into words with
 ``str.split``; a word's column is computed only when a diagnostic is written
 about it.  A number must be finite: a literal past the float range, such as
-``1e400``, is an error at its word, as is a malformed one.  ``serialize``
-emits a canonical form that parses back to a structurally equal circuit.
+``1e400``, is an error at its word, as is a malformed one.  ``Circuit`` is
+an immutable value, validated and bucketed by position once, when built;
+``serialize`` emits a canonical form that parses back to an equal circuit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 
 from . import dualrail as _dualrail
 from .fock import MAX_RAILS
@@ -69,8 +69,9 @@ def _decimal(digits: str) -> int | None:
 class Segment:
     """Wire of ``length`` um on ``rail``, placed before ``elements[position]``.
 
-    ``position == len(elements)`` marks trailing wire after the last element;
-    ``Circuit.segment_groups`` rejects positions and rails out of range.
+    ``position == len(elements)`` marks trailing wire after the last element.
+    ``Circuit`` rejects positions and rails out of range and lengths that are
+    negative or not finite.
     """
 
     rail: int
@@ -89,21 +90,33 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Validated circuit: rails, placed elements, wiring, sources, readout."""
+    """Validated, immutable circuit: rails, placed elements, wiring, sources,
+    readout.  ``dataclasses.replace`` derives a validated variant.
+
+    The constructor stores the container fields as tuples and derives two
+    attributes that equality ignores: ``wire[p]``, the segments placed before
+    ``elements[p]`` in declaration order (``wire[-1]`` is the trailing wire),
+    and ``register``, the declared pairs as a ``DualRailRegister`` or None.
+    ``segments`` is ``wire`` flattened: the canonical netlist order.
+    """
 
     n_rails: int
-    elements: list = field(default_factory=list)
-    segments: list = field(default_factory=list)
-    sources: list = field(default_factory=list)
-    detectors: list = field(default_factory=list)
-    registers: list = field(default_factory=list)  # (name, (rail0, rail1))
+    elements: tuple = ()
+    segments: tuple = ()
+    sources: tuple = ()
+    detectors: tuple = ()
+    registers: tuple = ()  # (name, (rail0, rail1))
+    wire: tuple = field(init=False, repr=False, compare=False)
+    register: _dualrail.DualRailRegister | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the one validation point for element, source, detector and register
-        # rails and register names: serialize, the budget and the schedule
-        # all index rails without checking them again
+        # the one validation point: every other stage indexes rails and reads
+        # lengths without checking them again
+        for name in ("elements", "sources", "detectors", "registers"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n_rails = self.n_rails
         for index, element in enumerate(self.elements):
             for rail in rails_of(element):
@@ -111,6 +124,18 @@ class Circuit:
                     raise ValueError(
                         f"element {index} ({element_keyword(element)}) rail "
                         f"{rail} outside [0, {n_rails})")
+        wire = [[] for _ in range(len(self.elements) + 1)]
+        for seg in self.segments:
+            if not 0 <= seg.position < len(wire):
+                raise ValueError(f"segment position {seg.position} outside "
+                                 f"[0, {len(self.elements)}]: {seg!r}")
+            if not 0 <= seg.rail < n_rails:
+                raise ValueError(f"segment rail {seg.rail} outside "
+                                 f"[0, {n_rails}): {seg!r}")
+            if not (math.isfinite(seg.length) and seg.length >= 0):
+                raise ValueError(f"segment length must be finite and >= 0: "
+                                 f"{seg!r}")
+            wire[seg.position].append(seg)
         source_rails = set()
         for src in self.sources:
             if not 0 <= src.rail < n_rails:
@@ -121,6 +146,8 @@ class Circuit:
         for rail in self.detectors:
             if not 0 <= rail < n_rails:
                 raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ValueError(f"detector rails repeat: {self.detectors}")
         names = set()
         for name, pair in self.registers:
             if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
@@ -132,38 +159,12 @@ class Circuit:
                 if not 0 <= rail < n_rails:
                     raise ValueError(f"register '{name}' rail {rail} outside "
                                      f"[0, {n_rails})")
+        wire = tuple(map(tuple, wire))
+        object.__setattr__(self, "wire", wire)
+        object.__setattr__(self, "segments", tuple(s for g in wire for s in g))
         # rails distinct within and across pairs
-        self.dual_rail_register()
-        # canonical segment order: by position, declaration order within one;
-        # keeps parse(serialize(c)) == c for any valid circuit
-        self.segments = sorted(self.segments, key=attrgetter("position"))
-
-    def dual_rail_register(self):
-        """Declared pairs as a DualRailRegister, or None when absent."""
-        if not self.registers:
-            return None
-        return _dualrail.DualRailRegister(tuple(pair for _, pair in self.registers))
-
-    def segment_groups(self) -> list:
-        """Segments bucketed by position, in one pass over ``segments``.
-
-        ``groups[p]`` lists the wire placed before ``elements[p]`` (and
-        ``groups[len(elements)]`` the trailing wire), in list order.  This is
-        the one validation point for segments: a ``position`` outside
-        ``[0, len(elements)]`` or a ``rail`` outside ``[0, n_rails)`` raises
-        ``ValueError``.  Not cached, so segments appended after construction
-        are seen.
-        """
-        groups = [[] for _ in range(len(self.elements) + 1)]
-        for seg in self.segments:
-            if not 0 <= seg.position < len(groups):
-                raise ValueError(f"segment position {seg.position} outside "
-                                 f"[0, {len(self.elements)}]: {seg!r}")
-            if not 0 <= seg.rail < self.n_rails:
-                raise ValueError(f"segment rail {seg.rail} outside "
-                                 f"[0, {self.n_rails}): {seg!r}")
-            groups[seg.position].append(seg)
-        return groups
+        object.__setattr__(self, "register", _dualrail.DualRailRegister(
+            tuple(pair for _, pair in self.registers)) if self.registers else None)
 
     def has_composites(self) -> bool:
         return any(isinstance(e, CompositeGate) for e in self.elements)
@@ -580,7 +581,7 @@ def serialize(circuit: Circuit) -> str:
         lines.append(f"sep q{src.rail} delay={_fmt(src.emission_delay)}ps{empty}")
     for name, (rail0, rail1) in circuit.registers:
         lines.append(f"dualrail {name} q{rail0} q{rail1}")
-    for position, group in enumerate(circuit.segment_groups()):
+    for position, group in enumerate(circuit.wire):
         for seg in group:
             lines.append(f"segment q{seg.rail} {_fmt(seg.length)}um")
         if position < len(circuit.elements):
@@ -594,9 +595,11 @@ def expand_composites(circuit: Circuit) -> Circuit:
     """Replace macro elements by their primitive synthesis.
 
     Segment positions are remapped so wire declared before a macro stays
-    before its first primitive element.  Circuits without macros come back
-    structurally unchanged.
+    before its first primitive element.  A circuit without macros is
+    returned as it is.
     """
+    if not circuit.has_composites():
+        return circuit
     new_elements: list[GateElement] = []
     offsets: list[int] = []
     for element in circuit.elements:
@@ -606,15 +609,7 @@ def expand_composites(circuit: Circuit) -> Circuit:
         else:
             new_elements.append(element)
     offsets.append(len(new_elements))
-    new_segments = [Segment(s.rail, s.length, offsets[position])
-                    for position, group in enumerate(circuit.segment_groups())
-                    for s in group]
-    return Circuit(
-        n_rails=circuit.n_rails,
-        elements=new_elements,
-        segments=new_segments,
-        sources=list(circuit.sources),
-        detectors=list(circuit.detectors),
-        registers=list(circuit.registers),
-    )
+    new_segments = [Segment(s.rail, s.length, offsets[s.position])
+                    for s in circuit.segments]
+    return replace(circuit, elements=new_elements, segments=new_segments)
 

@@ -25,9 +25,10 @@ uniform is the readout draw.  In ``monte-carlo`` mode with ``S`` declared
 segments ``k = 2*ceil(S/2) + 1``: uniform pairs ``(u1, u2)`` give two
 standard normals each by Box-Muller, ``sqrt(-2 ln(1 - u1))`` times
 ``cos(2 pi u2)`` and then ``sin(2 pi u2)``; the normals go to the segments
-in netlist order: by element position, then declaration order within a
-position (an odd ``S`` leaves the last normal unused), and the final uniform
-is the readout draw.  Readout is inverse-CDF sampling
+in the order of ``Circuit.segments``, which the circuit's constructor fixes
+as netlist order: by element position, then declaration order within a
+position (an odd ``S`` leaves the last normal unused).  The final uniform is
+the readout draw.  Readout is inverse-CDF sampling
 (``fock.sample_masks``).  Because every shot consumes a fixed block, the
 histogram does not depend on how shots are chunked.
 
@@ -92,8 +93,8 @@ class SepSource:
     emits: bool = True
 
     def __post_init__(self):
-        if self.emission_delay < 0:
-            raise ValueError(f"emission_delay must be >= 0, "
+        if not (math.isfinite(self.emission_delay) and self.emission_delay >= 0):
+            raise ValueError(f"emission_delay must be finite and >= 0, "
                              f"got {self.emission_delay}")
 
 
@@ -169,8 +170,7 @@ class ShotHistogram:
         return self.counts.get(mask, 0) / self.n_shots
 
 
-def arrival_times(circuit, model: PropagationModel | None = None,
-                  sources=None) -> list[ElementArrival]:
+def arrival_times(circuit, model: PropagationModel | None = None) -> list[ElementArrival]:
     """Per-element, per-rail arrival table.
 
     Arrival at an element is the rail's emission delay plus the accumulated
@@ -180,15 +180,12 @@ def arrival_times(circuit, model: PropagationModel | None = None,
     must have a declared source.
     """
     model = model or PropagationModel()
-    if sources is None:
-        sources = circuit.sources
-    delays = {src.rail: src.emission_delay for src in sources}
+    delays = {src.rail: src.emission_delay for src in circuit.sources}
     velocity = model.velocity
     traveled = [0.0] * circuit.n_rails
-    groups = circuit.segment_groups()
     table = []
     for index, element in enumerate(circuit.elements):
-        for seg in groups[index]:
+        for seg in circuit.wire[index]:
             traveled[seg.rail] += seg.length
         rails = rails_of(element)
         times = {}
@@ -273,15 +270,13 @@ def run_shots(circuit, n_shots: int,
     initial = np.zeros(dim, dtype=np.complex128)
     initial[np.searchsorted(sector, loaded)] = 1.0
 
-    register = circuit.dual_rail_register()
-
     mc = dephasing.mode == MODE_MC
     if mc:
         # per position: (occupied sector positions, phase std) of each segment
         segment_plan = [
             [(fock.rail_occupied_indices(n_rails, seg.rail, n_electrons),
               math.sqrt(seg.length / dephasing.l_phi)) for seg in group]
-            for group in circuit.segment_groups()]
+            for group in circuit.wire]
         n_normals = sum(len(group) for group in segment_plan)
         uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
         # bound the per-chunk (shots, C(n, k)) batch to a few tens of MB
@@ -323,10 +318,10 @@ def run_shots(circuit, n_shots: int,
     counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))
     logical_counts = None
     leak_count = 0
-    if register is not None:
+    if circuit.register is not None:
         logical_counts = {}
         for mask, count in counts.items():
-            outcome = decode(mask, register)
+            outcome = decode(mask, circuit.register)
             key = str(outcome)
             logical_counts[key] = logical_counts.get(key, 0) + count
             if outcome.has_leak:

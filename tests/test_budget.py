@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -47,8 +48,8 @@ def test_coherence_at_one_coherence_length():
 
 
 def test_explicit_element_length_overrides_default():
-    circuit = wire_circuit()
-    circuit.elements = [PhaseShifter(0, 0.2, length=0.75)]
+    circuit = dataclasses.replace(wire_circuit(),
+                                  elements=[PhaseShifter(0, 0.2, length=0.75)])
     assert rail_path_lengths(circuit)[0] == pytest.approx(0.75)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_parse_canonical_topology():
     assert isinstance(circuit.elements[1], CoulombCoupler)
     assert circuit.elements[1].chi_t == pytest.approx(np.pi / 2, abs=1e-6)
     assert [s.emits for s in circuit.sources] == [True, True, False]
-    assert circuit.detectors == [0, 1, 2]
+    assert circuit.detectors == (0, 1, 2)
 
 
 def test_parse_rejects_degenerate_coupler():
@@ -104,7 +106,7 @@ def test_parse_duplicate_detector_warns():
     result = parse("rails 1\nset q0\nset q0\n")
     assert result.ok
     assert [d.severity for d in result.diagnostics] == ["warning"]
-    assert result.circuit.detectors == [0]
+    assert result.circuit.detectors == (0,)
 
 
 def test_parse_rails_validation():
@@ -124,10 +126,10 @@ def test_parse_negative_values_rejected():
 def test_parse_macros():
     result = parse("rails 3\nhadamard q0 q1\nfredkin q0 q1 q2\n")
     assert result.ok
-    assert result.circuit.elements == [
+    assert result.circuit.elements == (
         CompositeGate("hadamard", (0, 1)),
         CompositeGate("fredkin", (0, 1, 2)),
-    ]
+    )
 
 
 def test_parse_macro_rail_collision():
@@ -167,8 +169,8 @@ def test_parse_comments_and_case():
     text = "# top comment\nRAILS 2  # inline\nSEP q0 DELAY=1.5ps\nSet q1\n"
     result = parse(text)
     assert result.ok
-    assert result.circuit.sources == [SepSource(0, 1.5, True)]
-    assert result.circuit.detectors == [1]
+    assert result.circuit.sources == (SepSource(0, 1.5, True),)
+    assert result.circuit.detectors == (1,)
 
 
 def test_parse_circuit_raises_on_errors():
@@ -223,18 +225,18 @@ def test_serialize_segment_interleaving():
 def test_expand_fredkin_matches_synthesis():
     circuit = parse_circuit("rails 3\nfredkin q0 q1 q2\n")
     expanded = expand_composites(circuit)
-    assert expanded.elements == fredkin_circuit(0, (1, 2))
+    assert expanded.elements == tuple(fredkin_circuit(0, (1, 2)))
 
 
 def test_expand_hadamard_matches_synthesis():
     circuit = parse_circuit("rails 2\nhadamard q0 q1\n")
     expanded = expand_composites(circuit)
-    assert expanded.elements == logical_hadamard((0, 1))
+    assert expanded.elements == tuple(logical_hadamard((0, 1)))
 
 
 def test_expand_without_macros_is_identity():
     circuit = parse_circuit(CANONICAL)
-    assert expand_composites(circuit) == circuit
+    assert expand_composites(circuit) is circuit
 
 
 def test_expand_remaps_segment_positions():
@@ -271,12 +273,13 @@ def test_element_rail_out_of_range_is_rejected_at_construction(element):
      r"two sources on rail 0"),
     (dict(detectors=[0, 7]), r"detector rail 7 outside \[0, 3\)"),
     (dict(detectors=[-1]), r"detector rail -1 outside \[0, 3\)"),
+    (dict(detectors=[2, 0, 2]), r"detector rails repeat: \(2, 0, 2\)"),
     (dict(registers=[("r", (0, 9))]), r"register 'r' rail 9 outside \[0, 3\)"),
     (dict(registers=[("a", (0, 1)), ("b", (-2, 2))]),
      r"register 'b' rail -2 outside \[0, 3\)"),
 ], ids=["source past last", "source negative", "duplicate source",
-        "detector past last", "detector negative", "register past last",
-        "register negative"])
+        "detector past last", "detector negative", "detector repeated",
+        "register past last", "register negative"])
 def test_circuit_rejects_bad_source_detector_and_register_rails(kwargs, match):
     with pytest.raises(ValueError, match=match):
         Circuit(3, [PhaseShifter(0, 0.1)], **kwargs)
@@ -294,6 +297,28 @@ def test_circuit_rejects_registers_the_parser_rejects(registers, match):
     # serialize would write each as a dualrail line that parse refuses
     with pytest.raises(ValueError, match=match):
         Circuit(4, [PhaseShifter(0, 0.1)], registers=registers)
+
+
+def test_circuit_stores_containers_as_tuples_and_wire_in_netlist_order():
+    segments = [Segment(0, 1.0, 1), Segment(1, 2.0, 0), Segment(0, 3.0, 1)]
+    circuit = Circuit(2, [PhaseShifter(0, 0.5)], segments=segments,
+                      sources=[SepSource(0, 0.0)], detectors=[1, 0],
+                      registers=[("q", (0, 1))])
+    for name in ("elements", "segments", "sources", "detectors", "registers"):
+        assert type(getattr(circuit, name)) is tuple, name
+    assert circuit.registers == (("q", (0, 1)),)
+    assert circuit.register.pairs == ((0, 1),)
+    assert circuit.wire == ((segments[1],), (segments[0], segments[2]))
+    assert circuit.segments == (segments[1], segments[0], segments[2])
+    assert Circuit(2).register is None
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Circuit)])
+def test_circuit_fields_cannot_be_assigned(name):
+    # a register or segment set after construction would skip validation
+    circuit = parse_circuit(CANONICAL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(circuit, name, getattr(circuit, name))
 
 
 def test_circuit_that_would_serialize_unparseable_text_is_rejected():
@@ -327,4 +352,4 @@ def test_macro_synthesis_is_cached_and_shared():
     expanded = expand_composites(circuit)
     assert all(a is b for a, b in zip(expanded.elements[:6], first))
     assert all(a is b for a, b in zip(expanded.elements[9:], first))
-    assert expanded.elements[6:9] == logical_hadamard((1, 2))
+    assert expanded.elements[6:9] == tuple(logical_hadamard((1, 2)))

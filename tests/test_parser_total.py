@@ -58,7 +58,7 @@ def test_unicode_decimal_digits_are_numbers():
     result = parse("rails ٣\nset q٢\nps q１ phi=١.5rad\n")
     assert result.ok
     assert result.circuit.n_rails == 3
-    assert result.circuit.detectors == [2]
+    assert result.circuit.detectors == (2,)
     assert result.circuit.elements[0].rail == 1
     assert result.circuit.elements[0].phi == 1.5
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyqsim.fock import OccupationState, apply_mode_unitary
-from flyqsim.gates import apply_element, coupler_matrix
-from flyqsim.netlist import parse, parse_circuit, serialize
+from flyqsim.gates import PhaseShifter, apply_element, coupler_matrix
+from flyqsim.netlist import Circuit, Segment, parse, parse_circuit, serialize
+from flyqsim.timing import SepSource
 
 import corpus
 
@@ -40,6 +41,39 @@ def test_roundtrip_random_circuit(seed):
     rng = np.random.default_rng(seed)
     circuit = corpus.random_roundtrip_circuit(rng)
     assert parse_circuit(serialize(circuit)) == circuit
+
+
+def sometimes_bad(good, bad):
+    """Draws from ``good``, and from ``bad`` about one time in eight."""
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 3 else good)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_hand_built_circuit_is_rejected_or_round_trips(data):
+    n_rails = data.draw(st.integers(1, 6))
+    # small rail counts repeat rails often: in sources, detectors and registers
+    rail = sometimes_bad(st.integers(0, n_rails - 1), st.sampled_from([-1, n_rails]))
+    value = sometimes_bad(st.floats(0.0, 1e3), st.floats())  # NaN, +-inf, < 0
+    element_rails = data.draw(st.lists(rail, max_size=3))
+    position = sometimes_bad(st.integers(0, len(element_rails)),
+                             st.sampled_from([-1, len(element_rails) + 1]))
+    segments = data.draw(st.lists(st.tuples(rail, value, position), max_size=4))
+    sources = data.draw(st.lists(st.tuples(rail, value, st.booleans()),
+                                 max_size=3))
+    detectors = data.draw(st.lists(rail, max_size=4))
+    registers = data.draw(st.lists(st.tuples(
+        st.sampled_from(["a", "b"]), st.tuples(rail, rail)), max_size=2))
+    try:
+        circuit = Circuit(n_rails, [PhaseShifter(r, 0.5) for r in element_rails],
+                          segments=[Segment(*s) for s in segments],
+                          sources=[SepSource(*s) for s in sources],
+                          detectors=detectors, registers=registers)
+    except ValueError:
+        return
+    result = parse(serialize(circuit))
+    assert result.ok, result.errors()
+    assert result.circuit == circuit
 
 
 def relabel_to_adjacent(state, rail_from, rail_to):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from collections import Counter
@@ -89,8 +90,7 @@ def test_arrival_delay_compensates_length():
 
 
 def test_arrival_missing_source():
-    circuit = cc_pair_circuit()
-    circuit.sources = [SepSource(0, 0.0)]
+    circuit = dataclasses.replace(cc_pair_circuit(), sources=[SepSource(0, 0.0)])
     with pytest.raises(ConfigError):
         arrival_times(circuit, PropagationModel())
 
@@ -269,8 +269,7 @@ def test_monte_carlo_preserves_occupation_statistics():
 
 
 def test_logical_counts_with_register():
-    circuit = mach_zehnder()
-    circuit.registers = [("a", (0, 1))]
+    circuit = dataclasses.replace(mach_zehnder(), registers=[("a", (0, 1))])
     result = run_shots(circuit, 300, master_seed=8)
     assert result.logical_counts == {"1": 300}
     assert result.leak_count == 0
@@ -316,7 +315,8 @@ def test_each_extra_shot_adds_one_count(mode):
 def test_counts_do_not_depend_on_chunk_size(monkeypatch, mode, seed):
     circuit = mach_zehnder(arm_um=6.0, internal_phase=0.7)
     # a trailing segment makes the segment count odd in mc mode
-    circuit.segments.append(Segment(1, 4.0, len(circuit.elements)))
+    circuit = dataclasses.replace(circuit, segments=circuit.segments + (
+        Segment(1, 4.0, len(circuit.elements)),))
     dephasing = DephasingModel(30.0, mode)
     histograms = []
     for chunk in (1, 7, 8192):
@@ -350,6 +350,13 @@ def test_model_validation():
         DephasingModel(mode="thermal")
     assert DephasingModel(mode="MC").mode == "monte-carlo"
     assert DephasingModel(mode="factor").mode == "deterministic-factor"
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_source_delay_must_be_finite(delay):
+    with pytest.raises(ValueError, match="emission_delay must be finite and >= 0"):
+        SepSource(0, delay)
 
 
 def test_run_shots_argument_validation():
