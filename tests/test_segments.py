@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flyqsim.budget import analyze
 from flyqsim.gates import CoulombCoupler, PhaseShifter, WaveguideCoupler, rails_of
-from flyqsim.netlist import Circuit, Segment, parse_circuit, serialize
+from flyqsim.netlist import (
+    Circuit,
+    Segment,
+    expand_composites,
+    parse_circuit,
+    serialize,
+)
 from flyqsim.timing import (
     DephasingModel,
     PropagationModel,
@@ -125,11 +132,32 @@ BAD_SEGMENTS = {
 }
 
 
-# the constructor is the one segment check, so no consumer can receive these
+CONSUMERS = {
+    "serialize": serialize,
+    "expand_composites": expand_composites,
+    "arrival_times": arrival_times,
+    "run_shots mc": lambda c: run_shots(c, 10, dephasing=DephasingModel(30.0, "mc"),
+                                        allow_desync=True),
+    "budget.analyze": analyze,
+}
+
+
+# the constructor is the one segment check: every way of handing a consumer a
+# circuit with the bad segment fails before the consumer is called
+@pytest.mark.parametrize("consumer", CONSUMERS.values(), ids=CONSUMERS.keys())
 @pytest.mark.parametrize("segment", BAD_SEGMENTS.values(), ids=BAD_SEGMENTS.keys())
-def test_out_of_range_segment_raises(segment):
+def test_out_of_range_segment_raises(segment, consumer):
+    circuit = three_rail_circuit([Segment(0, 1.0, 1)])
+    consumer(circuit)
     with pytest.raises(ValueError, match="segment (position|rail)"):
-        three_rail_circuit([Segment(0, 1.0, 1), segment])
+        consumer(three_rail_circuit([Segment(0, 1.0, 1), segment]))
+    with pytest.raises(ValueError, match="segment (position|rail)"):
+        consumer(dataclasses.replace(circuit, segments=circuit.segments + (segment,)))
+    with pytest.raises(AttributeError):
+        circuit.segments.append(segment)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circuit.segments = circuit.segments + (segment,)
+    assert circuit.segments == (Segment(0, 1.0, 1),)
 
 
 @pytest.mark.parametrize("length", [-1.0, -1e-300, math.nan, math.inf, -math.inf],
