@@ -55,7 +55,6 @@ from .netlist import (
 )
 from .timing import (
     CoincidenceError,
-    CoincidenceViolation,
     ConfigError,
     DephasingModel,
     ElementArrival,

@@ -6,14 +6,15 @@ wire plus the footprint of every element the rail passes through).  The
 feasible gate count is the plain ratio of the coherence length to an
 assumed per-gate footprint, floored; with micron-scale gates and coherence
 lengths of a few tens of microns that lands in the tens.
+
+Each element states its own ``rails`` and ``footprint``; a macro has no
+single footprint, so the budget needs an expanded circuit (``ValueError``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .gates import physical_length, rails_of
 
 GAAS_L_PHI_UM = 30.0
 GOLD_L_PHI_UM = 18.0
@@ -34,12 +35,14 @@ class BudgetReport:
 
 def rail_path_lengths(circuit) -> list[float]:
     """Total traversed length per rail: segments plus element footprints."""
+    if circuit.has_composites():
+        raise ValueError("expand composite gates before the coherence budget")
     lengths = [0.0] * circuit.n_rails
     for seg in circuit.segments:
         lengths[seg.rail] += seg.length
     for element in circuit.elements:
-        footprint = physical_length(element)
-        for rail in rails_of(element):
+        footprint = element.footprint
+        for rail in element.rails:
             lengths[rail] += footprint
     return lengths
 

@@ -23,6 +23,12 @@ Three physical elements are modeled:
   doubly occupied component is affected, gaining exp(-2i*chi_t); the gate
   conserves electron number (mutual phase modulation, nothing else).
 
+Each element owns its netlist ``keyword``, its ``rails`` and, for the
+primitives, its ``footprint``: the um it adds to each of its rails, an
+explicit ``length`` else a waveguide coupler's coupling length else 0.  A
+macro has no single footprint, so the coherence budget needs expanded
+circuits.
+
 Netlist macros (``CompositeGate``) expand to these primitives.  ``MACROS``
 is the one macro table: per keyword, the rail parameters and the synthesis.
 
@@ -47,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -81,6 +87,7 @@ def _check_optional_length(length):
 class PhaseShifter:
     """Quantum-dot phase shifter on one rail; ``phi`` in radians."""
 
+    keyword: ClassVar[str] = "ps"
     rail: int
     phi: float
     length: float | None = None
@@ -88,6 +95,14 @@ class PhaseShifter:
     def __post_init__(self):
         _require_finite("phi", self.phi)
         object.__setattr__(self, "length", _check_optional_length(self.length))
+
+    @property
+    def rails(self) -> tuple[int]:
+        return (self.rail,)
+
+    @property
+    def footprint(self) -> float:
+        return 0.0 if self.length is None else self.length
 
     @property
     def hardware_realizable(self) -> bool:
@@ -100,6 +115,7 @@ class PhaseShifter:
 class WaveguideCoupler:
     """Evanescent coupler between two rails; lengths in um."""
 
+    keyword: ClassVar[str] = "bs"
     rails: tuple[int, int]
     coupling_length: float
     transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM
@@ -118,11 +134,16 @@ class WaveguideCoupler:
                              f"got {self.transfer_length}")
         object.__setattr__(self, "length", _check_optional_length(self.length))
 
+    @property
+    def footprint(self) -> float:
+        return float(self.coupling_length) if self.length is None else self.length
+
 
 @dataclass(frozen=True)
 class CoulombCoupler:
     """Mutual phase modulation between two rails; ``chi_t`` in radians."""
 
+    keyword: ClassVar[str] = "cc"
     rails: tuple[int, int]
     chi_t: float
     length: float | None = None
@@ -134,6 +155,10 @@ class CoulombCoupler:
                              f"got {self.rails}")
         _require_finite("chi_t", self.chi_t)
         object.__setattr__(self, "length", _check_optional_length(self.length))
+
+    @property
+    def footprint(self) -> float:
+        return 0.0 if self.length is None else self.length
 
 
 @dataclass(frozen=True)
@@ -154,6 +179,10 @@ class CompositeGate:
                              f"got {len(self.rails)}")
         if len(set(self.rails)) != len(self.rails):
             raise ValueError(f"composite rails must be distinct, got {self.rails}")
+
+    @property
+    def keyword(self) -> str:
+        return self.name
 
 
 # phase shifter settings derived against the dense oracle (see tests)
@@ -230,39 +259,6 @@ def macro_elements(name: str, rails: tuple) -> tuple:
 
 PrimitiveElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler]
 GateElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler, CompositeGate]
-
-
-def rails_of(element: GateElement) -> tuple[int, ...]:
-    if isinstance(element, PhaseShifter):
-        return (element.rail,)
-    return tuple(element.rails)
-
-
-def element_keyword(element: GateElement) -> str:
-    """Netlist keyword for an element (also used in reports)."""
-    if isinstance(element, PhaseShifter):
-        return "ps"
-    if isinstance(element, WaveguideCoupler):
-        return "bs"
-    if isinstance(element, CoulombCoupler):
-        return "cc"
-    if isinstance(element, CompositeGate):
-        return element.name
-    raise TypeError(f"not a gate element: {element!r}")
-
-
-def physical_length(element: GateElement) -> float:
-    """Length in um the element contributes to every rail passing through.
-
-    Explicit ``length`` wins; a waveguide coupler defaults to its coupling
-    length; phase shifters and Coulomb couplers default to zero (the dot and
-    the interaction region are not given a size unless declared).
-    """
-    if getattr(element, "length", None) is not None:
-        return float(element.length)
-    if isinstance(element, WaveguideCoupler):
-        return float(element.coupling_length)
-    return 0.0
 
 
 def phase_shifter_matrix(phi: float) -> np.ndarray:
@@ -370,7 +366,7 @@ def build_dense_unitary(element: GateElement, n_rails: int) -> np.ndarray:
         raise CapacityError(
             f"dense oracle capped at {MAX_DENSE_RAILS} rails, got {n_rails}"
         )
-    for r in rails_of(element):
+    for r in element.rails:
         if not 0 <= r < n_rails:
             raise ValueError(f"rail index {r} out of range for {n_rails} rails")
     dim = 1 << n_rails

@@ -19,8 +19,7 @@ Grammar::
     set <rail>
 
 The optional ``len=`` attribute records an explicit element footprint in um
-(used by the path-length budget); it defaults to the coupling length for
-``bs`` and to zero otherwise.
+(``footprint`` in ``gates``, used by the path-length budget).
 
 Parsing is total: malformed input produces diagnostics with 1-based line and
 column positions, never an exception.  Each line is split into words with
@@ -34,6 +33,7 @@ an immutable value, validated and bucketed by position once, when built;
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 
@@ -46,15 +46,21 @@ from .gates import (
     GateElement,
     PhaseShifter,
     WaveguideCoupler,
-    element_keyword,
     macro_elements,
-    rails_of,
 )
 from .timing import SepSource
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
 _WORD_RE = re.compile(r"\S+")
+
+
+def _integer(value, what: str):
+    """``value`` if an integer (numpy too, ``bool`` not), else ``ValueError``."""
+    if type(value) is int or (isinstance(value, numbers.Integral)
+                              and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _decimal(digits: str) -> int | None:
@@ -95,10 +101,12 @@ class Circuit:
     """Validated, immutable circuit: rails, placed elements, wiring, sources,
     readout.  ``dataclasses.replace`` derives a validated variant.
 
-    The constructor stores the container fields as tuples and derives two
-    attributes that equality ignores: ``wire[p]``, the segments placed before
-    ``elements[p]`` in declaration order (``wire[-1]`` is the trailing wire),
-    and ``register``, the declared pairs as a ``DualRailRegister`` or None.
+    Rail counts, rails and segment positions must be integers in range.  The
+    constructor stores the container fields as tuples, each register as
+    ``(name, (rail0, rail1))``, and derives two attributes that equality
+    ignores: ``wire[p]``, the segments placed before ``elements[p]`` in
+    declaration order (``wire[-1]`` is the trailing wire), and ``register``,
+    the declared pairs as a ``DualRailRegister`` or None.
     ``segments`` is ``wire`` flattened: the canonical netlist order.
     """
 
@@ -115,21 +123,23 @@ class Circuit:
     def __post_init__(self):
         # the one validation point: every other stage indexes rails and reads
         # lengths without checking them again
-        for name in ("elements", "sources", "detectors", "registers"):
+        for name in ("elements", "sources", "detectors"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        n_rails = self.n_rails
+        n_rails = _integer(self.n_rails, "rail count")
+        if not 1 <= n_rails <= MAX_RAILS:
+            raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
         for index, element in enumerate(self.elements):
-            for rail in rails_of(element):
-                if not 0 <= rail < n_rails:
+            for rail in element.rails:
+                if not 0 <= _integer(rail, "element rail") < n_rails:
                     raise ValueError(
-                        f"element {index} ({element_keyword(element)}) rail "
+                        f"element {index} ({element.keyword}) rail "
                         f"{rail} outside [0, {n_rails})")
         wire = [[] for _ in range(len(self.elements) + 1)]
         for seg in self.segments:
-            if not 0 <= seg.position < len(wire):
+            if not 0 <= _integer(seg.position, "segment position") < len(wire):
                 raise ValueError(f"segment position {seg.position} outside "
                                  f"[0, {len(self.elements)}]: {seg!r}")
-            if not 0 <= seg.rail < n_rails:
+            if not 0 <= _integer(seg.rail, "segment rail") < n_rails:
                 raise ValueError(f"segment rail {seg.rail} outside "
                                  f"[0, {n_rails}): {seg!r}")
             if not (math.isfinite(seg.length) and seg.length >= 0):
@@ -138,33 +148,35 @@ class Circuit:
             wire[seg.position].append(seg)
         source_rails = set()
         for src in self.sources:
-            if not 0 <= src.rail < n_rails:
+            if not 0 <= _integer(src.rail, "source rail") < n_rails:
                 raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
             if src.rail in source_rails:
                 raise ValueError(f"two sources on rail {src.rail}")
             source_rails.add(src.rail)
         for rail in self.detectors:
-            if not 0 <= rail < n_rails:
+            if not 0 <= _integer(rail, "detector rail") < n_rails:
                 raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError(f"detector rails repeat: {self.detectors}")
-        names = set()
+        registers = []
         for name, pair in self.registers:
             if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
                 raise ValueError(f"invalid register name {name!r}")
-            if name in names:
+            if any(name == seen for seen, _ in registers):
                 raise ValueError(f"duplicate register name '{name}'")
-            names.add(name)
+            pair = tuple(pair)
             for rail in pair:
-                if not 0 <= rail < n_rails:
+                if not 0 <= _integer(rail, "register rail") < n_rails:
                     raise ValueError(f"register '{name}' rail {rail} outside "
                                      f"[0, {n_rails})")
+            registers.append((name, pair))
         wire = tuple(map(tuple, wire))
         object.__setattr__(self, "wire", wire)
         object.__setattr__(self, "segments", tuple(s for g in wire for s in g))
+        object.__setattr__(self, "registers", tuple(registers))
         # rails distinct within and across pairs
         object.__setattr__(self, "register", _dualrail.DualRailRegister(
-            tuple(pair for _, pair in self.registers)) if self.registers else None)
+            tuple(pair for _, pair in registers)) if registers else None)
 
     def has_composites(self) -> bool:
         return any(isinstance(e, CompositeGate) for e in self.elements)
@@ -380,10 +392,11 @@ class _LineParser:
         phi = self._value_with_unit(body, 2, "phi", "rad")
         if rail is None or phi is None:
             return
-        if self.strict and not (0.0 < phi < math.pi):
+        element = PhaseShifter(rail, phi, length)
+        if self.strict and not element.hardware_realizable:
             self.error(2, f"phi {phi:g} outside the hardware range (0, pi)")
             return
-        self.elements.append(PhaseShifter(rail, phi, length))
+        self.elements.append(element)
 
     def _coupler_rails(self, words) -> tuple[int, int] | None:
         rail_a = self._rail(words, 1)

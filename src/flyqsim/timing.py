@@ -3,9 +3,10 @@
 A pump on each rail launches (or withholds) one electron after a
 programmable delay.  Electrons drift at a common group velocity, so the
 arrival time at an element is the emission delay plus the accumulated
-upstream path over the velocity; two-electron gates require the two
-arrivals to coincide within a configurable window, and scheduling is
-checked before any sampling run.
+upstream path over the velocity (``arrival_times``, one ``ElementArrival``
+per element); two-electron gates require the two arrivals to coincide
+within a configurable window (``check_coincidence`` returns the late
+entries), and scheduling is checked before any sampling run.
 
 Dephasing is modeled per trajectory: in ``monte-carlo`` mode every declared
 wire segment of length ``l`` adds an independent Gaussian random phase to
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import fock
 from .dualrail import decode
-from .gates import apply_element_batch, element_keyword, rails_of
+from .gates import apply_element_batch
 
 DEFAULT_VELOCITY_UM_PS = 0.1
 DEFAULT_WINDOW_PS = 1.0
@@ -128,31 +129,25 @@ class DephasingModel:
 
 @dataclass(frozen=True, slots=True)
 class ElementArrival:
-    """Arrival times (ps) of each involved rail at one placed element."""
+    """Arrival times (ps) of each involved rail at one placed element;
+    ``str`` gives the coincidence-violation text."""
 
     element_index: int
     keyword: str
     rails: tuple[int, ...]
     times: dict
 
+    @property
     def spread(self) -> float:
-        values = list(self.times.values())
+        """Latest minus earliest arrival, ps (0 for a one-rail element)."""
+        values = self.times.values()
         return max(values) - min(values) if values else 0.0
-
-
-@dataclass(frozen=True)
-class CoincidenceViolation:
-    element_index: int
-    keyword: str
-    rails: tuple[int, ...]
-    times: dict
-    delta: float
 
     def __str__(self) -> str:
         rails = " ".join(f"q{r}" for r in self.rails)
         arrivals = ", ".join(f"q{r}@{t:g}ps" for r, t in sorted(self.times.items()))
         return (f"element {self.element_index} ({self.keyword} {rails}): "
-                f"|dt| = {self.delta:g} ps ({arrivals})")
+                f"|dt| = {self.spread:g} ps ({arrivals})")
 
 
 @dataclass
@@ -164,7 +159,7 @@ class ShotHistogram:
     counts: dict                  # mask -> count, only nonzero entries
     logical_counts: dict | None   # outcome string -> count, when registers exist
     leak_count: int
-    violations: list = field(default_factory=list)  # CoincidenceViolation, when overridden
+    violations: list = field(default_factory=list)  # late ElementArrival, when overridden
 
     def probability(self, mask: int) -> float:
         return self.counts.get(mask, 0) / self.n_shots
@@ -187,33 +182,25 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> list[Elemen
     for index, element in enumerate(circuit.elements):
         for seg in circuit.wire[index]:
             traveled[seg.rail] += seg.length
-        rails = rails_of(element)
+        rails = element.rails
         times = {}
         try:
             for r in rails:
                 times[r] = delays[r] + traveled[r] / velocity
         except KeyError:
             names = ", ".join(f"q{r}" for r in rails if r not in delays)
-            raise ConfigError(f"element {index} ({element_keyword(element)}) "
+            raise ConfigError(f"element {index} ({element.keyword}) "
                               f"needs a source on {names}") from None
-        table.append(ElementArrival(index, element_keyword(element), rails, times))
+        table.append(ElementArrival(index, element.keyword, rails, times))
     return table
 
 
-def check_coincidence(table, window: float = DEFAULT_WINDOW_PS) -> list[CoincidenceViolation]:
-    """Flag every multi-rail element whose arrivals differ by more than ``window``."""
+def check_coincidence(table, window: float = DEFAULT_WINDOW_PS) -> list[ElementArrival]:
+    """The multi-rail entries of ``table`` whose ``spread`` exceeds ``window``."""
     if not window > 0:
         raise ValueError(f"window must be > 0, got {window}")
-    violations = []
-    for entry in table:
-        if len(entry.rails) < 2:
-            continue
-        delta = entry.spread()
-        if delta > window:
-            violations.append(CoincidenceViolation(
-                entry.element_index, entry.keyword, entry.rails,
-                dict(entry.times), delta))
-    return violations
+    return [entry for entry in table
+            if len(entry.rails) > 1 and entry.spread > window]
 
 
 def _box_muller(uniforms: np.ndarray, n_normals: int) -> np.ndarray:
@@ -239,9 +226,10 @@ def run_shots(circuit, n_shots: int,
 
     The schedule is checked first; violations abort with
     ``CoincidenceError`` unless ``allow_desync`` overrides, in which case the
-    returned histogram lists them in ``violations`` (empty when the schedule
-    is coincident).  Results are deterministic in ``master_seed`` (see module
-    docstring for the stream contract).  ``deterministic-factor`` mode samples
+    returned histogram lists them in ``violations``, as the late
+    ``ElementArrival`` entries (empty when the schedule is coincident).
+    Results are deterministic in ``master_seed`` (see module docstring for
+    the stream contract).  ``deterministic-factor`` mode samples
     exactly as ``off``; its analytic factor is ``budget.analyze``'s
     ``coherence_factor``.  The histogram is the whole result: shots are
     i.i.d. given the seed, so no per-shot record is kept.

@@ -102,6 +102,48 @@ def test_each_violation_printed_once(tmp_path, allow_desync, exit_code):
         assert "schedule rejected: 2 violation(s)" in text
 
 
+SKEWED_FREDKIN = """\
+rails 3
+sep q0 delay=0ps
+sep q1 delay=0ps
+sep q2 delay=0ps empty
+segment q0 3um
+segment q1 2um
+cc q0 q1 chit=0.5rad
+segment q1 1.5um
+fredkin q0 q1 q2
+set q0
+set q1
+set q2
+"""
+
+SKEWED_FREDKIN_VIOLATIONS = [
+    "coincidence violation: element 0 (cc q0 q1): |dt| = 10 ps (q0@30ps, q1@20ps)",
+    "coincidence violation: element 2 (bs q1 q2): |dt| = 35 ps (q1@35ps, q2@0ps)",
+    "coincidence violation: element 4 (cc q0 q1): |dt| = 5 ps (q0@30ps, q1@35ps)",
+    "coincidence violation: element 5 (bs q1 q2): |dt| = 35 ps (q1@35ps, q2@0ps)",
+]
+
+
+@pytest.mark.parametrize("output_format", ["human", "machine"])
+def test_violation_text_is_exact(tmp_path, output_format):
+    # elements are numbered after macro expansion; a rail's arrival is its
+    # delay plus its upstream wire over the default 0.1 um/ps
+    code, text = run_cli(SKEWED_FREDKIN, tmp_path, shots=10,
+                         output_format=output_format)
+    assert code == EXIT_DESYNC
+    assert text.splitlines() == SKEWED_FREDKIN_VIOLATIONS + [
+        "schedule rejected: 4 violation(s); rerun with --allow-desync to override"]
+    code, text = run_cli(SKEWED_FREDKIN, tmp_path, shots=10, allow_desync=True,
+                         output_format=output_format)
+    assert code == EXIT_OK
+    lines = text.splitlines()
+    assert lines[:4] == SKEWED_FREDKIN_VIOLATIONS
+    assert not any(line.startswith("coincidence violation:") for line in lines[4:])
+    if output_format == "machine":
+        assert "coincidence=override" in lines
+
+
 def test_parse_error_exits_2(tmp_path):
     code, text = run_cli("rails 2\nbs q0 q0 lc=0.14um lt=0.28um\n", tmp_path)
     assert code == EXIT_PARSE

@@ -15,9 +15,7 @@ from flyqsim.gates import (
     build_dense_unitary,
     coulomb_phase,
     coupler_matrix,
-    element_keyword,
     phase_shifter_matrix,
-    physical_length,
 )
 
 import oracles
@@ -217,19 +215,19 @@ def test_dense_rejects_composites():
 # --- element plumbing ---------------------------------------------------
 
 
-def test_physical_length_defaults():
-    assert physical_length(WaveguideCoupler((0, 1), 0.14, 0.28)) == 0.14
-    assert physical_length(PhaseShifter(0, 0.3)) == 0.0
-    assert physical_length(CoulombCoupler((0, 1), 0.5)) == 0.0
-    assert physical_length(PhaseShifter(0, 0.3, length=0.8)) == 0.8
-    assert physical_length(WaveguideCoupler((0, 1), 0.14, 0.28, length=1.0)) == 1.0
+def test_footprint_defaults():
+    assert WaveguideCoupler((0, 1), 0.14, 0.28).footprint == 0.14
+    assert PhaseShifter(0, 0.3).footprint == 0.0
+    assert CoulombCoupler((0, 1), 0.5).footprint == 0.0
+    assert PhaseShifter(0, 0.3, length=0.8).footprint == 0.8
+    assert WaveguideCoupler((0, 1), 0.14, 0.28, length=1.0).footprint == 1.0
 
 
 def test_element_keywords():
-    assert element_keyword(PhaseShifter(0, 0.1)) == "ps"
-    assert element_keyword(WaveguideCoupler((0, 1), 0.1, 0.2)) == "bs"
-    assert element_keyword(CoulombCoupler((0, 1), 0.1)) == "cc"
-    assert element_keyword(CompositeGate("fredkin", (0, 1, 2))) == "fredkin"
+    assert PhaseShifter(0, 0.1).keyword == "ps"
+    assert WaveguideCoupler((0, 1), 0.1, 0.2).keyword == "bs"
+    assert CoulombCoupler((0, 1), 0.1).keyword == "cc"
+    assert CompositeGate("fredkin", (0, 1, 2)).keyword == "fredkin"
 
 
 def test_composite_validation():

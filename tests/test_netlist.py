@@ -277,9 +277,14 @@ def test_element_rail_out_of_range_is_rejected_at_construction(element):
     (dict(registers=[("r", (0, 9))]), r"register 'r' rail 9 outside \[0, 3\)"),
     (dict(registers=[("a", (0, 1)), ("b", (-2, 2))]),
      r"register 'b' rail -2 outside \[0, 3\)"),
+    (dict(sources=[SepSource(0.5, 0.0)]), r"source rail must be an integer, got 0.5"),
+    (dict(detectors=[1.0]), r"detector rail must be an integer, got 1.0"),
+    (dict(detectors=[True]), r"detector rail must be an integer, got True"),
+    (dict(registers=[("a", (0, 1.0))]), r"register rail must be an integer, got 1.0"),
 ], ids=["source past last", "source negative", "duplicate source",
         "detector past last", "detector negative", "detector repeated",
-        "register past last", "register negative"])
+        "register past last", "register negative", "float source rail",
+        "float detector", "bool detector", "float register rail"])
 def test_circuit_rejects_bad_source_detector_and_register_rails(kwargs, match):
     with pytest.raises(ValueError, match=match):
         Circuit(3, [PhaseShifter(0, 0.1)], **kwargs)
@@ -297,6 +302,54 @@ def test_circuit_rejects_registers_the_parser_rejects(registers, match):
     # serialize would write each as a dualrail line that parse refuses
     with pytest.raises(ValueError, match=match):
         Circuit(4, [PhaseShifter(0, 0.1)], registers=registers)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: Circuit(0), r"rail count 0 outside \[1, 24\]"),
+    (lambda: Circuit(25), r"rail count 25 outside \[1, 24\]"),
+    (lambda: Circuit(True), r"rail count must be an integer, got True"),
+    (lambda: Circuit(2.5, [PhaseShifter(0, 0.1)]),
+     r"rail count must be an integer, got 2.5"),
+    (lambda: Circuit(2, [PhaseShifter(0.5, 0.1)]),
+     r"element rail must be an integer, got 0.5"),
+    (lambda: Circuit(2, [PhaseShifter(True, 0.1)]),
+     r"element rail must be an integer, got True"),
+    (lambda: Circuit(2, [WaveguideCoupler((0, 1.0), 0.14, 0.28)]),
+     r"element rail must be an integer, got 1.0"),
+    (lambda: Circuit(2, [CompositeGate("hadamard", (0.0, 1))]),
+     r"element rail must be an integer, got 0.0"),
+    (lambda: Circuit(2, segments=[Segment(0.5, 1.0, 0)]),
+     r"segment rail must be an integer, got 0.5"),
+    (lambda: Circuit(2, segments=[Segment(0, 1.0, 0.5)]),
+     r"segment position must be an integer, got 0.5"),
+    (lambda: Circuit(2, segments=[Segment(0, 1.0, False)]),
+     r"segment position must be an integer, got False"),
+], ids=["zero rails", "rails past capacity", "bool rail count",
+        "float rail count", "float ps rail", "bool ps rail", "float bs rail",
+        "float macro rail", "float segment rail", "float segment position",
+        "bool segment position"])
+def test_circuit_rejects_rail_counts_rails_and_positions_a_netlist_cannot_spell(
+        build, match):
+    # serialize would write q0.5, qTrue or 'rails 2.5', which parse refuses
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_circuit_accepts_numpy_integers():
+    rail = np.int64(1)
+    circuit = Circuit(np.int64(2), [PhaseShifter(rail, 0.1)],
+                      segments=[Segment(rail, 1.0, np.int64(1))],
+                      sources=[SepSource(rail, 0.0)], detectors=[rail])
+    assert parse_circuit(serialize(circuit)) == circuit
+
+
+def test_register_pairs_are_frozen_tuples():
+    circuit = Circuit(4, sources=[SepSource(0, 0.0)], registers=[("a", [0, 1])])
+    assert circuit.registers == (("a", (0, 1)),)
+    assert parse_circuit(serialize(circuit)) == circuit
+    with pytest.raises(TypeError):
+        circuit.registers[0][1][1] = 0
+    assert circuit.registers[0][1] == circuit.register.pairs[0] == (0, 1)
 
 
 def test_circuit_stores_containers_as_tuples_and_wire_in_netlist_order():

@@ -51,13 +51,19 @@ def sometimes_bad(good, bad):
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_hand_built_circuit_is_rejected_or_round_trips(data):
-    n_rails = data.draw(st.integers(1, 6))
+    # past the capacity on either side, or a count a netlist cannot spell
+    n_rails = data.draw(sometimes_bad(st.integers(1, 24),
+                                      st.sampled_from([0, 25, 2.0, True])))
     # small rail counts repeat rails often: in sources, detectors and registers
-    rail = sometimes_bad(st.integers(0, n_rails - 1), st.sampled_from([-1, n_rails]))
+    top = max(1, int(n_rails))
+    not_an_index = st.sampled_from([0.0, 0.5, 1.0, True, False])
+    rail = sometimes_bad(st.integers(0, top - 1),
+                         st.sampled_from([-1, top]) | not_an_index)
     value = sometimes_bad(st.floats(0.0, 1e3), st.floats())  # NaN, +-inf, < 0
     element_rails = data.draw(st.lists(rail, max_size=3))
     position = sometimes_bad(st.integers(0, len(element_rails)),
-                             st.sampled_from([-1, len(element_rails) + 1]))
+                             st.sampled_from([-1, len(element_rails) + 1])
+                             | not_an_index)
     segments = data.draw(st.lists(st.tuples(rail, value, position), max_size=4))
     sources = data.draw(st.lists(st.tuples(rail, value, st.booleans()),
                                  max_size=3))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyqsim.budget import analyze
-from flyqsim.gates import CoulombCoupler, PhaseShifter, WaveguideCoupler, rails_of
+from flyqsim.gates import CoulombCoupler, PhaseShifter, WaveguideCoupler
 from flyqsim.netlist import (
     Circuit,
     Segment,
@@ -40,13 +40,13 @@ def reference_arrivals(circuit, sources, velocity):
     rows = []
     for index, element in enumerate(circuit.elements):
         times = {}
-        for rail in rails_of(element):
+        for rail in element.rails:
             traveled = 0.0
             for seg in ordered:
                 if seg.rail == rail and seg.position <= index:
                     traveled += seg.length
             times[rail] = delays[rail] + traveled / velocity
-        rows.append((index, rails_of(element), times))
+        rows.append((index, element.rails, times))
     return rows
 
 

@@ -109,7 +109,7 @@ def test_coincidence_detects_uncompensated_mismatch():
     violations = check_coincidence(table, 5.0)
     assert len(violations) == 1
     violation = violations[0]
-    assert violation.delta == pytest.approx(10.0)
+    assert violation.spread == pytest.approx(10.0)
     assert violation.keyword == "cc"
     assert violation.element_index == 0
     assert "cc q0 q1" in str(violation)
@@ -127,7 +127,7 @@ def test_coincidence_time_translation_invariance():
     baseline = check_coincidence(arrival_times(skew, model), 5.0)
     shifted = cc_pair_circuit(len_a=3.0, len_b=2.0, delay_a=25.0, delay_b=25.0)
     moved = check_coincidence(arrival_times(shifted, model), 5.0)
-    assert [v.delta for v in moved] == [v.delta for v in baseline]
+    assert [v.spread for v in moved] == [v.spread for v in baseline]
 
 
 def test_single_rail_elements_never_violate():
