@@ -19,14 +19,16 @@ the test suite.
 Every primitive conserves electron number, so a register loaded with k
 electrons never leaves the C(n, k) masks with k set bits.  The batch kernels
 (``mode_unitary_batch`` and the index helpers) therefore take an optional
-electron count and then address the last axis of a ``(dim,)`` state
-vector or a ``(shots, dim)`` batch as positions in ``sector_basis(n_rails,
-k)``, the sector's masks in ascending order; without it they span the full
-2^n space, where position and mask coincide.  Shot
-sampling evolves only the sector.  Off-sector amplitudes are exact zeros,
-so the sector evolution does the same floating-point work on the same
-amplitudes and sampled histograms are unchanged.  ``OccupationState`` and
-the single-state functions always use the full space.
+electron count and then address the first axis of a ``(dim,)`` state
+vector or a shot-minor ``(dim, shots)`` batch as positions in
+``sector_basis(n_rails, k)``, the sector's masks in ascending order; without
+it they span the full 2^n space, where position and mask coincide.  In the
+shot-minor layout one basis position is one contiguous row, so the index
+gathers and scatters move whole rows.  Shot sampling evolves only the
+sector.  Off-sector amplitudes are exact zeros, so the sector evolution does
+the same floating-point work on the same amplitudes and sampled histograms
+are unchanged.  ``OccupationState`` and the single-state functions always
+use the full space.
 
 All operations are pure: they return new states and never mutate their
 inputs, so shots can be evaluated in parallel as long as each shot owns its
@@ -35,6 +37,7 @@ state copy and random stream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
@@ -117,8 +120,20 @@ def vacuum(n_rails: int) -> OccupationState:
     return OccupationState(n_rails, amps)
 
 
+def require_integer(value, what: str):
+    """``value`` if an integer (numpy too, ``bool`` not), else ``ValueError``.
+
+    The one integer rule for rails: a netlist cannot spell ``q0.5`` or
+    ``qTrue``, so neither may a hand-built element, circuit or state.
+    """
+    if type(value) is int or (isinstance(value, numbers.Integral)
+                              and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_rail(n_rails: int, rail: int) -> None:
-    if not 0 <= rail < n_rails:
+    if not 0 <= require_integer(rail, "rail index") < n_rails:
         raise ValueError(f"rail index {rail} out of range for {n_rails} rails")
 
 
@@ -173,7 +188,7 @@ def sector_basis(n_rails: int, n_electrons: int | None = None) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _mode_block_indices(n_rails: int, lo: int, hi: int,
                         n_electrons: int | None = None):
     """Basis-position arrays for a two-rail mode unitary on rails ``lo < hi``.
@@ -183,8 +198,10 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
     pair, the positions of their partners with only ``hi`` occupied, masks
     with both occupied, and the (-1)^k hopping signs from occupied rails
     strictly between the pair.  Like the other index helpers it raises
-    ``ValueError`` for a rail outside ``[0, n_rails)``; only valid rails are
-    cached, so the batch kernels need no rail check of their own.
+    ``ValueError`` for a rail outside ``[0, n_rails)`` or not an integer;
+    only valid rails are cached, and the caches are typed so that ``True``
+    never finds the entry of rail 1, so the batch kernels need no rail check
+    of their own.
     """
     _check_rail(n_rails, lo)
     _check_rail(n_rails, hi)
@@ -203,7 +220,7 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
     return m10, m01, m11, signs
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def rail_occupied_indices(n_rails: int, rail: int,
                           n_electrons: int | None = None) -> np.ndarray:
     """Basis positions in which ``rail`` is occupied (cached, read-only)."""
@@ -214,7 +231,7 @@ def rail_occupied_indices(n_rails: int, rail: int,
     return idx
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
                           n_electrons: int | None = None) -> np.ndarray:
     """Basis positions in which both rails are occupied (cached, read-only)."""
@@ -241,11 +258,12 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
                        n_electrons: int | None = None) -> None:
     """Apply a two-rail mode unitary to amplitudes, in place.
 
-    ``batch`` is one ``(dim,)`` state vector or a ``(shots, dim)`` batch of
-    rows; its last axis follows ``sector_basis(n_rails, n_electrons)``: all
-    2^n masks by default, or the ``n_electrons`` sector.  Single source of
-    truth for the block update; ``apply_mode_unitary`` and the off/factor
-    shot runner pass one vector, the mc shot runner a batch.
+    ``batch`` is one ``(dim,)`` state vector or a shot-minor ``(dim, shots)``
+    batch, one column per shot; its first axis follows
+    ``sector_basis(n_rails, n_electrons)``: all 2^n masks by default, or the
+    ``n_electrons`` sector.  Single source of truth for the block update;
+    ``apply_mode_unitary`` and the shot runner's shared prefix pass one
+    vector, the mc shot runner a batch.
     """
     r0, r1 = rails
     if r0 > r1:
@@ -255,7 +273,7 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
     m10, m01, m11, signs = _mode_block_indices(n_rails, r0, r1, n_electrons)
     doubly_occupied = m11.size > 0
     if batch.ndim == 2:
-        m10, m01, m11 = (slice(None), m10), (slice(None), m01), (slice(None), m11)
+        signs = signs[:, np.newaxis]
     # out-of-place products with a scalar coefficient: numpy rounds an
     # in-place or array-by-array complex product of a one-amplitude block
     # differently from a long one, and sector blocks are often that short;
@@ -312,8 +330,10 @@ def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationSta
 def sample_masks(cumulative: np.ndarray, uniforms) -> np.ndarray:
     """Inverse-CDF draw of one basis position per uniform in ``[0, 1)``.
 
-    ``cumulative`` is a running sum of probabilities over the basis: either
-    one 1-D distribution shared by every uniform, or one row per uniform.
+    ``cumulative`` is a running sum of probabilities over the basis (its
+    first axis): either one 1-D distribution shared by every uniform, or a
+    shot-minor ``(dim, shots)`` array with one column per uniform, as
+    ``np.cumsum(..., axis=0)`` gives.
     Uniform ``u`` selects the first position whose cumulative weight exceeds
     ``u * total`` (``searchsorted`` with ``side="right"``), so a position of
     zero probability is never returned, not even for ``u == 0.0``.  In the
@@ -322,15 +342,15 @@ def sample_masks(cumulative: np.ndarray, uniforms) -> np.ndarray:
     sector draw selects the same mask as the full-space draw.
     """
     cumulative = np.asarray(cumulative)
-    totals = cumulative[..., -1]
+    totals = cumulative[-1]
     if not np.all(totals > 0.0):
         raise ValueError("cannot sample from an all-zero probability vector")
     draws = np.asarray(uniforms) * totals
     if cumulative.ndim == 1:
         masks = np.searchsorted(cumulative, draws, side="right")
     else:
-        masks = (cumulative <= draws[:, np.newaxis]).sum(axis=1)
-    return np.minimum(masks, cumulative.shape[-1] - 1)
+        masks = (cumulative <= draws).sum(axis=0)
+    return np.minimum(masks, cumulative.shape[0] - 1)
 
 
 def measure_all(state: OccupationState, rng_stream):

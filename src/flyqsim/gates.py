@@ -74,6 +74,11 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_integer_rails(rails) -> None:
+    for rail in rails:
+        fock.require_integer(rail, "element rail")
+
+
 def _check_optional_length(length):
     if length is None:
         return None
@@ -93,6 +98,7 @@ class PhaseShifter:
     length: float | None = None
 
     def __post_init__(self):
+        fock.require_integer(self.rail, "element rail")
         _require_finite("phi", self.phi)
         object.__setattr__(self, "length", _check_optional_length(self.length))
 
@@ -123,6 +129,7 @@ class WaveguideCoupler:
 
     def __post_init__(self):
         object.__setattr__(self, "rails", tuple(self.rails))
+        _require_integer_rails(self.rails)
         if len(self.rails) != 2 or self.rails[0] == self.rails[1]:
             raise ValueError(f"coupler rails must be a distinct pair, "
                              f"got {self.rails}")
@@ -150,6 +157,7 @@ class CoulombCoupler:
 
     def __post_init__(self):
         object.__setattr__(self, "rails", tuple(self.rails))
+        _require_integer_rails(self.rails)
         if len(self.rails) != 2 or self.rails[0] == self.rails[1]:
             raise ValueError(f"coupler rails must be a distinct pair, "
                              f"got {self.rails}")
@@ -170,6 +178,7 @@ class CompositeGate:
 
     def __post_init__(self):
         object.__setattr__(self, "rails", tuple(self.rails))
+        _require_integer_rails(self.rails)
         spec = MACROS.get(self.name)
         if spec is None:
             raise ValueError(f"unknown composite gate '{self.name}'")
@@ -309,24 +318,21 @@ def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
                         n_electrons: int | None = None) -> None:
     """Apply one element to amplitudes, in place.
 
-    ``batch`` is one ``(dim,)`` state vector or a ``(shots, dim)`` batch of
-    rows; its last axis follows ``fock.sector_basis(n_rails, n_electrons)``:
-    all 2^n masks by default, or the ``n_electrons`` sector.  A rail outside
-    ``[0, n_rails)`` raises ``ValueError`` from the ``fock`` index helpers.
+    ``batch`` is one ``(dim,)`` state vector or a shot-minor ``(dim, shots)``
+    batch, one column per shot; its first axis follows
+    ``fock.sector_basis(n_rails, n_electrons)``: all 2^n masks by default,
+    or the ``n_electrons`` sector.  A rail outside ``[0, n_rails)`` raises
+    ``ValueError`` from the ``fock`` index helpers.
     """
     # products out of place, as in fock.mode_unitary_batch
     if isinstance(element, PhaseShifter):
         idx = fock.rail_occupied_indices(n_rails, element.rail, n_electrons)
-        if batch.ndim == 2:
-            idx = (slice(None), idx)
         batch[idx] = batch[idx] * np.exp(1j * element.phi)
     elif isinstance(element, WaveguideCoupler):
         u = coupler_matrix(element.coupling_length, element.transfer_length)
         fock.mode_unitary_batch(batch, n_rails, element.rails, u, n_electrons)
     elif isinstance(element, CoulombCoupler):
         idx = fock.pair_occupied_indices(n_rails, *element.rails, n_electrons)
-        if batch.ndim == 2:
-            idx = (slice(None), idx)
         batch[idx] = batch[idx] * np.exp(-2j * element.chi_t)
     elif isinstance(element, CompositeGate):
         raise ValueError(f"composite gate '{element.name}' must be expanded "

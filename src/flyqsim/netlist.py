@@ -33,12 +33,11 @@ an immutable value, validated and bucketed by position once, when built;
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field, replace
 
 from . import dualrail as _dualrail
-from .fock import MAX_RAILS
+from .fock import MAX_RAILS, require_integer
 from .gates import (
     MACROS,
     CompositeGate,
@@ -53,14 +52,6 @@ from .timing import SepSource
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
 _WORD_RE = re.compile(r"\S+")
-
-
-def _integer(value, what: str):
-    """``value`` if an integer (numpy too, ``bool`` not), else ``ValueError``."""
-    if type(value) is int or (isinstance(value, numbers.Integral)
-                              and not isinstance(value, bool)):
-        return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _decimal(digits: str) -> int | None:
@@ -125,21 +116,21 @@ class Circuit:
         # lengths without checking them again
         for name in ("elements", "sources", "detectors"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        n_rails = _integer(self.n_rails, "rail count")
+        n_rails = require_integer(self.n_rails, "rail count")
         if not 1 <= n_rails <= MAX_RAILS:
             raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
         for index, element in enumerate(self.elements):
-            for rail in element.rails:
-                if not 0 <= _integer(rail, "element rail") < n_rails:
+            for rail in element.rails:  # integers: each element checks its own
+                if not 0 <= rail < n_rails:
                     raise ValueError(
                         f"element {index} ({element.keyword}) rail "
                         f"{rail} outside [0, {n_rails})")
         wire = [[] for _ in range(len(self.elements) + 1)]
         for seg in self.segments:
-            if not 0 <= _integer(seg.position, "segment position") < len(wire):
+            if not 0 <= require_integer(seg.position, "segment position") < len(wire):
                 raise ValueError(f"segment position {seg.position} outside "
                                  f"[0, {len(self.elements)}]: {seg!r}")
-            if not 0 <= _integer(seg.rail, "segment rail") < n_rails:
+            if not 0 <= require_integer(seg.rail, "segment rail") < n_rails:
                 raise ValueError(f"segment rail {seg.rail} outside "
                                  f"[0, {n_rails}): {seg!r}")
             if not (math.isfinite(seg.length) and seg.length >= 0):
@@ -148,13 +139,13 @@ class Circuit:
             wire[seg.position].append(seg)
         source_rails = set()
         for src in self.sources:
-            if not 0 <= _integer(src.rail, "source rail") < n_rails:
+            if not 0 <= require_integer(src.rail, "source rail") < n_rails:
                 raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
             if src.rail in source_rails:
                 raise ValueError(f"two sources on rail {src.rail}")
             source_rails.add(src.rail)
         for rail in self.detectors:
-            if not 0 <= _integer(rail, "detector rail") < n_rails:
+            if not 0 <= require_integer(rail, "detector rail") < n_rails:
                 raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError(f"detector rails repeat: {self.detectors}")
@@ -166,7 +157,7 @@ class Circuit:
                 raise ValueError(f"duplicate register name '{name}'")
             pair = tuple(pair)
             for rail in pair:
-                if not 0 <= _integer(rail, "register rail") < n_rails:
+                if not 0 <= require_integer(rail, "register rail") < n_rails:
                     raise ValueError(f"register '{name}' rail {rail} outside "
                                      f"[0, {n_rails})")
             registers.append((name, pair))

@@ -35,12 +35,22 @@ histogram does not depend on how shots are chunked.
 
 Every element and every segment phase conserves electron number, so
 ``run_shots`` evolves only the sector of the k electrons its pumps load,
-over ``fock.sector_basis(n, k)``, the k-electron masks in ascending order:
-one ``(C(n, k),)`` vector in ``off`` and ``deterministic-factor`` modes,
-``(shots, C(n, k))`` batches in ``monte-carlo`` mode.  Sampled positions
-map back to masks through that basis.  Off-sector amplitudes are exact
-zeros, which add nothing to the cumulative sum, so the histogram equals a
-full 2^n evolution's for the same seed.
+over ``fock.sector_basis(n, k)``, the k-electron masks in ascending order.
+Sampled positions map back to masks through that basis.  Off-sector
+amplitudes are exact zeros, which add nothing to the cumulative sum, so the
+histogram equals a full 2^n evolution's for the same seed.
+
+All shots share one ``(C(n, k),)`` vector for as long as they can.  In
+``off`` and ``deterministic-factor`` modes that is the whole circuit.  In
+``monte-carlo`` mode it is up to the first element position with a segment
+on a rail that is not definite in the shared vector: some nonzero
+amplitudes occupy the rail and some do not.  A phase on a definite rail is
+a global phase, so the wire before that position changes no probability;
+leading wire from the pumps meets a Fock state and is always shared.  From
+that position on the vector is copied into shot-minor ``(C(n, k), shots)``
+batches, one column per shot, and every later segment gets its per-shot
+phase.  The normals of the shared segments are still drawn, so the stream
+contract above holds unchanged.
 """
 
 from __future__ import annotations
@@ -69,6 +79,8 @@ _MODE_ALIASES = {
     "mc": MODE_MC,
 }
 
+# shots per sampling chunk; an mc chunk is further capped so that its
+# (C(n, k), shots) batch stays within 2^22 amplitudes (64 MiB)
 _SHOT_CHUNK = 8192
 
 
@@ -255,27 +267,42 @@ def run_shots(circuit, n_shots: int,
     n_electrons = loaded.bit_count()
     sector = fock.sector_basis(n_rails, n_electrons)
     dim = sector.size
-    initial = np.zeros(dim, dtype=np.complex128)
-    initial[np.searchsorted(sector, loaded)] = 1.0
+    shared = np.zeros(dim, dtype=np.complex128)
+    shared[np.searchsorted(sector, loaded)] = 1.0
 
+    # the shared prefix: one vector, up to the first position whose wire lies
+    # on a rail not definite in it (some nonzero amplitudes occupy the rail,
+    # some do not); before it every segment phase is a global phase
     mc = dephasing.mode == MODE_MC
-    if mc:
-        # per position: (occupied sector positions, phase std) of each segment
-        segment_plan = [
-            [(fock.rail_occupied_indices(n_rails, seg.rail, n_electrons),
-              math.sqrt(seg.length / dephasing.l_phi)) for seg in group]
-            for group in circuit.wire]
-        n_normals = sum(len(group) for group in segment_plan)
-        uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
-        # bound the per-chunk (shots, C(n, k)) batch to a few tens of MB
+    elements = circuit.elements
+    n_elements = len(elements)
+    branch = len(circuit.wire)
+    first_draw = 0  # normals of the shared segments, drawn but not used
+    for position, group in enumerate(circuit.wire):
+        if mc and group:
+            masks = sector[np.flatnonzero(shared)]
+            mixed = int(np.bitwise_or.reduce(masks) ^ np.bitwise_and.reduce(masks))
+            if any((mixed >> seg.rail) & 1 for seg in group):
+                branch = position
+                break
+            first_draw += len(group)
+        if position < n_elements:
+            apply_element_batch(shared, n_rails, elements[position], n_electrons)
+
+    # per position from the branch on: (occupied sector positions, phase std)
+    # of each segment; empty when every shot shares the one vector
+    segment_plan = [
+        [(fock.rail_occupied_indices(n_rails, seg.rail, n_electrons),
+          math.sqrt(seg.length / dephasing.l_phi)) for seg in group]
+        for group in circuit.wire[branch:]]
+    if segment_plan:
         chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
     else:
-        final = initial.copy()
-        for element in circuit.elements:
-            apply_element_batch(final, n_rails, element, n_electrons)
-        cumulative = np.cumsum(np.abs(final) ** 2)
-        uniforms_per_shot = 1
+        cumulative = np.cumsum(np.abs(shared) ** 2)
         chunk = _SHOT_CHUNK
+    # mc shots draw the normals of shared segments too: shot i keeps its block
+    n_normals = len(circuit.segments) if mc else 0
+    uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
 
     stream = np.random.default_rng(np.random.Philox(master_seed))
     total_counts = np.zeros(dim, dtype=np.int64)
@@ -283,23 +310,22 @@ def run_shots(circuit, n_shots: int,
     for start in range(0, n_shots, chunk):
         size = min(chunk, n_shots - start)
         uniforms = stream.random((size, uniforms_per_shot))
-        if mc:
+        if segment_plan:
             normals = _box_muller(uniforms[:, :-1], n_normals)
-            batch = np.broadcast_to(initial, (size, dim)).copy()
-            draw = 0
-            for position, group in enumerate(segment_plan):
+            batch = np.repeat(shared[:, np.newaxis], size, axis=1)
+            draw = first_draw
+            for position, group in enumerate(segment_plan, branch):
                 for idx, std in group:
-                    phases = np.exp(1j * std * normals[:, draw])
                     # out of place, as in fock.mode_unitary_batch
-                    batch[:, idx] = batch[:, idx] * phases[:, np.newaxis]
+                    batch[idx] = batch[idx] * np.exp(1j * std * normals[:, draw])
                     draw += 1
-                if position < len(circuit.elements):
-                    apply_element_batch(batch, n_rails, circuit.elements[position],
+                if position < n_elements:
+                    apply_element_batch(batch, n_rails, elements[position],
                                         n_electrons)
-            positions = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=1),
+            positions = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=0),
                                           uniforms[:, -1])
         else:
-            positions = fock.sample_masks(cumulative, uniforms[:, 0])
+            positions = fock.sample_masks(cumulative, uniforms[:, -1])
         total_counts += np.bincount(positions, minlength=dim)
 
     observed = np.flatnonzero(total_counts)

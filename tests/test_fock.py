@@ -54,6 +54,17 @@ def test_prepare_occupation_both():
     assert state.amplitudes[0b11] == 1.0
 
 
+@pytest.mark.parametrize("rail", [0.5, 1.0, True])
+def test_prepare_occupation_rejects_rails_that_are_not_integers(rail):
+    with pytest.raises(ValueError, match=r"rail index must be an integer"):
+        prepare_occupation(2, {rail})
+
+
+def test_prepare_occupation_accepts_numpy_integers():
+    assert np.array_equal(prepare_occupation(3, {np.int64(2)}).amplitudes,
+                          prepare_occupation(3, {2}).amplitudes)
+
+
 def test_prepare_occupation_empty_is_vacuum():
     assert np.array_equal(prepare_occupation(4, set()).amplitudes,
                           vacuum(4).amplitudes)
@@ -204,24 +215,24 @@ def test_measure_rejects_unnormalized():
 def test_sample_masks_zero_uniform_skips_zero_probability_mask():
     cumulative = np.cumsum([0.0, 0.5, 0.5])
     assert sample_masks(cumulative, np.array([0.0]))[0] == 1
-    rows = np.stack([cumulative, cumulative])
-    assert sample_masks(rows, np.array([0.0, 0.0])).tolist() == [1, 1]
+    columns = np.stack([cumulative, cumulative], axis=1)
+    assert sample_masks(columns, np.array([0.0, 0.0])).tolist() == [1, 1]
 
 
 def test_sample_masks_forms_match_reference_loop():
     rng = np.random.default_rng(31)
-    probs = rng.random((50, 8)) * (rng.random((50, 8)) < 0.6)
-    probs[:, 3] += 0.1
+    probs = rng.random((8, 50)) * (rng.random((8, 50)) < 0.6)
+    probs[3] += 0.1
     uniforms = rng.random(50)
     uniforms[:5] = 0.0
-    cumulative = np.cumsum(probs, axis=1)
-    rows = sample_masks(cumulative, uniforms)
+    cumulative = np.cumsum(probs, axis=0)
+    columns = sample_masks(cumulative, uniforms)
     for i, u in enumerate(uniforms):
-        draw = u * cumulative[i, -1]
-        expected = next(m for m in range(8) if cumulative[i, m] > draw)
-        assert rows[i] == expected
-        assert probs[i, expected] > 0
-        assert sample_masks(cumulative[i], np.array([u]))[0] == expected
+        draw = u * cumulative[-1, i]
+        expected = next(m for m in range(8) if cumulative[m, i] > draw)
+        assert columns[i] == expected
+        assert probs[expected, i] > 0
+        assert sample_masks(cumulative[:, i], np.array([u]))[0] == expected
     with pytest.raises(ValueError):
         sample_masks(np.zeros(4), np.array([0.5]))
 

@@ -242,3 +242,37 @@ def test_composite_validation():
 def test_apply_element_rejects_composites():
     with pytest.raises(ValueError):
         apply_element(vacuum(2), CompositeGate("hadamard", (0, 1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PhaseShifter(True, 0.1),
+    lambda: PhaseShifter(0.5, 0.1),
+    lambda: WaveguideCoupler((0, 1.0), 0.1, 0.2),
+    lambda: CoulombCoupler((False, 1), 0.1),
+    lambda: CompositeGate("hadamard", (0.0, 1)),
+], ids=["bool ps", "float ps", "float bs", "bool cc", "float macro"])
+def test_elements_reject_rails_that_are_not_integers(build):
+    with pytest.raises(ValueError, match=r"element rail must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize("use", [
+    lambda: build_dense_unitary(PhaseShifter(True, 0.1), 2),
+    lambda: build_dense_unitary(PhaseShifter(0.5, 0.1), 2),
+    lambda: apply_element(vacuum(2), PhaseShifter(0.5, 0.1)),
+], ids=["bool rail dense", "float rail dense", "float rail engine"])
+def test_non_integer_rails_raise_value_error_not_a_wrong_matrix(use):
+    # True once built the matrix for rail 1; 0.5 failed in a bit shift
+    with pytest.raises(ValueError, match=r"element rail must be an integer"):
+        use()
+
+
+def test_elements_accept_numpy_integer_rails():
+    rail = np.int64(1)
+    element = PhaseShifter(rail, 0.3)
+    assert np.array_equal(build_dense_unitary(element, 2),
+                          build_dense_unitary(PhaseShifter(1, 0.3), 2))
+    state = prepare_occupation(2, {0})
+    numpy_rails = apply_element(state, WaveguideCoupler((np.int32(0), rail), 0.1, 0.2))
+    int_rails = apply_element(state, WaveguideCoupler((0, 1), 0.1, 0.2))
+    assert np.array_equal(numpy_rails.amplitudes, int_rails.amplitudes)

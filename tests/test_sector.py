@@ -67,14 +67,14 @@ def test_sector_evolution_matches_full_space_bit_for_bit(seed):
     basis = fock.sector_basis(n_rails, k)
 
     state = fock.prepare_occupation(n_rails, occupied)
-    batch = np.zeros((1, basis.size), dtype=np.complex128)
-    batch[0, np.searchsorted(basis, loaded)] = 1.0
+    batch = np.zeros((basis.size, 1), dtype=np.complex128)
+    batch[np.searchsorted(basis, loaded), 0] = 1.0
     for element in circuit.elements:
         state = apply_element(state, element)
         apply_element_batch(batch, n_rails, element, k)
 
     full = state.amplitudes
-    assert np.array_equal(full[basis], batch[0])
+    assert np.array_equal(full[basis], batch[:, 0])
     off_sector = np.ones(full.size, dtype=bool)
     off_sector[basis] = False
     assert not np.any(full[off_sector])
@@ -192,20 +192,20 @@ def test_one_vector_evolves_like_a_batch_row_bit_for_bit(seed, space):
     n_rails = circuit.n_rails
     k = int(rng.integers(0, n_rails + 1)) if space == "sector" else None
     dim = fock.sector_basis(n_rails, k).size
-    start = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
-    vector = start[0].copy()
-    row = start[:1].copy()
-    rows = start.copy()
+    start = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    vector = start[:, 0].copy()
+    column = start[:, :1].copy()
+    columns = start.copy()
     for element in circuit.elements:
         apply_element_batch(vector, n_rails, element, k)
-        apply_element_batch(row, n_rails, element, k)
-        apply_element_batch(rows, n_rails, element, k)
-        assert np.array_equal(vector, row[0])
+        apply_element_batch(column, n_rails, element, k)
+        apply_element_batch(columns, n_rails, element, k)
+        assert np.array_equal(vector, column[:, 0])
     for i in range(3):
-        single = start[i].copy()
+        single = start[:, i].copy()
         for element in circuit.elements:
             apply_element_batch(single, n_rails, element, k)
-        assert np.array_equal(single, rows[i])
+        assert np.array_equal(single, columns[:, i])
 
 
 def test_mode_unitary_batch_takes_a_vector_or_a_batch():
@@ -213,13 +213,13 @@ def test_mode_unitary_batch_takes_a_vector_or_a_batch():
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     for n_rails, k in ((6, None), (6, 3), (7, 2)):
         dim = fock.sector_basis(n_rails, k).size
-        start = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        start = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
         for rails in ((0, 5), (4, 1), (2, 3)):
-            vector = start[1].copy()
+            vector = start[:, 1].copy()
             batch = start.copy()
             fock.mode_unitary_batch(vector, n_rails, rails, u, k)
             fock.mode_unitary_batch(batch, n_rails, rails, u, k)
-            assert np.array_equal(vector, batch[1])
+            assert np.array_equal(vector, batch[:, 1])
 
 
 @pytest.mark.parametrize("element", [
@@ -233,6 +233,17 @@ def test_mode_unitary_batch_takes_a_vector_or_a_batch():
 @pytest.mark.parametrize("shape", ["vector", "batch"])
 def test_apply_element_batch_rejects_rails_out_of_range(element, k, shape):
     dim = fock.sector_basis(3, k).size
-    amplitudes = np.zeros(dim if shape == "vector" else (2, dim), dtype=np.complex128)
+    amplitudes = np.zeros(dim if shape == "vector" else (dim, 2), dtype=np.complex128)
     with pytest.raises(ValueError, match=r"rail index -?\d+ out of range for 3 rails"):
         apply_element_batch(amplitudes, 3, element, k)
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda rail: fock.rail_occupied_indices(3, rail, 1),
+    lambda rail: fock.pair_occupied_indices(3, 0, rail, 1),
+    lambda rail: fock._mode_block_indices(3, 0, rail, 1),
+], ids=["rail", "pair", "mode block"])
+def test_index_helpers_reject_bool_rails_after_caching_the_integer(lookup):
+    lookup(1)
+    with pytest.raises(ValueError, match=r"rail index must be an integer, got True"):
+        lookup(True)

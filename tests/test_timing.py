@@ -8,7 +8,7 @@ import pytest
 
 from flyqsim import cli, timing
 from flyqsim.budget import analyze
-from flyqsim.fock import prepare_occupation, sample_masks
+from flyqsim.fock import apply_diagonal_phase, prepare_occupation, sample_masks
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
@@ -300,6 +300,72 @@ def test_off_mode_follows_stream_contract():
     uniforms = np.random.default_rng(np.random.Philox(4)).random(60)
     expected = sample_masks(np.cumsum(state.probabilities()), uniforms)
     assert shot_masks(circuit, 60, "off", seed=4) == expected.tolist()
+
+
+def reference_mc_masks(circuit, n_shots, seed, l_phi=30.0):
+    """Shot by shot over the full 2^n space, read off the stream contract."""
+    segments = circuit.segments
+    per_shot = 2 * ((len(segments) + 1) // 2) + 1
+    stream = np.random.default_rng(np.random.Philox(seed))
+    occupied = {src.rail for src in circuit.sources if src.emits}
+    masks = []
+    for _ in range(n_shots):
+        uniforms = stream.random(per_shot)
+        normals = []
+        for u1, u2 in zip(uniforms[0:-1:2], uniforms[1:-1:2]):
+            radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+            normals += [radius * math.cos(2 * math.pi * u2),
+                        radius * math.sin(2 * math.pi * u2)]
+        draws = iter(normals)
+        state = prepare_occupation(circuit.n_rails, occupied)
+        for position in range(len(circuit.elements) + 1):
+            for seg in segments:
+                if seg.position == position:
+                    phase = math.sqrt(seg.length / l_phi) * next(draws)
+                    state = apply_diagonal_phase(
+                        state, lambda m: phase if (m >> seg.rail) & 1 else 0.0)
+            if position < len(circuit.elements):
+                state = apply_element(state, circuit.elements[position])
+        cumulative = np.cumsum(state.probabilities())
+        masks.append(int(sample_masks(cumulative, uniforms[-1:])[0]))
+    return masks
+
+
+def branching_circuit():
+    """Wire the mc path may share across shots, and wire it may not.
+
+    Leading wire meets a Fock state; the wire before element 1 lies on rail
+    2, which the phase shifter leaves definite; the wire before element 2
+    lies on rail 0, superposed by the coupler; then more wire, a Coulomb
+    coupler and two trailing segments: nine segments in all.
+    """
+    return Circuit(
+        n_rails=3,
+        elements=[PhaseShifter(2, 0.3), WaveguideCoupler((0, 1), **BALANCED),
+                  PhaseShifter(0, 0.7), WaveguideCoupler((0, 1), **BALANCED),
+                  CoulombCoupler((0, 2), 0.4)],
+        segments=[Segment(0, 3.0, 0), Segment(1, 3.0, 0), Segment(2, 3.0, 0),
+                  Segment(2, 1.5, 1), Segment(0, 4.0, 2), Segment(1, 4.0, 3),
+                  Segment(2, 2.5, 3), Segment(1, 2.0, 5), Segment(0, 1.0, 5)],
+        sources=[SepSource(0, 0.0), SepSource(1, 0.0, emits=False),
+                 SepSource(2, 0.0)],
+        detectors=[0, 1, 2],
+    )
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+@pytest.mark.parametrize("circuit", [
+    branching_circuit(),
+    # leading wire only: every segment meets a definite rail
+    dataclasses.replace(mach_zehnder(internal_phase=0.7),
+                        segments=[Segment(0, 5.0, 0), Segment(1, 5.0, 0)]),
+    # arms after the first coupler: superposed from the first segment on
+    mach_zehnder(arm_um=6.0, internal_phase=0.7),
+], ids=["branching", "leading wire only", "arms"])
+def test_mc_mode_follows_stream_contract(circuit, seed):
+    masks = shot_masks(circuit, 40, "mc", seed=seed)
+    assert masks == reference_mc_masks(circuit, 40, seed)
+    assert len(set(masks)) > 1
 
 
 @pytest.mark.parametrize("mode", ["factor", "mc"])
