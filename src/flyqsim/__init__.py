@@ -66,4 +66,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -1,9 +1,10 @@
 """Batch command line: parse, schedule-check, simulate, report.
 
-Exit codes: 0 success, 2 netlist/configuration errors (diagnostics printed),
-3 coincidence violations without ``--allow-desync``.  Machine output is
-line-oriented ``key=value`` plus one ``count <bits> <n>`` line per outcome,
-sorted by mask, and is byte-identical across reruns with the same seed.
+Exit codes: 0 success, 2 netlist/configuration errors and runs too large to
+simulate (diagnostics printed), 3 coincidence violations without
+``--allow-desync``.  Machine output is line-oriented ``key=value`` plus
+one ``count <bits> <n>`` line per outcome, sorted by mask, and is
+byte-identical across reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from . import budget as budget_mod
 from . import netlist as netlist_mod
 from . import timing as timing_mod
+from .fock import CapacityError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -154,7 +156,7 @@ def run(config: RunConfig, out=None) -> int:
             circuit, config.shots, dephasing=config.dephasing,
             master_seed=config.seed, propagation=config.propagation,
             allow_desync=config.allow_desync)
-    except timing_mod.ConfigError as exc:
+    except (timing_mod.ConfigError, CapacityError) as exc:
         out.write(f"error: {exc}\n")
         return EXIT_PARSE
     except timing_mod.CoincidenceError as exc:

@@ -20,19 +20,19 @@ Every primitive conserves electron number, so a register loaded with k
 electrons never leaves the C(n, k) masks with k set bits.  The batch kernels
 (``mode_unitary_batch`` and the index helpers) therefore take an optional
 electron count and then address the first axis of a ``(dim,)`` state
-vector or a shot-minor ``(dim, shots)`` batch as positions in
+vector or a ``(dim, m)`` batch of m columns as positions in
 ``sector_basis(n_rails, k)``, the sector's masks in ascending order; without
-it they span the full 2^n space, where position and mask coincide.  In the
-shot-minor layout one basis position is one contiguous row, so the index
-gathers and scatters move whole rows.  Shot sampling evolves only the
-sector.  Off-sector amplitudes are exact zeros, so the sector evolution does
+it they span the full 2^n space, where position and mask coincide.  The
+columns are those of a factored or a dense density matrix
+(``timing.outcome_probabilities``); one basis position is one contiguous
+row, so the index gathers and scatters move whole rows.  Shot sampling
+evolves only the sector.  Off-sector amplitudes are exact zeros, so the sector evolution does
 the same floating-point work on the same amplitudes and sampled histograms
 are unchanged.  ``OccupationState`` and the single-state functions always
 use the full space.
 
 All operations are pure: they return new states and never mutate their
-inputs, so shots can be evaluated in parallel as long as each shot owns its
-state copy and random stream.
+inputs.
 """
 
 from __future__ import annotations
@@ -258,12 +258,12 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
                        n_electrons: int | None = None) -> None:
     """Apply a two-rail mode unitary to amplitudes, in place.
 
-    ``batch`` is one ``(dim,)`` state vector or a shot-minor ``(dim, shots)``
-    batch, one column per shot; its first axis follows
+    ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
+    columns the update acts on alike; its first axis follows
     ``sector_basis(n_rails, n_electrons)``: all 2^n masks by default, or the
     ``n_electrons`` sector.  Single source of truth for the block update;
-    ``apply_mode_unitary`` and the shot runner's shared prefix pass one
-    vector, the mc shot runner a batch.
+    ``apply_mode_unitary`` passes one vector, the shot runner a vector or
+    the columns of a density matrix.
     """
     r0, r1 = rails
     if r0 > r1:
@@ -330,27 +330,22 @@ def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationSta
 def sample_masks(cumulative: np.ndarray, uniforms) -> np.ndarray:
     """Inverse-CDF draw of one basis position per uniform in ``[0, 1)``.
 
-    ``cumulative`` is a running sum of probabilities over the basis (its
-    first axis): either one 1-D distribution shared by every uniform, or a
-    shot-minor ``(dim, shots)`` array with one column per uniform, as
-    ``np.cumsum(..., axis=0)`` gives.
-    Uniform ``u`` selects the first position whose cumulative weight exceeds
-    ``u * total`` (``searchsorted`` with ``side="right"``), so a position of
-    zero probability is never returned, not even for ``u == 0.0``.  In the
-    full basis positions are masks; over a sector, ``sector_basis`` maps
-    them back.  Zero-probability masks only repeat a cumulative value, so a
+    ``cumulative`` is a running sum of probabilities over the basis, one
+    1-D distribution shared by every uniform.  Uniform ``u`` selects the
+    first position whose cumulative weight exceeds ``u * total``
+    (``searchsorted`` with ``side="right"``), so a position of zero
+    probability is never returned, not even for ``u == 0.0``.  In the full
+    basis positions are masks; over a sector, ``sector_basis`` maps them
+    back.  Zero-probability masks only repeat a cumulative value, so a
     sector draw selects the same mask as the full-space draw.
     """
     cumulative = np.asarray(cumulative)
-    totals = cumulative[-1]
-    if not np.all(totals > 0.0):
+    total = cumulative[-1]
+    if not total > 0.0:
         raise ValueError("cannot sample from an all-zero probability vector")
-    draws = np.asarray(uniforms) * totals
-    if cumulative.ndim == 1:
-        masks = np.searchsorted(cumulative, draws, side="right")
-    else:
-        masks = (cumulative <= draws).sum(axis=0)
-    return np.minimum(masks, cumulative.shape[0] - 1)
+    masks = np.searchsorted(cumulative, np.asarray(uniforms) * total,
+                            side="right")
+    return np.minimum(masks, cumulative.size - 1)
 
 
 def measure_all(state: OccupationState, rng_stream):

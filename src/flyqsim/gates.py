@@ -318,8 +318,8 @@ def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
                         n_electrons: int | None = None) -> None:
     """Apply one element to amplitudes, in place.
 
-    ``batch`` is one ``(dim,)`` state vector or a shot-minor ``(dim, shots)``
-    batch, one column per shot; its first axis follows
+    ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
+    columns the element acts on alike; its first axis follows
     ``fock.sector_basis(n_rails, n_electrons)``: all 2^n masks by default,
     or the ``n_electrons`` sector.  A rail outside ``[0, n_rails)`` raises
     ``ValueError`` from the ``fock`` index helpers.

@@ -8,30 +8,25 @@ per element); two-electron gates require the two arrivals to coincide
 within a configurable window (``check_coincidence`` returns the late
 entries), and scheduling is checked before any sampling run.
 
-Dephasing is modeled per trajectory: in ``monte-carlo`` mode every declared
-wire segment of length ``l`` adds an independent Gaussian random phase to
-the occupied components of its rail, drawn per shot with variance
-``l / l_phi``.  Two interferometer arms of length ``l`` then accumulate a
-relative phase of variance ``2 l / l_phi``, which averages interference
-fringes down by ``exp(-l / l_phi)``, the standard reading of a phase
-coherence length.  ``deterministic-factor`` mode samples exactly as ``off``;
-its analytic factor ``exp(-longest_rail_path / l_phi)`` is the coherence
-budget's (``budget.analyze``), not the sampler's.
+Dephasing: in ``monte-carlo`` mode every declared wire segment of length
+``l`` adds an independent Gaussian random phase of variance ``l / l_phi`` to
+the occupied components of its rail.  Two interferometer arms of length
+``l`` then accumulate a relative phase of variance ``2 l / l_phi``, which
+averages interference fringes down by ``exp(-l / l_phi)``, the standard
+reading of a phase coherence length.  The shots sample the exact average
+over these phases rather than one drawn phase set per shot: a Gaussian
+phase is a phase-damping channel, which multiplies the density matrix
+elementwise by ``exp(-l / (2 l_phi))`` wherever the two masks disagree on
+the rail (``outcome_probabilities``).  ``deterministic-factor`` mode samples
+exactly as ``off``; its analytic factor ``exp(-longest_rail_path / l_phi)``
+is the coherence budget's (``budget.analyze``), not the sampler's.
 
 Reproducibility contract: a run draws every random number from one Philox
 stream, ``np.random.default_rng(np.random.Philox(master_seed))``.  Shot
-``i`` owns the uniforms ``[i*k, (i+1)*k)`` of that stream, consumed in
-order.  In ``off`` and ``deterministic-factor`` modes ``k = 1``: the single
-uniform is the readout draw.  In ``monte-carlo`` mode with ``S`` declared
-segments ``k = 2*ceil(S/2) + 1``: uniform pairs ``(u1, u2)`` give two
-standard normals each by Box-Muller, ``sqrt(-2 ln(1 - u1))`` times
-``cos(2 pi u2)`` and then ``sin(2 pi u2)``; the normals go to the segments
-in the order of ``Circuit.segments``, which the circuit's constructor fixes
-as netlist order: by element position, then declaration order within a
-position (an odd ``S`` leaves the last normal unused).  The final uniform is
-the readout draw.  Readout is inverse-CDF sampling
-(``fock.sample_masks``).  Because every shot consumes a fixed block, the
-histogram does not depend on how shots are chunked.
+``i`` reads uniform ``i`` of that stream (``k = 1`` uniform per shot in
+every mode) for its readout, by inverse-CDF sampling (``fock.sample_masks``)
+of the outcome probabilities.  Because every shot consumes a fixed block,
+the histogram does not depend on how shots are chunked.
 
 Every element and every segment phase conserves electron number, so
 ``run_shots`` evolves only the sector of the k electrons its pumps load,
@@ -40,17 +35,23 @@ Sampled positions map back to masks through that basis.  Off-sector
 amplitudes are exact zeros, which add nothing to the cumulative sum, so the
 histogram equals a full 2^n evolution's for the same seed.
 
-All shots share one ``(C(n, k),)`` vector for as long as they can.  In
+The evolution keeps one ``(C(n, k),)`` vector for as long as it can.  In
 ``off`` and ``deterministic-factor`` modes that is the whole circuit.  In
 ``monte-carlo`` mode it is up to the first element position with a segment
-on a rail that is not definite in the shared vector: some nonzero
-amplitudes occupy the rail and some do not.  A phase on a definite rail is
-a global phase, so the wire before that position changes no probability;
-leading wire from the pumps meets a Fock state and is always shared.  From
-that position on the vector is copied into shot-minor ``(C(n, k), shots)``
-batches, one column per shot, and every later segment gets its per-shot
-phase.  The normals of the shared segments are still drawn, so the stream
-contract above holds unchanged.
+on a rail that is not definite over the support: some nonzero amplitudes
+occupy the rail and some do not.  A phase on a definite rail is a global
+phase, so such wire changes no probability; leading wire from the pumps
+meets a Fock state and is always skipped, and so is the wire after the last
+element, whose channel keeps the diagonal.  From the first wire that counts,
+the state is a density matrix ``rho = B B^H`` held as its factor ``B``, one
+column at first; every element acts on ``B``'s columns.  At each position
+whose wire counts, ``B`` is rebuilt over its support of ``s`` rows from the
+eigenpairs of the dephased ``s x s`` block of ``rho``, so it keeps at most
+``s`` columns.  A support above ``_DENSE_SUPPORT`` rows switches to the dense
+``(C(n, k), C(n, k))`` rho for the rest of the run, where an element is
+applied to the rows and then, after a conjugate transpose, to the rows
+again.  An array above 2^24 amplitudes is refused with
+``fock.CapacityError``.
 """
 
 from __future__ import annotations
@@ -79,9 +80,12 @@ _MODE_ALIASES = {
     "mc": MODE_MC,
 }
 
-# shots per sampling chunk; an mc chunk is further capped so that its
-# (C(n, k), shots) batch stays within 2^22 amplitudes (64 MiB)
+# shots per sampling chunk
 _SHOT_CHUNK = 8192
+# the factored monte-carlo average switches to a dense rho above this support
+_DENSE_SUPPORT = 256
+# no array of the monte-carlo average may hold more amplitudes (256 MiB)
+_MAX_AMPLITUDES = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -215,18 +219,110 @@ def check_coincidence(table, window: float = DEFAULT_WINDOW_PS) -> list[ElementA
             if len(entry.rails) > 1 and entry.spread > window]
 
 
-def _box_muller(uniforms: np.ndarray, n_normals: int) -> np.ndarray:
-    """Standard normals from uniform pairs, columns (0, 1), (2, 3), ...
+def _capacity_check(rows: int, cols: int) -> None:
+    if rows * cols > _MAX_AMPLITUDES:
+        raise fock.CapacityError(
+            f"the exact monte-carlo average needs a {rows} x {cols} array, "
+            f"above the cap of 2^24 amplitudes (256 MiB); "
+            f"use factor mode (--dephasing factor) for this circuit")
 
-    ``1 - u`` lies in ``(0, 1]``, so a uniform of 0.0 gives a finite
-    radius of 0 rather than ``log(0)``.
+
+def _coherence(masks: np.ndarray, rails: np.ndarray,
+               rates: np.ndarray) -> np.ndarray:
+    """Phase-damping factors ``D[a, b]`` of one wire position over ``masks``.
+
+    ``D[a, b] = exp(-1/2 sum_r rates[r] [n_r(a) != n_r(b)])``, where
+    ``rates[r]`` is the position's wire on ``rails[r]`` over ``l_phi``: the
+    Gaussian average of the segment phases.  ``[x != y]`` is
+    ``x + y - 2 x y`` for occupations, so one matmul gives the cross term.
     """
-    radius = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0::2]))
-    angle = (2.0 * math.pi) * uniforms[:, 1::2]
-    normals = np.empty((uniforms.shape[0], 2 * radius.shape[1]))
-    normals[:, 0::2] = radius * np.cos(angle)
-    normals[:, 1::2] = radius * np.sin(angle)
-    return normals[:, :n_normals]
+    occupied = ((masks[:, np.newaxis] >> rails) & 1).astype(np.float64)
+    lost = occupied @ rates
+    return np.exp((occupied * rates) @ occupied.T
+                  - 0.5 * (lost[:, np.newaxis] + lost[np.newaxis, :]))
+
+
+def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
+             l_phi: float) -> tuple[np.ndarray, bool]:
+    """Average ``state`` over the Gaussian phases of one wire position.
+
+    ``state`` is the factored ``B`` of ``rho = B B^H`` (a ``(dim,)`` vector or
+    a ``(dim, r)`` array) or, when ``dense``, ``rho`` itself.  A segment on a
+    rail definite over the support (the nonzero rows) multiplies ``rho`` by 1
+    and is dropped.  A factored support above ``_DENSE_SUPPORT`` switches to
+    the dense form; otherwise ``B`` is rebuilt over the support from the
+    eigenpairs of ``K = D * (B B^H)``, dropping eigenvalues at or below
+    ``s * eps * max``, so its rank stays at most the support size ``s``.
+    """
+    dim = sector.size
+    weight = (state.diagonal().real if dense
+              else np.sum(np.abs(state.reshape(dim, -1)) ** 2, axis=1))
+    support = np.flatnonzero(weight)
+    masks = sector[support]
+    mixed = int(np.bitwise_or.reduce(masks) ^ np.bitwise_and.reduce(masks))
+    by_rail = {}
+    for seg in group:
+        if (mixed >> seg.rail) & 1:
+            by_rail[seg.rail] = by_rail.get(seg.rail, 0.0) + seg.length / l_phi
+    if not by_rail:
+        return state, dense
+    s = support.size
+    if not dense and s > _DENSE_SUPPORT:
+        _capacity_check(dim, dim)
+        factor = state.reshape(dim, -1)
+        state, dense = factor @ factor.conj().T, True
+    rails = np.fromiter(by_rail, dtype=np.int64)
+    rates = np.fromiter(by_rail.values(), dtype=np.float64)
+    if dense:
+        # rows and columns off the support are zero: damp them all alike
+        state *= _coherence(sector, rails, rates)
+        return state, dense
+    factor = state.reshape(dim, -1)[support]
+    values, vectors = np.linalg.eigh(_coherence(masks, rails, rates)
+                                     * (factor @ factor.conj().T))
+    keep = values > s * np.finfo(np.float64).eps * values[-1]
+    rank = int(np.count_nonzero(keep))
+    _capacity_check(dim, rank)
+    state = np.zeros((dim, rank), dtype=np.complex128)
+    state[support] = vectors[:, keep] * np.sqrt(values[keep])
+    return state, dense
+
+
+def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
+    """Exact detector-outcome probabilities of an expanded circuit.
+
+    Returns ``(sector, p)``: ``p[j]`` is the probability, up to a common
+    normalization within rounding, of reading ``sector[j]``, the masks of
+    ``fock.sector_basis`` for the electron count the pumps load.  In
+    ``monte-carlo`` mode ``p`` is the diagonal of the density matrix
+    averaged over every segment phase; the other modes evolve one vector.
+    The schedule is not checked here.
+    """
+    dephasing = dephasing or DephasingModel()
+    n_rails = circuit.n_rails
+    # every element conserves electron number: evolve only the loaded sector
+    loaded = fock.occupation_mask(
+        n_rails, [src.rail for src in circuit.sources if src.emits])
+    n_electrons = loaded.bit_count()
+    sector = fock.sector_basis(n_rails, n_electrons)
+    state = np.zeros(sector.size, dtype=np.complex128)
+    state[np.searchsorted(sector, loaded)] = 1.0
+
+    mc = dephasing.mode == MODE_MC
+    dense = False
+    # the wire after the last element is left out: a phase channel keeps
+    # the diagonal of rho
+    for group, element in zip(circuit.wire, circuit.elements):
+        if mc and group:
+            state, dense = _dephase(state, dense, group, sector, dephasing.l_phi)
+        apply_element_batch(state, n_rails, element, n_electrons)
+        if dense:
+            # U rho is done; (U rho)^H = rho U^H, so U again gives U rho U^H
+            state = np.conjugate(state.T, order="C")
+            apply_element_batch(state, n_rails, element, n_electrons)
+    if dense:
+        return sector, state.diagonal().real.clip(min=0.0)
+    return sector, np.sum(np.abs(state.reshape(sector.size, -1)) ** 2, axis=1)
 
 
 def run_shots(circuit, n_shots: int,
@@ -260,73 +356,14 @@ def run_shots(circuit, n_shots: int,
     if violations and not allow_desync:
         raise CoincidenceError(violations)
 
-    n_rails = circuit.n_rails
-    # every element conserves electron number: evolve only the loaded sector
-    loaded = fock.occupation_mask(
-        n_rails, [src.rail for src in circuit.sources if src.emits])
-    n_electrons = loaded.bit_count()
-    sector = fock.sector_basis(n_rails, n_electrons)
-    dim = sector.size
-    shared = np.zeros(dim, dtype=np.complex128)
-    shared[np.searchsorted(sector, loaded)] = 1.0
-
-    # the shared prefix: one vector, up to the first position whose wire lies
-    # on a rail not definite in it (some nonzero amplitudes occupy the rail,
-    # some do not); before it every segment phase is a global phase
-    mc = dephasing.mode == MODE_MC
-    elements = circuit.elements
-    n_elements = len(elements)
-    branch = len(circuit.wire)
-    first_draw = 0  # normals of the shared segments, drawn but not used
-    for position, group in enumerate(circuit.wire):
-        if mc and group:
-            masks = sector[np.flatnonzero(shared)]
-            mixed = int(np.bitwise_or.reduce(masks) ^ np.bitwise_and.reduce(masks))
-            if any((mixed >> seg.rail) & 1 for seg in group):
-                branch = position
-                break
-            first_draw += len(group)
-        if position < n_elements:
-            apply_element_batch(shared, n_rails, elements[position], n_electrons)
-
-    # per position from the branch on: (occupied sector positions, phase std)
-    # of each segment; empty when every shot shares the one vector
-    segment_plan = [
-        [(fock.rail_occupied_indices(n_rails, seg.rail, n_electrons),
-          math.sqrt(seg.length / dephasing.l_phi)) for seg in group]
-        for group in circuit.wire[branch:]]
-    if segment_plan:
-        chunk = max(1, min(_SHOT_CHUNK, (1 << 22) // dim))
-    else:
-        cumulative = np.cumsum(np.abs(shared) ** 2)
-        chunk = _SHOT_CHUNK
-    # mc shots draw the normals of shared segments too: shot i keeps its block
-    n_normals = len(circuit.segments) if mc else 0
-    uniforms_per_shot = 2 * ((n_normals + 1) // 2) + 1
-
+    sector, probabilities = outcome_probabilities(circuit, dephasing)
+    cumulative = np.cumsum(probabilities)
     stream = np.random.default_rng(np.random.Philox(master_seed))
-    total_counts = np.zeros(dim, dtype=np.int64)
-
-    for start in range(0, n_shots, chunk):
-        size = min(chunk, n_shots - start)
-        uniforms = stream.random((size, uniforms_per_shot))
-        if segment_plan:
-            normals = _box_muller(uniforms[:, :-1], n_normals)
-            batch = np.repeat(shared[:, np.newaxis], size, axis=1)
-            draw = first_draw
-            for position, group in enumerate(segment_plan, branch):
-                for idx, std in group:
-                    # out of place, as in fock.mode_unitary_batch
-                    batch[idx] = batch[idx] * np.exp(1j * std * normals[:, draw])
-                    draw += 1
-                if position < n_elements:
-                    apply_element_batch(batch, n_rails, elements[position],
-                                        n_electrons)
-            positions = fock.sample_masks(np.cumsum(np.abs(batch) ** 2, axis=0),
-                                          uniforms[:, -1])
-        else:
-            positions = fock.sample_masks(cumulative, uniforms[:, -1])
-        total_counts += np.bincount(positions, minlength=dim)
+    total_counts = np.zeros(sector.size, dtype=np.int64)
+    for start in range(0, n_shots, _SHOT_CHUNK):
+        size = min(_SHOT_CHUNK, n_shots - start)
+        positions = fock.sample_masks(cumulative, stream.random(size))
+        total_counts += np.bincount(positions, minlength=sector.size)
 
     observed = np.flatnonzero(total_counts)
     counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))
@@ -342,7 +379,7 @@ def run_shots(circuit, n_shots: int,
                 leak_count += count
 
     return ShotHistogram(
-        n_rails=n_rails,
+        n_rails=circuit.n_rails,
         n_shots=n_shots,
         counts=counts,
         logical_counts=logical_counts,

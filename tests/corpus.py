@@ -104,3 +104,22 @@ def random_runnable_circuit(rng, max_rails=6, max_gates=20) -> Circuit:
                for r in range(n_rails)]
     return Circuit(n_rails=n_rails, elements=elements, sources=sources,
                    detectors=list(range(n_rails)))
+
+
+def random_dephased_circuit(rng, max_rails=6, max_gates=20, max_segments=8) -> Circuit:
+    """Runnable circuit with at least one Coulomb coupler and random wire.
+
+    The wire is not balanced, so the schedule is usually not coincident:
+    run it with ``allow_desync`` or without the schedule check.
+    """
+    circuit = random_runnable_circuit(rng, max_rails, max_gates)
+    elements = list(circuit.elements)
+    rails = tuple(int(r) for r in rng.choice(circuit.n_rails, 2, replace=False))
+    elements.insert(int(rng.integers(len(elements) + 1)),
+                    CoulombCoupler(rails, chi_t=float(rng.uniform(-math.pi, math.pi))))
+    segments = [Segment(int(rng.integers(circuit.n_rails)),
+                        float(rng.uniform(0.0, 40.0)),
+                        int(rng.integers(0, len(elements) + 1)))
+                for _ in range(int(rng.integers(1, max_segments + 1)))]
+    return Circuit(n_rails=circuit.n_rails, elements=elements, segments=segments,
+                   sources=circuit.sources, detectors=circuit.detectors)

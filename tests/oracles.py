@@ -3,11 +3,16 @@
 Everything here is built from scratch with scalar loops and matrix
 exponentials of second-quantized generators; none of it shares code with the
 engine's block updates or with the library's own dense builder, so the three
-routes can be checked against each other.
+routes can be checked against each other.  The one exception is
+``dense_rho_probabilities``, which takes its element matrices from the
+library's brute-force ``build_dense_unitary``, never from the engine.
 
 Conventions match the package docs: bit i of a basis mask marks rail i
 occupied, and kets apply creation operators in increasing rail order.
 """
+
+import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -16,6 +21,7 @@ from flyqsim.gates import (
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
+    build_dense_unitary,
     coupler_angle,
 )
 
@@ -88,3 +94,65 @@ def controlled_swap_target(mask: int, control: int, t0: int, t1: int) -> int:
     bit1 = (mask >> t1) & 1
     swapped = mask & ~((1 << t0) | (1 << t1))
     return swapped | (bit1 << t0) | (bit0 << t1)
+
+
+def _initial_mask(circuit) -> int:
+    return sum(1 << src.rail for src in circuit.sources if src.emits)
+
+
+def dense_rho_probabilities(circuit, l_phi: float) -> np.ndarray:
+    """Outcome probabilities over all 2^n masks of the noise-averaged rho.
+
+    Full-space density matrix: every segment, the trailing ones included,
+    applies its Gaussian phase channel, built entry by entry, and every
+    element conjugates rho by its ``build_dense_unitary`` matrix.
+    """
+    n = circuit.n_rails
+    dim = 1 << n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[_initial_mask(circuit), _initial_mask(circuit)] = 1.0
+    for position in range(len(circuit.elements) + 1):
+        for seg in circuit.segments:
+            if seg.position != position:
+                continue
+            damp = math.exp(-0.5 * seg.length / l_phi)
+            channel = np.ones((dim, dim))
+            for a in range(dim):
+                for b in range(dim):
+                    if (a >> seg.rail) & 1 != (b >> seg.rail) & 1:
+                        channel[a, b] = damp
+            rho = rho * channel
+        if position < len(circuit.elements):
+            u = build_dense_unitary(circuit.elements[position], n)
+            rho = u @ rho @ u.conj().T
+    return np.diag(rho).real
+
+
+def gauss_hermite_probabilities(circuit, l_phi: float, nodes: int = 40) -> np.ndarray:
+    """Outcome probabilities over all 2^n masks, averaged by quadrature.
+
+    A tensor Gauss-Hermite grid over the standard normal of each segment
+    (keep to a few segments: the grid has ``nodes ** S`` points); each
+    point evolves one state through ``dense_element`` with the segment
+    phases ``sqrt(l / l_phi) x`` applied to the occupied masks.
+    """
+    n = circuit.n_rails
+    dim = 1 << n
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    segments = list(circuit.segments)
+    grid = list(itertools.product(range(nodes), repeat=len(segments)))
+    weights = np.array([math.prod(w[i] for i in point) for point in grid])
+    states = np.zeros((dim, len(grid)), dtype=complex)
+    states[_initial_mask(circuit)] = 1.0
+    masks = np.arange(dim)
+    for position in range(len(circuit.elements) + 1):
+        for j, seg in enumerate(segments):
+            if seg.position != position:
+                continue
+            phases = math.sqrt(seg.length / l_phi) * x[[point[j] for point in grid]]
+            occupied = (masks >> seg.rail) & 1 == 1
+            states[occupied] *= np.exp(1j * phases)
+        if position < len(circuit.elements):
+            states = dense_element(circuit.elements[position], n) @ states
+    return (np.abs(states) ** 2) @ weights

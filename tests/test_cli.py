@@ -174,6 +174,30 @@ def test_missing_source_exits_2(tmp_path):
     assert "needs a source" in output
 
 
+def wide_superposed_netlist(n_qubits=9):
+    """Dual-rail qubits in superposition, then wire on every rail."""
+    n_rails = 2 * n_qubits
+    lines = [f"rails {n_rails}"]
+    lines += [f"sep q{r} delay=0ps" + ("" if r % 2 == 0 else " empty")
+              for r in range(n_rails)]
+    lines += [f"hadamard q{r} q{r + 1}" for r in range(0, n_rails, 2)]
+    lines += [f"segment q{r} 3um" for r in range(n_rails)]
+    lines += [f"hadamard q{r} q{r + 1}" for r in range(0, n_rails, 2)]
+    return "\n".join(lines) + "\n"
+
+
+def test_mc_run_above_the_capacity_exits_2(tmp_path):
+    code, output = run_cli(wide_superposed_netlist(), tmp_path, shots=10,
+                           dephasing_mode="mc")
+    assert code == EXIT_PARSE
+    assert output.count("\n") == 1
+    assert output.startswith("error: the exact monte-carlo average needs a ")
+    assert "cap of 2^24 amplitudes" in output and "--dephasing factor" in output
+    code, _ = run_cli(wide_superposed_netlist(), tmp_path, shots=10,
+                      dephasing_mode="factor")
+    assert code == EXIT_OK
+
+
 def test_human_and_machine_counts_agree(tmp_path):
     code, machine = run_cli(FREDKIN_SWAP_INPUT, tmp_path, shots=500, seed=7,
                             output_format="machine")

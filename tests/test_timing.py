@@ -8,7 +8,7 @@ import pytest
 
 from flyqsim import cli, timing
 from flyqsim.budget import analyze
-from flyqsim.fock import apply_diagonal_phase, prepare_occupation, sample_masks
+from flyqsim.fock import CapacityError, prepare_occupation, sample_masks
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
@@ -27,6 +27,9 @@ from flyqsim.timing import (
     check_coincidence,
     run_shots,
 )
+
+import corpus
+import oracles
 
 BALANCED = dict(coupling_length=0.14, transfer_length=0.28)
 
@@ -302,33 +305,36 @@ def test_off_mode_follows_stream_contract():
     assert shot_masks(circuit, 60, "off", seed=4) == expected.tolist()
 
 
+def oracle_masks(probabilities, uniforms):
+    """Inverse-CDF readout by a scalar loop: the first mask whose cumulative
+    weight exceeds ``u`` times the total."""
+    cumulative = np.cumsum(probabilities)
+    return [next(m for m, c in enumerate(cumulative) if c > u * cumulative[-1])
+            for u in uniforms]
+
+
 def reference_mc_masks(circuit, n_shots, seed, l_phi=30.0):
-    """Shot by shot over the full 2^n space, read off the stream contract."""
-    segments = circuit.segments
-    per_shot = 2 * ((len(segments) + 1) // 2) + 1
-    stream = np.random.default_rng(np.random.Philox(seed))
-    occupied = {src.rail for src in circuit.sources if src.emits}
-    masks = []
-    for _ in range(n_shots):
-        uniforms = stream.random(per_shot)
-        normals = []
-        for u1, u2 in zip(uniforms[0:-1:2], uniforms[1:-1:2]):
-            radius = math.sqrt(-2.0 * math.log(1.0 - u1))
-            normals += [radius * math.cos(2 * math.pi * u2),
-                        radius * math.sin(2 * math.pi * u2)]
-        draws = iter(normals)
-        state = prepare_occupation(circuit.n_rails, occupied)
-        for position in range(len(circuit.elements) + 1):
-            for seg in segments:
-                if seg.position == position:
-                    phase = math.sqrt(seg.length / l_phi) * next(draws)
-                    state = apply_diagonal_phase(
-                        state, lambda m: phase if (m >> seg.rail) & 1 else 0.0)
-            if position < len(circuit.elements):
-                state = apply_element(state, circuit.elements[position])
-        cumulative = np.cumsum(state.probabilities())
-        masks.append(int(sample_masks(cumulative, uniforms[-1:])[0]))
-    return masks
+    """Per-shot trajectories over the full 2^n space.
+
+    Each shot draws its own normal for every segment, evolves its own state
+    through the oracle's dense element matrices and reads out from that
+    state's probabilities.
+    """
+    rng = np.random.default_rng(seed)
+    n, dim = circuit.n_rails, 1 << circuit.n_rails
+    states = np.zeros((dim, n_shots), dtype=complex)
+    states[sum(1 << src.rail for src in circuit.sources if src.emits)] = 1.0
+    masks = np.arange(dim)
+    for position in range(len(circuit.elements) + 1):
+        for seg in circuit.segments:
+            if seg.position == position:
+                phases = math.sqrt(seg.length / l_phi) * rng.standard_normal(n_shots)
+                states[(masks >> seg.rail) & 1 == 1] *= np.exp(1j * phases)
+        if position < len(circuit.elements):
+            states = oracles.dense_element(circuit.elements[position], n) @ states
+    uniforms = rng.random(n_shots)
+    return [oracle_masks(np.abs(states[:, shot]) ** 2, [u])[0]
+            for shot, u in enumerate(uniforms)]
 
 
 def branching_circuit():
@@ -363,9 +369,99 @@ def branching_circuit():
     mach_zehnder(arm_um=6.0, internal_phase=0.7),
 ], ids=["branching", "leading wire only", "arms"])
 def test_mc_mode_follows_stream_contract(circuit, seed):
+    # as in off mode, shot i reads uniform i, here against the CDF of the
+    # noise-averaged probabilities
+    uniforms = np.random.default_rng(np.random.Philox(seed)).random(40)
+    expected = oracle_masks(oracles.dense_rho_probabilities(circuit, 30.0),
+                            uniforms)
     masks = shot_masks(circuit, 40, "mc", seed=seed)
-    assert masks == reference_mc_masks(circuit, 40, seed)
+    assert masks == expected
     assert len(set(masks)) > 1
+
+
+@pytest.mark.parametrize("seed", [4, 9, 23])
+def test_mc_histogram_matches_per_shot_trajectories(seed):
+    # short coherence length: the dephasing moves every outcome's probability
+    circuit = branching_circuit()
+    shots = 20_000
+    exact = run_shots(circuit, shots, dephasing=DephasingModel(5.0, "mc"),
+                      master_seed=seed).counts
+    trajectories = Counter(reference_mc_masks(circuit, shots, seed, l_phi=5.0))
+    assert len(trajectories) > 1
+    for mask in set(exact) | set(trajectories):
+        p_exact = exact.get(mask, 0) / shots
+        p_traj = trajectories[mask] / shots
+        pooled = (p_exact + p_traj) / 2
+        sigma = math.sqrt(pooled * (1 - pooled) * 2 / shots)
+        assert abs(p_exact - p_traj) <= 5 * sigma, mask
+
+
+MC = DephasingModel(10.0, "mc")
+
+
+def full_space(circuit, dephasing=MC):
+    sector, probabilities = timing.outcome_probabilities(circuit, dephasing)
+    full = np.zeros(1 << circuit.n_rails)
+    full[sector] = probabilities
+    return full
+
+
+@pytest.mark.parametrize("dense_support", [timing._DENSE_SUPPORT, 0],
+                         ids=["factored", "dense"])
+def test_mc_probabilities_match_dense_rho_oracle(monkeypatch, dense_support):
+    monkeypatch.setattr(timing, "_DENSE_SUPPORT", dense_support)
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        circuit = corpus.random_dephased_circuit(rng, max_rails=6)
+        expected = oracles.dense_rho_probabilities(circuit, MC.l_phi)
+        assert np.max(np.abs(full_space(circuit) - expected)) <= 1e-12
+
+
+def test_mc_probabilities_match_gauss_hermite_quadrature():
+    rng = np.random.default_rng(1018)
+    for _ in range(8):
+        circuit = corpus.random_dephased_circuit(rng, max_rails=4, max_segments=3)
+        expected = oracles.gauss_hermite_probabilities(circuit, MC.l_phi)
+        assert np.max(np.abs(full_space(circuit) - expected)) <= 1e-12
+
+
+def test_factored_and_dense_forms_agree(monkeypatch):
+    # 10 rails, 5 electrons: the 252-mask sector, beyond the dense oracles
+    pairs = [WaveguideCoupler((r, r + 1), **BALANCED) for r in range(0, 10, 2)]
+    links = [WaveguideCoupler((r, r + 1), 0.09, 0.28) for r in range(1, 9, 2)]
+    coulomb = [CoulombCoupler((r, (r + 3) % 10), 0.9) for r in range(0, 10, 2)]
+    elements = pairs + links + coulomb + pairs + links + pairs
+    segments = [Segment(r, 1.0 + r, position)
+                for position in (9, 19, 23) for r in range(10)]
+    circuit = Circuit(n_rails=10, elements=elements, segments=segments,
+                      sources=[SepSource(r, 0.0, emits=r % 2 == 0)
+                               for r in range(10)])
+    factored = full_space(circuit)
+    monkeypatch.setattr(timing, "_DENSE_SUPPORT", 0)
+    dense = full_space(circuit)
+    assert np.max(np.abs(factored - dense)) <= 1e-12
+    # the wire matters: the average differs from the ideal run
+    ideal = full_space(circuit, DephasingModel(10.0, "off"))
+    assert np.max(np.abs(factored - ideal)) > 1e-3
+
+
+def wide_superposed_circuit():
+    """18 rails, 9 dual-rail qubits in superposition, then wire on every rail:
+    a support of 2^9 masks in the 48620-mask sector."""
+    elements = [WaveguideCoupler((2 * k, 2 * k + 1), **BALANCED) for k in range(9)]
+    return Circuit(n_rails=18, elements=elements + elements,
+                   segments=[Segment(r, 3.0, 9) for r in range(18)],
+                   sources=[SepSource(r, 0.0, emits=r % 2 == 0) for r in range(18)])
+
+
+def test_mc_refuses_an_array_above_the_cap():
+    circuit = wide_superposed_circuit()
+    with pytest.raises(CapacityError,
+                       match=r"48620 x 48620 array, above the cap of 2\^24 "
+                             r"amplitudes \(256 MiB\); use factor mode"):
+        run_shots(circuit, 10, dephasing=DephasingModel(30.0, "mc"))
+    factor = run_shots(circuit, 10, dephasing=DephasingModel(30.0, "factor"))
+    assert factor.n_shots == 10
 
 
 @pytest.mark.parametrize("mode", ["factor", "mc"])
@@ -391,13 +487,6 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, mode, seed):
                                     master_seed=seed).counts)
     assert len(histograms[0]) == 2
     assert histograms[0] == histograms[1] == histograms[2]
-
-
-def test_box_muller_zero_uniform_is_finite():
-    normals = timing._box_muller(np.zeros((1, 4)), 3)
-    assert normals.shape == (1, 3)
-    assert np.all(np.isfinite(normals))
-    assert np.all(np.isfinite(np.exp(1j * 0.5 * normals)))
 
 
 # --- model validation --------------------------------------------------------
