@@ -21,10 +21,7 @@ from .fock import (
     MAX_RAILS,
     CapacityError,
     OccupationState,
-    apply_diagonal_phase,
     apply_mode_unitary,
-    fidelity,
-    measure_all,
     prepare_occupation,
     vacuum,
 )

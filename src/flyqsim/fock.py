@@ -31,8 +31,13 @@ the same floating-point work on the same amplitudes and sampled histograms
 are unchanged.  ``OccupationState`` and the single-state functions always
 use the full space.
 
-All operations are pure: they return new states and never mutate their
-inputs.
+Readout is one counting sampler, ``sample_counts``: from the cumulative
+outcome probabilities and a block of uniforms it returns, by inverse-CDF
+sampling, how many uniforms fall on each basis position, without forming a
+per-shot position.
+
+All operations other than ``mode_unitary_batch`` are pure: they return new
+states and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ import numpy as np
 
 MAX_RAILS = 24
 NORM_ATOL = 1e-10
-MEASURE_NORM_ATOL = 1e-6
 UNITARY_ATOL = 1e-10
 
 
@@ -308,69 +312,40 @@ def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
     return OccupationState(state.n_rails, amplitudes, normalized=False)
 
 
-def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationState:
-    """Multiply each amplitude by exp(i * phase_of_mask(mask)).
-
-    ``phase_of_mask`` is either a callable from basis mask to radians or a
-    precomputed array of per-mask phases.  Norm is preserved exactly.
-    """
-    dim = state.dim
-    if callable(phase_of_mask):
-        phases = np.fromiter((float(phase_of_mask(m)) for m in range(dim)),
-                             dtype=np.float64, count=dim)
-    else:
-        phases = np.asarray(phase_of_mask, dtype=np.float64)
-        if phases.shape != (dim,):
-            raise ValueError(f"phase array must have length {dim}, "
-                             f"got shape {phases.shape}")
-    return OccupationState(state.n_rails, state.amplitudes * np.exp(1j * phases),
-                           normalized=False)
-
-
-def sample_masks(cumulative: np.ndarray, uniforms) -> np.ndarray:
-    """Inverse-CDF draw of one basis position per uniform in ``[0, 1)``.
+def sample_counts(cumulative: np.ndarray, uniforms) -> np.ndarray:
+    """Inverse-CDF counts: how many of ``uniforms`` fall on each basis position.
 
     ``cumulative`` is a running sum of probabilities over the basis, one
-    1-D distribution shared by every uniform.  Uniform ``u`` selects the
-    first position whose cumulative weight exceeds ``u * total``
-    (``searchsorted`` with ``side="right"``), so a position of zero
-    probability is never returned, not even for ``u == 0.0``.  In the full
-    basis positions are masks; over a sector, ``sector_basis`` maps them
-    back.  Zero-probability masks only repeat a cumulative value, so a
-    sector draw selects the same mask as the full-space draw.
+    1-D distribution shared by every uniform in ``[0, 1)``.  Uniform ``u``
+    selects the first position whose cumulative weight exceeds
+    ``u * total``, so a position of zero probability is never counted, not
+    even for ``u == 0.0``.  A draw that rounds up to the total, which only a
+    subnormal total allows, falls on the last position of nonzero weight.
+    In the full basis positions are masks; over a sector, ``sector_basis``
+    maps them back.  Zero-probability masks only repeat a cumulative value,
+    so a sector draw selects the same mask as the full-space draw.
+
+    Only the counts are formed, from the draws ``u * total`` sorted: the
+    shorter of the two sorted arrays is searched in the longer one.  With
+    no more positions than draws, the number of draws below each cumulative
+    entry marks the edges between positions; otherwise each draw is placed
+    in ``cumulative`` and the positions are counted.  Both make the same
+    comparisons as placing each draw on its own, so the counts are the same.
     """
     cumulative = np.asarray(cumulative)
     total = cumulative[-1]
     if not total > 0.0:
         raise ValueError("cannot sample from an all-zero probability vector")
-    masks = np.searchsorted(cumulative, np.asarray(uniforms) * total,
-                            side="right")
-    return np.minimum(masks, cumulative.size - 1)
-
-
-def measure_all(state: OccupationState, rng_stream):
-    """Projective occupation readout of every rail.
-
-    Samples a basis mask with probability |amplitude|^2 and returns
-    ``(mask, collapsed_state)``.  Mirrors single-shot electrometer detection:
-    the post-measurement state is the sampled basis state.
-    """
-    norm = state.norm()
-    if abs(norm - 1.0) > MEASURE_NORM_ATOL:
-        raise ValueError(
-            f"invalid state: norm {norm:.9g} deviates from 1 by more than "
-            f"{MEASURE_NORM_ATOL:g}; normalize before measuring"
-        )
-    mask = int(sample_masks(np.cumsum(state.probabilities()),
-                            rng_stream.random()))
-    collapsed = np.zeros(state.dim, dtype=np.complex128)
-    collapsed[mask] = 1.0
-    return mask, OccupationState(state.n_rails, collapsed)
-
-
-def fidelity(a: OccupationState, b: OccupationState) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
-    if a.n_rails != b.n_rails:
-        raise ValueError(f"rail count mismatch: {a.n_rails} vs {b.n_rails}")
-    overlap = np.vdot(a.amplitudes, b.amplitudes)
-    return float(min(abs(overlap) ** 2, 1.0))
+    # the last position of nonzero weight: the first to reach the total
+    last = int(np.searchsorted(cumulative, total, side="left"))
+    draws = np.ravel(uniforms) * total
+    draws.sort()
+    if cumulative.size <= draws.size:
+        # edges[j] counts the draws that fall before position j, and every
+        # draw falls before the position after the last of nonzero weight
+        edges = np.zeros(cumulative.size + 1, dtype=np.intp)
+        edges[1:last + 1] = np.searchsorted(draws, cumulative[:last], side="left")
+        edges[last + 1:] = draws.size
+        return np.diff(edges)
+    positions = np.searchsorted(cumulative, draws, side="right")
+    return np.bincount(np.minimum(positions, last), minlength=cumulative.size)

@@ -17,6 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import expm, logm
 
+from flyqsim.fock import OccupationState
 from flyqsim.gates import (
     CoulombCoupler,
     PhaseShifter,
@@ -24,6 +25,8 @@ from flyqsim.gates import (
     build_dense_unitary,
     coupler_angle,
 )
+
+MEASURE_NORM_ATOL = 1e-6
 
 
 def ladder_down(n_rails: int, rail: int) -> np.ndarray:
@@ -156,3 +159,60 @@ def gauss_hermite_probabilities(circuit, l_phi: float, nodes: int = 40) -> np.nd
         if position < len(circuit.elements):
             states = dense_element(circuit.elements[position], n) @ states
     return (np.abs(states) ** 2) @ weights
+
+
+def oracle_masks(probabilities, uniforms):
+    """Inverse-CDF readout by a scalar loop: the first mask whose cumulative
+    weight exceeds ``u`` times the total, else (a draw rounded up to a
+    subnormal total) the last mask of nonzero weight."""
+    cumulative = np.cumsum(probabilities)
+    last = max(m for m, p in enumerate(probabilities) if p > 0)
+    return [next((m for m, c in enumerate(cumulative) if c > u * cumulative[-1]),
+                 last)
+            for u in uniforms]
+
+
+def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationState:
+    """Multiply each amplitude by exp(i * phase_of_mask(mask)).
+
+    ``phase_of_mask`` is either a callable from basis mask to radians or a
+    precomputed array of per-mask phases.  Norm is preserved exactly.
+    """
+    dim = state.dim
+    if callable(phase_of_mask):
+        phases = np.fromiter((float(phase_of_mask(m)) for m in range(dim)),
+                             dtype=np.float64, count=dim)
+    else:
+        phases = np.asarray(phase_of_mask, dtype=np.float64)
+        if phases.shape != (dim,):
+            raise ValueError(f"phase array must have length {dim}, "
+                             f"got shape {phases.shape}")
+    return OccupationState(state.n_rails, state.amplitudes * np.exp(1j * phases),
+                           normalized=False)
+
+
+def measure_all(state: OccupationState, rng_stream):
+    """Projective occupation readout of every rail.
+
+    Samples a basis mask with probability |amplitude|^2 from one uniform of
+    ``rng_stream`` and returns ``(mask, collapsed_state)``, the sampled
+    basis state.
+    """
+    norm = state.norm()
+    if abs(norm - 1.0) > MEASURE_NORM_ATOL:
+        raise ValueError(
+            f"invalid state: norm {norm:.9g} deviates from 1 by more than "
+            f"{MEASURE_NORM_ATOL:g}; normalize before measuring"
+        )
+    mask = oracle_masks(state.probabilities(), [rng_stream.random()])[0]
+    collapsed = np.zeros(state.dim, dtype=np.complex128)
+    collapsed[mask] = 1.0
+    return mask, OccupationState(state.n_rails, collapsed)
+
+
+def fidelity(a: OccupationState, b: OccupationState) -> float:
+    """|<a|b>|^2, insensitive to global phase."""
+    if a.n_rails != b.n_rails:
+        raise ValueError(f"rail count mismatch: {a.n_rails} vs {b.n_rails}")
+    overlap = np.vdot(a.amplitudes, b.amplitudes)
+    return float(min(abs(overlap) ** 2, 1.0))

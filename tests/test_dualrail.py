@@ -9,10 +9,11 @@ from flyqsim.dualrail import (
     fredkin_circuit,
     logical_hadamard,
 )
-from flyqsim.fock import OccupationState, fidelity, prepare_occupation
+from flyqsim.fock import OccupationState, prepare_occupation
 from flyqsim.gates import apply_element
 
 import oracles
+from oracles import fidelity
 
 
 def run_elements(state, elements):

@@ -4,16 +4,14 @@ import pytest
 from flyqsim.fock import (
     CapacityError,
     OccupationState,
-    apply_diagonal_phase,
     apply_mode_unitary,
-    fidelity,
-    measure_all,
     prepare_occupation,
-    sample_masks,
+    sample_counts,
     vacuum,
 )
 
 import oracles
+from oracles import apply_diagonal_phase, fidelity, measure_all
 
 FULL_TRANSFER = np.array([[0, 1j], [1j, 0]])
 
@@ -212,28 +210,40 @@ def test_measure_rejects_unnormalized():
         measure_all(state, np.random.default_rng(0))
 
 
-def test_sample_masks_zero_uniform_skips_zero_probability_mask():
+def test_sample_counts_zero_uniform_skips_zero_probability_mask():
     cumulative = np.cumsum([0.0, 0.5, 0.5])
-    assert sample_masks(cumulative, np.array([0.0]))[0] == 1
-    assert sample_masks(cumulative, np.array([0.0, 0.0])).tolist() == [1, 1]
+    assert sample_counts(cumulative, np.array([0.0])).tolist() == [0, 1, 0]
+    assert sample_counts(cumulative, np.array([0.0, 0.0])).tolist() == [0, 2, 0]
 
 
-def test_sample_masks_forms_match_reference_loop():
+def test_sample_counts_draw_rounded_up_to_a_subnormal_total():
+    # u * total rounds to the total itself: the draw lands on the last mask
+    # of nonzero weight, never on the zero-probability masks after it
+    cumulative = np.cumsum([0.0, 5e-324, 0.0, 0.0])
+    top = 1.0 - 2.0 ** -53
+    assert top * cumulative[-1] == cumulative[-1]
+    assert sample_counts(cumulative, np.array([top])).tolist() == [0, 1, 0, 0]
+    assert sample_counts(cumulative, np.full(6, top)).tolist() == [0, 6, 0, 0]
+
+
+def test_sample_counts_match_reference_loop():
     rng = np.random.default_rng(31)
     probs = rng.random(8) * (rng.random(8) < 0.6)
     probs[3] += 0.1
     uniforms = rng.random(50)
     uniforms[:5] = 0.0
     cumulative = np.cumsum(probs)
-    drawn = sample_masks(cumulative, uniforms)
-    for i, u in enumerate(uniforms):
-        draw = u * cumulative[-1]
-        expected = next(m for m in range(8) if cumulative[m] > draw)
-        assert drawn[i] == expected
-        assert probs[expected] > 0
-        assert sample_masks(cumulative, np.array([u]))[0] == expected
+    expected = oracles.oracle_masks(probs, uniforms)
+    assert all(probs[m] > 0 for m in expected)
+    # 8 positions against 50, 8 and 5 draws: both search directions
+    for n in (50, 8, 5):
+        counts = sample_counts(cumulative, uniforms[:n])
+        assert counts.tolist() == np.bincount(expected[:n], minlength=8).tolist()
+    for u, m in zip(uniforms, expected):
+        assert sample_counts(cumulative, np.array([u])).tolist() == [
+            int(m == j) for j in range(8)]
     with pytest.raises(ValueError):
-        sample_masks(np.zeros(4), np.array([0.5]))
+        sample_counts(np.zeros(4), np.array([0.5]))
 
 
 def test_fidelity_self():

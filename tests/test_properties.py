@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flyqsim.fock import OccupationState, apply_mode_unitary
+from flyqsim.fock import OccupationState, apply_mode_unitary, sample_counts
 from flyqsim.gates import PhaseShifter, apply_element, coupler_matrix
 from flyqsim.netlist import Circuit, Segment, parse, parse_circuit, serialize
 from flyqsim.timing import SepSource
 
 import corpus
+import oracles
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -80,6 +81,49 @@ def test_hand_built_circuit_is_rejected_or_round_trips(data):
     result = parse(serialize(circuit))
     assert result.ok, result.errors()
     assert result.circuit == circuit
+
+
+weights = st.just(0.0) | st.floats(0.0, 1.0)
+uniform = st.sampled_from([0.0, 1.0 - 2.0 ** -53]) | st.floats(
+    0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def probability_vector(draw):
+    """Weights with zeros anywhere (leading, interior, trailing), all of
+    them zero now and then, or all the mass on one mask."""
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(weights, min_size=d, max_size=d)))
+    one_hot = np.zeros(d)
+    one_hot[draw(st.integers(0, d - 1))] = draw(st.floats(1e-300, 1.0))
+    return one_hot
+
+
+@pytest.mark.parametrize("draws", ["fewer", "as many", "more"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sample_counts_match_scalar_readout(draws, data):
+    # d positions against N draws: fewer draws than positions (d > N), as
+    # many (d == N) or more (d < N); the shapes pick the search direction
+    probabilities = data.draw(probability_vector())
+    d = probabilities.size
+    if draws == "fewer":
+        n = data.draw(st.integers(0, d - 1))
+    elif draws == "more":
+        n = data.draw(st.integers(d + 1, 3 * d + 4))
+    else:
+        n = d
+    uniforms = np.array(data.draw(st.lists(uniform, min_size=n, max_size=n)))
+    cumulative = np.cumsum(probabilities)
+    if not cumulative[-1] > 0.0:
+        with pytest.raises(ValueError, match="all-zero"):
+            sample_counts(cumulative, uniforms)
+        return
+    counts = sample_counts(cumulative, uniforms)
+    expected = np.bincount(np.array(oracles.oracle_masks(probabilities, uniforms),
+                                    dtype=np.int64), minlength=d)
+    assert counts.tolist() == expected.tolist()
 
 
 def relabel_to_adjacent(state, rail_from, rail_to):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from flyqsim import cli, timing
 from flyqsim.budget import analyze
-from flyqsim.fock import CapacityError, prepare_occupation, sample_masks
+from flyqsim.fock import CapacityError, prepare_occupation
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
@@ -301,16 +302,8 @@ def test_off_mode_follows_stream_contract():
     for element in circuit.elements:
         state = apply_element(state, element)
     uniforms = np.random.default_rng(np.random.Philox(4)).random(60)
-    expected = sample_masks(np.cumsum(state.probabilities()), uniforms)
-    assert shot_masks(circuit, 60, "off", seed=4) == expected.tolist()
-
-
-def oracle_masks(probabilities, uniforms):
-    """Inverse-CDF readout by a scalar loop: the first mask whose cumulative
-    weight exceeds ``u`` times the total."""
-    cumulative = np.cumsum(probabilities)
-    return [next(m for m, c in enumerate(cumulative) if c > u * cumulative[-1])
-            for u in uniforms]
+    expected = oracles.oracle_masks(state.probabilities(), uniforms)
+    assert shot_masks(circuit, 60, "off", seed=4) == expected
 
 
 def reference_mc_masks(circuit, n_shots, seed, l_phi=30.0):
@@ -333,7 +326,7 @@ def reference_mc_masks(circuit, n_shots, seed, l_phi=30.0):
         if position < len(circuit.elements):
             states = oracles.dense_element(circuit.elements[position], n) @ states
     uniforms = rng.random(n_shots)
-    return [oracle_masks(np.abs(states[:, shot]) ** 2, [u])[0]
+    return [oracles.oracle_masks(np.abs(states[:, shot]) ** 2, [u])[0]
             for shot, u in enumerate(uniforms)]
 
 
@@ -372,8 +365,8 @@ def test_mc_mode_follows_stream_contract(circuit, seed):
     # as in off mode, shot i reads uniform i, here against the CDF of the
     # noise-averaged probabilities
     uniforms = np.random.default_rng(np.random.Philox(seed)).random(40)
-    expected = oracle_masks(oracles.dense_rho_probabilities(circuit, 30.0),
-                            uniforms)
+    expected = oracles.oracle_masks(
+        oracles.dense_rho_probabilities(circuit, 30.0), uniforms)
     masks = shot_masks(circuit, 40, "mc", seed=seed)
     assert masks == expected
     assert len(set(masks)) > 1
@@ -425,17 +418,21 @@ def test_mc_probabilities_match_gauss_hermite_quadrature():
         assert np.max(np.abs(full_space(circuit) - expected)) <= 1e-12
 
 
-def test_factored_and_dense_forms_agree(monkeypatch):
-    # 10 rails, 5 electrons: the 252-mask sector, beyond the dense oracles
+def factored_and_dense_circuit():
+    """10 rails, 5 electrons: the 252-mask sector, beyond the dense oracles."""
     pairs = [WaveguideCoupler((r, r + 1), **BALANCED) for r in range(0, 10, 2)]
     links = [WaveguideCoupler((r, r + 1), 0.09, 0.28) for r in range(1, 9, 2)]
     coulomb = [CoulombCoupler((r, (r + 3) % 10), 0.9) for r in range(0, 10, 2)]
     elements = pairs + links + coulomb + pairs + links + pairs
     segments = [Segment(r, 1.0 + r, position)
                 for position in (9, 19, 23) for r in range(10)]
-    circuit = Circuit(n_rails=10, elements=elements, segments=segments,
-                      sources=[SepSource(r, 0.0, emits=r % 2 == 0)
-                               for r in range(10)])
+    return Circuit(n_rails=10, elements=elements, segments=segments,
+                   sources=[SepSource(r, 0.0, emits=r % 2 == 0)
+                            for r in range(10)])
+
+
+def test_factored_and_dense_forms_agree(monkeypatch):
+    circuit = factored_and_dense_circuit()
     factored = full_space(circuit)
     monkeypatch.setattr(timing, "_DENSE_SUPPORT", 0)
     dense = full_space(circuit)
@@ -462,6 +459,29 @@ def test_mc_refuses_an_array_above_the_cap():
         run_shots(circuit, 10, dephasing=DephasingModel(30.0, "mc"))
     factor = run_shots(circuit, 10, dephasing=DephasingModel(30.0, "factor"))
     assert factor.n_shots == 10
+
+
+def test_dense_mc_memory_is_bounded_per_run(monkeypatch):
+    # the 252-mask circuit in the dense form: a budget either refuses the
+    # run or bounds everything it holds at once, not each array
+    circuit = factored_and_dense_circuit()
+    monkeypatch.setattr(timing, "_DENSE_SUPPORT", 0)
+    admitted = []
+    for copies in (1, 2, 3):
+        budget = copies * 252 * 252
+        monkeypatch.setattr(timing, "_MAX_AMPLITUDES", budget)
+        tracemalloc.start()
+        try:
+            timing.outcome_probabilities(circuit, MC)
+            peak = tracemalloc.get_traced_memory()[1]
+        except CapacityError as err:
+            assert "holds 3 arrays of that size at once" in str(err)
+            continue
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * budget, copies
+        admitted.append(copies)
+    assert admitted == [3]
 
 
 @pytest.mark.parametrize("mode", ["factor", "mc"])
