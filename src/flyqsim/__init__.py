@@ -51,6 +51,7 @@ from .netlist import (
     serialize,
 )
 from .timing import (
+    ArrivalTable,
     CoincidenceError,
     ConfigError,
     DephasingModel,

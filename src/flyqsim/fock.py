@@ -32,12 +32,12 @@ are unchanged.  ``OccupationState`` and the single-state functions always
 use the full space.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
-outcome probabilities and a block of uniforms it returns, by inverse-CDF
-sampling, how many uniforms fall on each basis position, without forming a
-per-shot position.
+outcome probabilities and a block of uniforms it adds to a count array, by
+inverse-CDF sampling, how many uniforms fall on each basis position,
+without forming a per-shot position.
 
-All operations other than ``mode_unitary_batch`` are pure: they return new
-states and never mutate their inputs.
+All operations other than ``mode_unitary_batch`` and ``sample_counts`` are
+pure: they return new states and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -312,8 +312,8 @@ def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
     return OccupationState(state.n_rails, amplitudes, normalized=False)
 
 
-def sample_counts(cumulative: np.ndarray, uniforms) -> np.ndarray:
-    """Inverse-CDF counts: how many of ``uniforms`` fall on each basis position.
+def sample_counts(cumulative: np.ndarray, uniforms, out: np.ndarray) -> np.ndarray:
+    """Add to ``out`` how many of ``uniforms`` fall on each basis position.
 
     ``cumulative`` is a running sum of probabilities over the basis, one
     1-D distribution shared by every uniform in ``[0, 1)``.  Uniform ``u``
@@ -329,8 +329,12 @@ def sample_counts(cumulative: np.ndarray, uniforms) -> np.ndarray:
     shorter of the two sorted arrays is searched in the longer one.  With
     no more positions than draws, the number of draws below each cumulative
     entry marks the edges between positions; otherwise each draw is placed
-    in ``cumulative`` and the positions are counted.  Both make the same
-    comparisons as placing each draw on its own, so the counts are the same.
+    in ``cumulative`` and the runs of equal positions are counted, so only
+    the positions drawn are touched.  Both make the same comparisons as
+    placing each draw on its own, so the counts are the same.
+
+    ``out`` is an integer array of ``cumulative.size``, returned; a run
+    adds chunk after chunk to it.
     """
     cumulative = np.asarray(cumulative)
     total = cumulative[-1]
@@ -346,6 +350,12 @@ def sample_counts(cumulative: np.ndarray, uniforms) -> np.ndarray:
         edges = np.zeros(cumulative.size + 1, dtype=np.intp)
         edges[1:last + 1] = np.searchsorted(draws, cumulative[:last], side="left")
         edges[last + 1:] = draws.size
-        return np.diff(edges)
-    positions = np.searchsorted(cumulative, draws, side="right")
-    return np.bincount(np.minimum(positions, last), minlength=cumulative.size)
+        out += np.diff(edges)
+        return out
+    if draws.size:
+        positions = np.searchsorted(cumulative, draws, side="right")
+        np.minimum(positions, last, out=positions)
+        # the sorted draws give ascending positions: one run per position
+        starts = np.flatnonzero(np.diff(positions, prepend=-1))
+        out[positions[starts]] += np.diff(starts, append=positions.size)
+    return out

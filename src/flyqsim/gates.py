@@ -51,7 +51,7 @@ be checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Union
 
@@ -96,15 +96,14 @@ class PhaseShifter:
     rail: int
     phi: float
     length: float | None = None
+    # ``(rail,)``, built once: the schedule and the budget read it per element
+    rails: tuple[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fock.require_integer(self.rail, "element rail")
         _require_finite("phi", self.phi)
         object.__setattr__(self, "length", _check_optional_length(self.length))
-
-    @property
-    def rails(self) -> tuple[int]:
-        return (self.rail,)
+        object.__setattr__(self, "rails", (self.rail,))
 
     @property
     def footprint(self) -> float:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import dualrail as _dualrail
 from .fock import MAX_RAILS, require_integer
@@ -62,13 +63,14 @@ def _decimal(digits: str) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Wire of ``length`` um on ``rail``, placed before ``elements[position]``.
 
     ``position == len(elements)`` marks trailing wire after the last element.
     ``Circuit`` rejects positions and rails out of range and lengths that are
-    negative or not finite.
+    negative or not finite.  An immutable named tuple: long netlists hold
+    thousands, and it is about half the construction cost of a frozen
+    dataclass.
     """
 
     rail: int
@@ -96,7 +98,8 @@ class Circuit:
     constructor stores the container fields as tuples, each register as
     ``(name, (rail0, rail1))``, and derives two attributes that equality
     ignores: ``wire[p]``, the segments placed before ``elements[p]`` in
-    declaration order (``wire[-1]`` is the trailing wire), and ``register``,
+    declaration order (``wire[-1]`` is the trailing wire; ``()`` at a
+    position without wire), and ``register``,
     the declared pairs as a ``DualRailRegister`` or None.
     ``segments`` is ``wire`` flattened: the canonical netlist order.
     """
@@ -125,9 +128,10 @@ class Circuit:
                     raise ValueError(
                         f"element {index} ({element.keyword}) rail "
                         f"{rail} outside [0, {n_rails})")
-        wire = [[] for _ in range(len(self.elements) + 1)]
+        n_positions = len(self.elements) + 1
+        groups = {}  # position -> its segments, only where there is wire
         for seg in self.segments:
-            if not 0 <= require_integer(seg.position, "segment position") < len(wire):
+            if not 0 <= require_integer(seg.position, "segment position") < n_positions:
                 raise ValueError(f"segment position {seg.position} outside "
                                  f"[0, {len(self.elements)}]: {seg!r}")
             if not 0 <= require_integer(seg.rail, "segment rail") < n_rails:
@@ -136,7 +140,11 @@ class Circuit:
             if not (math.isfinite(seg.length) and seg.length >= 0):
                 raise ValueError(f"segment length must be finite and >= 0: "
                                  f"{seg!r}")
-            wire[seg.position].append(seg)
+            group = groups.get(seg.position)
+            if group is None:
+                groups[seg.position] = [seg]
+            else:
+                group.append(seg)
         source_rails = set()
         for src in self.sources:
             if not 0 <= require_integer(src.rail, "source rail") < n_rails:
@@ -161,9 +169,12 @@ class Circuit:
                     raise ValueError(f"register '{name}' rail {rail} outside "
                                      f"[0, {n_rails})")
             registers.append((name, pair))
-        wire = tuple(map(tuple, wire))
-        object.__setattr__(self, "wire", wire)
-        object.__setattr__(self, "segments", tuple(s for g in wire for s in g))
+        wire = [()] * n_positions
+        for position, group in groups.items():
+            wire[position] = tuple(group)
+        object.__setattr__(self, "wire", tuple(wire))
+        object.__setattr__(self, "segments", tuple(
+            seg for position in sorted(groups) for seg in wire[position]))
         object.__setattr__(self, "registers", tuple(registers))
         # rails distinct within and across pairs
         object.__setattr__(self, "register", _dualrail.DualRailRegister(

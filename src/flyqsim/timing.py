@@ -3,10 +3,13 @@
 A pump on each rail launches (or withholds) one electron after a
 programmable delay.  Electrons drift at a common group velocity, so the
 arrival time at an element is the emission delay plus the accumulated
-upstream path over the velocity (``arrival_times``, one ``ElementArrival``
-per element); two-electron gates require the two arrivals to coincide
-within a configurable window (``check_coincidence`` returns the late
-entries), and scheduling is checked before any sampling run.
+upstream path over the velocity.  ``arrival_times`` computes every arrival
+of a netlist in one array pass and returns an ``ArrivalTable``, which
+yields one ``ElementArrival`` per element on demand.  Two-electron gates
+require their arrivals to coincide within a configurable window:
+``check_coincidence`` compares every element's spread with the window in
+one vector operation and builds ``ElementArrival`` only for the late
+entries.  Scheduling is checked before any sampling run.
 
 Dephasing: in ``monte-carlo`` mode every declared wire segment of length
 ``l`` adds an independent Gaussian random phase of variance ``l / l_phi`` to
@@ -27,8 +30,10 @@ stream, ``np.random.default_rng(np.random.Philox(master_seed))``.  Shot
 every mode) for its readout, by inverse-CDF sampling of the outcome
 probabilities.  Shots are drawn in chunks of ``_SHOT_CHUNK`` uniforms, and
 ``fock.sample_counts`` turns each chunk into counts per basis position,
-without a per-shot record: it sorts the chunk's draws and searches the
-shorter of draws and cumulative probabilities in the longer.  Because
+without a per-shot record: it sorts the chunk's draws, searches the
+shorter of draws and cumulative probabilities in the longer, and adds the
+counts to the run's count array, touching only the positions drawn when
+they are fewer than the positions.  Because
 every shot consumes a fixed block and a count does not depend on the order
 of the draws, the histogram does not depend on how shots are chunked.
 
@@ -55,15 +60,21 @@ eigenpairs of the dephased ``s x s`` block of ``rho``, so it keeps at most
 ``(C(n, k), C(n, k))`` rho for the rest of the run, where an element is
 applied to the rows and then, after a conjugate transpose, to the rows
 again.  The run may hold no more than 2^24 amplitudes' worth of arrays at
-once (256 MiB), or it is refused with ``fock.CapacityError``: the factored
-form counts its ``B``, the dense form rho, its conjugate-transposed copy and
-the two float arrays of its damping factors, three rho's worth.
+once (256 MiB), or it is refused with ``fock.CapacityError``.  The factored
+form counts, at each rebuild, the new ``B`` with two more ``B``'s worth of
+element temporaries, the previous ``B`` and six complex ``s x s`` arrays
+for the eigen-decomposition; the dense form counts rho, its
+conjugate-transposed copy and the two float arrays of its damping factors,
+three rho's worth.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -99,6 +110,14 @@ _MAX_AMPLITUDES = 1 << 24
 # arrays of the same shape, the damping D and its exp temporary: three
 # complex (dim, dim) arrays' worth
 _DENSE_COPIES = 3
+# the factored form holds B and, while an element acts on it, the gathered
+# rows and products of the element kernel: up to two more B's worth (1.4
+# measured with tracemalloc).  A rebuild also holds the previous B and the
+# s x s work of the eigen-decomposition: the damping D with its temporaries,
+# K, LAPACK's copy and workspace and the eigenvectors (5 complex s x s
+# arrays' worth measured)
+_FACTORED_COPIES = 3
+_BLOCK_COPIES = 6
 
 
 class ConfigError(ValueError):
@@ -194,54 +213,130 @@ class ShotHistogram:
         return self.counts.get(mask, 0) / self.n_shots
 
 
-def arrival_times(circuit, model: PropagationModel | None = None) -> list[ElementArrival]:
-    """Per-element, per-rail arrival table.
+class ArrivalTable(Sequence):
+    """Arrival times (ps) of every placed element, held in one array.
+
+    Column ``i`` of the ``(width, elements)`` array ``times`` holds the
+    arrivals at ``elements[i]`` on its ``rails``, in that order.  ``width``
+    is at least 2 and at least the most rails of any element; a column
+    with fewer rails repeats the element's last one, which changes no
+    spread.  Indexing and iteration build each element's ``ElementArrival``
+    on demand.
+    """
+
+    __slots__ = ("elements", "times")
+
+    def __init__(self, elements, times: np.ndarray):
+        self.elements = elements
+        self.times = times
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        element = self.elements[index]
+        index = operator.index(index) % len(self.elements)
+        return _arrival(index, element, self.times[:, index].tolist())
+
+    def __iter__(self):
+        for index, (element, times) in enumerate(zip(self.elements,
+                                                     self.times.T.tolist())):
+            yield _arrival(index, element, times)
+
+
+def _arrival(index: int, element, times: list) -> ElementArrival:
+    rails = element.rails
+    return ElementArrival(index, element.keyword, rails, dict(zip(rails, times)))
+
+
+def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTable:
+    """Per-element, per-rail arrival table, computed in one array pass.
 
     Arrival at an element is the rail's emission delay plus the accumulated
     upstream declared wire divided by the velocity.  Element footprints are
     deliberately not counted here (gates are timing points; their lengths
     enter the coherence budget instead).  Every rail that reaches a gate
-    must have a declared source.
+    must have a declared source: otherwise ``ConfigError`` names the first
+    element, in order, on a rail without one.
+
+    Column ``j + 1`` of an ``(n_rails, segments + 1)`` array holds segment
+    ``j``'s length in its rail's row, in netlist order, and zeros
+    elsewhere.  One ``np.add.accumulate`` along the rows gives every rail's
+    running wire total: an accumulation adds sequentially and adding 0.0
+    changes no sum, so each total equals a running scalar sum's bit for
+    bit.  Element ``i`` reads the column after the last segment placed at
+    or before it, found by ``searchsorted`` on the segment positions.
     """
     model = model or PropagationModel()
-    delays = {src.rail: src.emission_delay for src in circuit.sources}
-    velocity = model.velocity
-    traveled = [0.0] * circuit.n_rails
-    table = []
-    for index, element in enumerate(circuit.elements):
-        for seg in circuit.wire[index]:
-            traveled[seg.rail] += seg.length
-        rails = element.rails
-        times = {}
-        try:
-            for r in rails:
-                times[r] = delays[r] + traveled[r] / velocity
-        except KeyError:
-            names = ", ".join(f"q{r}" for r in rails if r not in delays)
+    elements = circuit.elements
+    n_elements = len(elements)
+    rails_of = [element.rails for element in elements]
+    # first and last rail of every element, and a macro's middle rails
+    width = max(2, max(map(len, rails_of), default=0))
+    columns = [map(operator.itemgetter(0), rails_of)]
+    columns += [[rails[min(k, len(rails) - 1)] for rails in rails_of]
+                for k in range(1, width - 1)]
+    columns.append(map(operator.itemgetter(-1), rails_of))
+    rails = np.fromiter(chain.from_iterable(columns), dtype=np.intp,
+                        count=width * n_elements).reshape(width, n_elements)
+    delays = [math.nan] * circuit.n_rails
+    for src in circuit.sources:
+        delays[src.rail] = src.emission_delay
+    times = np.array(delays, dtype=np.float64)[rails]
+    if len(circuit.sources) < circuit.n_rails:  # a rail without a pump
+        lacking = np.isnan(times)
+        if lacking.any():
+            index = int(lacking.any(axis=0).argmax())
+            element = elements[index]
+            names = ", ".join(f"q{r}" for r in element.rails
+                              if math.isnan(delays[r]))
             raise ConfigError(f"element {index} ({element.keyword}) "
-                              f"needs a source on {names}") from None
-        table.append(ElementArrival(index, element.keyword, rails, times))
-    return table
+                              f"needs a source on {names}")
+    segments = circuit.segments
+    n_segments = len(segments)
+    # one field at a time: zip(*segments) would hold an iterator per segment
+    # at once, enough new objects to set off garbage collections
+    seg_rails, lengths, positions = (
+        np.fromiter(map(operator.attrgetter(name), segments), dtype=dtype,
+                    count=n_segments)
+        for name, dtype in (("rail", np.intp), ("length", np.float64),
+                            ("position", np.intp)))
+    traveled = np.zeros((circuit.n_rails, n_segments + 1))
+    traveled[seg_rails, np.arange(1, n_segments + 1)] = lengths
+    np.add.accumulate(traveled, axis=1, out=traveled)
+    reached = positions.searchsorted(np.arange(n_elements), side="right")
+    times += traveled[rails, reached] / model.velocity
+    return ArrivalTable(elements, times)
 
 
-def check_coincidence(table, window: float = DEFAULT_WINDOW_PS) -> list[ElementArrival]:
-    """The multi-rail entries of ``table`` whose ``spread`` exceeds ``window``."""
+def check_coincidence(table: ArrivalTable,
+                      window: float = DEFAULT_WINDOW_PS) -> list[ElementArrival]:
+    """The multi-rail entries of ``table`` whose ``spread`` exceeds ``window``.
+
+    Every element's spread is compared with the window in one vector
+    operation; only the late entries are built as ``ElementArrival``.  A
+    one-rail element's spread is 0, so it is never late.
+    """
     if not window > 0:
         raise ValueError(f"window must be > 0, got {window}")
-    return [entry for entry in table
-            if len(entry.rails) > 1 and entry.spread > window]
+    times = table.times
+    spread = np.maximum.reduce(times) - np.minimum.reduce(times)
+    late = (spread > window).nonzero()[0]
+    return [table[index] for index in late.tolist()]
 
 
-def _capacity_check(rows: int, cols: int, copies: int = 1) -> None:
-    """Refuse a form that holds ``copies`` complex ``rows x cols`` arrays'
-    worth at once above ``_MAX_AMPLITUDES``."""
-    if copies * rows * cols > _MAX_AMPLITUDES:
-        held = (f"; this form holds {copies} arrays of that size at once"
-                if copies > 1 else "")
+def _capacity_check(rows: int, cols: int, held: int, what: str) -> None:
+    """Refuse a form built on a complex ``rows x cols`` array that holds
+    ``held`` amplitudes' worth of arrays at once above ``_MAX_AMPLITUDES``;
+    ``what`` says what it holds."""
+    if held > _MAX_AMPLITUDES:
         raise fock.CapacityError(
             f"the exact monte-carlo average needs a {rows} x {cols} array, "
             f"above the cap of 2^24 amplitudes (256 MiB); "
-            f"use factor mode (--dephasing factor) for this circuit{held}")
+            f"use factor mode (--dephasing factor) for this circuit; "
+            f"this form holds {what} at once")
 
 
 def _coherence(masks: np.ndarray, rails: np.ndarray,
@@ -285,7 +380,8 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
         return state, dense
     s = support.size
     if not dense and s > _DENSE_SUPPORT:
-        _capacity_check(dim, dim, _DENSE_COPIES)
+        _capacity_check(dim, dim, _DENSE_COPIES * dim * dim,
+                        f"{_DENSE_COPIES} arrays of that size")
         factor = state.reshape(dim, -1)
         state, dense = factor @ factor.conj().T, True
     rails = np.fromiter(by_rail, dtype=np.int64)
@@ -299,7 +395,11 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
                                      * (factor @ factor.conj().T))
     keep = values > s * np.finfo(np.float64).eps * values[-1]
     rank = int(np.count_nonzero(keep))
-    _capacity_check(dim, rank)
+    held = (dim * (_FACTORED_COPIES * rank + factor.shape[1])
+            + _BLOCK_COPIES * s * s)
+    _capacity_check(dim, rank, held,
+                    f"{held} amplitudes' worth (B, its element temporaries, "
+                    f"the previous B and the eigen-decomposition's work)")
     state = np.zeros((dim, rank), dtype=np.complex128)
     state[support] = vectors[:, keep] * np.sqrt(values[keep])
     return state, dense
@@ -376,10 +476,10 @@ def run_shots(circuit, n_shots: int,
     sector, probabilities = outcome_probabilities(circuit, dephasing)
     cumulative = np.cumsum(probabilities)
     stream = np.random.default_rng(np.random.Philox(master_seed))
-    total_counts = np.zeros(sector.size, dtype=np.int64)
+    total_counts = np.zeros(sector.size, dtype=np.intp)
     for start in range(0, n_shots, _SHOT_CHUNK):
         size = min(_SHOT_CHUNK, n_shots - start)
-        total_counts += fock.sample_counts(cumulative, stream.random(size))
+        fock.sample_counts(cumulative, stream.random(size), total_counts)
 
     observed = np.flatnonzero(total_counts)
     counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))

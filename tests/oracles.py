@@ -25,6 +25,7 @@ from flyqsim.gates import (
     build_dense_unitary,
     coupler_angle,
 )
+from flyqsim.timing import ConfigError, ElementArrival, PropagationModel
 
 MEASURE_NORM_ATOL = 1e-6
 
@@ -159,6 +160,40 @@ def gauss_hermite_probabilities(circuit, l_phi: float, nodes: int = 40) -> np.nd
         if position < len(circuit.elements):
             states = dense_element(circuit.elements[position], n) @ states
     return (np.abs(states) ** 2) @ weights
+
+
+def arrival_rows(circuit, model=None) -> list:
+    """Arrival table by a scalar loop: one ``ElementArrival`` per element.
+
+    Each rail's wire is summed segment by segment in netlist order; the
+    arrival is the rail's emission delay plus that running total over the
+    velocity.  The first element on a rail without a source raises
+    ``ConfigError``.
+    """
+    model = model or PropagationModel()
+    delays = {src.rail: src.emission_delay for src in circuit.sources}
+    velocity = model.velocity
+    traveled = [0.0] * circuit.n_rails
+    table = []
+    for index, element in enumerate(circuit.elements):
+        for seg in circuit.wire[index]:
+            traveled[seg.rail] += seg.length
+        rails = element.rails
+        times = {}
+        try:
+            for r in rails:
+                times[r] = delays[r] + traveled[r] / velocity
+        except KeyError:
+            names = ", ".join(f"q{r}" for r in rails if r not in delays)
+            raise ConfigError(f"element {index} ({element.keyword}) "
+                              f"needs a source on {names}") from None
+        table.append(ElementArrival(index, element.keyword, rails, times))
+    return table
+
+
+def late_rows(rows, window: float) -> list:
+    """The multi-rail rows whose spread exceeds ``window``."""
+    return [row for row in rows if len(row.rails) > 1 and row.spread > window]
 
 
 def oracle_masks(probabilities, uniforms):

@@ -210,10 +210,15 @@ def test_measure_rejects_unnormalized():
         measure_all(state, np.random.default_rng(0))
 
 
+def counts_of(cumulative, uniforms) -> list:
+    out = np.zeros(len(cumulative), dtype=np.intp)
+    return sample_counts(cumulative, np.asarray(uniforms, dtype=float), out).tolist()
+
+
 def test_sample_counts_zero_uniform_skips_zero_probability_mask():
     cumulative = np.cumsum([0.0, 0.5, 0.5])
-    assert sample_counts(cumulative, np.array([0.0])).tolist() == [0, 1, 0]
-    assert sample_counts(cumulative, np.array([0.0, 0.0])).tolist() == [0, 2, 0]
+    assert counts_of(cumulative, [0.0]) == [0, 1, 0]
+    assert counts_of(cumulative, [0.0, 0.0]) == [0, 2, 0]
 
 
 def test_sample_counts_draw_rounded_up_to_a_subnormal_total():
@@ -222,8 +227,8 @@ def test_sample_counts_draw_rounded_up_to_a_subnormal_total():
     cumulative = np.cumsum([0.0, 5e-324, 0.0, 0.0])
     top = 1.0 - 2.0 ** -53
     assert top * cumulative[-1] == cumulative[-1]
-    assert sample_counts(cumulative, np.array([top])).tolist() == [0, 1, 0, 0]
-    assert sample_counts(cumulative, np.full(6, top)).tolist() == [0, 6, 0, 0]
+    assert counts_of(cumulative, [top]) == [0, 1, 0, 0]
+    assert counts_of(cumulative, [top] * 6) == [0, 6, 0, 0]
 
 
 def test_sample_counts_match_reference_loop():
@@ -237,13 +242,31 @@ def test_sample_counts_match_reference_loop():
     assert all(probs[m] > 0 for m in expected)
     # 8 positions against 50, 8 and 5 draws: both search directions
     for n in (50, 8, 5):
-        counts = sample_counts(cumulative, uniforms[:n])
-        assert counts.tolist() == np.bincount(expected[:n], minlength=8).tolist()
+        assert counts_of(cumulative, uniforms[:n]) == np.bincount(
+            expected[:n], minlength=8).tolist()
     for u, m in zip(uniforms, expected):
-        assert sample_counts(cumulative, np.array([u])).tolist() == [
+        assert counts_of(cumulative, [u]) == [
             int(m == j) for j in range(8)]
     with pytest.raises(ValueError):
-        sample_counts(np.zeros(4), np.array([0.5]))
+        counts_of(np.zeros(4), [0.5])
+
+
+def test_sample_counts_add_to_out_in_both_directions():
+    rng = np.random.default_rng(32)
+    probs = rng.random(40) * (rng.random(40) < 0.5)
+    probs[7] += 0.1
+    cumulative = np.cumsum(probs)
+    uniforms = rng.random(300)
+    uniforms[:3] = 0.0
+    expected = np.bincount(oracles.oracle_masks(probs, uniforms), minlength=40)
+    # chunks of 100 search positions in draws, chunks of 7 draws in positions
+    for chunk in (100, 7):
+        out = np.zeros(40, dtype=np.intp)
+        for start in range(0, 300, chunk):
+            assert sample_counts(cumulative, uniforms[start:start + chunk],
+                                 out) is out
+        assert out.tolist() == expected.tolist()
+    assert counts_of(cumulative, []) == [0] * 40
 
 
 def test_fidelity_self():

@@ -366,6 +366,45 @@ def test_circuit_stores_containers_as_tuples_and_wire_in_netlist_order():
     assert Circuit(2).register is None
 
 
+@pytest.mark.parametrize("field", ["rail", "length", "position"])
+def test_segment_is_immutable(field):
+    segment = Segment(0, 1.0, 2)
+    with pytest.raises(AttributeError):
+        setattr(segment, field, 1)
+    assert segment == Segment(rail=0, length=1.0, position=2)
+
+
+def test_segment_repr_is_what_circuit_errors_embed():
+    segment = Segment(1, 2.5, 7)
+    assert repr(segment) == "Segment(rail=1, length=2.5, position=7)"
+    assert (segment.rail, segment.length, segment.position) == (1, 2.5, 7)
+    with pytest.raises(ValueError) as raised:
+        Circuit(2, [PhaseShifter(0, 0.1)], segments=[segment])
+    assert str(raised.value) == ("segment position 7 outside [0, 1]: "
+                                 "Segment(rail=1, length=2.5, position=7)")
+
+
+def test_wire_is_an_empty_tuple_where_there_is_no_wire():
+    elements = [PhaseShifter(0, 0.1)] * 4
+    segments = [Segment(1, 1.0, 2), Segment(0, 2.0, 4)]
+    circuit = Circuit(2, elements, segments=segments)
+    assert circuit.wire == ((), (), (segments[0],), (), (segments[1],))
+    assert all(type(group) is tuple for group in circuit.wire)
+    assert Circuit(1).wire == ((),)
+
+
+def test_out_of_order_segments_keep_declaration_order_within_a_position():
+    declared = [Segment(1, 1.0, 3), Segment(0, 2.0, 1), Segment(1, 3.0, 1),
+                Segment(0, 4.0, 3), Segment(0, 5.0, 0), Segment(0, 6.0, 1)]
+    circuit = Circuit(2, [PhaseShifter(0, 0.1)] * 3, segments=declared)
+    assert circuit.wire == ((declared[4],),
+                            (declared[1], declared[2], declared[5]),
+                            (),
+                            (declared[0], declared[3]))
+    assert circuit.segments == tuple(sorted(declared, key=lambda s: s.position))
+    assert parse_circuit(serialize(circuit)) == circuit
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Circuit)])
 def test_circuit_fields_cannot_be_assigned(name):
     # a register or segment set after construction would skip validation

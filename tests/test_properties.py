@@ -116,11 +116,12 @@ def test_sample_counts_match_scalar_readout(draws, data):
         n = d
     uniforms = np.array(data.draw(st.lists(uniform, min_size=n, max_size=n)))
     cumulative = np.cumsum(probabilities)
+    counts = np.zeros(d, dtype=np.intp)
     if not cumulative[-1] > 0.0:
         with pytest.raises(ValueError, match="all-zero"):
-            sample_counts(cumulative, uniforms)
+            sample_counts(cumulative, uniforms, counts)
         return
-    counts = sample_counts(cumulative, uniforms)
+    sample_counts(cumulative, uniforms, counts)
     expected = np.bincount(np.array(oracles.oracle_masks(probabilities, uniforms),
                                     dtype=np.int64), minlength=d)
     assert counts.tolist() == expected.tolist()

@@ -484,12 +484,68 @@ def test_dense_mc_memory_is_bounded_per_run(monkeypatch):
     assert admitted == [3]
 
 
+def test_factored_mc_memory_is_bounded_per_run(monkeypatch):
+    # the 252-mask circuit in the factored form: the smallest cap that admits
+    # the run bounds everything it holds at once, rebuilds and element
+    # temporaries included
+    circuit = factored_and_dense_circuit()
+    held = []
+    check = timing._capacity_check
+
+    def recording(rows, cols, amount, what):
+        held.append(amount)
+        check(rows, cols, amount, what)
+
+    monkeypatch.setattr(timing, "_capacity_check", recording)
+    expected = timing.outcome_probabilities(circuit, MC)[1]
+    assert len(held) == 3  # one check per rebuild, no dense switch
+    need = max(held)
+    for budget in (need - 1, need):
+        monkeypatch.setattr(timing, "_MAX_AMPLITUDES", budget)
+        tracemalloc.start()
+        try:
+            probabilities = timing.outcome_probabilities(circuit, MC)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        except CapacityError as err:
+            assert budget == need - 1
+            assert "the previous B and the eigen-decomposition" in str(err)
+            continue
+        finally:
+            tracemalloc.stop()
+        assert budget == need
+        assert peak <= 16 * budget
+        assert np.array_equal(probabilities, expected)
+
+
 @pytest.mark.parametrize("mode", ["factor", "mc"])
 def test_each_extra_shot_adds_one_count(mode):
     # shot i owns a fixed block of the stream, so a longer run only appends
     circuit = mach_zehnder(arm_um=6.0, internal_phase=0.7)
     masks = shot_masks(circuit, 40, mode, seed=4)
     assert len(set(masks)) == 2
+
+
+def test_sector_wider_than_a_chunk_over_several_chunks():
+    # C(16, 8) = 12870 masks against chunks of at most 8192 draws: each
+    # chunk places its draws in the cumulative sum and adds only the
+    # positions drawn
+    n_rails = 16
+    elements = []
+    for a, b in ((7, 8), (6, 9), (5, 8), (7, 10), (4, 9), (6, 11)):
+        elements += [WaveguideCoupler((a, b), 0.05 + 0.01 * a, 0.28),
+                     PhaseShifter(b, 0.3 * a)]
+    circuit = Circuit(n_rails=n_rails, elements=elements,
+                      sources=[SepSource(r, 0.0, emits=r < 8)
+                               for r in range(n_rails)])
+    sector, probabilities = timing.outcome_probabilities(circuit)
+    assert sector.size == 12870 > timing._SHOT_CHUNK
+    n_shots = 2 * timing._SHOT_CHUNK + 1000
+    uniforms = np.random.default_rng(np.random.Philox(17)).random(n_shots)
+    expected = Counter(sector[m].item()
+                       for m in oracles.oracle_masks(probabilities, uniforms))
+    result = run_shots(circuit, n_shots, master_seed=17)
+    assert len(expected) > 20
+    assert result.counts == dict(expected)
 
 
 @pytest.mark.parametrize("seed", [21, 2**130])
