@@ -26,10 +26,21 @@ it they span the full 2^n space, where position and mask coincide.  The
 columns are those of a factored or a dense density matrix
 (``timing.outcome_probabilities``); one basis position is one contiguous
 row, so the index gathers and scatters move whole rows.  Shot sampling
-evolves only the sector.  Off-sector amplitudes are exact zeros, so the sector evolution does
-the same floating-point work on the same amplitudes and sampled histograms
-are unchanged.  ``OccupationState`` and the single-state functions always
-use the full space.
+evolves only the sector.  Off-sector amplitudes are exact zeros, so the
+sector evolution does the same floating-point work on the same amplitudes
+as the full one and sampled histograms are unchanged.  ``OccupationState``
+and the single-state functions always use the full space.
+
+Without a Coulomb coupler every element is linear in the rail modes, so
+the state is a Slater determinant of k single-particle orbitals.
+``lift_columns`` turns an ``(n, k)`` array of orbitals into the sector's
+amplitudes ``det(V[T, :])`` in one pass, expanding the determinant one
+electron at a time over cached plans (``_lift_plan``: int32 source
+positions and int8 rails per sector).  ``timing.outcome_probabilities``
+takes this path in ``off`` and ``deterministic-factor`` mode when the
+circuit has no ``cc``; it agrees with the sector kernels to rounding, not
+bit for bit, while the sector kernels still match the full-space
+evolution bit for bit.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
 outcome probabilities and a block of uniforms it adds to a count array, by
@@ -136,7 +147,8 @@ def require_integer(value, what: str):
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _check_rail(n_rails: int, rail: int) -> None:
+def check_rail(n_rails: int, rail: int) -> None:
+    """``ValueError`` unless ``rail`` is an integer in ``[0, n_rails)``."""
     if not 0 <= require_integer(rail, "rail index") < n_rails:
         raise ValueError(f"rail index {rail} out of range for {n_rails} rails")
 
@@ -146,7 +158,7 @@ def occupation_mask(n_rails: int, occupied) -> int:
     _check_n_rails(n_rails)
     mask = 0
     for rail in occupied:
-        _check_rail(n_rails, rail)
+        check_rail(n_rails, rail)
         mask |= 1 << rail
     return mask
 
@@ -192,6 +204,67 @@ def sector_basis(n_rails: int, n_electrons: int | None = None) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=64, typed=True)
+def _lift_plan(n_rails: int, n_electrons: int):
+    """Laplace-expansion plan into the ``n_electrons`` sector (cached, read-only).
+
+    Returns ``(sources, rails)``, two ``(n_electrons, C(n_rails,
+    n_electrons))`` arrays.  For the mask ``T`` at position ``j`` of
+    ``sector_basis(n_rails, n_electrons)``, ``rails[i, j]`` (int8) is
+    ``t_i``, the ``i``-th set bit of ``T`` counted from the lowest, and
+    ``sources[i, j]`` (int32) the position of ``T`` without ``t_i`` in
+    ``sector_basis(n_rails, n_electrons - 1)``.  Each row is built by
+    peeling the lowest set bit off what is left of every mask, with one
+    ``searchsorted``, so no temporary is larger than one mask per position.
+    """
+    basis = sector_basis(n_rails, n_electrons)
+    below = sector_basis(n_rails, n_electrons - 1)
+    sources = np.empty((n_electrons, basis.size), dtype=np.int32)
+    rails = np.empty((n_electrons, basis.size), dtype=np.int8)
+    rest = basis.copy()
+    for i in range(n_electrons):
+        lowest = rest & -rest
+        rest ^= lowest
+        rails[i] = np.bitwise_count(lowest - 1)
+        lowest ^= basis
+        sources[i] = below.searchsorted(lowest)
+    sources.setflags(write=False)
+    rails.setflags(write=False)
+    return sources, rails
+
+
+def lift_columns(columns: np.ndarray) -> np.ndarray:
+    """Sector amplitudes of the Slater determinant with these orbitals.
+
+    ``columns`` is an ``(n_rails, k)`` array; column ``j`` holds the
+    single-particle amplitudes, over the rails, of the electron created
+    ``j``-th.  Returns ``a`` over ``sector_basis(n_rails, k)`` with
+    ``a[T] = det(columns[T, :])``, the rows of ``T`` in ascending order: by
+    the creation-order convention that is the amplitude of mask ``T``.  The
+    determinant is expanded along its last column, one electron at a time:
+
+        w_m[T] = sum_i (-1)^(m-1-i) w_{m-1}[T without t_i] columns[t_i, m-1]
+
+    over ``T`` in the ``m``-electron sector, ``t_i`` its ``i``-th set bit,
+    starting from ``w_0 = [1]``; ``_lift_plan`` holds the gathers.
+    """
+    n_rails, n_electrons = columns.shape
+    amplitudes = np.ones(1, dtype=np.complex128)
+    for m in range(1, n_electrons + 1):
+        sources, rails = _lift_plan(n_rails, m)
+        column = columns[:, m - 1]
+        lifted = np.zeros(sources.shape[1], dtype=np.complex128)
+        for i in range(m):
+            term = amplitudes.take(sources[i])
+            term *= column.take(rails[i])
+            if (m - 1 - i) & 1:
+                lifted -= term
+            else:
+                lifted += term
+        amplitudes = lifted
+    return amplitudes
+
+
 @lru_cache(maxsize=128, typed=True)
 def _mode_block_indices(n_rails: int, lo: int, hi: int,
                         n_electrons: int | None = None):
@@ -207,8 +280,8 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
     never finds the entry of rail 1, so the batch kernels need no rail check
     of their own.
     """
-    _check_rail(n_rails, lo)
-    _check_rail(n_rails, hi)
+    check_rail(n_rails, lo)
+    check_rail(n_rails, hi)
     basis = sector_basis(n_rails, n_electrons)
     lo_set = (basis >> lo) & 1
     hi_set = (basis >> hi) & 1
@@ -228,7 +301,7 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
 def rail_occupied_indices(n_rails: int, rail: int,
                           n_electrons: int | None = None) -> np.ndarray:
     """Basis positions in which ``rail`` is occupied (cached, read-only)."""
-    _check_rail(n_rails, rail)
+    check_rail(n_rails, rail)
     basis = sector_basis(n_rails, n_electrons)
     idx = np.flatnonzero((basis >> rail) & 1)
     idx.setflags(write=False)
@@ -239,8 +312,8 @@ def rail_occupied_indices(n_rails: int, rail: int,
 def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
                           n_electrons: int | None = None) -> np.ndarray:
     """Basis positions in which both rails are occupied (cached, read-only)."""
-    _check_rail(n_rails, rail_a)
-    _check_rail(n_rails, rail_b)
+    check_rail(n_rails, rail_a)
+    check_rail(n_rails, rail_b)
     basis = sector_basis(n_rails, n_electrons)
     idx = np.flatnonzero((basis >> rail_a) & (basis >> rail_b) & 1)
     idx.setflags(write=False)
@@ -305,7 +378,7 @@ def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
     if r0 == r1:
         raise ValueError(f"rail indices must be distinct, got ({r0}, {r1})")
     for r in (r0, r1):
-        _check_rail(state.n_rails, r)
+        check_rail(state.n_rails, r)
     u = _check_mode_unitary(u)
     amplitudes = state.amplitudes.copy()
     mode_unitary_batch(amplitudes, state.n_rails, (r0, r1), u)

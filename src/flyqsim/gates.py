@@ -340,6 +340,39 @@ def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
         raise TypeError(f"not a gate element: {element!r}")
 
 
+def apply_element_columns(columns: np.ndarray, element: GateElement) -> None:
+    """Apply one element to single-particle orbitals, in place.
+
+    ``columns`` is an ``(n_rails, k)`` array whose columns are orbitals over
+    the rails (the input to ``fock.lift_columns``).  A phase shifter
+    multiplies its rail's row by ``e^{i phi}``; a waveguide coupler mixes
+    its two rows, first rail first, by ``coupler_matrix``.  No fermionic
+    signs enter here: the lift's determinant gives them.  A Coulomb coupler
+    is not linear in the modes and raises ``ValueError``, as does a rail
+    outside ``[0, n_rails)``, checked by ``fock.check_rail`` like the index
+    helpers of ``apply_element_batch``.
+    """
+    n_rails = columns.shape[0]
+    if isinstance(element, PhaseShifter):
+        fock.check_rail(n_rails, element.rail)
+        columns[element.rail] *= np.exp(1j * element.phi)
+    elif isinstance(element, WaveguideCoupler):
+        r0, r1 = element.rails
+        fock.check_rail(n_rails, r0)
+        fock.check_rail(n_rails, r1)
+        # a view of rows r0 and r1, in that order
+        pair = columns[r0::r1 - r0][:2]
+        pair[...] = coupler_matrix(element.coupling_length,
+                                   element.transfer_length) @ pair
+    elif isinstance(element, CoulombCoupler):
+        raise ValueError("a Coulomb coupler has no single-particle action")
+    elif isinstance(element, CompositeGate):
+        raise ValueError(f"composite gate '{element.name}' must be expanded "
+                         f"before simulation")
+    else:
+        raise TypeError(f"not a gate element: {element!r}")
+
+
 @lru_cache(maxsize=256)
 def _dense_ladder(n_rails: int, rail: int) -> np.ndarray:
     """Dense annihilation operator with the package's sign convention.

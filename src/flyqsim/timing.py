@@ -38,13 +38,30 @@ every shot consumes a fixed block and a count does not depend on the order
 of the draws, the histogram does not depend on how shots are chunked.
 
 Every element and every segment phase conserves electron number, so
-``run_shots`` evolves only the sector of the k electrons its pumps load,
+``run_shots`` samples only the sector of the k electrons its pumps load,
 over ``fock.sector_basis(n, k)``, the k-electron masks in ascending order.
-Sampled positions map back to masks through that basis.  Off-sector
-amplitudes are exact zeros, which add nothing to the cumulative sum, so the
-histogram equals a full 2^n evolution's for the same seed.
+Sampled positions map back to masks through that basis.
 
-The evolution keeps one ``(C(n, k),)`` vector for as long as it can.  In
+``outcome_probabilities`` reaches the sector by one of two paths, chosen
+by one condition: the circuit and the mode, nothing else.
+
+* Free path: ``off`` and ``deterministic-factor`` mode with no
+  ``CoulombCoupler`` in the expanded circuit.  Phase shifters and couplers
+  act on each electron alone, so the ``n x k`` single-particle orbitals
+  ``U[:, occ]`` are evolved (``gates.apply_element_columns``) and lifted to
+  the sector once (``fock.lift_columns``): mask ``S`` has probability
+  ``|det U[S, occ]|^2``.  With more electrons than empty rails the empty
+  rails' orbitals are lifted instead.  It agrees with the sector path to
+  rounding (about 1e-15), not bit for bit.
+* Sector path: ``monte-carlo`` mode, or any ``cc``.  The sector kernels
+  (``gates.apply_element_batch``) evolve the sector amplitudes.
+  Off-sector amplitudes are exact zeros, so these kernels match a full 2^n
+  evolution bit for bit.
+
+Both paths feed the same cumulative sum, so the stream contract above does
+not depend on the path.
+
+The sector path keeps one ``(C(n, k),)`` vector for as long as it can.  In
 ``off`` and ``deterministic-factor`` modes that is the whole circuit.  In
 ``monte-carlo`` mode it is up to the first element position with a segment
 on a rail that is not definite over the support: some nonzero amplitudes
@@ -80,7 +97,7 @@ import numpy as np
 
 from . import fock
 from .dualrail import decode
-from .gates import apply_element_batch
+from .gates import CoulombCoupler, apply_element_batch, apply_element_columns
 
 DEFAULT_VELOCITY_UM_PS = 0.1
 DEFAULT_WINDOW_PS = 1.0
@@ -405,6 +422,29 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     return state, dense
 
 
+def _free_probabilities(circuit, loaded: int) -> np.ndarray:
+    """Outcome probabilities of a circuit without Coulomb couplers.
+
+    Such a circuit acts on each electron alone, by the ``n x n``
+    single-particle unitary ``U``, and mask ``S`` has probability
+    ``|det U[S, occ]|^2`` over the loaded rails ``occ``.  The orbitals
+    ``U[:, occ]`` are evolved element by element and lifted to the sector
+    once (``fock.lift_columns``).  When more rails are loaded than empty,
+    the empty rails' orbitals are lifted instead: complementary minors of a
+    unitary have equal moduli, and complementing the masks of a sector
+    reverses their ascending order.
+    """
+    n_rails = circuit.n_rails
+    holes = 2 * loaded.bit_count() > n_rails
+    rails = [r for r in range(n_rails) if ((loaded >> r) & 1) != holes]
+    columns = np.zeros((n_rails, len(rails)), dtype=np.complex128)
+    columns[rails, np.arange(len(rails))] = 1.0
+    for element in circuit.elements:
+        apply_element_columns(columns, element)
+    probabilities = np.abs(fock.lift_columns(columns)) ** 2
+    return probabilities[::-1] if holes else probabilities
+
+
 def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     """Exact detector-outcome probabilities of an expanded circuit.
 
@@ -412,8 +452,9 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     normalization within rounding, of reading ``sector[j]``, the masks of
     ``fock.sector_basis`` for the electron count the pumps load.  In
     ``monte-carlo`` mode ``p`` is the diagonal of the density matrix
-    averaged over every segment phase; the other modes evolve one vector.
-    The schedule is not checked here.
+    averaged over every segment phase; the other modes evolve one vector,
+    or, without a Coulomb coupler, the single-particle orbitals (see the
+    module docstring).  The schedule is not checked here.
     """
     dephasing = dephasing or DephasingModel()
     n_rails = circuit.n_rails
@@ -422,10 +463,13 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
         n_rails, [src.rail for src in circuit.sources if src.emits])
     n_electrons = loaded.bit_count()
     sector = fock.sector_basis(n_rails, n_electrons)
+    mc = dephasing.mode == MODE_MC
+    if not mc and not any(isinstance(element, CoulombCoupler)
+                          for element in circuit.elements):
+        return sector, _free_probabilities(circuit, loaded)
+
     state = np.zeros(sector.size, dtype=np.complex128)
     state[np.searchsorted(sector, loaded)] = 1.0
-
-    mc = dephasing.mode == MODE_MC
     dense = False
     # the wire after the last element is left out: a phase channel keeps
     # the diagonal of rho

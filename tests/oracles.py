@@ -90,6 +90,38 @@ def circuit_unitary(elements, n_rails: int) -> np.ndarray:
     return total
 
 
+def single_particle_unitary(elements, n_rails: int) -> np.ndarray:
+    """``n x n`` mode unitary of Coulomb-free elements, row by row.
+
+    Built from the documented matrices alone: a phase shifter multiplies its
+    rail's row by ``e^{i phi}``; a coupler mixes its two rows, first rail
+    first, by ``[[cos t, i sin t], [i sin t, cos t]]``,
+    ``t = (pi/2) Lc / Lt``.
+    """
+    u = np.eye(n_rails, dtype=complex)
+    for element in elements:
+        if isinstance(element, PhaseShifter):
+            u[element.rail] *= np.exp(1j * element.phi)
+        else:
+            a, b = element.rails
+            theta = (math.pi / 2) * element.coupling_length / element.transfer_length
+            c, s = math.cos(theta), 1j * math.sin(theta)
+            u[[a, b]] = np.array([[c, s], [s, c]]) @ u[[a, b]]
+    return u
+
+
+def determinant_probabilities(u: np.ndarray, occupied, masks) -> np.ndarray:
+    """``|det U[S, occ]|^2`` for each mask ``S``: the probability that
+    electrons loaded on the rails ``occupied`` leave on the rails of ``S``
+    (rows and columns in ascending rail order)."""
+    occupied = sorted(occupied)
+    probabilities = []
+    for mask in masks:
+        rows = [r for r in range(u.shape[0]) if (mask >> r) & 1]
+        probabilities.append(abs(np.linalg.det(u[np.ix_(rows, occupied)])) ** 2)
+    return np.array(probabilities)
+
+
 def controlled_swap_target(mask: int, control: int, t0: int, t1: int) -> int:
     """Image of a basis mask under an ideal controlled swap."""
     if not (mask >> control) & 1:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from corpus import random_runnable_circuit
 from flyqsim import fock
 from flyqsim.gates import (
@@ -120,20 +121,6 @@ def test_single_rail_register(mode, emits):
     assert result.counts == {int(emits): 40}
 
 
-def _single_particle(n_rails, elements):
-    """n x n mode unitary built row by row from the documented matrices."""
-    u = np.eye(n_rails, dtype=np.complex128)
-    for element in elements:
-        if isinstance(element, PhaseShifter):
-            u[element.rail] *= np.exp(1j * element.phi)
-        else:
-            a, b = element.rails
-            theta = (math.pi / 2) * element.coupling_length / element.transfer_length
-            c, s = math.cos(theta), 1j * math.sin(theta)
-            u[[a, b]] = np.array([[c, s], [s, c]]) @ u[[a, b]]
-    return u
-
-
 def _wide_mesh(n_rails=20, occupied=(3, 12), n_elements=120, seed=11):
     rng = np.random.default_rng(seed)
     elements = []
@@ -153,7 +140,7 @@ def _wide_mesh(n_rails=20, occupied=(3, 12), n_elements=120, seed=11):
         n_rails=n_rails, elements=elements, segments=segments,
         sources=[SepSource(r, 0.0, emits=r in occupied) for r in range(n_rails)],
         detectors=list(range(n_rails)))
-    return circuit, _single_particle(n_rails, elements)
+    return circuit, oracles.single_particle_unitary(elements, n_rails)
 
 
 @pytest.mark.parametrize("mode", ["off", "mc"])
