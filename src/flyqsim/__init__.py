@@ -13,18 +13,8 @@ from .dualrail import (
     DualRailRegister,
     LogicalOutcome,
     decode,
-    encode,
-    fredkin_circuit,
-    logical_hadamard,
 )
-from .fock import (
-    MAX_RAILS,
-    CapacityError,
-    OccupationState,
-    apply_mode_unitary,
-    prepare_occupation,
-    vacuum,
-)
+from .fock import MAX_RAILS, CapacityError
 from .gates import (
     DEFAULT_TRANSFER_LENGTH_UM,
     FIFTY_FIFTY_COUPLING_UM,
@@ -33,11 +23,10 @@ from .gates import (
     GateElement,
     PhaseShifter,
     WaveguideCoupler,
-    apply_element,
     build_dense_unitary,
-    coulomb_phase,
     coupler_matrix,
-    phase_shifter_matrix,
+    fredkin_circuit,
+    logical_hadamard,
 )
 from .netlist import (
     Circuit,
@@ -61,7 +50,8 @@ from .timing import (
     ShotHistogram,
     arrival_times,
     check_coincidence,
+    outcome_probabilities,
     run_shots,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -3,30 +3,36 @@
 Logical 0 puts the electron on the first rail of a pair (occupation pattern
 (1, 0)), logical 1 on the second (0, 1).  Any measured pattern outside those
 two, meaning an empty or doubly occupied pair, is reported as leakage.
-
-The Hadamard and Fredkin syntheses (``logical_hadamard``,
-``fredkin_circuit``) live in ``gates`` beside the macro table that the
-netlist expands through, and are re-exported here.
+A register's inputs are loaded by the pumps of its circuit; this module
+only decodes what the detectors read.  The Hadamard and Fredkin syntheses
+live in ``gates`` beside the macro table that the netlist expands through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import OccupationState, prepare_occupation
-from .gates import fredkin_circuit, logical_hadamard  # noqa: F401  (re-export)
+from .fock import require_integer
 
 LEAK = "LEAK"
 
 
 @dataclass(frozen=True)
 class DualRailRegister:
-    """Ordered rail pairs; per pair, first rail is the 0-rail."""
+    """Ordered rail pairs; per pair, first rail is the 0-rail.
+
+    Rails are integers by ``fock.require_integer`` and not negative, else
+    ``ValueError``; ``Circuit`` checks them against its rail count.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple((int(require_integer(a, "register rail")),
+                       int(require_integer(b, "register rail")))
+                      for a, b in self.pairs)
+        if any(r < 0 for pair in pairs for r in pair):
+            raise ValueError(f"register rails must be >= 0, got {pairs}")
         object.__setattr__(self, "pairs", pairs)
         flat = [r for pair in pairs for r in pair]
         if len(set(flat)) != len(flat):
@@ -49,22 +55,6 @@ class LogicalOutcome:
 
     def __str__(self) -> str:
         return "".join("L" if b is LEAK else str(b) for b in self.bits)
-
-
-def encode(register: DualRailRegister, bits, n_rails: int) -> OccupationState:
-    """Computational-basis product state: one electron per pair.
-
-    ``bits[k] == 0`` loads the first rail of pair k, ``1`` the second.
-    """
-    bits = list(bits)
-    if len(bits) != register.n_qubits:
-        raise ValueError(f"expected {register.n_qubits} bits, got {len(bits)}")
-    occupied = []
-    for bit, (rail0, rail1) in zip(bits, register.pairs):
-        if bit not in (0, 1):
-            raise ValueError(f"logical bits must be 0 or 1, got {bit!r}")
-        occupied.append(rail1 if bit else rail0)
-    return prepare_occupation(n_rails, occupied)
 
 
 def decode(mask: int, register: DualRailRegister) -> LogicalOutcome:

@@ -1,10 +1,13 @@
-"""Occupation-number state engine for electrons on nanowire rails.
+"""Electron-number sector engine for electrons on nanowire rails.
 
-A register of ``n_rails`` single-mode rails is represented by a dense complex
-amplitude vector over all 2^n occupation patterns.  Basis indexing convention
-(fixed throughout the package, and the reference for every sign below):
+Pumps load a fixed set of rails and every primitive conserves electron
+number, so a register of ``n_rails`` single-mode rails loaded with ``k``
+electrons never leaves the C(n, k) occupation patterns with ``k`` set bits.
+Its state is a complex amplitude vector over that sector only.  Basis
+convention (fixed throughout the package, and the reference for every sign
+below):
 
-* basis index ``mask``: bit ``i`` set  <=>  rail ``i`` occupied;
+* basis mask: bit ``i`` set  <=>  rail ``i`` occupied;
 * the basis ket for ``mask`` is built by applying creation operators in
   increasing rail order, smallest rail index leftmost.
 
@@ -13,23 +16,16 @@ operator past the creation operator of an occupied rail costs a factor -1, so
 a two-rail mode unitary acting on non-adjacent rails picks up a sign
 (-1)^k on its off-diagonal (hopping) amplitudes, where k counts occupied
 rails strictly between the pair.  A doubly occupied pair transforms with
-det(u).  Both rules are exercised against a dense second-quantized oracle in
-the test suite.
+det(u).  Both rules are exercised against a dense second-quantized oracle
+(``gates.build_dense_unitary``) in the test suite.
 
-Every primitive conserves electron number, so a register loaded with k
-electrons never leaves the C(n, k) masks with k set bits.  The batch kernels
-(``mode_unitary_batch`` and the index helpers) therefore take an optional
-electron count and then address the first axis of a ``(dim,)`` state
-vector or a ``(dim, m)`` batch of m columns as positions in
-``sector_basis(n_rails, k)``, the sector's masks in ascending order; without
-it they span the full 2^n space, where position and mask coincide.  The
-columns are those of a factored or a dense density matrix
-(``timing.outcome_probabilities``); one basis position is one contiguous
-row, so the index gathers and scatters move whole rows.  Shot sampling
-evolves only the sector.  Off-sector amplitudes are exact zeros, so the
-sector evolution does the same floating-point work on the same amplitudes
-as the full one and sampled histograms are unchanged.  ``OccupationState``
-and the single-state functions always use the full space.
+The batch kernels (``mode_unitary_batch`` and the index helpers) take the
+electron count and address the first axis of a ``(dim,)`` state vector or a
+``(dim, m)`` batch of m columns as positions in ``sector_basis(n_rails,
+k)``, the sector's masks in ascending order.  The columns are those of a
+factored or a dense density matrix (``timing.outcome_probabilities``); one
+basis position is one contiguous row, so the index gathers and scatters move
+whole rows.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
@@ -39,29 +35,25 @@ electron at a time over cached plans (``_lift_plan``: int32 source
 positions and int8 rails per sector).  ``timing.outcome_probabilities``
 takes this path in ``off`` and ``deterministic-factor`` mode when the
 circuit has no ``cc``; it agrees with the sector kernels to rounding, not
-bit for bit, while the sector kernels still match the full-space
-evolution bit for bit.
+bit for bit.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
 outcome probabilities and a block of uniforms it adds to a count array, by
 inverse-CDF sampling, how many uniforms fall on each basis position,
 without forming a per-shot position.
 
-All operations other than ``mode_unitary_batch`` and ``sample_counts`` are
-pure: they return new states and never mutate their inputs.
+``mode_unitary_batch`` and ``sample_counts`` update their arrays in place;
+every other function is pure.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 MAX_RAILS = 24
-NORM_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 
 
 class CapacityError(ValueError):
@@ -78,68 +70,11 @@ def _check_n_rails(n_rails: int) -> None:
         )
 
 
-@dataclass(eq=False, repr=False)
-class OccupationState:
-    """Complex amplitude vector over the 2^n_rails occupation basis.
-
-    ``amplitudes[mask]`` is the amplitude of the pattern where bit ``i`` of
-    ``mask`` marks rail ``i`` occupied.  Construction normally enforces unit
-    norm to within ``NORM_ATOL``; pass ``normalized=False`` to skip the check
-    while assembling a state by hand.
-    """
-
-    n_rails: int
-    amplitudes: np.ndarray
-    normalized: InitVar[bool] = True
-
-    def __repr__(self) -> str:
-        support = int(np.count_nonzero(self.amplitudes))
-        return (f"OccupationState(n_rails={self.n_rails}, "
-                f"norm={self.norm():.6g}, support={support})")
-
-    def __post_init__(self, normalized: bool) -> None:
-        _check_n_rails(self.n_rails)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.n_rails,):
-            raise ValueError(
-                f"amplitude vector must have length {1 << self.n_rails} "
-                f"for {self.n_rails} rails, got shape {amps.shape}"
-            )
-        self.amplitudes = amps
-        if normalized and abs(self.norm() - 1.0) > NORM_ATOL:
-            raise ValueError(
-                f"state norm {self.norm():.12g} deviates from 1 by more "
-                f"than {NORM_ATOL:g}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_rails
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "OccupationState":
-        return OccupationState(self.n_rails, self.amplitudes.copy(),
-                               normalized=False)
-
-
-def vacuum(n_rails: int) -> OccupationState:
-    """All-rails-empty state: amplitude 1 on mask 0."""
-    _check_n_rails(n_rails)
-    amps = np.zeros(1 << n_rails, dtype=np.complex128)
-    amps[0] = 1.0
-    return OccupationState(n_rails, amps)
-
-
 def require_integer(value, what: str):
     """``value`` if an integer (numpy too, ``bool`` not), else ``ValueError``.
 
     The one integer rule for rails: a netlist cannot spell ``q0.5`` or
-    ``qTrue``, so neither may a hand-built element, circuit or state.
+    ``qTrue``, so neither may a hand-built element, circuit or register.
     """
     if type(value) is int or (isinstance(value, numbers.Integral)
                               and not isinstance(value, bool)):
@@ -163,43 +98,27 @@ def occupation_mask(n_rails: int, occupied) -> int:
     return mask
 
 
-def prepare_occupation(n_rails: int, occupied) -> OccupationState:
-    """Basis state with one electron on each rail in ``occupied``.
-
-    Models pump-loaded inputs: each selected rail carries exactly one
-    electron, every other rail is empty.
-    """
-    mask = occupation_mask(n_rails, occupied)
-    amps = np.zeros(1 << n_rails, dtype=np.complex128)
-    amps[mask] = 1.0
-    return OccupationState(n_rails, amps)
-
-
 @lru_cache(maxsize=64)
-def sector_basis(n_rails: int, n_electrons: int | None = None) -> np.ndarray:
+def sector_basis(n_rails: int, n_electrons: int) -> np.ndarray:
     """Ascending masks with ``n_electrons`` set bits (cached, read-only).
 
-    ``None`` selects the full space, where the basis position of a mask is
-    the mask itself.  A sector is built rail by rail from the recurrence
-    S(m, j) = S(m-1, j) followed by S(m-1, j-1) | 1 << (m-1), which stays
-    ascending; no array of all 2^n masks is formed.
+    The sector is built rail by rail from the recurrence S(m, j) = S(m-1, j)
+    followed by S(m-1, j-1) | 1 << (m-1), which stays ascending; no array of
+    all 2^n masks is formed.
     """
-    if n_electrons is None:
-        basis = np.arange(1 << n_rails, dtype=np.int64)
-    elif not 0 <= n_electrons <= n_rails:
+    if not 0 <= n_electrons <= n_rails:
         raise ValueError(f"n_electrons must lie in [0, {n_rails}], "
                          f"got {n_electrons}")
-    else:
-        empty = np.zeros(0, dtype=np.int64)
-        # rows[j] = S(m, j); counts too low to reach n_electrons on the
-        # rails still to come are dropped to empty arrays
-        rows = [np.zeros(1, dtype=np.int64)] + [empty] * n_electrons
-        for m in range(n_rails):
-            low = max(0, n_electrons - (n_rails - m - 1))
-            rows = [empty] * low + [
-                np.concatenate((rows[j], rows[j - 1] | (1 << m))) if j else rows[0]
-                for j in range(low, n_electrons + 1)]
-        basis = rows[n_electrons]
+    empty = np.zeros(0, dtype=np.int64)
+    # rows[j] = S(m, j); counts too low to reach n_electrons on the rails
+    # still to come are dropped to empty arrays
+    rows = [np.zeros(1, dtype=np.int64)] + [empty] * n_electrons
+    for m in range(n_rails):
+        low = max(0, n_electrons - (n_rails - m - 1))
+        rows = [empty] * low + [
+            np.concatenate((rows[j], rows[j - 1] | (1 << m))) if j else rows[0]
+            for j in range(low, n_electrons + 1)]
+    basis = rows[n_electrons]
     basis.setflags(write=False)
     return basis
 
@@ -266,8 +185,7 @@ def lift_columns(columns: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128, typed=True)
-def _mode_block_indices(n_rails: int, lo: int, hi: int,
-                        n_electrons: int | None = None):
+def _mode_block_indices(n_rails: int, lo: int, hi: int, n_electrons: int):
     """Basis-position arrays for a two-rail mode unitary on rails ``lo < hi``.
 
     Returns (m10, m01, m11, signs) over ``sector_basis(n_rails,
@@ -299,7 +217,7 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int,
 
 @lru_cache(maxsize=128, typed=True)
 def rail_occupied_indices(n_rails: int, rail: int,
-                          n_electrons: int | None = None) -> np.ndarray:
+                          n_electrons: int) -> np.ndarray:
     """Basis positions in which ``rail`` is occupied (cached, read-only)."""
     check_rail(n_rails, rail)
     basis = sector_basis(n_rails, n_electrons)
@@ -310,7 +228,7 @@ def rail_occupied_indices(n_rails: int, rail: int,
 
 @lru_cache(maxsize=128, typed=True)
 def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
-                          n_electrons: int | None = None) -> np.ndarray:
+                          n_electrons: int) -> np.ndarray:
     """Basis positions in which both rails are occupied (cached, read-only)."""
     check_rail(n_rails, rail_a)
     check_rail(n_rails, rail_b)
@@ -320,27 +238,18 @@ def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
     return idx
 
 
-def _check_mode_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValueError(f"mode unitary must be 2x2, got shape {u.shape}")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-    if err > UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary (deviation {err:.3g} "
-                         f"exceeds {UNITARY_ATOL:g})")
-    return u
-
-
 def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
-                       n_electrons: int | None = None) -> None:
-    """Apply a two-rail mode unitary to amplitudes, in place.
+                       n_electrons: int) -> None:
+    """Apply a two-rail mode unitary to sector amplitudes, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the update acts on alike; its first axis follows
-    ``sector_basis(n_rails, n_electrons)``: all 2^n masks by default, or the
-    ``n_electrons`` sector.  Single source of truth for the block update;
-    ``apply_mode_unitary`` passes one vector, the shot runner a vector or
-    the columns of a density matrix.
+    ``sector_basis(n_rails, n_electrons)``.  ``u`` mixes the single-electron
+    amplitudes of ``rails``, first rail first; components with both rails
+    empty are untouched, components with both occupied pick up det(u), and
+    hopping amplitudes carry the (-1)^k sign of the module docstring.  The
+    one block update: the shot runner passes a vector or the columns of a
+    density matrix.
     """
     r0, r1 = rails
     if r0 > r1:
@@ -354,7 +263,7 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
     # out-of-place products with a scalar coefficient: numpy rounds an
     # in-place or array-by-array complex product of a one-amplitude block
     # differently from a long one, and sector blocks are often that short;
-    # these forms keep the sector evolution bit for bit equal to the full one
+    # these forms keep seeded output byte-identical to the pinned goldens
     a = batch[m10]
     b = batch[m01]
     batch[m10] = u[0, 0] * a + u[0, 1] * (signs * b)
@@ -362,27 +271,6 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
     if doubly_occupied:
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         batch[m11] = batch[m11] * det
-
-
-def apply_mode_unitary(state: OccupationState, rails, u) -> OccupationState:
-    """Second-quantized action of a 2x2 mode unitary on a rail pair.
-
-    ``u`` mixes the single-electron amplitudes of ``rails`` (first rail of
-    the pair = first row/column of ``u``).  Components with both rails empty
-    are untouched, components with both occupied pick up det(u), and hopping
-    amplitudes between non-adjacent rails carry the (-1)^k sign for the k
-    occupied rails strictly between the pair.  Electron number per basis
-    component and total norm are preserved.
-    """
-    r0, r1 = rails
-    if r0 == r1:
-        raise ValueError(f"rail indices must be distinct, got ({r0}, {r1})")
-    for r in (r0, r1):
-        check_rail(state.n_rails, r)
-    u = _check_mode_unitary(u)
-    amplitudes = state.amplitudes.copy()
-    mode_unitary_batch(amplitudes, state.n_rails, (r0, r1), u)
-    return OccupationState(state.n_rails, amplitudes, normalized=False)
 
 
 def sample_counts(cumulative: np.ndarray, uniforms, out: np.ndarray) -> np.ndarray:
@@ -394,9 +282,9 @@ def sample_counts(cumulative: np.ndarray, uniforms, out: np.ndarray) -> np.ndarr
     ``u * total``, so a position of zero probability is never counted, not
     even for ``u == 0.0``.  A draw that rounds up to the total, which only a
     subnormal total allows, falls on the last position of nonzero weight.
-    In the full basis positions are masks; over a sector, ``sector_basis``
-    maps them back.  Zero-probability masks only repeat a cumulative value,
-    so a sector draw selects the same mask as the full-space draw.
+    Over a sector, ``sector_basis`` maps positions back to masks.
+    Zero-probability masks only repeat a cumulative value, so a draw over a
+    sector selects the same mask as one over all 2^n masks would.
 
     Only the counts are formed, from the draws ``u * total`` sorted: the
     shorter of the two sorted arrays is searched in the longer one.  With

@@ -3,7 +3,7 @@
 Three physical elements are modeled:
 
 * ``PhaseShifter``: a biased quantum dot in one rail.  The occupied
-  component of that rail gains exp(i*phi); vacuum is untouched.
+  component of that rail gains exp(i*phi); an empty rail is untouched.
 * ``WaveguideCoupler``: two parallel waveguides with evanescent coupling
   over an interaction length ``coupling_length`` (um).  An electron
   oscillates between the rails with spatial period twice the
@@ -58,7 +58,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import fock
-from .fock import CapacityError, OccupationState
+from .fock import CapacityError
 
 DEFAULT_TRANSFER_LENGTH_UM = 0.28
 FIFTY_FIFTY_COUPLING_UM = DEFAULT_TRANSFER_LENGTH_UM / 2
@@ -269,12 +269,6 @@ PrimitiveElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler]
 GateElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler, CompositeGate]
 
 
-def phase_shifter_matrix(phi: float) -> np.ndarray:
-    """diag(1, e^{i phi}) on one rail's {empty, occupied} components."""
-    phi = _require_finite("phi", phi)
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=np.complex128)
-
-
 def coupler_angle(coupling_length: float, transfer_length: float) -> float:
     if not transfer_length > 0.0:
         raise ValueError(f"transfer_length must be > 0, got {transfer_length}")
@@ -295,33 +289,18 @@ def coupler_matrix(coupling_length: float, transfer_length: float) -> np.ndarray
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-def coulomb_phase(chi_t: float) -> np.ndarray:
-    """Diagonal action on an ordered rail pair's occupation basis.
-
-    Returns the four diagonal entries over (|00>, |10>, |01>, |11>); only the
-    doubly occupied component changes, by exp(-2i chi_t).  Symmetric under
-    swapping the two rails.
-    """
-    chi_t = _require_finite("chi_t", chi_t)
-    return np.array([1.0, 1.0, 1.0, np.exp(-2j * chi_t)], dtype=np.complex128)
-
-
-def apply_element(state: OccupationState, element: GateElement) -> OccupationState:
-    """Engine application of one element to a state (pure)."""
-    amplitudes = state.amplitudes.copy()
-    apply_element_batch(amplitudes, state.n_rails, element)
-    return OccupationState(state.n_rails, amplitudes, normalized=False)
-
-
 def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
-                        n_electrons: int | None = None) -> None:
-    """Apply one element to amplitudes, in place.
+                        n_electrons: int) -> None:
+    """Apply one element to sector amplitudes, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the element acts on alike; its first axis follows
-    ``fock.sector_basis(n_rails, n_electrons)``: all 2^n masks by default,
-    or the ``n_electrons`` sector.  A rail outside ``[0, n_rails)`` raises
-    ``ValueError`` from the ``fock`` index helpers.
+    ``fock.sector_basis(n_rails, n_electrons)``.  A phase shifter multiplies
+    the components that occupy its rail by ``exp(i phi)``, a Coulomb coupler
+    those that occupy both its rails by ``exp(-2i chi_t)``, and a waveguide
+    coupler is ``fock.mode_unitary_batch`` with ``coupler_matrix``.  A rail
+    outside ``[0, n_rails)`` raises ``ValueError`` from the ``fock`` index
+    helpers.
     """
     # products out of place, as in fock.mode_unitary_batch
     if isinstance(element, PhaseShifter):

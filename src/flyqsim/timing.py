@@ -54,9 +54,8 @@ by one condition: the circuit and the mode, nothing else.
   rails' orbitals are lifted instead.  It agrees with the sector path to
   rounding (about 1e-15), not bit for bit.
 * Sector path: ``monte-carlo`` mode, or any ``cc``.  The sector kernels
-  (``gates.apply_element_batch``) evolve the sector amplitudes.
-  Off-sector amplitudes are exact zeros, so these kernels match a full 2^n
-  evolution bit for bit.
+  (``gates.apply_element_batch``) evolve the sector amplitudes; the other
+  masks could only carry exact zeros.
 
 Both paths feed the same cumulative sum, so the stream contract above does
 not depend on the path.

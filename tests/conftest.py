@@ -1,1 +1,1 @@
-# keeps the tests directory importable (oracles.py, corpus.py helpers)
+# keeps the tests directory importable (oracles.py, corpus.py, sectors.py helpers)

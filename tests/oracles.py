@@ -17,7 +17,6 @@ import math
 import numpy as np
 from scipy.linalg import expm, logm
 
-from flyqsim.fock import OccupationState
 from flyqsim.gates import (
     CoulombCoupler,
     PhaseShifter,
@@ -26,8 +25,6 @@ from flyqsim.gates import (
     coupler_angle,
 )
 from flyqsim.timing import ConfigError, ElementArrival, PropagationModel
-
-MEASURE_NORM_ATOL = 1e-6
 
 
 def ladder_down(n_rails: int, rail: int) -> np.ndarray:
@@ -239,47 +236,10 @@ def oracle_masks(probabilities, uniforms):
             for u in uniforms]
 
 
-def apply_diagonal_phase(state: OccupationState, phase_of_mask) -> OccupationState:
-    """Multiply each amplitude by exp(i * phase_of_mask(mask)).
-
-    ``phase_of_mask`` is either a callable from basis mask to radians or a
-    precomputed array of per-mask phases.  Norm is preserved exactly.
-    """
-    dim = state.dim
-    if callable(phase_of_mask):
-        phases = np.fromiter((float(phase_of_mask(m)) for m in range(dim)),
-                             dtype=np.float64, count=dim)
-    else:
-        phases = np.asarray(phase_of_mask, dtype=np.float64)
-        if phases.shape != (dim,):
-            raise ValueError(f"phase array must have length {dim}, "
-                             f"got shape {phases.shape}")
-    return OccupationState(state.n_rails, state.amplitudes * np.exp(1j * phases),
-                           normalized=False)
-
-
-def measure_all(state: OccupationState, rng_stream):
-    """Projective occupation readout of every rail.
-
-    Samples a basis mask with probability |amplitude|^2 from one uniform of
-    ``rng_stream`` and returns ``(mask, collapsed_state)``, the sampled
-    basis state.
-    """
-    norm = state.norm()
-    if abs(norm - 1.0) > MEASURE_NORM_ATOL:
-        raise ValueError(
-            f"invalid state: norm {norm:.9g} deviates from 1 by more than "
-            f"{MEASURE_NORM_ATOL:g}; normalize before measuring"
-        )
-    mask = oracle_masks(state.probabilities(), [rng_stream.random()])[0]
-    collapsed = np.zeros(state.dim, dtype=np.complex128)
-    collapsed[mask] = 1.0
-    return mask, OccupationState(state.n_rails, collapsed)
-
-
-def fidelity(a: OccupationState, b: OccupationState) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
-    if a.n_rails != b.n_rails:
-        raise ValueError(f"rail count mismatch: {a.n_rails} vs {b.n_rails}")
-    overlap = np.vdot(a.amplitudes, b.amplitudes)
+def fidelity(a, b) -> float:
+    """|<a|b>|^2 of two amplitude vectors, insensitive to global phase."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"vector shape mismatch: {a.shape} vs {b.shape}")
+    overlap = np.vdot(a, b)
     return float(min(abs(overlap) ** 2, 1.0))

@@ -1,54 +1,82 @@
 import numpy as np
 import pytest
 
-from flyqsim.dualrail import (
-    LEAK,
-    DualRailRegister,
-    decode,
-    encode,
-    fredkin_circuit,
-    logical_hadamard,
-)
-from flyqsim.fock import OccupationState, prepare_occupation
-from flyqsim.gates import apply_element
+from flyqsim.dualrail import LEAK, DualRailRegister, decode
+from flyqsim.gates import apply_element_batch, fredkin_circuit, logical_hadamard
+from flyqsim.netlist import Circuit
+from flyqsim.timing import SepSource, outcome_probabilities, run_shots
 
 import oracles
+import sectors
 from oracles import fidelity
 
 
-def run_elements(state, elements):
+def encoded(register, bits, n_rails, elements=()):
+    """Circuit whose pumps load ``bits`` into ``register``: bit 0 on the
+    first rail of its pair, bit 1 on the second, the other rails empty."""
+    loaded = {pair[bit] for bit, pair in zip(bits, register.pairs)}
+    return Circuit(
+        n_rails=n_rails, elements=list(elements),
+        sources=[SepSource(r, 0.0, emits=r in loaded) for r in range(n_rails)],
+        detectors=list(range(n_rails)),
+        registers=[(f"r{i}", pair) for i, pair in enumerate(register.pairs)])
+
+
+def run_elements(n_rails, occupied, elements):
+    """Sector vector of pumps on ``occupied`` after ``elements``."""
+    k, vector = sectors.loaded(n_rails, occupied)
     for element in elements:
-        state = apply_element(state, element)
-    return state
+        apply_element_batch(vector, n_rails, element, k)
+    return vector
 
 
 def test_encode_zero_occupies_first_rail():
     register = DualRailRegister(((0, 1),))
-    state = encode(register, [0], 2)
-    assert state.amplitudes[0b01] == 1.0
+    sector, p = outcome_probabilities(encoded(register, [0], 2))
+    assert sector.tolist() == [0b01, 0b10]
+    assert p.tolist() == [1.0, 0.0]
+    assert decode(0b01, register).bits == (0,)
 
 
 def test_encode_one_occupies_second_rail():
     register = DualRailRegister(((0, 1),))
-    state = encode(register, [1], 2)
-    assert state.amplitudes[0b10] == 1.0
+    sector, p = outcome_probabilities(encoded(register, [1], 2))
+    assert p[sector.tolist().index(0b10)] == 1.0
+    assert decode(0b10, register).bits == (1,)
 
 
 def test_encode_two_qubits_product():
     register = DualRailRegister(((0, 1), (2, 3)))
-    state = encode(register, [1, 0], 4)
+    circuit = encoded(register, [1, 0], 4)
+    assert circuit.register == register
     # qubit 0 on its 1-rail (rail 1), qubit 1 on its 0-rail (rail 2)
-    assert state.amplitudes[0b0110] == 1.0
+    result = run_shots(circuit, 20, master_seed=1)
+    assert result.counts == {0b0110: 20}
+    assert result.logical_counts == {"10": 20}
 
 
-def test_encode_validation():
-    register = DualRailRegister(((0, 1),))
-    with pytest.raises(ValueError):
-        encode(register, [0, 1], 2)
-    with pytest.raises(ValueError):
-        encode(register, [2], 2)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("rail", [0.7, 1.0, True, False])
+def test_register_rejects_rails_that_are_not_integers(rail):
+    # int() once read (0.7, 1.2) as rails (0, 1) and True as rail 1
+    with pytest.raises(ValueError, match=r"register rail must be an integer"):
+        DualRailRegister(((rail, 2),))
+    with pytest.raises(ValueError, match=r"register rail must be an integer"):
+        DualRailRegister(((2, rail),))
+
+
+def test_register_rejects_negative_and_repeated_rails():
+    # a negative rail once failed only later, in decode's bit shift
+    with pytest.raises(ValueError, match=r"register rails must be >= 0"):
+        DualRailRegister(((-1, 1),))
+    with pytest.raises(ValueError, match=r"register rails must be distinct"):
         DualRailRegister(((0, 1), (1, 2)))
+
+
+def test_register_accepts_numpy_integers():
+    register = DualRailRegister(((np.int64(0), np.int32(3)), (np.uint8(1), 2)))
+    assert register.pairs == ((0, 3), (1, 2))
+    assert all(type(r) is int for pair in register.pairs for r in pair)
+    assert decode(0b1010, register).bits == (1, 0)
 
 
 def test_decode_patterns():
@@ -76,20 +104,18 @@ def test_decode_multi_qubit_and_rendering():
 
 def test_hadamard_balanced_probabilities_exact():
     register = DualRailRegister(((0, 1),))
-    state = run_elements(encode(register, [0], 2), logical_hadamard((0, 1)))
-    probs = state.probabilities()
-    assert probs[0b01] == pytest.approx(0.5, abs=1e-12)
-    assert probs[0b10] == pytest.approx(0.5, abs=1e-12)
-    assert probs[0b00] == pytest.approx(0.0, abs=1e-12)
-    assert probs[0b11] == pytest.approx(0.0, abs=1e-12)
+    circuit = encoded(register, [0], 2, logical_hadamard((0, 1)))
+    sector, probs = outcome_probabilities(circuit)
+    # the empty and the doubly occupied pair lie outside the loaded sector
+    assert sector.tolist() == [0b01, 0b10]
+    assert probs[0] == pytest.approx(0.5, abs=1e-12)
+    assert probs[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_hadamard_involutive():
-    register = DualRailRegister(((0, 1),))
-    for bit in (0, 1):
-        start = encode(register, [bit], 2)
-        twice = run_elements(run_elements(start, logical_hadamard((0, 1))),
-                             logical_hadamard((0, 1)))
+    for rail in (0, 1):
+        start = run_elements(2, {rail}, [])
+        twice = run_elements(2, {rail}, logical_hadamard((0, 1)) * 2)
         assert fidelity(start, twice) >= 1 - 1e-10
 
 
@@ -104,9 +130,12 @@ def test_hadamard_subspace_matrix_matches_oracle():
 
 def test_hadamard_preserves_code_space():
     register = DualRailRegister(((0, 1),))
-    state = run_elements(encode(register, [1], 2), logical_hadamard((0, 1)))
-    assert state.probabilities()[0b00] == pytest.approx(0.0, abs=1e-12)
-    assert state.probabilities()[0b11] == pytest.approx(0.0, abs=1e-12)
+    circuit = encoded(register, [1], 2, logical_hadamard((0, 1)))
+    result = run_shots(circuit, 2000, master_seed=5)
+    assert result.leak_count == 0
+    assert set(result.counts) <= {0b01, 0b10}
+    sector, probs = outcome_probabilities(circuit)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hadamard_rejects_degenerate_pair():
@@ -118,23 +147,22 @@ def test_hadamard_rejects_degenerate_pair():
 
 
 def fredkin_state(input_rails, control=0, targets=(1, 2)):
-    state = prepare_occupation(3, input_rails)
-    return run_elements(state, fredkin_circuit(control, targets))
+    return run_elements(3, input_rails, fredkin_circuit(control, targets))
 
 
 def test_fredkin_control_off_identity():
     out = fredkin_state({1})  # |c a b> = |0 1 0>
-    assert fidelity(out, prepare_occupation(3, {1})) >= 1 - 1e-10
+    assert fidelity(out, run_elements(3, {1}, [])) >= 1 - 1e-10
 
 
 def test_fredkin_control_on_swaps():
     out = fredkin_state({0, 1})  # |1 1 0> -> |1 0 1> up to phase
-    assert fidelity(out, prepare_occupation(3, {0, 2})) >= 1 - 1e-10
+    assert fidelity(out, run_elements(3, {0, 2}, [])) >= 1 - 1e-10
 
 
 def test_fredkin_vacuum_target_invariant():
     out = fredkin_state({0})  # |1 0 0>
-    assert fidelity(out, prepare_occupation(3, {0})) >= 1 - 1e-10
+    assert fidelity(out, run_elements(3, {0}, [])) >= 1 - 1e-10
 
 
 def test_fredkin_permutation_structure_vs_oracle():
@@ -152,10 +180,11 @@ def test_fredkin_engine_matches_oracle_columns():
     elements = fredkin_circuit(0, (1, 2))
     total = oracles.circuit_unitary(elements, 3)
     for mask in range(8):
-        vec = np.zeros(8, dtype=complex)
-        vec[mask] = 1.0
-        engine = run_elements(OccupationState(3, vec), elements)
-        assert np.allclose(engine.amplitudes, total @ vec, atol=1e-10)
+        k, vector = sectors.basis_vector(3, mask)
+        for element in elements:
+            apply_element_batch(vector, 3, element, k)
+        assert np.allclose(sectors.scatter(vector, 3, k), total[:, mask],
+                           atol=1e-10)
 
 
 def test_fredkin_control_between_targets():

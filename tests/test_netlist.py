@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flyqsim.dualrail import fredkin_circuit, logical_hadamard
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
+    fredkin_circuit,
+    logical_hadamard,
 )
 from flyqsim.netlist import (
     Circuit,

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flyqsim.fock import OccupationState, apply_mode_unitary, sample_counts
-from flyqsim.gates import PhaseShifter, apply_element, coupler_matrix
+from flyqsim.fock import sample_counts
+from flyqsim.gates import PhaseShifter, build_dense_unitary, coupler_matrix
 from flyqsim.netlist import Circuit, Segment, parse, parse_circuit, serialize
 from flyqsim.timing import SepSource
 
 import corpus
 import oracles
+import sectors
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -127,12 +128,12 @@ def test_sample_counts_match_scalar_readout(draws, data):
     assert counts.tolist() == expected.tolist()
 
 
-def relabel_to_adjacent(state, rail_from, rail_to):
+def relabel_to_adjacent(vec, n_rails, rail_from, rail_to):
     """Move a rail next to another with explicit adjacent mode swaps."""
     step = 1 if rail_to > rail_from else -1
     for rail in range(rail_from, rail_to, step):
-        state = apply_mode_unitary(state, (rail, rail + step), SWAP)
-    return state
+        vec = sectors.evolve_mode_unitary(vec, n_rails, (rail, rail + step), SWAP)
+    return vec
 
 
 @pytest.mark.parametrize("rails", [(0, 2), (0, 3), (1, 3), (3, 0)])
@@ -143,18 +144,17 @@ def test_jordan_wigner_swap_relabel_consistency(rails):
     rng = np.random.default_rng(hash(rails) % (2 ** 31))
     vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     vec /= np.linalg.norm(vec)
-    state = OccupationState(n_rails, vec)
     u = coupler_matrix(0.19, 0.28)
 
-    direct = apply_mode_unitary(state, rails, u)
+    direct = sectors.evolve_mode_unitary(vec, n_rails, rails, u)
 
     lo, hi = min(rails), max(rails)
-    moved = relabel_to_adjacent(state, hi, lo + 1)
+    moved = relabel_to_adjacent(vec, n_rails, hi, lo + 1)
     pair = (lo, lo + 1) if rails[0] == lo else (lo + 1, lo)
-    moved = apply_mode_unitary(moved, pair, u)
-    moved = relabel_to_adjacent(moved, lo + 1, hi)
+    moved = sectors.evolve_mode_unitary(moved, n_rails, pair, u)
+    moved = relabel_to_adjacent(moved, n_rails, lo + 1, hi)
 
-    assert np.allclose(direct.amplitudes, moved.amplitudes, atol=1e-10)
+    assert np.allclose(direct, moved, atol=1e-10)
 
 
 def test_number_sector_conservation_random_gates():
@@ -163,11 +163,15 @@ def test_number_sector_conservation_random_gates():
         circuit = corpus.random_runnable_circuit(rng, max_rails=5, max_gates=12)
         n = circuit.n_rails
         vec = corpus.random_state_vector(rng, n)
-        state = OccupationState(n, vec)
         popcounts = np.bitwise_count(np.arange(1 << n))
         before = [np.sum(np.abs(vec[popcounts == k]) ** 2) for k in range(n + 1)]
+        # the engine evolves each sector on its own; the dense oracle's
+        # matrices must not move weight between sectors either
+        state = sectors.evolve(vec, n, circuit.elements)
+        dense = vec
         for element in circuit.elements:
-            state = apply_element(state, element)
-        after = [np.sum(np.abs(state.amplitudes[popcounts == k]) ** 2)
-                 for k in range(n + 1)]
-        assert np.allclose(before, after, atol=1e-10)
+            dense = build_dense_unitary(element, n) @ dense
+        for out in (state, dense):
+            after = [np.sum(np.abs(out[popcounts == k]) ** 2)
+                     for k in range(n + 1)]
+            assert np.allclose(before, after, atol=1e-10)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+import sectors
 from corpus import random_runnable_circuit
 from flyqsim import fock
 from flyqsim.gates import (
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
-    apply_element,
     apply_element_batch,
 )
 from flyqsim.netlist import Circuit, Segment
@@ -28,7 +28,6 @@ def test_sector_basis_lists_masks_by_popcount(n_rails):
         assert basis.size == math.comb(n_rails, k)
         assert np.array_equal(basis, masks[np.bitwise_count(masks) == k])
         assert not basis.flags.writeable
-    assert np.array_equal(fock.sector_basis(n_rails), masks)
 
 
 def test_sector_basis_rejects_impossible_counts():
@@ -49,36 +48,54 @@ def test_index_helpers_return_sector_positions():
             idx = fock.pair_occupied_indices(n_rails, a, b, k)
             assert np.array_equal(
                 basis[idx], [m for m in basis if (m >> a) & (m >> b) & 1])
-            m10, m01, _, signs = fock._mode_block_indices(n_rails, a, b, k)
+            m10, m01, m11, signs = fock._mode_block_indices(n_rails, a, b, k)
+            only_a = [m for m in basis if (m >> a) & 1 and not (m >> b) & 1]
+            assert np.array_equal(basis[m10], only_a)
             assert np.array_equal(basis[m01], basis[m10] ^ ((1 << a) | (1 << b)))
-            full10, _, _, full_signs = fock._mode_block_indices(n_rails, a, b)
-            on_sector = np.bitwise_count(full10) == k
-            assert np.array_equal(basis[m10], full10[on_sector])
-            assert np.array_equal(signs, full_signs[on_sector])
+            assert np.array_equal(basis[m11],
+                                  [m for m in basis if (m >> a) & (m >> b) & 1])
+            between = sum(1 << r for r in range(a + 1, b))
+            assert signs.tolist() == [(-1.0) ** (m & between).bit_count()
+                                      for m in only_a]
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_sector_evolution_matches_full_space_bit_for_bit(seed):
+    """Every sector evolves as the dense 2^n oracle's matrix restricted to
+    it, within 1e-12, and the readout of the loaded sector is the readout
+    over all 2^n masks bit for bit: the other masks have probability 0 and
+    only repeat a cumulative value, so the same uniforms count the same
+    masks.  (Byte-identical output across versions is pinned by the
+    machine-output goldens.)"""
     rng = np.random.default_rng([77, seed])
     circuit = random_runnable_circuit(rng, max_rails=7, max_gates=25)
     n_rails = circuit.n_rails
     occupied = [s.rail for s in circuit.sources if s.emits]
-    loaded = fock.occupation_mask(n_rails, occupied)
-    k = loaded.bit_count()
-    basis = fock.sector_basis(n_rails, k)
+    total = oracles.circuit_unitary(circuit.elements, n_rails)
 
-    state = fock.prepare_occupation(n_rails, occupied)
-    batch = np.zeros((basis.size, 1), dtype=np.complex128)
-    batch[np.searchsorted(basis, loaded), 0] = 1.0
+    for k in range(n_rails + 1):
+        dim = fock.sector_basis(n_rails, k).size
+        start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = start.copy()
+        for element in circuit.elements:
+            apply_element_batch(state, n_rails, element, k)
+        assert np.max(np.abs(state - sectors.restrict(total, n_rails, k) @ start),
+                      initial=0.0) <= 1e-12 * np.linalg.norm(start)
+
+    k, state = sectors.loaded(n_rails, occupied)
     for element in circuit.elements:
-        state = apply_element(state, element)
-        apply_element_batch(batch, n_rails, element, k)
-
-    full = state.amplitudes
-    assert np.array_equal(full[basis], batch[:, 0])
-    off_sector = np.ones(full.size, dtype=bool)
-    off_sector[basis] = False
-    assert not np.any(full[off_sector])
+        apply_element_batch(state, n_rails, element, k)
+    full = sectors.scatter(state, n_rails, k)
+    column = total[:, fock.occupation_mask(n_rails, occupied)]
+    assert np.max(np.abs(full - column)) <= 1e-12
+    uniforms = rng.random(500)
+    uniforms[:3] = 0.0
+    on_sector = fock.sample_counts(np.cumsum(np.abs(state) ** 2), uniforms,
+                                   np.zeros(state.size, dtype=np.intp))
+    on_all = fock.sample_counts(np.cumsum(np.abs(full) ** 2), uniforms,
+                                np.zeros(full.size, dtype=np.intp))
+    assert np.array_equal(on_all[fock.sector_basis(n_rails, k)], on_sector)
+    assert on_sector.sum() == on_all.sum() == 500
 
 
 def _register(n_rails, emitting, elements):
@@ -174,31 +191,46 @@ def test_sampling_allocates_no_full_space_array():
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("space", ["sector", "full"])
 def test_one_vector_evolves_like_a_batch_row_bit_for_bit(seed, space):
+    # "sector": one random sector; "full": a random 2^n vector split into
+    # every sector, whose evolved pieces, scattered back, must also match
+    # the dense oracle within 1e-12
     rng = np.random.default_rng([91, seed])
     circuit = random_runnable_circuit(rng, max_rails=7, max_gates=25)
     n_rails = circuit.n_rails
-    k = int(rng.integers(0, n_rails + 1)) if space == "sector" else None
-    dim = fock.sector_basis(n_rails, k).size
+    if space == "sector":
+        ks = [int(rng.integers(0, n_rails + 1))]
+        dim = fock.sector_basis(n_rails, ks[0]).size
+    else:
+        ks = range(n_rails + 1)
+        dim = 1 << n_rails
     start = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-    vector = start[:, 0].copy()
-    column = start[:, :1].copy()
-    columns = start.copy()
-    for element in circuit.elements:
-        apply_element_batch(vector, n_rails, element, k)
-        apply_element_batch(column, n_rails, element, k)
-        apply_element_batch(columns, n_rails, element, k)
-        assert np.array_equal(vector, column[:, 0])
-    for i in range(3):
-        single = start[:, i].copy()
+    evolved = np.zeros_like(start)
+    for k in ks:
+        basis = fock.sector_basis(n_rails, k) if space == "full" else slice(None)
+        vector = start[basis, 0].copy()
+        column = start[basis, :1].copy()
+        columns = start[basis].copy()
         for element in circuit.elements:
-            apply_element_batch(single, n_rails, element, k)
-        assert np.array_equal(single, columns[:, i])
+            apply_element_batch(vector, n_rails, element, k)
+            apply_element_batch(column, n_rails, element, k)
+            apply_element_batch(columns, n_rails, element, k)
+            assert np.array_equal(vector, column[:, 0])
+        for i in range(3):
+            single = start[basis, i].copy()
+            for element in circuit.elements:
+                apply_element_batch(single, n_rails, element, k)
+            assert np.array_equal(single, columns[:, i])
+        evolved[basis] = columns
+    if space == "full":
+        total = oracles.circuit_unitary(circuit.elements, n_rails)
+        assert np.max(np.abs(evolved - total @ start)) <= 1e-12 * np.max(
+            np.linalg.norm(start, axis=0))
 
 
 def test_mode_unitary_batch_takes_a_vector_or_a_batch():
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-    for n_rails, k in ((6, None), (6, 3), (7, 2)):
+    for n_rails, k in [(6, k) for k in range(7)] + [(7, 2)]:
         dim = fock.sector_basis(n_rails, k).size
         start = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
         for rails in ((0, 5), (4, 1), (2, 3)):
@@ -216,13 +248,17 @@ def test_mode_unitary_batch_takes_a_vector_or_a_batch():
     WaveguideCoupler((-1, 0), 0.1, 0.2),
     CoulombCoupler((2, 4), 0.3),
 ], ids=["ps past last", "ps negative", "bs past last", "bs negative", "cc past last"])
+# k None: every sector of the 3 rails
 @pytest.mark.parametrize("k", [None, 1])
 @pytest.mark.parametrize("shape", ["vector", "batch"])
 def test_apply_element_batch_rejects_rails_out_of_range(element, k, shape):
-    dim = fock.sector_basis(3, k).size
-    amplitudes = np.zeros(dim if shape == "vector" else (dim, 2), dtype=np.complex128)
-    with pytest.raises(ValueError, match=r"rail index -?\d+ out of range for 3 rails"):
-        apply_element_batch(amplitudes, 3, element, k)
+    for n_electrons in range(4) if k is None else [k]:
+        dim = fock.sector_basis(3, n_electrons).size
+        amplitudes = np.zeros(dim if shape == "vector" else (dim, 2),
+                              dtype=np.complex128)
+        with pytest.raises(ValueError,
+                           match=r"rail index -?\d+ out of range for 3 rails"):
+            apply_element_batch(amplitudes, 3, element, n_electrons)
 
 
 @pytest.mark.parametrize("lookup", [

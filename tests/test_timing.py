@@ -9,13 +9,13 @@ import pytest
 
 from flyqsim import cli, timing
 from flyqsim.budget import analyze
-from flyqsim.fock import CapacityError, prepare_occupation
+from flyqsim.fock import CapacityError
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
-    apply_element,
+    apply_element_batch,
 )
 from flyqsim.netlist import Circuit, Segment, serialize
 from flyqsim.timing import (
@@ -31,6 +31,7 @@ from flyqsim.timing import (
 
 import corpus
 import oracles
+import sectors
 
 BALANCED = dict(coupling_length=0.14, transfer_length=0.28)
 
@@ -298,11 +299,14 @@ def shot_masks(circuit, n_shots, mode, seed):
 def test_off_mode_follows_stream_contract():
     # one Philox stream per run; shot i reads uniform i for its readout
     circuit = mach_zehnder(internal_phase=0.7)
-    state = prepare_occupation(2, {0})
+    k, state = sectors.loaded(2, {0})
     for element in circuit.elements:
-        state = apply_element(state, element)
+        apply_element_batch(state, 2, element, k)
+    # readout over all four masks: the scalar loop never lands on the
+    # zero-probability masks outside the sector
+    probabilities = np.abs(sectors.scatter(state, 2, k)) ** 2
     uniforms = np.random.default_rng(np.random.Philox(4)).random(60)
-    expected = oracles.oracle_masks(state.probabilities(), uniforms)
+    expected = oracles.oracle_masks(probabilities, uniforms)
     assert shot_masks(circuit, 60, "off", seed=4) == expected
 
 
