@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import budget as budget_mod
 from . import netlist as netlist_mod
 from . import timing as timing_mod
-from .fock import CapacityError
+from .fock import CapacityError, require_integer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,9 +39,9 @@ class RunConfig:
     dephasing: timing_mod.DephasingModel = field(init=False)
 
     def __post_init__(self):
-        if self.shots < 1:
+        if require_integer(self.shots, "shots") < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.seed < 0:
+        if require_integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the models check their own values; frozen, so they stay in step
         # with the fields they were built from

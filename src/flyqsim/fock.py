@@ -37,6 +37,22 @@ takes this path in ``off`` and ``deterministic-factor`` mode when the
 circuit has no ``cc``; it agrees with the sector kernels to rounding, not
 bit for bit.
 
+Capacity: a run's work and memory grow with its sector, C(n, k), not with
+the rail count, so the sector is what is bounded.  ``sector_basis``
+refuses a sector of more than ``MAX_AMPLITUDES`` (2^24) masks with
+``CapacityError``, checked with ``math.comb`` before it allocates; every
+sector-sized array of a run is built after its ``sector_basis`` call, and
+``timing``'s monte-carlo forms count what they hold against the same cap
+through ``check_capacity``.  The rail count is a representation limit only:
+a mask is an int64 whose bit 63 is the sign, so ``MAX_RAILS`` is 63.  The
+cap counts amplitudes, 16 bytes each, 256 MiB at the cap.  It does not
+count the arrays a run builds beside them, 8 bytes per mask each: the
+basis, the probabilities, their running sum and the counts (512 MiB at the
+cap).  Nor does it count the free path's cached lift plans, 5 bytes per
+electron per mask of every sector the lift goes through: 480 MiB at 24
+rails with 12 electrons and 2.0 GiB at 26 rails with 13 electrons, both
+admitted.
+
 Readout is one counting sampler, ``sample_counts``: from the cumulative
 outcome probabilities and a block of uniforms it adds to a count array, by
 inverse-CDF sampling, how many uniforms fall on each basis position,
@@ -48,33 +64,47 @@ every other function is pure.
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import lru_cache
 
 import numpy as np
 
-MAX_RAILS = 24
+# a mask is an int64 whose bit 63 is the sign, so rails q0 to q62
+MAX_RAILS = 63
+# the one capacity rule: no sector and no monte-carlo form beyond this many
+# complex amplitudes (256 MiB)
+MAX_AMPLITUDES = 1 << 24
 
 
 class CapacityError(ValueError):
-    """Raised when a register exceeds the dense-simulation capacity."""
+    """Raised when a run needs more than ``MAX_AMPLITUDES`` amplitudes, and
+    by the dense test oracle above ``gates.MAX_DENSE_RAILS`` rails."""
+
+
+def check_capacity(amplitudes: int, needs: str, advice: str = "") -> None:
+    """``CapacityError`` if ``amplitudes`` exceed ``MAX_AMPLITUDES``.
+
+    The message is ``needs`` (what asks for that many), the cap, then
+    ``advice``.
+    """
+    if amplitudes > MAX_AMPLITUDES:
+        raise CapacityError(f"{needs}, above the cap of 2^24 amplitudes "
+                            f"(256 MiB){advice}")
 
 
 def _check_n_rails(n_rails: int) -> None:
-    if n_rails < 1:
-        raise ValueError(f"n_rails must be >= 1, got {n_rails}")
-    if n_rails > MAX_RAILS:
-        raise CapacityError(
-            f"n_rails = {n_rails} exceeds the dense state-vector capacity "
-            f"of {MAX_RAILS} rails"
-        )
+    if not 1 <= n_rails <= MAX_RAILS:
+        raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
 
 
 def require_integer(value, what: str):
     """``value`` if an integer (numpy too, ``bool`` not), else ``ValueError``.
 
-    The one integer rule for rails: a netlist cannot spell ``q0.5`` or
-    ``qTrue``, so neither may a hand-built element, circuit or register.
+    The one integer rule for rails, shot counts and seeds: a netlist cannot
+    spell ``q0.5`` or ``qTrue``, so neither may a hand-built element,
+    circuit or register, and a shot count or a seed of ``2.5`` or ``True``
+    is refused rather than truncated or read as 1.
     """
     if type(value) is int or (isinstance(value, numbers.Integral)
                               and not isinstance(value, bool)):
@@ -104,11 +134,17 @@ def sector_basis(n_rails: int, n_electrons: int) -> np.ndarray:
 
     The sector is built rail by rail from the recurrence S(m, j) = S(m-1, j)
     followed by S(m-1, j-1) | 1 << (m-1), which stays ascending; no array of
-    all 2^n masks is formed.
+    all 2^n masks is formed.  A sector of more than ``MAX_AMPLITUDES``
+    masks raises ``CapacityError`` before anything is allocated.
     """
+    _check_n_rails(n_rails)
     if not 0 <= n_electrons <= n_rails:
         raise ValueError(f"n_electrons must lie in [0, {n_rails}], "
                          f"got {n_electrons}")
+    size = math.comb(n_rails, n_electrons)
+    check_capacity(size, f"the {n_electrons}-electron sector of {n_rails} "
+                         f"rails has C({n_rails}, {n_electrons}) = {size} "
+                         f"amplitudes")
     empty = np.zeros(0, dtype=np.int64)
     # rows[j] = S(m, j); counts too low to reach n_electrons on the rails
     # still to come are dropped to empty arrays
@@ -193,13 +229,16 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int, n_electrons: int):
     pair, the positions of their partners with only ``hi`` occupied, masks
     with both occupied, and the (-1)^k hopping signs from occupied rails
     strictly between the pair.  Like the other index helpers it raises
-    ``ValueError`` for a rail outside ``[0, n_rails)`` or not an integer;
-    only valid rails are cached, and the caches are typed so that ``True``
-    never finds the entry of rail 1, so the batch kernels need no rail check
-    of their own.
+    ``ValueError`` for a rail outside ``[0, n_rails)`` or not an integer,
+    and for one rail twice; only valid rails are cached, and the caches are
+    typed so that ``True`` never finds the entry of rail 1, so the batch
+    kernels need no rail check of their own.
     """
     check_rail(n_rails, lo)
     check_rail(n_rails, hi)
+    if lo == hi:
+        raise ValueError(f"a mode unitary needs two distinct rails, "
+                         f"got rail {lo} twice")
     basis = sector_basis(n_rails, n_electrons)
     lo_set = (basis >> lo) & 1
     hi_set = (basis >> hi) & 1

@@ -40,7 +40,10 @@ of the draws, the histogram does not depend on how shots are chunked.
 Every element and every segment phase conserves electron number, so
 ``run_shots`` samples only the sector of the k electrons its pumps load,
 over ``fock.sector_basis(n, k)``, the k-electron masks in ascending order.
-Sampled positions map back to masks through that basis.
+Sampled positions map back to masks through that basis.  The basis is
+built before any sector-sized array, so a sector above the one capacity
+rule of ``fock`` (2^24 amplitudes) is refused with ``fock.CapacityError``
+in every mode, whatever the rail count.
 
 ``outcome_probabilities`` reaches the sector by one of two paths, chosen
 by one condition: the circuit and the mode, nothing else.
@@ -75,13 +78,14 @@ eigenpairs of the dephased ``s x s`` block of ``rho``, so it keeps at most
 ``s`` columns.  A support above ``_DENSE_SUPPORT`` rows switches to the dense
 ``(C(n, k), C(n, k))`` rho for the rest of the run, where an element is
 applied to the rows and then, after a conjugate transpose, to the rows
-again.  The run may hold no more than 2^24 amplitudes' worth of arrays at
-once (256 MiB), or it is refused with ``fock.CapacityError``.  The factored
-form counts, at each rebuild, the new ``B`` with two more ``B``'s worth of
-element temporaries, the previous ``B`` and six complex ``s x s`` arrays
-for the eigen-decomposition; the dense form counts rho, its
-conjugate-transposed copy and the two float arrays of its damping factors,
-three rho's worth.
+again.  Under the same rule (``fock.check_capacity``) the run may hold no
+more than 2^24 amplitudes' worth of arrays at once (256 MiB), or it is
+refused with ``fock.CapacityError`` and the advice to use factor mode,
+which needs only the sector.  The factored form counts, at each rebuild,
+the new ``B`` with two more ``B``'s worth of element temporaries, the
+previous ``B`` and six complex ``s x s`` arrays for the
+eigen-decomposition; the dense form counts rho, its conjugate-transposed
+copy and the two float arrays of its damping factors, three rho's worth.
 """
 
 from __future__ import annotations
@@ -119,10 +123,9 @@ _MODE_ALIASES = {
 _SHOT_CHUNK = 8192
 # the factored monte-carlo average switches to a dense rho above this support
 _DENSE_SUPPORT = 256
-# the monte-carlo average may hold no more than this many amplitudes' worth
-# of arrays at once (256 MiB)
-_MAX_AMPLITUDES = 1 << 24
-# the dense form holds rho, its conjugate-transposed copy and two float
+# the monte-carlo average may hold no more than fock.MAX_AMPLITUDES
+# amplitudes' worth of arrays at once, checked with fock.check_capacity.
+# The dense form holds rho, its conjugate-transposed copy and two float
 # arrays of the same shape, the damping D and its exp temporary: three
 # complex (dim, dim) arrays' worth
 _DENSE_COPIES = 3
@@ -134,6 +137,7 @@ _DENSE_COPIES = 3
 # arrays' worth measured)
 _FACTORED_COPIES = 3
 _BLOCK_COPIES = 6
+_MC_ADVICE = "; use factor mode (--dephasing factor) for this circuit"
 
 
 class ConfigError(ValueError):
@@ -343,18 +347,6 @@ def check_coincidence(table: ArrivalTable,
     return [table[index] for index in late.tolist()]
 
 
-def _capacity_check(rows: int, cols: int, held: int, what: str) -> None:
-    """Refuse a form built on a complex ``rows x cols`` array that holds
-    ``held`` amplitudes' worth of arrays at once above ``_MAX_AMPLITUDES``;
-    ``what`` says what it holds."""
-    if held > _MAX_AMPLITUDES:
-        raise fock.CapacityError(
-            f"the exact monte-carlo average needs a {rows} x {cols} array, "
-            f"above the cap of 2^24 amplitudes (256 MiB); "
-            f"use factor mode (--dephasing factor) for this circuit; "
-            f"this form holds {what} at once")
-
-
 def _coherence(masks: np.ndarray, rails: np.ndarray,
                rates: np.ndarray) -> np.ndarray:
     """Phase-damping factors ``D[a, b]`` of one wire position over ``masks``.
@@ -396,8 +388,11 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
         return state, dense
     s = support.size
     if not dense and s > _DENSE_SUPPORT:
-        _capacity_check(dim, dim, _DENSE_COPIES * dim * dim,
-                        f"{_DENSE_COPIES} arrays of that size")
+        fock.check_capacity(
+            _DENSE_COPIES * dim * dim,
+            f"the exact monte-carlo average needs a {dim} x {dim} array",
+            f"{_MC_ADVICE}; this form holds {_DENSE_COPIES} arrays of that "
+            f"size at once")
         factor = state.reshape(dim, -1)
         state, dense = factor @ factor.conj().T, True
     rails = np.fromiter(by_rail, dtype=np.int64)
@@ -413,9 +408,11 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     rank = int(np.count_nonzero(keep))
     held = (dim * (_FACTORED_COPIES * rank + factor.shape[1])
             + _BLOCK_COPIES * s * s)
-    _capacity_check(dim, rank, held,
-                    f"{held} amplitudes' worth (B, its element temporaries, "
-                    f"the previous B and the eigen-decomposition's work)")
+    fock.check_capacity(
+        held, f"the exact monte-carlo average needs a {dim} x {rank} array",
+        f"{_MC_ADVICE}; this form holds {held} amplitudes' worth (B, its "
+        f"element temporaries, the previous B and the eigen-decomposition's "
+        f"work) at once")
     state = np.zeros((dim, rank), dtype=np.complex128)
     state[support] = vectors[:, keep] * np.sqrt(values[keep])
     return state, dense
@@ -500,11 +497,12 @@ def run_shots(circuit, n_shots: int,
     the stream contract).  ``deterministic-factor`` mode samples
     exactly as ``off``; its analytic factor is ``budget.analyze``'s
     ``coherence_factor``.  The histogram is the whole result: shots are
-    i.i.d. given the seed, so no per-shot record is kept.
+    i.i.d. given the seed, so no per-shot record is kept.  ``n_shots`` and
+    ``master_seed`` must be integers (numpy too, ``bool`` not).
     """
-    if n_shots < 1:
+    if fock.require_integer(n_shots, "n_shots") < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if master_seed < 0:
+    if fock.require_integer(master_seed, "master_seed") < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     dephasing = dephasing or DephasingModel()
     propagation = propagation or PropagationModel()

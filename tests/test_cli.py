@@ -2,6 +2,7 @@ import dataclasses
 import io
 import re
 
+import numpy as np
 import pytest
 
 from flyqsim import budget, timing
@@ -280,6 +281,56 @@ def test_run_config_validation():
     assert config.propagation == timing.PropagationModel(0.2, 3.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.l_phi = 5.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shots", 2.5), ("shots", 10.0), ("shots", True),
+    ("seed", 1.5), ("seed", 2.0), ("seed", True),
+])
+def test_run_config_refuses_shots_and_seeds_that_are_not_integers(field, value):
+    # refused when the config is built, so cli.run never meets them
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        RunConfig(input_path="x", **{field: value})
+
+
+def test_run_config_accepts_numpy_integers(tmp_path):
+    code, numpy_ints = run_cli(FREDKIN_SWAP_INPUT, tmp_path, shots=np.int64(50),
+                               seed=np.int32(3), output_format="machine")
+    assert code == EXIT_OK
+    assert numpy_ints == run_cli(FREDKIN_SWAP_INPUT, tmp_path, shots=50, seed=3,
+                                 output_format="machine")[1]
+
+
+def pumped_netlist(n_rails, pumped, body=()):
+    lines = [f"rails {n_rails}"]
+    lines += [f"sep q{r} delay=0ps" + ("" if r in pumped else " empty")
+              for r in range(n_rails)]
+    lines += list(body)
+    lines += [f"set q{r}" for r in range(n_rails)]
+    return "\n".join(lines) + "\n"
+
+
+def test_wide_sector_past_the_cap_exits_2(tmp_path):
+    # 12 electrons on 40 rails: C(40, 12) masks, refused before any is built
+    text = pumped_netlist(40, set(range(0, 24, 2)),
+                          [f"bs q{r} q{r + 1} lc=0.14um lt=0.28um"
+                           for r in range(0, 39, 2)])
+    for mode in ("off", "factor", "mc"):
+        code, output = run_cli(text, tmp_path, shots=10, dephasing_mode=mode)
+        assert code == EXIT_PARSE
+        assert output == ("error: the 12-electron sector of 40 rails has "
+                          "C(40, 12) = 5586853480 amplitudes, above the cap "
+                          "of 2^24 amplitudes (256 MiB)\n")
+
+
+def test_few_electrons_on_the_widest_register_run(tmp_path):
+    # pumps on the first and last rail of 63, joined by a Coulomb coupler:
+    # the mask of q62 sets bit 62, the highest bit an int64 mask can hold
+    text = pumped_netlist(63, {0, 62}, ["ps q62 phi=0.3rad",
+                                        "cc q0 q62 chit=0.5rad"])
+    code, output = run_cli(text, tmp_path, shots=100, output_format="machine")
+    assert code == EXIT_OK
+    assert counts_from_machine(output) == {"1" + "0" * 61 + "1": 100}
 
 
 @pytest.mark.parametrize("mode", ["off", "factor", "mc"])

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from flyqsim import fock
 from flyqsim.fock import (
     CapacityError,
     mode_unitary_batch,
@@ -55,8 +59,59 @@ def test_vacuum_zero_rails_rejected():
 
 
 def test_capacity_cap():
+    # the one capacity rule bounds the sector, C(n, k), not the rail count
+    with pytest.raises(CapacityError, match=r"the 13-electron sector of 27 "
+                                            r"rails has C\(27, 13\) = 20058300 "
+                                            r"amplitudes, above the cap of 2\^24"):
+        sector_basis(27, 13)
+    assert sector_basis(63, 1).size == 63
+
+
+def test_capacity_cap_admits_a_sector_of_exactly_the_cap(monkeypatch):
+    sector_basis.cache_clear()
+    monkeypatch.setattr(fock, "MAX_AMPLITUDES", math.comb(12, 6))
+    assert sector_basis(12, 6).size == math.comb(12, 6)
+    with pytest.raises(CapacityError, match=r"C\(13, 6\) = 1716 amplitudes"):
+        sector_basis(13, 6)
+
+
+def test_refused_sector_allocates_nothing_and_is_not_cached():
+    # C(40, 12) = 5586853480 masks would be 41 GiB of int64
+    before = sector_basis.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"C\(40, 12\) = 5586853480"):
+            sector_basis(40, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sector_basis.cache_info().currsize == before
     with pytest.raises(CapacityError):
-        occupation_mask(25, set())
+        sector_basis(40, 12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: occupation_mask(n, set()),
+    lambda n: sector_basis(n, 2),
+], ids=["occupation_mask", "sector_basis"])
+def test_rail_limit_is_the_int64_mask_width(call):
+    # bit 63 of an int64 mask is its sign: 63 rails run, 64 are refused by
+    # the rail check, not by an overflow in numpy
+    call(63)
+    for n_rails in (0, 64):
+        with pytest.raises(ValueError, match=rf"rail count {n_rails} outside "
+                                             r"\[1, 63\]") as err:
+            call(n_rails)
+        assert not isinstance(err.value, CapacityError)
+
+
+def test_widest_masks_set_bit_62():
+    assert occupation_mask(63, {0, 62}) == (1 << 62) | 1
+    basis = sector_basis(63, 2)
+    assert basis.size == math.comb(63, 2)
+    assert basis[-1] == (1 << 62) | (1 << 61)
+    assert np.all(np.diff(basis) > 0)
 
 
 # --- pump-loaded inputs ---------------------------------------------------
@@ -107,6 +162,21 @@ def test_mode_unitary_identity():
     start = vector.copy()
     mode_unitary_batch(vector, 2, (0, 1), np.eye(2), k)
     assert np.allclose(vector, start)
+
+
+@pytest.mark.parametrize("columns", [None, 3], ids=["vector", "batch"])
+def test_mode_unitary_refuses_one_rail_twice(columns):
+    # one rail twice has no hopping amplitude: the update would only scale
+    # the occupied components by det(u), here [0.6, 0.8] -> [0.6, -0.8]
+    batch = np.array([0.6, 0.8])
+    if columns:
+        batch = np.repeat(batch[:, np.newaxis], columns, axis=1)
+    start = batch.copy()
+    cached = fock._mode_block_indices.cache_info().currsize
+    with pytest.raises(ValueError, match="two distinct rails, got rail 1 twice"):
+        mode_unitary_batch(batch, 2, (1, 1), np.diag([1.0, -1.0]), 1)
+    assert np.array_equal(batch, start)
+    assert fock._mode_block_indices.cache_info().currsize == cached
 
 
 def test_mode_unitary_adjacent_full_transfer():

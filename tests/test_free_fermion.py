@@ -126,8 +126,14 @@ def test_lift_plans_are_narrow_and_name_the_minors():
     (22, (0, 3, 9, 10, 21)),
     (24, (2, 5, 13)),
     (24, tuple(r for r in range(24) if r not in (1, 8, 17))),
+    (30, (0, 7, 18, 29)),
+    (40, (3, 20, 39)),
+    (63, (0, 31, 62)),
+    (63, tuple(r for r in range(63) if r not in (0, 40, 62))),
 ], ids=["20 rails, 7 electrons", "22 rails, 5 electrons",
-        "24 rails, 3 electrons", "24 rails, 21 electrons"])
+        "24 rails, 3 electrons", "24 rails, 21 electrons",
+        "30 rails, 4 electrons", "40 rails, 3 electrons",
+        "63 rails, 3 electrons", "63 rails, 60 electrons"])
 def test_wide_free_probabilities_match_determinant_oracle(n_rails, occupied):
     rng = np.random.default_rng(n_rails)
     elements = random_free_elements(rng, n_rails, 200)
@@ -200,6 +206,19 @@ def test_idle_coulomb_twin_samples_the_same_counts():
         kernels = run_shots(with_idle_coulomb(circuit), 5000, dephasing=dephasing,
                             master_seed=6)
         assert free.counts == kernels.counts
+
+
+def test_idle_coulomb_twin_matches_on_the_widest_register():
+    # 3 electrons on 63 rails (39711 masks), with a reversed coupler from the
+    # last rail to the first: its hopping crosses every rail between them
+    rng = np.random.default_rng(63)
+    elements = random_free_elements(rng, 63, 150)
+    elements.append(WaveguideCoupler((62, 0), 0.2, 0.28))
+    circuit = loaded_circuit(63, elements, {0, 30, 62})
+    sector, free = timing.outcome_probabilities(circuit)
+    same, kernels = timing.outcome_probabilities(with_idle_coulomb(circuit))
+    assert sector is same and sector.size == math.comb(63, 3)
+    assert np.max(np.abs(free - kernels)) <= 1e-12
 
 
 def _cold_peak(circuit):

@@ -4,6 +4,9 @@ that the exact noise average of 0.3.0 moved recorded again from 0.3.0.
 
 ``golden/parse_diagnostics.json`` holds a corpus of malformed netlists with
 the ``(line, column, message, severity)`` list the parser wrote for each.
+When the rail limit moved from 24 to 63 rails (the int64 mask width),
+``rails 25`` and ``rails 0025`` became valid and were recorded again, and
+``rails 64`` and ``rails 0064`` were added to reach the capacity message.
 ``MACHINE_SHA256`` holds the sha256 of ``cli.run``'s machine output for three
 small netlists in every dephasing mode at two seeds.
 """
@@ -30,7 +33,7 @@ PARSER_MESSAGES = [
     r"duplicate rails declaration",
     r"rail count must be a positive integer, got '.*'",
     r"rail count must be >= 1",
-    r"rail count \d+ exceeds the capacity of 24",
+    r"rail count \d+ exceeds the capacity of 63",
     r"invalid rail identifier '.*' \(rails are named q0\.\.q\d+\)",
     r"rail q.* out of range \(rails \d+\)",
     r"expected (delay=<value>ps|phi=<value>rad|lc=<value>um|lt=<value>um), got '.*'",

@@ -112,7 +112,8 @@ def test_parse_duplicate_detector_warns():
 
 def test_parse_rails_validation():
     assert not parse("rails 0\n").ok
-    assert not parse("rails 25\n").ok
+    assert not parse("rails 64\n").ok
+    assert parse("rails 63\n").ok
     assert not parse("rails 2\nrails 3\n").ok
     assert not parse("rails two\n").ok
 
@@ -205,6 +206,22 @@ def test_roundtrip_preserves_element_order_and_values():
     assert again == circuit
     assert [type(e) for e in again.elements] == [type(e) for e in circuit.elements]
     assert again.elements[0].phi == circuit.elements[0].phi  # exact, not approx
+
+
+def test_roundtrip_at_the_rail_limit():
+    # 63 rails, the most an int64 mask holds, with every statement on q62
+    circuit = Circuit(
+        n_rails=63,
+        elements=[WaveguideCoupler((62, 0), 0.14, 0.28),
+                  CoulombCoupler((0, 62), 0.5), CompositeGate("hadamard", (61, 62))],
+        segments=[Segment(62, 1.5, 1)],
+        sources=[SepSource(0, 0.0), SepSource(62, 2.0),
+                 SepSource(61, 0.0, emits=False)],
+        detectors=[62, 0],
+        registers=[("last", (61, 62))],
+    )
+    assert "rails 63\n" in serialize(circuit)
+    assert parse_circuit(serialize(circuit)) == circuit
 
 
 def test_serialize_segment_interleaving():
@@ -306,8 +323,8 @@ def test_circuit_rejects_registers_the_parser_rejects(registers, match):
 
 
 @pytest.mark.parametrize("build,match", [
-    (lambda: Circuit(0), r"rail count 0 outside \[1, 24\]"),
-    (lambda: Circuit(25), r"rail count 25 outside \[1, 24\]"),
+    (lambda: Circuit(0), r"rail count 0 outside \[1, 63\]"),
+    (lambda: Circuit(64), r"rail count 64 outside \[1, 63\]"),
     (lambda: Circuit(True), r"rail count must be an integer, got True"),
     (lambda: Circuit(2.5, [PhaseShifter(0, 0.1)]),
      r"rail count must be an integer, got 2.5"),

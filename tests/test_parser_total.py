@@ -47,7 +47,7 @@ def test_numeric_edge_cases_are_diagnostics(text, expected):
 def test_digit_strings_past_the_int_limit():
     nines = "9" * 5000
     assert diagnostics_of(f"rails {nines}\n") == [
-        (1, 7, f"rail count {nines} exceeds the capacity of 24"),
+        (1, 7, f"rail count {nines} exceeds the capacity of 63"),
         (1, 1, "no rails declared")]
     assert diagnostics_of(f"rails 2\nset q{nines}\n") == [
         (2, 5, f"rail q{nines} out of range (rails 2)")]

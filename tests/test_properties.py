@@ -54,8 +54,8 @@ def sometimes_bad(good, bad):
 @given(st.data())
 def test_hand_built_circuit_is_rejected_or_round_trips(data):
     # past the capacity on either side, or a count a netlist cannot spell
-    n_rails = data.draw(sometimes_bad(st.integers(1, 24),
-                                      st.sampled_from([0, 25, 2.0, True])))
+    n_rails = data.draw(sometimes_bad(st.integers(1, 63),
+                                      st.sampled_from([0, 64, 2.0, True])))
     # small rail counts repeat rails often: in sources, detectors and registers
     top = max(1, int(n_rails))
     not_an_index = st.sampled_from([0.0, 0.5, 1.0, True, False])

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flyqsim import cli, timing
+from flyqsim import cli, fock, timing
 from flyqsim.budget import analyze
 from flyqsim.fock import CapacityError
 from flyqsim.gates import (
@@ -473,7 +473,7 @@ def test_dense_mc_memory_is_bounded_per_run(monkeypatch):
     admitted = []
     for copies in (1, 2, 3):
         budget = copies * 252 * 252
-        monkeypatch.setattr(timing, "_MAX_AMPLITUDES", budget)
+        monkeypatch.setattr(fock, "MAX_AMPLITUDES", budget)
         tracemalloc.start()
         try:
             timing.outcome_probabilities(circuit, MC)
@@ -494,18 +494,20 @@ def test_factored_mc_memory_is_bounded_per_run(monkeypatch):
     # temporaries included
     circuit = factored_and_dense_circuit()
     held = []
-    check = timing._capacity_check
+    check = fock.check_capacity
 
-    def recording(rows, cols, amount, what):
+    def recording(amount, needs, advice=""):
         held.append(amount)
-        check(rows, cols, amount, what)
+        check(amount, needs, advice)
 
-    monkeypatch.setattr(timing, "_capacity_check", recording)
+    # the sector is built before recording, so only the mc forms are counted
     expected = timing.outcome_probabilities(circuit, MC)[1]
+    monkeypatch.setattr(fock, "check_capacity", recording)
+    assert np.array_equal(timing.outcome_probabilities(circuit, MC)[1], expected)
     assert len(held) == 3  # one check per rebuild, no dense switch
     need = max(held)
     for budget in (need - 1, need):
-        monkeypatch.setattr(timing, "_MAX_AMPLITUDES", budget)
+        monkeypatch.setattr(fock, "MAX_AMPLITUDES", budget)
         tracemalloc.start()
         try:
             probabilities = timing.outcome_probabilities(circuit, MC)[1]
@@ -600,3 +602,22 @@ def test_run_shots_argument_validation():
         run_shots(circuit, 0)
     with pytest.raises(ValueError):
         run_shots(circuit, 10, master_seed=-1)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("n_shots", 2.5), ("n_shots", 10.0), ("n_shots", True),
+    ("master_seed", 1.5), ("master_seed", 3.0), ("master_seed", True),
+])
+def test_run_shots_refuses_counts_and_seeds_that_are_not_integers(argument, value):
+    arguments = {"n_shots": 10, "master_seed": 0, argument: value}
+    with pytest.raises(ValueError, match=f"{argument} must be an integer, "
+                                         f"got {value!r}"):
+        run_shots(mach_zehnder(), **arguments)
+
+
+def test_run_shots_accepts_numpy_integers():
+    circuit = mach_zehnder(arm_um=6.0, internal_phase=0.7)
+    numpy_ints = run_shots(circuit, np.int64(300), master_seed=np.uint32(5))
+    plain = run_shots(circuit, 300, master_seed=5)
+    assert numpy_ints.counts == plain.counts
+    assert numpy_ints.n_shots == 300
