@@ -34,16 +34,24 @@ class BudgetReport:
 
 
 def rail_path_lengths(circuit) -> list[float]:
-    """Total traversed length per rail: segments plus element footprints."""
-    if circuit.has_composites():
-        raise ValueError("expand composite gates before the coherence budget")
+    """Total traversed length per rail: segments plus element footprints.
+
+    One pass over the wire and then the elements.  A macro has no
+    footprint, so the macro check runs only when an element lacks one.
+    """
     lengths = [0.0] * circuit.n_rails
     for seg in circuit.segments:
         lengths[seg.rail] += seg.length
-    for element in circuit.elements:
-        footprint = element.footprint
-        for rail in element.rails:
-            lengths[rail] += footprint
+    try:
+        for element in circuit.elements:
+            footprint = element.footprint
+            for rail in element.rails:
+                lengths[rail] += footprint
+    except AttributeError:
+        if circuit.has_composites():
+            raise ValueError("expand composite gates before the coherence "
+                             "budget") from None
+        raise
     return lengths
 
 
@@ -55,6 +63,10 @@ def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,
     if not assumed_gate_length > 0:
         raise ValueError(f"assumed_gate_length must be > 0, "
                          f"got {assumed_gate_length}")
+    ratio = l_phi / assumed_gate_length
+    if not math.isfinite(ratio):  # floor would overflow on it
+        raise ValueError(f"l_phi / assumed_gate_length must be finite, "
+                         f"got {l_phi!r} / {assumed_gate_length!r}")
     lengths = rail_path_lengths(circuit)
     max_length = max(lengths) if lengths else 0.0
     return BudgetReport(
@@ -62,6 +74,6 @@ def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,
         max_length=max_length,
         l_phi=l_phi,
         coherence_factor=math.exp(-max_length / l_phi),
-        feasible_gate_count=int(math.floor(l_phi / assumed_gate_length)),
+        feasible_gate_count=math.floor(ratio),
         assumed_gate_length=assumed_gate_length,
     )

@@ -10,6 +10,7 @@ byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -49,10 +50,13 @@ class RunConfig:
                            timing_mod.PropagationModel(self.velocity, self.window))
         object.__setattr__(self, "dephasing",
                            timing_mod.DephasingModel(self.l_phi, self.dephasing_mode))
-        # the one value no model owns: budget.analyze would reject it only
+        # the values no model owns: budget.analyze would reject them only
         # after the simulation
         if not self.gate_length > 0:
             raise ValueError(f"gate_length must be > 0, got {self.gate_length}")
+        if not math.isfinite(self.l_phi / self.gate_length):
+            raise ValueError(f"l_phi / gate_length must be finite, got "
+                             f"{self.l_phi!r} / {self.gate_length!r}")
         if self.output_format not in ("human", "machine"):
             raise ValueError(f"unknown output format '{self.output_format}'")
 
@@ -149,7 +153,7 @@ def run(config: RunConfig, out=None) -> int:
         out.write(f"{config.input_path}:{diag}\n")
     if not parsed.ok:
         return EXIT_PARSE
-    circuit = netlist_mod.expand_composites(parsed.circuit)
+    circuit = parsed.expanded
 
     try:
         result = timing_mod.run_shots(

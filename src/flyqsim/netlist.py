@@ -25,16 +25,26 @@ Parsing is total: malformed input produces diagnostics with 1-based line and
 column positions, never an exception.  Each line is split into words with
 ``str.split``; a word's column is computed only when a diagnostic is written
 about it.  A number must be finite: a literal past the float range, such as
-``1e400``, is an error at its word, as is a malformed one.  ``Circuit`` is
-an immutable value, validated and bucketed by position once, when built;
-``serialize`` emits a canonical form that parses back to an equal circuit.
+``1e400``, is an error at its word, as is a malformed one.
+
+The front end is one pass with one validation walk.  While it reads, the
+parser also expands each macro into its cached primitives and places each
+segment at its expanded position, so ``ParseResult`` carries both the
+circuit as declared (``circuit``) and the one to simulate (``expanded``).
+``Circuit`` is an immutable value, validated and bucketed by position once,
+when built; the expanded circuit is derived from the validated one without
+a second walk, as ``expand_composites`` derives it for a hand-built
+circuit.  ``serialize`` emits a canonical form that parses back to an equal
+circuit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import dualrail as _dualrail
@@ -63,6 +73,22 @@ def _decimal(digits: str) -> int | None:
         return None
 
 
+def _literal(text: str) -> float | None:
+    """Value of ``text`` if it is a finite ``_NUMBER_RE`` literal, else None.
+
+    ``float`` reads a superset of ``_NUMBER_RE``: it also takes ``inf``,
+    ``nan`` and digit groups such as ``1_0``.  A word without ``_`` that
+    ``float`` reads as a finite value therefore matches the pattern, so this
+    one ``float`` call is the whole test; ``_LineParser._number`` writes the
+    diagnostic when it fails.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and "_" not in text else None
+
+
 class Segment(NamedTuple):
     """Wire of ``length`` um on ``rail``, placed before ``elements[position]``.
 
@@ -76,6 +102,13 @@ class Segment(NamedTuple):
     rail: int
     length: float
     position: int
+
+
+def _segments(rails, lengths, positions) -> list[Segment]:
+    """Segments of parallel field lists, built in C: calling ``Segment``
+    runs the named tuple's ``__new__``, a Python function, per segment."""
+    return list(map(tuple.__new__, repeat(Segment),
+                    zip(rails, lengths, positions)))
 
 
 @dataclass(frozen=True)
@@ -183,6 +216,24 @@ class Circuit:
     def has_composites(self) -> bool:
         return any(isinstance(e, CompositeGate) for e in self.elements)
 
+    def _expanded(self, elements, segments) -> Circuit:
+        """This circuit with its macros replaced, without a second
+        validation walk.
+
+        ``elements`` are this circuit's elements with each macro replaced by
+        its primitives, which a macro builds on its own, validated rails.
+        ``segments`` are this circuit's segments in netlist order, each moved
+        to the expanded position of the element it preceded; the positions
+        stay in order, so the wire is regrouped in one ``groupby``.
+        """
+        wire = [()] * (len(elements) + 1)
+        for position, group in groupby(segments, itemgetter(2)):
+            wire[position] = tuple(group)
+        derived = object.__new__(Circuit)
+        derived.__dict__.update(self.__dict__, elements=tuple(elements),
+                                segments=tuple(segments), wire=tuple(wire))
+        return derived
+
 
 class NetlistError(Exception):
     """Raised by the convenience APIs when a netlist does not parse."""
@@ -194,8 +245,13 @@ class NetlistError(Exception):
 
 @dataclass
 class ParseResult:
+    """``circuit`` as declared and ``expanded``, the same circuit with its
+    macros replaced by primitives (the circuit itself when it has none);
+    both None when an error was diagnosed."""
+
     circuit: Circuit | None
     diagnostics: list
+    expanded: Circuit | None = None
 
     @property
     def ok(self) -> bool:
@@ -206,11 +262,22 @@ class ParseResult:
 
 
 class _LineParser:
-    """Single-pass statement parser collecting diagnostics.
+    """Single-pass statement parser collecting diagnostics and expanding
+    macros as it reads.
 
-    Each line is split into words with ``str.split``; a handler receives the
-    word list and reports a problem by word index.  The column of a word is
-    computed only when a diagnostic is written, by ``_column``.
+    Each line is split into words with ``str.split`` and dispatched on its
+    keyword through ``_HANDLERS``, one table for every statement, the macro
+    keywords included.  A handler reads a rail from the ``q<i>`` table and a
+    number with one ``_literal`` call.  Only when that read fails does it
+    call ``_rail``, ``_number`` or ``_value_with_unit``, which accept the
+    other spellings (``q01``, ``PHI=``, ``1UM``) or write the diagnostic.  A
+    diagnostic points at a word by index; the word's column is computed
+    only then, by ``_column``.
+
+    Beside the declared ``elements`` the parser keeps their expansion: a
+    primitive joins both element lists, and a macro adds its cached
+    ``gates.macro_elements`` to ``expanded``.  Each segment records two
+    positions, before the next declared and the next expanded element.
     """
 
     def __init__(self, strict_hardware_phases: bool = False):
@@ -218,10 +285,16 @@ class _LineParser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.n_rails: int | None = None
         self.elements: list[GateElement] = []
-        self.segments: list[Segment] = []
+        self.expanded: list[GateElement] = []  # macros replaced by primitives
+        # the wire as parallel fields, made Segments in one pass at the end
+        self._wire_rails: list[int] = []
+        self._wire_lengths: list[float] = []
+        self._wire_positions: list[int] = []  # in elements
+        self._wire_expanded: list[int] = []   # in expanded
         self.sources: list[SepSource] = []
         self.detectors: list[int] = []
         self.registers: list[tuple[str, tuple[int, int]]] = []
+        self._macros: dict[tuple, tuple] = {}  # (name, rails) -> gate, primitives
         self._source_rails: set[int] = set()
         self._register_rails: dict[int, str] = {}
         self._rail_names: dict[str, int] = {}  # canonical "q<i>" -> i
@@ -245,19 +318,18 @@ class _LineParser:
         self.diagnostics.append(ParseDiagnostic(
             self._line_no, self._column(index), message, "warning"))
 
-    # --- word helpers --------------------------------------------------
+    # --- word helpers: the failure branch of a handler's read ----------
 
     def _rail(self, words, index) -> int | None:
+        """Rail of a word the ``q<i>`` table lacks: a non-canonical spelling
+        (``q01``, Unicode digits), else None and a diagnostic."""
         text = words[index]
-        rail = self._rail_names.get(text)
-        if rail is not None:
-            return rail
         digits = text[1:]
         if text[:1] != "q" or not digits.isdecimal():
             self.error(index, f"invalid rail identifier '{text}' "
                               f"(rails are named q0..q{(self.n_rails or 1) - 1})")
             return None
-        rail = _decimal(digits)  # non-canonical spelling: q01, Unicode digits
+        rail = _decimal(digits)
         if self.n_rails is None or rail is None or rail >= self.n_rails:
             self.error(index, f"rail {text} out of range "
                               f"(rails {self.n_rails or 0})")
@@ -265,20 +337,11 @@ class _LineParser:
         return rail
 
     def _number(self, text: str, index: int, what: str) -> float | None:
-        """Value of a finite ``_NUMBER_RE`` literal, else None and a diagnostic.
-
-        ``float`` reads a superset of ``_NUMBER_RE``: it also takes ``inf``,
-        ``nan`` and digit groups such as ``1_0``.  A word without ``_`` that
-        ``float`` reads as a finite value therefore matches the pattern, and
-        only the other words are checked against it.
-        """
-        try:
-            value = float(text)
-        except ValueError:
-            value = None
-        if value is not None and "_" not in text and math.isfinite(value):
+        """Value of a finite ``_NUMBER_RE`` literal, else None and a diagnostic."""
+        value = _literal(text)
+        if value is not None:
             return value
-        if value is None or not _NUMBER_RE.fullmatch(text):
+        if not _NUMBER_RE.fullmatch(text):
             self.error(index, f"invalid number '{text}' in {what}")
         else:  # a literal past the float range, such as 1e400
             self.error(index, f"{what} must be finite")
@@ -307,18 +370,15 @@ class _LineParser:
         self.error(count + 1 if len(words) - 1 > count else 0, f"usage: {usage}")
         return False
 
-    def _optional_len(self, words) -> tuple[float | None, bool]:
-        """Trailing ``len=<x>um`` attribute; returns (value, consumed)."""
-        if words[-1].lower().startswith("len="):
-            index = len(words) - 1
-            value = self._value_with_unit(words, index, "len", "um")
-            if value is None:
-                return None, True
-            if value < 0:
-                self.error(index, "len must be >= 0")
-                return None, True
-            return value, True
-        return None, False
+    def _len_attribute(self, words) -> float | None:
+        """Value of a trailing ``len=<x>um`` attribute, else None and a
+        diagnostic; a handler calls it when its last word is one."""
+        index = len(words) - 1
+        value = self._value_with_unit(words, index, "len", "um")
+        if value is not None and value < 0:
+            self.error(index, "len must be >= 0")
+            return None
+        return value
 
     # --- statement handlers --------------------------------------------
 
@@ -344,29 +404,44 @@ class _LineParser:
         self._rail_names = {f"q{rail}": rail for rail in range(count)}
 
     def _stmt_segment(self, words):
-        if not self._expect_count(words, 2, "segment <rail> <length>um"):
+        if len(words) != 3:
+            self._expect_count(words, 2, "segment <rail> <length>um")
             return
-        rail = self._rail(words, 1)
+        rail = self._rail_names.get(words[1])
+        if rail is None:
+            rail = self._rail(words, 1)
         text = words[2]
-        if len(text) < 2 or text[-2:].lower() != "um":
-            self.error(2, f"segment length requires a 'um' suffix, got '{text}'")
-            return
-        length = self._number(text[:-2], 2, "segment length")
-        if length is None:
-            return
-        if length < 0:
-            self.error(2, "segment length must be >= 0")
-            return
+        length = _literal(text[:-2]) if text[-2:] == "um" else None
+        if length is None or length < 0:
+            if len(text) < 2 or text[-2:].lower() != "um":
+                self.error(2, f"segment length requires a 'um' suffix, "
+                              f"got '{text}'")
+                return
+            length = self._number(text[:-2], 2, "segment length")
+            if length is None:
+                return
+            if length < 0:
+                self.error(2, "segment length must be >= 0")
+                return
         if rail is None:
             return
-        self.segments.append(Segment(rail, length, len(self.elements)))
+        self._wire_rails.append(rail)
+        self._wire_lengths.append(length)
+        self._wire_positions.append(len(self.elements))
+        self._wire_expanded.append(len(self.expanded))
 
     def _stmt_sep(self, words):
         if len(words) not in (3, 4):
             self.error(0, "usage: sep <rail> delay=<t>ps [empty]")
             return
-        rail = self._rail(words, 1)
-        delay = self._value_with_unit(words, 2, "delay", "ps")
+        rail = self._rail_names.get(words[1])
+        if rail is None:
+            rail = self._rail(words, 1)
+        text = words[2]
+        delay = (_literal(text[6:-2])
+                 if text[:6] == "delay=" and text[-2:] == "ps" else None)
+        if delay is None:
+            delay = self._value_with_unit(words, 2, "delay", "ps")
         emits = True
         if len(words) == 4:
             if words[3].lower() != "empty":
@@ -386,12 +461,21 @@ class _LineParser:
         self.sources.append(SepSource(rail, delay, emits))
 
     def _stmt_ps(self, words):
-        length, consumed = self._optional_len(words)
-        body = words[:-1] if consumed else words
-        if not self._expect_count(body, 2, "ps <rail> phi=<x>rad [len=<x>um]"):
+        length = None
+        if words[-1].lower().startswith("len="):
+            length = self._len_attribute(words)
+            words = words[:-1]
+        if len(words) != 3:
+            self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
             return
-        rail = self._rail(body, 1)
-        phi = self._value_with_unit(body, 2, "phi", "rad")
+        rail = self._rail_names.get(words[1])
+        if rail is None:
+            rail = self._rail(words, 1)
+        text = words[2]
+        phi = (_literal(text[4:-3])
+               if text[:4] == "phi=" and text[-3:] == "rad" else None)
+        if phi is None:
+            phi = self._value_with_unit(words, 2, "phi", "rad")
         if rail is None or phi is None:
             return
         element = PhaseShifter(rail, phi, length)
@@ -399,10 +483,15 @@ class _LineParser:
             self.error(2, f"phi {phi:g} outside the hardware range (0, pi)")
             return
         self.elements.append(element)
+        self.expanded.append(element)
 
     def _coupler_rails(self, words) -> tuple[int, int] | None:
-        rail_a = self._rail(words, 1)
-        rail_b = self._rail(words, 2)
+        rail_a = self._rail_names.get(words[1])
+        if rail_a is None:
+            rail_a = self._rail(words, 1)
+        rail_b = self._rail_names.get(words[2])
+        if rail_b is None:
+            rail_b = self._rail(words, 2)
         if rail_a is None or rail_b is None:
             return None
         if rail_a == rail_b:
@@ -411,14 +500,25 @@ class _LineParser:
         return rail_a, rail_b
 
     def _stmt_bs(self, words):
-        length, consumed = self._optional_len(words)
-        body = words[:-1] if consumed else words
-        if not self._expect_count(body, 4,
-                                  "bs <railA> <railB> lc=<x>um lt=<x>um [len=<x>um]"):
+        length = None
+        if words[-1].lower().startswith("len="):
+            length = self._len_attribute(words)
+            words = words[:-1]
+        if len(words) != 5:
+            self._expect_count(
+                words, 4, "bs <railA> <railB> lc=<x>um lt=<x>um [len=<x>um]")
             return
-        rails = self._coupler_rails(body)
-        lc = self._value_with_unit(body, 3, "lc", "um")
-        lt = self._value_with_unit(body, 4, "lt", "um")
+        rails = self._coupler_rails(words)
+        text = words[3]
+        lc = (_literal(text[3:-2])
+              if text[:3] == "lc=" and text[-2:] == "um" else None)
+        if lc is None:
+            lc = self._value_with_unit(words, 3, "lc", "um")
+        text = words[4]
+        lt = (_literal(text[3:-2])
+              if text[:3] == "lt=" and text[-2:] == "um" else None)
+        if lt is None:
+            lt = self._value_with_unit(words, 4, "lt", "um")
         if rails is None or lc is None or lt is None:
             return
         if lc < 0:
@@ -427,35 +527,57 @@ class _LineParser:
         if lt <= 0:
             self.error(4, "lt must be > 0")
             return
-        self.elements.append(WaveguideCoupler(rails, lc, lt, length))
+        element = WaveguideCoupler(rails, lc, lt, length)
+        self.elements.append(element)
+        self.expanded.append(element)
 
     def _stmt_cc(self, words):
-        length, consumed = self._optional_len(words)
-        body = words[:-1] if consumed else words
-        if not self._expect_count(body, 3,
-                                  "cc <railA> <railB> chit=<x>rad [len=<x>um]"):
+        length = None
+        if words[-1].lower().startswith("len="):
+            length = self._len_attribute(words)
+            words = words[:-1]
+        if len(words) != 4:
+            self._expect_count(words, 3,
+                               "cc <railA> <railB> chit=<x>rad [len=<x>um]")
             return
-        rails = self._coupler_rails(body)
-        chi_t = self._value_with_unit(body, 3, "chit", "rad")
+        rails = self._coupler_rails(words)
+        text = words[3]
+        chi_t = (_literal(text[5:-3])
+                 if text[:5] == "chit=" and text[-3:] == "rad" else None)
+        if chi_t is None:
+            chi_t = self._value_with_unit(words, 3, "chit", "rad")
         if rails is None or chi_t is None:
             return
-        self.elements.append(CoulombCoupler(rails, chi_t, length))
+        element = CoulombCoupler(rails, chi_t, length)
+        self.elements.append(element)
+        self.expanded.append(element)
 
-    def _stmt_macro(self, words, name: str):
-        params, _ = MACROS[name]
-        usage = " ".join([name] + [f"<{param}>" for param in params])
-        if not self._expect_count(words, len(params), usage):
+    def _stmt_macro(self, words):
+        name = words[0].lower()
+        params = MACROS[name][0]
+        if len(words) - 1 != len(params):
+            self._expect_count(words, len(params), " ".join(
+                [name] + [f"<{param}>" for param in params]))
             return
         rails = []
         for index in range(1, len(words)):
-            rail = self._rail(words, index)
+            rail = self._rail_names.get(words[index])
             if rail is None:
-                return
+                rail = self._rail(words, index)
+                if rail is None:
+                    return
             rails.append(rail)
         if len(set(rails)) != len(rails):
             self.error(1, "macro rails must be distinct")
             return
-        self.elements.append(CompositeGate(name, tuple(rails)))
+        key = (name, tuple(rails))
+        macro = self._macros.get(key)
+        if macro is None:
+            # one gate per macro and rails, shared by every line that
+            # repeats it, as macro_elements shares its primitives
+            macro = self._macros[key] = CompositeGate(*key), macro_elements(*key)
+        self.elements.append(macro[0])
+        self.expanded.extend(macro[1])
 
     def _stmt_dualrail(self, words):
         if not self._expect_count(words, 3, "dualrail <name> <rail0> <rail1>"):
@@ -464,8 +586,12 @@ class _LineParser:
         if not _NAME_RE.fullmatch(name):
             self.error(1, f"invalid register name '{name}'")
             return
-        rail0 = self._rail(words, 2)
-        rail1 = self._rail(words, 3)
+        rail0 = self._rail_names.get(words[2])
+        if rail0 is None:
+            rail0 = self._rail(words, 2)
+        rail1 = self._rail_names.get(words[3])
+        if rail1 is None:
+            rail1 = self._rail(words, 3)
         if rail0 is None or rail1 is None:
             return
         if rail0 == rail1:
@@ -486,9 +612,11 @@ class _LineParser:
     def _stmt_set(self, words):
         if not self._expect_count(words, 1, "set <rail>"):
             return
-        rail = self._rail(words, 1)
+        rail = self._rail_names.get(words[1])
         if rail is None:
-            return
+            rail = self._rail(words, 1)
+            if rail is None:
+                return
         if rail in self.detectors:
             self.warning(1, f"duplicate detector on rail q{rail}")
             return
@@ -505,13 +633,14 @@ class _LineParser:
         "cc": _stmt_cc,
         "dualrail": _stmt_dualrail,
         "set": _stmt_set,
+        **dict.fromkeys(MACROS, _stmt_macro),
     }
 
     def feed(self, text: str) -> None:
         handlers = self._HANDLERS
         line_no = 1
         for line_no, line in enumerate(text.splitlines(), start=1):
-            words = line.partition("#")[0].split()
+            words = (line.partition("#")[0] if "#" in line else line).split()
             if not words:
                 continue
             self._line_no = line_no
@@ -522,27 +651,31 @@ class _LineParser:
                               "'rails <n>')")
                 continue
             handler = handlers.get(keyword)
-            if handler is not None:
-                handler(self, words)
-            elif keyword in MACROS:
-                self._stmt_macro(words, keyword)
-            else:
+            if handler is None:
                 self.error(0, f"unknown statement '{words[0]}'")
+            else:
+                handler(self, words)
         if self.n_rails is None:
             self.diagnostics.append(ParseDiagnostic(line_no, 1, "no rails declared"))
 
     def result(self) -> ParseResult:
         if any(d.severity == "error" for d in self.diagnostics):
             return ParseResult(None, self.diagnostics)
+        rails, lengths = self._wire_rails, self._wire_lengths
+        # the one validation walk; the expansion is derived from its result
         circuit = Circuit(
             n_rails=self.n_rails,
             elements=self.elements,
-            segments=self.segments,
+            segments=_segments(rails, lengths, self._wire_positions),
             sources=self.sources,
             detectors=self.detectors,
             registers=self.registers,
         )
-        return ParseResult(circuit, self.diagnostics)
+        expanded = circuit
+        if self._macros:
+            expanded = circuit._expanded(self.expanded, _segments(
+                rails, lengths, self._wire_expanded))
+        return ParseResult(circuit, self.diagnostics, expanded)
 
 
 def parse(source_text: str, strict_hardware_phases: bool = False) -> ParseResult:
@@ -611,7 +744,9 @@ def expand_composites(circuit: Circuit) -> Circuit:
 
     Segment positions are remapped so wire declared before a macro stays
     before its first primitive element.  A circuit without macros is
-    returned as it is.
+    returned as it is.  The result is derived from ``circuit``, which its
+    constructor validated, without a second validation walk; ``parse``
+    builds the same circuit as it reads (``ParseResult.expanded``).
     """
     if not circuit.has_composites():
         return circuit
@@ -626,5 +761,4 @@ def expand_composites(circuit: Circuit) -> Circuit:
     offsets.append(len(new_elements))
     new_segments = [Segment(s.rail, s.length, offsets[s.position])
                     for s in circuit.segments]
-    return replace(circuit, elements=new_elements, segments=new_segments)
-
+    return circuit._expanded(new_elements, new_segments)

@@ -279,7 +279,10 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTabl
     deliberately not counted here (gates are timing points; their lengths
     enter the coherence budget instead).  Every rail that reaches a gate
     must have a declared source: otherwise ``ConfigError`` names the first
-    element, in order, on a rail without one.
+    element, in order, on a rail without one.  Every arrival must be
+    finite: wire over a velocity small enough to pass the float range
+    raises ``ConfigError`` naming the first element it reaches, since the
+    spread of two infinite arrivals is NaN and would pass any window.
 
     Column ``j + 1`` of an ``(n_rails, segments + 1)`` array holds segment
     ``j``'s length in its rail's row, in netlist order, and zeros
@@ -325,9 +328,19 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTabl
                             ("position", np.intp)))
     traveled = np.zeros((circuit.n_rails, n_segments + 1))
     traveled[seg_rails, np.arange(1, n_segments + 1)] = lengths
-    np.add.accumulate(traveled, axis=1, out=traveled)
     reached = positions.searchsorted(np.arange(n_elements), side="right")
-    times += traveled[rails, reached] / model.velocity
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        np.add.accumulate(traveled, axis=1, out=traveled)
+        times += traveled[rails, reached] / model.velocity
+    finite = np.isfinite(times)
+    if not finite.all():
+        index = int((~finite).any(axis=0).argmax())
+        element = elements[index]
+        names = ", ".join(f"q{rail}" for rail, ok in zip(
+            element.rails, finite[:, index].tolist()) if not ok)
+        raise ConfigError(f"element {index} ({element.keyword}) arrival time "
+                          f"on {names} is not finite (upstream wire over "
+                          f"velocity {model.velocity:g} um/ps)")
     return ArrivalTable(elements, times)
 
 

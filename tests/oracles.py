@@ -6,11 +6,16 @@ engine's block updates or with the library's own dense builder, so the three
 routes can be checked against each other.  The one exception is
 ``dense_rho_probabilities``, which takes its element matrices from the
 library's brute-force ``build_dense_unitary``, never from the engine.
+The front-end oracles at the end are the plain forms of macro expansion
+(every segment rebuilt, the result validated again) and of the path-length
+budget (a scalar loop); the expansion takes its primitives from the one
+macro table, ``gates.macro_elements``.
 
 Conventions match the package docs: bit i of a basis mask marks rail i
 occupied, and kets apply creation operators in increasing rail order.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -18,12 +23,15 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from flyqsim.gates import (
+    CompositeGate,
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
     build_dense_unitary,
     coupler_angle,
+    macro_elements,
 )
+from flyqsim.netlist import Segment
 from flyqsim.timing import ConfigError, ElementArrival, PropagationModel
 
 
@@ -243,3 +251,42 @@ def fidelity(a, b) -> float:
         raise ValueError(f"vector shape mismatch: {a.shape} vs {b.shape}")
     overlap = np.vdot(a, b)
     return float(min(abs(overlap) ** 2, 1.0))
+
+
+# --- front end -----------------------------------------------------------
+
+
+def expand_composites(circuit):
+    """Macro expansion by rebuilding every segment and validating the whole
+    result again through ``dataclasses.replace``: the expansion the parser
+    and ``netlist.expand_composites`` now derive without that second walk."""
+    if not circuit.has_composites():
+        return circuit
+    new_elements = []
+    offsets = []
+    for element in circuit.elements:
+        offsets.append(len(new_elements))
+        if isinstance(element, CompositeGate):
+            new_elements.extend(macro_elements(element.name, element.rails))
+        else:
+            new_elements.append(element)
+    offsets.append(len(new_elements))
+    new_segments = [Segment(s.rail, s.length, offsets[s.position])
+                    for s in circuit.segments]
+    return dataclasses.replace(circuit, elements=new_elements,
+                               segments=new_segments)
+
+
+def rail_path_lengths(circuit) -> list:
+    """Per-rail path length by a scalar loop: every segment's length, then
+    every element's footprint once per rail it passes through."""
+    if circuit.has_composites():
+        raise ValueError("expand composite gates before the coherence budget")
+    lengths = [0.0] * circuit.n_rails
+    for seg in circuit.segments:
+        lengths[seg.rail] += seg.length
+    for element in circuit.elements:
+        footprint = element.footprint
+        for rail in element.rails:
+            lengths[rail] += footprint
+    return lengths

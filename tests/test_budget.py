@@ -89,3 +89,11 @@ def test_budget_refuses_unexpanded_macros():
         rail_path_lengths(circuit)
     report = analyze(expand_composites(circuit))
     assert report.per_rail_length == pytest.approx((0.0, 0.28, 0.28))
+
+
+def test_budget_ratio_that_is_not_finite_is_refused():
+    for l_phi, gate_length in ((math.inf, 1.0), (1e308, 1e-10)):
+        with pytest.raises(ValueError, match="must be finite"):
+            analyze(wire_circuit(), l_phi=l_phi, assumed_gate_length=gate_length)
+    report = analyze(wire_circuit(), l_phi=1e308, assumed_gate_length=1.0)
+    assert report.feasible_gate_count == int(1e308)

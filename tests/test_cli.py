@@ -265,6 +265,39 @@ def test_main_rejects_bad_config(tmp_path, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [["--lphi", "inf"],
+                                   ["--lphi", "1e308", "--gate-length", "1e-10"]])
+def test_main_refuses_a_budget_ratio_that_is_not_finite(tmp_path, capsys,
+                                                        monkeypatch, flags):
+    # the budget's floor(l_phi / gate_length) would overflow after the
+    # simulation; the config refuses it before any
+    path = tmp_path / "c.fq"
+    path.write_text(FREDKIN_SWAP_INPUT)
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(timing, "run_shots", simulate)
+    assert main([str(path), *flags]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: l_phi / gate_length must be finite, "
+                        r"got \S+ / \S+\n", captured.err)
+
+
+def test_arrivals_past_the_float_range_are_a_config_error(tmp_path):
+    wired = DESYNCED.replace("segment q0 1um", "segment q0 1um\nsegment q1 2um")
+    code, text = run_cli(wired, tmp_path)
+    assert code == EXIT_DESYNC
+    # at this velocity both arrivals overflow to inf, whose spread is nan and
+    # would pass the window
+    code, text = run_cli(wired, tmp_path, velocity=1e-310,
+                         output_format="machine")
+    assert code == EXIT_PARSE
+    assert text == ("error: element 0 (cc) arrival time on q0, q1 is not "
+                    "finite (upstream wire over velocity 1e-310 um/ps)\n")
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(input_path="x", shots=0)

@@ -100,6 +100,25 @@ def test_arrival_missing_source():
         arrival_times(circuit, PropagationModel())
 
 
+def test_arrival_past_the_float_range_names_the_first_element():
+    # 1 um and 2 um of wire over 1e-310 um/ps overflow to inf on both rails
+    with pytest.raises(ConfigError, match=r"^element 0 \(cc\) arrival time "
+                       r"on q0, q1 is not finite"):
+        arrival_times(cc_pair_circuit(1.0, 2.0), PropagationModel(1e-310, 1.0))
+    # a rail without wire arrives at its delay; only the other one is named
+    circuit = dataclasses.replace(
+        cc_pair_circuit(1.0, 0.0), elements=[PhaseShifter(1, 0.5),
+                                              CoulombCoupler((0, 1), 0.5)])
+    with pytest.raises(ConfigError, match=r"^element 1 \(cc\) arrival time "
+                       r"on q0 is not finite"):
+        arrival_times(circuit, PropagationModel(1e-310, 1.0))
+    # large but finite arrivals are still computed
+    model = PropagationModel(1e-300, 1.0)
+    table = arrival_times(cc_pair_circuit(1.0, 2.0), model)
+    assert [a.times for a in table] == [
+        row.times for row in oracles.arrival_rows(cc_pair_circuit(1.0, 2.0), model)]
+
+
 # --- coincidence checking -------------------------------------------------
 
 
