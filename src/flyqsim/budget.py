@@ -34,24 +34,16 @@ class BudgetReport:
 
 
 def rail_path_lengths(circuit) -> list[float]:
-    """Total traversed length per rail: segments plus element footprints.
-
-    One pass over the wire and then the elements.  A macro has no
-    footprint, so the macro check runs only when an element lacks one.
-    """
+    """Total traversed length per rail: segments plus element footprints."""
+    if circuit.has_composites():
+        raise ValueError("expand composite gates before the coherence budget")
     lengths = [0.0] * circuit.n_rails
     for seg in circuit.segments:
         lengths[seg.rail] += seg.length
-    try:
-        for element in circuit.elements:
-            footprint = element.footprint
-            for rail in element.rails:
-                lengths[rail] += footprint
-    except AttributeError:
-        if circuit.has_composites():
-            raise ValueError("expand composite gates before the coherence "
-                             "budget") from None
-        raise
+    for element in circuit.elements:
+        footprint = element.footprint
+        for rail in element.rails:
+            lengths[rail] += footprint
     return lengths
 
 

@@ -27,15 +27,14 @@ column positions, never an exception.  Each line is split into words with
 about it.  A number must be finite: a literal past the float range, such as
 ``1e400``, is an error at its word, as is a malformed one.
 
-The front end is one pass with one validation walk.  While it reads, the
-parser also expands each macro into its cached primitives and places each
-segment at its expanded position, so ``ParseResult`` carries both the
-circuit as declared (``circuit``) and the one to simulate (``expanded``).
-``Circuit`` is an immutable value, validated and bucketed by position once,
-when built; the expanded circuit is derived from the validated one without
-a second walk, as ``expand_composites`` derives it for a hand-built
-circuit.  ``serialize`` emits a canonical form that parses back to an equal
-circuit.
+The front end is one pass over the text with one validation walk.  The
+parser dispatches every statement, macros included, through one keyword
+table and builds the circuit as declared (``ParseResult.circuit``), which
+``Circuit``'s constructor validates and buckets by position once.
+``expand_composites`` then derives the circuit to simulate
+(``ParseResult.expanded``) from the validated one without a second walk,
+for a parsed circuit and a hand-built one alike.  ``serialize`` emits a
+canonical form that parses back to an equal circuit.
 """
 
 from __future__ import annotations
@@ -104,11 +103,11 @@ class Segment(NamedTuple):
     position: int
 
 
-def _segments(rails, lengths, positions) -> list[Segment]:
-    """Segments of parallel field lists, built in C: calling ``Segment``
-    runs the named tuple's ``__new__``, a Python function, per segment."""
-    return list(map(tuple.__new__, repeat(Segment),
-                    zip(rails, lengths, positions)))
+def _segments(fields) -> list[Segment]:
+    """Segments of ``(rail, length, position)`` triples, built in C: calling
+    ``Segment`` runs the named tuple's ``__new__``, a Python function, per
+    segment."""
+    return list(map(tuple.__new__, repeat(Segment), fields))
 
 
 @dataclass(frozen=True)
@@ -262,22 +261,16 @@ class ParseResult:
 
 
 class _LineParser:
-    """Single-pass statement parser collecting diagnostics and expanding
-    macros as it reads.
+    """Single-pass statement parser collecting diagnostics.
 
     Each line is split into words with ``str.split`` and dispatched on its
     keyword through ``_HANDLERS``, one table for every statement, the macro
-    keywords included.  A handler reads a rail from the ``q<i>`` table and a
-    number with one ``_literal`` call.  Only when that read fails does it
-    call ``_rail``, ``_number`` or ``_value_with_unit``, which accept the
-    other spellings (``q01``, ``PHI=``, ``1UM``) or write the diagnostic.  A
+    keywords included.  ``_rail`` reads a rail from the ``q<i>`` table.  A
+    handler reads a number with one ``_literal`` call; only when that read
+    fails does it call ``_number`` or ``_value_with_unit``, which accept the
+    other spellings (``PHI=``, ``1UM``) or write the diagnostic.  A
     diagnostic points at a word by index; the word's column is computed
     only then, by ``_column``.
-
-    Beside the declared ``elements`` the parser keeps their expansion: a
-    primitive joins both element lists, and a macro adds its cached
-    ``gates.macro_elements`` to ``expanded``.  Each segment records two
-    positions, before the next declared and the next expanded element.
     """
 
     def __init__(self, strict_hardware_phases: bool = False):
@@ -285,16 +278,15 @@ class _LineParser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.n_rails: int | None = None
         self.elements: list[GateElement] = []
-        self.expanded: list[GateElement] = []  # macros replaced by primitives
-        # the wire as parallel fields, made Segments in one pass at the end
+        # the wire as parallel fields, made Segments in one pass at the end;
+        # a list of (rail, length, position) tuples would hold a second tuple
+        # per segment while they are built
         self._wire_rails: list[int] = []
         self._wire_lengths: list[float] = []
-        self._wire_positions: list[int] = []  # in elements
-        self._wire_expanded: list[int] = []   # in expanded
+        self._wire_positions: list[int] = []
         self.sources: list[SepSource] = []
         self.detectors: list[int] = []
         self.registers: list[tuple[str, tuple[int, int]]] = []
-        self._macros: dict[tuple, tuple] = {}  # (name, rails) -> gate, primitives
         self._source_rails: set[int] = set()
         self._register_rails: dict[int, str] = {}
         self._rail_names: dict[str, int] = {}  # canonical "q<i>" -> i
@@ -318,18 +310,19 @@ class _LineParser:
         self.diagnostics.append(ParseDiagnostic(
             self._line_no, self._column(index), message, "warning"))
 
-    # --- word helpers: the failure branch of a handler's read ----------
+    # --- word helpers --------------------------------------------------
 
     def _rail(self, words, index) -> int | None:
-        """Rail of a word the ``q<i>`` table lacks: a non-canonical spelling
-        (``q01``, Unicode digits), else None and a diagnostic."""
         text = words[index]
+        rail = self._rail_names.get(text)
+        if rail is not None:
+            return rail
         digits = text[1:]
         if text[:1] != "q" or not digits.isdecimal():
             self.error(index, f"invalid rail identifier '{text}' "
                               f"(rails are named q0..q{(self.n_rails or 1) - 1})")
             return None
-        rail = _decimal(digits)
+        rail = _decimal(digits)  # non-canonical spelling: q01, Unicode digits
         if self.n_rails is None or rail is None or rail >= self.n_rails:
             self.error(index, f"rail {text} out of range "
                               f"(rails {self.n_rails or 0})")
@@ -407,9 +400,7 @@ class _LineParser:
         if len(words) != 3:
             self._expect_count(words, 2, "segment <rail> <length>um")
             return
-        rail = self._rail_names.get(words[1])
-        if rail is None:
-            rail = self._rail(words, 1)
+        rail = self._rail(words, 1)
         text = words[2]
         length = _literal(text[:-2]) if text[-2:] == "um" else None
         if length is None or length < 0:
@@ -428,15 +419,12 @@ class _LineParser:
         self._wire_rails.append(rail)
         self._wire_lengths.append(length)
         self._wire_positions.append(len(self.elements))
-        self._wire_expanded.append(len(self.expanded))
 
     def _stmt_sep(self, words):
         if len(words) not in (3, 4):
             self.error(0, "usage: sep <rail> delay=<t>ps [empty]")
             return
-        rail = self._rail_names.get(words[1])
-        if rail is None:
-            rail = self._rail(words, 1)
+        rail = self._rail(words, 1)
         text = words[2]
         delay = (_literal(text[6:-2])
                  if text[:6] == "delay=" and text[-2:] == "ps" else None)
@@ -468,9 +456,7 @@ class _LineParser:
         if len(words) != 3:
             self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
             return
-        rail = self._rail_names.get(words[1])
-        if rail is None:
-            rail = self._rail(words, 1)
+        rail = self._rail(words, 1)
         text = words[2]
         phi = (_literal(text[4:-3])
                if text[:4] == "phi=" and text[-3:] == "rad" else None)
@@ -483,15 +469,10 @@ class _LineParser:
             self.error(2, f"phi {phi:g} outside the hardware range (0, pi)")
             return
         self.elements.append(element)
-        self.expanded.append(element)
 
     def _coupler_rails(self, words) -> tuple[int, int] | None:
-        rail_a = self._rail_names.get(words[1])
-        if rail_a is None:
-            rail_a = self._rail(words, 1)
-        rail_b = self._rail_names.get(words[2])
-        if rail_b is None:
-            rail_b = self._rail(words, 2)
+        rail_a = self._rail(words, 1)
+        rail_b = self._rail(words, 2)
         if rail_a is None or rail_b is None:
             return None
         if rail_a == rail_b:
@@ -527,9 +508,7 @@ class _LineParser:
         if lt <= 0:
             self.error(4, "lt must be > 0")
             return
-        element = WaveguideCoupler(rails, lc, lt, length)
-        self.elements.append(element)
-        self.expanded.append(element)
+        self.elements.append(WaveguideCoupler(rails, lc, lt, length))
 
     def _stmt_cc(self, words):
         length = None
@@ -548,9 +527,7 @@ class _LineParser:
             chi_t = self._value_with_unit(words, 3, "chit", "rad")
         if rails is None or chi_t is None:
             return
-        element = CoulombCoupler(rails, chi_t, length)
-        self.elements.append(element)
-        self.expanded.append(element)
+        self.elements.append(CoulombCoupler(rails, chi_t, length))
 
     def _stmt_macro(self, words):
         name = words[0].lower()
@@ -561,23 +538,14 @@ class _LineParser:
             return
         rails = []
         for index in range(1, len(words)):
-            rail = self._rail_names.get(words[index])
+            rail = self._rail(words, index)
             if rail is None:
-                rail = self._rail(words, index)
-                if rail is None:
-                    return
+                return
             rails.append(rail)
         if len(set(rails)) != len(rails):
             self.error(1, "macro rails must be distinct")
             return
-        key = (name, tuple(rails))
-        macro = self._macros.get(key)
-        if macro is None:
-            # one gate per macro and rails, shared by every line that
-            # repeats it, as macro_elements shares its primitives
-            macro = self._macros[key] = CompositeGate(*key), macro_elements(*key)
-        self.elements.append(macro[0])
-        self.expanded.extend(macro[1])
+        self.elements.append(CompositeGate(name, tuple(rails)))
 
     def _stmt_dualrail(self, words):
         if not self._expect_count(words, 3, "dualrail <name> <rail0> <rail1>"):
@@ -586,12 +554,8 @@ class _LineParser:
         if not _NAME_RE.fullmatch(name):
             self.error(1, f"invalid register name '{name}'")
             return
-        rail0 = self._rail_names.get(words[2])
-        if rail0 is None:
-            rail0 = self._rail(words, 2)
-        rail1 = self._rail_names.get(words[3])
-        if rail1 is None:
-            rail1 = self._rail(words, 3)
+        rail0 = self._rail(words, 2)
+        rail1 = self._rail(words, 3)
         if rail0 is None or rail1 is None:
             return
         if rail0 == rail1:
@@ -612,11 +576,9 @@ class _LineParser:
     def _stmt_set(self, words):
         if not self._expect_count(words, 1, "set <rail>"):
             return
-        rail = self._rail_names.get(words[1])
+        rail = self._rail(words, 1)
         if rail is None:
-            rail = self._rail(words, 1)
-            if rail is None:
-                return
+            return
         if rail in self.detectors:
             self.warning(1, f"duplicate detector on rail q{rail}")
             return
@@ -661,21 +623,17 @@ class _LineParser:
     def result(self) -> ParseResult:
         if any(d.severity == "error" for d in self.diagnostics):
             return ParseResult(None, self.diagnostics)
-        rails, lengths = self._wire_rails, self._wire_lengths
         # the one validation walk; the expansion is derived from its result
         circuit = Circuit(
             n_rails=self.n_rails,
             elements=self.elements,
-            segments=_segments(rails, lengths, self._wire_positions),
+            segments=_segments(zip(self._wire_rails, self._wire_lengths,
+                                   self._wire_positions)),
             sources=self.sources,
             detectors=self.detectors,
             registers=self.registers,
         )
-        expanded = circuit
-        if self._macros:
-            expanded = circuit._expanded(self.expanded, _segments(
-                rails, lengths, self._wire_expanded))
-        return ParseResult(circuit, self.diagnostics, expanded)
+        return ParseResult(circuit, self.diagnostics, expand_composites(circuit))
 
 
 def parse(source_text: str, strict_hardware_phases: bool = False) -> ParseResult:
@@ -746,7 +704,7 @@ def expand_composites(circuit: Circuit) -> Circuit:
     before its first primitive element.  A circuit without macros is
     returned as it is.  The result is derived from ``circuit``, which its
     constructor validated, without a second validation walk; ``parse``
-    builds the same circuit as it reads (``ParseResult.expanded``).
+    calls it for ``ParseResult.expanded``.
     """
     if not circuit.has_composites():
         return circuit
@@ -759,6 +717,6 @@ def expand_composites(circuit: Circuit) -> Circuit:
         else:
             new_elements.append(element)
     offsets.append(len(new_elements))
-    new_segments = [Segment(s.rail, s.length, offsets[s.position])
-                    for s in circuit.segments]
-    return circuit._expanded(new_elements, new_segments)
+    return circuit._expanded(new_elements, _segments(
+        (rail, length, offsets[position])
+        for rail, length, position in circuit.segments))
