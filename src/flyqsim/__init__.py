@@ -54,4 +54,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

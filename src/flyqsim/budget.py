@@ -8,7 +8,8 @@ assumed per-gate footprint, floored; with micron-scale gates and coherence
 lengths of a few tens of microns that lands in the tens.
 
 Each element states its own ``rails`` and ``footprint``; a macro has no
-single footprint, so the budget needs an expanded circuit (``ValueError``).
+single footprint, so the budget reads the circuit's primitive form,
+``circuit.expanded``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class BudgetReport:
 
 
 def rail_path_lengths(circuit) -> list[float]:
-    """Total traversed length per rail: segments plus element footprints."""
-    if circuit.has_composites():
-        raise ValueError("expand composite gates before the coherence budget")
+    """Total traversed length per rail of ``circuit.expanded``: segments
+    plus element footprints."""
+    circuit = circuit.expanded
     lengths = [0.0] * circuit.n_rails
     for seg in circuit.segments:
         lengths[seg.rail] += seg.length

@@ -153,7 +153,7 @@ def run(config: RunConfig, out=None) -> int:
         out.write(f"{config.input_path}:{diag}\n")
     if not parsed.ok:
         return EXIT_PARSE
-    circuit = parsed.expanded
+    circuit = netlist_mod.expand_composites(parsed.circuit)
 
     try:
         result = timing_mod.run_shots(

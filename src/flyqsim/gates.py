@@ -26,8 +26,8 @@ Three physical elements are modeled:
 Each element owns its netlist ``keyword``, its ``rails`` and, for the
 primitives, its ``footprint``: the um it adds to each of its rails, an
 explicit ``length`` else a waveguide coupler's coupling length else 0.  A
-macro has no single footprint, so the coherence budget needs expanded
-circuits.
+macro has no single footprint and no kernel: every stage reads a circuit's
+primitive form, ``netlist.Circuit.expanded``.
 
 Netlist macros (``CompositeGate``) expand to these primitives.  ``MACROS``
 is the one macro table: per keyword, the rail parameters and the synthesis.
@@ -170,7 +170,8 @@ class CoulombCoupler:
 
 @dataclass(frozen=True)
 class CompositeGate:
-    """Netlist macro placeholder, replaced by ``netlist.expand_composites``."""
+    """Netlist macro placeholder; ``netlist.Circuit.expanded`` replaces it by
+    its primitives."""
 
     name: str
     rails: tuple[int, ...]
@@ -247,7 +248,7 @@ def fredkin_circuit(control_rail: int, target_pair,
 # The one macro table: keyword -> (rail parameter names, synthesis taking the
 # rails tuple).  ``CompositeGate`` checks its arity here, the netlist parser
 # dispatches on it and derives its usage strings from the parameter names,
-# and ``netlist.expand_composites`` expands through ``macro_elements``.
+# and ``netlist.Circuit.expanded`` expands through ``macro_elements``.
 MACROS = {
     "hadamard": (("rail0", "rail1"), logical_hadamard),
     "fredkin": (("control", "t0", "t1"),
@@ -312,9 +313,6 @@ def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
     elif isinstance(element, CoulombCoupler):
         idx = fock.pair_occupied_indices(n_rails, *element.rails, n_electrons)
         batch[idx] = batch[idx] * np.exp(-2j * element.chi_t)
-    elif isinstance(element, CompositeGate):
-        raise ValueError(f"composite gate '{element.name}' must be expanded "
-                         f"before simulation")
     else:
         raise TypeError(f"not a gate element: {element!r}")
 
@@ -345,9 +343,6 @@ def apply_element_columns(columns: np.ndarray, element: GateElement) -> None:
                                    element.transfer_length) @ pair
     elif isinstance(element, CoulombCoupler):
         raise ValueError("a Coulomb coupler has no single-particle action")
-    elif isinstance(element, CompositeGate):
-        raise ValueError(f"composite gate '{element.name}' must be expanded "
-                         f"before simulation")
     else:
         raise TypeError(f"not a gate element: {element!r}")
 

@@ -30,10 +30,11 @@ about it.  A number must be finite: a literal past the float range, such as
 The front end is one pass over the text with one validation walk.  The
 parser dispatches every statement, macros included, through one keyword
 table and builds the circuit as declared (``ParseResult.circuit``), which
-``Circuit``'s constructor validates and buckets by position once.
-``expand_composites`` then derives the circuit to simulate
-(``ParseResult.expanded``) from the validated one without a second walk,
-for a parsed circuit and a hand-built one alike.  ``serialize`` emits a
+``Circuit``'s constructor validates and buckets by position once.  That
+walk also records whether the circuit holds a macro, and every stage reads
+``Circuit.expanded``, the primitive form: the circuit itself without a
+macro, else its expansion, derived on first use without a second walk, for
+a parsed circuit and a hand-built one alike.  ``serialize`` emits a
 canonical form that parses back to an equal circuit.
 """
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -128,11 +130,11 @@ class Circuit:
 
     Rail counts, rails and segment positions must be integers in range.  The
     constructor stores the container fields as tuples, each register as
-    ``(name, (rail0, rail1))``, and derives two attributes that equality
+    ``(name, (rail0, rail1))``, and derives attributes that equality
     ignores: ``wire[p]``, the segments placed before ``elements[p]`` in
     declaration order (``wire[-1]`` is the trailing wire; ``()`` at a
-    position without wire), and ``register``,
-    the declared pairs as a ``DualRailRegister`` or None.
+    position without wire), ``register``,
+    the declared pairs as a ``DualRailRegister`` or None, and ``expanded``.
     ``segments`` is ``wire`` flattened: the canonical netlist order.
     """
 
@@ -145,6 +147,7 @@ class Circuit:
     wire: tuple = field(init=False, repr=False, compare=False)
     register: _dualrail.DualRailRegister | None = field(
         init=False, repr=False, compare=False)
+    _macros: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the one validation point: every other stage indexes rails and reads
@@ -154,7 +157,10 @@ class Circuit:
         n_rails = require_integer(self.n_rails, "rail count")
         if not 1 <= n_rails <= MAX_RAILS:
             raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
+        macros = False
         for index, element in enumerate(self.elements):
+            if isinstance(element, CompositeGate):
+                macros = True
             for rail in element.rails:  # integers: each element checks its own
                 if not 0 <= rail < n_rails:
                     raise ValueError(
@@ -208,29 +214,47 @@ class Circuit:
         object.__setattr__(self, "segments", tuple(
             seg for position in sorted(groups) for seg in wire[position]))
         object.__setattr__(self, "registers", tuple(registers))
+        object.__setattr__(self, "_macros", macros)
         # rails distinct within and across pairs
         object.__setattr__(self, "register", _dualrail.DualRailRegister(
             tuple(pair for _, pair in registers)) if registers else None)
 
-    def has_composites(self) -> bool:
-        return any(isinstance(e, CompositeGate) for e in self.elements)
+    @property
+    def expanded(self) -> Circuit:
+        """The primitive form every stage reads: this circuit when it holds
+        no macro, else its expansion, derived on first use and kept."""
+        return self._expanded if self._macros else self
 
-    def _expanded(self, elements, segments) -> Circuit:
-        """This circuit with its macros replaced, without a second
-        validation walk.
+    @cached_property
+    def _expanded(self) -> Circuit:
+        """This circuit with each macro replaced by its primitives, without
+        a second validation walk.
 
-        ``elements`` are this circuit's elements with each macro replaced by
-        its primitives, which a macro builds on its own, validated rails.
-        ``segments`` are this circuit's segments in netlist order, each moved
-        to the expanded position of the element it preceded; the positions
-        stay in order, so the wire is regrouped in one ``groupby``.
+        A macro builds its primitives on its own, validated rails.  Each
+        segment moves to the expanded position of the element it preceded,
+        so wire declared before a macro stays before its first primitive;
+        the positions stay in netlist order, so the wire is regrouped in one
+        ``groupby``.  The result holds no macro, so its own ``expanded`` is
+        itself and no reference leads back here.
         """
+        elements: list[GateElement] = []
+        offsets: list[int] = []
+        for element in self.elements:
+            offsets.append(len(elements))
+            if isinstance(element, CompositeGate):
+                elements.extend(macro_elements(element.name, element.rails))
+            else:
+                elements.append(element)
+        offsets.append(len(elements))
+        segments = _segments((rail, length, offsets[position])
+                             for rail, length, position in self.segments)
         wire = [()] * (len(elements) + 1)
         for position, group in groupby(segments, itemgetter(2)):
             wire[position] = tuple(group)
         derived = object.__new__(Circuit)
         derived.__dict__.update(self.__dict__, elements=tuple(elements),
-                                segments=tuple(segments), wire=tuple(wire))
+                                segments=tuple(segments), wire=tuple(wire),
+                                _macros=False)
         return derived
 
 
@@ -244,13 +268,11 @@ class NetlistError(Exception):
 
 @dataclass
 class ParseResult:
-    """``circuit`` as declared and ``expanded``, the same circuit with its
-    macros replaced by primitives (the circuit itself when it has none);
-    both None when an error was diagnosed."""
+    """``circuit`` as declared, None when an error was diagnosed; its
+    ``expanded`` is the circuit to simulate."""
 
     circuit: Circuit | None
     diagnostics: list
-    expanded: Circuit | None = None
 
     @property
     def ok(self) -> bool:
@@ -266,11 +288,10 @@ class _LineParser:
     Each line is split into words with ``str.split`` and dispatched on its
     keyword through ``_HANDLERS``, one table for every statement, the macro
     keywords included.  ``_rail`` reads a rail from the ``q<i>`` table.  A
-    handler reads a number with one ``_literal`` call; only when that read
-    fails does it call ``_number`` or ``_value_with_unit``, which accept the
-    other spellings (``PHI=``, ``1UM``) or write the diagnostic.  A
-    diagnostic points at a word by index; the word's column is computed
-    only then, by ``_column``.
+    number is read with one ``_literal`` call; only when that read fails do
+    ``_number`` and ``_value_with_unit`` accept the other spellings
+    (``PHI=``, ``1UM``) or write the diagnostic.  A diagnostic points at a
+    word by index; the word's column is computed only then, by ``_column``.
     """
 
     def __init__(self, strict_hardware_phases: bool = False):
@@ -341,8 +362,19 @@ class _LineParser:
         return None
 
     def _value_with_unit(self, words, index, key: str, unit: str) -> float | None:
-        """Parse ``key=<number><unit>``; key and unit are case-insensitive."""
+        """Parse ``key=<number><unit>``; key and unit are case-insensitive.
+
+        The exact lower-case spelling is read with one ``_literal``; the
+        other spellings are read, or the diagnostic written, only when that
+        fails.
+        """
         text = words[index]
+        start = len(key) + 1
+        if (text[start - 1:start] == "=" and text.startswith(key)
+                and text.endswith(unit)):
+            value = _literal(text[start:len(text) - len(unit)])
+            if value is not None:
+                return value
         name, sep, raw = text.partition("=")
         if not sep:
             self.error(index, f"expected {key}=<value>{unit}, got '{text}'")
@@ -363,15 +395,17 @@ class _LineParser:
         self.error(count + 1 if len(words) - 1 > count else 0, f"usage: {usage}")
         return False
 
-    def _len_attribute(self, words) -> float | None:
-        """Value of a trailing ``len=<x>um`` attribute, else None and a
-        diagnostic; a handler calls it when its last word is one."""
+    def _split_len(self, words) -> tuple[list, float | None]:
+        """``words`` without a trailing ``len=<x>um`` attribute, and its value:
+        None when there is none, or after a diagnostic when it is invalid."""
         index = len(words) - 1
+        if not words[index].lower().startswith("len="):
+            return words, None
         value = self._value_with_unit(words, index, "len", "um")
         if value is not None and value < 0:
             self.error(index, "len must be >= 0")
-            return None
-        return value
+            value = None
+        return words[:index], value
 
     # --- statement handlers --------------------------------------------
 
@@ -425,11 +459,7 @@ class _LineParser:
             self.error(0, "usage: sep <rail> delay=<t>ps [empty]")
             return
         rail = self._rail(words, 1)
-        text = words[2]
-        delay = (_literal(text[6:-2])
-                 if text[:6] == "delay=" and text[-2:] == "ps" else None)
-        if delay is None:
-            delay = self._value_with_unit(words, 2, "delay", "ps")
+        delay = self._value_with_unit(words, 2, "delay", "ps")
         emits = True
         if len(words) == 4:
             if words[3].lower() != "empty":
@@ -449,19 +479,12 @@ class _LineParser:
         self.sources.append(SepSource(rail, delay, emits))
 
     def _stmt_ps(self, words):
-        length = None
-        if words[-1].lower().startswith("len="):
-            length = self._len_attribute(words)
-            words = words[:-1]
+        words, length = self._split_len(words)
         if len(words) != 3:
             self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
             return
         rail = self._rail(words, 1)
-        text = words[2]
-        phi = (_literal(text[4:-3])
-               if text[:4] == "phi=" and text[-3:] == "rad" else None)
-        if phi is None:
-            phi = self._value_with_unit(words, 2, "phi", "rad")
+        phi = self._value_with_unit(words, 2, "phi", "rad")
         if rail is None or phi is None:
             return
         element = PhaseShifter(rail, phi, length)
@@ -481,25 +504,14 @@ class _LineParser:
         return rail_a, rail_b
 
     def _stmt_bs(self, words):
-        length = None
-        if words[-1].lower().startswith("len="):
-            length = self._len_attribute(words)
-            words = words[:-1]
+        words, length = self._split_len(words)
         if len(words) != 5:
             self._expect_count(
                 words, 4, "bs <railA> <railB> lc=<x>um lt=<x>um [len=<x>um]")
             return
         rails = self._coupler_rails(words)
-        text = words[3]
-        lc = (_literal(text[3:-2])
-              if text[:3] == "lc=" and text[-2:] == "um" else None)
-        if lc is None:
-            lc = self._value_with_unit(words, 3, "lc", "um")
-        text = words[4]
-        lt = (_literal(text[3:-2])
-              if text[:3] == "lt=" and text[-2:] == "um" else None)
-        if lt is None:
-            lt = self._value_with_unit(words, 4, "lt", "um")
+        lc = self._value_with_unit(words, 3, "lc", "um")
+        lt = self._value_with_unit(words, 4, "lt", "um")
         if rails is None or lc is None or lt is None:
             return
         if lc < 0:
@@ -511,20 +523,13 @@ class _LineParser:
         self.elements.append(WaveguideCoupler(rails, lc, lt, length))
 
     def _stmt_cc(self, words):
-        length = None
-        if words[-1].lower().startswith("len="):
-            length = self._len_attribute(words)
-            words = words[:-1]
+        words, length = self._split_len(words)
         if len(words) != 4:
             self._expect_count(words, 3,
                                "cc <railA> <railB> chit=<x>rad [len=<x>um]")
             return
         rails = self._coupler_rails(words)
-        text = words[3]
-        chi_t = (_literal(text[5:-3])
-                 if text[:5] == "chit=" and text[-3:] == "rad" else None)
-        if chi_t is None:
-            chi_t = self._value_with_unit(words, 3, "chit", "rad")
+        chi_t = self._value_with_unit(words, 3, "chit", "rad")
         if rails is None or chi_t is None:
             return
         self.elements.append(CoulombCoupler(rails, chi_t, length))
@@ -623,7 +628,7 @@ class _LineParser:
     def result(self) -> ParseResult:
         if any(d.severity == "error" for d in self.diagnostics):
             return ParseResult(None, self.diagnostics)
-        # the one validation walk; the expansion is derived from its result
+        # the one validation walk
         circuit = Circuit(
             n_rails=self.n_rails,
             elements=self.elements,
@@ -633,7 +638,7 @@ class _LineParser:
             detectors=self.detectors,
             registers=self.registers,
         )
-        return ParseResult(circuit, self.diagnostics, expand_composites(circuit))
+        return ParseResult(circuit, self.diagnostics)
 
 
 def parse(source_text: str, strict_hardware_phases: bool = False) -> ParseResult:
@@ -698,25 +703,6 @@ def serialize(circuit: Circuit) -> str:
 
 
 def expand_composites(circuit: Circuit) -> Circuit:
-    """Replace macro elements by their primitive synthesis.
-
-    Segment positions are remapped so wire declared before a macro stays
-    before its first primitive element.  A circuit without macros is
-    returned as it is.  The result is derived from ``circuit``, which its
-    constructor validated, without a second validation walk; ``parse``
-    calls it for ``ParseResult.expanded``.
-    """
-    if not circuit.has_composites():
-        return circuit
-    new_elements: list[GateElement] = []
-    offsets: list[int] = []
-    for element in circuit.elements:
-        offsets.append(len(new_elements))
-        if isinstance(element, CompositeGate):
-            new_elements.extend(macro_elements(element.name, element.rails))
-        else:
-            new_elements.append(element)
-    offsets.append(len(new_elements))
-    return circuit._expanded(new_elements, _segments(
-        (rail, length, offsets[position])
-        for rail, length, position in circuit.segments))
+    """``circuit.expanded``: the circuit with its macros replaced by their
+    primitive synthesis, or the circuit itself when it has none."""
+    return circuit.expanded

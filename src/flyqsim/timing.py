@@ -3,7 +3,9 @@
 A pump on each rail launches (or withholds) one electron after a
 programmable delay.  Electrons drift at a common group velocity, so the
 arrival time at an element is the emission delay plus the accumulated
-upstream path over the velocity.  ``arrival_times`` computes every arrival
+upstream path over the velocity.  Every function here reads a circuit's
+primitive form, ``circuit.expanded``, so a macro is timed and simulated as
+the primitives it stands for.  ``arrival_times`` computes every arrival
 of a netlist in one array pass and returns an ``ArrivalTable``, which
 yields one ``ElementArrival`` per element on demand.  Two-electron gates
 require their arrivals to coincide within a configurable window:
@@ -236,12 +238,11 @@ class ShotHistogram:
 class ArrivalTable(Sequence):
     """Arrival times (ps) of every placed element, held in one array.
 
-    Column ``i`` of the ``(width, elements)`` array ``times`` holds the
-    arrivals at ``elements[i]`` on its ``rails``, in that order.  ``width``
-    is at least 2 and at least the most rails of any element; a column
-    with fewer rails repeats the element's last one, which changes no
-    spread.  Indexing and iteration build each element's ``ElementArrival``
-    on demand.
+    ``elements`` are primitives, each on one or two rails.  Column ``i`` of
+    the ``(2, elements)`` array ``times`` holds the arrivals at
+    ``elements[i]`` on its first and on its last rail: a one-rail element's
+    column repeats its rail, which changes no spread.  Indexing and
+    iteration build each element's ``ElementArrival`` on demand.
     """
 
     __slots__ = ("elements", "times")
@@ -272,7 +273,8 @@ def _arrival(index: int, element, times: list) -> ElementArrival:
 
 
 def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTable:
-    """Per-element, per-rail arrival table, computed in one array pass.
+    """Per-element, per-rail arrival table of ``circuit.expanded``, computed
+    in one array pass.
 
     Arrival at an element is the rail's emission delay plus the accumulated
     upstream declared wire divided by the velocity.  Element footprints are
@@ -293,17 +295,14 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTabl
     or before it, found by ``searchsorted`` on the segment positions.
     """
     model = model or PropagationModel()
+    circuit = circuit.expanded
     elements = circuit.elements
     n_elements = len(elements)
     rails_of = [element.rails for element in elements]
-    # first and last rail of every element, and a macro's middle rails
-    width = max(2, max(map(len, rails_of), default=0))
-    columns = [map(operator.itemgetter(0), rails_of)]
-    columns += [[rails[min(k, len(rails) - 1)] for rails in rails_of]
-                for k in range(1, width - 1)]
-    columns.append(map(operator.itemgetter(-1), rails_of))
-    rails = np.fromiter(chain.from_iterable(columns), dtype=np.intp,
-                        count=width * n_elements).reshape(width, n_elements)
+    # first and last rail of every element
+    rails = np.fromiter(chain(map(operator.itemgetter(0), rails_of),
+                              map(operator.itemgetter(-1), rails_of)),
+                        dtype=np.intp, count=2 * n_elements).reshape(2, n_elements)
     delays = [math.nan] * circuit.n_rails
     for src in circuit.sources:
         delays[src.rail] = src.emission_delay
@@ -455,7 +454,7 @@ def _free_probabilities(circuit, loaded: int) -> np.ndarray:
 
 
 def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
-    """Exact detector-outcome probabilities of an expanded circuit.
+    """Exact detector-outcome probabilities of ``circuit.expanded``.
 
     Returns ``(sector, p)``: ``p[j]`` is the probability, up to a common
     normalization within rounding, of reading ``sector[j]``, the masks of
@@ -466,6 +465,7 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     module docstring).  The schedule is not checked here.
     """
     dephasing = dephasing or DephasingModel()
+    circuit = circuit.expanded
     n_rails = circuit.n_rails
     # every element conserves electron number: evolve only the loaded sector
     loaded = fock.occupation_mask(
@@ -500,7 +500,8 @@ def run_shots(circuit, n_shots: int,
               master_seed: int = 0,
               propagation: PropagationModel | None = None,
               allow_desync: bool = False) -> ShotHistogram:
-    """Sample ``n_shots`` detector readouts of a scheduled circuit.
+    """Sample ``n_shots`` detector readouts of a scheduled circuit, as
+    ``circuit.expanded``.
 
     The schedule is checked first; violations abort with
     ``CoincidenceError`` unless ``allow_desync`` overrides, in which case the
@@ -519,8 +520,7 @@ def run_shots(circuit, n_shots: int,
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     dephasing = dephasing or DephasingModel()
     propagation = propagation or PropagationModel()
-    if circuit.has_composites():
-        raise ConfigError("expand composite gates before simulation")
+    circuit = circuit.expanded
 
     table = arrival_times(circuit, propagation)
     violations = check_coincidence(table, propagation.coincidence_window)

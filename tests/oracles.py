@@ -258,9 +258,9 @@ def fidelity(a, b) -> float:
 
 def expand_composites(circuit):
     """Macro expansion by rebuilding every segment and validating the whole
-    result again through ``dataclasses.replace``: the expansion the parser
-    and ``netlist.expand_composites`` now derive without that second walk."""
-    if not circuit.has_composites():
+    result again through ``dataclasses.replace``: the expansion
+    ``Circuit.expanded`` derives without that second walk."""
+    if not any(isinstance(e, CompositeGate) for e in circuit.elements):
         return circuit
     new_elements = []
     offsets = []
@@ -278,10 +278,10 @@ def expand_composites(circuit):
 
 
 def rail_path_lengths(circuit) -> list:
-    """Per-rail path length by a scalar loop: every segment's length, then
-    every element's footprint once per rail it passes through."""
-    if circuit.has_composites():
-        raise ValueError("expand composite gates before the coherence budget")
+    """Per-rail path length by a scalar loop over the expansion: every
+    segment's length, then every element's footprint once per rail it passes
+    through."""
+    circuit = expand_composites(circuit)
     lengths = [0.0] * circuit.n_rails
     for seg in circuit.segments:
         lengths[seg.rail] += seg.length

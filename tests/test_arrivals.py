@@ -1,6 +1,6 @@
 """The array-backed arrival table against the scalar loop of
-``oracles.arrival_rows``: the same times bit for bit, the same late entries
-and the same missing-source error."""
+``oracles.arrival_rows`` over the circuit's expansion: the same times bit for
+bit, the same late entries and the same missing-source error."""
 
 import math
 
@@ -13,7 +13,7 @@ from flyqsim.gates import (
     PhaseShifter,
     WaveguideCoupler,
 )
-from flyqsim.netlist import Circuit, Segment, expand_composites
+from flyqsim.netlist import Circuit, Segment
 from flyqsim.timing import (
     ArrivalTable,
     ConfigError,
@@ -32,27 +32,25 @@ WINDOWS = (1e-9, 1.0, 40.0, 400.0)
 
 def oracle_times(table: ArrivalTable, rows) -> np.ndarray:
     """The oracle's arrivals in the table's layout: one column per element,
-    the rails in order, a short column repeating its last rail."""
+    its first and its last rail."""
     times = np.empty_like(table.times)
     for index, row in enumerate(rows):
-        column = [row.times[r] for r in row.rails]
-        column += column[-1:] * (times.shape[0] - len(column))
-        times[:, index] = column
+        times[:, index] = [row.times[row.rails[0]], row.times[row.rails[-1]]]
     return times
 
 
 def assert_matches_oracle(circuit, model=None):
-    """Same times, entries and late entries as the scalar loop, or the same
-    ``ConfigError``."""
+    """Same times, entries and late entries as the scalar loop over the
+    expansion, or the same ``ConfigError``."""
     try:
-        rows = oracles.arrival_rows(circuit, model)
+        rows = oracles.arrival_rows(oracles.expand_composites(circuit), model)
     except ConfigError as err:
         with pytest.raises(ConfigError) as raised:
             arrival_times(circuit, model)
         assert str(raised.value) == str(err)
         return None
     table = arrival_times(circuit, model)
-    assert len(table) == len(rows)
+    assert table.times.shape == (2, len(rows))
     assert np.array_equal(table.times, oracle_times(table, rows))
     assert list(table) == rows
     assert [table[i] for i in range(len(rows))] == rows
@@ -67,14 +65,14 @@ def test_corpus_circuits_match_the_scalar_loop():
     for _ in range(300):
         circuit = corpus.random_roundtrip_circuit(rng)
         model = PropagationModel(float(rng.uniform(0.05, 2.0)))
-        # macros included: a fredkin element has three rails
+        # macros included: each is timed as its primitives
         table = assert_matches_oracle(circuit, model)
         if table is None:
             raised += 1
             continue
         late += bool(check_coincidence(table, 1.0))
-        expanded = expand_composites(circuit)
-        assert_matches_oracle(expanded, model)
+        assert np.array_equal(arrival_times(circuit.expanded, model).times,
+                              table.times)
     for _ in range(100):
         assert_matches_oracle(corpus.random_dephased_circuit(rng, max_segments=30))
     # both paths of the comparison were taken
@@ -149,14 +147,22 @@ def test_one_rail_elements_are_never_late():
     assert check_coincidence(table, 1e-300) == []
 
 
-def test_macro_spread_counts_its_middle_rail():
+def test_fredkin_is_timed_as_its_primitives():
+    # a fredkin couples control and t0 (cc) and t0 and t1 (bs), never
+    # control and t1: those two may arrive further apart than the window
     circuit = Circuit(4, [CompositeGate("fredkin", (0, 1, 2)),
                           PhaseShifter(3, 0.1), CoulombCoupler((3, 0), 0.2)],
-                      [Segment(1, 1.0, 0), Segment(2, 0.2, 0)],
+                      [Segment(1, 0.6, 0), Segment(2, 1.2, 0)],
                       [SepSource(r, 0.0) for r in range(4)])
-    table = assert_matches_oracle(circuit, PropagationModel(0.1))
-    assert table.times.shape == (3, 3)
-    assert [v.element_index for v in check_coincidence(table, 5.0)] == [0]
+    table = assert_matches_oracle(circuit, PropagationModel(1.0))
+    assert table.times.shape == (2, 8)
+    assert [entry.keyword for entry in table] == [
+        "ps", "bs", "ps", "cc", "bs", "ps", "ps", "cc"]
+    assert table[3].times == {0: 0.0, 1: 0.6}
+    assert table[4].times == {1: 0.6, 2: 1.2}
+    assert check_coincidence(table, 1.0) == []
+    # in a narrower window the primitives that couple them are late
+    assert [v.element_index for v in check_coincidence(table, 0.5)] == [1, 3, 4]
 
 
 def test_missing_source_names_the_first_element_in_order():

@@ -11,7 +11,7 @@ from flyqsim.budget import (
     rail_path_lengths,
 )
 from flyqsim.gates import PhaseShifter, WaveguideCoupler
-from flyqsim.netlist import Circuit, Segment, expand_composites, parse_circuit
+from flyqsim.netlist import Circuit, Segment, parse_circuit
 from flyqsim.timing import SepSource
 
 
@@ -78,16 +78,14 @@ def test_invalid_parameters():
         analyze(wire_circuit(), l_phi=30.0, assumed_gate_length=0.0)
 
 
-def test_budget_refuses_unexpanded_macros():
+def test_budget_reads_the_expansion_of_macros():
     # a fredkin puts 0.28 um on its targets and nothing on its control, so
-    # no single footprint per macro can give the expanded circuit's lengths
+    # no single footprint per macro could give the expanded circuit's lengths
     circuit = parse_circuit("rails 3\nsep q0 delay=0ps\nsep q1 delay=0ps\n"
                             "sep q2 delay=0ps empty\nfredkin q0 q1 q2\n")
-    with pytest.raises(ValueError, match="expand composite gates"):
-        analyze(circuit)
-    with pytest.raises(ValueError, match="expand composite gates"):
-        rail_path_lengths(circuit)
-    report = analyze(expand_composites(circuit))
+    assert rail_path_lengths(circuit) == rail_path_lengths(circuit.expanded)
+    report = analyze(circuit)
+    assert report == analyze(circuit.expanded)
     assert report.per_rail_length == pytest.approx((0.0, 0.28, 0.28))
 
 

@@ -193,7 +193,8 @@ def test_column_update_refuses_coulomb_couplers_and_macros():
     columns = orbitals(3, [0, 2])
     with pytest.raises(ValueError, match="no single-particle action"):
         apply_element_columns(columns, CoulombCoupler((0, 1), 0.3))
-    with pytest.raises(ValueError, match="must be expanded"):
+    # a macro has no kernel: a circuit hands its primitives, Circuit.expanded
+    with pytest.raises(TypeError, match="not a gate element"):
         apply_element_columns(columns, CompositeGate("hadamard", (0, 1)))
 
 

@@ -1,11 +1,10 @@
 """The one-pass front end against its oracles.
 
-``expand_composites`` derives the expanded circuit from the validated one,
-for the parser's ``ParseResult.expanded`` and for a hand-built circuit.
-Both must equal the plain expansion of
-``oracles.expand_composites`` (every segment rebuilt, the result validated
-again), and ``rail_path_lengths`` must equal the scalar loop of
-``oracles.rail_path_lengths`` exactly.
+``Circuit.expanded`` derives the expanded circuit from the validated one,
+for a parsed circuit and for a hand-built one.  Both must equal the plain
+expansion of ``oracles.expand_composites`` (every segment rebuilt, the
+result validated again), and ``rail_path_lengths`` must equal the scalar
+loop of ``oracles.rail_path_lengths`` exactly.
 """
 
 import dataclasses
@@ -37,9 +36,9 @@ def check_front_end(circuit):
     assert result.ok, result.errors()
     assert result.circuit == circuit
     expected = oracles.expand_composites(circuit)
-    assert_same_expansion(result.expanded, expected)
+    assert_same_expansion(result.circuit.expanded, expected)
     assert_same_expansion(expand_composites(circuit), expected)
-    assert rail_path_lengths(result.expanded) == oracles.rail_path_lengths(expected)
+    assert rail_path_lengths(result.circuit) == oracles.rail_path_lengths(circuit)
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,8 +98,8 @@ def test_netlists_with_macros_and_wire_match_the_oracles(text):
     result = parse(text)
     assert result.ok, result.errors()
     expected = oracles.expand_composites(result.circuit)
-    assert_same_expansion(result.expanded, expected)
-    assert rail_path_lengths(result.expanded) == oracles.rail_path_lengths(expected)
+    assert_same_expansion(result.circuit.expanded, expected)
+    assert rail_path_lengths(result.circuit) == oracles.rail_path_lengths(expected)
     check_front_end(result.circuit)
 
 
@@ -110,24 +109,28 @@ def test_expanded_circuit_is_what_the_constructor_builds():
     text = ("rails 4\nsep q0 delay=0ps\nsegment q0 1um\nhadamard q0 q1\n"
             "segment q1 2um\nsegment q2 0.5um\nfredkin q0 q2 q3\n"
             "segment q3 3um\ndualrail a q0 q1\nset q0\n")
-    expanded = parse(text).expanded
+    expanded = parse(text).circuit.expanded
     rebuilt = dataclasses.replace(expanded)
     assert_same_expansion(expanded, rebuilt)
     assert expanded.wire[-1] == rebuilt.wire[-1] != ()
-    assert not expanded.has_composites()
+    # it records no macro: its own primitive form is itself
+    assert expanded.expanded is expanded
+    assert rebuilt.expanded is rebuilt
 
 
 def test_expanded_is_the_circuit_without_macros_and_none_on_errors():
     result = parse("rails 2\nsep q0 delay=0ps\nsegment q0 1um\nps q0 phi=1rad\n")
-    assert result.expanded is result.circuit
+    assert result.circuit.expanded is result.circuit
     result = parse("rails 2\nhadamard q0 q0\n")
     assert not result.ok
-    assert result.circuit is None and result.expanded is None
+    assert result.circuit is None
+    assert [f.name for f in dataclasses.fields(result)] == ["circuit", "diagnostics"]
 
 
 def test_repeated_macro_lines_expand_to_the_cached_primitives():
     result = parse("rails 3\nhadamard q0 q1\nfredkin q0 q1 q2\nhadamard q0 q1\n")
-    first, again = result.expanded.elements[:3], result.expanded.elements[9:]
+    expanded = result.circuit.expanded
+    first, again = expanded.elements[:3], expanded.elements[9:]
     assert len(first) == 3
     assert all(a is b for a, b in zip(first, again))
 

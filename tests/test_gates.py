@@ -248,7 +248,8 @@ def test_composite_validation():
 
 
 def test_apply_element_rejects_composites():
-    with pytest.raises(ValueError, match="must be expanded"):
+    # a macro has no kernel: a circuit hands its primitives, Circuit.expanded
+    with pytest.raises(TypeError, match="not a gate element"):
         apply_element_batch(np.ones(1, dtype=complex), 2,
                             CompositeGate("hadamard", (0, 1)), 0)
 

@@ -56,7 +56,7 @@ def check_segment_consumers(circuit):
     model = PropagationModel(velocity=0.3)
     table = arrival_times(dataclasses.replace(circuit, sources=sources), model)
     assert [(a.element_index, a.rails, a.times) for a in table] == \
-        reference_arrivals(circuit, sources, model.velocity)
+        reference_arrivals(circuit.expanded, sources, model.velocity)
 
 
 @settings(max_examples=200, deadline=None)

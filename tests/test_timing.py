@@ -216,14 +216,17 @@ def test_run_shots_refuses_desynchronized_circuit():
     assert run_shots(cc_pair_circuit(), 10).violations == []
 
 
-def test_run_shots_requires_expanded_circuit():
+def test_run_shots_samples_a_macro_as_its_expansion():
     circuit = Circuit(
         n_rails=2,
         elements=[CompositeGate("hadamard", (0, 1))],
         sources=[SepSource(0, 0.0), SepSource(1, 0.0, emits=False)],
     )
-    with pytest.raises(ConfigError):
-        run_shots(circuit, 5)
+    result = run_shots(circuit, 2000, master_seed=3)
+    assert result == run_shots(circuit.expanded, 2000, master_seed=3)
+    # the Hadamard splits the electron evenly over the pair
+    assert sorted(result.counts) == [0b01, 0b10]
+    assert abs(result.counts[0b01] - 1000) < 150
 
 
 def test_factor_mode_matches_budget_report(tmp_path):
