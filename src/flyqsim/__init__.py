@@ -8,12 +8,7 @@ from .budget import (
     analyze,
     rail_path_lengths,
 )
-from .dualrail import (
-    LEAK,
-    DualRailRegister,
-    LogicalOutcome,
-    decode,
-)
+from .dualrail import decode
 from .fock import MAX_RAILS, CapacityError
 from .gates import (
     DEFAULT_TRANSFER_LENGTH_UM,
@@ -54,4 +49,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -101,7 +101,7 @@ class PhaseShifter:
 
     def __post_init__(self):
         fock.require_integer(self.rail, "element rail")
-        _require_finite("phi", self.phi)
+        object.__setattr__(self, "phi", _require_finite("phi", self.phi))
         object.__setattr__(self, "length", _check_optional_length(self.length))
         object.__setattr__(self, "rails", (self.rail,))
 
@@ -160,7 +160,7 @@ class CoulombCoupler:
         if len(self.rails) != 2 or self.rails[0] == self.rails[1]:
             raise ValueError(f"coupler rails must be a distinct pair, "
                              f"got {self.rails}")
-        _require_finite("chi_t", self.chi_t)
+        object.__setattr__(self, "chi_t", _require_finite("chi_t", self.chi_t))
         object.__setattr__(self, "length", _check_optional_length(self.length))
 
     @property
@@ -266,7 +266,6 @@ def macro_elements(name: str, rails: tuple) -> tuple:
     return tuple(MACROS[name][1](rails))
 
 
-PrimitiveElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler]
 GateElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler, CompositeGate]
 
 

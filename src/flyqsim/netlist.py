@@ -48,7 +48,6 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import dualrail as _dualrail
 from .fock import MAX_RAILS, require_integer
 from .gates import (
     MACROS,
@@ -129,13 +128,17 @@ class Circuit:
     readout.  ``dataclasses.replace`` derives a validated variant.
 
     Rail counts, rails and segment positions must be integers in range.  The
-    constructor stores the container fields as tuples, each register as
-    ``(name, (rail0, rail1))``, and derives attributes that equality
-    ignores: ``wire[p]``, the segments placed before ``elements[p]`` in
-    declaration order (``wire[-1]`` is the trailing wire; ``()`` at a
-    position without wire), ``register``,
-    the declared pairs as a ``DualRailRegister`` or None, and ``expanded``.
-    ``segments`` is ``wire`` flattened: the canonical netlist order.
+    constructor stores the container fields as tuples and derives attributes
+    that equality ignores: ``wire[p]``, the segments placed before
+    ``elements[p]`` in declaration order (``wire[-1]`` is the trailing wire;
+    ``()`` at a position without wire), and ``expanded``.  ``segments`` is
+    ``wire`` flattened: the canonical netlist order.
+
+    ``registers`` is the one form of a dual-rail register: each is stored as
+    ``(name, (rail0, rail1))`` with ``int`` rails, whose first rail carries
+    logical 0.  A register needs an identifier name that no other register
+    has and exactly two rails in ``[0, n_rails)``, distinct within and
+    across registers.
     """
 
     n_rails: int
@@ -145,8 +148,6 @@ class Circuit:
     detectors: tuple = ()
     registers: tuple = ()  # (name, (rail0, rail1))
     wire: tuple = field(init=False, repr=False, compare=False)
-    register: _dualrail.DualRailRegister | None = field(
-        init=False, repr=False, compare=False)
     _macros: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -196,17 +197,25 @@ class Circuit:
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError(f"detector rails repeat: {self.detectors}")
         registers = []
+        register_rails = set()
         for name, pair in self.registers:
             if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
                 raise ValueError(f"invalid register name {name!r}")
             if any(name == seen for seen, _ in registers):
                 raise ValueError(f"duplicate register name '{name}'")
             pair = tuple(pair)
+            if len(pair) != 2:
+                raise ValueError(f"register '{name}' needs two rails, got "
+                                 f"{len(pair)}: {pair}")
             for rail in pair:
                 if not 0 <= require_integer(rail, "register rail") < n_rails:
                     raise ValueError(f"register '{name}' rail {rail} outside "
                                      f"[0, {n_rails})")
-            registers.append((name, pair))
+                if rail in register_rails:
+                    raise ValueError(f"register rails must be distinct: "
+                                     f"register '{name}' repeats rail {rail}")
+                register_rails.add(rail)
+            registers.append((name, (int(pair[0]), int(pair[1]))))
         wire = [()] * n_positions
         for position, group in groups.items():
             wire[position] = tuple(group)
@@ -215,9 +224,6 @@ class Circuit:
             seg for position in sorted(groups) for seg in wire[position]))
         object.__setattr__(self, "registers", tuple(registers))
         object.__setattr__(self, "_macros", macros)
-        # rails distinct within and across pairs
-        object.__setattr__(self, "register", _dualrail.DualRailRegister(
-            tuple(pair for _, pair in registers)) if registers else None)
 
     @property
     def expanded(self) -> Circuit:

@@ -224,15 +224,11 @@ class ElementArrival:
 class ShotHistogram:
     """Aggregated sampling run."""
 
-    n_rails: int
     n_shots: int
     counts: dict                  # mask -> count, only nonzero entries
-    logical_counts: dict | None   # outcome string -> count, when registers exist
+    logical_counts: dict | None   # decode key -> count, when registers exist
     leak_count: int
     violations: list = field(default_factory=list)  # late ElementArrival, when overridden
-
-    def probability(self, mask: int) -> float:
-        return self.counts.get(mask, 0) / self.n_shots
 
 
 class ArrivalTable(Sequence):
@@ -539,17 +535,16 @@ def run_shots(circuit, n_shots: int,
     counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))
     logical_counts = None
     leak_count = 0
-    if circuit.register is not None:
+    if circuit.registers:
+        pairs = [pair for _, pair in circuit.registers]
         logical_counts = {}
         for mask, count in counts.items():
-            outcome = decode(mask, circuit.register)
-            key = str(outcome)
+            key = decode(mask, pairs)
             logical_counts[key] = logical_counts.get(key, 0) + count
-            if outcome.has_leak:
+            if "L" in key:
                 leak_count += count
 
     return ShotHistogram(
-        n_rails=circuit.n_rails,
         n_shots=n_shots,
         counts=counts,
         logical_counts=logical_counts,

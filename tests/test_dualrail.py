@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flyqsim.dualrail import LEAK, DualRailRegister, decode
+from flyqsim.dualrail import decode
 from flyqsim.gates import apply_element_batch, fredkin_circuit, logical_hadamard
 from flyqsim.netlist import Circuit
 from flyqsim.timing import SepSource, outcome_probabilities, run_shots
@@ -11,15 +11,16 @@ import sectors
 from oracles import fidelity
 
 
-def encoded(register, bits, n_rails, elements=()):
-    """Circuit whose pumps load ``bits`` into ``register``: bit 0 on the
-    first rail of its pair, bit 1 on the second, the other rails empty."""
-    loaded = {pair[bit] for bit, pair in zip(bits, register.pairs)}
+def encoded(pairs, bits, n_rails, elements=()):
+    """Circuit whose pumps load ``bits`` into the registers on ``pairs``: bit
+    0 on the first rail of its pair, bit 1 on the second, the other rails
+    empty."""
+    loaded = {pair[bit] for bit, pair in zip(bits, pairs)}
     return Circuit(
         n_rails=n_rails, elements=list(elements),
         sources=[SepSource(r, 0.0, emits=r in loaded) for r in range(n_rails)],
         detectors=list(range(n_rails)),
-        registers=[(f"r{i}", pair) for i, pair in enumerate(register.pairs)])
+        registers=[(f"r{i}", pair) for i, pair in enumerate(pairs)])
 
 
 def run_elements(n_rails, occupied, elements):
@@ -31,80 +32,96 @@ def run_elements(n_rails, occupied, elements):
 
 
 def test_encode_zero_occupies_first_rail():
-    register = DualRailRegister(((0, 1),))
-    sector, p = outcome_probabilities(encoded(register, [0], 2))
+    sector, p = outcome_probabilities(encoded([(0, 1)], [0], 2))
     assert sector.tolist() == [0b01, 0b10]
     assert p.tolist() == [1.0, 0.0]
-    assert decode(0b01, register).bits == (0,)
+    assert decode(0b01, [(0, 1)]) == "0"
 
 
 def test_encode_one_occupies_second_rail():
-    register = DualRailRegister(((0, 1),))
-    sector, p = outcome_probabilities(encoded(register, [1], 2))
+    sector, p = outcome_probabilities(encoded([(0, 1)], [1], 2))
     assert p[sector.tolist().index(0b10)] == 1.0
-    assert decode(0b10, register).bits == (1,)
+    assert decode(0b10, [(0, 1)]) == "1"
 
 
 def test_encode_two_qubits_product():
-    register = DualRailRegister(((0, 1), (2, 3)))
-    circuit = encoded(register, [1, 0], 4)
-    assert circuit.register == register
+    circuit = encoded([(0, 1), (2, 3)], [1, 0], 4)
+    assert circuit.registers == (("r0", (0, 1)), ("r1", (2, 3)))
     # qubit 0 on its 1-rail (rail 1), qubit 1 on its 0-rail (rail 2)
     result = run_shots(circuit, 20, master_seed=1)
     assert result.counts == {0b0110: 20}
     assert result.logical_counts == {"10": 20}
+    assert result.leak_count == 0
+
+
+def registers(*pairs):
+    """A 4-rail circuit declaring one register per pair."""
+    return Circuit(4, registers=[(f"r{i}", pair) for i, pair in enumerate(pairs)])
 
 
 @pytest.mark.parametrize("rail", [0.7, 1.0, True, False])
 def test_register_rejects_rails_that_are_not_integers(rail):
     # int() once read (0.7, 1.2) as rails (0, 1) and True as rail 1
     with pytest.raises(ValueError, match=r"register rail must be an integer"):
-        DualRailRegister(((rail, 2),))
+        registers((rail, 2))
     with pytest.raises(ValueError, match=r"register rail must be an integer"):
-        DualRailRegister(((2, rail),))
+        registers((2, rail))
 
 
 def test_register_rejects_negative_and_repeated_rails():
     # a negative rail once failed only later, in decode's bit shift
-    with pytest.raises(ValueError, match=r"register rails must be >= 0"):
-        DualRailRegister(((-1, 1),))
-    with pytest.raises(ValueError, match=r"register rails must be distinct"):
-        DualRailRegister(((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"register 'r0' rail -1 outside \[0, 4\)"):
+        registers((-1, 1))
+    with pytest.raises(ValueError, match=r"register rails must be distinct: "
+                                         r"register 'r1' repeats rail 1"):
+        registers((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("pair", [(0,), (0, 1, 2), ()], ids=["one", "three", "none"])
+def test_register_rejects_a_wrong_number_of_rails(pair):
+    # three rails once failed with "too many values to unpack"
+    with pytest.raises(ValueError, match=rf"register 'r0' needs two rails, "
+                                         rf"got {len(pair)}"):
+        registers(pair)
 
 
 def test_register_accepts_numpy_integers():
-    register = DualRailRegister(((np.int64(0), np.int32(3)), (np.uint8(1), 2)))
-    assert register.pairs == ((0, 3), (1, 2))
-    assert all(type(r) is int for pair in register.pairs for r in pair)
-    assert decode(0b1010, register).bits == (1, 0)
+    circuit = registers((np.int64(0), np.int32(3)), (np.uint8(1), 2))
+    assert circuit.registers == (("r0", (0, 3)), ("r1", (1, 2)))
+    assert all(type(r) is int for _, pair in circuit.registers for r in pair)
+    assert decode(0b1010, [pair for _, pair in circuit.registers]) == "10"
 
 
 def test_decode_patterns():
-    register = DualRailRegister(((0, 1),))
-    assert decode(0b01, register).bits == (0,)
-    assert decode(0b10, register).bits == (1,)
-    assert decode(0b00, register).bits == (LEAK,)
-    assert decode(0b11, register).bits == (LEAK,)
+    assert decode(0b01, [(0, 1)]) == "0"
+    assert decode(0b10, [(0, 1)]) == "1"
+    assert decode(0b00, [(0, 1)]) == "L"
+    assert decode(0b11, [(0, 1)]) == "L"
 
 
 def test_decode_multi_qubit_and_rendering():
-    register = DualRailRegister(((0, 1), (2, 3)))
-    outcome = decode(0b1001, register)  # rails 0 and 3 occupied
-    assert outcome.bits == (0, 1)
-    assert str(outcome) == "01"
-    assert not outcome.has_leak
-    leaky = decode(0b0111, register)  # pair (0,1) doubly occupied
-    assert leaky.bits == (LEAK, 0)
-    assert str(leaky) == "L0"
-    assert leaky.has_leak
+    pairs = [(0, 1), (2, 3)]
+    assert decode(0b1001, pairs) == "01"  # rails 0 and 3 occupied
+    assert decode(0b0111, pairs) == "L0"  # pair (0,1) doubly occupied
+    assert decode(0b0101, [(2, 3), (1, 0)]) == "01"  # in declaration order
+    assert decode(0b1111, []) == ""
+
+
+def test_leaked_shots_are_counted_by_their_key():
+    # the pumps load rails 0 and 1: pair (0, 1) is doubly occupied and pair
+    # (2, 3) empty, so every shot leaks on both
+    circuit = Circuit(4, sources=[SepSource(r, 0.0, emits=r < 2) for r in range(4)],
+                      registers=[("a", (0, 1)), ("b", (2, 3))])
+    result = run_shots(circuit, 7, master_seed=2)
+    assert result.logical_counts == {"LL": 7}
+    assert result.leak_count == 7
 
 
 # --- logical Hadamard ----------------------------------------------------
 
 
 def test_hadamard_balanced_probabilities_exact():
-    register = DualRailRegister(((0, 1),))
-    circuit = encoded(register, [0], 2, logical_hadamard((0, 1)))
+    circuit = encoded([(0, 1)], [0], 2, logical_hadamard((0, 1)))
     sector, probs = outcome_probabilities(circuit)
     # the empty and the doubly occupied pair lie outside the loaded sector
     assert sector.tolist() == [0b01, 0b10]
@@ -129,8 +146,7 @@ def test_hadamard_subspace_matrix_matches_oracle():
 
 
 def test_hadamard_preserves_code_space():
-    register = DualRailRegister(((0, 1),))
-    circuit = encoded(register, [1], 2, logical_hadamard((0, 1)))
+    circuit = encoded([(0, 1)], [1], 2, logical_hadamard((0, 1)))
     result = run_shots(circuit, 2000, master_seed=5)
     assert result.leak_count == 0
     assert set(result.counts) <= {0b01, 0b10}

@@ -26,7 +26,7 @@ def assert_same_expansion(got, expected):
     assert got.segments == expected.segments
     assert got.wire == expected.wire
     assert got == expected
-    assert got.register == expected.register
+    assert got.registers == expected.registers
 
 
 def check_front_end(circuit):

@@ -20,7 +20,7 @@ from flyqsim.netlist import (
     parse_circuit,
     serialize,
 )
-from flyqsim.timing import SepSource
+from flyqsim.timing import DephasingModel, SepSource, run_shots
 
 CANONICAL = """\
 rails 3
@@ -361,13 +361,44 @@ def test_circuit_accepts_numpy_integers():
     assert parse_circuit(serialize(circuit)) == circuit
 
 
+def angle_circuit(angle):
+    """Three rails, an interferometer on (q1, q2) whose arm q1 carries a
+    phase shifter and a Coulomb coupler to q0, both at ``angle``."""
+    return Circuit(
+        3, [WaveguideCoupler((1, 2), 0.14), PhaseShifter(1, angle),
+            CoulombCoupler((0, 1), angle), WaveguideCoupler((1, 2), 0.14)],
+        segments=[Segment(r, 2.0, 1) for r in range(3)],
+        sources=[SepSource(0, 0.0), SepSource(1, 0.0),
+                 SepSource(2, 0.0, emits=False)],
+        detectors=[0, 1, 2])
+
+
+@pytest.mark.parametrize("angle", ["0.5", np.float64(0.5), np.float32(0.5)],
+                         ids=["str", "float64", "float32"])
+def test_phase_angles_are_stored_as_the_floats_they_are_checked_as(angle):
+    # phi and chi_t once kept the raw argument: a string was accepted, then
+    # did not round-trip and raised TypeError in the sector kernels
+    circuit = angle_circuit(angle)
+    shifter, coupler = circuit.elements[1:3]
+    assert type(shifter.phi) is float and type(coupler.chi_t) is float
+    assert circuit == angle_circuit(0.5)
+    assert parse_circuit(serialize(circuit)) == circuit
+    for mode in ("off", "factor", "mc"):
+        dephasing = DephasingModel(30.0, mode)
+        result = run_shots(circuit, 200, dephasing=dephasing, master_seed=4)
+        expected = run_shots(angle_circuit(0.5), 200, dephasing=dephasing,
+                             master_seed=4)
+        assert result.counts == expected.counts
+        assert len(result.counts) > 1
+
+
 def test_register_pairs_are_frozen_tuples():
     circuit = Circuit(4, sources=[SepSource(0, 0.0)], registers=[("a", [0, 1])])
     assert circuit.registers == (("a", (0, 1)),)
     assert parse_circuit(serialize(circuit)) == circuit
     with pytest.raises(TypeError):
         circuit.registers[0][1][1] = 0
-    assert circuit.registers[0][1] == circuit.register.pairs[0] == (0, 1)
+    assert all(type(r) is int for r in circuit.registers[0][1])
 
 
 def test_circuit_stores_containers_as_tuples_and_wire_in_netlist_order():
@@ -378,10 +409,9 @@ def test_circuit_stores_containers_as_tuples_and_wire_in_netlist_order():
     for name in ("elements", "segments", "sources", "detectors", "registers"):
         assert type(getattr(circuit, name)) is tuple, name
     assert circuit.registers == (("q", (0, 1)),)
-    assert circuit.register.pairs == ((0, 1),)
     assert circuit.wire == ((segments[1],), (segments[0], segments[2]))
     assert circuit.segments == (segments[1], segments[0], segments[2])
-    assert Circuit(2).register is None
+    assert Circuit(2).registers == ()
 
 
 @pytest.mark.parametrize("field", ["rail", "length", "position"])
