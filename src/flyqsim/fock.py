@@ -19,13 +19,23 @@ rails strictly between the pair.  A doubly occupied pair transforms with
 det(u).  Both rules are exercised against a dense second-quantized oracle
 (``gates.build_dense_unitary``) in the test suite.
 
-The batch kernels (``mode_unitary_batch`` and the index helpers) take the
-electron count and address the first axis of a ``(dim,)`` state vector or a
-``(dim, m)`` batch of m columns as positions in ``sector_basis(n_rails,
-k)``, the sector's masks in ascending order.  The columns are those of a
-factored or a dense density matrix (``timing.outcome_probabilities``); one
-basis position is one contiguous row, so the index gathers and scatters move
-whole rows.
+The batch kernels take the electron count and address the first axis of a
+``(dim,)`` state vector or a ``(dim, m)`` batch of m columns as positions in
+``sector_basis(n_rails, k)``, the sector's masks in ascending order.  The
+columns are those of a factored or a dense density matrix
+(``timing.outcome_probabilities``); one basis position is one contiguous
+row, so a gather moves whole rows.  In a long stretch a two-rail mode
+unitary is one partner-form update, ``x <- a * x + b * x[partner]``:
+``partner_rows`` builds the rows ``a``, ``b`` and ``partner`` for a chunk
+of unitaries at once, at most ``CHUNK_AMPLITUDES`` entries per table, from
+a cached plan per rail pair (``_pair_plan``), and ``apply_partner_rows``
+applies them one row at a time, in place, with one gathered copy of the
+batch.
+``phase_rows`` turns summed phase angles into ``exp(i theta)`` rows over
+the sector, reading occupations from the cached index helpers.  The stretch
+kernel ``gates.apply_stretch`` combines the two for long stretches;
+``mode_unitary_batch`` updates only the positions of one pair's plan, the
+cheaper form for one unitary or a short stretch.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
@@ -58,8 +68,8 @@ outcome probabilities and a block of uniforms it adds to a count array, by
 inverse-CDF sampling, how many uniforms fall on each basis position,
 without forming a per-shot position.
 
-``mode_unitary_batch`` and ``sample_counts`` update their arrays in place;
-every other function is pure.
+``mode_unitary_batch``, ``apply_partner_rows`` and ``sample_counts`` update
+their arrays in place; every other function is pure.
 """
 
 from __future__ import annotations
@@ -75,6 +85,12 @@ MAX_RAILS = 63
 # the one capacity rule: no sector and no monte-carlo form beyond this many
 # complex amplitudes (256 MiB)
 MAX_AMPLITUDES = 1 << 24
+# the chunk bound of the stretch kernel: at most this many entries in each
+# (rows, dim) table of a chunk of couplers, and at least one row.  Evolving
+# the long_netlist benchmark circuit (70 masks, 1000 couplers) on a 2-vCPU
+# Xeon took a best-of-15 11.6 ms at 2^12, 13.8 ms at 2^11, 20 ms at 2^10 and
+# 10.6 ms at 2^13, where the benchmark's peak RSS rose by about 1 MiB
+CHUNK_AMPLITUDES = 1 << 12
 
 
 class CapacityError(ValueError):
@@ -110,6 +126,22 @@ def require_integer(value, what: str):
                               and not isinstance(value, bool)):
         return value
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def require_float(value, what: str) -> float:
+    """``value`` as a ``float`` (numpy scalars and numeric strings too), else
+    ``ValueError``.
+
+    The one number rule for element angles and lengths, segment lengths
+    and pump delays: each is stored as the ``float`` it is checked as, so a
+    ``float32`` runs at the value it holds, in double precision.
+    """
+    if type(value) is float:
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def check_rail(n_rails: int, rail: int) -> None:
@@ -221,14 +253,23 @@ def lift_columns(columns: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128, typed=True)
-def _mode_block_indices(n_rails: int, lo: int, hi: int, n_electrons: int):
-    """Basis-position arrays for a two-rail mode unitary on rails ``lo < hi``.
+def _pair_plan(n_rails: int, lo: int, hi: int, n_electrons: int):
+    """Partner plan of the rail pair ``lo < hi`` (cached, read-only).
 
-    Returns (m10, m01, m11, signs) over ``sector_basis(n_rails,
-    n_electrons)``: positions of masks with only ``lo`` occupied within the
-    pair, the positions of their partners with only ``hi`` occupied, masks
-    with both occupied, and the (-1)^k hopping signs from occupied rails
-    strictly between the pair.  Like the other index helpers it raises
+    Returns ``(positions, signs)`` over ``sector_basis(n_rails,
+    n_electrons)``.  ``positions`` (intp) lists the masks with only ``lo``
+    occupied within the pair, then their partners, the same masks with the
+    electron on ``hi``, then the masks with both occupied; ``signs``
+    (float64) holds the (-1)^k hopping sign of each ``lo``-only mask, k
+    counting occupied rails strictly between the pair.  Every other mask is
+    its own partner.  Every pair of a sector has C(n-2, k-1) masks of each
+    one-electron kind and C(n-2, k-2) doubly occupied ones, so the plans of
+    a chunk of couplers stack into arrays.  A plan holds 24 bytes per
+    one-electron pair of masks and 8 per doubly occupied mask, not a table
+    over the sector, as the index blocks it replaced did.  int32 positions
+    and int8 signs would hold fewer bytes, but every index update would
+    then convert them: the 9-element readout_narrow benchmark circuit took
+    about 0.08 ms to evolve with them and 0.05 ms with these.  Like the other index helpers it raises
     ``ValueError`` for a rail outside ``[0, n_rails)`` or not an integer,
     and for one rail twice; only valid rails are cached, and the caches are
     typed so that ``True`` never finds the entry of rail 1, so the batch
@@ -242,16 +283,16 @@ def _mode_block_indices(n_rails: int, lo: int, hi: int, n_electrons: int):
     basis = sector_basis(n_rails, n_electrons)
     lo_set = (basis >> lo) & 1
     hi_set = (basis >> hi) & 1
-    m10 = np.flatnonzero((lo_set == 1) & (hi_set == 0))
-    partners = basis[m10] ^ ((1 << lo) | (1 << hi))
-    m01 = np.searchsorted(basis, partners)
-    m11 = np.flatnonzero((lo_set == 1) & (hi_set == 1))
+    lo_only = np.flatnonzero(lo_set > hi_set)
+    hi_only = basis.searchsorted(basis[lo_only] ^ ((1 << lo) | (1 << hi)))
+    both = np.flatnonzero(lo_set & hi_set)
     between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    parity = np.bitwise_count(basis[m10] & between) & 1
-    signs = 1.0 - 2.0 * parity.astype(np.float64)
-    for arr in (m10, m01, m11, signs):
-        arr.setflags(write=False)
-    return m10, m01, m11, signs
+    parity = np.bitwise_count(basis[lo_only] & between) & 1
+    positions = np.concatenate((lo_only, hi_only, both))
+    signs = 1.0 - 2.0 * parity
+    positions.setflags(write=False)
+    signs.setflags(write=False)
+    return positions, signs
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -277,6 +318,118 @@ def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
     return idx
 
 
+def partner_rows(n_rails: int, pairs, u: np.ndarray, n_electrons: int):
+    """Partner-form rows of a chunk of two-rail mode unitaries.
+
+    ``pairs`` lists the rails of each unitary, first rail first, and ``u``
+    holds the unitaries as a ``(c, 2, 2)`` array; each mixes the
+    single-electron amplitudes of its two rails.  Returns ``(partners, a,
+    b)``, three ``(c, dim)`` arrays over ``sector_basis(n_rails,
+    n_electrons)``, such that unitary ``i`` maps sector amplitudes ``x`` to
+    ``a[i] * x + b[i] * x[partners[i]]``.  A mask with one electron on the
+    pair is paired with the same mask with that electron on the other rail
+    and mixes with it by ``u``, its hopping amplitudes carrying the (-1)^k
+    sign of the module docstring; every other mask is its own partner and
+    is scaled, by det(u) with both rails occupied and by 1 with neither.
+    The rows are built for the whole chunk at once from the cached
+    ``_pair_plan`` of each pair.
+    """
+    u = np.array(u, dtype=np.complex128)
+    plans = []
+    for i, (r0, r1) in enumerate(pairs):
+        if r0 > r1:
+            # reorder so mode 0 is the lower rail; conjugate u by the swap
+            r0, r1 = r1, r0
+            u[i] = u[i, ::-1, ::-1]
+        plans.append(_pair_plan(n_rails, r0, r1, n_electrons))
+    count = len(plans)
+    positions, signs = (np.concatenate(arrays).reshape(count, arrays[0].size)
+                        for arrays in zip(*plans))
+    hops = signs.shape[1]
+    dim = sector_basis(n_rails, n_electrons).size
+    # positions in the flattened (count, dim) rows
+    flat = positions + (np.arange(count) * dim)[:, np.newaxis]
+    lo_only, hi_only = flat[:, :hops], flat[:, hops:2 * hops]
+    partners = np.empty((count, dim), dtype=np.intp)
+    partners[...] = np.arange(dim)
+    partners.ravel()[lo_only] = positions[:, hops:2 * hops]
+    partners.ravel()[hi_only] = positions[:, :hops]
+    a = np.ones((count, dim), dtype=np.complex128)
+    a.ravel()[lo_only] = u[:, 0, 0, np.newaxis]
+    a.ravel()[hi_only] = u[:, 1, 1, np.newaxis]
+    a.ravel()[flat[:, 2 * hops:]] = (u[:, 0, 0] * u[:, 1, 1]
+                                     - u[:, 0, 1] * u[:, 1, 0])[:, np.newaxis]
+    b = np.zeros((count, dim), dtype=np.complex128)
+    b.ravel()[lo_only] = signs * u[:, 0, 1, np.newaxis]
+    b.ravel()[hi_only] = signs * u[:, 1, 0, np.newaxis]
+    return partners, a, b
+
+
+def phase_rows(n_rails: int, n_electrons: int, count: int, rows, rails,
+               angles) -> np.ndarray:
+    """``exp(i theta) = cos(theta) + i sin(theta)`` over
+    ``sector_basis(n_rails, n_electrons)``, as a ``(count, dim)`` array.
+
+    Entry ``t`` of the three sequences adds ``angles[t]`` to
+    ``theta[rows[t]]`` on the masks that occupy every rail of ``rails[t]``,
+    a tuple of one rail or two.  The angles of one row and rail tuple are
+    summed in order; ``theta`` is then one product of those sums with the
+    occupations of the distinct rail tuples, read from the cached index
+    helpers (which check the rails) and taken at most ``CHUNK_AMPLITUDES``
+    mask entries at a time, so a phase costs no array operation of its own.
+    """
+    dim = sector_basis(n_rails, n_electrons).size
+    keys = {}
+    columns = [keys.setdefault(key, len(keys)) for key in rails]
+    occupied = [rail_occupied_indices(n_rails, key[0], n_electrons)
+                if len(key) == 1 else
+                pair_occupied_indices(n_rails, *key, n_electrons)
+                for key in keys]
+    sums = np.bincount(np.multiply(rows, len(keys)) + columns, weights=angles,
+                       minlength=count * len(keys)).reshape(count, len(keys))
+    theta = np.zeros((count, dim))
+    step = max(1, CHUNK_AMPLITUDES // dim)
+    for start in range(0, len(keys), step):
+        block = occupied[start:start + step]
+        occupation = np.zeros(len(block) * dim)
+        occupation[np.concatenate(block) + np.repeat(
+            np.arange(0, len(block) * dim, dim), [p.size for p in block])] = 1.0
+        theta += sums[:, start:start + step] @ occupation.reshape(len(block), dim)
+    phases = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=phases.real)
+    np.sin(theta, out=phases.imag)
+    return phases
+
+
+def apply_partner_rows(batch: np.ndarray, partners: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> None:
+    """``batch <- a[i] * batch + b[i] * batch[partners[i]]`` for each row
+    ``i`` in turn, in place.
+
+    ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
+    columns the rows act on alike.  The rows share one gathered copy of
+    ``batch`` and update ``batch`` in place.
+    """
+    if batch.ndim == 2:
+        a = a[:, :, np.newaxis]
+        b = b[:, :, np.newaxis]
+    if batch.shape[0] == 1:
+        # one mask, an empty or a full register, is its own partner and
+        # only scaled.  numpy rounds an in-place complex product of a
+        # single amplitude differently from a longer one; a product out of
+        # place rounds alike for a vector and a batch
+        for scale in a:
+            batch[...] = scale * batch
+        return
+    hop = np.empty_like(batch)
+    for index, scale, hop_scale in zip(partners, a, b):
+        # mode "clip" is not buffered, so the gather writes straight into hop
+        batch.take(index, axis=0, out=hop, mode="clip")
+        hop *= hop_scale
+        batch *= scale
+        batch += hop
+
+
 def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
                        n_electrons: int) -> None:
     """Apply a two-rail mode unitary to sector amplitudes, in place.
@@ -286,30 +439,31 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
     ``sector_basis(n_rails, n_electrons)``.  ``u`` mixes the single-electron
     amplitudes of ``rails``, first rail first; components with both rails
     empty are untouched, components with both occupied pick up det(u), and
-    hopping amplitudes carry the (-1)^k sign of the module docstring.  The
-    one block update: the shot runner passes a vector or the columns of a
-    density matrix.
+    hopping amplitudes carry the (-1)^k sign of the module docstring.  It
+    updates only the positions of the pair's ``_pair_plan``, which for one
+    unitary costs less than building its partner-form rows.
     """
     r0, r1 = rails
     if r0 > r1:
         # reorder so mode 0 is the lower rail; conjugate u by the swap
         r0, r1 = r1, r0
         u = u[::-1, ::-1]
-    m10, m01, m11, signs = _mode_block_indices(n_rails, r0, r1, n_electrons)
-    doubly_occupied = m11.size > 0
+    positions, signs = _pair_plan(n_rails, r0, r1, n_electrons)
+    hops = signs.size
+    lo_only, hi_only = positions[:hops], positions[hops:2 * hops]
+    both = positions[2 * hops:]
     if batch.ndim == 2:
         signs = signs[:, np.newaxis]
     # out-of-place products with a scalar coefficient: numpy rounds an
     # in-place or array-by-array complex product of a one-amplitude block
-    # differently from a long one, and sector blocks are often that short;
-    # these forms keep seeded output byte-identical to the pinned goldens
-    a = batch[m10]
-    b = batch[m01]
-    batch[m10] = u[0, 0] * a + u[0, 1] * (signs * b)
-    batch[m01] = u[1, 0] * (signs * a) + u[1, 1] * b
-    if doubly_occupied:
+    # differently from a long one, and these blocks are often that short
+    a = batch[lo_only]
+    b = batch[hi_only]
+    batch[lo_only] = u[0, 0] * a + u[0, 1] * (signs * b)
+    batch[hi_only] = u[1, 0] * (signs * a) + u[1, 1] * b
+    if both.size:
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        batch[m11] = batch[m11] * det
+        batch[both] = batch[both] * det
 
 
 def sample_counts(cumulative: np.ndarray, uniforms, out: np.ndarray) -> np.ndarray:

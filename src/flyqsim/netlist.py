@@ -48,7 +48,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .fock import MAX_RAILS, require_integer
+from .fock import MAX_RAILS, require_float, require_integer
 from .gates import (
     MACROS,
     CompositeGate,
@@ -176,6 +176,9 @@ class Circuit:
             if not 0 <= require_integer(seg.rail, "segment rail") < n_rails:
                 raise ValueError(f"segment rail {seg.rail} outside "
                                  f"[0, {n_rails}): {seg!r}")
+            if type(seg.length) is not float:
+                seg = seg._replace(length=require_float(seg.length,
+                                                        "segment length"))
             if not (math.isfinite(seg.length) and seg.length >= 0):
                 raise ValueError(f"segment length must be finite and >= 0: "
                                  f"{seg!r}")

@@ -58,9 +58,12 @@ by one condition: the circuit and the mode, nothing else.
   ``|det U[S, occ]|^2``.  With more electrons than empty rails the empty
   rails' orbitals are lifted instead.  It agrees with the sector path to
   rounding (about 1e-15), not bit for bit.
-* Sector path: ``monte-carlo`` mode, or any ``cc``.  The sector kernels
-  (``gates.apply_element_batch``) evolve the sector amplitudes; the other
-  masks could only carry exact zeros.
+* Sector path: ``monte-carlo`` mode, or any ``cc``.  The stretch kernel
+  (``gates.apply_stretch``) evolves the sector amplitudes, one call per
+  stretch of elements: the whole circuit in ``off`` and
+  ``deterministic-factor`` mode, the elements between two wire positions
+  with segments in ``monte-carlo`` mode.  The other masks could only carry
+  exact zeros.
 
 Both paths feed the same cumulative sum, so the stream contract above does
 not depend on the path.
@@ -74,20 +77,21 @@ phase, so such wire changes no probability; leading wire from the pumps
 meets a Fock state and is always skipped, and so is the wire after the last
 element, whose channel keeps the diagonal.  From the first wire that counts,
 the state is a density matrix ``rho = B B^H`` held as its factor ``B``, one
-column at first; every element acts on ``B``'s columns.  At each position
+column at first; every stretch acts on ``B``'s columns.  At each position
 whose wire counts, ``B`` is rebuilt over its support of ``s`` rows from the
 eigenpairs of the dephased ``s x s`` block of ``rho``, so it keeps at most
 ``s`` columns.  A support above ``_DENSE_SUPPORT`` rows switches to the dense
-``(C(n, k), C(n, k))`` rho for the rest of the run, where an element is
-applied to the rows and then, after a conjugate transpose, to the rows
+``(C(n, k), C(n, k))`` rho for the rest of the run, where a stretch is
+applied to the rows and then, after one conjugate transpose, to the rows
 again.  Under the same rule (``fock.check_capacity``) the run may hold no
 more than 2^24 amplitudes' worth of arrays at once (256 MiB), or it is
 refused with ``fock.CapacityError`` and the advice to use factor mode,
 which needs only the sector.  The factored form counts, at each rebuild,
-the new ``B`` with two more ``B``'s worth of element temporaries, the
-previous ``B`` and six complex ``s x s`` arrays for the
-eigen-decomposition; the dense form counts rho, its conjugate-transposed
-copy and the two float arrays of its damping factors, three rho's worth.
+the new ``B`` with two more ``B``'s worth of kernel temporaries, the
+kernel's chunk rows, the previous ``B`` and six complex ``s x s`` arrays
+for the eigen-decomposition; the dense form counts rho and one more rho's worth at
+a time (its conjugate-transposed copy, the kernel's gathered copy or the two
+float arrays of its damping factors), three rho's worth with room to spare.
 """
 
 from __future__ import annotations
@@ -102,7 +106,12 @@ import numpy as np
 
 from . import fock
 from .dualrail import decode
-from .gates import CoulombCoupler, apply_element_batch, apply_element_columns
+from .gates import (  # noqa: F401  perfbench/tracing.py wraps apply_element_batch here
+    CoulombCoupler,
+    apply_element_batch,
+    apply_element_columns,
+    apply_stretch,
+)
 
 DEFAULT_VELOCITY_UM_PS = 0.1
 DEFAULT_WINDOW_PS = 1.0
@@ -127,17 +136,23 @@ _SHOT_CHUNK = 8192
 _DENSE_SUPPORT = 256
 # the monte-carlo average may hold no more than fock.MAX_AMPLITUDES
 # amplitudes' worth of arrays at once, checked with fock.check_capacity.
-# The dense form holds rho, its conjugate-transposed copy and two float
-# arrays of the same shape, the damping D and its exp temporary: three
-# complex (dim, dim) arrays' worth
+# The dense form holds rho and, one at a time, its conjugate-transposed
+# copy, the kernel's gathered copy, or the damping D and its exp temporary
+# (two float arrays): 2.2 rho's worth measured with tracemalloc on a
+# 252-mask circuit, counted as three complex (dim, dim) arrays
 _DENSE_COPIES = 3
-# the factored form holds B and, while an element acts on it, the gathered
-# rows and products of the element kernel: up to two more B's worth (1.4
-# measured with tracemalloc).  A rebuild also holds the previous B and the
-# s x s work of the eigen-decomposition: the damping D with its temporaries,
-# K, LAPACK's copy and workspace and the eigenvectors (5 complex s x s
-# arrays' worth measured)
+# the factored form holds B and, while a stretch acts on it, up to two more
+# B's worth: the gathered copy of the partner-form update with its chunk
+# rows (1.2 to 1.3 B's worth measured with tracemalloc at ranks 162 to 250
+# of a 252-mask circuit) or the gathered blocks and products of a short
+# stretch's index updates (1.4 measured).  The chunk rows are counted on top,
+# _ROW_COPIES amplitudes' worth per entry of a (couplers, dim) table of
+# max(fock.CHUNK_AMPLITUDES, dim) entries (2.3 measured for a one-column B).
+# A rebuild also holds the previous B and the s x s work of the
+# eigen-decomposition: the damping D with its temporaries, K, LAPACK's copy
+# and workspace and the eigenvectors (5 complex s x s arrays' worth measured)
 _FACTORED_COPIES = 3
+_ROW_COPIES = 3
 _BLOCK_COPIES = 6
 _MC_ADVICE = "; use factor mode (--dephasing factor) for this circuit"
 
@@ -164,9 +179,11 @@ class SepSource:
     emits: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.emission_delay) and self.emission_delay >= 0):
+        delay = fock.require_float(self.emission_delay, "emission_delay")
+        if not (math.isfinite(delay) and delay >= 0):
             raise ValueError(f"emission_delay must be finite and >= 0, "
-                             f"got {self.emission_delay}")
+                             f"got {delay}")
+        object.__setattr__(self, "emission_delay", delay)
 
 
 @dataclass(frozen=True)
@@ -415,12 +432,13 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     keep = values > s * np.finfo(np.float64).eps * values[-1]
     rank = int(np.count_nonzero(keep))
     held = (dim * (_FACTORED_COPIES * rank + factor.shape[1])
-            + _BLOCK_COPIES * s * s)
+            + _BLOCK_COPIES * s * s
+            + _ROW_COPIES * max(fock.CHUNK_AMPLITUDES, dim))
     fock.check_capacity(
         held, f"the exact monte-carlo average needs a {dim} x {rank} array",
         f"{_MC_ADVICE}; this form holds {held} amplitudes' worth (B, its "
-        f"element temporaries, the previous B and the eigen-decomposition's "
-        f"work) at once")
+        f"kernel temporaries and chunk rows, the previous B and the "
+        f"eigen-decomposition's work) at once")
     state = np.zeros((dim, rank), dtype=np.complex128)
     state[support] = vectors[:, keep] * np.sqrt(values[keep])
     return state, dense
@@ -476,16 +494,24 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     state = np.zeros(sector.size, dtype=np.complex128)
     state[np.searchsorted(sector, loaded)] = 1.0
     dense = False
-    # the wire after the last element is left out: a phase channel keeps
-    # the diagonal of rho
-    for group, element in zip(circuit.wire, circuit.elements):
-        if mc and group:
-            state, dense = _dephase(state, dense, group, sector, dephasing.l_phi)
-        apply_element_batch(state, n_rails, element, n_electrons)
-        if dense:
-            # U rho is done; (U rho)^H = rho U^H, so U again gives U rho U^H
-            state = np.conjugate(state.T, order="C")
-            apply_element_batch(state, n_rails, element, n_electrons)
+    elements = circuit.elements
+    # one stretch per wire position in mc mode, else one; the wire after the
+    # last element is left out: a phase channel keeps the diagonal of rho
+    cuts = [position for position, group in enumerate(circuit.wire[:-1])
+            if group] if mc else []
+    start = 0
+    for end in cuts + [len(elements)]:
+        stretch = elements[start:end]
+        if stretch:
+            apply_stretch(state, n_rails, stretch, n_electrons)
+            if dense:
+                # U rho is done; (U rho)^H = rho U^H, so U again gives U rho U^H
+                state = np.conjugate(state.T, order="C")
+                apply_stretch(state, n_rails, stretch, n_electrons)
+        if end < len(elements):
+            state, dense = _dephase(state, dense, circuit.wire[end], sector,
+                                    dephasing.l_phi)
+        start = end
     if dense:
         return sector, state.diagonal().real.clip(min=0.0)
     return sector, np.sum(np.abs(state.reshape(sector.size, -1)) ** 2, axis=1)

@@ -4,13 +4,20 @@ The package's only state is a vector over one electron-number sector,
 ``fock.sector_basis(n_rails, k)``.  These helpers build the pump-loaded
 vector, move between a sector and the 2^n masks that the dense oracles
 index, and evolve a 2^n vector by splitting it into its sectors, evolving
-each with ``apply_element_batch`` and scattering the pieces back.
+each with ``apply_element_batch`` and scattering the pieces back, and
+keep the element-by-element update the stretch kernel replaced as its
+reference (``reference_element``, ``reference_stretch``).
 """
 
 import numpy as np
 
 from flyqsim import fock
-from flyqsim.gates import apply_element_batch
+from flyqsim.gates import (
+    CoulombCoupler,
+    PhaseShifter,
+    apply_element_batch,
+    coupler_matrix,
+)
 
 
 def loaded(n_rails: int, occupied):
@@ -67,3 +74,45 @@ def evolve_mode_unitary(vector, n_rails: int, rails, u) -> np.ndarray:
     return by_sector(
         vector, n_rails,
         lambda piece, k: fock.mode_unitary_batch(piece, n_rails, rails, u, k))
+
+
+def reference_element(batch, n_rails: int, element, k: int) -> None:
+    """One element on ``batch``, in place, by index gathers over the basis.
+
+    The element-by-element update that the stretch kernel replaced, kept as
+    its reference: phases multiply the positions that occupy their rails,
+    and a coupler mixes each lo-only mask with its hi-only partner by
+    ``coupler_matrix``, its hopping amplitudes signed by the occupied rails
+    between the pair, and scales doubly occupied masks by det(u).
+    """
+    basis = fock.sector_basis(n_rails, k)
+    if isinstance(element, PhaseShifter):
+        idx = np.flatnonzero((basis >> element.rail) & 1)
+        batch[idx] = batch[idx] * np.exp(1j * element.phi)
+    elif isinstance(element, CoulombCoupler):
+        a, b = element.rails
+        idx = np.flatnonzero((basis >> a) & (basis >> b) & 1)
+        batch[idx] = batch[idx] * np.exp(-2j * element.chi_t)
+    else:
+        u = coupler_matrix(element.coupling_length, element.transfer_length)
+        lo, hi = element.rails
+        if lo > hi:
+            lo, hi, u = hi, lo, u[::-1, ::-1]
+        lo_set, hi_set = (basis >> lo) & 1, (basis >> hi) & 1
+        m10 = np.flatnonzero(lo_set > hi_set)
+        m01 = np.searchsorted(basis, basis[m10] ^ ((1 << lo) | (1 << hi)))
+        m11 = np.flatnonzero(lo_set & hi_set)
+        between = sum(1 << r for r in range(lo + 1, hi))
+        signs = 1.0 - 2.0 * (np.bitwise_count(basis[m10] & between) & 1)
+        if batch.ndim == 2:
+            signs = signs[:, np.newaxis]
+        x10, x01 = batch[m10], batch[m01]
+        batch[m10] = u[0, 0] * x10 + u[0, 1] * (signs * x01)
+        batch[m01] = u[1, 0] * (signs * x10) + u[1, 1] * x01
+        batch[m11] = batch[m11] * (u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+
+
+def reference_stretch(batch, n_rails: int, elements, k: int) -> None:
+    """``reference_element`` for each of ``elements`` in turn."""
+    for element in elements:
+        reference_element(batch, n_rails, element, k)

@@ -172,11 +172,11 @@ def test_mode_unitary_refuses_one_rail_twice(columns):
     if columns:
         batch = np.repeat(batch[:, np.newaxis], columns, axis=1)
     start = batch.copy()
-    cached = fock._mode_block_indices.cache_info().currsize
+    cached = fock._pair_plan.cache_info().currsize
     with pytest.raises(ValueError, match="two distinct rails, got rail 1 twice"):
         mode_unitary_batch(batch, 2, (1, 1), np.diag([1.0, -1.0]), 1)
     assert np.array_equal(batch, start)
-    assert fock._mode_block_indices.cache_info().currsize == cached
+    assert fock._pair_plan.cache_info().currsize == cached
 
 
 def test_mode_unitary_adjacent_full_transfer():

@@ -21,6 +21,7 @@ from flyqsim.gates import (
     WaveguideCoupler,
     apply_element_batch,
     apply_element_columns,
+    apply_stretch,
 )
 from flyqsim.netlist import Circuit
 from flyqsim.timing import DephasingModel, SepSource, run_shots
@@ -163,9 +164,9 @@ def test_only_coulomb_free_off_and_factor_runs_skip_the_sector_kernels(
 
     def counting(*args, **kwargs):
         calls.append(args[2])
-        return apply_element_batch(*args, **kwargs)
+        return apply_stretch(*args, **kwargs)
 
-    monkeypatch.setattr(timing, "apply_element_batch", counting)
+    monkeypatch.setattr(timing, "apply_stretch", counting)
     rng = np.random.default_rng(3)
     circuit = loaded_circuit(6, random_free_elements(rng, 6, 20), {0, 2, 5})
     if idle_cc:
@@ -225,7 +226,7 @@ def test_idle_coulomb_twin_matches_on_the_widest_register():
 def _cold_peak(circuit):
     """``tracemalloc`` peak of one ``outcome_probabilities`` call with every
     cache of ``fock`` empty."""
-    for cache in (fock.sector_basis, fock._lift_plan, fock._mode_block_indices,
+    for cache in (fock.sector_basis, fock._lift_plan, fock._pair_plan,
                   fock.rail_occupied_indices, fock.pair_occupied_indices):
         cache.cache_clear()
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from flyqsim.gates import (
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
+    coupler_angle,
     fredkin_circuit,
     logical_hadamard,
 )
@@ -390,6 +392,41 @@ def test_phase_angles_are_stored_as_the_floats_they_are_checked_as(angle):
                              master_seed=4)
         assert result.counts == expected.counts
         assert len(result.counts) > 1
+
+
+@pytest.mark.parametrize("value", ["0.14", np.float64(0.14), np.float32(0.14)],
+                         ids=["str", "float64", "float32"])
+def test_lengths_and_delays_are_stored_as_the_floats_they_are_checked_as(value):
+    coupler = WaveguideCoupler((0, 1), value, value)
+    source = SepSource(0, value)
+    circuit = Circuit(2, [coupler], segments=[Segment(0, value, 0)],
+                      sources=[source, SepSource(1, 0.0)])
+    stored = (coupler.coupling_length, coupler.transfer_length,
+              source.emission_delay, circuit.segments[0].length)
+    assert [type(x) for x in stored] == [float] * 4
+    assert stored == (float(value),) * 4
+    assert parse_circuit(serialize(circuit)) == circuit
+
+
+def test_float32_coupling_length_gives_the_double_precision_angle():
+    # a float32 field once made coupler_angle return np.float32(0.7853982),
+    # 3e-8 from the angle of the length it holds
+    coupler = WaveguideCoupler((0, 1), np.float32(0.14))
+    angle = coupler_angle(coupler.coupling_length, coupler.transfer_length)
+    assert type(angle) is float
+    assert angle == (math.pi / 2) * (float(np.float32(0.14)) / 0.28)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WaveguideCoupler((0, 1), "long"),
+    lambda: WaveguideCoupler((0, 1), 0.1, None),
+    lambda: SepSource(0, "late"),
+    lambda: Circuit(2, segments=[Segment(0, "long", 0)]),
+    lambda: Circuit(2, segments=[Segment(0, None, 0)]),
+], ids=["lc", "lt", "delay", "segment str", "segment None"])
+def test_non_numeric_lengths_and_delays_raise_value_error(build):
+    with pytest.raises(ValueError, match="must be a number, got"):
+        build()
 
 
 def test_register_pairs_are_frozen_tuples():

@@ -48,15 +48,19 @@ def test_index_helpers_return_sector_positions():
             idx = fock.pair_occupied_indices(n_rails, a, b, k)
             assert np.array_equal(
                 basis[idx], [m for m in basis if (m >> a) & (m >> b) & 1])
-            m10, m01, m11, signs = fock._mode_block_indices(n_rails, a, b, k)
+            positions, signs = fock._pair_plan(n_rails, a, b, k)
+            hops = signs.size
+            m10, m01 = positions[:hops], positions[hops:2 * hops]
+            m11 = positions[2 * hops:]
             only_a = [m for m in basis if (m >> a) & 1 and not (m >> b) & 1]
             assert np.array_equal(basis[m10], only_a)
             assert np.array_equal(basis[m01], basis[m10] ^ ((1 << a) | (1 << b)))
             assert np.array_equal(basis[m11],
                                   [m for m in basis if (m >> a) & (m >> b) & 1])
             between = sum(1 << r for r in range(a + 1, b))
-            assert signs.tolist() == [(-1.0) ** (m & between).bit_count()
+            assert signs.tolist() == [(-1) ** (m & between).bit_count()
                                       for m in only_a]
+            assert (positions.dtype, signs.dtype) == (np.intp, np.float64)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -264,7 +268,7 @@ def test_apply_element_batch_rejects_rails_out_of_range(element, k, shape):
 @pytest.mark.parametrize("lookup", [
     lambda rail: fock.rail_occupied_indices(3, rail, 1),
     lambda rail: fock.pair_occupied_indices(3, 0, rail, 1),
-    lambda rail: fock._mode_block_indices(3, 0, rail, 1),
+    lambda rail: fock._pair_plan(3, 0, rail, 1),
 ], ids=["rail", "pair", "mode block"])
 def test_index_helpers_reject_bool_rails_after_caching_the_integer(lookup):
     lookup(1)
