@@ -24,28 +24,24 @@ The batch kernels take the electron count and address the first axis of a
 ``sector_basis(n_rails, k)``, the sector's masks in ascending order.  The
 columns are those of a factored or a dense density matrix
 (``timing.outcome_probabilities``); one basis position is one contiguous
-row, so a gather moves whole rows.  In a long stretch a two-rail mode
-unitary is one partner-form update, ``x <- a * x + b * x[partner]``:
-``partner_rows`` builds the rows ``a``, ``b`` and ``partner`` for a chunk
-of unitaries at once, at most ``CHUNK_AMPLITUDES`` entries per table, from
-a cached plan per rail pair (``_pair_plan``), and ``apply_partner_rows``
-applies them one row at a time, in place, with one gathered copy of the
-batch.
-``phase_rows`` turns summed phase angles into ``exp(i theta)`` rows over
-the sector, reading occupations from the cached index helpers.  The stretch
-kernel ``gates.apply_stretch`` combines the two for long stretches;
-``mode_unitary_batch`` updates only the positions of one pair's plan, the
-cheaper form for one unitary or a short stretch.
+row, so a gather moves whole rows.  ``apply_mode_unitaries`` applies a
+sequence of two-rail mode unitaries, with the phases that act between
+them, in one call: on a small sector a long sequence goes in partner form,
+``x <- a * x + b * x[partner]``, five array operations per unitary, and
+otherwise each unitary is one ``mode_unitary_batch``, which updates only
+the positions of its pair's cached plan (``_pair_plan``).  The stretch
+kernel ``gates.apply_stretch`` turns elements into these unitaries and
+phases.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
 ``lift_columns`` turns an ``(n, k)`` array of orbitals into the sector's
 amplitudes ``det(V[T, :])`` in one pass, expanding the determinant one
 electron at a time over cached plans (``_lift_plan``: int32 source
-positions and int8 rails per sector).  ``timing.outcome_probabilities``
-takes this path in ``off`` and ``deterministic-factor`` mode when the
-circuit has no ``cc``; it agrees with the sector kernels to rounding, not
-bit for bit.
+positions and int8 rails per sector), a block of masks at a time.
+``timing.outcome_probabilities`` takes this path in ``off`` and
+``deterministic-factor`` mode when the circuit has no ``cc``; it agrees
+with the sector kernels to rounding, not bit for bit.
 
 Capacity: a run's work and memory grow with its sector, C(n, k), not with
 the rail count, so the sector is what is bounded.  ``sector_basis``
@@ -68,8 +64,8 @@ outcome probabilities and a block of uniforms it adds to a count array, by
 inverse-CDF sampling, how many uniforms fall on each basis position,
 without forming a per-shot position.
 
-``mode_unitary_batch``, ``apply_partner_rows`` and ``sample_counts`` update
-their arrays in place; every other function is pure.
+``apply_mode_unitaries``, ``mode_unitary_batch`` and ``sample_counts``
+update their arrays in place; every other function is pure.
 """
 
 from __future__ import annotations
@@ -85,12 +81,18 @@ MAX_RAILS = 63
 # the one capacity rule: no sector and no monte-carlo form beyond this many
 # complex amplitudes (256 MiB)
 MAX_AMPLITUDES = 1 << 24
-# the chunk bound of the stretch kernel: at most this many entries in each
-# (rows, dim) table of a chunk of couplers, and at least one row.  Evolving
-# the long_netlist benchmark circuit (70 masks, 1000 couplers) on a 2-vCPU
-# Xeon took a best-of-15 11.6 ms at 2^12, 13.8 ms at 2^11, 20 ms at 2^10 and
-# 10.6 ms at 2^13, where the benchmark's peak RSS rose by about 1 MiB
-CHUNK_AMPLITUDES = 1 << 12
+# masks per block of the lift and of its plans' construction, whose
+# temporaries hold up to 48 bytes a mask
+_LIFT_BLOCK = 1 << 12
+# apply_mode_unitaries uses partner rows for a call of at least
+# _MIN_ROW_UNITARIES unitaries on a sector of at most _MAX_ROW_MASKS masks.
+# Rows against one position update per unitary on a 2-vCPU Xeon: 600
+# random primitives (222 couplers) took 3.7 against 5.4 ms over 70 masks,
+# 5.5 against 7.2 ms over 252 and 7.1 against 5.6 ms over 462; over 6 to
+# 252 masks 2 couplers took 33 to 39 against 27 to 31 us, 5 couplers 48 to
+# 61 against 59 to 72 us
+_MIN_ROW_UNITARIES = 5
+_MAX_ROW_MASKS = 256
 
 
 class CapacityError(ValueError):
@@ -200,21 +202,25 @@ def _lift_plan(n_rails: int, n_electrons: int):
     ``sector_basis(n_rails, n_electrons)``, ``rails[i, j]`` (int8) is
     ``t_i``, the ``i``-th set bit of ``T`` counted from the lowest, and
     ``sources[i, j]`` (int32) the position of ``T`` without ``t_i`` in
-    ``sector_basis(n_rails, n_electrons - 1)``.  Each row is built by
-    peeling the lowest set bit off what is left of every mask, with one
-    ``searchsorted``, so no temporary is larger than one mask per position.
+    ``sector_basis(n_rails, n_electrons - 1)``.  The rows are built a
+    block of ``_LIFT_BLOCK`` masks at a time, by peeling the lowest set bit
+    off what is left of every mask, with one ``searchsorted``, so no
+    temporary is larger than a block.
     """
     basis = sector_basis(n_rails, n_electrons)
     below = sector_basis(n_rails, n_electrons - 1)
     sources = np.empty((n_electrons, basis.size), dtype=np.int32)
     rails = np.empty((n_electrons, basis.size), dtype=np.int8)
-    rest = basis.copy()
-    for i in range(n_electrons):
-        lowest = rest & -rest
-        rest ^= lowest
-        rails[i] = np.bitwise_count(lowest - 1)
-        lowest ^= basis
-        sources[i] = below.searchsorted(lowest)
+    for start in range(0, basis.size, _LIFT_BLOCK):
+        block = slice(start, start + _LIFT_BLOCK)
+        masks = basis[block]
+        rest = masks.copy()
+        for i in range(n_electrons):
+            lowest = rest & -rest
+            rest ^= lowest
+            rails[i, block] = np.bitwise_count(lowest - 1)
+            lowest ^= masks
+            sources[i, block] = below.searchsorted(lowest)
     sources.setflags(write=False)
     rails.setflags(write=False)
     return sources, rails
@@ -241,13 +247,17 @@ def lift_columns(columns: np.ndarray) -> np.ndarray:
         sources, rails = _lift_plan(n_rails, m)
         column = columns[:, m - 1]
         lifted = np.zeros(sources.shape[1], dtype=np.complex128)
-        for i in range(m):
-            term = amplitudes.take(sources[i])
-            term *= column.take(rails[i])
-            if (m - 1 - i) & 1:
-                lifted -= term
-            else:
-                lifted += term
+        # a block of masks at a time, so the gathered terms stay small
+        for start in range(0, lifted.size, _LIFT_BLOCK):
+            block = slice(start, start + _LIFT_BLOCK)
+            out = lifted[block]
+            for i in range(m):
+                term = amplitudes.take(sources[i, block])
+                term *= column.take(rails[i, block])
+                if (m - 1 - i) & 1:
+                    out -= term
+                else:
+                    out += term
         amplitudes = lifted
     return amplitudes
 
@@ -262,14 +272,12 @@ def _pair_plan(n_rails: int, lo: int, hi: int, n_electrons: int):
     electron on ``hi``, then the masks with both occupied; ``signs``
     (float64) holds the (-1)^k hopping sign of each ``lo``-only mask, k
     counting occupied rails strictly between the pair.  Every other mask is
-    its own partner.  Every pair of a sector has C(n-2, k-1) masks of each
-    one-electron kind and C(n-2, k-2) doubly occupied ones, so the plans of
-    a chunk of couplers stack into arrays.  A plan holds 24 bytes per
-    one-electron pair of masks and 8 per doubly occupied mask, not a table
-    over the sector, as the index blocks it replaced did.  int32 positions
-    and int8 signs would hold fewer bytes, but every index update would
-    then convert them: the 9-element readout_narrow benchmark circuit took
-    about 0.08 ms to evolve with them and 0.05 ms with these.  Like the other index helpers it raises
+    its own partner.  A plan holds 24 bytes per one-electron pair of masks
+    and 8 per doubly occupied mask, C(n-2, k-1) pairs and C(n-2, k-2)
+    masks.  int32 positions and int8 signs would hold fewer bytes, but
+    every position update would then convert them: the 9-element
+    readout_narrow benchmark circuit took about 0.08 ms to evolve with them
+    and 0.05 ms with these.  Like the other index helpers it raises
     ``ValueError`` for a rail outside ``[0, n_rails)`` or not an integer,
     and for one rail twice; only valid rails are cached, and the caches are
     typed so that ``True`` never finds the entry of rail 1, so the batch
@@ -318,116 +326,120 @@ def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
     return idx
 
 
-def partner_rows(n_rails: int, pairs, u: np.ndarray, n_electrons: int):
-    """Partner-form rows of a chunk of two-rail mode unitaries.
+@lru_cache(maxsize=128, typed=True)
+def _partner_row(n_rails: int, lo: int, hi: int, n_electrons: int):
+    """Partner row and coefficient classes of the rail pair ``lo < hi``
+    (cached, read-only).
 
-    ``pairs`` lists the rails of each unitary, first rail first, and ``u``
-    holds the unitaries as a ``(c, 2, 2)`` array; each mixes the
-    single-electron amplitudes of its two rails.  Returns ``(partners, a,
-    b)``, three ``(c, dim)`` arrays over ``sector_basis(n_rails,
-    n_electrons)``, such that unitary ``i`` maps sector amplitudes ``x`` to
-    ``a[i] * x + b[i] * x[partners[i]]``.  A mask with one electron on the
-    pair is paired with the same mask with that electron on the other rail
-    and mixes with it by ``u``, its hopping amplitudes carrying the (-1)^k
-    sign of the module docstring; every other mask is its own partner and
-    is scaled, by det(u) with both rails occupied and by 1 with neither.
-    The rows are built for the whole chunk at once from the cached
-    ``_pair_plan`` of each pair.
+    Returns ``(partner, classes)`` over ``sector_basis(n_rails,
+    n_electrons)``: ``partner`` (intp) holds, for every position, that of
+    the same mask with the pair's one electron on the other rail, or the
+    position itself with none or two.  ``classes`` is a ``(2, dim)`` intp
+    array; ``classes[0]`` picks each mask's own coefficient and
+    ``classes[1]`` its partner's from a unitary's ``_coefficients`` row.
+    24 bytes a mask: ``apply_mode_unitaries`` builds them only for sectors
+    of at most ``_MAX_ROW_MASKS`` masks, so the cache holds at most 768 KiB.
     """
-    u = np.array(u, dtype=np.complex128)
-    plans = []
-    for i, (r0, r1) in enumerate(pairs):
-        if r0 > r1:
-            # reorder so mode 0 is the lower rail; conjugate u by the swap
-            r0, r1 = r1, r0
-            u[i] = u[i, ::-1, ::-1]
-        plans.append(_pair_plan(n_rails, r0, r1, n_electrons))
-    count = len(plans)
-    positions, signs = (np.concatenate(arrays).reshape(count, arrays[0].size)
-                        for arrays in zip(*plans))
-    hops = signs.shape[1]
-    dim = sector_basis(n_rails, n_electrons).size
-    # positions in the flattened (count, dim) rows
-    flat = positions + (np.arange(count) * dim)[:, np.newaxis]
-    lo_only, hi_only = flat[:, :hops], flat[:, hops:2 * hops]
-    partners = np.empty((count, dim), dtype=np.intp)
-    partners[...] = np.arange(dim)
-    partners.ravel()[lo_only] = positions[:, hops:2 * hops]
-    partners.ravel()[hi_only] = positions[:, :hops]
-    a = np.ones((count, dim), dtype=np.complex128)
-    a.ravel()[lo_only] = u[:, 0, 0, np.newaxis]
-    a.ravel()[hi_only] = u[:, 1, 1, np.newaxis]
-    a.ravel()[flat[:, 2 * hops:]] = (u[:, 0, 0] * u[:, 1, 1]
-                                     - u[:, 0, 1] * u[:, 1, 0])[:, np.newaxis]
-    b = np.zeros((count, dim), dtype=np.complex128)
-    b.ravel()[lo_only] = signs * u[:, 0, 1, np.newaxis]
-    b.ravel()[hi_only] = signs * u[:, 1, 0, np.newaxis]
-    return partners, a, b
+    positions, signs = _pair_plan(n_rails, lo, hi, n_electrons)
+    hops = signs.size
+    lo_only, hi_only = positions[:hops], positions[hops:2 * hops]
+    partner = np.arange(sector_basis(n_rails, n_electrons).size)
+    partner[lo_only] = hi_only
+    partner[hi_only] = lo_only
+    classes = np.empty((2, partner.size), dtype=np.intp)
+    classes[0] = 0
+    classes[0, lo_only] = 1
+    classes[0, hi_only] = 2
+    classes[0, positions[2 * hops:]] = 3
+    classes[1] = 4
+    negative = signs < 0.0
+    classes[1, lo_only] = 5 + negative
+    classes[1, hi_only] = 7 + negative
+    partner.setflags(write=False)
+    classes.setflags(write=False)
+    return partner, classes
 
 
-def phase_rows(n_rails: int, n_electrons: int, count: int, rows, rails,
-               angles) -> np.ndarray:
-    """``exp(i theta) = cos(theta) + i sin(theta)`` over
-    ``sector_basis(n_rails, n_electrons)``, as a ``(count, dim)`` array.
-
-    Entry ``t`` of the three sequences adds ``angles[t]`` to
-    ``theta[rows[t]]`` on the masks that occupy every rail of ``rails[t]``,
-    a tuple of one rail or two.  The angles of one row and rail tuple are
-    summed in order; ``theta`` is then one product of those sums with the
-    occupations of the distinct rail tuples, read from the cached index
-    helpers (which check the rails) and taken at most ``CHUNK_AMPLITUDES``
-    mask entries at a time, so a phase costs no array operation of its own.
-    """
-    dim = sector_basis(n_rails, n_electrons).size
-    keys = {}
-    columns = [keys.setdefault(key, len(keys)) for key in rails]
-    occupied = [rail_occupied_indices(n_rails, key[0], n_electrons)
-                if len(key) == 1 else
-                pair_occupied_indices(n_rails, *key, n_electrons)
-                for key in keys]
-    sums = np.bincount(np.multiply(rows, len(keys)) + columns, weights=angles,
-                       minlength=count * len(keys)).reshape(count, len(keys))
-    theta = np.zeros((count, dim))
-    step = max(1, CHUNK_AMPLITUDES // dim)
-    for start in range(0, len(keys), step):
-        block = occupied[start:start + step]
-        occupation = np.zeros(len(block) * dim)
-        occupation[np.concatenate(block) + np.repeat(
-            np.arange(0, len(block) * dim, dim), [p.size for p in block])] = 1.0
-        theta += sums[:, start:start + step] @ occupation.reshape(len(block), dim)
-    phases = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=phases.real)
-    np.sin(theta, out=phases.imag)
-    return phases
+def _coefficients(u: np.ndarray) -> np.ndarray:
+    """Per unitary of ``(c, 2, 2)`` u on a pair, lower rail first, the
+    coefficients its ``_partner_row`` classes pick: 1, u00, u11, det(u), 0,
+    u01, -u01, u10, -u10."""
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    return np.stack((np.ones(len(u)), u[:, 0, 0], u[:, 1, 1], det,
+                     np.zeros(len(u)), u[:, 0, 1], -u[:, 0, 1], u[:, 1, 0],
+                     -u[:, 1, 0]), axis=1)
 
 
-def apply_partner_rows(batch: np.ndarray, partners: np.ndarray, a: np.ndarray,
-                       b: np.ndarray) -> None:
-    """``batch <- a[i] * batch + b[i] * batch[partners[i]]`` for each row
-    ``i`` in turn, in place.
+def _apply_phase(batch: np.ndarray, n_rails: int, rails, angle: float,
+                 n_electrons: int) -> None:
+    """``exp(i angle)`` on the masks that occupy every rail of ``rails``."""
+    idx = (rail_occupied_indices(n_rails, rails[0], n_electrons)
+           if len(rails) == 1 else
+           pair_occupied_indices(n_rails, *rails, n_electrons))
+    # out of place: numpy rounds an in-place complex product of one
+    # amplitude differently from a longer one
+    batch[idx] = batch[idx] * complex(math.cos(angle), math.sin(angle))
+
+
+def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs, u,
+                         n_electrons: int, phases=()) -> None:
+    """Apply two-rail mode unitaries in turn to sector amplitudes, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
-    columns the rows act on alike.  The rows share one gathered copy of
-    ``batch`` and update ``batch`` in place.
+    columns the update acts on alike; its first axis follows
+    ``sector_basis(n_rails, n_electrons)``.  Unitary ``i`` is the 2x2
+    ``u[i]`` (``u`` is a ``(c, 2, 2)`` array or the nested sequence of one)
+    on the rails ``pairs[i]``, first rail first, acting as
+    ``mode_unitary_batch`` does.  ``phases`` lists ``(before, rails,
+    angle)`` in order of ``before``: ``exp(i angle)`` multiplies the masks
+    that occupy every rail of ``rails`` (one rail or two) just before
+    unitary ``before``, or after the last one when ``before == len(pairs)``.
+
+    A call of at least ``_MIN_ROW_UNITARIES`` unitaries on a sector of at
+    most ``_MAX_ROW_MASKS`` masks applies each in partner form, ``x <- a *
+    x + b * x[partner]``, in place with one gathered copy of ``batch``; the
+    rows ``a`` and ``b`` are taken from nine numbers per unitary by the
+    pair's cached ``_partner_row``.
+    Otherwise each unitary is one ``mode_unitary_batch``, which touches
+    only the masks with an electron on its pair.  A rail outside ``[0,
+    n_rails)`` raises ``ValueError`` from the index helpers before the
+    unitary or the phase that holds it changes ``batch``.
     """
-    if batch.ndim == 2:
-        a = a[:, :, np.newaxis]
-        b = b[:, :, np.newaxis]
-    if batch.shape[0] == 1:
-        # one mask, an empty or a full register, is its own partner and
-        # only scaled.  numpy rounds an in-place complex product of a
-        # single amplitude differently from a longer one; a product out of
-        # place rounds alike for a vector and a batch
-        for scale in a:
-            batch[...] = scale * batch
-        return
-    hop = np.empty_like(batch)
-    for index, scale, hop_scale in zip(partners, a, b):
-        # mode "clip" is not buffered, so the gather writes straight into hop
-        batch.take(index, axis=0, out=hop, mode="clip")
-        hop *= hop_scale
-        batch *= scale
-        batch += hop
+    dim = sector_basis(n_rails, n_electrons).size
+    count = len(pairs)
+    u = np.array(u, dtype=np.complex128).reshape(count, 2, 2)
+    rows = count >= _MIN_ROW_UNITARIES and 1 < dim <= _MAX_ROW_MASKS
+    if rows:
+        # mode 0 is the lower rail: conjugate a reversed pair's u by the swap
+        swapped = np.array([r0 > r1 for r0, r1 in pairs])
+        coefficients = _coefficients(np.where(
+            swapped[:, np.newaxis, np.newaxis], u[:, ::-1, ::-1], u))
+        scale = np.empty((2, dim), dtype=np.complex128)
+        # views of the two rows of scale, a column against a batch
+        a, b = scale[:, :, np.newaxis] if batch.ndim == 2 else scale
+        hop = np.empty_like(batch)
+    phases = iter(phases)
+    phase = next(phases, None)
+    for i in range(count):
+        while phase is not None and phase[0] == i:
+            _apply_phase(batch, n_rails, phase[1], phase[2], n_electrons)
+            phase = next(phases, None)
+        if rows:
+            r0, r1 = pairs[i]
+            partner, classes = (_partner_row(n_rails, r0, r1, n_electrons)
+                                if r0 < r1 else
+                                _partner_row(n_rails, r1, r0, n_electrons))
+            coefficients[i].take(classes, out=scale)
+            # mode "clip" is not buffered: the gather writes into hop
+            batch.take(partner, axis=0, out=hop, mode="clip")
+            hop *= b
+            batch *= a
+            batch += hop
+        else:
+            mode_unitary_batch(batch, n_rails, pairs[i], u[i], n_electrons)
+    while phase is not None:
+        _apply_phase(batch, n_rails, phase[1], phase[2], n_electrons)
+        phase = next(phases, None)
 
 
 def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
@@ -440,8 +452,7 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
     amplitudes of ``rails``, first rail first; components with both rails
     empty are untouched, components with both occupied pick up det(u), and
     hopping amplitudes carry the (-1)^k sign of the module docstring.  It
-    updates only the positions of the pair's ``_pair_plan``, which for one
-    unitary costs less than building its partner-form rows.
+    updates only the positions of the pair's ``_pair_plan``.
     """
     r0, r1 = rails
     if r0 > r1:

@@ -43,11 +43,11 @@ is the one macro table: per keyword, the rail parameters and the synthesis.
   swap (up to a global phase) when it is occupied.
 
 On sector amplitudes the elements act through one kernel,
-``apply_stretch``: it walks a stretch of primitives once, sums the phases
-between two couplers and folds them into the next coupler's partner-form
-rows (``fock.partner_rows``), so each coupler is one array update and each
-phase none; a stretch too short to pay for its rows is applied element by
-element.  ``apply_element_batch`` is that kernel on a one-element stretch.
+``apply_stretch``: it walks a stretch of primitives once, holds each phase
+until a coupler needs it, folds the phase shifters on a coupler's rails
+into its 2x2 matrix and hands the couplers, with the Coulomb phases that
+must act between them, to ``fock.apply_mode_unitaries`` a block at a time.
+``apply_element_batch`` is that kernel on a one-element stretch.
 
 ``build_dense_unitary`` provides the brute-force oracle: it assembles the
 full 2^n x 2^n matrix from dense ladder operators and matrix exponentials,
@@ -298,68 +298,11 @@ def coupler_matrix(coupling_length: float, transfer_length: float) -> np.ndarray
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-def _apply_chunk(batch: np.ndarray, n_rails: int, n_electrons: int,
-                 pairs: list, angles: list, phase_at: list, phase_rails: list,
-                 phase_angles: list) -> None:
-    """Waveguide couplers on ``pairs`` with ``angles``, each after its phases.
-
-    Phase ``t`` acts before coupler ``phase_at[t]``, or after the last one
-    when ``phase_at[t] == len(pairs)``.
-    """
-    count = len(pairs)
-    trailing = bool(phase_at) and phase_at[-1] == count
-    if phase_at:
-        phases = fock.phase_rows(n_rails, n_electrons, count + trailing,
-                                 phase_at, phase_rails, phase_angles)
-    if count:
-        u = np.empty((count, 2, 2), dtype=np.complex128)
-        u[:, 0, 0] = u[:, 1, 1] = [math.cos(theta) for theta in angles]
-        u[:, 0, 1] = u[:, 1, 0] = 1j * np.array([math.sin(theta)
-                                                 for theta in angles])
-        partners, a, b = fock.partner_rows(n_rails, pairs, u, n_electrons)
-        if phase_at:
-            # phases P before a coupler: a * (P * x) + b * (P * x)[partner]
-            a *= phases[:count]
-            b *= phases[np.arange(count)[:, np.newaxis], partners]
-        fock.apply_partner_rows(batch, partners, a, b)
-    if trailing:
-        # out of place: numpy rounds an in-place complex product of one
-        # amplitude differently from a longer one
-        row = phases[count]
-        batch[...] = (row if batch.ndim == 1 else row[:, np.newaxis]) * batch
-
-
-# a stretch of fewer elements than this is applied element by element, by
-# index updates: building a chunk's rows costs about as much as that many
-# element updates.  On random primitives over 4, 8 and 10 rails (6, 70 and
-# 252 masks, a 2-vCPU Xeon, best of 300), 16 elements took 55 to 100 us
-# element by element and 75 to 125 us as rows, 24 elements 170 to 310 us
-# and 120 to 170 us
-_MIN_ROW_ELEMENTS = 20
-# a row holds the whole sector, but a coupler changes only the masks with an
-# electron on its pair: rows pay where that is at least 1 / _MIN_ROW_SHARE
-# of the sector.  3 electrons on 63 rails (39711 masks, a coupler changes 9
-# %) took 151 ms as rows for the 152 elements of the widest-register test
-# and 4.4 ms element by element
-_MIN_ROW_SHARE = 4
-
-
-def _apply_elements(batch: np.ndarray, n_rails: int, elements,
-                    n_electrons: int) -> None:
-    """Each element in turn, updating only the positions it changes."""
-    for element in elements:
-        # products out of place, as in fock.mode_unitary_batch
-        if isinstance(element, PhaseShifter):
-            idx = fock.rail_occupied_indices(n_rails, element.rail, n_electrons)
-            batch[idx] = batch[idx] * np.exp(1j * element.phi)
-        elif isinstance(element, CoulombCoupler):
-            idx = fock.pair_occupied_indices(n_rails, *element.rails, n_electrons)
-            batch[idx] = batch[idx] * np.exp(-2j * element.chi_t)
-        elif isinstance(element, WaveguideCoupler):
-            u = coupler_matrix(element.coupling_length, element.transfer_length)
-            fock.mode_unitary_batch(batch, n_rails, element.rails, u, n_electrons)
-        else:
-            raise TypeError(f"not a gate element: {element!r}")
+# a stretch hands its couplers to fock.apply_mode_unitaries this many at a
+# time, so that what it builds beside batch stays small: evolving the
+# long_netlist benchmark circuit (1000 couplers) peaked at 519 KiB under
+# tracemalloc in one call and at 70 KiB in blocks of 128
+_BLOCK_COUPLERS = 128
 
 
 def apply_stretch(batch: np.ndarray, n_rails: int, elements,
@@ -371,53 +314,65 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     ``fock.sector_basis(n_rails, n_electrons)``.  A phase shifter multiplies
     the components that occupy its rail by ``exp(i phi)``, a Coulomb coupler
     those that occupy both its rails by ``exp(-2i chi_t)``, and a waveguide
-    coupler is the ``fock.partner_rows`` update of ``coupler_matrix``.
+    coupler acts as the mode unitary ``coupler_matrix`` on its rails.
 
-    A stretch of fewer than ``_MIN_ROW_ELEMENTS`` elements, or in a sector
-    where a coupler changes less than ``1 / _MIN_ROW_SHARE`` of the masks
-    (few electrons on many rails), is applied element by element, each
-    updating only the positions it changes.  Otherwise the phases between
-    two couplers are summed, per rail and per rail pair, into one phase row
-    ``P`` (``fock.phase_rows``) that is folded into the next coupler's rows:
-    ``a <- a * P`` and ``b <- b * P[partner]``.  Rows are built a chunk of
-    couplers at a time, at most ``fock.CHUNK_AMPLITUDES`` entries per table,
-    so a coupler costs one update of ``batch`` and a phase none.  Phases
-    after the last coupler are applied as one phase row.  ``elements`` is a
-    sequence; a rail outside ``[0, n_rails)`` raises ``ValueError`` from
-    ``fock`` before the element, or the chunk, that holds it changes
-    ``batch``; an object that is not a primitive raises ``TypeError``.
+    The phases are diagonal, so they commute with each other and with a
+    coupler on other rails.  Each is held, summed per rail and per rail
+    pair, until a coupler needs it: the phase shifters on a coupler's rails
+    are folded into its 2x2 matrix, ``u <- u @ diag(exp(i phi_0), exp(i
+    phi_1))``, and a Coulomb phase on one of its rails is applied just
+    before it (one on both commutes with it and waits).  The couplers and
+    those phases go to ``fock.apply_mode_unitaries``, ``_BLOCK_COUPLERS``
+    couplers a call, and what is left after the last coupler is applied
+    there at the end.
+    ``elements`` is a sequence; a rail outside ``[0, n_rails)`` raises
+    ``ValueError`` from ``fock`` and an object that is not a primitive
+    ``TypeError``, as one element at a time would: the elements before it
+    may have changed ``batch``.
     """
-    dim = fock.sector_basis(n_rails, n_electrons).size
-    if len(elements) < _MIN_ROW_ELEMENTS or n_rails < 2 or (
-            _MIN_ROW_SHARE * fock._pair_plan(n_rails, 0, 1, n_electrons)[0].size
-            < dim):
-        _apply_elements(batch, n_rails, elements, n_electrons)
-        return
-    per_chunk = max(1, fock.CHUNK_AMPLITUDES // dim)
-    pairs, angles, phase_at, phase_rails, phase_angles = [], [], [], [], []
+    phase = [0.0] * n_rails     # held phase-shifter angle of each rail
+    pair_phase = {}             # held Coulomb angle of each (lo, hi) pair
+    pairs, us, phases = [], [], []
     for element in elements:
         if isinstance(element, PhaseShifter):
-            phase_at.append(len(pairs))
-            phase_rails.append(element.rails)
-            phase_angles.append(element.phi)
-        elif isinstance(element, CoulombCoupler):
-            phase_at.append(len(pairs))
-            phase_rails.append(element.rails)
-            phase_angles.append(-2.0 * element.chi_t)
+            rail = element.rail
+            if not 0 <= rail < n_rails:
+                fock.check_rail(n_rails, rail)
+            phase[rail] += element.phi
         elif isinstance(element, WaveguideCoupler):
+            r0, r1 = element.rails
+            if not (0 <= r0 < n_rails and 0 <= r1 < n_rails):
+                fock.check_rail(n_rails, r0)
+                fock.check_rail(n_rails, r1)
+            if pair_phase:
+                for key in [key for key in pair_phase
+                            if (r0 in key) != (r1 in key)]:
+                    phases.append((len(pairs), key, pair_phase.pop(key)))
+            theta = coupler_angle(element.coupling_length,
+                                  element.transfer_length)
+            c, s = math.cos(theta), 1j * math.sin(theta)
+            z0 = complex(math.cos(phase[r0]), math.sin(phase[r0]))
+            z1 = complex(math.cos(phase[r1]), math.sin(phase[r1]))
+            phase[r0] = phase[r1] = 0.0
             pairs.append(element.rails)
-            angles.append(coupler_angle(element.coupling_length,
-                                        element.transfer_length))
-            if len(pairs) == per_chunk:
-                _apply_chunk(batch, n_rails, n_electrons, pairs, angles,
-                             phase_at, phase_rails, phase_angles)
-                pairs, angles, phase_at, phase_rails, phase_angles = (
-                    [], [], [], [], [])
+            us += (c * z0, s * z1, s * z0, c * z1)
+            if len(pairs) == _BLOCK_COUPLERS:
+                fock.apply_mode_unitaries(batch, n_rails, pairs, us,
+                                          n_electrons, phases)
+                pairs, us, phases = [], [], []
+        elif isinstance(element, CoulombCoupler):
+            r0, r1 = element.rails
+            if not (0 <= r0 < n_rails and 0 <= r1 < n_rails):
+                fock.check_rail(n_rails, r0)
+                fock.check_rail(n_rails, r1)
+            key = (r0, r1) if r0 < r1 else (r1, r0)
+            pair_phase[key] = pair_phase.get(key, 0.0) - 2.0 * element.chi_t
         else:
             raise TypeError(f"not a gate element: {element!r}")
-    if pairs or phase_at:
-        _apply_chunk(batch, n_rails, n_electrons, pairs, angles, phase_at,
-                     phase_rails, phase_angles)
+    end = len(pairs)
+    phases += [(end, (rail,), angle) for rail, angle in enumerate(phase) if angle]
+    phases += [(end, key, angle) for key, angle in pair_phase.items() if angle]
+    fock.apply_mode_unitaries(batch, n_rails, pairs, us, n_electrons, phases)
 
 
 def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,

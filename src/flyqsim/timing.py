@@ -86,12 +86,13 @@ applied to the rows and then, after one conjugate transpose, to the rows
 again.  Under the same rule (``fock.check_capacity``) the run may hold no
 more than 2^24 amplitudes' worth of arrays at once (256 MiB), or it is
 refused with ``fock.CapacityError`` and the advice to use factor mode,
-which needs only the sector.  The factored form counts, at each rebuild,
-the new ``B`` with two more ``B``'s worth of kernel temporaries, the
-kernel's chunk rows, the previous ``B`` and six complex ``s x s`` arrays
-for the eigen-decomposition; the dense form counts rho and one more rho's worth at
-a time (its conjugate-transposed copy, the kernel's gathered copy or the two
-float arrays of its damping factors), three rho's worth with room to spare.
+which holds the sector and, while a coupler acts, about one more sector's
+worth.  The factored form counts, at each rebuild, the new ``B`` with two
+more ``B``'s worth of kernel temporaries, the previous ``B`` and six
+complex ``s x s`` arrays for the eigen-decomposition; the dense form
+counts rho and one more rho's worth at a time (its conjugate-transposed
+copy, the kernel's gathered blocks or the two float arrays of its damping
+factors), three rho's worth with room to spare.
 """
 
 from __future__ import annotations
@@ -137,22 +138,22 @@ _DENSE_SUPPORT = 256
 # the monte-carlo average may hold no more than fock.MAX_AMPLITUDES
 # amplitudes' worth of arrays at once, checked with fock.check_capacity.
 # The dense form holds rho and, one at a time, its conjugate-transposed
-# copy, the kernel's gathered copy, or the damping D and its exp temporary
-# (two float arrays): 2.2 rho's worth measured with tracemalloc on a
-# 252-mask circuit, counted as three complex (dim, dim) arrays
+# copy, the kernel's gathered blocks (1.39 rho's worth), or the damping D
+# and its exp temporary (two float arrays): 2.39 rho's worth measured with
+# tracemalloc on a 252-mask circuit, counted as three complex (dim, dim)
+# arrays.  A dense rho has a support above _DENSE_SUPPORT, so its sector is
+# too large for the kernel's partner rows.
 _DENSE_COPIES = 3
 # the factored form holds B and, while a stretch acts on it, up to two more
-# B's worth: the gathered copy of the partner-form update with its chunk
-# rows (1.2 to 1.3 B's worth measured with tracemalloc at ranks 162 to 250
-# of a 252-mask circuit) or the gathered blocks and products of a short
-# stretch's index updates (1.4 measured).  The chunk rows are counted on top,
-# _ROW_COPIES amplitudes' worth per entry of a (couplers, dim) table of
-# max(fock.CHUNK_AMPLITUDES, dim) entries (2.3 measured for a one-column B).
+# B's worth: the gathered blocks and products of the position updates (1.39
+# B's worth measured with tracemalloc at ranks 162 to 250 of a 252-mask
+# circuit) or the one gathered copy of the partner rows (1.14 to 1.46, the
+# larger with a Coulomb phase's gathered block).  The partner rows' two
+# coefficient rows, at most 2 x 256 amplitudes, are not counted.
 # A rebuild also holds the previous B and the s x s work of the
 # eigen-decomposition: the damping D with its temporaries, K, LAPACK's copy
 # and workspace and the eigenvectors (5 complex s x s arrays' worth measured)
 _FACTORED_COPIES = 3
-_ROW_COPIES = 3
 _BLOCK_COPIES = 6
 _MC_ADVICE = "; use factor mode (--dephasing factor) for this circuit"
 
@@ -432,12 +433,11 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     keep = values > s * np.finfo(np.float64).eps * values[-1]
     rank = int(np.count_nonzero(keep))
     held = (dim * (_FACTORED_COPIES * rank + factor.shape[1])
-            + _BLOCK_COPIES * s * s
-            + _ROW_COPIES * max(fock.CHUNK_AMPLITUDES, dim))
+            + _BLOCK_COPIES * s * s)
     fock.check_capacity(
         held, f"the exact monte-carlo average needs a {dim} x {rank} array",
         f"{_MC_ADVICE}; this form holds {held} amplitudes' worth (B, its "
-        f"kernel temporaries and chunk rows, the previous B and the "
+        f"kernel temporaries, the previous B and the "
         f"eigen-decomposition's work) at once")
     state = np.zeros((dim, rank), dtype=np.complex128)
     state[support] = vectors[:, keep] * np.sqrt(values[keep])

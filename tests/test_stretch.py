@@ -1,6 +1,7 @@
 """The stretch kernel, ``gates.apply_stretch``: a whole stretch of elements
-in one call, couplers as partner-form rows with the phases before each
-folded in, or, for a short stretch, element by element.
+in one call, its phases held until a coupler needs them and its couplers
+applied by ``fock.apply_mode_unitaries``, in partner form or by position
+updates.
 
 Both forms (``path``) are checked against the dense 2^n oracle restricted
 to each sector, across vector, column and batch shapes, and against the
@@ -10,6 +11,7 @@ split at random points.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 import oracles
 import sectors
 from corpus import random_dephased_circuit, random_primitive, random_runnable_circuit
-from flyqsim import fock, gates, timing
+from flyqsim import fock, timing
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
@@ -25,17 +27,18 @@ from flyqsim.gates import (
     WaveguideCoupler,
     apply_stretch,
 )
-from flyqsim.timing import DephasingModel
+from flyqsim.netlist import Circuit
+from flyqsim.timing import DephasingModel, SepSource
 
 
 @pytest.fixture(params=["rows", "elements"])
 def path(request, monkeypatch):
-    """Every stretch as partner-form rows, or every one element by element."""
+    """Every coupler in partner form, or every one by position updates."""
     if request.param == "rows":
-        monkeypatch.setattr(gates, "_MIN_ROW_ELEMENTS", 0)
-        monkeypatch.setattr(gates, "_MIN_ROW_SHARE", 1 << 30)
+        monkeypatch.setattr(fock, "_MIN_ROW_UNITARIES", 0)
+        monkeypatch.setattr(fock, "_MAX_ROW_MASKS", 1 << 30)
     else:
-        monkeypatch.setattr(gates, "_MIN_ROW_ELEMENTS", 1 << 30)
+        monkeypatch.setattr(fock, "_MIN_ROW_UNITARIES", 1 << 30)
     return request.param
 
 
@@ -80,23 +83,30 @@ def test_stretch_matches_the_dense_oracle_in_every_sector(seed, path):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_a_stretch_over_several_chunks_equals_its_pieces(seed):
-    # 6 rails with 3 electrons: 20 masks, so a chunk holds 204 couplers and
-    # 1500 random primitives fill about three chunks
+def test_a_long_stretch_equals_its_pieces(seed):
+    # 6 rails with 3 electrons: 20 masks.  The whole stretch goes in partner
+    # form, its shorter pieces by position updates, and each cut moves the
+    # couplers that the held phases fold into
     rng = np.random.default_rng([23, seed])
     n_rails, k = 6, 3
     elements = [random_primitive(rng, n_rails) for _ in range(1500)]
     dim = fock.sector_basis(n_rails, k).size
-    couplers = sum(isinstance(e, WaveguideCoupler) for e in elements)
-    assert couplers > 2 * (fock.CHUNK_AMPLITUDES // dim)
+    assert dim <= fock._MAX_ROW_MASKS
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     start /= np.linalg.norm(start)
     whole = start.copy()
     apply_stretch(whole, n_rails, elements, k)
-    cuts = sorted(rng.choice(len(elements) + 1, size=7, replace=False).tolist())
+    cuts = rng.choice(len(elements) + 1, size=7, replace=False).tolist()
+    # and three pieces too short for partner form
+    first = int(rng.integers(len(elements) - 12))
+    cuts = sorted(set(cuts + [first + 3, first + 6, first + 12]))
+    couplers = []
     pieces = start.copy()
     for begin, end in zip([0] + cuts, cuts + [len(elements)]):
-        apply_stretch(pieces, n_rails, elements[begin:end], k)
+        piece = elements[begin:end]
+        couplers.append(sum(isinstance(e, WaveguideCoupler) for e in piece))
+        apply_stretch(pieces, n_rails, piece, k)
+    assert min(couplers) < fock._MIN_ROW_UNITARIES <= max(couplers)
     assert np.max(np.abs(whole - pieces)) <= 1e-13
 
 
@@ -210,3 +220,33 @@ def test_pair_plans_hold_no_more_bytes_than_the_index_blocks_they_replaced():
             positions, signs = fock._pair_plan(n_rails, lo, hi, k)
             assert (signs.size, positions.size) == (hops, 2 * hops + both)
             assert positions.nbytes + signs.nbytes <= 24 * hops + 8 * both
+
+
+@pytest.mark.parametrize("mode", ["off", "factor"])
+def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode):
+    # 8 electrons on 16 rails: 12870 masks, above the partner form's bound,
+    # so each coupler touches only the masks with an electron on its pair.
+    # The run holds the state, the probabilities and one coupler's gathered
+    # blocks, 2.4 sectors' worth; partner-form rows over the whole sector
+    # for each coupler would hold about 6
+    n_rails = 16
+    rng = np.random.default_rng(41)
+    elements = [random_primitive(rng, n_rails) for _ in range(90)]
+    elements.append(CoulombCoupler((0, 15), 0.3))
+    circuit = Circuit(n_rails=n_rails, elements=elements,
+                      sources=[SepSource(r, 0.0, emits=r % 2 == 0)
+                               for r in range(n_rails)])
+    dephasing = DephasingModel(30.0, mode)
+    dim = fock.sector_basis(n_rails, 8).size
+    assert dim > fock._MAX_ROW_MASKS
+    expected = timing.outcome_probabilities(circuit, dephasing)[1]  # warm caches
+    rows = fock._partner_row.cache_info().currsize
+    tracemalloc.start()
+    try:
+        probabilities = timing.outcome_probabilities(circuit, dephasing)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(probabilities, expected)
+    assert peak <= 3 * 16 * dim
+    assert fock._partner_row.cache_info().currsize == rows
