@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fock import require_float
+
 GAAS_L_PHI_UM = 30.0
 GOLD_L_PHI_UM = 18.0
 L_PHI_PRESETS = {"gaas": GAAS_L_PHI_UM, "gold": GOLD_L_PHI_UM}
@@ -50,7 +52,14 @@ def rail_path_lengths(circuit) -> list[float]:
 
 def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,
             assumed_gate_length: float = DEFAULT_GATE_LENGTH_UM) -> BudgetReport:
-    """Coherence report for a circuit at a given coherence length."""
+    """Coherence report for a circuit at a given coherence length.
+
+    ``l_phi`` and ``assumed_gate_length`` follow ``fock.require_float`` and
+    are reported as the floats they are checked as.
+    """
+    l_phi = require_float(l_phi, "l_phi")
+    assumed_gate_length = require_float(assumed_gate_length,
+                                        "assumed_gate_length")
     if not l_phi > 0:
         raise ValueError(f"l_phi must be > 0, got {l_phi}")
     if not assumed_gate_length > 0:

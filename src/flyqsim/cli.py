@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import budget as budget_mod
 from . import netlist as netlist_mod
 from . import timing as timing_mod
-from .fock import CapacityError, require_integer
+from .fock import CapacityError, require_float, require_integer
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,6 +44,9 @@ class RunConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if require_integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("l_phi", "velocity", "window", "gate_length"):
+            object.__setattr__(self, name,
+                               require_float(getattr(self, name), name))
         # the models check their own values; frozen, so they stay in step
         # with the fields they were built from
         object.__setattr__(self, "propagation",

@@ -23,25 +23,27 @@ The batch kernels take the electron count and address the first axis of a
 ``(dim,)`` state vector or a ``(dim, m)`` batch of m columns as positions in
 ``sector_basis(n_rails, k)``, the sector's masks in ascending order.  The
 columns are those of a factored or a dense density matrix
-(``timing.outcome_probabilities``); one basis position is one contiguous
-row, so a gather moves whole rows.  ``apply_mode_unitaries`` applies a
-sequence of two-rail mode unitaries, with the phases that act between
-them, in one call: on a small sector a long sequence goes in partner form,
-``x <- a * x + b * x[partner]``, five array operations per unitary, and
-otherwise each unitary is one ``mode_unitary_batch``, which updates only
-the positions of its pair's cached plan (``_pair_plan``).  The stretch
-kernel ``gates.apply_stretch`` turns elements into these unitaries and
-phases.
+(``timing.outcome_probabilities``), or single-particle orbitals: the
+one-electron sector ``sector_basis(n_rails, 1)`` is the masks ``1 << r``
+in rail order.  One basis position is one contiguous row, so a gather
+moves whole rows.  ``apply_mode_unitaries`` applies a sequence of two-rail
+mode unitaries, with the phases that act between them, in one call: on a
+sector of at most ``_MAX_ROW_MASKS`` masks each unitary goes in partner
+form, ``x <- a * x + b * x[partner]``, five array operations, and
+otherwise each is one ``mode_unitary_batch``, which updates only the
+positions of its pair's cached plan (``_pair_plan``).  The stretch kernel
+``gates.apply_stretch`` turns elements into these unitaries and phases.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
-``lift_columns`` turns an ``(n, k)`` array of orbitals into the sector's
-amplitudes ``det(V[T, :])`` in one pass, expanding the determinant one
-electron at a time over cached plans (``_lift_plan``: int32 source
-positions and int8 rails per sector), a block of masks at a time.
+``lift_columns`` turns an ``(n, k)`` array of orbitals, evolved by the
+stretch kernel over the one-electron sector, into the sector's amplitudes
+``det(V[T, :])`` in one pass, expanding the determinant one electron at a
+time over cached plans (``_lift_plan``: int32 source positions and int8
+rails per sector), a block of masks at a time.
 ``timing.outcome_probabilities`` takes this path in ``off`` and
 ``deterministic-factor`` mode when the circuit has no ``cc``; it agrees
-with the sector kernels to rounding, not bit for bit.
+with the sector path to rounding, not bit for bit.
 
 Capacity: a run's work and memory grow with its sector, C(n, k), not with
 the rail count, so the sector is what is bounded.  ``sector_basis``
@@ -84,14 +86,11 @@ MAX_AMPLITUDES = 1 << 24
 # masks per block of the lift and of its plans' construction, whose
 # temporaries hold up to 48 bytes a mask
 _LIFT_BLOCK = 1 << 12
-# apply_mode_unitaries uses partner rows for a call of at least
-# _MIN_ROW_UNITARIES unitaries on a sector of at most _MAX_ROW_MASKS masks.
-# Rows against one position update per unitary on a 2-vCPU Xeon: 600
-# random primitives (222 couplers) took 3.7 against 5.4 ms over 70 masks,
-# 5.5 against 7.2 ms over 252 and 7.1 against 5.6 ms over 462; over 6 to
-# 252 masks 2 couplers took 33 to 39 against 27 to 31 us, 5 couplers 48 to
-# 61 against 59 to 72 us
-_MIN_ROW_UNITARIES = 5
+# apply_mode_unitaries uses partner rows on a sector of at most
+# _MAX_ROW_MASKS masks, which also bounds the _partner_row cache.  Rows
+# against one position update per unitary on a 2-vCPU Xeon: 600 random
+# primitives (222 couplers) took 3.7 against 5.4 ms over 70 masks, 5.5
+# against 7.2 ms over 252 and 7.1 against 5.6 ms over 462
 _MAX_ROW_MASKS = 256
 
 
@@ -395,11 +394,10 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs, u,
     that occupy every rail of ``rails`` (one rail or two) just before
     unitary ``before``, or after the last one when ``before == len(pairs)``.
 
-    A call of at least ``_MIN_ROW_UNITARIES`` unitaries on a sector of at
-    most ``_MAX_ROW_MASKS`` masks applies each in partner form, ``x <- a *
-    x + b * x[partner]``, in place with one gathered copy of ``batch``; the
-    rows ``a`` and ``b`` are taken from nine numbers per unitary by the
-    pair's cached ``_partner_row``.
+    On a sector of 2 to ``_MAX_ROW_MASKS`` masks each unitary goes in
+    partner form, ``x <- a * x + b * x[partner]``, in place with one
+    gathered copy of ``batch``; the rows ``a`` and ``b`` are taken from nine
+    numbers per unitary by the pair's cached ``_partner_row``.
     Otherwise each unitary is one ``mode_unitary_batch``, which touches
     only the masks with an electron on its pair.  A rail outside ``[0,
     n_rails)`` raises ``ValueError`` from the index helpers before the
@@ -408,7 +406,7 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs, u,
     dim = sector_basis(n_rails, n_electrons).size
     count = len(pairs)
     u = np.array(u, dtype=np.complex128).reshape(count, 2, 2)
-    rows = count >= _MIN_ROW_UNITARIES and 1 < dim <= _MAX_ROW_MASKS
+    rows = 1 < dim <= _MAX_ROW_MASKS
     if rows:
         # mode 0 is the lower rail: conjugate a reversed pair's u by the swap
         swapped = np.array([r0 > r1 for r0, r1 in pairs])

@@ -42,12 +42,13 @@ is the one macro table: per keyword, the rail parameters and the synthesis.
   the identity on the target pair when the control rail is empty, and a
   swap (up to a global phase) when it is occupied.
 
-On sector amplitudes the elements act through one kernel,
-``apply_stretch``: it walks a stretch of primitives once, holds each phase
-until a coupler needs it, folds the phase shifters on a coupler's rails
-into its 2x2 matrix and hands the couplers, with the Coulomb phases that
-must act between them, to ``fock.apply_mode_unitaries`` a block at a time.
-``apply_element_batch`` is that kernel on a one-element stretch.
+The elements act through one kernel, ``apply_stretch``, on sector
+amplitudes and on single-particle orbitals alike: orbitals are columns of
+the one-electron sector.  It walks a stretch of primitives once, holds each
+phase shifter until a coupler on its rail needs it, folds it into that
+coupler's 2x2 matrix and hands the couplers, with the Coulomb phases in
+their places between them, to ``fock.apply_mode_unitaries`` a block at a
+time.  ``apply_element_batch`` is that kernel on a one-element stretch.
 
 ``build_dense_unitary`` provides the brute-force oracle: it assembles the
 full 2^n x 2^n matrix from dense ladder operators and matrix exponentials,
@@ -314,24 +315,26 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     ``fock.sector_basis(n_rails, n_electrons)``.  A phase shifter multiplies
     the components that occupy its rail by ``exp(i phi)``, a Coulomb coupler
     those that occupy both its rails by ``exp(-2i chi_t)``, and a waveguide
-    coupler acts as the mode unitary ``coupler_matrix`` on its rails.
+    coupler acts as the mode unitary ``coupler_matrix`` on its rails.  With
+    one electron the sector is the rails themselves, in order, so an
+    ``(n_rails, k)`` array of single-particle orbitals evolves as ``k``
+    columns of the one-electron sector: every hopping sign is +1 and a
+    Coulomb coupler acts as the identity.
 
-    The phases are diagonal, so they commute with each other and with a
-    coupler on other rails.  Each is held, summed per rail and per rail
-    pair, until a coupler needs it: the phase shifters on a coupler's rails
-    are folded into its 2x2 matrix, ``u <- u @ diag(exp(i phi_0), exp(i
-    phi_1))``, and a Coulomb phase on one of its rails is applied just
-    before it (one on both commutes with it and waits).  The couplers and
-    those phases go to ``fock.apply_mode_unitaries``, ``_BLOCK_COUPLERS``
-    couplers a call, and what is left after the last coupler is applied
-    there at the end.
+    The phase shifters are diagonal, so they commute with each other and
+    with a coupler on other rails.  Each is held, summed per rail, until a
+    coupler on its rail needs it and is folded into that coupler's 2x2
+    matrix, ``u <- u @ diag(exp(i phi_0), exp(i phi_1))``; what is left
+    after the last coupler is applied at the end.  A Coulomb phase is
+    applied where it stands, before the next coupler.  The couplers and the
+    phases go to ``fock.apply_mode_unitaries``, ``_BLOCK_COUPLERS``
+    couplers a call.
     ``elements`` is a sequence; a rail outside ``[0, n_rails)`` raises
     ``ValueError`` from ``fock`` and an object that is not a primitive
     ``TypeError``, as one element at a time would: the elements before it
     may have changed ``batch``.
     """
     phase = [0.0] * n_rails     # held phase-shifter angle of each rail
-    pair_phase = {}             # held Coulomb angle of each (lo, hi) pair
     pairs, us, phases = [], [], []
     for element in elements:
         if isinstance(element, PhaseShifter):
@@ -344,10 +347,6 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
             if not (0 <= r0 < n_rails and 0 <= r1 < n_rails):
                 fock.check_rail(n_rails, r0)
                 fock.check_rail(n_rails, r1)
-            if pair_phase:
-                for key in [key for key in pair_phase
-                            if (r0 in key) != (r1 in key)]:
-                    phases.append((len(pairs), key, pair_phase.pop(key)))
             theta = coupler_angle(element.coupling_length,
                                   element.transfer_length)
             c, s = math.cos(theta), 1j * math.sin(theta)
@@ -365,13 +364,13 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
             if not (0 <= r0 < n_rails and 0 <= r1 < n_rails):
                 fock.check_rail(n_rails, r0)
                 fock.check_rail(n_rails, r1)
-            key = (r0, r1) if r0 < r1 else (r1, r0)
-            pair_phase[key] = pair_phase.get(key, 0.0) - 2.0 * element.chi_t
+            if element.chi_t:
+                phases.append((len(pairs), (r0, r1) if r0 < r1 else (r1, r0),
+                               -2.0 * element.chi_t))
         else:
             raise TypeError(f"not a gate element: {element!r}")
     end = len(pairs)
     phases += [(end, (rail,), angle) for rail, angle in enumerate(phase) if angle]
-    phases += [(end, key, angle) for key, angle in pair_phase.items() if angle]
     fock.apply_mode_unitaries(batch, n_rails, pairs, us, n_electrons, phases)
 
 
@@ -380,36 +379,6 @@ def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
     """Apply one element to sector amplitudes, in place: ``apply_stretch``
     of a one-element stretch."""
     apply_stretch(batch, n_rails, (element,), n_electrons)
-
-
-def apply_element_columns(columns: np.ndarray, element: GateElement) -> None:
-    """Apply one element to single-particle orbitals, in place.
-
-    ``columns`` is an ``(n_rails, k)`` array whose columns are orbitals over
-    the rails (the input to ``fock.lift_columns``).  A phase shifter
-    multiplies its rail's row by ``e^{i phi}``; a waveguide coupler mixes
-    its two rows, first rail first, by ``coupler_matrix``.  No fermionic
-    signs enter here: the lift's determinant gives them.  A Coulomb coupler
-    is not linear in the modes and raises ``ValueError``, as does a rail
-    outside ``[0, n_rails)``, checked by ``fock.check_rail`` like the index
-    helpers of ``apply_element_batch``.
-    """
-    n_rails = columns.shape[0]
-    if isinstance(element, PhaseShifter):
-        fock.check_rail(n_rails, element.rail)
-        columns[element.rail] *= np.exp(1j * element.phi)
-    elif isinstance(element, WaveguideCoupler):
-        r0, r1 = element.rails
-        fock.check_rail(n_rails, r0)
-        fock.check_rail(n_rails, r1)
-        # a view of rows r0 and r1, in that order
-        pair = columns[r0::r1 - r0][:2]
-        pair[...] = coupler_matrix(element.coupling_length,
-                                   element.transfer_length) @ pair
-    elif isinstance(element, CoulombCoupler):
-        raise ValueError("a Coulomb coupler has no single-particle action")
-    else:
-        raise TypeError(f"not a gate element: {element!r}")
 
 
 @lru_cache(maxsize=256)

@@ -53,8 +53,9 @@ by one condition: the circuit and the mode, nothing else.
 * Free path: ``off`` and ``deterministic-factor`` mode with no
   ``CoulombCoupler`` in the expanded circuit.  Phase shifters and couplers
   act on each electron alone, so the ``n x k`` single-particle orbitals
-  ``U[:, occ]`` are evolved (``gates.apply_element_columns``) and lifted to
-  the sector once (``fock.lift_columns``): mask ``S`` has probability
+  ``U[:, occ]`` are evolved by the stretch kernel as ``k`` columns of the
+  one-electron sector (``gates.apply_stretch``) and lifted to the sector
+  once (``fock.lift_columns``): mask ``S`` has probability
   ``|det U[S, occ]|^2``.  With more electrons than empty rails the empty
   rails' orbitals are lifted instead.  It agrees with the sector path to
   rounding (about 1e-15), not bit for bit.
@@ -110,7 +111,6 @@ from .dualrail import decode
 from .gates import (  # noqa: F401  perfbench/tracing.py wraps apply_element_batch here
     CoulombCoupler,
     apply_element_batch,
-    apply_element_columns,
     apply_stretch,
 )
 
@@ -193,11 +193,15 @@ class PropagationModel:
     coincidence_window: float = DEFAULT_WINDOW_PS     # ps
 
     def __post_init__(self):
-        if not self.velocity > 0:
-            raise ValueError(f"velocity must be > 0, got {self.velocity}")
-        if not self.coincidence_window > 0:
-            raise ValueError(f"coincidence_window must be > 0, "
-                             f"got {self.coincidence_window}")
+        velocity = fock.require_float(self.velocity, "velocity")
+        if not velocity > 0:
+            raise ValueError(f"velocity must be > 0, got {velocity}")
+        window = fock.require_float(self.coincidence_window,
+                                    "coincidence_window")
+        if not window > 0:
+            raise ValueError(f"coincidence_window must be > 0, got {window}")
+        object.__setattr__(self, "velocity", velocity)
+        object.__setattr__(self, "coincidence_window", window)
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,10 @@ class DephasingModel:
     mode: str = MODE_OFF
 
     def __post_init__(self):
-        if not self.l_phi > 0:
-            raise ValueError(f"l_phi must be > 0, got {self.l_phi}")
+        l_phi = fock.require_float(self.l_phi, "l_phi")
+        if not l_phi > 0:
+            raise ValueError(f"l_phi must be > 0, got {l_phi}")
+        object.__setattr__(self, "l_phi", l_phi)
         mode = _MODE_ALIASES.get(str(self.mode).lower())
         if mode is None:
             raise ValueError(f"unknown dephasing mode '{self.mode}' "
@@ -450,19 +456,19 @@ def _free_probabilities(circuit, loaded: int) -> np.ndarray:
     Such a circuit acts on each electron alone, by the ``n x n``
     single-particle unitary ``U``, and mask ``S`` has probability
     ``|det U[S, occ]|^2`` over the loaded rails ``occ``.  The orbitals
-    ``U[:, occ]`` are evolved element by element and lifted to the sector
-    once (``fock.lift_columns``).  When more rails are loaded than empty,
-    the empty rails' orbitals are lifted instead: complementary minors of a
-    unitary have equal moduli, and complementing the masks of a sector
-    reverses their ascending order.
+    ``U[:, occ]`` are evolved in one stretch as columns of the one-electron
+    sector, whose masks ``1 << r`` are the rails in order, and lifted to the
+    sector once (``fock.lift_columns``).  When more rails are loaded than
+    empty, the empty rails' orbitals are lifted instead: complementary
+    minors of a unitary have equal moduli, and complementing the masks of a
+    sector reverses their ascending order.
     """
     n_rails = circuit.n_rails
     holes = 2 * loaded.bit_count() > n_rails
     rails = [r for r in range(n_rails) if ((loaded >> r) & 1) != holes]
     columns = np.zeros((n_rails, len(rails)), dtype=np.complex128)
     columns[rails, np.arange(len(rails))] = 1.0
-    for element in circuit.elements:
-        apply_element_columns(columns, element)
+    apply_stretch(columns, n_rails, circuit.elements, 1)
     probabilities = np.abs(fock.lift_columns(columns)) ** 2
     return probabilities[::-1] if holes else probabilities
 

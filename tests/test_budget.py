@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from flyqsim.budget import (
@@ -76,6 +77,21 @@ def test_invalid_parameters():
         analyze(wire_circuit(), l_phi=0.0)
     with pytest.raises(ValueError):
         analyze(wire_circuit(), l_phi=30.0, assumed_gate_length=0.0)
+
+
+@pytest.mark.parametrize("value", ["30", np.float64(30.0), np.float32(30.0)],
+                         ids=["str", "float64", "float32"])
+def test_budget_numbers_are_stored_as_the_floats_they_are_checked_as(value):
+    # a string once raised TypeError from the comparison with 0
+    report = analyze(wire_circuit(6.0), l_phi=value, assumed_gate_length=value)
+    assert type(report.l_phi) is float
+    assert type(report.assumed_gate_length) is float
+    assert report == analyze(wire_circuit(6.0), l_phi=30.0,
+                             assumed_gate_length=30.0)
+    with pytest.raises(ValueError, match="l_phi must be a number"):
+        analyze(wire_circuit(), l_phi="far")
+    with pytest.raises(ValueError, match="assumed_gate_length must be a number"):
+        analyze(wire_circuit(), assumed_gate_length=None)
 
 
 def test_budget_reads_the_expansion_of_macros():

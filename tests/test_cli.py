@@ -334,6 +334,31 @@ def test_run_config_accepts_numpy_integers(tmp_path):
                                  output_format="machine")[1]
 
 
+@pytest.mark.parametrize("value", ["2", np.float64(2.0), np.float32(2.0)],
+                         ids=["str", "float64", "float32"])
+def test_run_config_stores_its_numbers_as_floats(tmp_path, value):
+    # a string once raised TypeError, which main does not catch, and a
+    # float32 was stored and reported as given
+    fields = ("l_phi", "velocity", "window", "gate_length")
+    config = RunConfig(input_path="x", **dict.fromkeys(fields, value))
+    assert [type(getattr(config, name)) for name in fields] == [float] * 4
+    assert config == RunConfig(input_path="x", **dict.fromkeys(fields, 2.0))
+    assert config.propagation == timing.PropagationModel(2.0, 2.0)
+    assert config.dephasing == timing.DephasingModel(2.0)
+    code, text = run_cli(FREDKIN_SWAP_INPUT, tmp_path, output_format="machine",
+                         **dict.fromkeys(fields, value))
+    assert code == EXIT_OK
+    assert text == run_cli(FREDKIN_SWAP_INPUT, tmp_path, output_format="machine",
+                           **dict.fromkeys(fields, 2.0))[1]
+    assert "lphi_um=2.0\n" in text and "gate_length_um=2.0\n" in text
+
+
+@pytest.mark.parametrize("field", ["l_phi", "velocity", "window", "gate_length"])
+def test_run_config_refuses_numbers_that_are_not_numbers(field):
+    with pytest.raises(ValueError, match=f"{field} must be a number, got 'x'"):
+        RunConfig(input_path="x", **{field: "x"})
+
+
 def pumped_netlist(n_rails, pumped, body=()):
     lines = [f"rails {n_rails}"]
     lines += [f"sep q{r} delay=0ps" + ("" if r in pumped else " empty")

@@ -1,13 +1,13 @@
 """The stretch kernel, ``gates.apply_stretch``: a whole stretch of elements
-in one call, its phases held until a coupler needs them and its couplers
-applied by ``fock.apply_mode_unitaries``, in partner form or by position
-updates.
+in one call, its phase shifters held until a coupler needs them and its
+couplers applied by ``fock.apply_mode_unitaries``, in partner form or by
+position updates.
 
-Both forms (``path``) are checked against the dense 2^n oracle restricted
-to each sector, across vector, column and batch shapes, and against the
-element-by-element reference update (``sectors.reference_element``) on the
-supports the ``mc`` average reads; a long stretch is checked against itself
-split at random points.
+Both forms (the ``path`` fixture of ``conftest.py``) are checked against
+the dense 2^n oracle restricted to each sector, across vector, column and
+batch shapes, and against the element-by-element reference update
+(``sectors.reference_element``) on the supports the ``mc`` average reads; a
+long stretch is checked against itself split at random points.
 """
 
 import math
@@ -29,17 +29,6 @@ from flyqsim.gates import (
 )
 from flyqsim.netlist import Circuit
 from flyqsim.timing import DephasingModel, SepSource
-
-
-@pytest.fixture(params=["rows", "elements"])
-def path(request, monkeypatch):
-    """Every coupler in partner form, or every one by position updates."""
-    if request.param == "rows":
-        monkeypatch.setattr(fock, "_MIN_ROW_UNITARIES", 0)
-        monkeypatch.setattr(fock, "_MAX_ROW_MASKS", 1 << 30)
-    else:
-        monkeypatch.setattr(fock, "_MIN_ROW_UNITARIES", 1 << 30)
-    return request.param
 
 
 def _special_stretches(n_rails):
@@ -84,9 +73,9 @@ def test_stretch_matches_the_dense_oracle_in_every_sector(seed, path):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_a_long_stretch_equals_its_pieces(seed):
-    # 6 rails with 3 electrons: 20 masks.  The whole stretch goes in partner
-    # form, its shorter pieces by position updates, and each cut moves the
-    # couplers that the held phases fold into
+    # 6 rails with 3 electrons: 20 masks, so every piece goes in partner
+    # form.  Each cut moves the couplers that the held phase shifters fold
+    # into
     rng = np.random.default_rng([23, seed])
     n_rails, k = 6, 3
     elements = [random_primitive(rng, n_rails) for _ in range(1500)]
@@ -97,16 +86,12 @@ def test_a_long_stretch_equals_its_pieces(seed):
     whole = start.copy()
     apply_stretch(whole, n_rails, elements, k)
     cuts = rng.choice(len(elements) + 1, size=7, replace=False).tolist()
-    # and three pieces too short for partner form
+    # and three short pieces
     first = int(rng.integers(len(elements) - 12))
     cuts = sorted(set(cuts + [first + 3, first + 6, first + 12]))
-    couplers = []
     pieces = start.copy()
     for begin, end in zip([0] + cuts, cuts + [len(elements)]):
-        piece = elements[begin:end]
-        couplers.append(sum(isinstance(e, WaveguideCoupler) for e in piece))
-        apply_stretch(pieces, n_rails, piece, k)
-    assert min(couplers) < fock._MIN_ROW_UNITARIES <= max(couplers)
+        apply_stretch(pieces, n_rails, elements[begin:end], k)
     assert np.max(np.abs(whole - pieces)) <= 1e-13
 
 

@@ -611,6 +611,29 @@ def test_model_validation():
     assert DephasingModel(mode="factor").mode == "deterministic-factor"
 
 
+@pytest.mark.parametrize("value", ["1.5", np.float64(1.5), np.float32(1.5)],
+                         ids=["str", "float64", "float32"])
+def test_model_numbers_are_stored_as_the_floats_they_are_checked_as(value):
+    # a string once raised TypeError from the comparison with 0, and a
+    # float32 was stored as given
+    propagation = PropagationModel(value, value)
+    dephasing = DephasingModel(value, "mc")
+    stored = (propagation.velocity, propagation.coincidence_window,
+              dephasing.l_phi)
+    assert [type(x) for x in stored] == [float] * 3
+    assert stored == (1.5,) * 3
+    assert propagation == PropagationModel(1.5, 1.5)
+    assert dephasing == DephasingModel(1.5, "mc")
+
+
+@pytest.mark.parametrize("field", ["velocity", "coincidence_window", "l_phi"])
+@pytest.mark.parametrize("value", ["fast", None, [1.0]])
+def test_model_numbers_that_are_not_numbers_are_refused(field, value):
+    model = DephasingModel if field == "l_phi" else PropagationModel
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        model(**{field: value})
+
+
 @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
 def test_source_delay_must_be_finite(delay):
