@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isfinite
 from typing import ClassVar, Union
 
 import numpy as np
@@ -75,28 +76,43 @@ MAX_DENSE_RAILS = 6
 HARDWARE_PHASE_RANGE = (0.0, math.pi)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = fock.require_float(value, name)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+def _rail_pair(rails) -> tuple:
+    """``rails`` as a tuple of two distinct integer rails, else ``ValueError``.
+
+    Each rail is tested with ``type(rail) is int`` first; only a miss goes
+    through ``fock.require_integer``, the one integer rule.
+    """
+    if type(rails) is not tuple:
+        rails = tuple(rails)
+    if not (len(rails) == 2 and type(rails[0]) is int
+            and type(rails[1]) is int):
+        for rail in rails:
+            fock.require_integer(rail, "element rail")
+    if len(rails) != 2 or rails[0] == rails[1]:
+        raise ValueError(f"coupler rails must be a distinct pair, got {rails}")
+    return rails
 
 
-def _require_integer_rails(rails) -> None:
-    for rail in rails:
-        fock.require_integer(rail, "element rail")
-
-
-def _check_optional_length(length):
-    if length is None:
-        return None
-    length = fock.require_float(length, "element length")
-    if not math.isfinite(length) or length < 0.0:
+def _checked_length(length) -> float:
+    """An element's explicit ``len``, checked and stored as a ``float``."""
+    if type(length) is not float:
+        length = fock.require_float(length, "element length")
+    if not (isfinite(length) and length >= 0.0):
         raise ValueError(f"element length must be finite and >= 0, got {length}")
     return length
 
 
-@dataclass(frozen=True)
+# The element classes are frozen dataclasses with their own ``__init__``:
+# it checks each field once, testing ``type(x) is int`` or ``type(x) is
+# float`` before it calls ``fock.require_integer`` or ``fock.require_float``
+# on a miss, and stores each checked value once with ``object.__setattr__``,
+# as a generated frozen ``__init__`` does (writing ``__dict__`` instead
+# would build a dict per element, which slows every later attribute read).
+# ``dataclasses.replace`` calls the same ``__init__``.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class PhaseShifter:
     """Quantum-dot phase shifter on one rail; ``phi`` in radians."""
 
@@ -107,11 +123,19 @@ class PhaseShifter:
     # ``(rail,)``, built once: the schedule and the budget read it per element
     rails: tuple[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        fock.require_integer(self.rail, "element rail")
-        object.__setattr__(self, "phi", _require_finite("phi", self.phi))
-        object.__setattr__(self, "length", _check_optional_length(self.length))
-        object.__setattr__(self, "rails", (self.rail,))
+    def __init__(self, rail: int, phi: float, length: float | None = None):
+        if type(rail) is not int:
+            fock.require_integer(rail, "element rail")
+        if type(phi) is not float:
+            phi = fock.require_float(phi, "phi")
+        if not isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        if length is not None:
+            length = _checked_length(length)
+        _set_field(self, "rail", rail)
+        _set_field(self, "phi", phi)
+        _set_field(self, "length", length)
+        _set_field(self, "rails", (rail,))
 
     @property
     def footprint(self) -> float:
@@ -124,7 +148,7 @@ class PhaseShifter:
         return lo < self.phi < hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WaveguideCoupler:
     """Evanescent coupler between two rails; lengths in um."""
 
@@ -134,28 +158,35 @@ class WaveguideCoupler:
     transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM
     length: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "rails", tuple(self.rails))
-        _require_integer_rails(self.rails)
-        if len(self.rails) != 2 or self.rails[0] == self.rails[1]:
-            raise ValueError(f"coupler rails must be a distinct pair, "
-                             f"got {self.rails}")
-        coupling = fock.require_float(self.coupling_length, "coupling_length")
-        if not (math.isfinite(coupling) and coupling >= 0.0):
-            raise ValueError(f"coupling_length must be >= 0, got {coupling}")
-        transfer = fock.require_float(self.transfer_length, "transfer_length")
-        if not (math.isfinite(transfer) and transfer > 0.0):
-            raise ValueError(f"transfer_length must be > 0, got {transfer}")
-        object.__setattr__(self, "coupling_length", coupling)
-        object.__setattr__(self, "transfer_length", transfer)
-        object.__setattr__(self, "length", _check_optional_length(self.length))
+    def __init__(self, rails: tuple[int, int], coupling_length: float,
+                 transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM,
+                 length: float | None = None):
+        rails = _rail_pair(rails)
+        if type(coupling_length) is not float:
+            coupling_length = fock.require_float(coupling_length,
+                                                 "coupling_length")
+        if not (isfinite(coupling_length) and coupling_length >= 0.0):
+            raise ValueError(f"coupling_length must be >= 0, "
+                             f"got {coupling_length}")
+        if type(transfer_length) is not float:
+            transfer_length = fock.require_float(transfer_length,
+                                                 "transfer_length")
+        if not (isfinite(transfer_length) and transfer_length > 0.0):
+            raise ValueError(f"transfer_length must be > 0, "
+                             f"got {transfer_length}")
+        if length is not None:
+            length = _checked_length(length)
+        _set_field(self, "rails", rails)
+        _set_field(self, "coupling_length", coupling_length)
+        _set_field(self, "transfer_length", transfer_length)
+        _set_field(self, "length", length)
 
     @property
     def footprint(self) -> float:
-        return float(self.coupling_length) if self.length is None else self.length
+        return self.coupling_length if self.length is None else self.length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoulombCoupler:
     """Mutual phase modulation between two rails; ``chi_t`` in radians."""
 
@@ -164,21 +195,25 @@ class CoulombCoupler:
     chi_t: float
     length: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "rails", tuple(self.rails))
-        _require_integer_rails(self.rails)
-        if len(self.rails) != 2 or self.rails[0] == self.rails[1]:
-            raise ValueError(f"coupler rails must be a distinct pair, "
-                             f"got {self.rails}")
-        object.__setattr__(self, "chi_t", _require_finite("chi_t", self.chi_t))
-        object.__setattr__(self, "length", _check_optional_length(self.length))
+    def __init__(self, rails: tuple[int, int], chi_t: float,
+                 length: float | None = None):
+        rails = _rail_pair(rails)
+        if type(chi_t) is not float:
+            chi_t = fock.require_float(chi_t, "chi_t")
+        if not isfinite(chi_t):
+            raise ValueError(f"chi_t must be finite, got {chi_t}")
+        if length is not None:
+            length = _checked_length(length)
+        _set_field(self, "rails", rails)
+        _set_field(self, "chi_t", chi_t)
+        _set_field(self, "length", length)
 
     @property
     def footprint(self) -> float:
         return 0.0 if self.length is None else self.length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CompositeGate:
     """Netlist macro placeholder; ``netlist.Circuit.expanded`` replaces it by
     its primitives."""
@@ -186,18 +221,23 @@ class CompositeGate:
     name: str
     rails: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rails", tuple(self.rails))
-        _require_integer_rails(self.rails)
-        spec = MACROS.get(self.name)
+    def __init__(self, name: str, rails: tuple[int, ...]):
+        if type(rails) is not tuple:
+            rails = tuple(rails)
+        for rail in rails:
+            if type(rail) is not int:
+                fock.require_integer(rail, "element rail")
+        spec = MACROS.get(name)
         if spec is None:
-            raise ValueError(f"unknown composite gate '{self.name}'")
+            raise ValueError(f"unknown composite gate '{name}'")
         expected = len(spec[0])
-        if len(self.rails) != expected:
-            raise ValueError(f"composite '{self.name}' takes {expected} rails, "
-                             f"got {len(self.rails)}")
-        if len(set(self.rails)) != len(self.rails):
-            raise ValueError(f"composite rails must be distinct, got {self.rails}")
+        if len(rails) != expected:
+            raise ValueError(f"composite '{name}' takes {expected} rails, "
+                             f"got {len(rails)}")
+        if len(set(rails)) != len(rails):
+            raise ValueError(f"composite rails must be distinct, got {rails}")
+        _set_field(self, "name", name)
+        _set_field(self, "rails", rails)
 
     @property
     def keyword(self) -> str:

@@ -30,12 +30,21 @@ about it.  A number must be finite: a literal past the float range, such as
 The front end is one pass over the text with one validation walk.  The
 parser dispatches every statement, macros included, through one keyword
 table and builds the circuit as declared (``ParseResult.circuit``), which
-``Circuit``'s constructor validates and buckets by position once.  That
-walk also records whether the circuit holds a macro, and every stage reads
+``Circuit``'s constructor validates and buckets by position once.  Each
+statement handler first reads the canonical spelling, the one ``serialize``
+writes, inline: a rail is a lookup in the ``q<i>`` table, and a number is
+the word with its fixed ``key=`` and unit sliced off, read by one ``float``
+call with the finite and no-``_`` test.  An element's own facts (distinct
+rails, finite angles, lengths in range) are checked once, by its
+constructor; a ``ValueError`` from it, like any other spelling (``PHI=``,
+``1UM``, ``q01``, ``len=``), sends the line to the general word helpers,
+which read it again and write every diagnostic.  The validation walk
+also records whether the circuit holds a macro, and every stage reads
 ``Circuit.expanded``, the primitive form: the circuit itself without a
 macro, else its expansion, derived on first use without a second walk, for
 a parsed circuit and a hand-built one alike.  ``serialize`` emits a
-canonical form that parses back to an equal circuit.
+canonical form that parses back to an equal circuit, and that it writes
+back byte for byte; it picks each element's line writer by its type.
 """
 
 from __future__ import annotations
@@ -44,8 +53,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, groupby, repeat
+from math import inf
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .fock import MAX_RAILS, require_float, require_integer
@@ -80,7 +90,10 @@ def _literal(text: str) -> float | None:
     ``nan`` and digit groups such as ``1_0``.  A word without ``_`` that
     ``float`` reads as a finite value therefore matches the pattern, so this
     one ``float`` call is the whole test; ``_LineParser._number`` writes the
-    diagnostic when it fails.
+    diagnostic when it fails.  The statement handlers make the same test
+    inline on the canonical spelling: a ``float`` call on a word without
+    ``_``, whose value the range test or the element's constructor refuses
+    unless it is finite.
     """
     try:
         value = float(text)
@@ -158,35 +171,49 @@ class Circuit:
         n_rails = require_integer(self.n_rails, "rail count")
         if not 1 <= n_rails <= MAX_RAILS:
             raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
-        macros = False
-        for index, element in enumerate(self.elements):
-            if isinstance(element, CompositeGate):
-                macros = True
-            for rail in element.rails:  # integers: each element checks its own
-                if not 0 <= rail < n_rails:
-                    raise ValueError(
-                        f"element {index} ({element.keyword}) rail "
-                        f"{rail} outside [0, {n_rails})")
-        n_positions = len(self.elements) + 1
+        elements = self.elements
+        # integers: each element checks its own rails; their range is checked
+        # here, over the set of rails in use, and element by element only to
+        # name the first element outside it
+        rails = set(chain.from_iterable(map(attrgetter("rails"), elements)))
+        if rails and not (0 <= min(rails) and max(rails) < n_rails):
+            for index, element in enumerate(elements):
+                for rail in element.rails:
+                    if not 0 <= rail < n_rails:
+                        raise ValueError(
+                            f"element {index} ({element.keyword}) rail "
+                            f"{rail} outside [0, {n_rails})")
+        macros = any(issubclass(kind, CompositeGate)
+                     for kind in set(map(type, elements)))
+        n_positions = len(elements) + 1
         groups = {}  # position -> its segments, only where there is wire
+        position = group = None
         for seg in self.segments:
-            if not 0 <= require_integer(seg.position, "segment position") < n_positions:
-                raise ValueError(f"segment position {seg.position} outside "
-                                 f"[0, {len(self.elements)}]: {seg!r}")
-            if not 0 <= require_integer(seg.rail, "segment rail") < n_rails:
-                raise ValueError(f"segment rail {seg.rail} outside "
+            if type(seg) is not Segment:
+                seg = Segment._make(seg)
+            rail, length, at = seg
+            if type(at) is not int:
+                require_integer(at, "segment position")
+            if not 0 <= at < n_positions:
+                raise ValueError(f"segment position {at} outside "
+                                 f"[0, {len(elements)}]: {seg!r}")
+            if type(rail) is not int:
+                require_integer(rail, "segment rail")
+            if not 0 <= rail < n_rails:
+                raise ValueError(f"segment rail {rail} outside "
                                  f"[0, {n_rails}): {seg!r}")
-            if type(seg.length) is not float:
-                seg = seg._replace(length=require_float(seg.length,
-                                                        "segment length"))
-            if not (math.isfinite(seg.length) and seg.length >= 0):
+            if type(length) is not float:
+                length = require_float(length, "segment length")
+                seg = Segment(rail, length, at)
+            if not 0.0 <= length < inf:  # also refuses nan
                 raise ValueError(f"segment length must be finite and >= 0: "
                                  f"{seg!r}")
-            group = groups.get(seg.position)
-            if group is None:
-                groups[seg.position] = [seg]
-            else:
-                group.append(seg)
+            if at != position:  # in netlist order a position's wire is a run
+                position = at
+                group = groups.get(at)
+                if group is None:
+                    group = groups[at] = []
+            group.append(seg)
         source_rails = set()
         for src in self.sources:
             if not 0 <= require_integer(src.rail, "source rail") < n_rails:
@@ -223,8 +250,7 @@ class Circuit:
         for position, group in groups.items():
             wire[position] = tuple(group)
         object.__setattr__(self, "wire", tuple(wire))
-        object.__setattr__(self, "segments", tuple(
-            seg for position in sorted(groups) for seg in wire[position]))
+        object.__setattr__(self, "segments", tuple(chain.from_iterable(wire)))
         object.__setattr__(self, "registers", tuple(registers))
         object.__setattr__(self, "_macros", macros)
 
@@ -244,19 +270,28 @@ class Circuit:
         so wire declared before a macro stays before its first primitive;
         the positions stay in netlist order, so the wire is regrouped in one
         ``groupby``.  The result holds no macro, so its own ``expanded`` is
-        itself and no reference leads back here.
+        itself and no reference leads back here.  Python steps run per macro;
+        per element and per segment the work is done by ``map``, ``zip`` and
+        ``accumulate``.
         """
+        declared = self.elements
+        sizes = [1] * len(declared)  # expanded elements per declared element
         elements: list[GateElement] = []
-        offsets: list[int] = []
-        for element in self.elements:
-            offsets.append(len(elements))
-            if isinstance(element, CompositeGate):
-                elements.extend(macro_elements(element.name, element.rails))
-            else:
-                elements.append(element)
-        offsets.append(len(elements))
-        segments = _segments((rail, length, offsets[position])
-                             for rail, length, position in self.segments)
+        start = 0
+        for index in compress(count(), map(isinstance, declared,
+                                           repeat(CompositeGate))):
+            macro = declared[index]
+            primitives = macro_elements(macro.name, macro.rails)
+            sizes[index] = len(primitives)
+            elements += declared[start:index]
+            elements += primitives
+            start = index + 1
+        elements += declared[start:]
+        offsets = list(accumulate(sizes, initial=0))
+        declared_wire = self.segments
+        segments = _segments(zip(
+            map(itemgetter(0), declared_wire), map(itemgetter(1), declared_wire),
+            map(offsets.__getitem__, map(itemgetter(2), declared_wire))))
         wire = [()] * (len(elements) + 1)
         for position, group in groupby(segments, itemgetter(2)):
             wire[position] = tuple(group)
@@ -296,11 +331,13 @@ class _LineParser:
 
     Each line is split into words with ``str.split`` and dispatched on its
     keyword through ``_HANDLERS``, one table for every statement, the macro
-    keywords included.  ``_rail`` reads a rail from the ``q<i>`` table.  A
-    number is read with one ``_literal`` call; only when that read fails do
-    ``_number`` and ``_value_with_unit`` accept the other spellings
-    (``PHI=``, ``1UM``) or write the diagnostic.  A diagnostic points at a
-    word by index; the word's column is computed only then, by ``_column``.
+    keywords included.  A handler reads the canonical spelling inline (the
+    ``q<i>`` table, one ``float`` call per number) and hands the values to
+    the element's constructor, which checks them.  Only when that read
+    fails do ``_rail``, ``_split_len``, ``_value_with_unit`` and ``_number``
+    accept the other spellings (``PHI=``, ``1UM``, ``q01``, ``len=``) or
+    write the diagnostic.  A diagnostic points at a word by index; the
+    word's column is computed only then, by ``_column``.
     """
 
     def __init__(self, strict_hardware_phases: bool = False):
@@ -373,17 +410,11 @@ class _LineParser:
     def _value_with_unit(self, words, index, key: str, unit: str) -> float | None:
         """Parse ``key=<number><unit>``; key and unit are case-insensitive.
 
-        The exact lower-case spelling is read with one ``_literal``; the
-        other spellings are read, or the diagnostic written, only when that
-        fails.
+        The handlers read the canonical spelling inline, so this runs for
+        ``sep`` delays, ``len=`` and the other spellings, and writes the
+        diagnostic.
         """
         text = words[index]
-        start = len(key) + 1
-        if (text[start - 1:start] == "=" and text.startswith(key)
-                and text.endswith(unit)):
-            value = _literal(text[start:len(text) - len(unit)])
-            if value is not None:
-                return value
         name, sep, raw = text.partition("=")
         if not sep:
             self.error(index, f"expected {key}=<value>{unit}, got '{text}'")
@@ -440,23 +471,36 @@ class _LineParser:
         self._rail_names = {f"q{rail}": rail for rail in range(count)}
 
     def _stmt_segment(self, words):
-        if len(words) != 3:
+        # the canonical spelling: segment q<i> <x>um
+        if len(words) == 3:
+            rail = self._rail_names.get(words[1])
+            text = words[2]
+            if rail is not None and text[-2:] == "um" and "_" not in text:
+                try:
+                    length = float(text[:-2])
+                except ValueError:
+                    pass
+                else:
+                    if 0.0 <= length < inf:
+                        self._wire_rails.append(rail)
+                        self._wire_lengths.append(length)
+                        self._wire_positions.append(len(self.elements))
+                        return
+        else:
             self._expect_count(words, 2, "segment <rail> <length>um")
             return
         rail = self._rail(words, 1)
         text = words[2]
-        length = _literal(text[:-2]) if text[-2:] == "um" else None
-        if length is None or length < 0:
-            if len(text) < 2 or text[-2:].lower() != "um":
-                self.error(2, f"segment length requires a 'um' suffix, "
-                              f"got '{text}'")
-                return
-            length = self._number(text[:-2], 2, "segment length")
-            if length is None:
-                return
-            if length < 0:
-                self.error(2, "segment length must be >= 0")
-                return
+        if len(text) < 2 or text[-2:].lower() != "um":
+            self.error(2, f"segment length requires a 'um' suffix, "
+                          f"got '{text}'")
+            return
+        length = self._number(text[:-2], 2, "segment length")
+        if length is None:
+            return
+        if length < 0:
+            self.error(2, "segment length must be >= 0")
+            return
         if rail is None:
             return
         self._wire_rails.append(rail)
@@ -488,6 +532,19 @@ class _LineParser:
         self.sources.append(SepSource(rail, delay, emits))
 
     def _stmt_ps(self, words):
+        # the canonical spelling: ps q<i> phi=<x>rad
+        text = words[-1]
+        if (len(words) == 3 and text[:4] == "phi=" and text[-3:] == "rad"
+                and "_" not in text):
+            try:  # the constructor checks the rail and that phi is finite
+                element = PhaseShifter(self._rail_names.get(words[1]),
+                                       float(text[4:-3]))
+            except ValueError:
+                pass  # diagnosed below
+            else:
+                if not self.strict or element.hardware_realizable:
+                    self.elements.append(element)
+                    return
         words, length = self._split_len(words)
         if len(words) != 3:
             self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
@@ -513,6 +570,21 @@ class _LineParser:
         return rail_a, rail_b
 
     def _stmt_bs(self, words):
+        # the canonical spelling: bs q<a> q<b> lc=<x>um lt=<x>um
+        if len(words) == 5:
+            lc, lt = words[3], words[4]
+            if (lc[:3] == "lc=" and lc[-2:] == "um" and "_" not in lc
+                    and lt[:3] == "lt=" and lt[-2:] == "um" and "_" not in lt):
+                names = self._rail_names
+                try:  # the constructor checks the rails and both lengths
+                    element = WaveguideCoupler(
+                        (names.get(words[1]), names.get(words[2])),
+                        float(lc[3:-2]), float(lt[3:-2]))
+                except ValueError:
+                    pass  # diagnosed below
+                else:
+                    self.elements.append(element)
+                    return
         words, length = self._split_len(words)
         if len(words) != 5:
             self._expect_count(
@@ -532,6 +604,20 @@ class _LineParser:
         self.elements.append(WaveguideCoupler(rails, lc, lt, length))
 
     def _stmt_cc(self, words):
+        # the canonical spelling: cc q<a> q<b> chit=<x>rad
+        text = words[-1]
+        if (len(words) == 4 and text[:5] == "chit=" and text[-3:] == "rad"
+                and "_" not in text):
+            names = self._rail_names
+            try:  # the constructor checks the rails and that chi_t is finite
+                element = CoulombCoupler(
+                    (names.get(words[1]), names.get(words[2])),
+                    float(text[5:-3]))
+            except ValueError:
+                pass  # diagnosed below
+            else:
+                self.elements.append(element)
+                return
         words, length = self._split_len(words)
         if len(words) != 4:
             self._expect_count(words, 3,
@@ -546,6 +632,16 @@ class _LineParser:
     def _stmt_macro(self, words):
         name = words[0].lower()
         params = MACROS[name][0]
+        # the canonical spelling: distinct q<i> rails, one per parameter,
+        # which the constructor checks
+        try:
+            element = CompositeGate(name, tuple(map(self._rail_names.get,
+                                                    words[1:])))
+        except ValueError:
+            pass  # diagnosed below
+        else:
+            self.elements.append(element)
+            return
         if len(words) - 1 != len(params):
             self._expect_count(words, len(params), " ".join(
                 [name] + [f"<{param}>" for param in params]))
@@ -621,12 +717,15 @@ class _LineParser:
                 continue
             self._line_no = line_no
             self._line = line
-            keyword = words[0].lower()
+            keyword = words[0]
+            handler = handlers.get(keyword)
+            if handler is None:  # keywords are case-insensitive
+                keyword = keyword.lower()
+                handler = handlers.get(keyword)
             if self.n_rails is None and keyword != "rails":
                 self.error(0, "no rails declared (the first statement must be "
                               "'rails <n>')")
                 continue
-            handler = handlers.get(keyword)
             if handler is None:
                 self.error(0, f"unknown statement '{words[0]}'")
             else:
@@ -669,46 +768,64 @@ def parse_circuit(source_text: str, strict_hardware_phases: bool = False) -> Cir
     return result.circuit
 
 
-def _fmt(value: float) -> str:
-    """Shortest float literal that round-trips exactly."""
-    return repr(float(value))
+# Netlist lines by element type.  Each takes the element and the rail-name
+# table and writes every number with ``!r``, the shortest float literal that
+# round-trips exactly: every element field is stored as a ``float``.
 
 
-def _element_line(element: GateElement) -> str:
-    suffix = ""
-    if getattr(element, "length", None) is not None:
-        suffix = f" len={_fmt(element.length)}um"
-    if isinstance(element, PhaseShifter):
-        return f"ps q{element.rail} phi={_fmt(element.phi)}rad{suffix}"
-    if isinstance(element, WaveguideCoupler):
-        a, b = element.rails
-        return (f"bs q{a} q{b} lc={_fmt(element.coupling_length)}um "
-                f"lt={_fmt(element.transfer_length)}um{suffix}")
-    if isinstance(element, CoulombCoupler):
-        a, b = element.rails
-        return f"cc q{a} q{b} chit={_fmt(element.chi_t)}rad{suffix}"
-    if isinstance(element, CompositeGate):
-        rails = " ".join(f"q{r}" for r in element.rails)
-        return f"{element.name} {rails}"
-    raise TypeError(f"not a gate element: {element!r}")
+def _ps_line(element: PhaseShifter, q) -> str:
+    line = f"ps {q[element.rail]} phi={element.phi!r}rad"
+    return line if element.length is None else f"{line} len={element.length!r}um"
+
+
+def _bs_line(element: WaveguideCoupler, q) -> str:
+    a, b = element.rails
+    line = (f"bs {q[a]} {q[b]} lc={element.coupling_length!r}um "
+            f"lt={element.transfer_length!r}um")
+    return line if element.length is None else f"{line} len={element.length!r}um"
+
+
+def _cc_line(element: CoulombCoupler, q) -> str:
+    a, b = element.rails
+    line = f"cc {q[a]} {q[b]} chit={element.chi_t!r}rad"
+    return line if element.length is None else f"{line} len={element.length!r}um"
+
+
+def _macro_line(element: CompositeGate, q) -> str:
+    return " ".join([element.name, *[q[rail] for rail in element.rails]])
+
+
+_ELEMENT_LINES = {PhaseShifter: _ps_line, WaveguideCoupler: _bs_line,
+                  CoulombCoupler: _cc_line, CompositeGate: _macro_line}
 
 
 def serialize(circuit: Circuit) -> str:
-    """Canonical netlist text; ``parse(serialize(c))`` equals ``c``."""
+    """Canonical netlist text; ``parse(serialize(c))`` equals ``c``.
+
+    Each element's line is written by ``_ELEMENT_LINES[type(element)]``,
+    with the rail names read from one ``q<i>`` table.
+    """
+    q = [f"q{rail}" for rail in range(circuit.n_rails)]
     lines = [f"rails {circuit.n_rails}"]
     for src in circuit.sources:
         empty = "" if src.emits else " empty"
-        lines.append(f"sep q{src.rail} delay={_fmt(src.emission_delay)}ps{empty}")
+        lines.append(f"sep {q[src.rail]} delay={src.emission_delay!r}ps{empty}")
     for name, (rail0, rail1) in circuit.registers:
-        lines.append(f"dualrail {name} q{rail0} q{rail1}")
-    for position, group in enumerate(circuit.wire):
-        for seg in group:
-            lines.append(f"segment q{seg.rail} {_fmt(seg.length)}um")
-        if position < len(circuit.elements):
-            lines.append(_element_line(circuit.elements[position]))
+        lines.append(f"dualrail {name} {q[rail0]} {q[rail1]}")
+    element_lines = _ELEMENT_LINES
+    for group, element in zip(circuit.wire, circuit.elements):
+        for rail, length, _ in group:
+            lines.append(f"segment {q[rail]} {length!r}um")
+        line = element_lines.get(type(element))
+        if line is None:
+            raise TypeError(f"not a gate element: {element!r}")
+        lines.append(line(element, q))
+    for rail, length, _ in circuit.wire[-1]:
+        lines.append(f"segment {q[rail]} {length!r}um")
     for rail in circuit.detectors:
-        lines.append(f"set q{rail}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"set {q[rail]}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def expand_composites(circuit: Circuit) -> Circuit:

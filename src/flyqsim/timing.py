@@ -369,8 +369,11 @@ def check_coincidence(table: ArrivalTable,
 
     Every element's spread is compared with the window in one vector
     operation; only the late entries are built as ``ElementArrival``.  A
-    one-rail element's spread is 0, so it is never late.
+    one-rail element's spread is 0, so it is never late.  ``window`` follows
+    ``PropagationModel``'s number rule: a ``float`` through
+    ``fock.require_float``, and ``> 0``.
     """
+    window = fock.require_float(window, "window")
     if not window > 0:
         raise ValueError(f"window must be > 0, got {window}")
     times = table.times

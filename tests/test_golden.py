@@ -9,6 +9,11 @@ When the rail limit moved from 24 to 63 rails (the int64 mask width),
 ``rails 64`` and ``rails 0064`` were added to reach the capacity message.
 ``MACHINE_SHA256`` holds the sha256 of ``cli.run``'s machine output for three
 small netlists in every dephasing mode at two seeds.
+``golden/serialize_canonical.fq`` holds the exact text ``serialize`` wrote,
+in 0.6.0, for ``serializer_circuit()``: every element kind with and without
+``len=``, both macros, an ``empty`` source, registers, trailing wire, and the
+float extremes ``-0.0``, ``5e-324``, ``1e-05``, ``1e16`` and the largest
+finite double.
 """
 
 import hashlib
@@ -20,7 +25,10 @@ from pathlib import Path
 import pytest
 
 from flyqsim.cli import EXIT_OK, RunConfig, run
-from flyqsim.netlist import parse
+from flyqsim.gates import (CompositeGate, CoulombCoupler, PhaseShifter,
+                           WaveguideCoupler)
+from flyqsim.netlist import Circuit, Segment, parse, serialize
+from flyqsim.timing import SepSource
 
 GOLDEN = Path(__file__).parent / "golden"
 DIAGNOSTIC_CASES = json.loads((GOLDEN / "parse_diagnostics.json").read_text())
@@ -206,3 +214,38 @@ def test_machine_output_matches_golden(tmp_path, name, mode, seed):
     assert run(config, out=out) == EXIT_OK
     text = out.getvalue().replace(str(path), f"{name}.fq")
     assert hashlib.sha256(text.encode()).hexdigest() == MACHINE_SHA256[name, mode, seed]
+
+
+BIGGEST = 1.7976931348623157e+308
+
+
+def serializer_circuit() -> Circuit:
+    """A circuit that reaches every branch of ``serialize``."""
+    elements = [
+        PhaseShifter(0, -0.0),
+        PhaseShifter(5, 5e-324, 1e-05),
+        WaveguideCoupler((0, 1), 0.14, 0.28),
+        WaveguideCoupler((3, 2), 1e16, BIGGEST, -0.0),
+        CoulombCoupler((4, 5), -BIGGEST),
+        CoulombCoupler((1, 4), 2.0, 5e-324),
+        CompositeGate("hadamard", (2, 3)),
+        CompositeGate("fredkin", (0, 4, 5)),
+        PhaseShifter(3, 1e16),
+    ]
+    segments = [Segment(0, -0.0, 0), Segment(1, 5e-324, 0),
+                Segment(2, 1e-05, 3), Segment(5, 1e16, 6),
+                Segment(4, 2.5, 6), Segment(3, BIGGEST, len(elements)),
+                Segment(0, 1.0, len(elements))]
+    return Circuit(
+        n_rails=6, elements=elements, segments=segments,
+        sources=[SepSource(0, 0.0), SepSource(1, 1e-05, False),
+                 SepSource(4, BIGGEST), SepSource(5, 5e-324, False)],
+        detectors=[3, 0, 5],
+        registers=[("a", (0, 1)), ("b_2", (3, 2))])
+
+
+def test_serialize_matches_golden_bytes():
+    circuit = serializer_circuit()
+    text = serialize(circuit)
+    assert text.encode() == (GOLDEN / "serialize_canonical.fq").read_bytes()
+    assert parse(text).circuit == circuit

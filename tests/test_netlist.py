@@ -363,6 +363,13 @@ def test_circuit_accepts_numpy_integers():
     assert parse_circuit(serialize(circuit)) == circuit
 
 
+def test_circuit_stores_segments_given_as_triples_as_segments():
+    circuit = Circuit(2, [PhaseShifter(0, 0.1)], segments=[(1, 2, 1), [0, 1.5, 0]])
+    assert circuit.segments == (Segment(0, 1.5, 0), Segment(1, 2.0, 1))
+    assert [type(seg) for seg in circuit.segments] == [Segment, Segment]
+    assert type(circuit.wire[1][0].length) is float
+
+
 def angle_circuit(angle):
     """Three rails, an interferometer on (q1, q2) whose arm q1 carries a
     phase shifter and a Coulomb coupler to q0, both at ``angle``."""

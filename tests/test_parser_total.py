@@ -4,6 +4,9 @@ Non-finite numbers (a literal past the float range, such as ``1e400``) are
 errors at the number's word, and so are digit strings longer than ``int``
 converts.  A grammar-shaped property test checks that ``parse`` never raises
 and that every error column is 1 or the start of a word on its line.
+Another checks that every spelling of a statement, the canonical one that
+each handler reads inline and the variants that take the general path,
+parses to the circuit the constructors build.
 """
 
 import math
@@ -13,7 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flyqsim.netlist import _NUMBER_RE, _LineParser, parse
+from flyqsim.gates import (MACROS, CompositeGate, CoulombCoupler,
+                           PhaseShifter, WaveguideCoupler)
+from flyqsim.netlist import _NUMBER_RE, Circuit, Segment, _LineParser, parse
 
 
 def diagnostics_of(text):
@@ -133,3 +138,106 @@ def test_number_reads_exactly_the_grammar_literals(text):
         expected = ("phi must be finite" if _NUMBER_RE.fullmatch(text)
                     else f"invalid number '{text}' in phi")
         assert (diag.column, diag.message) == (3, expected)
+
+
+# --- the canonical read agrees with the general one ---------------------------
+#
+# Each handler reads its canonical spelling inline and falls back to the
+# general word helpers otherwise.  Every spelling of one statement must parse
+# to the circuit its constructors build, or be refused, alike.
+
+N_RAILS = 6
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.28, 1.0, 3.0, 1e16,
+                     1.7976931348623157e+308, -1.5]))
+LENGTHS = st.one_of(st.none(), VALUES)
+RAIL_INDICES = st.integers(0, N_RAILS)  # N_RAILS itself is out of range
+
+
+@st.composite
+def statements(draw):
+    """``(canonical words, expected circuit or None)`` of one statement."""
+    kind = draw(st.sampled_from(["ps", "bs", "cc", "segment", "hadamard",
+                                 "fredkin"]))
+    if kind in MACROS:
+        rails = draw(st.lists(RAIL_INDICES, min_size=len(MACROS[kind][0]),
+                              max_size=len(MACROS[kind][0])))
+        words = [kind, *[f"q{r}" for r in rails]]
+        build = lambda: Circuit(N_RAILS, [CompositeGate(kind, rails)])
+    elif kind == "segment":
+        rail, length = draw(RAIL_INDICES), draw(VALUES)
+        words = [kind, f"q{rail}", f"{length!r}um"]
+        build = lambda: Circuit(N_RAILS, segments=[Segment(rail, length, 0)])
+    else:
+        n_rails = 1 if kind == "ps" else 2
+        rails = draw(st.lists(RAIL_INDICES, min_size=n_rails, max_size=n_rails))
+        values = draw(st.lists(VALUES, min_size=1 + (kind == "bs"),
+                               max_size=1 + (kind == "bs")))
+        length = draw(LENGTHS)
+        keys = {"ps": [("phi", "rad")], "cc": [("chit", "rad")],
+                "bs": [("lc", "um"), ("lt", "um")]}[kind]
+        words = [kind, *[f"q{r}" for r in rails],
+                 *[f"{key}={value!r}{unit}" for (key, unit), value
+                   in zip(keys, values)]]
+        if length is not None:
+            words.append(f"len={length!r}um")
+        element = {"ps": lambda: PhaseShifter(rails[0], *values, length),
+                   "bs": lambda: WaveguideCoupler(rails, *values, length),
+                   "cc": lambda: CoulombCoupler(rails, *values, length)}[kind]
+        build = lambda: Circuit(N_RAILS, [element()])
+    try:
+        expected = build()
+    except ValueError:
+        expected = None
+    return words, expected
+
+
+def _upper_keys(words):
+    return [w[:w.index("=")].upper() + w[w.index("="):] if "=" in w else w
+            for w in words]
+
+
+def _upper_units(words):
+    return [w[:-3] + w[-3:].upper() if w.endswith(("um", "rad")) else w
+            for w in words]
+
+
+def _padded_rails(words):
+    return [f"q0{w[1:]}" if re.fullmatch(r"q\d+", w) else w for w in words]
+
+
+SPELLINGS = {
+    "canonical": lambda words: " ".join(words),
+    "upper keys": lambda words: " ".join(_upper_keys(words)),
+    "upper units": lambda words: " ".join(_upper_units(words)),
+    "q01 rails": lambda words: " ".join(_padded_rails(words)),
+    "tabs": lambda words: "\t".join(words) + "\t",
+    "comment": lambda words: " ".join(words) + "  # a note",
+    "all": lambda words: "\t".join(
+        _padded_rails(_upper_units(_upper_keys(words)))) + " #",
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(statements(), st.booleans())
+def test_every_spelling_parses_to_the_constructed_circuit(statement, strict):
+    words, expected = statement
+    if (strict and expected is not None and words[0] == "ps"
+            and not expected.elements[0].hardware_realizable):
+        expected = None  # strict parsing refuses a phase outside (0, pi)
+    for name, spell in SPELLINGS.items():
+        result = parse(f"rails {N_RAILS}\n{spell(words)}\n",
+                       strict_hardware_phases=strict)
+        assert result.circuit == expected, (name, spell(words),
+                                            result.diagnostics)
+        assert result.ok == (expected is not None), name
+
+
+@pytest.mark.parametrize("phi", ["0.0", "-0.5", "3.2", "1e16", "-0.0"])
+def test_strict_parsing_diagnoses_a_canonical_phase_outside_the_range(phi):
+    for line in (f"ps q0 phi={phi}rad", f"ps q0 PHI={phi}RAD len=1.0um"):
+        result = parse(f"rails 1\n{line}\n", strict_hardware_phases=True)
+        assert [d.message for d in result.diagnostics] == [
+            f"phi {float(phi):g} outside the hardware range (0, pi)"]
+        assert parse(f"rails 1\n{line}\n").ok

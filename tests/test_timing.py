@@ -159,6 +159,22 @@ def test_single_rail_elements_never_violate():
     assert check_coincidence(table, 1.0) == []
 
 
+def test_coincidence_window_follows_the_model_number_rule():
+    # a string window once raised TypeError from the comparison with 0
+    table = arrival_times(cc_pair_circuit(len_a=3.0, len_b=2.0),
+                          PropagationModel(0.1, 5.0))
+    for window in ("5", np.float32(5.0)):
+        assert [v.spread for v in check_coincidence(table, window)] == [
+            pytest.approx(10.0)]
+    assert check_coincidence(table, "11") == []
+    for window in ("fast", None):
+        with pytest.raises(ValueError, match="window must be a number"):
+            check_coincidence(table, window)
+    for window in (0, "0", -1.0, math.nan):
+        with pytest.raises(ValueError, match="window must be > 0"):
+            check_coincidence(table, window)
+
+
 # --- shot running -----------------------------------------------------------
 
 
