@@ -49,4 +49,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

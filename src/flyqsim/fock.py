@@ -59,7 +59,11 @@ basis, the probabilities, their running sum and the counts (512 MiB at the
 cap).  Nor does it count the free path's cached lift plans, 5 bytes per
 electron per mask of every sector the lift goes through: 480 MiB at 24
 rails with 12 electrons and 2.0 GiB at 26 rails with 13 electrons, both
-admitted.
+admitted.  Nor does it count the cached pair indices: at 24 rails with 12
+electrons one ``_pair_plan`` entry is 22.1 MB (2.83 GB for its 128
+entries), one ``pair_occupied_indices`` entry 5.2 MB (0.66 GB for 128)
+and one ``rail_occupied_indices`` entry 10.8 MB (0.26 GB for 24 rails),
+all computed figures.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
 outcome probabilities and a block of uniforms it adds to a count array, by
@@ -90,7 +94,10 @@ _LIFT_BLOCK = 1 << 12
 # _MAX_ROW_MASKS masks, which also bounds the _partner_row cache.  Rows
 # against one position update per unitary on a 2-vCPU Xeon: 600 random
 # primitives (222 couplers) took 3.7 against 5.4 ms over 70 masks, 5.5
-# against 7.2 ms over 252 and 7.1 against 5.6 ms over 462
+# against 7.2 ms over 252 and 7.1 against 5.6 ms over 462.  Above the
+# bound position updates stay: the per-coupler work alone (warm tables, one
+# vector, best of 20) took 113 against 66 us over 12870 masks, 795 against
+# 299 us over 48620 and 4321 against 1724 us over 184756
 _MAX_ROW_MASKS = 256
 
 

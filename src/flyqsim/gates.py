@@ -42,6 +42,11 @@ is the one macro table: per keyword, the rail parameters and the synthesis.
   the identity on the target pair when the control rail is empty, and a
   swap (up to a global phase) when it is occupied.
 
+Both syntheses use phases outside the demonstrated dot-bias range (0, pi):
+the Hadamard trims are -pi/2 and the Fredkin arm bias is pi.
+``PhaseShifter.hardware_realizable`` reports this per element, read over a
+circuit's primitive form; the parser accepts any finite phase.
+
 The elements act through one kernel, ``apply_stretch``, on sector
 amplitudes and on single-particle orbitals alike: orbitals are columns of
 the one-electron sector.  It walks a stretch of primitives once, holds each
@@ -49,6 +54,9 @@ phase shifter until a coupler on its rail needs it, folds it into that
 coupler's 2x2 matrix and hands the couplers, with the Coulomb phases in
 their places between them, to ``fock.apply_mode_unitaries`` a block at a
 time.  ``apply_element_batch`` is that kernel on a one-element stretch.
+The kernel compares no rail: the ``fock`` index helpers refuse a rail
+outside the register, so a bad rail may raise after later elements of the
+stretch have changed the amplitudes.
 
 ``build_dense_unitary`` provides the brute-force oracle: it assembles the
 full 2^n x 2^n matrix from dense ladder operators and matrix exponentials,
@@ -364,35 +372,34 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     The phase shifters are diagonal, so they commute with each other and
     with a coupler on other rails.  Each is held, summed per rail, until a
     coupler on its rail needs it and is folded into that coupler's 2x2
-    matrix, ``u <- u @ diag(exp(i phi_0), exp(i phi_1))``; what is left
-    after the last coupler is applied at the end.  A Coulomb phase is
-    applied where it stands, before the next coupler.  The couplers and the
+    matrix, ``u <- u @ diag(exp(i phi_0), exp(i phi_1))``; what is held
+    after the last coupler is applied at the end, rail by rail in ascending
+    order, a zero angle too.  A Coulomb phase is applied where it stands,
+    before the next coupler, whatever its angle.  The couplers and the
     phases go to ``fock.apply_mode_unitaries``, ``_BLOCK_COUPLERS``
     couplers a call.
-    ``elements`` is a sequence; a rail outside ``[0, n_rails)`` raises
-    ``ValueError`` from ``fock`` and an object that is not a primitive
-    ``TypeError``, as one element at a time would: the elements before it
-    may have changed ``batch``.
+    ``elements`` is a sequence.  The kernel compares no rail: ``fock``'s
+    index helpers are the one rail check, so a rail outside ``[0,
+    n_rails)`` raises ``ValueError`` when the coupler or the phase on it is
+    applied.  By then the elements before it may have changed ``batch``,
+    and for a held phase shifter the later elements of the stretch too.
+    An object that is not a primitive raises ``TypeError`` while the
+    stretch is walked, before the block that holds it is applied.
     """
-    phase = [0.0] * n_rails     # held phase-shifter angle of each rail
+    held = {}       # rail -> summed angle of the phase shifters held on it
     pairs, us, phases = [], [], []
     for element in elements:
         if isinstance(element, PhaseShifter):
             rail = element.rail
-            if not 0 <= rail < n_rails:
-                fock.check_rail(n_rails, rail)
-            phase[rail] += element.phi
+            held[rail] = held.get(rail, 0.0) + element.phi
         elif isinstance(element, WaveguideCoupler):
             r0, r1 = element.rails
-            if not (0 <= r0 < n_rails and 0 <= r1 < n_rails):
-                fock.check_rail(n_rails, r0)
-                fock.check_rail(n_rails, r1)
             theta = coupler_angle(element.coupling_length,
                                   element.transfer_length)
             c, s = math.cos(theta), 1j * math.sin(theta)
-            z0 = complex(math.cos(phase[r0]), math.sin(phase[r0]))
-            z1 = complex(math.cos(phase[r1]), math.sin(phase[r1]))
-            phase[r0] = phase[r1] = 0.0
+            p0, p1 = held.pop(r0, 0.0), held.pop(r1, 0.0)
+            z0 = complex(math.cos(p0), math.sin(p0))
+            z1 = complex(math.cos(p1), math.sin(p1))
             pairs.append(element.rails)
             us += (c * z0, s * z1, s * z0, c * z1)
             if len(pairs) == _BLOCK_COUPLERS:
@@ -401,16 +408,12 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
                 pairs, us, phases = [], [], []
         elif isinstance(element, CoulombCoupler):
             r0, r1 = element.rails
-            if not (0 <= r0 < n_rails and 0 <= r1 < n_rails):
-                fock.check_rail(n_rails, r0)
-                fock.check_rail(n_rails, r1)
-            if element.chi_t:
-                phases.append((len(pairs), (r0, r1) if r0 < r1 else (r1, r0),
-                               -2.0 * element.chi_t))
+            phases.append((len(pairs), (r0, r1) if r0 < r1 else (r1, r0),
+                           -2.0 * element.chi_t))
         else:
             raise TypeError(f"not a gate element: {element!r}")
     end = len(pairs)
-    phases += [(end, (rail,), angle) for rail, angle in enumerate(phase) if angle]
+    phases += [(end, (rail,), held[rail]) for rail in sorted(held)]
     fock.apply_mode_unitaries(batch, n_rails, pairs, us, n_electrons, phases)
 
 

@@ -42,7 +42,14 @@ which read it again and write every diagnostic.  The validation walk
 also records whether the circuit holds a macro, and every stage reads
 ``Circuit.expanded``, the primitive form: the circuit itself without a
 macro, else its expansion, derived on first use without a second walk, for
-a parsed circuit and a hand-built one alike.  ``serialize`` emits a
+a parsed circuit and a hand-built one alike.  There is one parsing mode:
+a ``ps`` holds any finite phase, and whether the dots reach it is
+``PhaseShifter.hardware_realizable``, read per element over
+``Circuit.expanded``, which holds the macros' phases too.  A rail outside
+the register is a diagnostic here and a ``ValueError`` from ``Circuit``;
+only elements handed to ``gates.apply_stretch`` directly meet the ``fock``
+index helpers' rail check instead, which may raise after later elements
+of the stretch have changed the amplitudes.  ``serialize`` emits a
 canonical form that parses back to an equal circuit, and that it writes
 back byte for byte; it picks each element's line writer by its type.
 """
@@ -340,8 +347,7 @@ class _LineParser:
     word's column is computed only then, by ``_column``.
     """
 
-    def __init__(self, strict_hardware_phases: bool = False):
-        self.strict = strict_hardware_phases
+    def __init__(self):
         self.diagnostics: list[ParseDiagnostic] = []
         self.n_rails: int | None = None
         self.elements: list[GateElement] = []
@@ -542,9 +548,8 @@ class _LineParser:
             except ValueError:
                 pass  # diagnosed below
             else:
-                if not self.strict or element.hardware_realizable:
-                    self.elements.append(element)
-                    return
+                self.elements.append(element)
+                return
         words, length = self._split_len(words)
         if len(words) != 3:
             self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
@@ -553,11 +558,7 @@ class _LineParser:
         phi = self._value_with_unit(words, 2, "phi", "rad")
         if rail is None or phi is None:
             return
-        element = PhaseShifter(rail, phi, length)
-        if self.strict and not element.hardware_realizable:
-            self.error(2, f"phi {phi:g} outside the hardware range (0, pi)")
-            return
-        self.elements.append(element)
+        self.elements.append(PhaseShifter(rail, phi, length))
 
     def _coupler_rails(self, words) -> tuple[int, int] | None:
         rail_a = self._rail(words, 1)
@@ -749,9 +750,9 @@ class _LineParser:
         return ParseResult(circuit, self.diagnostics)
 
 
-def parse(source_text: str, strict_hardware_phases: bool = False) -> ParseResult:
+def parse(source_text: str) -> ParseResult:
     """Parse netlist text; total, never raises on malformed input."""
-    parser = _LineParser(strict_hardware_phases)
+    parser = _LineParser()
     try:
         text = str(source_text)
     except Exception:  # pragma: no cover - str() on str input cannot fail
@@ -760,9 +761,9 @@ def parse(source_text: str, strict_hardware_phases: bool = False) -> ParseResult
     return parser.result()
 
 
-def parse_circuit(source_text: str, strict_hardware_phases: bool = False) -> Circuit:
+def parse_circuit(source_text: str) -> Circuit:
     """Parse and raise ``NetlistError`` on any error diagnostic."""
-    result = parse(source_text, strict_hardware_phases)
+    result = parse(source_text)
     if not result.ok:
         raise NetlistError(result.errors())
     return result.circuit

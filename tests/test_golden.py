@@ -57,7 +57,6 @@ PARSER_MESSAGES = [
     r"lt must be > 0",
     r"phi must be finite",
     r"chit must be finite",
-    r"phi \S+ outside the hardware range \(0, pi\)",
     r"unexpected token '.*' \(only 'empty' may follow the delay\)",
     r"duplicate source for rail q\d+",
     r"coupler rails must be distinct",
@@ -83,7 +82,7 @@ PARSER_MESSAGES = [
 @pytest.mark.parametrize("case", DIAGNOSTIC_CASES,
                          ids=[f"netlist{i}" for i in range(len(DIAGNOSTIC_CASES))])
 def test_diagnostics_match_golden(case):
-    result = parse(case["text"], strict_hardware_phases=case["strict"])
+    result = parse(case["text"])
     got = [[d.line, d.column, d.message, d.severity] for d in result.diagnostics]
     assert got == case["diagnostics"]
     assert result.ok == all(d[3] != "error" for d in case["diagnostics"])

@@ -156,12 +156,12 @@ def test_parse_len_attribute():
     assert result.circuit.elements[0].length == pytest.approx(0.9)
 
 
-def test_parse_strict_hardware_phases():
-    text = "rails 1\nps q0 phi=-0.5rad\n"
-    assert parse(text).ok
-    strict = parse(text, strict_hardware_phases=True)
-    assert not strict.ok
-    assert "hardware range" in errors_of(strict)[0][2]
+def test_parse_accepts_a_phase_the_dots_cannot_reach():
+    # one parsing mode: realizability is a fact of the element, not a
+    # diagnostic
+    result = parse("rails 1\nps q0 phi=-0.5rad\n")
+    assert result.ok
+    assert not result.circuit.elements[0].hardware_realizable
 
 
 def test_parse_trailing_garbage():

@@ -251,7 +251,12 @@ def test_mode_unitary_batch_takes_a_vector_or_a_batch():
     WaveguideCoupler((0, 5), 0.1, 0.2),
     WaveguideCoupler((-1, 0), 0.1, 0.2),
     CoulombCoupler((2, 4), 0.3),
-], ids=["ps past last", "ps negative", "bs past last", "bs negative", "cc past last"])
+    # a zero angle changes no amplitude, but its rail is still checked
+    PhaseShifter(3, 0.0),
+    PhaseShifter(-1, 0.0),
+    CoulombCoupler((2, 4), 0.0),
+], ids=["ps past last", "ps negative", "bs past last", "bs negative", "cc past last",
+        "zero ps past last", "zero ps negative", "zero cc past last"])
 # k None: every sector of the 3 rails
 @pytest.mark.parametrize("k", [None, 1])
 @pytest.mark.parametrize("shape", ["vector", "batch"])

@@ -19,7 +19,7 @@ import pytest
 import oracles
 import sectors
 from corpus import random_dephased_circuit, random_primitive, random_runnable_circuit
-from flyqsim import fock, timing
+from flyqsim import fock, gates, timing
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
@@ -121,19 +121,30 @@ def test_vector_column_and_batch_evolve_alike_bit_for_bit(seed, path):
     CoulombCoupler((0, 4), 0.2),
     WaveguideCoupler((4, 1), 0.1, 0.28),
     WaveguideCoupler((-1, 2), 0.1, 0.28),
+    # a zero angle changes no amplitude, but its rail is still checked
+    PhaseShifter(4, 0.0),
+    CoulombCoupler((0, 4), 0.0),
 ], ids=["ps past last", "ps negative", "cc past last", "bs reversed past last",
-        "bs negative"])
-@pytest.mark.parametrize("where", ["first", "middle", "trailing"])
+        "bs negative", "zero ps past last", "zero cc past last"])
+@pytest.mark.parametrize("where", ["first", "middle", "trailing", "after a block"])
 def test_stretch_rejects_rails_out_of_range(bad, where, path):
+    # a ps first or in the middle is held to the end of the stretch, as no
+    # coupler touches its rail; "after a block" follows more couplers than
+    # one fock.apply_mode_unitaries call takes, so they change the state
+    # before the bad element is reached
     good = [PhaseShifter(0, 0.3), WaveguideCoupler((0, 2), 0.1, 0.28),
             CoulombCoupler((1, 3), 0.5)]
+    block = [WaveguideCoupler((i % 3, i % 3 + 1), 0.05, 0.28)
+             for i in range(gates._BLOCK_COUPLERS + 5)]
     elements = {"first": [bad] + good, "middle": good[:2] + [bad] + good[2:],
-                "trailing": good + [bad]}[where]
+                "trailing": good + [bad], "after a block": block + [bad]}[where]
+    rail = next(r for r in bad.rails if not 0 <= r < 4)
     for k in range(5):
-        state = np.ones(fock.sector_basis(4, k).size, dtype=complex)
-        with pytest.raises(ValueError,
-                           match=r"rail index -?\d+ out of range for 4 rails"):
-            apply_stretch(state, 4, elements, k)
+        dim = fock.sector_basis(4, k).size
+        for state in np.ones(dim, dtype=complex), np.ones((dim, 2), dtype=complex):
+            with pytest.raises(ValueError,
+                               match=rf"rail index {rail} out of range for 4 rails"):
+                apply_stretch(state, 4, elements, k)
 
 
 def test_stretch_rejects_a_macro(path):
