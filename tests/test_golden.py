@@ -8,7 +8,10 @@ When the rail limit moved from 24 to 63 rails (the int64 mask width),
 ``rails 25`` and ``rails 0025`` became valid and were recorded again, and
 ``rails 64`` and ``rails 0064`` were added to reach the capacity message.
 ``MACHINE_SHA256`` holds the sha256 of ``cli.run``'s machine output for three
-small netlists in every dephasing mode at two seeds.
+small netlists in every dephasing mode at two seeds.  ``REPORT_SHA256``
+holds the sha256 of its machine and human output, recorded from 0.7.0, for
+a 14-rail mesh with about 2000 ``count`` lines and for three leaky dual-rail
+registers.
 ``golden/serialize_canonical.fq`` holds the exact text ``serialize`` wrote,
 in 0.6.0, for ``serializer_circuit()``: every element kind with and without
 ``len=``, both macros, an ``empty`` source, registers, trailing wire, and the
@@ -213,6 +216,110 @@ def test_machine_output_matches_golden(tmp_path, name, mode, seed):
     assert run(config, out=out) == EXIT_OK
     text = out.getvalue().replace(str(path), f"{name}.fq")
     assert hashlib.sha256(text.encode()).hexdigest() == MACHINE_SHA256[name, mode, seed]
+
+
+def mesh14_netlist() -> str:
+    """7 electrons on a 14-rail mesh of ``ps`` and ``bs``: about 2000
+    outcomes at 20000 shots, with counts of one to three digits."""
+    n = 14
+    lines = [f"rails {n}"]
+    lines += [f"sep q{r} delay=0ps" + (" empty" if r % 2 else "")
+              for r in range(n)]
+    for d in range(n):
+        lines += [f"segment q{r} 1um" for r in range(n)]
+        lines += [f"ps q{r} phi=0.{(3 * r + 7 * d) % 9 + 1}rad" for r in range(n)]
+        lines += [f"bs q{a} q{a + 1} lc=0.{(a + 2 * d) % 9 + 1}um lt=0.28um"
+                  for a in range(d % 2, n - 1, 2)]
+    lines += [f"set q{r}" for r in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+REPORT_NETLISTS = {
+    "mesh14": mesh14_netlist(),
+    # three registers, with a bs and a cc between them: every logical key,
+    # two leaked ones, and leak_count > 0
+    "leaky_registers": """\
+rails 6
+sep q0 delay=0ps
+sep q1 delay=0ps empty
+sep q2 delay=0ps
+sep q3 delay=0ps empty
+sep q4 delay=0ps
+sep q5 delay=0ps empty
+dualrail a q0 q1
+dualrail b q2 q3
+dualrail c q4 q5
+hadamard q0 q1
+hadamard q2 q3
+hadamard q4 q5
+segment q0 2um
+segment q1 2um
+segment q2 2um
+segment q3 2um
+segment q4 2um
+segment q5 2um
+bs q1 q2 lc=0.05um lt=0.28um
+cc q3 q4 chit=0.9rad
+ps q5 phi=0.6rad
+segment q0 1.5um
+segment q1 1.5um
+segment q2 1.5um
+segment q3 1.5um
+segment q4 1.5um
+segment q5 1.5um
+hadamard q0 q1
+hadamard q2 q3
+hadamard q4 q5
+set q0
+set q1
+set q2
+set q3
+set q4
+set q5
+""",
+}
+REPORT_SHOTS = {"mesh14": 20_000, "leaky_registers": 5000}
+
+# the sha256 of cli.run's output in both formats, recorded from 0.7.0
+REPORT_SHA256 = {
+    ("mesh14", "off", 409, "machine"):
+        "223b86f8f947e776ff281564f1ff403cbb05f1ea83ee70df0221450894c6f20e",
+    ("mesh14", "off", 409, "human"):
+        "c109989c300849d941c4c2256e98828da39afd2f6d1e466f9d80b361c82dbb87",
+    ("mesh14", "off", 611, "machine"):
+        "84f7bfccd6632e1b8ad4938d8444dad9b60430c72f4e365d8f18b7d7ef5e3eff",
+    ("mesh14", "off", 611, "human"):
+        "bb11f85083e0d369f0acbecff5fd143db5709e6c2ee6af9a448663ed265a4ad1",
+    ("leaky_registers", "off", 409, "machine"):
+        "6ea4a794f94c194ab8362b763f9b847530b10e60aab4a186d84b32020f713dcf",
+    ("leaky_registers", "off", 409, "human"):
+        "cb5e12816c8a724b94b1df9d108cdcc9f9b903a4a6cc19fdf15ed530c02e04ac",
+    ("leaky_registers", "off", 611, "machine"):
+        "f48f0dcfc9ba78ee5939ee72cad9e9794f54cf40bbee81510e56e24984619bc3",
+    ("leaky_registers", "off", 611, "human"):
+        "b5e32c40107d8d75742b2505fb80999734c97e56a6036497c286eb404af50b18",
+    ("leaky_registers", "mc", 409, "machine"):
+        "84f6c8f9ecd329b91853b360626ea02ed9c01fae1fab7e7f394ac97ba7379748",
+    ("leaky_registers", "mc", 409, "human"):
+        "7a7bfab17140b3d8bea609d75f423184d68685b9101a4d234383fd8850097d0e",
+    ("leaky_registers", "mc", 611, "machine"):
+        "e9e15db8bf89776df7b0fe4410d5c436aa00d37de94f1bc2506278788ef50c47",
+    ("leaky_registers", "mc", 611, "human"):
+        "a3172fb81326536dff890e4c122f0a690158a0c0a8bd0bbfce47515a2bd48852",
+}
+
+
+@pytest.mark.parametrize("name,mode,seed,output_format", sorted(REPORT_SHA256))
+def test_report_matches_golden(tmp_path, name, mode, seed, output_format):
+    path = tmp_path / f"{name}.fq"
+    path.write_text(REPORT_NETLISTS[name])
+    out = io.StringIO()
+    config = RunConfig(str(path), shots=REPORT_SHOTS[name], seed=seed,
+                       dephasing_mode=mode, output_format=output_format)
+    assert run(config, out=out) == EXIT_OK
+    text = out.getvalue().replace(str(path), f"{name}.fq")
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == REPORT_SHA256[name, mode, seed, output_format])
 
 
 BIGGEST = 1.7976931348623157e+308
