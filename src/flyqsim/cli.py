@@ -5,6 +5,16 @@ simulate (diagnostics printed), 3 coincidence violations without
 ``--allow-desync``.  Machine output is line-oriented ``key=value`` plus
 one ``count <bits> <n>`` line per outcome, sorted by mask, and is
 byte-identical across reruns with the same seed.
+
+The per-outcome lines (``count <bits> <n>``, then ``logical <key> <n>``)
+come from one numpy writer.  It reads the masks and counts out of the
+histogram once, as int64 arrays with their sort order (24 bytes an
+outcome), and writes ``_CHUNK_ROWS`` lines at a time: the lines of a chunk
+are the columns of one uint8 array (prefix, label, space, the count's
+digits, newline), and the leading zeros of narrower counts are dropped from
+its bytes.  So beside the text it writes, the writer holds those arrays and
+one chunk.  The human report takes its bit strings from the same
+``_bit_rows`` and formats its fractions line by line.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import budget as budget_mod
 from . import netlist as netlist_mod
@@ -64,9 +76,77 @@ class RunConfig:
             raise ValueError(f"unknown output format '{self.output_format}'")
 
 
-def _mask_bits(mask: int, n_rails: int) -> str:
-    """Occupation string with rail q0 leftmost."""
-    return format(mask, f"0{n_rails}b")[::-1]
+# outcomes per block of per-outcome lines: a block's buffers stay this size
+# however many outcomes a run reports
+_CHUNK_ROWS = 4096
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _bit_rows(masks: np.ndarray, n_rails: int) -> np.ndarray:
+    """ASCII occupations of int64 ``masks`` as a ``(n_rails, len(masks))``
+    uint8 array: column ``j`` holds ``b"0"``/``b"1"`` of mask ``j``, rail q0
+    in the first row."""
+    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets.T, axis=0, count=n_rails, bitorder="little")
+    bits |= ord("0")
+    return bits
+
+
+def _line_block(prefix: bytes, labels: np.ndarray, counts: np.ndarray) -> str:
+    """The lines ``<prefix><label> <count>``, one for each column of the
+    ASCII ``labels`` and entry of the non-negative int64 ``counts``, as one
+    string.
+
+    The lines are the columns of one uint8 array: the count's digits are
+    right-aligned in the widest count's width, and the leading zeros of
+    narrower counts are made NUL and dropped from the bytes."""
+    width = labels.shape[0]
+    digits = len(str(int(counts.max())))
+    start = len(prefix) + width + 1     # first digit's row
+    template = prefix + bytes(width) + b" " + bytes(digits) + b"\n"
+    buf = np.empty((len(template), counts.size), np.uint8)
+    buf[:] = np.frombuffer(template, np.uint8)[:, None]
+    buf[len(prefix):start - 1] = labels
+    rest = counts
+    for row in range(start + digits - 1, start - 1, -1):
+        rest, digit = np.divmod(rest, 10)
+        buf[row] = digit
+    buf[start:start + digits] += ord("0")
+    if int(counts.min()) >= _POWERS_OF_TEN[digits - 1]:
+        return buf.T.tobytes().decode("ascii")
+    # a count below 10**(digits-1-j) has a leading zero in row start + j
+    np.putmask(buf[start:start + digits - 1],
+               counts < _POWERS_OF_TEN[digits - 1:0:-1, None], 0)
+    return buf.T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _outcome_chunks(counts: dict):
+    """The masks and counts of a ``mask -> count`` dict as int64 arrays,
+    ascending by mask, ``_CHUNK_ROWS`` outcomes at a time."""
+    masks = np.fromiter(counts, np.int64, len(counts))
+    values = np.fromiter(counts.values(), np.int64, len(counts))
+    order = masks.argsort(kind="stable")
+    for start in range(0, order.size, _CHUNK_ROWS):
+        rows = order[start:start + _CHUNK_ROWS]
+        yield masks[rows], values[rows]
+
+
+def _write_count_lines(out, counts: dict, n_rails: int) -> None:
+    """One ``count <bits> <n>`` line per outcome, ascending by mask."""
+    for masks, values in _outcome_chunks(counts):
+        out.write(_line_block(b"count ", _bit_rows(masks, n_rails), values))
+
+
+def _write_logical_lines(out, logical_counts: dict) -> None:
+    """One ``logical <key> <n>`` line per decoded key, in key order."""
+    keys = sorted(logical_counts)
+    for start in range(0, len(keys), _CHUNK_ROWS):
+        chunk = keys[start:start + _CHUNK_ROWS]
+        labels = np.frombuffer("".join(chunk).encode("ascii"), np.uint8)
+        values = np.fromiter(map(logical_counts.__getitem__, chunk),
+                             np.int64, len(chunk))
+        out.write(_line_block(b"logical ", labels.reshape(len(chunk), -1).T,
+                              values))
 
 
 def _fmt(value) -> str:
@@ -77,7 +157,7 @@ def _fmt(value) -> str:
 
 def _emit_machine(out, config, circuit, result, report, coherence,
                   schedule_note):
-    lines = [
+    out.write("\n".join([
         "format=machine",
         f"netlist={config.input_path}",
         f"rails={circuit.n_rails}",
@@ -90,13 +170,11 @@ def _emit_machine(out, config, circuit, result, report, coherence,
         f"gate_length_um={_fmt(config.gate_length)}",
         f"coincidence={schedule_note}",
         f"mean_coherence={_fmt(coherence)}",
-    ]
-    for mask in sorted(result.counts):
-        lines.append(f"count {_mask_bits(mask, circuit.n_rails)} "
-                     f"{result.counts[mask]}")
+    ]) + "\n")
+    _write_count_lines(out, result.counts, circuit.n_rails)
+    lines = []
     if result.logical_counts is not None:
-        for key in sorted(result.logical_counts):
-            lines.append(f"logical {key} {result.logical_counts[key]}")
+        _write_logical_lines(out, result.logical_counts)
         lines.append(f"leak_count={result.leak_count}")
     for rail, length in enumerate(report.per_rail_length):
         lines.append(f"budget_rail_um {rail} {_fmt(length)}")
@@ -108,8 +186,9 @@ def _emit_machine(out, config, circuit, result, report, coherence,
 
 def _emit_human(out, config, circuit, result, report, coherence,
                 schedule_note):
+    n_rails = circuit.n_rails
     registers = ", ".join(name for name, _ in circuit.registers)
-    out.write(f"netlist {config.input_path}: {circuit.n_rails} rails, "
+    out.write(f"netlist {config.input_path}: {n_rails} rails, "
               f"{len(circuit.elements)} elements\n")
     out.write(f"coincidence check: {schedule_note} "
               f"(window {config.window:g} ps, velocity {config.velocity:g} um/ps)\n")
@@ -117,10 +196,11 @@ def _emit_human(out, config, circuit, result, report, coherence,
               f"dephasing {config.dephasing_mode}, "
               f"mean coherence factor {coherence:.6g}\n")
     out.write("counts:\n")
-    for mask in sorted(result.counts):
-        count = result.counts[mask]
-        out.write(f"  {_mask_bits(mask, circuit.n_rails)}  {count:>8}  "
-                  f"{count / result.n_shots:.6f}\n")
+    for masks, values in _outcome_chunks(result.counts):
+        bits = _bit_rows(masks, n_rails).T.tobytes().decode("ascii")
+        for row, count in enumerate(values.tolist()):
+            out.write(f"  {bits[row * n_rails:(row + 1) * n_rails]}  {count:>8}  "
+                      f"{count / result.n_shots:.6f}\n")
     if result.logical_counts is not None:
         out.write(f"logical outcomes ({registers}):\n")
         for key in sorted(result.logical_counts):

@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import io
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flyqsim import budget, timing
+from flyqsim import budget, cli, timing
 from flyqsim.cli import EXIT_DESYNC, EXIT_OK, EXIT_PARSE, RunConfig, main, run
 
 FREDKIN_SWAP_INPUT = """\
@@ -412,10 +417,107 @@ def test_rail_path_lengths_computed_once_per_run(tmp_path, monkeypatch, mode):
     assert re.search(r"^budget_rail_um 1 2\.28", text, re.M)
 
 
+def per_bit(mask, n_rails):
+    return "".join(str((mask >> r) & 1) for r in range(n_rails))
+
+
 @pytest.mark.parametrize("n_rails", range(1, 13))
 def test_mask_bits_matches_the_per_bit_formula(n_rails):
-    from flyqsim.cli import _mask_bits
-
+    masks = np.arange(1 << n_rails, dtype=np.int64)
+    rows = cli._bit_rows(masks, n_rails).T.tobytes().decode("ascii")
     for mask in range(1 << n_rails):
-        expected = "".join(str((mask >> r) & 1) for r in range(n_rails))
-        assert _mask_bits(mask, n_rails) == expected
+        assert rows[mask * n_rails:(mask + 1) * n_rails] == per_bit(mask, n_rails)
+
+
+# every width a count can have, at both ends
+DIGIT_BOUNDARIES = sorted({0, 2**63 - 1} | {10**k for k in range(19)}
+                          | {10**k - 1 for k in range(1, 19)})
+COUNTS = st.one_of(st.sampled_from(DIGIT_BOUNDARIES), st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def histograms(draw):
+    """``(n_rails, {mask: count})`` in a drawn, not ascending, order."""
+    n_rails = draw(st.integers(1, 63))
+    top = (1 << n_rails) - 1
+    masks = st.one_of(st.integers(0, top), st.just(top),
+                      st.integers(1 << (n_rails - 1), top))
+    items = draw(st.dictionaries(masks, COUNTS, max_size=30))
+    order = draw(st.permutations(list(items)))
+    return n_rails, {mask: items[mask] for mask in order}
+
+
+def written(write, *args, chunk_rows):
+    out = io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        write(out, *args)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(histograms(), st.integers(1, 8))
+def test_count_lines_match_the_per_line_formula(histogram, chunk_rows):
+    n_rails, counts = histogram
+    expected = "".join(f"count {per_bit(mask, n_rails)} {counts[mask]}\n"
+                       for mask in sorted(counts))
+    assert written(cli._write_count_lines, counts, n_rails,
+                   chunk_rows=chunk_rows) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.dictionaries(
+           st.text("01L", min_size=width, max_size=width), COUNTS)),
+       st.integers(1, 8))
+def test_logical_lines_match_the_per_line_formula(logical_counts, chunk_rows):
+    expected = "".join(f"logical {key} {logical_counts[key]}\n"
+                       for key in sorted(logical_counts))
+    assert written(cli._write_logical_lines, logical_counts,
+                   chunk_rows=chunk_rows) == expected
+
+
+def test_count_lines_cross_the_chunk_boundary():
+    n_rails = 13
+    # descending insertion, one more outcome than two full chunks
+    masks = range(2 * cli._CHUNK_ROWS, -1, -1)
+    counts = {mask: 7 * mask % 1009 for mask in masks}
+    expected = "".join(f"count {per_bit(mask, n_rails)} {counts[mask]}\n"
+                       for mask in sorted(counts))
+    assert written(cli._write_count_lines, counts, n_rails,
+                   chunk_rows=cli._CHUNK_ROWS) == expected
+
+
+class HashingSink:
+    """A report stream that keeps only the length and digest of its text."""
+
+    def __init__(self):
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.digest.update(text.encode("ascii"))
+
+
+def test_count_lines_hold_no_more_than_the_text_and_one_chunk():
+    # 1e5 outcomes on 20 rails, counts of one to six digits
+    rng = np.random.default_rng(11)
+    n_outcomes, n_rails = 100_000, 20
+    masks = rng.choice(1 << n_rails, size=n_outcomes, replace=False).tolist()
+    values = (10 ** rng.uniform(0, 6, n_outcomes)).astype(np.int64).tolist()
+    counts = dict(zip(masks, values))
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        cli._write_count_lines(sink, counts, n_rails)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = hashlib.sha256()
+    for mask in sorted(counts):
+        expected.update(f"count {per_bit(mask, n_rails)} {counts[mask]}\n".encode())
+    assert sink.digest.hexdigest() == expected.hexdigest()
+    # the masks, counts and their order (24 bytes an outcome, less than its
+    # 34-byte line) stay within the text's size; one chunk of 4096 lines,
+    # with its int64 digit quotients and the chunk's text, within 2 MiB.
+    # Holding every line as a string, then their join, peaks near 15 MB
+    assert peak <= sink.size + 2 * 2**20

@@ -7,6 +7,8 @@ the ``(line, column, message, severity)`` list the parser wrote for each.
 When the rail limit moved from 24 to 63 rails (the int64 mask width),
 ``rails 25`` and ``rails 0025`` became valid and were recorded again, and
 ``rails 64`` and ``rails 0064`` were added to reach the capacity message.
+Each case carries its test id, so removing a case renames no other; a new
+case takes an id no case has had.
 ``MACHINE_SHA256`` holds the sha256 of ``cli.run``'s machine output for three
 small netlists in every dephasing mode at two seeds.  ``REPORT_SHA256``
 holds the sha256 of its machine and human output, recorded from 0.7.0, for
@@ -83,12 +85,18 @@ PARSER_MESSAGES = [
 
 
 @pytest.mark.parametrize("case", DIAGNOSTIC_CASES,
-                         ids=[f"netlist{i}" for i in range(len(DIAGNOSTIC_CASES))])
+                         ids=[case["id"] for case in DIAGNOSTIC_CASES])
 def test_diagnostics_match_golden(case):
     result = parse(case["text"])
     got = [[d.line, d.column, d.message, d.severity] for d in result.diagnostics]
     assert got == case["diagnostics"]
     assert result.ok == all(d[3] != "error" for d in case["diagnostics"])
+
+
+def test_golden_corpus_has_no_repeated_case_or_id():
+    for key in ("id", "text"):
+        values = [case[key] for case in DIAGNOSTIC_CASES]
+        assert len(set(values)) == len(values), key
 
 
 def test_golden_corpus_reaches_every_parser_message():
