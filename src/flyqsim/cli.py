@@ -80,13 +80,15 @@ class RunConfig:
 # however many outcomes a run reports
 _CHUNK_ROWS = 4096
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+# column v: the four ASCII digits of v, zero-padded
+_DIGIT_COLUMNS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + ord("0")
 
 
 def _bit_rows(masks: np.ndarray, n_rails: int) -> np.ndarray:
     """ASCII occupations of int64 ``masks`` as a ``(n_rails, len(masks))``
     uint8 array: column ``j`` holds ``b"0"``/``b"1"`` of mask ``j``, rail q0
     in the first row."""
-    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    octets = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
     bits = np.unpackbits(octets.T, axis=0, count=n_rails, bitorder="little")
     bits |= ord("0")
     return bits
@@ -101,18 +103,21 @@ def _line_block(prefix: bytes, labels: np.ndarray, counts: np.ndarray) -> str:
     right-aligned in the widest count's width, and the leading zeros of
     narrower counts are made NUL and dropped from the bytes."""
     width = labels.shape[0]
-    digits = len(str(int(counts.max())))
+    digits = len(str(int(np.maximum.reduce(counts))))
     start = len(prefix) + width + 1     # first digit's row
     template = prefix + bytes(width) + b" " + bytes(digits) + b"\n"
     buf = np.empty((len(template), counts.size), np.uint8)
     buf[:] = np.frombuffer(template, np.uint8)[:, None]
     buf[len(prefix):start - 1] = labels
-    rest = counts
-    for row in range(start + digits - 1, start - 1, -1):
-        rest, digit = np.divmod(rest, 10)
-        buf[row] = digit
-    buf[start:start + digits] += ord("0")
-    if int(counts.min()) >= _POWERS_OF_TEN[digits - 1]:
+    # four digits at a time, from the last: divmod by 10**4, then one
+    # gather from _DIGIT_COLUMNS per group
+    rest, stop = counts, start + digits
+    while stop - start > 4:
+        rest, group = np.divmod(rest, 10**4)
+        _DIGIT_COLUMNS.take(group, axis=1, out=buf[stop - 4:stop])
+        stop -= 4
+    _DIGIT_COLUMNS[start - stop:].take(rest, axis=1, out=buf[start:stop])
+    if np.minimum.reduce(counts) >= _POWERS_OF_TEN[digits - 1]:
         return buf.T.tobytes().decode("ascii")
     # a count below 10**(digits-1-j) has a leading zero in row start + j
     np.putmask(buf[start:start + digits - 1],
