@@ -18,7 +18,6 @@ from .gates import (
     GateElement,
     PhaseShifter,
     WaveguideCoupler,
-    build_dense_unitary,
     coupler_matrix,
     fredkin_circuit,
     logical_hadamard,
@@ -49,4 +48,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

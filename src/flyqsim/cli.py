@@ -7,14 +7,14 @@ one ``count <bits> <n>`` line per outcome, sorted by mask, and is
 byte-identical across reruns with the same seed.
 
 The per-outcome lines (``count <bits> <n>``, then ``logical <key> <n>``)
-come from one numpy writer.  It reads the masks and counts out of the
-histogram once, as int64 arrays with their sort order (24 bytes an
-outcome), and writes ``_CHUNK_ROWS`` lines at a time: the lines of a chunk
-are the columns of one uint8 array (prefix, label, space, the count's
-digits, newline), and the leading zeros of narrower counts are dropped from
-its bytes.  So beside the text it writes, the writer holds those arrays and
-one chunk.  The human report takes its bit strings from the same
-``_bit_rows`` and formats its fractions line by line.
+come from one numpy writer.  It reads the histogram's own arrays, the
+ascending int64 masks and their counts (16 bytes an outcome, held by the
+histogram), sorts nothing, and writes ``_CHUNK_ROWS`` lines at a time: the
+lines of a chunk are the columns of one uint8 array (prefix, label, space,
+the count's digits, newline), and the leading zeros of narrower counts are
+dropped from its bytes.  So beside the text it writes, the writer holds one
+chunk.  The human report takes its bit strings from the same ``_bit_rows``
+and formats its fractions line by line.
 """
 
 from __future__ import annotations
@@ -125,21 +125,14 @@ def _line_block(prefix: bytes, labels: np.ndarray, counts: np.ndarray) -> str:
     return buf.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def _outcome_chunks(counts: dict):
-    """The masks and counts of a ``mask -> count`` dict as int64 arrays,
-    ascending by mask, ``_CHUNK_ROWS`` outcomes at a time."""
-    masks = np.fromiter(counts, np.int64, len(counts))
-    values = np.fromiter(counts.values(), np.int64, len(counts))
-    order = masks.argsort(kind="stable")
-    for start in range(0, order.size, _CHUNK_ROWS):
-        rows = order[start:start + _CHUNK_ROWS]
-        yield masks[rows], values[rows]
-
-
-def _write_count_lines(out, counts: dict, n_rails: int) -> None:
-    """One ``count <bits> <n>`` line per outcome, ascending by mask."""
-    for masks, values in _outcome_chunks(counts):
-        out.write(_line_block(b"count ", _bit_rows(masks, n_rails), values))
+def _write_count_lines(out, masks: np.ndarray, counts: np.ndarray,
+                       n_rails: int) -> None:
+    """One ``count <bits> <n>`` line per entry of the int64 ``masks`` and
+    ``counts``, in their order."""
+    for start in range(0, masks.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        out.write(_line_block(b"count ", _bit_rows(masks[rows], n_rails),
+                              counts[rows]))
 
 
 def _write_logical_lines(out, logical_counts: dict) -> None:
@@ -176,7 +169,7 @@ def _emit_machine(out, config, circuit, result, report, coherence,
         f"coincidence={schedule_note}",
         f"mean_coherence={_fmt(coherence)}",
     ]) + "\n")
-    _write_count_lines(out, result.counts, circuit.n_rails)
+    _write_count_lines(out, result.masks, result.mask_counts, circuit.n_rails)
     lines = []
     if result.logical_counts is not None:
         _write_logical_lines(out, result.logical_counts)
@@ -201,9 +194,10 @@ def _emit_human(out, config, circuit, result, report, coherence,
               f"dephasing {config.dephasing_mode}, "
               f"mean coherence factor {coherence:.6g}\n")
     out.write("counts:\n")
-    for masks, values in _outcome_chunks(result.counts):
-        bits = _bit_rows(masks, n_rails).T.tobytes().decode("ascii")
-        for row, count in enumerate(values.tolist()):
+    for start in range(0, result.masks.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        bits = _bit_rows(result.masks[rows], n_rails).T.tobytes().decode("ascii")
+        for row, count in enumerate(result.mask_counts[rows].tolist()):
             out.write(f"  {bits[row * n_rails:(row + 1) * n_rails]}  {count:>8}  "
                       f"{count / result.n_shots:.6f}\n")
     if result.logical_counts is not None:

@@ -16,8 +16,8 @@ operator past the creation operator of an occupied rail costs a factor -1, so
 a two-rail mode unitary acting on non-adjacent rails picks up a sign
 (-1)^k on its off-diagonal (hopping) amplitudes, where k counts occupied
 rails strictly between the pair.  A doubly occupied pair transforms with
-det(u).  Both rules are exercised against a dense second-quantized oracle
-(``gates.build_dense_unitary``) in the test suite.
+det(u).  Both rules are exercised against dense second-quantized oracles
+in the test suite (``tests/oracles.py``).
 
 The batch kernels take the electron count and address the first axis of a
 ``(dim,)`` state vector or a ``(dim, m)`` batch of m columns as positions in
@@ -102,8 +102,8 @@ _MAX_ROW_MASKS = 256
 
 
 class CapacityError(ValueError):
-    """Raised when a run needs more than ``MAX_AMPLITUDES`` amplitudes, and
-    by the dense test oracle above ``gates.MAX_DENSE_RAILS`` rails."""
+    """Raised when a run needs more than ``MAX_AMPLITUDES`` amplitudes.  The
+    test suite's dense oracle raises it too, above its 6-rail cap."""
 
 
 def check_capacity(amplitudes: int, needs: str, advice: str = "") -> None:

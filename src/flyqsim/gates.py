@@ -58,10 +58,9 @@ The kernel compares no rail: the ``fock`` index helpers refuse a rail
 outside the register, so a bad rail may raise after later elements of the
 stretch have changed the amplitudes.
 
-``build_dense_unitary`` provides the brute-force oracle: it assembles the
-full 2^n x 2^n matrix from dense ladder operators and matrix exponentials,
-deliberately avoiding the update path the engine uses, so the two can be
-checked against each other.
+The brute-force oracles that check this kernel, dense ``2^n x 2^n``
+matrices built from ladder operators, live in the test suite
+(``tests/oracles.py``), since no run calls them.
 """
 
 from __future__ import annotations
@@ -75,11 +74,9 @@ from typing import ClassVar, Union
 import numpy as np
 
 from . import fock
-from .fock import CapacityError
 
 DEFAULT_TRANSFER_LENGTH_UM = 0.28
 FIFTY_FIFTY_COUPLING_UM = DEFAULT_TRANSFER_LENGTH_UM / 2
-MAX_DENSE_RAILS = 6
 
 HARDWARE_PHASE_RANGE = (0.0, math.pi)
 
@@ -422,66 +419,3 @@ def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
     """Apply one element to sector amplitudes, in place: ``apply_stretch``
     of a one-element stretch."""
     apply_stretch(batch, n_rails, (element,), n_electrons)
-
-
-@lru_cache(maxsize=256)
-def _dense_ladder(n_rails: int, rail: int) -> np.ndarray:
-    """Dense annihilation operator with the package's sign convention.
-
-    Cached and marked read-only; consumers must not mutate the result.
-    """
-    dim = 1 << n_rails
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    for mask in range(dim):
-        if (mask >> rail) & 1:
-            below = mask & ((1 << rail) - 1)
-            sign = -1.0 if (bin(below).count("1") & 1) else 1.0
-            op[mask ^ (1 << rail), mask] = sign
-    op.setflags(write=False)
-    return op
-
-
-def build_dense_unitary(element: GateElement, n_rails: int) -> np.ndarray:
-    """Full second-quantized matrix of one element, brute force.
-
-    Assembled from dense ladder operators and matrix exponentials of the
-    generating Hamiltonians, including all fermionic signs.  Intended as an
-    independent oracle for the engine's block updates; capped at
-    ``MAX_DENSE_RAILS`` rails.
-    """
-    if n_rails < 1:
-        raise ValueError(f"n_rails must be >= 1, got {n_rails}")
-    if n_rails > MAX_DENSE_RAILS:
-        raise CapacityError(
-            f"dense oracle capped at {MAX_DENSE_RAILS} rails, got {n_rails}"
-        )
-    for r in element.rails:
-        if not 0 <= r < n_rails:
-            raise ValueError(f"rail index {r} out of range for {n_rails} rails")
-    dim = 1 << n_rails
-    if isinstance(element, PhaseShifter):
-        a = _dense_ladder(n_rails, element.rail)
-        number = a.conj().T @ a
-        diag = np.exp(1j * element.phi * np.diag(number).real)
-        return np.diag(diag)
-    if isinstance(element, WaveguideCoupler):
-        theta = coupler_angle(element.coupling_length, element.transfer_length)
-        a_p = _dense_ladder(n_rails, element.rails[0])
-        a_q = _dense_ladder(n_rails, element.rails[1])
-        hop = a_p.conj().T @ a_q + a_q.conj().T @ a_p
-        # hop acts as a Pauli X on each single-electron pair block and as 0
-        # on the empty/full blocks, so hop^3 = hop and exp(i theta hop)
-        # closes after the quadratic term
-        return (np.eye(dim, dtype=np.complex128)
-                + 1j * math.sin(theta) * hop
-                + (math.cos(theta) - 1.0) * (hop @ hop))
-    if isinstance(element, CoulombCoupler):
-        a_p = _dense_ladder(n_rails, element.rails[0])
-        a_q = _dense_ladder(n_rails, element.rails[1])
-        n_p = np.diag(a_p.conj().T @ a_p).real
-        n_q = np.diag(a_q.conj().T @ a_q).real
-        return np.diag(np.exp(-2j * element.chi_t * n_p * n_q))
-    if isinstance(element, CompositeGate):
-        raise ValueError(f"composite gate '{element.name}' has no dense form; "
-                         f"expand it first")
-    raise TypeError(f"not a gate element: {element!r}")

@@ -244,15 +244,37 @@ class ElementArrival:
                 f"|dt| = {self.spread:g} ps ({arrivals})")
 
 
-@dataclass
+@dataclass(eq=False)
 class ShotHistogram:
-    """Aggregated sampling run."""
+    """Aggregated sampling run, in the sampler's own form.
+
+    ``masks`` are the observed masks, ascending, and ``mask_counts`` their
+    positive counts: two int64 arrays that the report writes without
+    sorting.  ``counts`` is the same histogram as a ``{mask: count}`` dict
+    of Python ints, built when read.  ``==`` compares every field.
+    """
 
     n_shots: int
-    counts: dict                  # mask -> count, only nonzero entries
+    masks: np.ndarray             # observed masks, ascending int64
+    mask_counts: np.ndarray       # their counts, int64, summing to n_shots
     logical_counts: dict | None   # decode key -> count, when registers exist
     leak_count: int
     violations: list = field(default_factory=list)  # late ElementArrival, when overridden
+
+    @property
+    def counts(self) -> dict:
+        """``{mask: count}`` of the observed masks, in ascending order."""
+        return dict(zip(self.masks.tolist(), self.mask_counts.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ShotHistogram):
+            return NotImplemented
+        return (self.n_shots == other.n_shots
+                and np.array_equal(self.masks, other.masks)
+                and np.array_equal(self.mask_counts, other.mask_counts)
+                and self.logical_counts == other.logical_counts
+                and self.leak_count == other.leak_count
+                and self.violations == other.violations)
 
 
 class ArrivalTable(Sequence):
@@ -561,19 +583,21 @@ def run_shots(circuit, n_shots: int,
     sector, probabilities = outcome_probabilities(circuit, dephasing)
     cumulative = np.cumsum(probabilities)
     stream = np.random.default_rng(np.random.Philox(master_seed))
-    total_counts = np.zeros(sector.size, dtype=np.intp)
+    total_counts = np.zeros(sector.size, dtype=np.int64)
     for start in range(0, n_shots, _SHOT_CHUNK):
         size = min(_SHOT_CHUNK, n_shots - start)
         fock.sample_counts(cumulative, stream.random(size), total_counts)
 
+    # the sector ascends, so the observed masks do too
     observed = np.flatnonzero(total_counts)
-    counts = dict(zip(sector[observed].tolist(), total_counts[observed].tolist()))
+    masks = sector[observed]
+    mask_counts = total_counts[observed]
     logical_counts = None
     leak_count = 0
     if circuit.registers:
         pairs = [pair for _, pair in circuit.registers]
         logical_counts = {}
-        for mask, count in counts.items():
+        for mask, count in zip(masks.tolist(), mask_counts.tolist()):
             key = decode(mask, pairs)
             logical_counts[key] = logical_counts.get(key, 0) + count
             if "L" in key:
@@ -581,7 +605,8 @@ def run_shots(circuit, n_shots: int,
 
     return ShotHistogram(
         n_shots=n_shots,
-        counts=counts,
+        masks=masks,
+        mask_counts=mask_counts,
         logical_counts=logical_counts,
         leak_count=leak_count,
         violations=violations,

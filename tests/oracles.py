@@ -1,11 +1,13 @@
 """Independent dense oracles for the test suite.
 
-Everything here is built from scratch with scalar loops and matrix
-exponentials of second-quantized generators; none of it shares code with the
-engine's block updates or with the library's own dense builder, so the three
-routes can be checked against each other.  The one exception is
-``dense_rho_probabilities``, which takes its element matrices from the
-library's brute-force ``build_dense_unitary``, never from the engine.
+Two dense routes are kept apart from the engine and from each other.
+``dense_element`` takes matrix exponentials of second-quantized generators
+built from ``ladder_down``; ``build_dense_unitary`` assembles each
+element's matrix in closed form from its own cached ladder operators
+(``_dense_ladder``).  Neither shares code with the engine's block updates,
+so the engine and the two routes can be checked against each other.
+``dense_rho_probabilities`` takes its element matrices from
+``build_dense_unitary``, never from the engine.
 The front-end oracles at the end are the plain forms of macro expansion
 (every segment rebuilt, the result validated again) and of the path-length
 budget (a scalar loop); the expansion takes its primitives from the one
@@ -18,21 +20,25 @@ occupied, and kets apply creation operators in increasing rail order.
 import dataclasses
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm, logm
 
+from flyqsim.fock import CapacityError
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
     PhaseShifter,
     WaveguideCoupler,
-    build_dense_unitary,
     coupler_angle,
     macro_elements,
 )
 from flyqsim.netlist import Segment
 from flyqsim.timing import ConfigError, ElementArrival, PropagationModel
+
+# the largest register build_dense_unitary builds: 2^6 x 2^6 matrices
+MAX_DENSE_RAILS = 6
 
 
 def ladder_down(n_rails: int, rail: int) -> np.ndarray:
@@ -85,6 +91,69 @@ def dense_element(element, n_rails: int) -> np.ndarray:
         return dense_coulomb(n_rails, element.rails[0], element.rails[1],
                              element.chi_t)
     raise TypeError(f"no dense oracle for {element!r}")
+
+
+@lru_cache(maxsize=256)
+def _dense_ladder(n_rails: int, rail: int) -> np.ndarray:
+    """Dense annihilation operator with the package's sign convention.
+
+    Cached and marked read-only; consumers must not mutate the result.
+    """
+    dim = 1 << n_rails
+    op = np.zeros((dim, dim), dtype=np.complex128)
+    for mask in range(dim):
+        if (mask >> rail) & 1:
+            below = mask & ((1 << rail) - 1)
+            sign = -1.0 if (bin(below).count("1") & 1) else 1.0
+            op[mask ^ (1 << rail), mask] = sign
+    op.setflags(write=False)
+    return op
+
+
+def build_dense_unitary(element, n_rails: int) -> np.ndarray:
+    """Full second-quantized matrix of one element, brute force.
+
+    Assembled from dense ladder operators and matrix exponentials of the
+    generating Hamiltonians, including all fermionic signs.  Intended as an
+    independent oracle for the engine's block updates; capped at
+    ``MAX_DENSE_RAILS`` rails.
+    """
+    if n_rails < 1:
+        raise ValueError(f"n_rails must be >= 1, got {n_rails}")
+    if n_rails > MAX_DENSE_RAILS:
+        raise CapacityError(
+            f"dense oracle capped at {MAX_DENSE_RAILS} rails, got {n_rails}"
+        )
+    for r in element.rails:
+        if not 0 <= r < n_rails:
+            raise ValueError(f"rail index {r} out of range for {n_rails} rails")
+    dim = 1 << n_rails
+    if isinstance(element, PhaseShifter):
+        a = _dense_ladder(n_rails, element.rail)
+        number = a.conj().T @ a
+        diag = np.exp(1j * element.phi * np.diag(number).real)
+        return np.diag(diag)
+    if isinstance(element, WaveguideCoupler):
+        theta = coupler_angle(element.coupling_length, element.transfer_length)
+        a_p = _dense_ladder(n_rails, element.rails[0])
+        a_q = _dense_ladder(n_rails, element.rails[1])
+        hop = a_p.conj().T @ a_q + a_q.conj().T @ a_p
+        # hop acts as a Pauli X on each single-electron pair block and as 0
+        # on the empty/full blocks, so hop^3 = hop and exp(i theta hop)
+        # closes after the quadratic term
+        return (np.eye(dim, dtype=np.complex128)
+                + 1j * math.sin(theta) * hop
+                + (math.cos(theta) - 1.0) * (hop @ hop))
+    if isinstance(element, CoulombCoupler):
+        a_p = _dense_ladder(n_rails, element.rails[0])
+        a_q = _dense_ladder(n_rails, element.rails[1])
+        n_p = np.diag(a_p.conj().T @ a_p).real
+        n_q = np.diag(a_q.conj().T @ a_q).real
+        return np.diag(np.exp(-2j * element.chi_t * n_p * n_q))
+    if isinstance(element, CompositeGate):
+        raise ValueError(f"composite gate '{element.name}' has no dense form; "
+                         f"expand it first")
+    raise TypeError(f"not a gate element: {element!r}")
 
 
 def circuit_unitary(elements, n_rails: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from flyqsim.gates import (
     CoulombCoupler,
     WaveguideCoupler,
     apply_element_batch,
-    build_dense_unitary,
     fredkin_circuit,
 )
 from flyqsim.netlist import Circuit, Segment, parse_circuit, serialize
@@ -25,6 +24,7 @@ from flyqsim.timing import DephasingModel, SepSource, run_shots
 import corpus
 import oracles
 import sectors
+from oracles import build_dense_unitary
 
 
 def report(number, name):

@@ -437,14 +437,21 @@ COUNTS = st.one_of(st.sampled_from(DIGIT_BOUNDARIES), st.integers(0, 2**63 - 1))
 
 @st.composite
 def histograms(draw):
-    """``(n_rails, {mask: count})`` in a drawn, not ascending, order."""
+    """``(n_rails, masks, counts)``: ascending int64 masks and their int64
+    counts, the form ``ShotHistogram`` holds."""
     n_rails = draw(st.integers(1, 63))
     top = (1 << n_rails) - 1
     masks = st.one_of(st.integers(0, top), st.just(top),
                       st.integers(1 << (n_rails - 1), top))
-    items = draw(st.dictionaries(masks, COUNTS, max_size=30))
-    order = draw(st.permutations(list(items)))
-    return n_rails, {mask: items[mask] for mask in order}
+    items = sorted(draw(st.dictionaries(masks, COUNTS, max_size=30)).items())
+    return (n_rails, np.array([mask for mask, _ in items], dtype=np.int64),
+            np.array([count for _, count in items], dtype=np.int64))
+
+
+def count_lines(masks, counts, n_rails):
+    """The ``count`` lines of ascending ``masks``, one f-string each."""
+    return "".join(f"count {per_bit(mask, n_rails)} {count}\n"
+                   for mask, count in zip(masks.tolist(), counts.tolist()))
 
 
 def written(write, *args, chunk_rows):
@@ -457,11 +464,9 @@ def written(write, *args, chunk_rows):
 @settings(max_examples=300, deadline=None)
 @given(histograms(), st.integers(1, 8))
 def test_count_lines_match_the_per_line_formula(histogram, chunk_rows):
-    n_rails, counts = histogram
-    expected = "".join(f"count {per_bit(mask, n_rails)} {counts[mask]}\n"
-                       for mask in sorted(counts))
-    assert written(cli._write_count_lines, counts, n_rails,
-                   chunk_rows=chunk_rows) == expected
+    n_rails, masks, counts = histogram
+    assert written(cli._write_count_lines, masks, counts, n_rails,
+                   chunk_rows=chunk_rows) == count_lines(masks, counts, n_rails)
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,13 +482,12 @@ def test_logical_lines_match_the_per_line_formula(logical_counts, chunk_rows):
 
 def test_count_lines_cross_the_chunk_boundary():
     n_rails = 13
-    # descending insertion, one more outcome than two full chunks
-    masks = range(2 * cli._CHUNK_ROWS, -1, -1)
-    counts = {mask: 7 * mask % 1009 for mask in masks}
-    expected = "".join(f"count {per_bit(mask, n_rails)} {counts[mask]}\n"
-                       for mask in sorted(counts))
-    assert written(cli._write_count_lines, counts, n_rails,
-                   chunk_rows=cli._CHUNK_ROWS) == expected
+    # one more outcome than two full chunks
+    masks = np.arange(2 * cli._CHUNK_ROWS + 1, dtype=np.int64)
+    counts = 7 * masks % 1009
+    assert written(cli._write_count_lines, masks, counts, n_rails,
+                   chunk_rows=cli._CHUNK_ROWS) == count_lines(masks, counts,
+                                                              n_rails)
 
 
 class HashingSink:
@@ -502,22 +506,23 @@ def test_count_lines_hold_no_more_than_the_text_and_one_chunk():
     # 1e5 outcomes on 20 rails, counts of one to six digits
     rng = np.random.default_rng(11)
     n_outcomes, n_rails = 100_000, 20
-    masks = rng.choice(1 << n_rails, size=n_outcomes, replace=False).tolist()
-    values = (10 ** rng.uniform(0, 6, n_outcomes)).astype(np.int64).tolist()
-    counts = dict(zip(masks, values))
+    masks = rng.choice(1 << n_rails, size=n_outcomes, replace=False)
+    values = (10 ** rng.uniform(0, 6, n_outcomes)).astype(np.int64)
+    order = masks.argsort()
+    masks, values = masks[order], values[order]
     sink = HashingSink()
     tracemalloc.start()
     try:
-        cli._write_count_lines(sink, counts, n_rails)
+        cli._write_count_lines(sink, masks, values, n_rails)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     expected = hashlib.sha256()
-    for mask in sorted(counts):
-        expected.update(f"count {per_bit(mask, n_rails)} {counts[mask]}\n".encode())
+    for mask, count in zip(masks.tolist(), values.tolist()):
+        expected.update(f"count {per_bit(mask, n_rails)} {count}\n".encode())
     assert sink.digest.hexdigest() == expected.hexdigest()
-    # the masks, counts and their order (24 bytes an outcome, less than its
-    # 34-byte line) stay within the text's size; one chunk of 4096 lines,
-    # with its int64 digit quotients and the chunk's text, within 2 MiB.
-    # Holding every line as a string, then their join, peaks near 15 MB
+    # the masks and counts are the histogram's, built before tracing; one
+    # chunk of 4096 lines, with its int64 digit quotients and the chunk's
+    # text, stays within 2 MiB.  Holding every line as a string, then
+    # their join, peaks near 15 MB
     assert peak <= sink.size + 2 * 2**20

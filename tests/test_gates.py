@@ -12,12 +12,12 @@ from flyqsim.gates import (
     PhaseShifter,
     WaveguideCoupler,
     apply_element_batch,
-    build_dense_unitary,
     coupler_matrix,
 )
 
 import oracles
 import sectors
+from oracles import build_dense_unitary
 
 
 def assert_unitary(matrix, atol=1e-10):

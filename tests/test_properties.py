@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyqsim.fock import sample_counts
-from flyqsim.gates import PhaseShifter, build_dense_unitary, coupler_matrix
+from flyqsim.gates import PhaseShifter, coupler_matrix
 from flyqsim.netlist import Circuit, Segment, parse, parse_circuit, serialize
 from flyqsim.timing import SepSource
 
 import corpus
 import oracles
 import sectors
+from oracles import build_dense_unitary
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 

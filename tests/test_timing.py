@@ -221,6 +221,47 @@ def test_run_shots_reproducible():
     assert c.counts != a.counts
 
 
+@pytest.mark.parametrize("mode", ["off", "factor", "mc"])
+@pytest.mark.parametrize("seed", range(4))
+def test_histogram_holds_ascending_masks_and_their_counts(monkeypatch, mode, seed):
+    # the report writes masks and mask_counts as they are, so they must be
+    # ascending int64 masks and positive int64 counts; a corpus circuit, its
+    # Coulomb-free form (the free path in off and factor mode) and a
+    # dephased one cover both paths
+    free_calls = []
+    free = timing._free_probabilities
+    monkeypatch.setattr(timing, "_free_probabilities",
+                        lambda *args: free_calls.append(args) or free(*args))
+    rng = np.random.default_rng(seed)
+    runnable = corpus.random_runnable_circuit(rng)
+    coulomb_free = dataclasses.replace(runnable, elements=[
+        element for element in runnable.elements
+        if not isinstance(element, CoulombCoupler)])
+    dephased = corpus.random_dephased_circuit(rng)
+    for circuit in (runnable, coulomb_free, dephased):
+        result = run_shots(circuit, 700, dephasing=DephasingModel(30.0, mode),
+                           master_seed=seed, allow_desync=True)
+        masks, counts = result.masks, result.mask_counts
+        assert masks.dtype == np.int64 and masks.ndim == 1
+        assert counts.dtype == np.int64 and counts.shape == masks.shape
+        assert np.all(np.diff(masks) > 0)
+        assert np.all(counts > 0)
+        assert counts.sum() == result.n_shots == 700
+        assert result.counts == dict(zip(masks.tolist(), counts.tolist()))
+        assert all(type(key) is int and type(value) is int
+                   for key, value in result.counts.items())
+    assert bool(free_calls) == (mode != "mc")
+
+
+def test_histograms_compare_by_their_outcomes():
+    circuit = mach_zehnder(arm_um=6.0, internal_phase=0.7)
+    a = run_shots(circuit, 300, master_seed=4)
+    assert a == run_shots(circuit, 300, master_seed=4)
+    assert a != run_shots(circuit, 300, master_seed=5)
+    assert a != run_shots(circuit, 301, master_seed=4)
+    assert a != a.counts
+
+
 def test_run_shots_refuses_desynchronized_circuit():
     circuit = cc_pair_circuit(len_a=3.0, len_b=2.0)
     with pytest.raises(CoincidenceError) as err:
