@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import require_float
+from .fock import require_positive
 
 GAAS_L_PHI_UM = 30.0
 GOLD_L_PHI_UM = 18.0
@@ -34,6 +34,22 @@ class BudgetReport:
     coherence_factor: float     # exp(-max_length / l_phi)
     feasible_gate_count: int    # floor(l_phi / assumed_gate_length)
     assumed_gate_length: float  # um
+
+
+def require_gate_length(l_phi: float, gate_length, what: str) -> float:
+    """``gate_length`` as a ``float`` by ``fock.require_positive``, with a
+    finite ``l_phi / gate_length`` (the feasible gate count floors it),
+    else ``ValueError`` naming it ``what``.
+
+    ``l_phi`` is a ``float`` already checked ``> 0``.  The one gate-length
+    rule: ``analyze`` applies it, and ``cli.RunConfig`` applies it to
+    ``--gate-length`` before the run.
+    """
+    gate_length = require_positive(gate_length, what)
+    if not math.isfinite(l_phi / gate_length):
+        raise ValueError(f"l_phi / {what} must be finite, "
+                         f"got {l_phi!r} / {gate_length!r}")
+    return gate_length
 
 
 def rail_path_lengths(circuit) -> list[float]:
@@ -54,21 +70,13 @@ def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,
             assumed_gate_length: float = DEFAULT_GATE_LENGTH_UM) -> BudgetReport:
     """Coherence report for a circuit at a given coherence length.
 
-    ``l_phi`` and ``assumed_gate_length`` follow ``fock.require_float`` and
-    are reported as the floats they are checked as.
+    ``l_phi`` follows ``fock.require_positive`` and ``assumed_gate_length``
+    ``require_gate_length``; both are reported as the floats they are
+    checked as.
     """
-    l_phi = require_float(l_phi, "l_phi")
-    assumed_gate_length = require_float(assumed_gate_length,
-                                        "assumed_gate_length")
-    if not l_phi > 0:
-        raise ValueError(f"l_phi must be > 0, got {l_phi}")
-    if not assumed_gate_length > 0:
-        raise ValueError(f"assumed_gate_length must be > 0, "
-                         f"got {assumed_gate_length}")
-    ratio = l_phi / assumed_gate_length
-    if not math.isfinite(ratio):  # floor would overflow on it
-        raise ValueError(f"l_phi / assumed_gate_length must be finite, "
-                         f"got {l_phi!r} / {assumed_gate_length!r}")
+    l_phi = require_positive(l_phi, "l_phi")
+    assumed_gate_length = require_gate_length(l_phi, assumed_gate_length,
+                                              "assumed_gate_length")
     lengths = rail_path_lengths(circuit)
     max_length = max(lengths) if lengths else 0.0
     return BudgetReport(
@@ -76,6 +84,6 @@ def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,
         max_length=max_length,
         l_phi=l_phi,
         coherence_factor=math.exp(-max_length / l_phi),
-        feasible_gate_count=math.floor(ratio),
+        feasible_gate_count=math.floor(l_phi / assumed_gate_length),
         assumed_gate_length=assumed_gate_length,
     )

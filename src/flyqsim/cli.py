@@ -6,6 +6,13 @@ simulate (diagnostics printed), 3 coincidence violations without
 one ``count <bits> <n>`` line per outcome, sorted by mask, and is
 byte-identical across reruns with the same seed.
 
+The command line is ``RunConfig``'s: each flag stores into the field of
+that name, with the field's default, and ``main`` builds the config from
+the parsed arguments as they are.  ``RunConfig`` checks every setting
+before the netlist is read, by the rules of the modules that own them
+(``fock``'s number rules, the ``timing`` models, ``budget``'s gate-length
+rule), and ``_REPORTS`` is the one table of report styles.
+
 The per-outcome lines (``count <bits> <n>``, then ``logical <key> <n>``)
 come from one numpy writer.  It reads the histogram's own arrays, the
 ascending int64 masks and their counts (16 bytes an outcome, held by the
@@ -20,16 +27,15 @@ and formats its fractions line by line.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import budget as budget_mod
 from . import netlist as netlist_mod
 from . import timing as timing_mod
-from .fock import CapacityError, require_float, require_integer
+from .fock import CapacityError, require_at_least, require_float
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -38,6 +44,9 @@ EXIT_DESYNC = 3
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when built; ``build_arg_parser`` has a
+    flag for each init field, with its default."""
+
     input_path: str
     shots: int = 1024
     seed: int = 0
@@ -52,10 +61,8 @@ class RunConfig:
     dephasing: timing_mod.DephasingModel = field(init=False)
 
     def __post_init__(self):
-        if require_integer(self.shots, "shots") < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if require_integer(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_at_least(self.shots, 1, "shots")
+        require_at_least(self.seed, 0, "seed")
         for name in ("l_phi", "velocity", "window", "gate_length"):
             object.__setattr__(self, name,
                                require_float(getattr(self, name), name))
@@ -65,14 +72,10 @@ class RunConfig:
                            timing_mod.PropagationModel(self.velocity, self.window))
         object.__setattr__(self, "dephasing",
                            timing_mod.DephasingModel(self.l_phi, self.dephasing_mode))
-        # the values no model owns: budget.analyze would reject them only
-        # after the simulation
-        if not self.gate_length > 0:
-            raise ValueError(f"gate_length must be > 0, got {self.gate_length}")
-        if not math.isfinite(self.l_phi / self.gate_length):
-            raise ValueError(f"l_phi / gate_length must be finite, got "
-                             f"{self.l_phi!r} / {self.gate_length!r}")
-        if self.output_format not in ("human", "machine"):
+        # budget.analyze would reject it only after the simulation
+        budget_mod.require_gate_length(self.l_phi, self.gate_length,
+                                       "gate_length")
+        if self.output_format not in _REPORTS:
             raise ValueError(f"unknown output format '{self.output_format}'")
 
 
@@ -147,12 +150,6 @@ def _write_logical_lines(out, logical_counts: dict) -> None:
                               values))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit_machine(out, config, circuit, result, report, coherence,
                   schedule_note):
     out.write("\n".join([
@@ -162,12 +159,12 @@ def _emit_machine(out, config, circuit, result, report, coherence,
         f"shots={config.shots}",
         f"seed={config.seed}",
         f"dephasing={config.dephasing_mode}",
-        f"lphi_um={_fmt(config.l_phi)}",
-        f"velocity_um_ps={_fmt(config.velocity)}",
-        f"window_ps={_fmt(config.window)}",
-        f"gate_length_um={_fmt(config.gate_length)}",
+        f"lphi_um={config.l_phi!r}",
+        f"velocity_um_ps={config.velocity!r}",
+        f"window_ps={config.window!r}",
+        f"gate_length_um={config.gate_length!r}",
         f"coincidence={schedule_note}",
-        f"mean_coherence={_fmt(coherence)}",
+        f"mean_coherence={coherence!r}",
     ]) + "\n")
     _write_count_lines(out, result.masks, result.mask_counts, circuit.n_rails)
     lines = []
@@ -175,9 +172,9 @@ def _emit_machine(out, config, circuit, result, report, coherence,
         _write_logical_lines(out, result.logical_counts)
         lines.append(f"leak_count={result.leak_count}")
     for rail, length in enumerate(report.per_rail_length):
-        lines.append(f"budget_rail_um {rail} {_fmt(length)}")
-    lines.append(f"budget_max_um={_fmt(report.max_length)}")
-    lines.append(f"budget_coherence={_fmt(report.coherence_factor)}")
+        lines.append(f"budget_rail_um {rail} {length!r}")
+    lines.append(f"budget_max_um={report.max_length!r}")
+    lines.append(f"budget_coherence={report.coherence_factor!r}")
     lines.append(f"budget_feasible_gates={report.feasible_gate_count}")
     out.write("\n".join(lines) + "\n")
 
@@ -213,6 +210,10 @@ def _emit_human(out, config, circuit, result, report, coherence,
               f"coherence factor {report.coherence_factor:.6g}, "
               f"feasible gates {report.feasible_gate_count} "
               f"(at {report.assumed_gate_length:g} um per gate)\n")
+
+
+# report style -> writer: the --format choices and RunConfig's check
+_REPORTS = {"human": _emit_human, "machine": _emit_machine}
 
 
 def _write_violations(out, violations) -> None:
@@ -258,55 +259,48 @@ def run(config: RunConfig, out=None) -> int:
     coherence = (1.0 if config.dephasing.mode == timing_mod.MODE_OFF
                  else report.coherence_factor)
 
-    emit = _emit_machine if config.output_format == "machine" else _emit_human
-    emit(out, config, circuit, result, report, coherence, schedule_note)
+    _REPORTS[config.output_format](out, config, circuit, result, report,
+                                  coherence, schedule_note)
     return EXIT_OK
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The ``flyqsim`` command line: one flag per ``RunConfig`` field, whose
+    ``dest`` is the field's name and whose default is the field's."""
     parser = argparse.ArgumentParser(
         prog="flyqsim",
         description="Simulate a single-electron rail netlist and report "
                     "outcome statistics, scheduling, and coherence budget.")
-    parser.add_argument("netlist", help="path to the netlist file")
-    parser.add_argument("--shots", type=int, default=1024,
-                        help="number of detector shots (default 1024)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("input_path", metavar="netlist",
+                        help="path to the netlist file")
+    parser.add_argument("--shots", type=int,
+                        help="number of detector shots (default %(default)s)")
+    parser.add_argument("--seed", type=int,
                         help="master seed; identical seeds give identical output")
-    parser.add_argument("--dephasing", choices=["off", "factor", "mc"],
-                        default="off", help="dephasing mode (default off)")
-    parser.add_argument("--lphi", type=float, default=timing_mod.DEFAULT_L_PHI_UM,
-                        help="phase coherence length in um (default 30)")
+    parser.add_argument("--dephasing", dest="dephasing_mode",
+                        choices=["off", "factor", "mc"],
+                        help="dephasing mode (default %(default)s)")
+    parser.add_argument("--lphi", dest="l_phi", metavar="LPHI", type=float,
+                        help="phase coherence length in um (default %(default)g)")
     parser.add_argument("--velocity", type=float,
-                        default=timing_mod.DEFAULT_VELOCITY_UM_PS,
-                        help="electron group velocity in um/ps (default 0.1)")
-    parser.add_argument("--window", type=float, default=timing_mod.DEFAULT_WINDOW_PS,
-                        help="coincidence window in ps (default 1)")
+                        help="electron group velocity in um/ps (default %(default)g)")
+    parser.add_argument("--window", type=float,
+                        help="coincidence window in ps (default %(default)g)")
     parser.add_argument("--gate-length", type=float,
-                        default=budget_mod.DEFAULT_GATE_LENGTH_UM,
                         help="assumed per-gate footprint for the budget, um")
-    parser.add_argument("--format", choices=["human", "machine"],
-                        default="human", help="report style")
+    parser.add_argument("--format", dest="output_format", choices=list(_REPORTS),
+                        help="report style")
     parser.add_argument("--allow-desync", action="store_true",
                         help="simulate even when the coincidence check fails")
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)
+                           if f.init and f.default is not MISSING})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            input_path=args.netlist,
-            shots=args.shots,
-            seed=args.seed,
-            dephasing_mode=args.dephasing,
-            l_phi=args.lphi,
-            velocity=args.velocity,
-            window=args.window,
-            gate_length=args.gate_length,
-            output_format=args.format,
-            allow_desync=args.allow_desync,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

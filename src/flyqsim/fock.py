@@ -152,6 +152,29 @@ def require_float(value, what: str) -> float:
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
+def require_positive(value, what: str) -> float:
+    """``value`` as a ``float`` by ``require_float``, if ``> 0``, else
+    ``ValueError``.
+
+    The one bound rule for the run's physical settings: the group velocity,
+    the coincidence window, the coherence length and the gate footprint.
+    NaN is refused with the rest.
+    """
+    value = require_float(value, what)
+    if not value > 0:
+        raise ValueError(f"{what} must be > 0, got {value}")
+    return value
+
+
+def require_at_least(value, minimum: int, what: str):
+    """``value`` if an integer by ``require_integer`` and ``>= minimum``,
+    else ``ValueError``: the one bound rule for shot counts (``>= 1``) and
+    seeds (``>= 0``)."""
+    if require_integer(value, what) < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
 def check_rail(n_rails: int, rail: int) -> None:
     """``ValueError`` unless ``rail`` is an integer in ``[0, n_rails)``."""
     if not 0 <= require_integer(rail, "rail index") < n_rails:

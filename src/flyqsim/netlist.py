@@ -147,6 +147,7 @@ class Circuit:
     """Validated, immutable circuit: rails, placed elements, wiring, sources,
     readout.  ``dataclasses.replace`` derives a validated variant.
 
+    Elements must be of the types ``serialize`` writes, else ``TypeError``.
     Rail counts, rails and segment positions must be integers in range.  The
     constructor stores the container fields as tuples and derives attributes
     that equality ignores: ``wire[p]``, the segments placed before
@@ -179,6 +180,13 @@ class Circuit:
         if not 1 <= n_rails <= MAX_RAILS:
             raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
         elements = self.elements
+        # the element types are those serialize writes
+        kinds = set(map(type, elements))
+        if not kinds <= _ELEMENT_LINES.keys():
+            for index, element in enumerate(elements):
+                if type(element) not in _ELEMENT_LINES:
+                    raise TypeError(f"element {index} is not a gate element: "
+                                    f"{element!r}")
         # integers: each element checks its own rails; their range is checked
         # here, over the set of rails in use, and element by element only to
         # name the first element outside it
@@ -190,8 +198,7 @@ class Circuit:
                         raise ValueError(
                             f"element {index} ({element.keyword}) rail "
                             f"{rail} outside [0, {n_rails})")
-        macros = any(issubclass(kind, CompositeGate)
-                     for kind in set(map(type, elements)))
+        macros = CompositeGate in kinds
         n_positions = len(elements) + 1
         groups = {}  # position -> its segments, only where there is wire
         position = group = None
@@ -817,10 +824,7 @@ def serialize(circuit: Circuit) -> str:
     for group, element in zip(circuit.wire, circuit.elements):
         for rail, length, _ in group:
             lines.append(f"segment {q[rail]} {length!r}um")
-        line = element_lines.get(type(element))
-        if line is None:
-            raise TypeError(f"not a gate element: {element!r}")
-        lines.append(line(element, q))
+        lines.append(element_lines[type(element)](element, q))
     for rail, length, _ in circuit.wire[-1]:
         lines.append(f"segment {q[rail]} {length!r}um")
     for rail in circuit.detectors:

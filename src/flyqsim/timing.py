@@ -193,15 +193,11 @@ class PropagationModel:
     coincidence_window: float = DEFAULT_WINDOW_PS     # ps
 
     def __post_init__(self):
-        velocity = fock.require_float(self.velocity, "velocity")
-        if not velocity > 0:
-            raise ValueError(f"velocity must be > 0, got {velocity}")
-        window = fock.require_float(self.coincidence_window,
-                                    "coincidence_window")
-        if not window > 0:
-            raise ValueError(f"coincidence_window must be > 0, got {window}")
-        object.__setattr__(self, "velocity", velocity)
-        object.__setattr__(self, "coincidence_window", window)
+        object.__setattr__(self, "velocity",
+                           fock.require_positive(self.velocity, "velocity"))
+        object.__setattr__(self, "coincidence_window",
+                           fock.require_positive(self.coincidence_window,
+                                                 "coincidence_window"))
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,8 @@ class DephasingModel:
     mode: str = MODE_OFF
 
     def __post_init__(self):
-        l_phi = fock.require_float(self.l_phi, "l_phi")
-        if not l_phi > 0:
-            raise ValueError(f"l_phi must be > 0, got {l_phi}")
-        object.__setattr__(self, "l_phi", l_phi)
+        object.__setattr__(self, "l_phi",
+                           fock.require_positive(self.l_phi, "l_phi"))
         mode = _MODE_ALIASES.get(str(self.mode).lower())
         if mode is None:
             raise ValueError(f"unknown dephasing mode '{self.mode}' "
@@ -392,12 +386,9 @@ def check_coincidence(table: ArrivalTable,
     Every element's spread is compared with the window in one vector
     operation; only the late entries are built as ``ElementArrival``.  A
     one-rail element's spread is 0, so it is never late.  ``window`` follows
-    ``PropagationModel``'s number rule: a ``float`` through
-    ``fock.require_float``, and ``> 0``.
+    ``PropagationModel``'s number rule, ``fock.require_positive``.
     """
-    window = fock.require_float(window, "window")
-    if not window > 0:
-        raise ValueError(f"window must be > 0, got {window}")
+    window = fock.require_positive(window, "window")
     times = table.times
     spread = np.maximum.reduce(times) - np.minimum.reduce(times)
     late = (spread > window).nonzero()[0]
@@ -565,12 +556,11 @@ def run_shots(circuit, n_shots: int,
     exactly as ``off``; its analytic factor is ``budget.analyze``'s
     ``coherence_factor``.  The histogram is the whole result: shots are
     i.i.d. given the seed, so no per-shot record is kept.  ``n_shots`` and
-    ``master_seed`` must be integers (numpy too, ``bool`` not).
+    ``master_seed`` must be integers (numpy too, ``bool`` not), ``>= 1``
+    and ``>= 0`` (``fock.require_at_least``).
     """
-    if fock.require_integer(n_shots, "n_shots") < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if fock.require_integer(master_seed, "master_seed") < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    fock.require_at_least(n_shots, 1, "n_shots")
+    fock.require_at_least(master_seed, 0, "master_seed")
     dephasing = dephasing or DephasingModel()
     propagation = propagation or PropagationModel()
     circuit = circuit.expanded

@@ -19,7 +19,12 @@ from flyqsim.gates import (
     fredkin_circuit,
 )
 from flyqsim.netlist import Circuit, Segment, parse_circuit, serialize
-from flyqsim.timing import DephasingModel, SepSource, run_shots
+from flyqsim.timing import (
+    DephasingModel,
+    SepSource,
+    outcome_probabilities,
+    run_shots,
+)
 
 import corpus
 import oracles
@@ -183,3 +188,31 @@ set q1
                out=out)
     assert code == EXIT_OK
     report(7, "synchronization gate")
+
+
+def hadamard_pairs(d):
+    """A dual-rail qubit loaded on q0 through ``d`` Hadamard pairs, each
+    Hadamard followed by 1 um of wire on both rails."""
+    step = "hadamard q0 q1\nsegment q0 1um\nsegment q1 1um\n"
+    return parse_circuit("rails 2\nsep q0 delay=0ps\nsep q1 delay=0ps empty\n"
+                         + step * 2 * d + "set q0\nset q1\n")
+
+
+def test_criterion_8_tens_of_gates():
+    # the paper's "tens of gates" at L_phi ~ 30 um, as the exact mc average:
+    # each pair dephases the 1 um between its Hadamards, so the visibility
+    # is exp(-d / L_phi) and first falls below 1/e one pair past the
+    # budget's feasible gate count
+    for preset, first_below in (("gaas", 31), ("gold", 19)):
+        l_phi = L_PHI_PRESETS[preset]
+        dephasing = DephasingModel(l_phi, "mc")
+        below = []
+        for d in range(1, 61):
+            sector, p = outcome_probabilities(hadamard_pairs(d), dephasing)
+            visibility = 2 * p[np.searchsorted(sector, 0b01)] / p.sum() - 1
+            assert abs(visibility - math.exp(-d / l_phi)) <= 1e-12
+            if visibility < math.exp(-1) - 1e-12:
+                below.append(d)
+        feasible = analyze(hadamard_pairs(1), l_phi).feasible_gate_count
+        assert below[0] == first_below == feasible + 1
+    report(8, "tens of gates")

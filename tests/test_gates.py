@@ -231,6 +231,16 @@ def test_footprint_defaults():
     assert WaveguideCoupler((0, 1), 0.14, 0.28, length=1.0).footprint == 1.0
 
 
+@pytest.mark.parametrize("value", [2, np.float64(2.0), "2"],
+                         ids=["int", "float64", "str"])
+def test_element_lengths_are_stored_as_the_floats_they_are_checked_as(value):
+    for element in (PhaseShifter(0, 0.3, length=value),
+                    WaveguideCoupler((0, 1), 0.14, 0.28, length=value),
+                    CoulombCoupler((0, 1), 0.5, length=value)):
+        assert type(element.length) is float and element.length == 2.0
+        assert type(element.footprint) is float and element.footprint == 2.0
+
+
 def test_element_keywords():
     assert PhaseShifter(0, 0.1).keyword == "ps"
     assert WaveguideCoupler((0, 1), 0.1, 0.2).keyword == "bs"

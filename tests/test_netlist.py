@@ -436,6 +436,27 @@ def test_non_numeric_lengths_and_delays_raise_value_error(build):
         build()
 
 
+class _Labelled(PhaseShifter):
+    """A subclass: serialize writes lines by exact element type."""
+
+
+@pytest.mark.parametrize("stranger", [
+    dataclasses.make_dataclass("Probe", [("rails", tuple)])((0, 1)),
+    _Labelled(0, 0.1),
+    None,
+], ids=["rails only", "subclass", "None"])
+def test_circuit_refuses_an_element_that_is_not_a_gate_element(stranger):
+    # an object with integer rails was once accepted, then failed in
+    # analyze, arrival_times, run_shots or serialize
+    elements = [PhaseShifter(0, 0.1), stranger]
+    with pytest.raises(TypeError,
+                       match=r"^element 1 is not a gate element: "):
+        Circuit(2, elements)
+    circuit = Circuit(2, elements[:1])
+    with pytest.raises(TypeError, match="element 1 is not a gate element"):
+        dataclasses.replace(circuit, elements=elements)
+
+
 def test_register_pairs_are_frozen_tuples():
     circuit = Circuit(4, sources=[SepSource(0, 0.0)], registers=[("a", [0, 1])])
     assert circuit.registers == (("a", (0, 1)),)
