@@ -10,8 +10,9 @@ The command line is ``RunConfig``'s: each flag stores into the field of
 that name, with the field's default, and ``main`` builds the config from
 the parsed arguments as they are.  ``RunConfig`` checks every setting
 before the netlist is read, by the rules of the modules that own them
-(``fock``'s number rules, the ``timing`` models, ``budget``'s gate-length
-rule), and ``_REPORTS`` is the one table of report styles.
+(``fock``'s number rules, the ``timing`` models and mode names,
+``budget``'s gate-length rule), and ``_REPORTS`` is the one table of
+report styles.
 
 The per-outcome lines (``count <bits> <n>``, then ``logical <key> <n>``)
 come from one numpy writer.  It reads the histogram's own arrays, the
@@ -70,6 +71,11 @@ class RunConfig:
         # with the fields they were built from
         object.__setattr__(self, "propagation",
                            timing_mod.PropagationModel(self.velocity, self.window))
+        # the command line's mode names only, so that the header's
+        # dephasing= line is one the command line takes
+        if self.dephasing_mode not in timing_mod.MODE_NAMES:
+            raise ValueError(f"unknown dephasing mode '{self.dephasing_mode}' "
+                             f"(expected {', '.join(timing_mod.MODE_NAMES)})")
         object.__setattr__(self, "dephasing",
                            timing_mod.DephasingModel(self.l_phi, self.dephasing_mode))
         # budget.analyze would reject it only after the simulation
@@ -278,7 +284,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int,
                         help="master seed; identical seeds give identical output")
     parser.add_argument("--dephasing", dest="dephasing_mode",
-                        choices=["off", "factor", "mc"],
+                        choices=list(timing_mod.MODE_NAMES),
                         help="dephasing mode (default %(default)s)")
     parser.add_argument("--lphi", dest="l_phi", metavar="LPHI", type=float,
                         help="phase coherence length in um (default %(default)g)")

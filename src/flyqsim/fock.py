@@ -117,11 +117,6 @@ def check_capacity(amplitudes: int, needs: str, advice: str = "") -> None:
                             f"(256 MiB){advice}")
 
 
-def _check_n_rails(n_rails: int) -> None:
-    if not 1 <= n_rails <= MAX_RAILS:
-        raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
-
-
 def require_integer(value, what: str):
     """``value`` if an integer (numpy too, ``bool`` not), else ``ValueError``.
 
@@ -175,6 +170,13 @@ def require_at_least(value, minimum: int, what: str):
     return value
 
 
+def check_n_rails(n_rails: int) -> None:
+    """``ValueError`` unless ``1 <= n_rails <= MAX_RAILS``: the one rail-count
+    rule, for an occupation mask, a sector and a ``Circuit``."""
+    if not 1 <= n_rails <= MAX_RAILS:
+        raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
+
+
 def check_rail(n_rails: int, rail: int) -> None:
     """``ValueError`` unless ``rail`` is an integer in ``[0, n_rails)``."""
     if not 0 <= require_integer(rail, "rail index") < n_rails:
@@ -183,7 +185,7 @@ def check_rail(n_rails: int, rail: int) -> None:
 
 def occupation_mask(n_rails: int, occupied) -> int:
     """Basis mask with bit ``rail`` set for each rail in ``occupied``."""
-    _check_n_rails(n_rails)
+    check_n_rails(n_rails)
     mask = 0
     for rail in occupied:
         check_rail(n_rails, rail)
@@ -200,7 +202,7 @@ def sector_basis(n_rails: int, n_electrons: int) -> np.ndarray:
     all 2^n masks is formed.  A sector of more than ``MAX_AMPLITUDES``
     masks raises ``CapacityError`` before anything is allocated.
     """
-    _check_n_rails(n_rails)
+    check_n_rails(n_rails)
     if not 0 <= n_electrons <= n_rails:
         raise ValueError(f"n_electrons must lie in [0, {n_rails}], "
                          f"got {n_electrons}")

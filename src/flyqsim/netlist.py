@@ -30,7 +30,8 @@ about it.  A number must be finite: a literal past the float range, such as
 The front end is one pass over the text with one validation walk.  The
 parser dispatches every statement, macros included, through one keyword
 table and builds the circuit as declared (``ParseResult.circuit``), which
-``Circuit``'s constructor validates and buckets by position once.  Each
+``Circuit``'s constructor validates once and stores with its wire in
+netlist order; the wire is grouped by position only when read.  Each
 statement handler first reads the canonical spelling, the one ``serialize``
 writes, inline: a rail is a lookup in the ``q<i>`` table, and a number is
 the word with its fixed ``key=`` and unit sliced off, read by one ``float``
@@ -58,14 +59,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import inf
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .fock import MAX_RAILS, require_float, require_integer
+from .fock import MAX_RAILS, check_n_rails, require_float, require_integer
 from .gates import (
     MACROS,
     CompositeGate,
@@ -149,11 +150,12 @@ class Circuit:
 
     Elements must be of the types ``serialize`` writes, else ``TypeError``.
     Rail counts, rails and segment positions must be integers in range.  The
-    constructor stores the container fields as tuples and derives attributes
-    that equality ignores: ``wire[p]``, the segments placed before
-    ``elements[p]`` in declaration order (``wire[-1]`` is the trailing wire;
-    ``()`` at a position without wire), and ``expanded``.  ``segments`` is
-    ``wire`` flattened: the canonical netlist order.
+    constructor stores the container fields as tuples, ``segments`` in the
+    canonical netlist order: sorted stably by position, so each position's
+    wire keeps its declaration order.  ``segments`` is the one stored form
+    of the wire; ``wire``, the segments grouped by position, and
+    ``expanded`` are derived from the fields on first read, and equality
+    ignores them.
 
     ``registers`` is the one form of a dual-rail register: each is stored as
     ``(name, (rail0, rail1))`` with ``int`` rails, whose first rail carries
@@ -168,7 +170,6 @@ class Circuit:
     sources: tuple = ()
     detectors: tuple = ()
     registers: tuple = ()  # (name, (rail0, rail1))
-    wire: tuple = field(init=False, repr=False, compare=False)
     _macros: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -177,8 +178,7 @@ class Circuit:
         for name in ("elements", "sources", "detectors"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         n_rails = require_integer(self.n_rails, "rail count")
-        if not 1 <= n_rails <= MAX_RAILS:
-            raise ValueError(f"rail count {n_rails} outside [1, {MAX_RAILS}]")
+        check_n_rails(n_rails)
         elements = self.elements
         # the element types are those serialize writes
         kinds = set(map(type, elements))
@@ -200,8 +200,7 @@ class Circuit:
                             f"{rail} outside [0, {n_rails})")
         macros = CompositeGate in kinds
         n_positions = len(elements) + 1
-        groups = {}  # position -> its segments, only where there is wire
-        position = group = None
+        segments = []
         for seg in self.segments:
             if type(seg) is not Segment:
                 seg = Segment._make(seg)
@@ -222,12 +221,7 @@ class Circuit:
             if not 0.0 <= length < inf:  # also refuses nan
                 raise ValueError(f"segment length must be finite and >= 0: "
                                  f"{seg!r}")
-            if at != position:  # in netlist order a position's wire is a run
-                position = at
-                group = groups.get(at)
-                if group is None:
-                    group = groups[at] = []
-            group.append(seg)
+            segments.append(seg)
         source_rails = set()
         for src in self.sources:
             if not 0 <= require_integer(src.rail, "source rail") < n_rails:
@@ -260,13 +254,22 @@ class Circuit:
                                      f"register '{name}' repeats rail {rail}")
                 register_rails.add(rail)
             registers.append((name, (int(pair[0]), int(pair[1]))))
-        wire = [()] * n_positions
-        for position, group in groups.items():
-            wire[position] = tuple(group)
-        object.__setattr__(self, "wire", tuple(wire))
-        object.__setattr__(self, "segments", tuple(chain.from_iterable(wire)))
+        # netlist order: a stable sort keeps each position's declaration order
+        segments.sort(key=itemgetter(2))
+        object.__setattr__(self, "segments", tuple(segments))
         object.__setattr__(self, "registers", tuple(registers))
         object.__setattr__(self, "_macros", macros)
+
+    @cached_property
+    def wire(self) -> tuple:
+        """``wire[p]``: the segments placed before ``elements[p]``, in
+        declaration order; ``wire[-1]`` is the trailing wire and ``()``
+        stands at a position without wire.  Grouped from ``segments`` on
+        first read and kept."""
+        wire = [()] * (len(self.elements) + 1)
+        for position, group in groupby(self.segments, itemgetter(2)):
+            wire[position] = tuple(group)
+        return tuple(wire)
 
     @property
     def expanded(self) -> Circuit:
@@ -281,12 +284,11 @@ class Circuit:
 
         A macro builds its primitives on its own, validated rails.  Each
         segment moves to the expanded position of the element it preceded,
-        so wire declared before a macro stays before its first primitive;
-        the positions stay in netlist order, so the wire is regrouped in one
-        ``groupby``.  The result holds no macro, so its own ``expanded`` is
-        itself and no reference leads back here.  Python steps run per macro;
-        per element and per segment the work is done by ``map``, ``zip`` and
-        ``accumulate``.
+        so wire declared before a macro stays before its first primitive,
+        and the positions stay in netlist order.  The result holds no macro,
+        so its own ``expanded`` is itself and no reference leads back here.
+        Python steps run per macro; per element and per segment the work is
+        done by ``map``, ``zip`` and ``accumulate``.
         """
         declared = self.elements
         sizes = [1] * len(declared)  # expanded elements per declared element
@@ -306,13 +308,11 @@ class Circuit:
         segments = _segments(zip(
             map(itemgetter(0), declared_wire), map(itemgetter(1), declared_wire),
             map(offsets.__getitem__, map(itemgetter(2), declared_wire))))
-        wire = [()] * (len(elements) + 1)
-        for position, group in groupby(segments, itemgetter(2)):
-            wire[position] = tuple(group)
         derived = object.__new__(Circuit)
-        derived.__dict__.update(self.__dict__, elements=tuple(elements),
-                                segments=tuple(segments), wire=tuple(wire),
-                                _macros=False)
+        # the fields only: a wire already read here holds declared positions
+        derived.__dict__.update(
+            {f.name: getattr(self, f.name) for f in fields(Circuit)},
+            elements=tuple(elements), segments=tuple(segments), _macros=False)
         return derived
 
 

@@ -121,13 +121,11 @@ DEFAULT_L_PHI_UM = 30.0
 MODE_OFF = "off"
 MODE_FACTOR = "deterministic-factor"
 MODE_MC = "monte-carlo"
-_MODE_ALIASES = {
-    "off": MODE_OFF,
-    "deterministic-factor": MODE_FACTOR,
-    "factor": MODE_FACTOR,
-    "monte-carlo": MODE_MC,
-    "mc": MODE_MC,
-}
+# the command line's name of each mode: the --dephasing choices, the names
+# RunConfig takes and the machine header's dephasing= value
+MODE_NAMES = {"off": MODE_OFF, "factor": MODE_FACTOR, "mc": MODE_MC}
+# DephasingModel also takes each mode by itself
+_MODE_ALIASES = {**MODE_NAMES, **{mode: mode for mode in MODE_NAMES.values()}}
 
 # shots per sampling chunk: the 64 KiB of draws stay in cache while they are
 # sorted.  Sampling 5e4 shots on a 2-vCPU Xeon, chunks of 8192 and 16384
@@ -202,6 +200,11 @@ class PropagationModel:
 
 @dataclass(frozen=True)
 class DephasingModel:
+    """Coherence length ``l_phi`` (um) and the dephasing ``mode``, stored as
+    one of ``MODE_OFF``, ``MODE_FACTOR`` and ``MODE_MC``.  ``mode`` may be
+    given as that value or as its command-line name in ``MODE_NAMES``, in
+    any case."""
+
     l_phi: float = DEFAULT_L_PHI_UM                   # um
     mode: str = MODE_OFF
 
@@ -210,8 +213,8 @@ class DephasingModel:
                            fock.require_positive(self.l_phi, "l_phi"))
         mode = _MODE_ALIASES.get(str(self.mode).lower())
         if mode is None:
-            raise ValueError(f"unknown dephasing mode '{self.mode}' "
-                             f"(expected off, deterministic-factor, or monte-carlo)")
+            raise ValueError(f"unknown dephasing mode '{self.mode}' (expected "
+                             f"{MODE_OFF}, {MODE_FACTOR}, or {MODE_MC})")
         object.__setattr__(self, "mode", mode)
 
 

@@ -269,6 +269,26 @@ def test_the_command_line_is_run_configs_fields_with_their_defaults():
         allow_desync=True)
 
 
+def test_dephasing_modes_are_named_by_one_table(tmp_path):
+    # the --dephasing choices, RunConfig's names and the header's
+    # dephasing= line are timing's table; DephasingModel also takes the
+    # long names, RunConfig does not
+    parser = cli.build_arg_parser()
+    (choices,) = [action.choices for action in parser._actions
+                  if action.dest == "dephasing_mode"]
+    assert choices == list(timing.MODE_NAMES) == ["off", "factor", "mc"]
+    for name, mode in timing.MODE_NAMES.items():
+        code, text = run_cli(FREDKIN_SWAP_INPUT, tmp_path, shots=10,
+                             dephasing_mode=name, output_format="machine")
+        assert code == EXIT_OK
+        assert f"\ndephasing={name}\n" in text
+        assert RunConfig("x", dephasing_mode=name).dephasing.mode == mode
+    for spelling in ("monte-carlo", "MC"):
+        with pytest.raises(ValueError, match="^unknown dephasing mode"):
+            RunConfig(input_path="x", dephasing_mode=spelling)
+    assert timing.DephasingModel(mode="monte-carlo").mode == timing.MODE_MC
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "c.fq"
     path.write_text(FREDKIN_SWAP_INPUT)

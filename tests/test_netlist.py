@@ -506,6 +506,18 @@ def test_wire_is_an_empty_tuple_where_there_is_no_wire():
     assert Circuit(1).wire == ((),)
 
 
+def test_expanded_wire_is_grouped_from_the_expanded_segments():
+    # a wire read on the declared circuit holds declared positions: the
+    # expansion must group its own
+    text = ("rails 3\nsep q0 delay=0ps\nsegment q1 1um\nfredkin q0 q1 q2\n"
+            "segment q2 2um\nsegment q0 0.5um\n")
+    circuit = parse_circuit(text)
+    assert len(circuit.wire) == 2 and all(circuit.wire)
+    expected = parse_circuit(text).expanded.wire
+    assert circuit.expanded.wire == expected
+    assert len(expected) == len(circuit.expanded.elements) + 1
+
+
 def test_out_of_order_segments_keep_declaration_order_within_a_position():
     declared = [Segment(1, 1.0, 3), Segment(0, 2.0, 1), Segment(1, 3.0, 1),
                 Segment(0, 4.0, 3), Segment(0, 5.0, 0), Segment(0, 6.0, 1)]
@@ -518,9 +530,11 @@ def test_out_of_order_segments_keep_declaration_order_within_a_position():
     assert parse_circuit(serialize(circuit)) == circuit
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Circuit)])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Circuit)]
+                         + ["wire", "expanded"])
 def test_circuit_fields_cannot_be_assigned(name):
-    # a register or segment set after construction would skip validation
+    # a register or segment set after construction would skip validation,
+    # and a derived attribute set by hand could disagree with the fields
     circuit = parse_circuit(CANONICAL)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(circuit, name, getattr(circuit, name))
