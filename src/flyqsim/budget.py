@@ -7,7 +7,9 @@ feasible gate count is the plain ratio of the coherence length to an
 assumed per-gate footprint, floored; with micron-scale gates and coherence
 lengths of a few tens of microns that lands in the tens.
 
-Each element states its own ``rails`` and ``footprint``; a macro has no
+The budget reads the circuit's compiled columns (``gates.ElementColumns``
+and the wire columns) in one array pass, with each element's
+``footprint`` as ``ElementColumns.footprints`` gives it.  A macro has no
 single footprint, so the budget reads the circuit's primitive form,
 ``circuit.expanded``.
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fock import require_positive
 
@@ -54,16 +58,25 @@ def require_gate_length(l_phi: float, gate_length, what: str) -> float:
 
 def rail_path_lengths(circuit) -> list[float]:
     """Total traversed length per rail of ``circuit.expanded``: segments
-    plus element footprints."""
+    plus element footprints.
+
+    One ``np.bincount`` over the columns adds every segment's length, then
+    every element's footprint on its first and on its last rail, in netlist
+    order.  It adds in the order of its input, so each total equals a
+    scalar loop's bit for bit; a one-rail element adds a zero on its
+    repeated rail, and a zero of either sign changes no sum that starts at
+    0.0.
+    """
     circuit = circuit.expanded
-    lengths = [0.0] * circuit.n_rails
-    for seg in circuit.segments:
-        lengths[seg.rail] += seg.length
-    for element in circuit.elements:
-        footprint = element.footprint
-        for rail in element.rails:
-            lengths[rail] += footprint
-    return lengths
+    columns = circuit.columns
+    seg_rails, seg_lengths, _ = circuit.wire_columns
+    rails = columns.end_rails()
+    # once per rail: none on a one-rail element's repeated rail
+    footprints = columns.footprints().repeat(2)
+    footprints[1::2] *= rails[0] != rails[1]
+    return np.bincount(np.concatenate((seg_rails, rails.T.ravel())),
+                       np.concatenate((seg_lengths, footprints)),
+                       minlength=circuit.n_rails).tolist()
 
 
 def analyze(circuit, l_phi: float = GAAS_L_PHI_UM,

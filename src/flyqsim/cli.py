@@ -190,7 +190,7 @@ def _emit_human(out, config, circuit, result, report, coherence,
     n_rails = circuit.n_rails
     registers = ", ".join(name for name, _ in circuit.registers)
     out.write(f"netlist {config.input_path}: {n_rails} rails, "
-              f"{len(circuit.elements)} elements\n")
+              f"{len(circuit.columns)} elements\n")
     out.write(f"coincidence check: {schedule_note} "
               f"(window {config.window:g} ps, velocity {config.velocity:g} um/ps)\n")
     out.write(f"{config.shots} shots, seed {config.seed}, "

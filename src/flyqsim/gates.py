@@ -29,6 +29,15 @@ explicit ``length`` else a waveguide coupler's coupling length else 0.  A
 macro has no single footprint and no kernel: every stage reads a circuit's
 primitive form, ``netlist.Circuit.expanded``.
 
+A circuit holds its elements compiled once, as ``ElementColumns``: one row
+per element, a kind code (``PS``, ``BS``, ``CC``, then one per macro), the
+rails and the numbers in integer and float columns.  The stages read the
+columns and build no element; the element objects are built from a row only
+when a caller asks for one.  ``ElementColumns.footprints`` applies the
+footprint rule to every row at once, and ``ElementColumns.expanded``
+replaces every macro at once by the rows of its synthesis, renamed onto its
+rails.
+
 Netlist macros (``CompositeGate``) expand to these primitives.  ``MACROS``
 is the one macro table: per keyword, the rail parameters and the synthesis.
 
@@ -49,8 +58,8 @@ circuit's primitive form; the parser accepts any finite phase.
 
 The elements act through one kernel, ``apply_stretch``, on sector
 amplitudes and on single-particle orbitals alike: orbitals are columns of
-the one-electron sector.  It walks a stretch of primitives once, holds each
-phase shifter until a coupler on its rail needs it, folds it into that
+the one-electron sector.  It walks the columns of a stretch of primitives
+once, holds each phase shifter until a coupler on its rail needs it, folds it into that
 coupler's 2x2 matrix and hands the couplers, with the Coulomb phases in
 their places between them, to ``fock.apply_mode_unitaries`` a block at a
 time.  ``apply_element_batch`` is that kernel on a one-element stretch.
@@ -66,8 +75,10 @@ matrices built from ladder operators, live in the test suite
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import isfinite
 from typing import ClassVar, Union
 
@@ -125,7 +136,7 @@ class PhaseShifter:
     rail: int
     phi: float
     length: float | None = None
-    # ``(rail,)``, built once: the schedule and the budget read it per element
+    # ``(rail,)``, built once, as every element states its ``rails``
     rails: tuple[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rail: int, phi: float, length: float | None = None):
@@ -303,7 +314,8 @@ def fredkin_circuit(control_rail: int, target_pair,
 # The one macro table: keyword -> (rail parameter names, synthesis taking the
 # rails tuple).  ``CompositeGate`` checks its arity here, the netlist parser
 # dispatches on it and derives its usage strings from the parameter names,
-# and ``netlist.Circuit.expanded`` expands through ``macro_elements``.
+# and ``ElementColumns.expanded`` splices each synthesis's rows, taken once
+# from ``macro_elements``.
 MACROS = {
     "hadamard": (("rail0", "rail1"), logical_hadamard),
     "fredkin": (("control", "t0", "t1"),
@@ -323,11 +335,184 @@ def macro_elements(name: str, rails: tuple) -> tuple:
 
 GateElement = Union[PhaseShifter, WaveguideCoupler, CoulombCoupler, CompositeGate]
 
+# Kind codes of the element columns: the primitives, then the macros in
+# MACROS order.  KEYWORDS[kind] is a kind's netlist keyword and ARITY[kind]
+# its number of rails.
+PS, BS, CC = 0, 1, 2
+KEYWORDS = ("ps", "bs", "cc", *MACROS)
+ARITY = (1, 2, 2, *(len(params) for params, _ in MACROS.values()))
+_ARITY = np.array(ARITY)
+# an element's numbers in the columns: no explicit len is NaN
+_NUMBERS = {
+    PhaseShifter: lambda e: (e.phi, 0.0, e.length),
+    WaveguideCoupler: lambda e: (e.coupling_length, e.transfer_length, e.length),
+    CoulombCoupler: lambda e: (e.chi_t, 0.0, e.length),
+    CompositeGate: lambda e: (0.0, 0.0, None),
+}
 
-def coupler_angle(coupling_length: float, transfer_length: float) -> float:
-    if not transfer_length > 0.0:
+
+def float_table(rows: list, width: int) -> np.ndarray:
+    """A flat list of numbers as a ``(-1, width)`` float64 table.
+
+    An integer past the float range is first clipped to +-2^62, where the
+    callers clip their integer columns too: a rail or a position that large
+    stays out of range, and is refused as such.
+    """
+    try:
+        return np.array(rows, dtype=np.float64).reshape(-1, width)
+    except OverflowError:
+        return float_table([min(max(x, -2**62), 2**62) if isinstance(x, int)
+                            else x for x in rows], width)
+
+
+class ElementColumns(Sequence):
+    """Gate elements held as columns, one row each: the compiled form of a
+    circuit's elements, which every stage reads.
+
+    ``ints`` is an ``(rows, 4)`` integer array: the kind code, then the
+    rails padded to three by repeating the last (``(r, r, r)`` for a phase
+    shifter, ``(a, b, b)`` for two rails), so column 1 holds every first
+    rail and column 3 every last.  ``floats`` is ``(rows, 3)`` float64:
+    phi, the coupling length or chi_t; a waveguide coupler's transfer
+    length, else 0; the explicit ``len``, NaN when there is none.  A
+    macro's numbers are ``0, 0, NaN``.  The other modules read the layout
+    through ``kinds``, every row's kind code, ``end_rails`` and
+    ``footprints``.
+
+    Indexing builds one row's element and slicing keeps columns.
+    ``objects``, every row as an element, is built on first read: the
+    columns of ``of(elements)`` keep ``elements`` as it, and those of an
+    expansion hold the ``declared`` columns they were expanded from, whose
+    macros become the shared objects of ``macro_elements``.
+    """
+
+    def __init__(self, ints: np.ndarray, floats: np.ndarray, declared=None):
+        self.ints, self.floats, self.declared = ints, floats, declared
+        self.kinds = ints[:, 0]
+
+    @classmethod
+    def of_rows(cls, rows: list) -> ElementColumns:
+        """The columns of a flat list of rows of seven numbers: the kind
+        code, the three padded rails and the three numbers."""
+        table = float_table(rows, 7)
+        # clipped, a rail past the integer range stays out of range
+        return cls(table[:, :4].clip(-2.0**62, 2.0**62).astype(np.intp), table[:, 4:])
+
+    @classmethod
+    def of(cls, elements) -> ElementColumns:
+        """The columns of gate ``elements``, kept as their ``objects``;
+        ``TypeError`` names the first object that is not a gate element."""
+        elements = tuple(elements)
+        rows = []
+        for index, element in enumerate(elements):
+            numbers = _NUMBERS.get(type(element))
+            if numbers is None:
+                raise TypeError(f"element {index} is not a gate element: {element!r}")
+            rails = element.rails
+            rows += (KEYWORDS.index(element.keyword), rails[0], rails[:2][-1],
+                     rails[-1], *numbers(element))
+        columns = cls.of_rows(rows)
+        columns.__dict__["objects"] = elements
+        return columns
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ElementColumns(self.ints[index], self.floats[index])
+        kind, rail0, rail1, rail2 = self.ints[index].tolist()
+        number, transfer, length = self.floats[index].tolist()
+        length = None if math.isnan(length) else length
+        if kind == PS:
+            return PhaseShifter(rail0, number, length)
+        if kind == BS:
+            return WaveguideCoupler((rail0, rail1), number, transfer, length)
+        if kind == CC:
+            return CoulombCoupler((rail0, rail1), number, length)
+        return CompositeGate(KEYWORDS[kind], (rail0, rail1, rail2)[:ARITY[kind]])
+
+    @cached_property
+    def objects(self) -> tuple:
+        if self.declared is None:
+            return tuple(self)
+        return tuple(chain.from_iterable(
+            macro_elements(e.name, e.rails) if type(e) is CompositeGate else (e,)
+            for e in self.declared.objects))
+
+    def end_rails(self) -> np.ndarray:
+        """``(2, rows)`` array of every row's first and last rail: a one-rail
+        row repeats its rail.  C-ordered, so that what is gathered with it is
+        C-ordered too."""
+        return self.ints[:, 1::2].T.copy()
+
+    def footprints(self) -> np.ndarray:
+        """Every row's ``footprint``, as its element states it: an explicit
+        ``len``, else a waveguide coupler's coupling length, else 0."""
+        number, length = self.floats[:, 0], self.floats[:, 2]
+        return np.where(np.isnan(length),
+                        np.where(self.kinds == BS, number, 0.0), length)
+
+    def refused(self, n_rails: int) -> np.ndarray:
+        """Mask of the rows that an element constructor would refuse or
+        whose rails lie outside ``[0, n_rails)``.
+
+        A row needs distinct rails and finite numbers; a waveguide coupler
+        needs a coupling length ``>= 0`` and a transfer length ``> 0``.  An
+        explicit length is checked where it is read: by the parser's general
+        path and by the element constructors.  Few array operations, as a
+        short circuit pays for each.
+        """
+        kind, rails, (number, transfer, _) = self.kinds, self.ints[:, 1:], self.floats.T
+        # a row's padded rails hold as many distinct rails as its kind has,
+        # and a negative rail reads as a large unsigned one
+        distinct = (1 + (rails[:, 0] != rails[:, 1])
+                    + ((rails[:, 2] != rails[:, 0]) & (rails[:, 2] != rails[:, 1])))
+        ok = (distinct == _ARITY[kind]) & (rails.view(np.uintp) < n_rails).all(1)
+        ok &= np.isfinite(number) & np.isfinite(transfer)
+        ok &= (kind != BS) | ((number >= 0.0) & (transfer > 0.0))
+        return ~ok
+
+    def expanded(self) -> tuple[ElementColumns, np.ndarray]:
+        """These rows with each macro replaced by its primitives, and the
+        offsets: row ``i`` becomes the expanded rows from ``offsets[i]``,
+        and ``offsets[-1]`` is the expanded length.
+
+        A macro's primitives are its synthesis's rows in ``_TEMPLATES``,
+        their rails ``0..k-1`` renamed to the macro's ``k`` rails, for every
+        macro at once: each expanded row is gathered from its declared row
+        or, for a macro, from its template row.
+        """
+        sizes = _SIZE[self.kinds]
+        offsets = np.zeros(len(self) + 1, dtype=np.intp)
+        sizes.cumsum(out=offsets[1:])
+        rows = np.arange(len(self)).repeat(sizes)  # each expanded row's own
+        ints, floats = self.ints[rows], self.floats[rows]
+        macro = (ints[:, 0] > CC).nonzero()[0]
+        at = _FIRST[ints[macro, 0]] + macro - offsets[rows[macro]]
+        ints[macro, 0] = _TEMPLATES.ints[at, 0]
+        ints[macro, 1:] = self.ints[rows[macro, np.newaxis],
+                                    1 + _TEMPLATES.ints[at, 1:]]
+        floats[macro] = _TEMPLATES.floats[at]
+        return ElementColumns(ints, floats, self), offsets
+
+
+# each macro's primitives on the rails 0..k-1 of its k parameters, all in one
+# table: a synthesis places its primitives on its parameter rails only.
+# _SIZE[kind] is a kind's number of primitives (1 for a primitive) and
+# _FIRST[kind] a macro kind's first row in the table
+_SYNTHESES = [macro_elements(name, tuple(range(ARITY[code])))
+              for code, name in enumerate(KEYWORDS) if code > CC]
+_TEMPLATES = ElementColumns.of(chain.from_iterable(_SYNTHESES))
+_SIZE = np.array([1] * (CC + 1) + [len(synthesis) for synthesis in _SYNTHESES])
+_FIRST = _SIZE.cumsum() - _SIZE - (CC + 1)
+
+
+def coupler_angle(coupling_length, transfer_length):
+    """theta = (pi/2) L_c / L_t, of floats or elementwise of arrays."""
+    if not np.greater(transfer_length, 0.0).all():
         raise ValueError(f"transfer_length must be > 0, got {transfer_length}")
-    if coupling_length < 0.0:
+    if np.less(coupling_length, 0.0).any():
         raise ValueError(f"coupling_length must be >= 0, got {coupling_length}")
     return (math.pi / 2.0) * (coupling_length / transfer_length)
 
@@ -375,40 +560,44 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     before the next coupler, whatever its angle.  The couplers and the
     phases go to ``fock.apply_mode_unitaries``, ``_BLOCK_COUPLERS``
     couplers a call.
-    ``elements`` is a sequence.  The kernel compares no rail: ``fock``'s
+    ``elements`` is an ``ElementColumns`` or a sequence of elements, which
+    is compiled to one; the walk reads its columns.  The kernel compares no
+    rail: ``fock``'s
     index helpers are the one rail check, so a rail outside ``[0,
     n_rails)`` raises ``ValueError`` when the coupler or the phase on it is
     applied.  By then the elements before it may have changed ``batch``,
     and for a held phase shifter the later elements of the stretch too.
-    An object that is not a primitive raises ``TypeError`` while the
-    stretch is walked, before the block that holds it is applied.
+    A macro raises ``TypeError`` while the stretch is walked, before the
+    block that holds it is applied.
     """
+    if not isinstance(elements, ElementColumns):
+        elements = ElementColumns.of(elements)
+    # the angle of each row: phi, a waveguide coupler's angle or chi_t
+    kinds, rails0, rails1, _ = elements.ints.T.tolist()
+    couplers = elements.kinds == BS
+    angles = elements.floats[:, 0].copy()
+    angles[couplers] = coupler_angle(angles[couplers], elements.floats[couplers, 1])
     held = {}       # rail -> summed angle of the phase shifters held on it
     pairs, us, phases = [], [], []
-    for element in elements:
-        if isinstance(element, PhaseShifter):
-            rail = element.rail
-            held[rail] = held.get(rail, 0.0) + element.phi
-        elif isinstance(element, WaveguideCoupler):
-            r0, r1 = element.rails
-            theta = coupler_angle(element.coupling_length,
-                                  element.transfer_length)
-            c, s = math.cos(theta), 1j * math.sin(theta)
+    for kind, r0, r1, angle in zip(kinds, rails0, rails1, angles.tolist()):
+        if kind == PS:
+            held[r0] = held.get(r0, 0.0) + angle
+        elif kind == BS:
+            c, s = math.cos(angle), 1j * math.sin(angle)
             p0, p1 = held.pop(r0, 0.0), held.pop(r1, 0.0)
             z0 = complex(math.cos(p0), math.sin(p0))
             z1 = complex(math.cos(p1), math.sin(p1))
-            pairs.append(element.rails)
+            pairs.append((r0, r1))
             us += (c * z0, s * z1, s * z0, c * z1)
             if len(pairs) == _BLOCK_COUPLERS:
                 fock.apply_mode_unitaries(batch, n_rails, pairs, us,
                                           n_electrons, phases)
                 pairs, us, phases = [], [], []
-        elif isinstance(element, CoulombCoupler):
-            r0, r1 = element.rails
+        elif kind == CC:
             phases.append((len(pairs), (r0, r1) if r0 < r1 else (r1, r0),
-                           -2.0 * element.chi_t))
-        else:
-            raise TypeError(f"not a gate element: {element!r}")
+                           -2.0 * angle))
+        else:  # the first row of this kind is the first macro
+            raise TypeError(f"not a gate element: {elements[kinds.index(kind)]!r}")
     end = len(pairs)
     phases += [(end, (rail,), held[rail]) for rail in sorted(held)]
     fock.apply_mode_unitaries(batch, n_rails, pairs, us, n_electrons, phases)

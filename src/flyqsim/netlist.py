@@ -27,23 +27,28 @@ column positions, never an exception.  Each line is split into words with
 about it.  A number must be finite: a literal past the float range, such as
 ``1e400``, is an error at its word, as is a malformed one.
 
-The front end is one pass over the text with one validation walk.  The
-parser dispatches every statement, macros included, through one keyword
-table and builds the circuit as declared (``ParseResult.circuit``), which
-``Circuit``'s constructor validates once and stores with its wire in
-netlist order; the wire is grouped by position only when read.  Each
-statement handler first reads the canonical spelling, the one ``serialize``
-writes, inline: a rail is a lookup in the ``q<i>`` table, and a number is
-the word with its fixed ``key=`` and unit sliced off, read by one ``float``
-call with the finite and no-``_`` test.  An element's own facts (distinct
-rails, finite angles, lengths in range) are checked once, by its
-constructor; a ``ValueError`` from it, like any other spelling (``PHI=``,
-``1UM``, ``q01``, ``len=``), sends the line to the general word helpers,
-which read it again and write every diagnostic.  The validation walk
-also records whether the circuit holds a macro, and every stage reads
-``Circuit.expanded``, the primitive form: the circuit itself without a
-macro, else its expansion, derived on first use without a second walk, for
-a parsed circuit and a hand-built one alike.  There is one parsing mode:
+The front end compiles each circuit once, into columns, and every stage
+reads them.  The parser dispatches every statement, macros included,
+through one keyword table and fills the columns of ``gates.ElementColumns``
+and three wire columns (rail, length, position) directly: it builds no
+element and no ``Segment``.  Each statement handler reads the canonical
+spelling, the one ``serialize`` writes, inline: a rail is a lookup in the
+``q<i>`` table, and a number is the word with its fixed ``key=`` and unit
+sliced off, read by one ``float`` call on a word without ``_``.  Any other
+spelling (``PHI=``, ``1UM``, ``q01``) goes to the general word helpers,
+which check every value and write the diagnostics.  One array check over
+the columns (``_refused``) is the circuit's single validation point: when it
+refuses a row that the inline read took (equal rails, a number that is not
+finite, a length out of range), the text is read again by the general
+helpers alone, so every diagnostic keeps its text, its column and its
+order.  A hand-built ``Circuit`` compiles its elements and segments to the
+same columns in its constructor, under the same check.
+
+``Circuit.elements``, ``segments`` and ``wire`` are built from the columns
+only when read.  ``Circuit.expanded`` is the primitive form every stage
+reads: the circuit itself without a macro, else its expansion, derived from
+the columns on first use, for a parsed circuit and a hand-built one alike.
+There is one parsing mode:
 a ``ps`` holds any finite phase, and whether the dots reach it is
 ``PhaseShifter.hardware_realizable``, read per element over
 ``Circuit.expanded``, which holds the macros' phases too.  A rail outside
@@ -52,30 +57,24 @@ only elements handed to ``gates.apply_stretch`` directly meet the ``fock``
 index helpers' rail check instead, which may raise after later elements
 of the stretch have changed the amplitudes.  ``serialize`` emits a
 canonical form that parses back to an equal circuit, and that it writes
-back byte for byte; it picks each element's line writer by its type.
+back byte for byte; it writes each element's line from its columns.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, groupby, repeat
-from math import inf
-from operator import attrgetter, itemgetter
+from itertools import groupby
+from math import inf, nan
+from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
 from .fock import MAX_RAILS, check_n_rails, require_float, require_integer
-from .gates import (
-    MACROS,
-    CompositeGate,
-    CoulombCoupler,
-    GateElement,
-    PhaseShifter,
-    WaveguideCoupler,
-    macro_elements,
-)
+from .gates import ARITY, BS, CC, KEYWORDS, MACROS, PS, ElementColumns, float_table
 from .timing import SepSource
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
@@ -100,8 +99,7 @@ def _literal(text: str) -> float | None:
     one ``float`` call is the whole test; ``_LineParser._number`` writes the
     diagnostic when it fails.  The statement handlers make the same test
     inline on the canonical spelling: a ``float`` call on a word without
-    ``_``, whose value the range test or the element's constructor refuses
-    unless it is finite.
+    ``_``, whose value the column check refuses unless it is finite.
     """
     try:
         value = float(text)
@@ -115,9 +113,8 @@ class Segment(NamedTuple):
 
     ``position == len(elements)`` marks trailing wire after the last element.
     ``Circuit`` rejects positions and rails out of range and lengths that are
-    negative or not finite.  An immutable named tuple: long netlists hold
-    thousands, and it is about half the construction cost of a frozen
-    dataclass.
+    negative or not finite.  A circuit holds its wire as columns and builds
+    its segments only when they are read.
     """
 
     rail: int
@@ -125,11 +122,26 @@ class Segment(NamedTuple):
     position: int
 
 
-def _segments(fields) -> list[Segment]:
-    """Segments of ``(rail, length, position)`` triples, built in C: calling
-    ``Segment`` runs the named tuple's ``__new__``, a Python function, per
-    segment."""
-    return list(map(tuple.__new__, repeat(Segment), fields))
+def _wire_columns(rows: list) -> tuple:
+    """The wire columns, rails, lengths and positions, of a flat list of
+    ``(rail, length, position)`` rows; a rail or position past the integer
+    range is clipped, and stays out of range."""
+    table = float_table(rows, 3)
+    ints = table[:, ::2].clip(-2.0**62, 2.0**62).astype(np.intp)
+    return ints[:, 0], table[:, 1], ints[:, 1]
+
+
+def _refused(n_rails: int, columns: ElementColumns, wire: tuple) -> tuple:
+    """The one validation point of a circuit: masks of the element rows
+    (``ElementColumns.refused``) and of the segments it refuses.  ``wire``
+    is the three wire columns, rails, lengths and positions; a segment
+    needs a rail in ``[0, n_rails)``, a position in ``[0, len(columns)]``
+    and a finite length ``>= 0``."""
+    rails, lengths, positions = wire
+    # a negative rail or position reads as a large unsigned one
+    return columns.refused(n_rails), (
+        (rails.view(np.uintp) >= n_rails) | (positions.view(np.uintp) > len(columns))
+        | ~((lengths >= 0.0) & (lengths < inf)))
 
 
 @dataclass(frozen=True)
@@ -143,19 +155,23 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Circuit:
     """Validated, immutable circuit: rails, placed elements, wiring, sources,
     readout.  ``dataclasses.replace`` derives a validated variant.
 
+    The circuit is held in one compiled form, built once: its elements as
+    ``columns``, a ``gates.ElementColumns``, and its wire as
+    ``wire_columns``, three arrays (rail, length, position) in the canonical
+    netlist order, sorted stably by position so that each position's wire
+    keeps its declaration order.  The stages read these columns.
+    ``elements`` (the objects a hand-built circuit was given, else built
+    from the columns), ``segments``, ``wire`` (the segments grouped by
+    position) and ``expanded`` are derived on first read; ``==`` and
+    ``hash`` compare the columns and the other fields.
+
     Elements must be of the types ``serialize`` writes, else ``TypeError``.
-    Rail counts, rails and segment positions must be integers in range.  The
-    constructor stores the container fields as tuples, ``segments`` in the
-    canonical netlist order: sorted stably by position, so each position's
-    wire keeps its declaration order.  ``segments`` is the one stored form
-    of the wire; ``wire``, the segments grouped by position, and
-    ``expanded`` are derived from the fields on first read, and equality
-    ignores them.
+    Rail counts, rails and segment positions must be integers in range.
 
     ``registers`` is the one form of a dual-rail register: each is stored as
     ``(name, (rail0, rail1))`` with ``int`` rails, whose first rail carries
@@ -165,81 +181,68 @@ class Circuit:
     """
 
     n_rails: int
-    elements: tuple = ()
-    segments: tuple = ()
+    elements: tuple
+    segments: tuple
     sources: tuple = ()
     detectors: tuple = ()
     registers: tuple = ()  # (name, (rail0, rail1))
     _macros: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # the one validation point: every other stage indexes rails and reads
-        # lengths without checking them again
-        for name in ("elements", "sources", "detectors"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        n_rails = require_integer(self.n_rails, "rail count")
+    def __init__(self, n_rails: int, elements=(), segments=(), sources=(),
+                 detectors=(), registers=()):
+        n_rails = require_integer(n_rails, "rail count")
         check_n_rails(n_rails)
-        elements = self.elements
-        # the element types are those serialize writes
-        kinds = set(map(type, elements))
-        if not kinds <= _ELEMENT_LINES.keys():
-            for index, element in enumerate(elements):
-                if type(element) not in _ELEMENT_LINES:
-                    raise TypeError(f"element {index} is not a gate element: "
-                                    f"{element!r}")
-        # integers: each element checks its own rails; their range is checked
-        # here, over the set of rails in use, and element by element only to
-        # name the first element outside it
-        rails = set(chain.from_iterable(map(attrgetter("rails"), elements)))
-        if rails and not (0 <= min(rails) and max(rails) < n_rails):
-            for index, element in enumerate(elements):
-                for rail in element.rails:
-                    if not 0 <= rail < n_rails:
-                        raise ValueError(
-                            f"element {index} ({element.keyword}) rail "
-                            f"{rail} outside [0, {n_rails})")
-        macros = CompositeGate in kinds
-        n_positions = len(elements) + 1
-        segments = []
-        for seg in self.segments:
-            if type(seg) is not Segment:
-                seg = Segment._make(seg)
-            rail, length, at = seg
-            if type(at) is not int:
-                require_integer(at, "segment position")
-            if not 0 <= at < n_positions:
-                raise ValueError(f"segment position {at} outside "
-                                 f"[0, {len(elements)}]: {seg!r}")
-            if type(rail) is not int:
-                require_integer(rail, "segment rail")
-            if not 0 <= rail < n_rails:
-                raise ValueError(f"segment rail {rail} outside "
-                                 f"[0, {n_rails}): {seg!r}")
-            if type(length) is not float:
-                length = require_float(length, "segment length")
-                seg = Segment(rail, length, at)
-            if not 0.0 <= length < inf:  # also refuses nan
-                raise ValueError(f"segment length must be finite and >= 0: "
-                                 f"{seg!r}")
-            segments.append(seg)
+        columns = ElementColumns.of(elements)
+        rows = []  # the segments' (rail, length, position) rows, in the order given
+        for seg in segments:
+            rail, length, position = seg if type(seg) is Segment else Segment._make(seg)
+            require_integer(position, "segment position")
+            rows += (require_integer(rail, "segment rail"),
+                     require_float(length, "segment length"), position)
+        wire = _wire_columns(rows)
+        refused_elements, refused_wire = _refused(n_rails, columns, wire)
+        if refused_elements.any():
+            # each element checked its other facts: a rail is out of range
+            index = int(refused_elements.argmax())
+            element = columns.objects[index]
+            rail = next(r for r in element.rails if not 0 <= r < n_rails)
+            raise ValueError(f"element {index} ({element.keyword}) rail "
+                             f"{rail} outside [0, {n_rails})")
+        if refused_wire.any():
+            at = 3 * int(refused_wire.argmax())
+            seg = Segment(*rows[at:at + 3])
+            raise ValueError((
+                f"segment position {seg.position} outside [0, {len(columns)}]"
+                if not 0 <= seg.position <= len(columns) else
+                f"segment rail {seg.rail} outside [0, {n_rails})"
+                if not 0 <= seg.rail < n_rails else
+                "segment length must be finite and >= 0") + f": {seg!r}")
+        order = wire[2].argsort(kind="stable")
+        self._store(n_rails, columns, tuple(column[order] for column in wire),
+                    sources, detectors, registers)
+
+    def _store(self, n_rails, columns, wire, sources, detectors, registers):
+        """Check the sources, detectors and registers and store the fields
+        with the columns, which passed ``_refused``, the wire in netlist
+        order."""
+        sources, detectors = tuple(sources), tuple(detectors)
         source_rails = set()
-        for src in self.sources:
+        for src in sources:
             if not 0 <= require_integer(src.rail, "source rail") < n_rails:
                 raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
             if src.rail in source_rails:
                 raise ValueError(f"two sources on rail {src.rail}")
             source_rails.add(src.rail)
-        for rail in self.detectors:
+        for rail in detectors:
             if not 0 <= require_integer(rail, "detector rail") < n_rails:
                 raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
-        if len(set(self.detectors)) != len(self.detectors):
-            raise ValueError(f"detector rails repeat: {self.detectors}")
-        registers = []
-        register_rails = set()
-        for name, pair in self.registers:
+        if len(set(detectors)) != len(detectors):
+            raise ValueError(f"detector rails repeat: {detectors}")
+        checked, register_rails = [], set()
+        for name, pair in registers:
             if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
                 raise ValueError(f"invalid register name {name!r}")
-            if any(name == seen for seen, _ in registers):
+            if any(name == seen for seen, _ in checked):
                 raise ValueError(f"duplicate register name '{name}'")
             pair = tuple(pair)
             if len(pair) != 2:
@@ -253,12 +256,33 @@ class Circuit:
                     raise ValueError(f"register rails must be distinct: "
                                      f"register '{name}' repeats rail {rail}")
                 register_rails.add(rail)
-            registers.append((name, (int(pair[0]), int(pair[1]))))
-        # netlist order: a stable sort keeps each position's declaration order
-        segments.sort(key=itemgetter(2))
-        object.__setattr__(self, "segments", tuple(segments))
-        object.__setattr__(self, "registers", tuple(registers))
-        object.__setattr__(self, "_macros", macros)
+            checked.append((name, (int(pair[0]), int(pair[1]))))
+        self.__dict__.update(
+            n_rails=n_rails, sources=sources, detectors=detectors,
+            registers=tuple(checked), columns=columns, wire_columns=wire,
+            _macros=bool((columns.kinds > CC).any()))
+
+    def _key(self) -> tuple:
+        # the columns' bytes; + 0 makes -0.0, which == 0.0, 0.0
+        columns = (self.columns.ints, self.columns.floats, *self.wire_columns)
+        return (self.n_rails, *((column + 0).tobytes() for column in columns),
+                self.sources, self.detectors, self.registers)
+
+    def __eq__(self, other):
+        if type(other) is not Circuit:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @property
+    def elements(self) -> tuple:
+        return self.columns.objects
+
+    @cached_property
+    def segments(self) -> tuple:
+        return tuple(map(Segment._make, zip(*(c.tolist() for c in self.wire_columns))))
 
     @cached_property
     def wire(self) -> tuple:
@@ -266,7 +290,7 @@ class Circuit:
         declaration order; ``wire[-1]`` is the trailing wire and ``()``
         stands at a position without wire.  Grouped from ``segments`` on
         first read and kept."""
-        wire = [()] * (len(self.elements) + 1)
+        wire = [()] * (len(self.columns) + 1)
         for position, group in groupby(self.segments, itemgetter(2)):
             wire[position] = tuple(group)
         return tuple(wire)
@@ -279,40 +303,17 @@ class Circuit:
 
     @cached_property
     def _expanded(self) -> Circuit:
-        """This circuit with each macro replaced by its primitives, without
-        a second validation walk.
-
-        A macro builds its primitives on its own, validated rails.  Each
+        """This circuit with each macro replaced by its primitives
+        (``ElementColumns.expanded``), without a second column check.  Each
         segment moves to the expanded position of the element it preceded,
-        so wire declared before a macro stays before its first primitive,
-        and the positions stay in netlist order.  The result holds no macro,
-        so its own ``expanded`` is itself and no reference leads back here.
-        Python steps run per macro; per element and per segment the work is
-        done by ``map``, ``zip`` and ``accumulate``.
-        """
-        declared = self.elements
-        sizes = [1] * len(declared)  # expanded elements per declared element
-        elements: list[GateElement] = []
-        start = 0
-        for index in compress(count(), map(isinstance, declared,
-                                           repeat(CompositeGate))):
-            macro = declared[index]
-            primitives = macro_elements(macro.name, macro.rails)
-            sizes[index] = len(primitives)
-            elements += declared[start:index]
-            elements += primitives
-            start = index + 1
-        elements += declared[start:]
-        offsets = list(accumulate(sizes, initial=0))
-        declared_wire = self.segments
-        segments = _segments(zip(
-            map(itemgetter(0), declared_wire), map(itemgetter(1), declared_wire),
-            map(offsets.__getitem__, map(itemgetter(2), declared_wire))))
+        so wire declared before a macro stays before its first primitive.
+        The result holds no macro, so its own ``expanded`` is itself, and no
+        reference leads back here."""
+        columns, offsets = self.columns.expanded()
+        rails, lengths, positions = self.wire_columns
         derived = object.__new__(Circuit)
-        # the fields only: a wire already read here holds declared positions
-        derived.__dict__.update(
-            {f.name: getattr(self, f.name) for f in fields(Circuit)},
-            elements=tuple(elements), segments=tuple(segments), _macros=False)
+        derived._store(self.n_rails, columns, (rails, lengths, offsets[positions]),
+                       self.sources, self.detectors, self.registers)
         return derived
 
 
@@ -345,25 +346,27 @@ class _LineParser:
 
     Each line is split into words with ``str.split`` and dispatched on its
     keyword through ``_HANDLERS``, one table for every statement, the macro
-    keywords included.  A handler reads the canonical spelling inline (the
-    ``q<i>`` table, one ``float`` call per number) and hands the values to
-    the element's constructor, which checks them.  Only when that read
-    fails do ``_rail``, ``_split_len``, ``_value_with_unit`` and ``_number``
-    accept the other spellings (``PHI=``, ``1UM``, ``q01``, ``len=``) or
-    write the diagnostic.  A diagnostic points at a word by index; the
-    word's column is computed only then, by ``_column``.
+    keywords included.  An element or segment is one row of numbers: the
+    element's kind code, its three padded rails and its three numbers (see
+    ``gates.ElementColumns``), or the segment's rail, length and position.
+    With ``fast`` set a handler reads the canonical spelling inline (the
+    ``q<i>`` table, one ``float`` call per number) and appends its row
+    unchecked, for ``_refused`` to check; only when that read fails do
+    ``_rail``, ``_split_len``, ``_value_with_unit`` and ``_number`` accept
+    the other spellings (``PHI=``, ``1UM``, ``q01``, ``len=``) or write the
+    diagnostic.  Without ``fast`` every line takes that general path, whose
+    rows are checked as they are read.  A diagnostic points at a word by
+    index; the word's column is computed only then, by ``_column``.
     """
 
-    def __init__(self):
+    def __init__(self, fast: bool = True):
+        self.fast = fast
         self.diagnostics: list[ParseDiagnostic] = []
         self.n_rails: int | None = None
-        self.elements: list[GateElement] = []
-        # the wire as parallel fields, made Segments in one pass at the end;
-        # a list of (rail, length, position) tuples would hold a second tuple
-        # per segment while they are built
-        self._wire_rails: list[int] = []
-        self._wire_lengths: list[float] = []
-        self._wire_positions: list[int] = []
+        # the rows as flat lists of numbers, made columns in one pass at the
+        # end: seven numbers per element, three per segment
+        self._elements: list[float] = []
+        self._wire: list[float] = []
         self.sources: list[SepSource] = []
         self.detectors: list[int] = []
         self.registers: list[tuple[str, tuple[int, int]]] = []
@@ -424,8 +427,7 @@ class _LineParser:
         """Parse ``key=<number><unit>``; key and unit are case-insensitive.
 
         The handlers read the canonical spelling inline, so this runs for
-        ``sep`` delays, ``len=`` and the other spellings, and writes the
-        diagnostic.
+        ``sep`` delays and the other spellings, and writes the diagnostic.
         """
         text = words[index]
         name, sep, raw = text.partition("=")
@@ -450,10 +452,10 @@ class _LineParser:
 
     def _split_len(self, words) -> tuple[list, float | None]:
         """``words`` without a trailing ``len=<x>um`` attribute, and its value:
-        None when there is none, or after a diagnostic when it is invalid."""
+        NaN when there is none, None after a diagnostic when it is invalid."""
         index = len(words) - 1
         if not words[index].lower().startswith("len="):
-            return words, None
+            return words, nan
         value = self._value_with_unit(words, index, "len", "um")
         if value is not None and value < 0:
             self.error(index, "len must be >= 0")
@@ -484,26 +486,11 @@ class _LineParser:
         self._rail_names = {f"q{rail}": rail for rail in range(count)}
 
     def _stmt_segment(self, words):
-        # the canonical spelling: segment q<i> <x>um
-        if len(words) == 3:
-            rail = self._rail_names.get(words[1])
-            text = words[2]
-            if rail is not None and text[-2:] == "um" and "_" not in text:
-                try:
-                    length = float(text[:-2])
-                except ValueError:
-                    pass
-                else:
-                    if 0.0 <= length < inf:
-                        self._wire_rails.append(rail)
-                        self._wire_lengths.append(length)
-                        self._wire_positions.append(len(self.elements))
-                        return
-        else:
-            self._expect_count(words, 2, "segment <rail> <length>um")
+        # feed reads the canonical spelling, segment q<i> <x>um, inline
+        if not self._expect_count(words, 2, "segment <rail> <length>um"):
             return
-        rail = self._rail(words, 1)
         text = words[2]
+        rail = self._rail(words, 1)
         if len(text) < 2 or text[-2:].lower() != "um":
             self.error(2, f"segment length requires a 'um' suffix, "
                           f"got '{text}'")
@@ -516,9 +503,7 @@ class _LineParser:
             return
         if rail is None:
             return
-        self._wire_rails.append(rail)
-        self._wire_lengths.append(length)
-        self._wire_positions.append(len(self.elements))
+        self._wire += (rail, length, len(self._elements) // 7)
 
     def _stmt_sep(self, words):
         if len(words) not in (3, 4):
@@ -546,26 +531,25 @@ class _LineParser:
 
     def _stmt_ps(self, words):
         # the canonical spelling: ps q<i> phi=<x>rad
-        text = words[-1]
-        if (len(words) == 3 and text[:4] == "phi=" and text[-3:] == "rad"
-                and "_" not in text):
-            try:  # the constructor checks the rail and that phi is finite
-                element = PhaseShifter(self._rail_names.get(words[1]),
-                                       float(text[4:-3]))
-            except ValueError:
-                pass  # diagnosed below
-            else:
-                self.elements.append(element)
-                return
+        if self.fast and len(words) == 3:
+            rail, text = self._rail_names.get(words[1]), words[2]
+            if (rail is not None and text[:4] == "phi=" and text[-3:] == "rad"
+                    and "_" not in text):
+                try:
+                    self._elements += (PS, rail, rail, rail, float(text[4:-3]),
+                                       0.0, nan)
+                    return
+                except ValueError:
+                    pass  # diagnosed below
         words, length = self._split_len(words)
         if len(words) != 3:
             self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
             return
         rail = self._rail(words, 1)
         phi = self._value_with_unit(words, 2, "phi", "rad")
-        if rail is None or phi is None:
+        if rail is None or phi is None or length is None:
             return
-        self.elements.append(PhaseShifter(rail, phi, length))
+        self._elements += (PS, rail, rail, rail, phi, 0.0, length)
 
     def _coupler_rails(self, words) -> tuple[int, int] | None:
         rail_a = self._rail(words, 1)
@@ -579,20 +563,18 @@ class _LineParser:
 
     def _stmt_bs(self, words):
         # the canonical spelling: bs q<a> q<b> lc=<x>um lt=<x>um
-        if len(words) == 5:
-            lc, lt = words[3], words[4]
-            if (lc[:3] == "lc=" and lc[-2:] == "um" and "_" not in lc
+        if self.fast and len(words) == 5:
+            names, lc, lt = self._rail_names, words[3], words[4]
+            rail_a, rail_b = names.get(words[1]), names.get(words[2])
+            if (rail_a is not None and rail_b is not None
+                    and lc[:3] == "lc=" and lc[-2:] == "um" and "_" not in lc
                     and lt[:3] == "lt=" and lt[-2:] == "um" and "_" not in lt):
-                names = self._rail_names
-                try:  # the constructor checks the rails and both lengths
-                    element = WaveguideCoupler(
-                        (names.get(words[1]), names.get(words[2])),
-                        float(lc[3:-2]), float(lt[3:-2]))
+                try:
+                    self._elements += (BS, rail_a, rail_b, rail_b, float(lc[3:-2]),
+                                       float(lt[3:-2]), nan)
+                    return
                 except ValueError:
                     pass  # diagnosed below
-                else:
-                    self.elements.append(element)
-                    return
         words, length = self._split_len(words)
         if len(words) != 5:
             self._expect_count(
@@ -609,23 +591,22 @@ class _LineParser:
         if lt <= 0:
             self.error(4, "lt must be > 0")
             return
-        self.elements.append(WaveguideCoupler(rails, lc, lt, length))
+        if length is not None:
+            self._elements += (BS, *rails, rails[1], lc, lt, length)
 
     def _stmt_cc(self, words):
         # the canonical spelling: cc q<a> q<b> chit=<x>rad
-        text = words[-1]
-        if (len(words) == 4 and text[:5] == "chit=" and text[-3:] == "rad"
-                and "_" not in text):
-            names = self._rail_names
-            try:  # the constructor checks the rails and that chi_t is finite
-                element = CoulombCoupler(
-                    (names.get(words[1]), names.get(words[2])),
-                    float(text[5:-3]))
-            except ValueError:
-                pass  # diagnosed below
-            else:
-                self.elements.append(element)
-                return
+        if self.fast and len(words) == 4:
+            names, text = self._rail_names, words[3]
+            rail_a, rail_b = names.get(words[1]), names.get(words[2])
+            if (rail_a is not None and rail_b is not None and text[:5] == "chit="
+                    and text[-3:] == "rad" and "_" not in text):
+                try:
+                    self._elements += (CC, rail_a, rail_b, rail_b,
+                                       float(text[5:-3]), 0.0, nan)
+                    return
+                except ValueError:
+                    pass  # diagnosed below
         words, length = self._split_len(words)
         if len(words) != 4:
             self._expect_count(words, 3,
@@ -633,37 +614,31 @@ class _LineParser:
             return
         rails = self._coupler_rails(words)
         chi_t = self._value_with_unit(words, 3, "chit", "rad")
-        if rails is None or chi_t is None:
+        if rails is None or chi_t is None or length is None:
             return
-        self.elements.append(CoulombCoupler(rails, chi_t, length))
+        self._elements += (CC, *rails, rails[1], chi_t, 0.0, length)
 
     def _stmt_macro(self, words):
         name = words[0].lower()
         params = MACROS[name][0]
-        # the canonical spelling: distinct q<i> rails, one per parameter,
-        # which the constructor checks
-        try:
-            element = CompositeGate(name, tuple(map(self._rail_names.get,
-                                                    words[1:])))
-        except ValueError:
-            pass  # diagnosed below
-        else:
-            self.elements.append(element)
-            return
         if len(words) - 1 != len(params):
             self._expect_count(words, len(params), " ".join(
                 [name] + [f"<{param}>" for param in params]))
             return
-        rails = []
-        for index in range(1, len(words)):
-            rail = self._rail(words, index)
-            if rail is None:
+        # the canonical spelling: one q<i> rail per parameter
+        rails = list(map(self._rail_names.get, words[1:]))
+        if not self.fast or None in rails:
+            rails = []
+            for index in range(1, len(words)):
+                rail = self._rail(words, index)
+                if rail is None:
+                    return
+                rails.append(rail)
+            if len(set(rails)) != len(rails):
+                self.error(1, "macro rails must be distinct")
                 return
-            rails.append(rail)
-        if len(set(rails)) != len(rails):
-            self.error(1, "macro rails must be distinct")
-            return
-        self.elements.append(CompositeGate(name, tuple(rails)))
+        self._elements += (KEYWORDS.index(name), rails[0], rails[1], rails[-1],
+                           0.0, 0.0, nan)
 
     def _stmt_dualrail(self, words):
         if not self._expect_count(words, 3, "dualrail <name> <rail0> <rail1>"):
@@ -717,15 +692,25 @@ class _LineParser:
     }
 
     def feed(self, text: str) -> None:
-        handlers = self._HANDLERS
+        handlers, fast = self._HANDLERS, self.fast
+        wire, elements, names = self._wire, self._elements, self._rail_names
         line_no = 1
         for line_no, line in enumerate(text.splitlines(), start=1):
             words = (line.partition("#")[0] if "#" in line else line).split()
             if not words:
                 continue
+            keyword = words[0]
+            # the most common line, read inline in its canonical spelling
+            if keyword == "segment" and len(words) == 3 and fast:
+                rail, length = names.get(words[1]), words[2]
+                if rail is not None and length[-2:] == "um" and "_" not in length:
+                    try:
+                        wire += (rail, float(length[:-2]), len(elements) // 7)
+                        continue
+                    except ValueError:
+                        pass  # diagnosed by the handler
             self._line_no = line_no
             self._line = line
-            keyword = words[0]
             handler = handlers.get(keyword)
             if handler is None:  # keywords are case-insensitive
                 keyword = keyword.lower()
@@ -738,34 +723,44 @@ class _LineParser:
                 self.error(0, f"unknown statement '{words[0]}'")
             else:
                 handler(self, words)
+                names = self._rail_names  # set by the rails statement
         if self.n_rails is None:
             self.diagnostics.append(ParseDiagnostic(line_no, 1, "no rails declared"))
 
-    def result(self) -> ParseResult:
+    def result(self) -> ParseResult | None:
+        """The parse, or None when ``_refused`` refuses a row that the
+        inline read took: then the text must be read again without it."""
+        columns = ElementColumns.of_rows(self._elements)
+        wire = _wire_columns(self._wire)
+        # a text without a rail count has no rows
+        if any(refused.any() for refused in _refused(self.n_rails or 1, columns, wire)):
+            return None
         if any(d.severity == "error" for d in self.diagnostics):
             return ParseResult(None, self.diagnostics)
-        # the one validation walk
-        circuit = Circuit(
-            n_rails=self.n_rails,
-            elements=self.elements,
-            segments=_segments(zip(self._wire_rails, self._wire_lengths,
-                                   self._wire_positions)),
-            sources=self.sources,
-            detectors=self.detectors,
-            registers=self.registers,
-        )
+        circuit = object.__new__(Circuit)
+        circuit._store(self.n_rails, columns, wire, self.sources, self.detectors,
+                       self.registers)
         return ParseResult(circuit, self.diagnostics)
 
 
 def parse(source_text: str) -> ParseResult:
-    """Parse netlist text; total, never raises on malformed input."""
-    parser = _LineParser()
+    """Parse netlist text; total, never raises on malformed input.
+
+    The text is read once with the inline canonical reads; when the column
+    check refuses a row, it is read again by the general path alone, which
+    writes the diagnostics."""
     try:
         text = str(source_text)
     except Exception:  # pragma: no cover - str() on str input cannot fail
         return ParseResult(None, [ParseDiagnostic(1, 1, "unreadable input")])
-    parser.feed(text)
-    return parser.result()
+    for fast in (True, False):
+        parser = _LineParser(fast)
+        parser.feed(text)
+        result = parser.result()
+        # the general path checks each row as it reads it, so the second
+        # pass always has a result
+        if result is not None:
+            return result
 
 
 def parse_circuit(source_text: str) -> Circuit:
@@ -776,42 +771,14 @@ def parse_circuit(source_text: str) -> Circuit:
     return result.circuit
 
 
-# Netlist lines by element type.  Each takes the element and the rail-name
-# table and writes every number with ``!r``, the shortest float literal that
-# round-trips exactly: every element field is stored as a ``float``.
-
-
-def _ps_line(element: PhaseShifter, q) -> str:
-    line = f"ps {q[element.rail]} phi={element.phi!r}rad"
-    return line if element.length is None else f"{line} len={element.length!r}um"
-
-
-def _bs_line(element: WaveguideCoupler, q) -> str:
-    a, b = element.rails
-    line = (f"bs {q[a]} {q[b]} lc={element.coupling_length!r}um "
-            f"lt={element.transfer_length!r}um")
-    return line if element.length is None else f"{line} len={element.length!r}um"
-
-
-def _cc_line(element: CoulombCoupler, q) -> str:
-    a, b = element.rails
-    line = f"cc {q[a]} {q[b]} chit={element.chi_t!r}rad"
-    return line if element.length is None else f"{line} len={element.length!r}um"
-
-
-def _macro_line(element: CompositeGate, q) -> str:
-    return " ".join([element.name, *[q[rail] for rail in element.rails]])
-
-
-_ELEMENT_LINES = {PhaseShifter: _ps_line, WaveguideCoupler: _bs_line,
-                  CoulombCoupler: _cc_line, CompositeGate: _macro_line}
-
-
 def serialize(circuit: Circuit) -> str:
     """Canonical netlist text; ``parse(serialize(c))`` equals ``c``.
 
-    Each element's line is written by ``_ELEMENT_LINES[type(element)]``,
-    with the rail names read from one ``q<i>`` table.
+    Each line is written from the columns, with the rail names read from
+    one ``q<i>`` table and every number with ``!r``, the shortest float
+    literal that round-trips exactly: the segment lines, then the element
+    lines of each kind.  One stable sort then puts them in netlist order,
+    the segments at position ``p`` before element ``p``.
     """
     q = [f"q{rail}" for rail in range(circuit.n_rails)]
     lines = [f"rails {circuit.n_rails}"]
@@ -820,15 +787,31 @@ def serialize(circuit: Circuit) -> str:
         lines.append(f"sep {q[src.rail]} delay={src.emission_delay!r}ps{empty}")
     for name, (rail0, rail1) in circuit.registers:
         lines.append(f"dualrail {name} {q[rail0]} {q[rail1]}")
-    element_lines = _ELEMENT_LINES
-    for group, element in zip(circuit.wire, circuit.elements):
-        for rail, length, _ in group:
-            lines.append(f"segment {q[rail]} {length!r}um")
-        lines.append(element_lines[type(element)](element, q))
-    for rail, length, _ in circuit.wire[-1]:
-        lines.append(f"segment {q[rail]} {length!r}um")
-    for rail in circuit.detectors:
-        lines.append(f"set {q[rail]}")
+    columns, (rails, lengths, positions) = circuit.columns, circuit.wire_columns
+    body = [f"segment {q[r]} {x!r}um" for r, x in zip(rails.tolist(), lengths.tolist())]
+    keys = [2 * positions]  # a body line's place: 2p for wire, 2p + 1 for element p
+    for kind in set(columns.kinds.tolist()):
+        rows = (columns.kinds == kind).nonzero()[0]
+        keys.append(2 * rows + 1)
+        r0, r1, r2 = columns.ints[rows, 1:].T.tolist()
+        number, transfer = columns.floats[rows, :2].T.tolist()
+        if kind == PS:
+            kind_lines = [f"ps {q[a]} phi={x!r}rad" for a, x in zip(r0, number)]
+        elif kind == BS:
+            kind_lines = [f"bs {q[a]} {q[b]} lc={x!r}um lt={y!r}um"
+                          for a, b, x, y in zip(r0, r1, number, transfer)]
+        elif kind == CC:
+            kind_lines = [f"cc {q[a]} {q[b]} chit={x!r}rad"
+                          for a, b, x in zip(r0, r1, number)]
+        else:
+            kind_lines = [" ".join([KEYWORDS[kind], *[q[r] for r in row[:ARITY[kind]]]])
+                          for row in zip(r0, r1, r2)]
+        length = columns.floats[rows, 2]
+        body += kind_lines if np.isnan(length).all() else [
+            line if math.isnan(x) else f"{line} len={x!r}um"
+            for line, x in zip(kind_lines, length.tolist())]
+    lines += [body[i] for i in np.concatenate(keys).argsort(kind="stable").tolist()]
+    lines += [f"set {q[rail]}" for rail in circuit.detectors]
     lines.append("")
     return "\n".join(lines)
 

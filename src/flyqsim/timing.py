@@ -5,9 +5,11 @@ programmable delay.  Electrons drift at a common group velocity, so the
 arrival time at an element is the emission delay plus the accumulated
 upstream path over the velocity.  Every function here reads a circuit's
 primitive form, ``circuit.expanded``, so a macro is timed and simulated as
-the primitives it stands for.  ``arrival_times`` computes every arrival
-of a netlist in one array pass and returns an ``ArrivalTable``, which
-yields one ``ElementArrival`` per element on demand.  Two-electron gates
+the primitives it stands for, and reads its compiled columns (rails, kinds
+and angles per element, rail, length and position per segment), not element
+objects.  ``arrival_times`` computes every arrival of a netlist in one
+array pass over them and returns an ``ArrivalTable``, which builds one
+``ElementArrival``, and its element, per entry on demand.  Two-electron gates
 require their arrivals to coincide within a configurable window:
 ``check_coincidence`` compares every element's spread with the window in
 one vector operation and builds ``ElementArrival`` only for the late
@@ -100,16 +102,16 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from . import fock
 from .dualrail import decode
 from .gates import (  # noqa: F401  perfbench/tracing.py wraps apply_element_batch here
-    CoulombCoupler,
+    CC,
     apply_element_batch,
     apply_stretch,
 )
@@ -277,11 +279,13 @@ class ShotHistogram:
 class ArrivalTable(Sequence):
     """Arrival times (ps) of every placed element, held in one array.
 
-    ``elements`` are primitives, each on one or two rails.  Column ``i`` of
-    the ``(2, elements)`` array ``times`` holds the arrivals at
-    ``elements[i]`` on its first and on its last rail: a one-rail element's
-    column repeats its rail, which changes no spread.  Indexing and
-    iteration build each element's ``ElementArrival`` on demand.
+    ``elements`` is a sequence of primitives, each on one or two rails: a
+    circuit's ``gates.ElementColumns``, which builds an element when it is
+    indexed.  Column ``i`` of the ``(2, elements)`` array ``times`` holds the
+    arrivals at ``elements[i]`` on its first and on its last rail: a
+    one-rail element's column repeats its rail, which changes no spread.
+    Indexing and iteration build each element's ``ElementArrival`` on
+    demand.
     """
 
     __slots__ = ("elements", "times")
@@ -325,9 +329,10 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTabl
     raises ``ConfigError`` naming the first element it reaches, since the
     spread of two infinite arrivals is NaN and would pass any window.
 
-    Column ``j + 1`` of an ``(n_rails, segments + 1)`` array holds segment
-    ``j``'s length in its rail's row, in netlist order, and zeros
-    elsewhere.  One ``np.add.accumulate`` along the rows gives every rail's
+    The rails are the circuit's element columns, the wire its three wire
+    columns.  Column ``j + 1`` of an ``(n_rails, segments + 1)`` array
+    holds segment ``j``'s length in its rail's row, in netlist order, and
+    zeros elsewhere.  One ``np.add.accumulate`` along the rows gives every rail's
     running wire total: an accumulation adds sequentially and adding 0.0
     changes no sum, so each total equals a running scalar sum's bit for
     bit.  Element ``i`` reads the column after the last segment placed at
@@ -335,13 +340,12 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTabl
     """
     model = model or PropagationModel()
     circuit = circuit.expanded
-    elements = circuit.elements
+    elements = circuit.columns
     n_elements = len(elements)
-    rails_of = [element.rails for element in elements]
-    # first and last rail of every element
-    rails = np.fromiter(chain(map(operator.itemgetter(0), rails_of),
-                              map(operator.itemgetter(-1), rails_of)),
-                        dtype=np.intp, count=2 * n_elements).reshape(2, n_elements)
+    # first and last rail of every element, C-ordered: the spread's
+    # reductions over the first axis took 0.45 ms on F-ordered times of 4500
+    # elements and take 0.015 ms on these
+    rails = elements.end_rails()
     delays = [math.nan] * circuit.n_rails
     for src in circuit.sources:
         delays[src.rail] = src.emission_delay
@@ -355,15 +359,8 @@ def arrival_times(circuit, model: PropagationModel | None = None) -> ArrivalTabl
                               if math.isnan(delays[r]))
             raise ConfigError(f"element {index} ({element.keyword}) "
                               f"needs a source on {names}")
-    segments = circuit.segments
-    n_segments = len(segments)
-    # one field at a time: zip(*segments) would hold an iterator per segment
-    # at once, enough new objects to set off garbage collections
-    seg_rails, lengths, positions = (
-        np.fromiter(map(operator.attrgetter(name), segments), dtype=dtype,
-                    count=n_segments)
-        for name, dtype in (("rail", np.intp), ("length", np.float64),
-                            ("position", np.intp)))
+    seg_rails, lengths, positions = circuit.wire_columns
+    n_segments = len(lengths)
     traveled = np.zeros((circuit.n_rails, n_segments + 1))
     traveled[seg_rails, np.arange(1, n_segments + 1)] = lengths
     reached = positions.searchsorted(np.arange(n_elements), side="right")
@@ -415,7 +412,8 @@ def _coherence(masks: np.ndarray, rails: np.ndarray,
 
 def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
              l_phi: float) -> tuple[np.ndarray, bool]:
-    """Average ``state`` over the Gaussian phases of one wire position.
+    """Average ``state`` over the Gaussian phases of one wire position,
+    whose segments ``group`` holds as two lists, rails and lengths.
 
     ``state`` is the factored ``B`` of ``rho = B B^H`` (a ``(dim,)`` vector or
     a ``(dim, r)`` array) or, when ``dense``, ``rho`` itself.  A segment on a
@@ -432,9 +430,9 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     masks = sector[support]
     mixed = int(np.bitwise_or.reduce(masks) ^ np.bitwise_and.reduce(masks))
     by_rail = {}
-    for seg in group:
-        if (mixed >> seg.rail) & 1:
-            by_rail[seg.rail] = by_rail.get(seg.rail, 0.0) + seg.length / l_phi
+    for rail, length in zip(*group):
+        if (mixed >> rail) & 1:
+            by_rail[rail] = by_rail.get(rail, 0.0) + length / l_phi
     if not by_rail:
         return state, dense
     s = support.size
@@ -487,7 +485,7 @@ def _free_probabilities(circuit, loaded: int) -> np.ndarray:
     rails = [r for r in range(n_rails) if ((loaded >> r) & 1) != holes]
     columns = np.zeros((n_rails, len(rails)), dtype=np.complex128)
     columns[rails, np.arange(len(rails))] = 1.0
-    apply_stretch(columns, n_rails, circuit.elements, 1)
+    apply_stretch(columns, n_rails, circuit.columns, 1)
     probabilities = np.abs(fock.lift_columns(columns)) ** 2
     return probabilities[::-1] if holes else probabilities
 
@@ -512,18 +510,18 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     n_electrons = loaded.bit_count()
     sector = fock.sector_basis(n_rails, n_electrons)
     mc = dephasing.mode == MODE_MC
-    if not mc and not any(isinstance(element, CoulombCoupler)
-                          for element in circuit.elements):
+    elements = circuit.columns
+    if not mc and not (elements.kinds == CC).any():
         return sector, _free_probabilities(circuit, loaded)
 
     state = np.zeros(sector.size, dtype=np.complex128)
     state[np.searchsorted(sector, loaded)] = 1.0
     dense = False
-    elements = circuit.elements
+    rails, lengths, positions = (
+        (column.tolist() for column in circuit.wire_columns) if mc else ((), (), ()))
     # one stretch per wire position in mc mode, else one; the wire after the
     # last element is left out: a phase channel keeps the diagonal of rho
-    cuts = [position for position, group in enumerate(circuit.wire[:-1])
-            if group] if mc else []
+    cuts = sorted({p for p in positions if p < len(elements)})
     start = 0
     for end in cuts + [len(elements)]:
         stretch = elements[start:end]
@@ -533,9 +531,10 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
                 # U rho is done; (U rho)^H = rho U^H, so U again gives U rho U^H
                 state = np.conjugate(state.T, order="C")
                 apply_stretch(state, n_rails, stretch, n_electrons)
-        if end < len(elements):
-            state, dense = _dephase(state, dense, circuit.wire[end], sector,
-                                    dephasing.l_phi)
+        if end < len(elements):  # the wire group at end: a slice of the wire
+            group = slice(bisect_left(positions, end), bisect_right(positions, end))
+            state, dense = _dephase(state, dense, (rails[group], lengths[group]),
+                                    sector, dephasing.l_phi)
         start = end
     if dense:
         return sector, state.diagonal().real.clip(min=0.0)
