@@ -31,10 +31,11 @@ primitive form, ``netlist.Circuit.expanded``.
 
 A circuit holds its elements compiled once, as ``ElementColumns``: one row
 per element, a kind code (``PS``, ``BS``, ``CC``, then one per macro), the
-rails and the numbers in integer and float columns.  The stages read the
-columns and build no element; the element objects are built from a row only
-when a caller asks for one.  ``ElementColumns.footprints`` applies the
-footprint rule to every row at once, and ``ElementColumns.expanded``
+rails and the numbers in integer and float columns.  The columns are the
+only form a circuit keeps: the stages read them and build no element, and
+the element objects are built from the rows only when a caller asks for
+them, for a hand-built circuit too.  ``ElementColumns.footprints`` applies
+the footprint rule to every row at once, and ``ElementColumns.expanded``
 replaces every macro at once by the rows of its synthesis, renamed onto its
 rails.
 
@@ -77,7 +78,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from itertools import chain
 from math import isfinite
 from typing import ClassVar, Union
@@ -93,17 +93,10 @@ HARDWARE_PHASE_RANGE = (0.0, math.pi)
 
 
 def _rail_pair(rails) -> tuple:
-    """``rails`` as a tuple of two distinct integer rails, else ``ValueError``.
-
-    Each rail is tested with ``type(rail) is int`` first; only a miss goes
-    through ``fock.require_integer``, the one integer rule.
-    """
-    if type(rails) is not tuple:
-        rails = tuple(rails)
-    if not (len(rails) == 2 and type(rails[0]) is int
-            and type(rails[1]) is int):
-        for rail in rails:
-            fock.require_integer(rail, "element rail")
+    """``rails`` as a tuple of two distinct integer rails, else ``ValueError``."""
+    rails = tuple(rails)
+    for rail in rails:
+        fock.require_integer(rail, "element rail")
     if len(rails) != 2 or rails[0] == rails[1]:
         raise ValueError(f"coupler rails must be a distinct pair, got {rails}")
     return rails
@@ -111,19 +104,18 @@ def _rail_pair(rails) -> tuple:
 
 def _checked_length(length) -> float:
     """An element's explicit ``len``, checked and stored as a ``float``."""
-    if type(length) is not float:
-        length = fock.require_float(length, "element length")
+    length = fock.require_float(length, "element length")
     if not (isfinite(length) and length >= 0.0):
         raise ValueError(f"element length must be finite and >= 0, got {length}")
     return length
 
 
 # The element classes are frozen dataclasses with their own ``__init__``:
-# it checks each field once, testing ``type(x) is int`` or ``type(x) is
-# float`` before it calls ``fock.require_integer`` or ``fock.require_float``
-# on a miss, and stores each checked value once with ``object.__setattr__``,
-# as a generated frozen ``__init__`` does (writing ``__dict__`` instead
-# would build a dict per element, which slows every later attribute read).
+# it checks each field once, by ``fock.require_integer`` or
+# ``fock.require_float``, and stores each checked value once with
+# ``object.__setattr__``, as a generated frozen ``__init__`` does (writing
+# ``__dict__`` instead would build a dict per element, which slows every
+# later attribute read).
 # ``dataclasses.replace`` calls the same ``__init__``.
 _set_field = object.__setattr__
 
@@ -140,10 +132,8 @@ class PhaseShifter:
     rails: tuple[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rail: int, phi: float, length: float | None = None):
-        if type(rail) is not int:
-            fock.require_integer(rail, "element rail")
-        if type(phi) is not float:
-            phi = fock.require_float(phi, "phi")
+        fock.require_integer(rail, "element rail")
+        phi = fock.require_float(phi, "phi")
         if not isfinite(phi):
             raise ValueError(f"phi must be finite, got {phi}")
         if length is not None:
@@ -178,15 +168,11 @@ class WaveguideCoupler:
                  transfer_length: float = DEFAULT_TRANSFER_LENGTH_UM,
                  length: float | None = None):
         rails = _rail_pair(rails)
-        if type(coupling_length) is not float:
-            coupling_length = fock.require_float(coupling_length,
-                                                 "coupling_length")
+        coupling_length = fock.require_float(coupling_length, "coupling_length")
         if not (isfinite(coupling_length) and coupling_length >= 0.0):
             raise ValueError(f"coupling_length must be >= 0, "
                              f"got {coupling_length}")
-        if type(transfer_length) is not float:
-            transfer_length = fock.require_float(transfer_length,
-                                                 "transfer_length")
+        transfer_length = fock.require_float(transfer_length, "transfer_length")
         if not (isfinite(transfer_length) and transfer_length > 0.0):
             raise ValueError(f"transfer_length must be > 0, "
                              f"got {transfer_length}")
@@ -214,8 +200,7 @@ class CoulombCoupler:
     def __init__(self, rails: tuple[int, int], chi_t: float,
                  length: float | None = None):
         rails = _rail_pair(rails)
-        if type(chi_t) is not float:
-            chi_t = fock.require_float(chi_t, "chi_t")
+        chi_t = fock.require_float(chi_t, "chi_t")
         if not isfinite(chi_t):
             raise ValueError(f"chi_t must be finite, got {chi_t}")
         if length is not None:
@@ -238,11 +223,9 @@ class CompositeGate:
     rails: tuple[int, ...]
 
     def __init__(self, name: str, rails: tuple[int, ...]):
-        if type(rails) is not tuple:
-            rails = tuple(rails)
+        rails = tuple(rails)
         for rail in rails:
-            if type(rail) is not int:
-                fock.require_integer(rail, "element rail")
+            fock.require_integer(rail, "element rail")
         spec = MACROS.get(name)
         if spec is None:
             raise ValueError(f"unknown composite gate '{name}'")
@@ -315,7 +298,7 @@ def fredkin_circuit(control_rail: int, target_pair,
 # rails tuple).  ``CompositeGate`` checks its arity here, the netlist parser
 # dispatches on it and derives its usage strings from the parameter names,
 # and ``ElementColumns.expanded`` splices each synthesis's rows, taken once
-# from ``macro_elements``.
+# from ``macro_elements`` into ``_TEMPLATES``.
 MACROS = {
     "hadamard": (("rail0", "rail1"), logical_hadamard),
     "fredkin": (("control", "t0", "t1"),
@@ -323,13 +306,8 @@ MACROS = {
 }
 
 
-@lru_cache(maxsize=4096)
 def macro_elements(name: str, rails: tuple) -> tuple:
-    """Primitive synthesis of macro ``name`` on ``rails`` (cached).
-
-    The elements are frozen, so one tuple is shared by every expansion of the
-    same macro on the same rails.
-    """
+    """Primitive synthesis of macro ``name`` on ``rails``."""
     return tuple(MACROS[name][1](rails))
 
 
@@ -379,15 +357,13 @@ class ElementColumns(Sequence):
     through ``kinds``, every row's kind code, ``end_rails`` and
     ``footprints``.
 
-    Indexing builds one row's element and slicing keeps columns.
-    ``objects``, every row as an element, is built on first read: the
-    columns of ``of(elements)`` keep ``elements`` as it, and those of an
-    expansion hold the ``declared`` columns they were expanded from, whose
-    macros become the shared objects of ``macro_elements``.
+    Indexing builds one row's element and slicing keeps columns, so
+    ``tuple(columns)`` is every row as a new element; the columns keep no
+    element object.
     """
 
-    def __init__(self, ints: np.ndarray, floats: np.ndarray, declared=None):
-        self.ints, self.floats, self.declared = ints, floats, declared
+    def __init__(self, ints: np.ndarray, floats: np.ndarray):
+        self.ints, self.floats = ints, floats
         self.kinds = ints[:, 0]
 
     @classmethod
@@ -400,9 +376,8 @@ class ElementColumns(Sequence):
 
     @classmethod
     def of(cls, elements) -> ElementColumns:
-        """The columns of gate ``elements``, kept as their ``objects``;
-        ``TypeError`` names the first object that is not a gate element."""
-        elements = tuple(elements)
+        """The columns of gate ``elements``; ``TypeError`` names the first
+        object that is not a gate element."""
         rows = []
         for index, element in enumerate(elements):
             numbers = _NUMBERS.get(type(element))
@@ -411,9 +386,7 @@ class ElementColumns(Sequence):
             rails = element.rails
             rows += (KEYWORDS.index(element.keyword), rails[0], rails[:2][-1],
                      rails[-1], *numbers(element))
-        columns = cls.of_rows(rows)
-        columns.__dict__["objects"] = elements
-        return columns
+        return cls.of_rows(rows)
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -431,14 +404,6 @@ class ElementColumns(Sequence):
         if kind == CC:
             return CoulombCoupler((rail0, rail1), number, length)
         return CompositeGate(KEYWORDS[kind], (rail0, rail1, rail2)[:ARITY[kind]])
-
-    @cached_property
-    def objects(self) -> tuple:
-        if self.declared is None:
-            return tuple(self)
-        return tuple(chain.from_iterable(
-            macro_elements(e.name, e.rails) if type(e) is CompositeGate else (e,)
-            for e in self.declared.objects))
 
     def end_rails(self) -> np.ndarray:
         """``(2, rows)`` array of every row's first and last rail: a one-rail
@@ -480,7 +445,7 @@ class ElementColumns(Sequence):
 
         A macro's primitives are its synthesis's rows in ``_TEMPLATES``,
         their rails ``0..k-1`` renamed to the macro's ``k`` rails, for every
-        macro at once: each expanded row is gathered from its declared row
+        macro at once: each expanded row is gathered from its source row
         or, for a macro, from its template row.
         """
         sizes = _SIZE[self.kinds]
@@ -494,7 +459,7 @@ class ElementColumns(Sequence):
         ints[macro, 1:] = self.ints[rows[macro, np.newaxis],
                                     1 + _TEMPLATES.ints[at, 1:]]
         floats[macro] = _TEMPLATES.floats[at]
-        return ElementColumns(ints, floats, self), offsets
+        return ElementColumns(ints, floats), offsets
 
 
 # each macro's primitives on the rails 0..k-1 of its k parameters, all in one

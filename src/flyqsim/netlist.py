@@ -45,10 +45,11 @@ order.  A hand-built ``Circuit`` compiles its elements and segments to the
 same columns in its constructor, under the same check.
 
 ``Circuit.elements``, ``segments`` and ``wire`` are built from the columns
-only when read.  ``Circuit.expanded`` is the primitive form every stage
-reads: the circuit itself without a macro, else its expansion, derived from
-the columns on first use, for a parsed circuit and a hand-built one alike.
-There is one parsing mode:
+only when read, for a hand-built circuit too: a circuit keeps no element
+or ``Segment`` object it was given.  ``Circuit.expanded`` is the primitive
+form every stage reads: the circuit itself without a macro, else its
+expansion, derived from the columns on first use, for a parsed circuit and
+a hand-built one alike.  There is one parsing mode:
 a ``ps`` holds any finite phase, and whether the dots reach it is
 ``PhaseShifter.hardware_realizable``, read per element over
 ``Circuit.expanded``, which holds the macros' phases too.  A rail outside
@@ -165,13 +166,17 @@ class Circuit:
     ``wire_columns``, three arrays (rail, length, position) in the canonical
     netlist order, sorted stably by position so that each position's wire
     keeps its declaration order.  The stages read these columns.
-    ``elements`` (the objects a hand-built circuit was given, else built
-    from the columns), ``segments``, ``wire`` (the segments grouped by
-    position) and ``expanded`` are derived on first read; ``==`` and
+    ``elements`` (``tuple(columns)``: new objects built from the rows, for
+    a hand-built circuit too), ``segments``, ``wire`` (the segments grouped
+    by position) and ``expanded`` are derived on first read; ``==`` and
     ``hash`` compare the columns and the other fields.
 
     Elements must be of the types ``serialize`` writes, else ``TypeError``.
-    Rail counts, rails and segment positions must be integers in range.
+    Rail counts, rails and segment positions must be integers in range; the
+    rail count and the detectors are stored as ``int``.  The constructor
+    is the one check of hand-built sources, detectors and registers
+    (``_checked_readout``); a parse checks each as it reads its line, and an
+    expansion copies the declared circuit's.
 
     ``registers`` is the one form of a dual-rail register: each is stored as
     ``(name, (rail0, rail1))`` with ``int`` rails, whose first rail carries
@@ -190,21 +195,23 @@ class Circuit:
 
     def __init__(self, n_rails: int, elements=(), segments=(), sources=(),
                  detectors=(), registers=()):
-        n_rails = require_integer(n_rails, "rail count")
+        n_rails = int(require_integer(n_rails, "rail count"))
         check_n_rails(n_rails)
+        elements = tuple(elements)
         columns = ElementColumns.of(elements)
         rows = []  # the segments' (rail, length, position) rows, in the order given
         for seg in segments:
-            rail, length, position = seg if type(seg) is Segment else Segment._make(seg)
+            rail, length, position = Segment._make(seg)
             require_integer(position, "segment position")
             rows += (require_integer(rail, "segment rail"),
                      require_float(length, "segment length"), position)
         wire = _wire_columns(rows)
         refused_elements, refused_wire = _refused(n_rails, columns, wire)
         if refused_elements.any():
-            # each element checked its other facts: a rail is out of range
+            # each element checked its other facts: a rail is out of range,
+            # named as given, since the columns clip a rail past 2^62
             index = int(refused_elements.argmax())
-            element = columns.objects[index]
+            element = elements[index]
             rail = next(r for r in element.rails if not 0 <= r < n_rails)
             raise ValueError(f"element {index} ({element.keyword}) rail "
                              f"{rail} outside [0, {n_rails})")
@@ -219,47 +226,15 @@ class Circuit:
                 "segment length must be finite and >= 0") + f": {seg!r}")
         order = wire[2].argsort(kind="stable")
         self._store(n_rails, columns, tuple(column[order] for column in wire),
-                    sources, detectors, registers)
+                    *_checked_readout(n_rails, sources, detectors, registers))
 
     def _store(self, n_rails, columns, wire, sources, detectors, registers):
-        """Check the sources, detectors and registers and store the fields
-        with the columns, which passed ``_refused``, the wire in netlist
-        order."""
-        sources, detectors = tuple(sources), tuple(detectors)
-        source_rails = set()
-        for src in sources:
-            if not 0 <= require_integer(src.rail, "source rail") < n_rails:
-                raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
-            if src.rail in source_rails:
-                raise ValueError(f"two sources on rail {src.rail}")
-            source_rails.add(src.rail)
-        for rail in detectors:
-            if not 0 <= require_integer(rail, "detector rail") < n_rails:
-                raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
-        if len(set(detectors)) != len(detectors):
-            raise ValueError(f"detector rails repeat: {detectors}")
-        checked, register_rails = [], set()
-        for name, pair in registers:
-            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
-                raise ValueError(f"invalid register name {name!r}")
-            if any(name == seen for seen, _ in checked):
-                raise ValueError(f"duplicate register name '{name}'")
-            pair = tuple(pair)
-            if len(pair) != 2:
-                raise ValueError(f"register '{name}' needs two rails, got "
-                                 f"{len(pair)}: {pair}")
-            for rail in pair:
-                if not 0 <= require_integer(rail, "register rail") < n_rails:
-                    raise ValueError(f"register '{name}' rail {rail} outside "
-                                     f"[0, {n_rails})")
-                if rail in register_rails:
-                    raise ValueError(f"register rails must be distinct: "
-                                     f"register '{name}' repeats rail {rail}")
-                register_rails.add(rail)
-            checked.append((name, (int(pair[0]), int(pair[1]))))
+        """Store the fields as given: the columns, which passed
+        ``_refused``, the wire in netlist order, and the checked tuples of
+        sources, detectors and registers."""
         self.__dict__.update(
             n_rails=n_rails, sources=sources, detectors=detectors,
-            registers=tuple(checked), columns=columns, wire_columns=wire,
+            registers=registers, columns=columns, wire_columns=wire,
             _macros=bool((columns.kinds > CC).any()))
 
     def _key(self) -> tuple:
@@ -276,9 +251,9 @@ class Circuit:
     def __hash__(self):
         return hash(self._key())
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
-        return self.columns.objects
+        return tuple(self.columns)
 
     @cached_property
     def segments(self) -> tuple:
@@ -304,7 +279,8 @@ class Circuit:
     @cached_property
     def _expanded(self) -> Circuit:
         """This circuit with each macro replaced by its primitives
-        (``ElementColumns.expanded``), without a second column check.  Each
+        (``ElementColumns.expanded``), without a second check of the columns
+        or of the sources, detectors and registers it copies.  Each
         segment moves to the expanded position of the element it preceded,
         so wire declared before a macro stays before its first primitive.
         The result holds no macro, so its own ``expanded`` is itself, and no
@@ -315,6 +291,48 @@ class Circuit:
         derived._store(self.n_rails, columns, (rails, lengths, offsets[positions]),
                        self.sources, self.detectors, self.registers)
         return derived
+
+
+def _checked_readout(n_rails: int, sources, detectors, registers) -> tuple:
+    """Hand-built sources, detectors and registers as the tuples a
+    ``Circuit`` stores, else ``ValueError``: rails in ``[0, n_rails)``, one
+    source per rail, no repeated detector, and registers with distinct
+    identifier names and two rails each, distinct across registers.
+    Detector and register rails are stored as ``int``."""
+    sources = tuple(sources)
+    source_rails = set()
+    for src in sources:
+        if not 0 <= require_integer(src.rail, "source rail") < n_rails:
+            raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
+        if src.rail in source_rails:
+            raise ValueError(f"two sources on rail {src.rail}")
+        source_rails.add(src.rail)
+    detectors = tuple(detectors)
+    for rail in detectors:
+        if not 0 <= require_integer(rail, "detector rail") < n_rails:
+            raise ValueError(f"detector rail {rail} outside [0, {n_rails})")
+    if len(set(detectors)) != len(detectors):
+        raise ValueError(f"detector rails repeat: {detectors}")
+    checked, register_rails = [], set()
+    for name, pair in registers:
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise ValueError(f"invalid register name {name!r}")
+        if any(name == seen for seen, _ in checked):
+            raise ValueError(f"duplicate register name '{name}'")
+        pair = tuple(pair)
+        if len(pair) != 2:
+            raise ValueError(f"register '{name}' needs two rails, got "
+                             f"{len(pair)}: {pair}")
+        for rail in pair:
+            if not 0 <= require_integer(rail, "register rail") < n_rails:
+                raise ValueError(f"register '{name}' rail {rail} outside "
+                                 f"[0, {n_rails})")
+            if rail in register_rails:
+                raise ValueError(f"register rails must be distinct: "
+                                 f"register '{name}' repeats rail {rail}")
+            register_rails.add(rail)
+        checked.append((name, (int(pair[0]), int(pair[1]))))
+    return sources, tuple(map(int, detectors)), tuple(checked)
 
 
 class NetlistError(Exception):
@@ -737,9 +755,10 @@ class _LineParser:
             return None
         if any(d.severity == "error" for d in self.diagnostics):
             return ParseResult(None, self.diagnostics)
+        # each source, detector and register was checked as its line was read
         circuit = object.__new__(Circuit)
-        circuit._store(self.n_rails, columns, wire, self.sources, self.detectors,
-                       self.registers)
+        circuit._store(self.n_rails, columns, wire, tuple(self.sources),
+                       tuple(self.detectors), tuple(self.registers))
         return ParseResult(circuit, self.diagnostics)
 
 

@@ -173,13 +173,19 @@ class CoincidenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SepSource:
-    """Single-electron pump: one electron (or none) after ``emission_delay`` ps."""
+    """Single-electron pump: one electron (or none) after ``emission_delay`` ps.
+
+    ``emits`` must be a ``bool`` (a numpy one too) and is stored as one.
+    """
 
     rail: int
     emission_delay: float
     emits: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.emits, (bool, np.bool_)):
+            raise ValueError(f"emits must be a bool, got {self.emits!r}")
+        object.__setattr__(self, "emits", bool(self.emits))
         delay = fock.require_float(self.emission_delay, "emission_delay")
         if not (math.isfinite(delay) and delay >= 0):
             raise ValueError(f"emission_delay must be finite and >= 0, "

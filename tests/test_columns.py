@@ -141,6 +141,9 @@ def test_a_hand_built_circuit_and_the_parse_of_its_text_agree(
     assert parsed.expanded.segments == circuit.expanded.segments
     assert parsed.expanded.wire == circuit.expanded.wire
     assert parsed == circuit and hash(parsed) == hash(circuit)
+    # the parser admits nothing the constructor refuses
+    assert Circuit(parsed.n_rails, parsed.elements, parsed.segments, parsed.sources,
+                   parsed.detectors, parsed.registers) == parsed
     assert parsed.expanded == circuit.expanded
     assert hash(parsed.expanded) == hash(circuit.expanded)
     for mode in ("off", "factor", "mc"):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyqsim.budget import rail_path_lengths
+from flyqsim.gates import fredkin_circuit, logical_hadamard
 from flyqsim.netlist import expand_composites, parse, serialize
 
 import corpus
@@ -127,12 +128,12 @@ def test_expanded_is_the_circuit_without_macros_and_none_on_errors():
     assert [f.name for f in dataclasses.fields(result)] == ["circuit", "diagnostics"]
 
 
-def test_repeated_macro_lines_expand_to_the_cached_primitives():
+def test_repeated_macro_lines_expand_to_equal_primitives():
     result = parse("rails 3\nhadamard q0 q1\nfredkin q0 q1 q2\nhadamard q0 q1\n")
     expanded = result.circuit.expanded
     first, again = expanded.elements[:3], expanded.elements[9:]
-    assert len(first) == 3
-    assert all(a is b for a, b in zip(first, again))
+    assert list(first) == list(again) == logical_hadamard((0, 1))
+    assert list(expanded.elements[3:9]) == fredkin_circuit(0, (1, 2))
 
 
 @pytest.mark.parametrize("build", [corpus.random_runnable_circuit,

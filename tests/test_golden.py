@@ -93,6 +93,18 @@ def test_diagnostics_match_golden(case):
     assert result.ok == all(d[3] != "error" for d in case["diagnostics"])
 
 
+@pytest.mark.parametrize("case", [
+    case for case in DIAGNOSTIC_CASES
+    if all(d[3] != "error" for d in case["diagnostics"])],
+    ids=lambda case: case["id"])
+def test_a_parse_without_error_is_a_circuit_the_constructor_admits(case):
+    # the parser checks each line as it reads it and the constructor is not
+    # run on its result: what it builds must pass the constructor unchanged
+    parsed = parse(case["text"]).circuit
+    assert Circuit(parsed.n_rails, parsed.elements, parsed.segments, parsed.sources,
+                   parsed.detectors, parsed.registers) == parsed
+
+
 def test_golden_corpus_has_no_repeated_case_or_id():
     for key in ("id", "text"):
         values = [case[key] for case in DIAGNOSTIC_CASES]

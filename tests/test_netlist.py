@@ -357,10 +357,17 @@ def test_circuit_rejects_rail_counts_rails_and_positions_a_netlist_cannot_spell(
 
 def test_circuit_accepts_numpy_integers():
     rail = np.int64(1)
-    circuit = Circuit(np.int64(2), [PhaseShifter(rail, 0.1)],
+    circuit = Circuit(np.int64(2), [PhaseShifter(rail, np.float32(0.5))],
                       segments=[Segment(rail, 1.0, np.int64(1))],
-                      sources=[SepSource(rail, 0.0)], detectors=[rail])
+                      sources=[SepSource(rail, 0.0)], detectors=[np.int64(0), rail])
     assert parse_circuit(serialize(circuit)) == circuit
+    # hand-built fields read back in the one form a parse gives them
+    shifter = circuit.elements[0]
+    assert type(shifter.rail) is int and type(shifter.phi) is float
+    assert shifter == PhaseShifter(1, float(np.float32(0.5)))
+    assert type(circuit.n_rails) is int
+    assert circuit.detectors == (0, 1)
+    assert [type(rail) for rail in circuit.detectors] == [int, int]
 
 
 def test_circuit_stores_segments_given_as_triples_as_segments():
@@ -561,14 +568,13 @@ def test_macro_table_drives_arity_usage_and_expansion():
         assert [d.message for d in result.diagnostics] == [f"usage: {usage}"]
 
 
-def test_macro_synthesis_is_cached_and_shared():
+def test_macro_synthesis_is_the_macro_table_entry_on_its_rails():
     from flyqsim.gates import macro_elements
 
-    first = macro_elements("fredkin", (0, 1, 2))
-    assert macro_elements("fredkin", (0, 1, 2)) is first
-    assert list(first) == fredkin_circuit(0, (1, 2))
+    synthesis = fredkin_circuit(0, (1, 2))
+    assert list(macro_elements("fredkin", (0, 1, 2))) == synthesis
     circuit = parse_circuit("rails 3\nfredkin q0 q1 q2\nhadamard q1 q2\nfredkin q0 q1 q2\n")
     expanded = expand_composites(circuit)
-    assert all(a is b for a, b in zip(expanded.elements[:6], first))
-    assert all(a is b for a, b in zip(expanded.elements[9:], first))
+    assert list(expanded.elements[:6]) == synthesis
+    assert list(expanded.elements[9:]) == synthesis
     assert expanded.elements[6:9] == tuple(logical_hadamard((1, 2)))

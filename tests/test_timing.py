@@ -17,7 +17,7 @@ from flyqsim.gates import (
     WaveguideCoupler,
     apply_element_batch,
 )
-from flyqsim.netlist import Circuit, Segment, serialize
+from flyqsim.netlist import Circuit, Segment, parse_circuit, serialize
 from flyqsim.timing import (
     CoincidenceError,
     ConfigError,
@@ -696,6 +696,24 @@ def test_model_numbers_that_are_not_numbers_are_refused(field, value):
 def test_source_delay_must_be_finite(delay):
     with pytest.raises(ValueError, match="emission_delay must be finite and >= 0"):
         SepSource(0, delay)
+
+
+@pytest.mark.parametrize("emits", ["False", "", 0, 1, None, np.int64(1)],
+                         ids=["str", "empty-str", "0", "1", "None", "int64"])
+def test_source_emits_must_be_a_bool(emits):
+    # emits was read by truthiness: "False" loaded an electron, and
+    # serialize then wrote the source without 'empty'
+    with pytest.raises(ValueError, match="emits must be a bool"):
+        SepSource(1, 0.0, emits)
+
+
+@pytest.mark.parametrize("emits", [np.True_, np.False_])
+def test_source_emits_is_stored_as_a_bool(emits):
+    source = SepSource(1, 0.0, emits)
+    assert type(source.emits) is bool and source.emits == emits
+    circuit = Circuit(2, [WaveguideCoupler((0, 1), **BALANCED)],
+                      sources=[SepSource(0, 0.0), source], detectors=[0, 1])
+    assert parse_circuit(serialize(circuit)) == circuit
 
 
 def test_run_shots_argument_validation():
