@@ -26,13 +26,19 @@ columns are those of a factored or a dense density matrix
 (``timing.outcome_probabilities``), or single-particle orbitals: the
 one-electron sector ``sector_basis(n_rails, 1)`` is the masks ``1 << r``
 in rail order.  One basis position is one contiguous row, so a gather
-moves whole rows.  ``apply_mode_unitaries`` applies a sequence of two-rail
-mode unitaries, with the phases that act between them, in one call: on a
+moves whole rows.  ``apply_mode_unitaries`` applies a stretch compiled by
+``gates.apply_stretch``, its two-rail mode unitaries as rows of nine
+coefficients and the diagonal phases between them, in one call.  On a
 sector of at most ``_MAX_ROW_MASKS`` masks each unitary goes in partner
-form, ``x <- a * x + b * x[partner]``, five array operations, and
-otherwise each is one ``mode_unitary_batch``, which updates only the
-positions of its pair's cached plan (``_pair_plan``).  The stretch kernel
-``gates.apply_stretch`` turns elements into these unitaries and phases.
+form, ``x <- A * x + B * x[partner]``, one gather, two products and a sum:
+the partner rows of the stretch's distinct pairs are built in one pass per
+call and cached nowhere, each unitary's rows ``A`` and ``B`` are picked
+from its coefficients a block at a time, and the phases after a unitary
+fold into its rows, so no phase gets a call of its own; the phases before
+the first unitary are one diagonal product.  Otherwise each unitary is one
+``mode_unitary_batch``, which updates only the positions of its pair's
+cached plan (``_pair_plan``), and each phase one product on the masks it
+occupies.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
@@ -59,11 +65,19 @@ basis, the probabilities, their running sum and the counts (512 MiB at the
 cap).  Nor does it count the free path's cached lift plans, 5 bytes per
 electron per mask of every sector the lift goes through: 480 MiB at 24
 rails with 12 electrons and 2.0 GiB at 26 rails with 13 electrons, both
-admitted.  Nor does it count the cached pair indices: at 24 rails with 12
-electrons one ``_pair_plan`` entry is 22.1 MB (2.83 GB for its 128
+admitted.  Nor does it count the cached pair indices of the position
+updates, which run only above ``_MAX_ROW_MASKS`` masks: at 24 rails with
+12 electrons one ``_pair_plan`` entry is 22.1 MB (2.83 GB for its 128
 entries), one ``pair_occupied_indices`` entry 5.2 MB (0.66 GB for 128)
 and one ``rail_occupied_indices`` entry 10.8 MB (0.26 GB for 24 rails),
-all computed figures.
+all computed figures.  The partner form caches nothing: each call counts
+what it builds through ``check_capacity``, 56 bytes a mask per distinct
+pair, 48 per unitary of a block and 56 per phase of the block with the
+most (the masks it occupies, their places in the rows and their turns),
+beside the compiled stretch, 160 bytes a unitary and 40 a phase.  For
+1000 couplers over all 45 pairs of 10 rails with 1000 phase shifters and
+510 Coulomb couplers on 252 masks that is 2.2 MB, and the call peaks at
+1.8 MB.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
 outcome probabilities and a block of uniforms it adds to a count array, by
@@ -91,13 +105,14 @@ MAX_AMPLITUDES = 1 << 24
 # temporaries hold up to 48 bytes a mask
 _LIFT_BLOCK = 1 << 12
 # apply_mode_unitaries uses partner rows on a sector of at most
-# _MAX_ROW_MASKS masks, which also bounds the _partner_row cache.  Rows
-# against one position update per unitary on a 2-vCPU Xeon: 600 random
-# primitives (222 couplers) took 3.7 against 5.4 ms over 70 masks, 5.5
-# against 7.2 ms over 252 and 7.1 against 5.6 ms over 462.  Above the
-# bound position updates stay: the per-coupler work alone (warm tables, one
-# vector, best of 20) took 113 against 66 us over 12870 masks, 795 against
-# 299 us over 48620 and 4321 against 1724 us over 184756
+# _MAX_ROW_MASKS masks, which also bounds what they hold.  Rows against one
+# position update per unitary on a 2-vCPU Xeon, measured with the earlier
+# rows cached per pair: 600 random primitives (222 couplers) took 3.7
+# against 5.4 ms over 70 masks, 5.5 against 7.2 ms over 252 and 7.1
+# against 5.6 ms over 462.  Above the bound position updates stay: the
+# per-coupler work alone (warm tables, one vector, best of 20) took 113
+# against 66 us over 12870 masks, 795 against 299 us over 48620 and 4321
+# against 1724 us over 184756
 _MAX_ROW_MASKS = 256
 
 
@@ -357,119 +372,187 @@ def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
     return idx
 
 
-@lru_cache(maxsize=128, typed=True)
-def _partner_row(n_rails: int, lo: int, hi: int, n_electrons: int):
-    """Partner row and coefficient classes of the rail pair ``lo < hi``
-    (cached, read-only).
+# A compiled unitary's nine coefficients, lower rail first: 1, u00, u11,
+# det(u), 0, u01, u10, -u01, -u10.  Column c of _CLASSES picks a mask's own
+# coefficient and its partner's, for the code c = the parity of the occupied
+# rails between the pair + 2 * its lower bit + 4 * its upper bit: with
+# neither rail occupied 1 and 0, with both det(u) and 0
+COEFFICIENTS = 9
+_CLASSES = np.array([[0, 0, 1, 1, 2, 2, 3, 3], [4, 4, 5, 7, 6, 8, 4, 4]])
 
-    Returns ``(partner, classes)`` over ``sector_basis(n_rails,
-    n_electrons)``: ``partner`` (intp) holds, for every position, that of
-    the same mask with the pair's one electron on the other rail, or the
-    position itself with none or two.  ``classes`` is a ``(2, dim)`` intp
-    array; ``classes[0]`` picks each mask's own coefficient and
-    ``classes[1]`` its partner's from a unitary's ``_coefficients`` row.
-    24 bytes a mask: ``apply_mode_unitaries`` builds them only for sectors
-    of at most ``_MAX_ROW_MASKS`` masks, so the cache holds at most 768 KiB.
+
+def _pair_rows(basis: np.ndarray, bits: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray):
+    """Partner rows and coefficient classes of the rail pairs ``lo < hi``.
+
+    ``bits`` is ``(n_rails, dim)`` bool, row ``r`` true on the masks of
+    ``basis`` that occupy rail ``r``.  Returns
+    ``(partner, classes)``, a ``(p, dim)`` and a ``(2, p, dim)`` intp array,
+    all pairs in one pass: ``partner[i]`` holds, for every position, that of
+    the same mask with pair ``i``'s one electron on the other rail, or the
+    position itself with none or two; ``classes[0, i]`` picks each mask's
+    own coefficient and ``classes[1, i]`` its partner's (see
+    ``COEFFICIENTS``).
     """
-    positions, signs = _pair_plan(n_rails, lo, hi, n_electrons)
-    hops = signs.size
-    lo_only, hi_only = positions[:hops], positions[hops:2 * hops]
-    partner = np.arange(sector_basis(n_rails, n_electrons).size)
-    partner[lo_only] = hi_only
-    partner[hi_only] = lo_only
-    classes = np.empty((2, partner.size), dtype=np.intp)
-    classes[0] = 0
-    classes[0, lo_only] = 1
-    classes[0, hi_only] = 2
-    classes[0, positions[2 * hops:]] = 3
-    classes[1] = 4
-    negative = signs < 0.0
-    classes[1, lo_only] = 5 + negative
-    classes[1, hi_only] = 7 + negative
-    partner.setflags(write=False)
-    classes.setflags(write=False)
-    return partner, classes
+    lo_bit, hi_bit = bits[lo], bits[hi]
+    dim = basis.size
+    # moving a pair's electron from the lower rail to the upper adds the same
+    # number to every such mask, so the i-th mask with only the lower rail
+    # occupied and the i-th with only the upper one are partners
+    src = (lo_bit > hi_bit).ravel().nonzero()[0]
+    dst = (hi_bit > lo_bit).ravel().nonzero()[0]
+    partner = np.arange(lo.size * dim)
+    partner[src] = dst
+    partner[dst] = src
+    partner %= dim
+    odd = np.bitwise_count(basis & ((1 << hi) - (2 << lo))[:, np.newaxis])
+    odd &= 1
+    code = np.add(lo_bit, hi_bit, dtype=np.intp)
+    code += hi_bit
+    code += code
+    code += odd.view(np.bool_)
+    return partner.reshape(lo.size, dim), _CLASSES.take(code, axis=1)
 
 
-def _coefficients(u: np.ndarray) -> np.ndarray:
-    """Per unitary of ``(c, 2, 2)`` u on a pair, lower rail first, the
-    coefficients its ``_partner_row`` classes pick: 1, u00, u11, det(u), 0,
-    u01, -u01, u10, -u10."""
-    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
-    return np.stack((np.ones(len(u)), u[:, 0, 0], u[:, 1, 1], det,
-                     np.zeros(len(u)), u[:, 0, 1], -u[:, 0, 1], u[:, 1, 0],
-                     -u[:, 1, 0]), axis=1)
-
-
-def _apply_phase(batch: np.ndarray, n_rails: int, rails, angle: float,
-                 n_electrons: int) -> None:
-    """``exp(i angle)`` on the masks that occupy every rail of ``rails``."""
-    idx = (rail_occupied_indices(n_rails, rails[0], n_electrons)
-           if len(rails) == 1 else
-           pair_occupied_indices(n_rails, *rails, n_electrons))
-    # out of place: numpy rounds an in-place complex product of one
-    # amplitude differently from a longer one
-    batch[idx] = batch[idx] * complex(math.cos(angle), math.sin(angle))
-
-
-def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs, u,
-                         n_electrons: int, phases=()) -> None:
-    """Apply two-rail mode unitaries in turn to sector amplitudes, in place.
+def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
+                         coefficients: np.ndarray, n_electrons: int, phases,
+                         block: int) -> None:
+    """Apply compiled two-rail mode unitaries in turn to sector amplitudes,
+    with the diagonal phases between them, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the update acts on alike; its first axis follows
-    ``sector_basis(n_rails, n_electrons)``.  Unitary ``i`` is the 2x2
-    ``u[i]`` (``u`` is a ``(c, 2, 2)`` array or the nested sequence of one)
-    on the rails ``pairs[i]``, first rail first, acting as
-    ``mode_unitary_batch`` does.  ``phases`` lists ``(before, rails,
-    angle)`` in order of ``before``: ``exp(i angle)`` multiplies the masks
-    that occupy every rail of ``rails`` (one rail or two) just before
-    unitary ``before``, or after the last one when ``before == len(pairs)``.
+    ``sector_basis(n_rails, n_electrons)``.  Unitary ``j`` acts on the rails
+    of row ``j`` of the ``(c, 2)`` intp ``pairs``, lower rail first, as
+    ``mode_unitary_batch`` does, by the 2x2 ``u`` whose ``COEFFICIENTS``
+    are row ``j`` of the ``(c, 9)`` complex ``coefficients``.  ``phases``
+    is None or ``(after, rails_a, rails_b, turns)``, four arrays with
+    ascending ``after``: phase ``i`` multiplies the masks that occupy both
+    ``rails_a[i]`` and ``rails_b[i]`` (one rail when they are equal) by
+    ``turns[i]`` just after unitary ``after[i]``, or before the first one
+    when ``after[i] == -1``.  The rails are not checked.
 
-    On a sector of 2 to ``_MAX_ROW_MASKS`` masks each unitary goes in
-    partner form, ``x <- a * x + b * x[partner]``, in place with one
-    gathered copy of ``batch``; the rows ``a`` and ``b`` are taken from nine
-    numbers per unitary by the pair's cached ``_partner_row``.
-    Otherwise each unitary is one ``mode_unitary_batch``, which touches
-    only the masks with an electron on its pair.  A rail outside ``[0,
-    n_rails)`` raises ``ValueError`` from the index helpers before the
-    unitary or the phase that holds it changes ``batch``.
+    On a sector of 2 to ``_MAX_ROW_MASKS`` masks every unitary goes in
+    partner form, ``x <- A * x + B * x[partner]``: one gather, two products
+    and a sum.  The partner rows and coefficient classes of the distinct
+    pairs are built once, in one pass (``_pair_rows``); ``check_capacity``
+    counts them with one block's rows and phases.  ``block`` unitaries at a
+    time, each one's rows ``A`` and ``B`` are picked from its coefficients
+    by the classes of its pair, and the phases after it fold into both,
+    ``A *= D`` and ``B *= D`` with ``D`` their product on the masks they
+    occupy (``_phase_places``).  The phases before the first unitary are
+    one diagonal product.  Otherwise each
+    unitary is one ``mode_unitary_batch``, which touches only the masks
+    with an electron on its pair, and each phase one product on the masks
+    it occupies.
     """
-    dim = sector_basis(n_rails, n_electrons).size
-    count = len(pairs)
-    u = np.array(u, dtype=np.complex128).reshape(count, 2, 2)
-    rows = 1 < dim <= _MAX_ROW_MASKS
-    if rows:
-        # mode 0 is the lower rail: conjugate a reversed pair's u by the swap
-        swapped = np.array([r0 > r1 for r0, r1 in pairs])
-        coefficients = _coefficients(np.where(
-            swapped[:, np.newaxis, np.newaxis], u[:, ::-1, ::-1], u))
-        scale = np.empty((2, dim), dtype=np.complex128)
-        # views of the two rows of scale, a column against a batch
-        a, b = scale[:, :, np.newaxis] if batch.ndim == 2 else scale
-        hop = np.empty_like(batch)
-    phases = iter(phases)
-    phase = next(phases, None)
-    for i in range(count):
-        while phase is not None and phase[0] == i:
-            _apply_phase(batch, n_rails, phase[1], phase[2], n_electrons)
-            phase = next(phases, None)
-        if rows:
-            r0, r1 = pairs[i]
-            partner, classes = (_partner_row(n_rails, r0, r1, n_electrons)
-                                if r0 < r1 else
-                                _partner_row(n_rails, r1, r0, n_electrons))
-            coefficients[i].take(classes, out=scale)
+    basis = sector_basis(n_rails, n_electrons)
+    dim, count = basis.size, len(pairs)
+    if not 1 < dim <= _MAX_ROW_MASKS:
+        _apply_by_positions(batch, n_rails, pairs, coefficients, n_electrons, phases)
+        return
+    bits = (basis & (1 << np.arange(n_rails))[:, np.newaxis]) != 0
+    column = batch.ndim == 2
+    # the distinct pairs, numbered through a table over every pair of rails
+    key = pairs[:, 0] * n_rails
+    key += pairs[:, 1]
+    slot = np.zeros(n_rails * n_rails, dtype=np.intp)
+    slot[key] = 1
+    distinct = slot.nonzero()[0]
+    slot[distinct] = np.arange(distinct.size)
+    block = max(1, min(block, count))
+    # the phases before the first unitary, then those after each block's
+    after = np.zeros(0, dtype=np.intp) if phases is None else phases[0]
+    bounds = [0] + after.searchsorted(np.arange(0, count + block, block)).tolist()
+    # bytes a mask: one for each rail; 56 for each distinct pair, its
+    # partner row, its classes and their temporaries; 48 for each unitary of
+    # a block, its rows and their classes; 56 for each phase of a block, the
+    # masks it occupies and their places and turns.  Then the gathered copy
+    # of batch, and the stretch as compiled: 160 bytes a unitary, its pair
+    # and its coefficients, and 40 a phase
+    most = max(high - low for low, high in zip(bounds, bounds[1:]))
+    check_capacity((n_rails + 56 * distinct.size + 48 * block + 56 * most) * dim // 16
+                   + batch.size + 10 * count + 3 * after.size + 1,
+                   f"the rows of {count} unitaries over {dim} masks")
+    if bounds[1]:
+        place, turn = _phase_places(bits, phases, 0, bounds[1], -1)
+        factor = np.ones(dim, dtype=np.complex128)
+        np.multiply.at(factor, place, turn)
+        batch *= factor[:, np.newaxis] if column else factor
+    if not count:
+        return
+    partners, classes = _pair_rows(basis, bits, *np.divmod(distinct, n_rails))
+    owned = slot.take(key)
+    # each unitary's partner row, a view of its pair's
+    partners = list(partners)
+    partners = [partners[i] for i in owned.tolist()]
+    hop = np.empty_like(batch)
+    # the per-unitary calls, looked up once and given positional arguments:
+    # on 70 masks that took 1000 unitaries from 1.66 to 1.43 ms
+    take, multiply, add = batch.take, np.multiply, np.add
+    # one block's coefficient indices and A and B rows, reused
+    index = np.empty((2, block, dim), dtype=np.intp)
+    rows = np.empty((2, block, dim), dtype=np.complex128)
+    own_rows, partner_rows = rows.reshape(2, -1)
+    offsets = np.arange(0, COEFFICIENTS * count, COEFFICIENTS)[:, np.newaxis]
+    for start, low, high in zip(range(0, count, block), bounds[1:], bounds[2:]):
+        own = owned[start:start + block]
+        size = own.size
+        # mode "clip" writes into out unbuffered; every index is in range
+        classes.take(own, axis=1, out=index[:, :size], mode="clip")
+        index[:, :size] += offsets[start:start + size]
+        coefficients.take(index[:, :size], out=rows[:, :size], mode="clip")
+        if low < high:
+            place, turn = _phase_places(bits, phases, low, high, start)
+            # one call per row, which keeps ufunc.at on its fast 1-D path
+            np.multiply.at(own_rows, place, turn)
+            np.multiply.at(partner_rows, place, turn)
+        pick = rows[:, :size, :, np.newaxis] if column else rows[:, :size]
+        for a, b, p in zip(pick[0], pick[1], partners[start:start + size]):
             # mode "clip" is not buffered: the gather writes into hop
-            batch.take(partner, axis=0, out=hop, mode="clip")
-            hop *= b
-            batch *= a
-            batch += hop
-        else:
-            mode_unitary_batch(batch, n_rails, pairs[i], u[i], n_electrons)
-    while phase is not None:
-        _apply_phase(batch, n_rails, phase[1], phase[2], n_electrons)
-        phase = next(phases, None)
+            take(p, 0, hop, "clip")
+            multiply(hop, b, hop)
+            multiply(batch, a, batch)
+            add(batch, hop, batch)
+
+
+def _phase_places(bits: np.ndarray, phases, low: int, high: int, start: int):
+    """The masks that phases ``low`` to ``high`` occupy, as places in the
+    flat rows of the unitaries from ``start`` on (the place of a mask in the
+    rows of the unitary each phase follows), and the turn of each place."""
+    after, rails_a, rails_b, turns = phases
+    dim = bits.shape[1]
+    hits = (bits[rails_a[low:high]] & bits[rails_b[low:high]]).ravel().nonzero()[0]
+    phase, place = np.divmod(hits, dim)
+    phase += low
+    shift = after.take(phase)
+    shift -= start
+    shift *= dim
+    place += shift
+    return place, turns.take(phase)
+
+
+def _apply_by_positions(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
+                        coefficients: np.ndarray, n_electrons: int, phases) -> None:
+    """``apply_mode_unitaries`` above ``_MAX_ROW_MASKS`` masks: each unitary
+    one ``mode_unitary_batch`` and each phase one product on the masks that
+    occupy its rails (the cached index helpers)."""
+    u = coefficients[:, [1, 5, 6, 2]].reshape(-1, 2, 2)
+    pairs = pairs.tolist()
+    after, rails_a, rails_b, turns = (((), (), (), ()) if phases is None else
+                                      (values.tolist() for values in phases))
+    phase = 0
+    for j in range(-1, len(pairs)):
+        if j >= 0:
+            mode_unitary_batch(batch, n_rails, pairs[j], u[j], n_electrons)
+        while phase < len(after) and after[phase] == j:
+            a, b = rails_a[phase], rails_b[phase]
+            idx = (rail_occupied_indices(n_rails, a, n_electrons) if a == b else
+                   pair_occupied_indices(n_rails, a, b, n_electrons))
+            # out of place: numpy rounds an in-place complex product of one
+            # amplitude differently from a longer one
+            batch[idx] = batch[idx] * turns[phase]
+            phase += 1
 
 
 def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,

@@ -59,14 +59,15 @@ circuit's primitive form; the parser accepts any finite phase.
 
 The elements act through one kernel, ``apply_stretch``, on sector
 amplitudes and on single-particle orbitals alike: orbitals are columns of
-the one-electron sector.  It walks the columns of a stretch of primitives
-once, holds each phase shifter until a coupler on its rail needs it, folds it into that
-coupler's 2x2 matrix and hands the couplers, with the Coulomb phases in
-their places between them, to ``fock.apply_mode_unitaries`` a block at a
-time.  ``apply_element_batch`` is that kernel on a one-element stretch.
-The kernel compares no rail: the ``fock`` index helpers refuse a rail
-outside the register, so a bad rail may raise after later elements of the
-stretch have changed the amplitudes.
+the one-electron sector.  It compiles a stretch of primitives once, with
+a fixed number of array operations over its columns and no walk over its
+rows: each phase shifter is summed into the 2x2 matrix of the next coupler
+on its rail, every coupler becomes a row of nine coefficients, and the
+Coulomb phases keep their places between the couplers.
+``fock.apply_mode_unitaries`` applies the compiled stretch, each coupler
+one gather, two products and a sum on a sector of at most 256 masks.
+``apply_element_batch`` is that kernel on a one-element stretch.  A rail
+outside the register is refused before the amplitudes change.
 
 The brute-force oracles that check this kernel, dense ``2^n x 2^n``
 matrices built from ladder operators, live in the test suite
@@ -337,7 +338,7 @@ def float_table(rows: list, width: int) -> np.ndarray:
     stays out of range, and is refused as such.
     """
     try:
-        return np.array(rows, dtype=np.float64).reshape(-1, width)
+        return np.fromiter(rows, dtype=np.float64, count=len(rows)).reshape(-1, width)
     except OverflowError:
         return float_table([min(max(x, -2**62), 2**62) if isinstance(x, int)
                             else x for x in rows], width)
@@ -473,11 +474,11 @@ _SIZE = np.array([1] * (CC + 1) + [len(synthesis) for synthesis in _SYNTHESES])
 _FIRST = _SIZE.cumsum() - _SIZE - (CC + 1)
 
 
-def coupler_angle(coupling_length, transfer_length):
-    """theta = (pi/2) L_c / L_t, of floats or elementwise of arrays."""
-    if not np.greater(transfer_length, 0.0).all():
+def coupler_angle(coupling_length: float, transfer_length: float) -> float:
+    """theta = (pi/2) L_c / L_t."""
+    if not transfer_length > 0.0:
         raise ValueError(f"transfer_length must be > 0, got {transfer_length}")
-    if np.less(coupling_length, 0.0).any():
+    if coupling_length < 0.0:
         raise ValueError(f"coupling_length must be >= 0, got {coupling_length}")
     return (math.pi / 2.0) * (coupling_length / transfer_length)
 
@@ -494,11 +495,31 @@ def coupler_matrix(coupling_length: float, transfer_length: float) -> np.ndarray
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-# a stretch hands its couplers to fock.apply_mode_unitaries this many at a
-# time, so that what it builds beside batch stays small: evolving the
-# long_netlist benchmark circuit (1000 couplers) peaked at 519 KiB under
-# tracemalloc in one call and at 70 KiB in blocks of 128
-_BLOCK_COUPLERS = 128
+# fock.apply_mode_unitaries builds the rows of this many couplers at a time:
+# at most 64 x 256 masks x 48 bytes, 768 KiB, beside the state
+_BLOCK_COUPLERS = 64
+# a compiled coupler's first and fifth coefficients
+_ONE_ZERO = np.array([1.0, 0.0], dtype=np.complex128)
+
+
+def _held(rows: int, n_rails: int, pairs: np.ndarray, bs: np.ndarray,
+          rails: np.ndarray, ps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The phase shifters' angles summed, in row order, into the next
+    coupler end on their rails: ``2 j`` for the lower rail of coupler ``j``
+    (rows ``bs``, rails ``pairs``, lower first) and ``2 j + 1`` for its
+    upper, or ``2 len(bs) + rail`` after the last coupler on that rail.
+    The phase shifters are at rows ``ps``, on ``rails``, turning by
+    ``angles``."""
+    # the coupler ends and one closing slot per rail, keyed by rail, then row
+    stride = rows + 1
+    ends = pairs * stride
+    ends += bs[:, np.newaxis]
+    slots = np.concatenate((ends.ravel(), np.arange(rows, n_rails * stride, stride)))
+    by = slots.argsort(kind="stable")
+    keys = rails * stride
+    keys += ps
+    return np.bincount(by.take(slots.searchsorted(keys, sorter=by)), angles,
+                       minlength=slots.size)
 
 
 def apply_stretch(batch: np.ndarray, n_rails: int, elements,
@@ -516,56 +537,85 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     columns of the one-electron sector: every hopping sign is +1 and a
     Coulomb coupler acts as the identity.
 
-    The phase shifters are diagonal, so they commute with each other and
-    with a coupler on other rails.  Each is held, summed per rail, until a
-    coupler on its rail needs it and is folded into that coupler's 2x2
-    matrix, ``u <- u @ diag(exp(i phi_0), exp(i phi_1))``; what is held
-    after the last coupler is applied at the end, rail by rail in ascending
-    order, a zero angle too.  A Coulomb phase is applied where it stands,
-    before the next coupler, whatever its angle.  The couplers and the
-    phases go to ``fock.apply_mode_unitaries``, ``_BLOCK_COUPLERS``
-    couplers a call.
+    The stretch is compiled once (``_compile``), with array operations
+    over its columns and no walk over its rows.  The phase shifters are
+    diagonal, so they commute with each other and with a coupler on other
+    rails: each one's angle is summed, in row order (``_held``), into the
+    next coupler on its rail and folded into that coupler's 2x2 matrix,
+    ``u <- u @ diag(exp(i phi_lo), exp(i phi_hi))``, lower rail first, and
+    every coupler becomes a row of nine coefficients.  What is held after
+    the last coupler on a rail becomes a phase after the stretch's last
+    coupler, rail by rail in ascending order; a sum of exactly zero is
+    dropped.  The Coulomb phases keep their places between the couplers.
+    ``fock.apply_mode_unitaries`` applies the compiled couplers with these
+    phases, ``_BLOCK_COUPLERS`` couplers' rows at a time.
+
     ``elements`` is an ``ElementColumns`` or a sequence of elements, which
-    is compiled to one; the walk reads its columns.  The kernel compares no
-    rail: ``fock``'s
-    index helpers are the one rail check, so a rail outside ``[0,
-    n_rails)`` raises ``ValueError`` when the coupler or the phase on it is
-    applied.  By then the elements before it may have changed ``batch``,
-    and for a held phase shifter the later elements of the stretch too.
-    A macro raises ``TypeError`` while the stretch is walked, before the
-    block that holds it is applied.
+    is compiled to one.  Before ``batch`` changes, a macro raises
+    ``TypeError`` and a rail outside ``[0, n_rails)`` ``ValueError``, as
+    ``fock.check_rail`` words it.
     """
     if not isinstance(elements, ElementColumns):
         elements = ElementColumns.of(elements)
-    # the angle of each row: phi, a waveguide coupler's angle or chi_t
-    kinds, rails0, rails1, _ = elements.ints.T.tolist()
-    couplers = elements.kinds == BS
-    angles = elements.floats[:, 0].copy()
-    angles[couplers] = coupler_angle(angles[couplers], elements.floats[couplers, 1])
-    held = {}       # rail -> summed angle of the phase shifters held on it
-    pairs, us, phases = [], [], []
-    for kind, r0, r1, angle in zip(kinds, rails0, rails1, angles.tolist()):
-        if kind == PS:
-            held[r0] = held.get(r0, 0.0) + angle
-        elif kind == BS:
-            c, s = math.cos(angle), 1j * math.sin(angle)
-            p0, p1 = held.pop(r0, 0.0), held.pop(r1, 0.0)
-            z0 = complex(math.cos(p0), math.sin(p0))
-            z1 = complex(math.cos(p1), math.sin(p1))
-            pairs.append((r0, r1))
-            us += (c * z0, s * z1, s * z0, c * z1)
-            if len(pairs) == _BLOCK_COUPLERS:
-                fock.apply_mode_unitaries(batch, n_rails, pairs, us,
-                                          n_electrons, phases)
-                pairs, us, phases = [], [], []
-        elif kind == CC:
-            phases.append((len(pairs), (r0, r1) if r0 < r1 else (r1, r0),
-                           -2.0 * angle))
-        else:  # the first row of this kind is the first macro
-            raise TypeError(f"not a gate element: {elements[kinds.index(kind)]!r}")
-    end = len(pairs)
-    phases += [(end, (rail,), held[rail]) for rail in sorted(held)]
-    fock.apply_mode_unitaries(batch, n_rails, pairs, us, n_electrons, phases)
+    if len(elements):
+        pairs, coefficients, phases = _compile(elements, n_rails)
+        fock.apply_mode_unitaries(batch, n_rails, pairs, coefficients, n_electrons,
+                                  phases, _BLOCK_COUPLERS)
+
+
+def _compile(elements: ElementColumns, n_rails: int) -> tuple:
+    """The couplers of a stretch of primitives as ``fock.apply_mode_unitaries``
+    takes them: their rail pairs, lower rail first, their coefficient rows
+    with the held phase shifters folded in, and the phases between them
+    (``apply_stretch`` says how), or ``TypeError`` for a macro and
+    ``ValueError`` for a rail outside ``[0, n_rails)``."""
+    ints, kinds = elements.ints, elements.kinds
+    rows = kinds.size
+    if kinds.max() > CC:  # the first row of a higher kind is the first macro
+        raise TypeError(f"not a gate element: {elements[int((kinds > CC).argmax())]!r}")
+    # a rail outside the register; a negative one reads as a large unsigned one
+    rails = ints[:, 1:3]
+    if rails.view(np.uintp).max() >= n_rails:
+        for rail in rails[(rails.view(np.uintp) >= n_rails).any(axis=1).argmax()].tolist():
+            fock.check_rail(n_rails, rail)
+    # the rows of each kind, in row order, and each coupler's rails, lower
+    # first
+    ps, bs, cc = ((kinds == kind).nonzero()[0] for kind in (PS, BS, CC))
+    count, n_cc = bs.size, cc.size
+    ends = rails[bs]
+    pairs = np.empty_like(ends)
+    np.minimum(ends[:, 0], ends[:, 1], out=pairs[:, 0])
+    np.maximum(ends[:, 0], ends[:, 1], out=pairs[:, 1])
+    number = elements.floats[:, 0]
+    # the angle of each coupler, coupler_angle's (pi/2) L_c / L_t, unchecked
+    # (ElementColumns.refused or the element constructors checked the
+    # lengths), of every held sum and of each Coulomb phase
+    angles = np.empty(3 * count + n_rails + n_cc)
+    np.divide(number.take(bs), elements.floats[:, 1].take(bs), out=angles[:count])
+    angles[:count] *= math.pi / 2.0
+    angles[count:3 * count + n_rails] = (_held(rows, n_rails, pairs, bs, ints[ps, 1], ps,
+                                                number.take(ps)) if ps.size else 0.0)
+    np.multiply(number.take(cc), -2.0, out=angles[3 * count + n_rails:])
+    turn = np.exp(1j * angles)
+    # each coupler's matrix, lower rail first, with its held phases:
+    # [[c z_lo, i s z_hi], [i s z_lo, c z_hi]]
+    z = turn[count:3 * count].reshape(count, 2)
+    coefficients = np.empty((count, fock.COEFFICIENTS), dtype=np.complex128)
+    coefficients[:, 0:5:4] = _ONE_ZERO
+    np.multiply(turn.real[:count, np.newaxis], z, out=coefficients[:, 1:3])
+    np.multiply(1j * turn.imag[:count, np.newaxis], z[:, ::-1], out=coefficients[:, 5:7])
+    np.negative(coefficients[:, 5:7], out=coefficients[:, 7:9])
+    np.multiply(coefficients[:, 1], coefficients[:, 2], out=coefficients[:, 3])
+    coefficients[:, 3] -= coefficients[:, 5] * coefficients[:, 6]
+    # the Coulomb phases where they stand, after the coupler before each,
+    # then what is held after the last coupler on each rail, in rail order
+    tail = angles[3 * count:3 * count + n_rails].nonzero()[0]
+    phases = None
+    if n_cc or tail.size:
+        phases = (np.concatenate((bs.searchsorted(cc) - 1, np.full(tail.size, count - 1))),
+                  np.concatenate((ints[cc, 1], tail)), np.concatenate((ints[cc, 2], tail)),
+                  np.concatenate((turn[3 * count + n_rails:], turn[3 * count + tail])))
+    return pairs, coefficients, phases
 
 
 def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,

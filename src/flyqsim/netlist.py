@@ -298,11 +298,12 @@ def _checked_readout(n_rails: int, sources, detectors, registers) -> tuple:
     ``Circuit`` stores, else ``ValueError``: rails in ``[0, n_rails)``, one
     source per rail, no repeated detector, and registers with distinct
     identifier names and two rails each, distinct across registers.
-    Detector and register rails are stored as ``int``."""
+    Detector and register rails are stored as ``int``; ``SepSource`` checks
+    and stores its own rail so."""
     sources = tuple(sources)
     source_rails = set()
     for src in sources:
-        if not 0 <= require_integer(src.rail, "source rail") < n_rails:
+        if not 0 <= src.rail < n_rails:
             raise ValueError(f"source rail {src.rail} outside [0, {n_rails})")
         if src.rail in source_rails:
             raise ValueError(f"two sources on rail {src.rail}")
@@ -359,6 +360,11 @@ class ParseResult:
         return [d for d in self.diagnostics if d.severity == "error"]
 
 
+# each macro keyword's kind code and word count
+_MACRO_ROWS = {name: (KEYWORDS.index(name), 1 + len(params))
+               for name, (params, _) in MACROS.items()}
+
+
 class _LineParser:
     """Single-pass statement parser collecting diagnostics.
 
@@ -367,14 +373,17 @@ class _LineParser:
     keywords included.  An element or segment is one row of numbers: the
     element's kind code, its three padded rails and its three numbers (see
     ``gates.ElementColumns``), or the segment's rail, length and position.
-    With ``fast`` set a handler reads the canonical spelling inline (the
-    ``q<i>`` table, one ``float`` call per number) and appends its row
-    unchecked, for ``_refused`` to check; only when that read fails do
-    ``_rail``, ``_split_len``, ``_value_with_unit`` and ``_number`` accept
-    the other spellings (``PHI=``, ``1UM``, ``q01``, ``len=``) or write the
-    diagnostic.  Without ``fast`` every line takes that general path, whose
-    rows are checked as they are read.  A diagnostic points at a word by
-    index; the word's column is computed only then, by ``_column``.
+    With ``fast`` set, ``feed`` itself reads the canonical spelling of the
+    ``segment``, ``ps``, ``bs``, ``cc`` and macro lines, the one
+    ``serialize`` writes (the ``q<i>`` table, one ``float`` call per number,
+    once per distinct wire or transfer length word), and appends its row
+    unchecked, for ``_refused`` to check; only when that read fails does
+    the line go to its handler, whose ``_rail``, ``_split_len``,
+    ``_value_with_unit`` and ``_number`` accept the other spellings
+    (``PHI=``, ``1UM``, ``q01``, ``len=``) or write the diagnostic.  Without
+    ``fast`` every line takes that general path, whose rows are checked as
+    they are read.  A diagnostic points at a word by index; the word's
+    column is computed only then, by ``_column``.
     """
 
     def __init__(self, fast: bool = True):
@@ -504,7 +513,6 @@ class _LineParser:
         self._rail_names = {f"q{rail}": rail for rail in range(count)}
 
     def _stmt_segment(self, words):
-        # feed reads the canonical spelling, segment q<i> <x>um, inline
         if not self._expect_count(words, 2, "segment <rail> <length>um"):
             return
         text = words[2]
@@ -548,17 +556,6 @@ class _LineParser:
         self.sources.append(SepSource(rail, delay, emits))
 
     def _stmt_ps(self, words):
-        # the canonical spelling: ps q<i> phi=<x>rad
-        if self.fast and len(words) == 3:
-            rail, text = self._rail_names.get(words[1]), words[2]
-            if (rail is not None and text[:4] == "phi=" and text[-3:] == "rad"
-                    and "_" not in text):
-                try:
-                    self._elements += (PS, rail, rail, rail, float(text[4:-3]),
-                                       0.0, nan)
-                    return
-                except ValueError:
-                    pass  # diagnosed below
         words, length = self._split_len(words)
         if len(words) != 3:
             self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
@@ -580,19 +577,6 @@ class _LineParser:
         return rail_a, rail_b
 
     def _stmt_bs(self, words):
-        # the canonical spelling: bs q<a> q<b> lc=<x>um lt=<x>um
-        if self.fast and len(words) == 5:
-            names, lc, lt = self._rail_names, words[3], words[4]
-            rail_a, rail_b = names.get(words[1]), names.get(words[2])
-            if (rail_a is not None and rail_b is not None
-                    and lc[:3] == "lc=" and lc[-2:] == "um" and "_" not in lc
-                    and lt[:3] == "lt=" and lt[-2:] == "um" and "_" not in lt):
-                try:
-                    self._elements += (BS, rail_a, rail_b, rail_b, float(lc[3:-2]),
-                                       float(lt[3:-2]), nan)
-                    return
-                except ValueError:
-                    pass  # diagnosed below
         words, length = self._split_len(words)
         if len(words) != 5:
             self._expect_count(
@@ -613,18 +597,6 @@ class _LineParser:
             self._elements += (BS, *rails, rails[1], lc, lt, length)
 
     def _stmt_cc(self, words):
-        # the canonical spelling: cc q<a> q<b> chit=<x>rad
-        if self.fast and len(words) == 4:
-            names, text = self._rail_names, words[3]
-            rail_a, rail_b = names.get(words[1]), names.get(words[2])
-            if (rail_a is not None and rail_b is not None and text[:5] == "chit="
-                    and text[-3:] == "rad" and "_" not in text):
-                try:
-                    self._elements += (CC, rail_a, rail_b, rail_b,
-                                       float(text[5:-3]), 0.0, nan)
-                    return
-                except ValueError:
-                    pass  # diagnosed below
         words, length = self._split_len(words)
         if len(words) != 4:
             self._expect_count(words, 3,
@@ -643,18 +615,15 @@ class _LineParser:
             self._expect_count(words, len(params), " ".join(
                 [name] + [f"<{param}>" for param in params]))
             return
-        # the canonical spelling: one q<i> rail per parameter
-        rails = list(map(self._rail_names.get, words[1:]))
-        if not self.fast or None in rails:
-            rails = []
-            for index in range(1, len(words)):
-                rail = self._rail(words, index)
-                if rail is None:
-                    return
-                rails.append(rail)
-            if len(set(rails)) != len(rails):
-                self.error(1, "macro rails must be distinct")
+        rails = []
+        for index in range(1, len(words)):
+            rail = self._rail(words, index)
+            if rail is None:
                 return
+            rails.append(rail)
+        if len(set(rails)) != len(rails):
+            self.error(1, "macro rails must be distinct")
+            return
         self._elements += (KEYWORDS.index(name), rails[0], rails[1], rails[-1],
                            0.0, 0.0, nan)
 
@@ -710,23 +679,57 @@ class _LineParser:
     }
 
     def feed(self, text: str) -> None:
-        handlers, fast = self._HANDLERS, self.fast
+        handlers, fast, macros = self._HANDLERS, self.fast, _MACRO_ROWS
         wire, elements, names = self._wire, self._elements, self._rail_names
+        lengths, transfers = {}, {}  # a wire or transfer length word -> value
         line_no = 1
         for line_no, line in enumerate(text.splitlines(), start=1):
             words = (line.partition("#")[0] if "#" in line else line).split()
             if not words:
                 continue
             keyword = words[0]
-            # the most common line, read inline in its canonical spelling
-            if keyword == "segment" and len(words) == 3 and fast:
-                rail, length = names.get(words[1]), words[2]
-                if rail is not None and length[-2:] == "um" and "_" not in length:
-                    try:
-                        wire += (rail, float(length[:-2]), len(elements) // 7)
+            # the canonical spellings, which serialize writes, read inline:
+            # q<i> rails, each number one float call on a word with its key=
+            # and unit, no "_" on the line; the wire lengths and transfer
+            # lengths, which repeat, once per distinct word.  A rail not in
+            # the table or a number float cannot read leaves the line to its
+            # handler
+            if fast and "_" not in line:
+                try:
+                    count = len(words)
+                    if keyword == "segment" and count == 3:
+                        rail, x = names[words[1]], words[2]
+                        length = lengths.get(x)
+                        if length is None and x[-2:] == "um":
+                            length = lengths[x] = float(x[:-2])
+                        if length is not None:
+                            wire += (rail, length, len(elements) // 7)
+                            continue
+                    elif keyword == "ps" and count == 3:
+                        rail, x = names[words[1]], words[2]
+                        if x[:4] == "phi=" and x[-3:] == "rad":
+                            elements += (PS, rail, rail, rail, float(x[4:-3]), 0.0, nan)
+                            continue
+                    elif keyword == "bs" and count == 5:
+                        a, b, x, y = names[words[1]], names[words[2]], words[3], words[4]
+                        transfer = transfers.get(y)
+                        if transfer is None and y[:3] == "lt=" and y[-2:] == "um":
+                            transfer = transfers[y] = float(y[3:-2])
+                        if transfer is not None and x[:3] == "lc=" and x[-2:] == "um":
+                            elements += (BS, a, b, b, float(x[3:-2]), transfer, nan)
+                            continue
+                    elif keyword == "cc" and count == 4:
+                        a, b, x = names[words[1]], names[words[2]], words[3]
+                        if x[:5] == "chit=" and x[-3:] == "rad":
+                            elements += (CC, a, b, b, float(x[5:-3]), 0.0, nan)
+                            continue
+                    elif count == macros.get(keyword, (0, 0))[1]:
+                        # two or three rails, padded to three
+                        elements += (macros[keyword][0], names[words[1]], names[words[2]],
+                                     names[words[-1]], 0.0, 0.0, nan)
                         continue
-                    except ValueError:
-                        pass  # diagnosed by the handler
+                except (KeyError, ValueError):
+                    pass  # not canonical: read or diagnosed by the handler
             self._line_no = line_no
             self._line = line
             handler = handlers.get(keyword)

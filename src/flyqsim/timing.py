@@ -175,7 +175,9 @@ class CoincidenceError(RuntimeError):
 class SepSource:
     """Single-electron pump: one electron (or none) after ``emission_delay`` ps.
 
-    ``emits`` must be a ``bool`` (a numpy one too) and is stored as one.
+    ``rail`` must be an integer (a numpy one too, ``bool`` not) and is stored
+    as an ``int``; ``Circuit`` checks its range.  ``emits`` must be a
+    ``bool`` (a numpy one too) and is stored as one.
     """
 
     rail: int
@@ -183,6 +185,8 @@ class SepSource:
     emits: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "rail", int(fock.require_integer(self.rail,
+                                                                  "source rail")))
         if not isinstance(self.emits, (bool, np.bool_)):
             raise ValueError(f"emits must be a bool, got {self.emits!r}")
         object.__setattr__(self, "emits", bool(self.emits))

@@ -206,6 +206,16 @@ def test_a_refused_canonical_line_keeps_its_diagnostic(line, column, message):
             for d in result.diagnostics] == [(3, column, message, "error")]
 
 
+def test_a_remembered_length_word_is_read_in_its_own_field_only():
+    # the line loop reads each distinct wire or transfer length word once;
+    # a word it remembers from one field is still refused in the other
+    text = ("rails 2\nsep q0 delay=0ps\nbs q0 q1 lc=0.1um lt=0.28um\n"
+            "segment q0 lt=0.28um\nsegment q1 0.5um\nbs q0 q1 lc=0.1um 0.5um\nset q0\n")
+    assert [(d.line, d.column, d.message) for d in parse(text).diagnostics] == [
+        (4, 12, "invalid number 'lt=0.28' in segment length"),
+        (6, 19, "expected lt=<value>um, got '0.5um'")]
+
+
 def test_refused_rows_among_other_diagnostics_keep_the_line_order():
     text = ("rails 4\nsep q0 delay=0ps\nsegment q0 -1.0um\nps q0 PHI=1rad len=-1um\n"
             "bs q1 q1 lc=0.1um lt=0.28um\nset q0\nset q0\ncc q0 q1 chit=1e400rad\n"

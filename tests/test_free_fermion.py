@@ -229,8 +229,7 @@ def _cold_peak(circuit):
     """``tracemalloc`` peak of one ``outcome_probabilities`` call with every
     cache of ``fock`` empty."""
     for cache in (fock.sector_basis, fock._lift_plan, fock._pair_plan,
-                  fock._partner_row, fock.rail_occupied_indices,
-                  fock.pair_occupied_indices):
+                  fock.rail_occupied_indices, fock.pair_occupied_indices):
         cache.cache_clear()
     tracemalloc.start()
     try:

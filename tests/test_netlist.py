@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,17 +298,31 @@ def test_element_rail_out_of_range_is_rejected_at_construction(element):
     (dict(registers=[("r", (0, 9))]), r"register 'r' rail 9 outside \[0, 3\)"),
     (dict(registers=[("a", (0, 1)), ("b", (-2, 2))]),
      r"register 'b' rail -2 outside \[0, 3\)"),
-    (dict(sources=[SepSource(0.5, 0.0)]), r"source rail must be an integer, got 0.5"),
     (dict(detectors=[1.0]), r"detector rail must be an integer, got 1.0"),
     (dict(detectors=[True]), r"detector rail must be an integer, got True"),
     (dict(registers=[("a", (0, 1.0))]), r"register rail must be an integer, got 1.0"),
 ], ids=["source past last", "source negative", "duplicate source",
         "detector past last", "detector negative", "detector repeated",
-        "register past last", "register negative", "float source rail",
+        "register past last", "register negative",
         "float detector", "bool detector", "float register rail"])
 def test_circuit_rejects_bad_source_detector_and_register_rails(kwargs, match):
     with pytest.raises(ValueError, match=match):
         Circuit(3, [PhaseShifter(0, 0.1)], **kwargs)
+
+
+@pytest.mark.parametrize("rail", [0.5, 1.5, "x", True, np.float64(1.0)])
+def test_a_source_rail_must_be_an_integer(rail):
+    # the one integer rule, as for element, detector and register rails
+    with pytest.raises(ValueError,
+                       match=f"^source rail must be an integer, got {re.escape(repr(rail))}$"):
+        SepSource(rail, 0.0)
+
+
+def test_a_source_stores_its_rail_as_an_int():
+    # as its parse does: a numpy integer rail is kept as the int it holds
+    source, = Circuit(2, sources=[SepSource(np.int64(1), 0.0)]).sources
+    assert type(source.rail) is int
+    assert repr(source) == repr(SepSource(1, 0.0))
 
 
 @pytest.mark.parametrize("registers,match", [

@@ -71,6 +71,69 @@ def test_stretch_matches_the_dense_oracle_in_every_sector(seed, path):
             assert np.max(np.abs(state - expected)) <= 1e-12 * np.linalg.norm(start)
 
 
+def _bs(a, b, lc=0.11):
+    return WaveguideCoupler((a, b), lc, 0.28)
+
+
+# stretches whose phases fold into the couplers' rows, on 5 rails: a Coulomb
+# phase after a coupler folds into its A and B rows, those before the first
+# coupler are one diagonal product, and a phase shifter is held into the
+# next coupler on its rail
+FOLDING = {
+    "several cc in one gap": [
+        _bs(0, 1), CoulombCoupler((0, 2), 0.7), CoulombCoupler((1, 3), -0.4),
+        CoulombCoupler((2, 4), 1.9), CoulombCoupler((0, 1), 0.3), _bs(1, 2, 0.2)],
+    "cc before the first coupler and after the last": [
+        CoulombCoupler((0, 1), 0.5), CoulombCoupler((2, 3), 1.2), _bs(1, 2),
+        PhaseShifter(1, 0.8), CoulombCoupler((1, 4), -0.9),
+        CoulombCoupler((0, 2), 0.6)],
+    "ps held across a cc": [
+        PhaseShifter(0, 0.4), CoulombCoupler((0, 1), 0.7), PhaseShifter(0, 1.1),
+        CoulombCoupler((0, 2), -1.3), _bs(0, 3, 0.2), PhaseShifter(3, 2.1),
+        CoulombCoupler((3, 4), 0.9), _bs(3, 4, 0.05)],
+    "reversed and non-adjacent pairs": [
+        _bs(4, 0, 0.17), CoulombCoupler((3, 1), 0.8), PhaseShifter(4, 0.3),
+        _bs(1, 3, 0.09), CoulombCoupler((4, 0), -0.5), _bs(0, 4, 0.23),
+        _bs(3, 1, 0.14), CoulombCoupler((2, 0), 1.4)],
+    "only ps and cc": [
+        PhaseShifter(0, 0.4), CoulombCoupler((0, 1), 0.7), PhaseShifter(1, -1.2),
+        CoulombCoupler((1, 4), 0.2), CoulombCoupler((1, 4), 0.5),
+        PhaseShifter(0, 2.5), PhaseShifter(3, 0.0)],
+}
+
+
+@pytest.mark.parametrize("name", FOLDING)
+def test_folded_phases_match_the_dense_oracle(name, path):
+    elements, n_rails = FOLDING[name], 5
+    total = oracles.circuit_unitary(elements, n_rails)
+    rng = np.random.default_rng([43, len(name)])
+    for k in range(n_rails + 1):
+        dim = fock.sector_basis(n_rails, k).size
+        start = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        expected = sectors.restrict(total, n_rails, k) @ start
+        vector, batch = start[:, 0].copy(), start.copy()
+        for state in vector, batch:
+            apply_stretch(state, n_rails, elements, k)
+        assert np.max(np.abs(vector - expected[:, 0])) <= 1e-12
+        assert np.max(np.abs(batch - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", FOLDING)
+def test_a_coulomb_coupler_is_the_identity_on_one_electron(name, path):
+    # no mask of the one-electron sector occupies two rails: the stretch
+    # acts as it does without its Coulomb couplers, bit for bit
+    elements = FOLDING[name]
+    free = [e for e in elements if not isinstance(e, CoulombCoupler)]
+    start = np.random.default_rng(47).standard_normal((5, 3)) + 0j
+    with_cc, without = start.copy(), start.copy()
+    apply_stretch(with_cc, 5, elements, 1)
+    apply_stretch(without, 5, free, 1)
+    assert np.array_equal(with_cc, without)
+    only_cc = start.copy()
+    apply_stretch(only_cc, 5, [e for e in elements if e not in free], 1)
+    assert np.array_equal(only_cc, start)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_long_stretch_equals_its_pieces(seed):
     # 6 rails with 3 electrons: 20 masks, so every piece goes in partner
@@ -206,6 +269,36 @@ def test_mc_supports_and_rebuilds_match_the_reference(seed, path, monkeypatch):
     assert np.max(np.abs(kernel_p - reference_p)) <= 1e-12
 
 
+def test_a_stretch_peaks_within_what_it_counts_for_its_rows(monkeypatch):
+    # 5 electrons on 10 rails: 252 masks, in partner form, and 1000 couplers
+    # over all 45 pairs, so the partner rows and the coefficient rows
+    # dominate what the stretch holds beside the state
+    rng = np.random.default_rng(53)
+    n_rails, k = 10, 5
+    elements = []
+    for _ in range(1000):
+        a, b = (int(r) for r in rng.choice(n_rails, 2, replace=False))
+        elements += [WaveguideCoupler((a, b), float(rng.uniform(0.0, 0.28)), 0.28),
+                     PhaseShifter(a, float(rng.uniform(0.0, 6.0)))]
+        if rng.random() < 0.5:
+            elements.append(CoulombCoupler((b, (b + 1) % n_rails), 0.4))
+    columns = gates.ElementColumns.of(elements)
+    dim = fock.sector_basis(n_rails, k).size
+    assert dim <= fock._MAX_ROW_MASKS
+    counted, check = [], fock.check_capacity
+    monkeypatch.setattr(fock, "check_capacity",
+                        lambda amount, *args: counted.append(amount) or check(amount, *args))
+    state = np.ones(dim, dtype=complex)
+    tracemalloc.start()
+    try:
+        apply_stretch(state, n_rails, columns, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= 16 * counted[0]
+
+
 def test_pair_plans_hold_no_more_bytes_than_the_index_blocks_they_replaced():
     # the replaced blocks held int64 positions of the lo-only masks, of
     # their partners and of the doubly occupied masks, and float64 signs
@@ -219,7 +312,7 @@ def test_pair_plans_hold_no_more_bytes_than_the_index_blocks_they_replaced():
 
 
 @pytest.mark.parametrize("mode", ["off", "factor"])
-def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode):
+def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode, monkeypatch):
     # 8 electrons on 16 rails: 12870 masks, above the partner form's bound,
     # so each coupler touches only the masks with an electron on its pair.
     # The run holds the state, the probabilities and one coupler's gathered
@@ -236,7 +329,10 @@ def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode):
     dim = fock.sector_basis(n_rails, 8).size
     assert dim > fock._MAX_ROW_MASKS
     expected = timing.outcome_probabilities(circuit, dephasing)[1]  # warm caches
-    rows = fock._partner_row.cache_info().currsize
+    # and no coupler builds partner rows over the sector
+    built, pair_rows = [], fock._pair_rows
+    monkeypatch.setattr(fock, "_pair_rows",
+                        lambda *args: built.append(args) or pair_rows(*args))
     tracemalloc.start()
     try:
         probabilities = timing.outcome_probabilities(circuit, dephasing)[1]
@@ -245,4 +341,4 @@ def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode):
         tracemalloc.stop()
     assert np.array_equal(probabilities, expected)
     assert peak <= 3 * 16 * dim
-    assert fock._partner_row.cache_info().currsize == rows
+    assert not built
