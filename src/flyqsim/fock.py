@@ -27,18 +27,18 @@ columns are those of a factored or a dense density matrix
 one-electron sector ``sector_basis(n_rails, 1)`` is the masks ``1 << r``
 in rail order.  One basis position is one contiguous row, so a gather
 moves whole rows.  ``apply_mode_unitaries`` applies a stretch compiled by
-``gates.apply_stretch``, its two-rail mode unitaries as rows of nine
-coefficients and the diagonal phases between them, in one call.  On a
-sector of at most ``_MAX_ROW_MASKS`` masks each unitary goes in partner
-form, ``x <- A * x + B * x[partner]``, one gather, two products and a sum:
-the partner rows of the stretch's distinct pairs are built in one pass per
-call and cached nowhere, each unitary's rows ``A`` and ``B`` are picked
-from its coefficients a block at a time, and the phases after a unitary
-fold into its rows, so no phase gets a call of its own; the phases before
-the first unitary are one diagonal product.  Otherwise each unitary is one
-``mode_unitary_batch``, which updates only the positions of its pair's
-cached plan (``_pair_plan``), and each phase one product on the masks it
-occupies.
+``gates.apply_stretch``, its two-rail mode unitaries and the diagonal
+phases between them, in one call.  On a sector of at most
+``_MAX_ROW_MASKS`` masks each unitary goes in partner form, ``x <- A * x +
+B * x[partner]``, one gather, two products and a sum: the partner rows of
+every rail pair of the sector are built once, in one pass, and cached per
+sector (``_sector_rows``), each unitary's rows ``A`` and ``B`` are picked
+from its nine coefficients a block at a time, and the phases after a
+unitary fold into its rows, so no phase gets a call of its own; the phases
+before the first unitary are one diagonal product.  Otherwise each unitary
+is one ``mode_unitary_batch``, which updates only the positions of its
+pair's cached plan (``_pair_plan``), and each phase one product on the
+masks it occupies.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
@@ -70,14 +70,17 @@ updates, which run only above ``_MAX_ROW_MASKS`` masks: at 24 rails with
 12 electrons one ``_pair_plan`` entry is 22.1 MB (2.83 GB for its 128
 entries), one ``pair_occupied_indices`` entry 5.2 MB (0.66 GB for 128)
 and one ``rail_occupied_indices`` entry 10.8 MB (0.26 GB for 24 rails),
-all computed figures.  The partner form caches nothing: each call counts
-what it builds through ``check_capacity``, 56 bytes a mask per distinct
-pair, 48 per unitary of a block and 56 per phase of the block with the
-most (the masks it occupies, their places in the rows and their turns),
-beside the compiled stretch, 160 bytes a unitary and 40 a phase.  For
-1000 couplers over all 45 pairs of 10 rails with 1000 phase shifters and
-510 Coulomb couplers on 252 masks that is 2.2 MB, and the call peaks at
-1.8 MB.
+all computed figures.  The partner form counts what it builds through
+``check_capacity``: the partner rows of a sector's pairs when they are
+built, 40 bytes a mask per pair, of which the cached entry keeps 10 (1.27
+MB at 63 rails with one electron, the largest entry, and at most 10.2 MB
+for the cache's 8), and per call 56 bytes a mask per unitary of a block
+and 56 per phase placed at a time (the masks it occupies, their places in
+the rows and their turns), 64 of each at most, beside the compiled
+stretch, 240 bytes a unitary and 40 a phase.  For 1000 couplers over all
+45 pairs of 10 rails with 1000 phase shifters and 510 Coulomb couplers on
+252 masks that is 0.46 MB for the rows of the pairs and 2.08 MB for the
+call, and a cold call peaks at 1.82 MB.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
 outcome probabilities and a block of uniforms it adds to a count array, by
@@ -114,6 +117,11 @@ _LIFT_BLOCK = 1 << 12
 # against 66 us over 12870 masks, 795 against 299 us over 48620 and 4321
 # against 1724 us over 184756
 _MAX_ROW_MASKS = 256
+# in partner form apply_mode_unitaries builds the rows of this many
+# unitaries at a time, at most 64 x 256 masks x 56 bytes (896 KiB), and
+# places this many phases at a time, at most 64 x 256 x 56 bytes (896 KiB),
+# beside the state
+_BLOCK_COUPLERS = 64
 
 
 class CapacityError(ValueError):
@@ -372,30 +380,55 @@ def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
     return idx
 
 
-# A compiled unitary's nine coefficients, lower rail first: 1, u00, u11,
-# det(u), 0, u01, u10, -u01, -u10.  Column c of _CLASSES picks a mask's own
-# coefficient and its partner's, for the code c = the parity of the occupied
-# rails between the pair + 2 * its lower bit + 4 * its upper bit: with
-# neither rail occupied 1 and 0, with both det(u) and 0
-COEFFICIENTS = 9
-_CLASSES = np.array([[0, 0, 1, 1, 2, 2, 3, 3], [4, 4, 5, 7, 6, 8, 4, 4]])
+# A unitary's nine coefficients, lower rail first: 1, 0, u00, u01, u10, u11,
+# det(u), -u01, -u10.  Column c of _CLASSES picks a mask's own coefficient
+# and its partner's, for the code c = the parity of the occupied rails
+# between the pair + 2 * its lower bit + 4 * its upper bit: with neither
+# rail occupied 1 and 0, with both det(u) and 0
+_CLASSES = np.array([[0, 0, 2, 2, 5, 5, 6, 6], [1, 1, 3, 7, 4, 8, 1, 1]],
+                    dtype=np.int8)
+# every unitary's first two coefficients
+_ONE_ZERO = np.array([1.0, 0.0], dtype=np.complex128)
 
 
-def _pair_rows(basis: np.ndarray, bits: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray):
-    """Partner rows and coefficient classes of the rail pairs ``lo < hi``.
+def _coefficients(u: np.ndarray) -> np.ndarray:
+    """The ``(c, 9)`` coefficients of ``(c, 2, 2)`` unitaries on pairs, lower
+    rail first, in the order ``_CLASSES`` picks them."""
+    count = len(u)
+    coefficients = np.empty((count, 9), dtype=np.complex128)
+    coefficients[:, :2] = _ONE_ZERO
+    coefficients[:, 2:6] = u.reshape(count, 4)
+    np.negative(coefficients[:, 3:5], out=coefficients[:, 7:9])
+    det = coefficients[:, 6]
+    np.multiply(coefficients[:, 2], coefficients[:, 5], out=det)
+    det -= coefficients[:, 3] * coefficients[:, 4]
+    return coefficients
 
-    ``bits`` is ``(n_rails, dim)`` bool, row ``r`` true on the masks of
-    ``basis`` that occupy rail ``r``.  Returns
-    ``(partner, classes)``, a ``(p, dim)`` and a ``(2, p, dim)`` intp array,
-    all pairs in one pass: ``partner[i]`` holds, for every position, that of
-    the same mask with pair ``i``'s one electron on the other rail, or the
-    position itself with none or two; ``classes[0, i]`` picks each mask's
-    own coefficient and ``classes[1, i]`` its partner's (see
-    ``COEFFICIENTS``).
+
+@lru_cache(maxsize=8, typed=True)
+def _sector_rows(n_rails: int, n_electrons: int):
+    """Partner rows and coefficient classes of every rail pair of a sector
+    (cached, read-only).
+
+    Returns ``(bits, slot, partner, classes)`` over ``sector_basis(n_rails,
+    n_electrons)``, all pairs ``lo < hi`` built in one pass: ``bits`` is
+    ``(n_rails, dim)`` bool, row ``r`` true on the masks that occupy rail
+    ``r``; ``slot[lo, hi]`` is the row of the pair in ``partner``, a ``(p,
+    dim)`` intp array that holds, for every position, that of the same mask
+    with the pair's one electron on the other rail, or the position itself
+    with none or two; ``classes`` is ``(2, p, dim)`` int8, ``classes[0]``
+    picking each mask's own coefficient and ``classes[1]`` its partner's
+    (see ``_CLASSES``).  The building is counted through
+    ``check_capacity``, at 40 bytes a mask per pair; the entry keeps 10 of
+    them.  One entry per sector, not per pair, so a run misses once.
     """
-    lo_bit, hi_bit = bits[lo], bits[hi]
+    basis = sector_basis(n_rails, n_electrons)
     dim = basis.size
+    lo, hi = np.triu_indices(n_rails, 1)
+    check_capacity((n_rails + 40 * lo.size) * dim // 16 + n_rails * n_rails + 1,
+                   f"the partner rows of {lo.size} rail pairs over {dim} masks")
+    bits = (basis & (1 << np.arange(n_rails))[:, np.newaxis]) != 0
+    lo_bit, hi_bit = bits[lo], bits[hi]
     # moving a pair's electron from the lower rail to the upper adds the same
     # number to every such mask, so the i-th mask with only the lower rail
     # occupied and the i-th with only the upper one are partners
@@ -405,43 +438,50 @@ def _pair_rows(basis: np.ndarray, bits: np.ndarray, lo: np.ndarray,
     partner[src] = dst
     partner[dst] = src
     partner %= dim
-    odd = np.bitwise_count(basis & ((1 << hi) - (2 << lo))[:, np.newaxis])
-    odd &= 1
-    code = np.add(lo_bit, hi_bit, dtype=np.intp)
+    # the parity of the occupied rails strictly between the pair, from the
+    # parity of each rail and those below it
+    below = np.logical_xor.accumulate(bits, axis=0)
+    code = np.add(lo_bit, hi_bit, dtype=np.int8)
     code += hi_bit
     code += code
-    code += odd.view(np.bool_)
-    return partner.reshape(lo.size, dim), _CLASSES.take(code, axis=1)
+    code += below[hi - 1] ^ below[lo]
+    slot = np.zeros((n_rails, n_rails), dtype=np.intp)
+    slot[lo, hi] = np.arange(lo.size)
+    partner = partner.reshape(lo.size, dim)
+    classes = _CLASSES.take(code, axis=1)
+    for table in bits, slot, partner, classes:
+        table.setflags(write=False)
+    return bits, slot, partner, classes
 
 
 def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
-                         coefficients: np.ndarray, n_electrons: int, phases,
-                         block: int) -> None:
-    """Apply compiled two-rail mode unitaries in turn to sector amplitudes,
-    with the diagonal phases between them, in place.
+                         u: np.ndarray, n_electrons: int, phases) -> None:
+    """Apply two-rail mode unitaries in turn to sector amplitudes, with the
+    diagonal phases between them, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the update acts on alike; its first axis follows
-    ``sector_basis(n_rails, n_electrons)``.  Unitary ``j`` acts on the rails
-    of row ``j`` of the ``(c, 2)`` intp ``pairs``, lower rail first, as
-    ``mode_unitary_batch`` does, by the 2x2 ``u`` whose ``COEFFICIENTS``
-    are row ``j`` of the ``(c, 9)`` complex ``coefficients``.  ``phases``
-    is None or ``(after, rails_a, rails_b, turns)``, four arrays with
-    ascending ``after``: phase ``i`` multiplies the masks that occupy both
-    ``rails_a[i]`` and ``rails_b[i]`` (one rail when they are equal) by
-    ``turns[i]`` just after unitary ``after[i]``, or before the first one
-    when ``after[i] == -1``.  The rails are not checked.
+    ``sector_basis(n_rails, n_electrons)``.  Unitary ``j`` is the 2x2
+    ``u[j]`` of the ``(c, 2, 2)`` complex ``u`` on the rails of row ``j``
+    of the ``(c, 2)`` intp ``pairs``, lower rail first, acting as
+    ``mode_unitary_batch`` does.  ``phases`` is None or ``(after, rails_a,
+    rails_b, turns)``, four arrays with ascending ``after``: phase ``i``
+    multiplies the masks that occupy both ``rails_a[i]`` and
+    ``rails_b[i]`` (one rail when they are equal) by ``turns[i]`` just
+    after unitary ``after[i]``, or before the first one when ``after[i] ==
+    -1``.  The rails are not checked.
 
     On a sector of 2 to ``_MAX_ROW_MASKS`` masks every unitary goes in
     partner form, ``x <- A * x + B * x[partner]``: one gather, two products
-    and a sum.  The partner rows and coefficient classes of the distinct
-    pairs are built once, in one pass (``_pair_rows``); ``check_capacity``
-    counts them with one block's rows and phases.  ``block`` unitaries at a
-    time, each one's rows ``A`` and ``B`` are picked from its coefficients
-    by the classes of its pair, and the phases after it fold into both,
-    ``A *= D`` and ``B *= D`` with ``D`` their product on the masks they
-    occupy (``_phase_places``).  The phases before the first unitary are
-    one diagonal product.  Otherwise each
+    and a sum.  The partner rows and coefficient classes of the sector's
+    pairs are built once per sector (``_sector_rows``).  ``_BLOCK_COUPLERS``
+    unitaries at a time, each one's rows ``A`` and ``B`` are picked from its
+    nine coefficients (``_coefficients``) by the classes of its pair, and
+    the phases after it fold into both, ``A *= D`` and ``B *= D`` with
+    ``D`` their product on the masks they occupy (``_phase_places``,
+    ``_BLOCK_COUPLERS`` phases a call).  The phases before the first
+    unitary are one diagonal product.  ``check_capacity`` counts the rows,
+    the phases' places and the gathered copy of ``batch``.  Otherwise each
     unitary is one ``mode_unitary_batch``, which touches only the masks
     with an electron on its pair, and each phase one product on the masks
     it occupies.
@@ -449,43 +489,34 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     basis = sector_basis(n_rails, n_electrons)
     dim, count = basis.size, len(pairs)
     if not 1 < dim <= _MAX_ROW_MASKS:
-        _apply_by_positions(batch, n_rails, pairs, coefficients, n_electrons, phases)
+        _apply_by_positions(batch, n_rails, pairs, u, n_electrons, phases)
         return
-    bits = (basis & (1 << np.arange(n_rails))[:, np.newaxis]) != 0
-    column = batch.ndim == 2
-    # the distinct pairs, numbered through a table over every pair of rails
-    key = pairs[:, 0] * n_rails
-    key += pairs[:, 1]
-    slot = np.zeros(n_rails * n_rails, dtype=np.intp)
-    slot[key] = 1
-    distinct = slot.nonzero()[0]
-    slot[distinct] = np.arange(distinct.size)
-    block = max(1, min(block, count))
-    # the phases before the first unitary, then those after each block's
-    after = np.zeros(0, dtype=np.intp) if phases is None else phases[0]
-    bounds = [0] + after.searchsorted(np.arange(0, count + block, block)).tolist()
-    # bytes a mask: one for each rail; 56 for each distinct pair, its
-    # partner row, its classes and their temporaries; 48 for each unitary of
-    # a block, its rows and their classes; 56 for each phase of a block, the
-    # masks it occupies and their places and turns.  Then the gathered copy
-    # of batch, and the stretch as compiled: 160 bytes a unitary, its pair
-    # and its coefficients, and 40 a phase
-    most = max(high - low for low, high in zip(bounds, bounds[1:]))
-    check_capacity((n_rails + 56 * distinct.size + 48 * block + 56 * most) * dim // 16
-                   + batch.size + 10 * count + 3 * after.size + 1,
+    bits, slot, partner, classes = _sector_rows(n_rails, n_electrons)
+    step = _BLOCK_COUPLERS
+    block = min(step, count)
+    n_phases = 0 if phases is None else phases[0].size
+    # bytes a mask: 56 for each unitary of a block, its rows, their classes
+    # and its partner row, and 56 for each phase placed at a time, the masks
+    # it occupies and their places and turns.  Then the gathered copy of
+    # batch, and the stretch as compiled: 240 bytes a unitary, its pair, its
+    # u and its coefficients, and 40 a phase
+    check_capacity((56 * block + 56 * min(step, n_phases)) * dim // 16
+                   + batch.size + 15 * count + 3 * n_phases + 1,
                    f"the rows of {count} unitaries over {dim} masks")
-    if bounds[1]:
-        place, turn = _phase_places(bits, phases, 0, bounds[1], -1)
+    # the phases before the first unitary, then those after each block's
+    bounds = (phases[0].searchsorted(np.arange(0, count + step, step)).tolist()
+              if n_phases else [0] * (count // step + 2))
+    column = batch.ndim == 2
+    if bounds[0]:
         factor = np.ones(dim, dtype=np.complex128)
-        np.multiply.at(factor, place, turn)
+        for low in range(0, bounds[0], step):
+            place, turn = _phase_places(bits, phases, low, min(low + step, bounds[0]), -1)
+            np.multiply.at(factor, place, turn)
         batch *= factor[:, np.newaxis] if column else factor
     if not count:
         return
-    partners, classes = _pair_rows(basis, bits, *np.divmod(distinct, n_rails))
-    owned = slot.take(key)
-    # each unitary's partner row, a view of its pair's
-    partners = list(partners)
-    partners = [partners[i] for i in owned.tolist()]
+    coefficients = _coefficients(u)
+    owned = slot[pairs[:, 0], pairs[:, 1]]
     hop = np.empty_like(batch)
     # the per-unitary calls, looked up once and given positional arguments:
     # on 70 masks that took 1000 unitaries from 1.66 to 1.43 ms
@@ -494,21 +525,23 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     index = np.empty((2, block, dim), dtype=np.intp)
     rows = np.empty((2, block, dim), dtype=np.complex128)
     own_rows, partner_rows = rows.reshape(2, -1)
-    offsets = np.arange(0, COEFFICIENTS * count, COEFFICIENTS)[:, np.newaxis]
-    for start, low, high in zip(range(0, count, block), bounds[1:], bounds[2:]):
-        own = owned[start:start + block]
+    # the partner row of each unitary of a block
+    gather = np.empty((block, dim), dtype=np.intp)
+    offsets = np.arange(0, 9 * count, 9)[:, np.newaxis]
+    for start, low, high in zip(range(0, count, step), bounds, bounds[1:]):
+        own = owned[start:start + step]
         size = own.size
+        add(classes.take(own, axis=1), offsets[start:start + size], index[:, :size])
         # mode "clip" writes into out unbuffered; every index is in range
-        classes.take(own, axis=1, out=index[:, :size], mode="clip")
-        index[:, :size] += offsets[start:start + size]
         coefficients.take(index[:, :size], out=rows[:, :size], mode="clip")
-        if low < high:
-            place, turn = _phase_places(bits, phases, low, high, start)
+        partner.take(own, 0, gather[:size], "clip")
+        for chunk in range(low, high, step):
+            place, turn = _phase_places(bits, phases, chunk, min(chunk + step, high), start)
             # one call per row, which keeps ufunc.at on its fast 1-D path
             np.multiply.at(own_rows, place, turn)
             np.multiply.at(partner_rows, place, turn)
         pick = rows[:, :size, :, np.newaxis] if column else rows[:, :size]
-        for a, b, p in zip(pick[0], pick[1], partners[start:start + size]):
+        for a, b, p in zip(pick[0], pick[1], gather[:size]):
             # mode "clip" is not buffered: the gather writes into hop
             take(p, 0, hop, "clip")
             multiply(hop, b, hop)
@@ -533,11 +566,10 @@ def _phase_places(bits: np.ndarray, phases, low: int, high: int, start: int):
 
 
 def _apply_by_positions(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
-                        coefficients: np.ndarray, n_electrons: int, phases) -> None:
+                        u: np.ndarray, n_electrons: int, phases) -> None:
     """``apply_mode_unitaries`` above ``_MAX_ROW_MASKS`` masks: each unitary
     one ``mode_unitary_batch`` and each phase one product on the masks that
     occupy its rails (the cached index helpers)."""
-    u = coefficients[:, [1, 5, 6, 2]].reshape(-1, 2, 2)
     pairs = pairs.tolist()
     after, rails_a, rails_b, turns = (((), (), (), ()) if phases is None else
                                       (values.tolist() for values in phases))

@@ -62,10 +62,10 @@ amplitudes and on single-particle orbitals alike: orbitals are columns of
 the one-electron sector.  It compiles a stretch of primitives once, with
 a fixed number of array operations over its columns and no walk over its
 rows: each phase shifter is summed into the 2x2 matrix of the next coupler
-on its rail, every coupler becomes a row of nine coefficients, and the
-Coulomb phases keep their places between the couplers.
-``fock.apply_mode_unitaries`` applies the compiled stretch, each coupler
-one gather, two products and a sum on a sector of at most 256 masks.
+on its rail, and the Coulomb phases keep their places between the
+couplers.  ``fock.apply_mode_unitaries`` applies the compiled stretch,
+each coupler one gather, two products and a sum on a sector of at most
+256 masks.
 ``apply_element_batch`` is that kernel on a one-element stretch.  A rail
 outside the register is refused before the amplitudes change.
 
@@ -474,11 +474,11 @@ _SIZE = np.array([1] * (CC + 1) + [len(synthesis) for synthesis in _SYNTHESES])
 _FIRST = _SIZE.cumsum() - _SIZE - (CC + 1)
 
 
-def coupler_angle(coupling_length: float, transfer_length: float) -> float:
-    """theta = (pi/2) L_c / L_t."""
-    if not transfer_length > 0.0:
+def coupler_angle(coupling_length, transfer_length):
+    """theta = (pi/2) L_c / L_t, of floats or elementwise of arrays."""
+    if not np.greater(transfer_length, 0.0).all():
         raise ValueError(f"transfer_length must be > 0, got {transfer_length}")
-    if coupling_length < 0.0:
+    if np.less(coupling_length, 0.0).any():
         raise ValueError(f"coupling_length must be >= 0, got {coupling_length}")
     return (math.pi / 2.0) * (coupling_length / transfer_length)
 
@@ -493,13 +493,6 @@ def coupler_matrix(coupling_length: float, transfer_length: float) -> np.ndarray
     theta = coupler_angle(coupling_length, transfer_length)
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
-
-
-# fock.apply_mode_unitaries builds the rows of this many couplers at a time:
-# at most 64 x 256 masks x 48 bytes, 768 KiB, beside the state
-_BLOCK_COUPLERS = 64
-# a compiled coupler's first and fifth coefficients
-_ONE_ZERO = np.array([1.0, 0.0], dtype=np.complex128)
 
 
 def _held(rows: int, n_rails: int, pairs: np.ndarray, bs: np.ndarray,
@@ -518,7 +511,7 @@ def _held(rows: int, n_rails: int, pairs: np.ndarray, bs: np.ndarray,
     by = slots.argsort(kind="stable")
     keys = rails * stride
     keys += ps
-    return np.bincount(by.take(slots.searchsorted(keys, sorter=by)), angles,
+    return np.bincount(by.take(slots.take(by).searchsorted(keys)), angles,
                        minlength=slots.size)
 
 
@@ -542,13 +535,12 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     diagonal, so they commute with each other and with a coupler on other
     rails: each one's angle is summed, in row order (``_held``), into the
     next coupler on its rail and folded into that coupler's 2x2 matrix,
-    ``u <- u @ diag(exp(i phi_lo), exp(i phi_hi))``, lower rail first, and
-    every coupler becomes a row of nine coefficients.  What is held after
-    the last coupler on a rail becomes a phase after the stretch's last
-    coupler, rail by rail in ascending order; a sum of exactly zero is
-    dropped.  The Coulomb phases keep their places between the couplers.
-    ``fock.apply_mode_unitaries`` applies the compiled couplers with these
-    phases, ``_BLOCK_COUPLERS`` couplers' rows at a time.
+    ``u <- u @ diag(exp(i phi_lo), exp(i phi_hi))``, lower rail first.
+    What is held after the last coupler on a rail becomes a phase after the
+    stretch's last coupler, rail by rail in ascending order; a sum of
+    exactly zero is dropped.  The Coulomb phases keep their places between
+    the couplers.  ``fock.apply_mode_unitaries`` applies the couplers with
+    these phases.
 
     ``elements`` is an ``ElementColumns`` or a sequence of elements, which
     is compiled to one.  Before ``batch`` changes, a macro raises
@@ -558,64 +550,58 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
     if not isinstance(elements, ElementColumns):
         elements = ElementColumns.of(elements)
     if len(elements):
-        pairs, coefficients, phases = _compile(elements, n_rails)
-        fock.apply_mode_unitaries(batch, n_rails, pairs, coefficients, n_electrons,
-                                  phases, _BLOCK_COUPLERS)
+        pairs, u, phases = _compile(elements, n_rails)
+        fock.apply_mode_unitaries(batch, n_rails, pairs, u, n_electrons, phases)
 
 
 def _compile(elements: ElementColumns, n_rails: int) -> tuple:
     """The couplers of a stretch of primitives as ``fock.apply_mode_unitaries``
-    takes them: their rail pairs, lower rail first, their coefficient rows
-    with the held phase shifters folded in, and the phases between them
+    takes them: their rail pairs, lower rail first, their 2x2 matrices with
+    the held phase shifters folded in, and the phases between them
     (``apply_stretch`` says how), or ``TypeError`` for a macro and
     ``ValueError`` for a rail outside ``[0, n_rails)``."""
-    ints, kinds = elements.ints, elements.kinds
-    rows = kinds.size
-    if kinds.max() > CC:  # the first row of a higher kind is the first macro
+    ints, kinds, floats = elements.ints, elements.kinds, elements.floats
+    # the rows of each kind, in row order; a row of none is a macro's
+    ps, bs, cc = ((kinds == kind).nonzero()[0] for kind in (PS, BS, CC))
+    rows, count = kinds.size, bs.size
+    if ps.size + count + cc.size < rows:
         raise TypeError(f"not a gate element: {elements[int((kinds > CC).argmax())]!r}")
     # a rail outside the register; a negative one reads as a large unsigned one
     rails = ints[:, 1:3]
     if rails.view(np.uintp).max() >= n_rails:
         for rail in rails[(rails.view(np.uintp) >= n_rails).any(axis=1).argmax()].tolist():
             fock.check_rail(n_rails, rail)
-    # the rows of each kind, in row order, and each coupler's rails, lower
-    # first
-    ps, bs, cc = ((kinds == kind).nonzero()[0] for kind in (PS, BS, CC))
-    count, n_cc = bs.size, cc.size
+    # each coupler's rails, lower first
     ends = rails[bs]
     pairs = np.empty_like(ends)
     np.minimum(ends[:, 0], ends[:, 1], out=pairs[:, 0])
     np.maximum(ends[:, 0], ends[:, 1], out=pairs[:, 1])
-    number = elements.floats[:, 0]
-    # the angle of each coupler, coupler_angle's (pi/2) L_c / L_t, unchecked
-    # (ElementColumns.refused or the element constructors checked the
-    # lengths), of every held sum and of each Coulomb phase
-    angles = np.empty(3 * count + n_rails + n_cc)
-    np.divide(number.take(bs), elements.floats[:, 1].take(bs), out=angles[:count])
-    angles[:count] *= math.pi / 2.0
-    angles[count:3 * count + n_rails] = (_held(rows, n_rails, pairs, bs, ints[ps, 1], ps,
-                                                number.take(ps)) if ps.size else 0.0)
-    np.multiply(number.take(cc), -2.0, out=angles[3 * count + n_rails:])
-    turn = np.exp(1j * angles)
+    lengths = floats[bs]
+    # the turn of each coupler's angle, of every held sum and of each
+    # Coulomb phase
+    held = (_held(rows, n_rails, pairs, bs, ints[ps, 1], ps, floats[ps, 0]) if ps.size
+            else np.zeros(2 * count + n_rails))
+    chi = floats[cc, 0]
+    chi *= -2.0
+    turn = np.exp(1j * np.concatenate(
+        (coupler_angle(lengths[:, 0], lengths[:, 1]), held, chi)))
     # each coupler's matrix, lower rail first, with its held phases:
     # [[c z_lo, i s z_hi], [i s z_lo, c z_hi]]
     z = turn[count:3 * count].reshape(count, 2)
-    coefficients = np.empty((count, fock.COEFFICIENTS), dtype=np.complex128)
-    coefficients[:, 0:5:4] = _ONE_ZERO
-    np.multiply(turn.real[:count, np.newaxis], z, out=coefficients[:, 1:3])
-    np.multiply(1j * turn.imag[:count, np.newaxis], z[:, ::-1], out=coefficients[:, 5:7])
-    np.negative(coefficients[:, 5:7], out=coefficients[:, 7:9])
-    np.multiply(coefficients[:, 1], coefficients[:, 2], out=coefficients[:, 3])
-    coefficients[:, 3] -= coefficients[:, 5] * coefficients[:, 6]
+    u = np.empty((count, 2, 2), dtype=np.complex128)
+    flat = u.reshape(count, 4)
+    np.multiply(turn.real[:count, np.newaxis], z, out=flat[:, ::3])
+    np.multiply(1j * turn.imag[:count, np.newaxis], z[:, ::-1], out=flat[:, 1:3])
     # the Coulomb phases where they stand, after the coupler before each,
     # then what is held after the last coupler on each rail, in rail order
-    tail = angles[3 * count:3 * count + n_rails].nonzero()[0]
-    phases = None
-    if n_cc or tail.size:
-        phases = (np.concatenate((bs.searchsorted(cc) - 1, np.full(tail.size, count - 1))),
-                  np.concatenate((ints[cc, 1], tail)), np.concatenate((ints[cc, 2], tail)),
-                  np.concatenate((turn[3 * count + n_rails:], turn[3 * count + tail])))
-    return pairs, coefficients, phases
+    tail = held[2 * count:].nonzero()[0]
+    coupled = rails[cc]
+    phases = (bs.searchsorted(cc) - 1, np.minimum(coupled[:, 0], coupled[:, 1]),
+              np.maximum(coupled[:, 0], coupled[:, 1]), turn[3 * count + n_rails:])
+    if tail.size:
+        phases = tuple(np.concatenate(parts) for parts in zip(
+            phases, (np.full(tail.size, count - 1), tail, tail, turn[3 * count + tail])))
+    return pairs, u, phases if phases[0].size else None
 
 
 def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,

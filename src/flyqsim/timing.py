@@ -148,8 +148,8 @@ _DENSE_COPIES = 3
 # B's worth: the gathered blocks and products of the position updates (1.39
 # B's worth measured with tracemalloc at ranks 162 to 250 of a 252-mask
 # circuit) or the one gathered copy of the partner rows (1.14 to 1.46, the
-# larger with a Coulomb phase's gathered block).  The partner rows' two
-# coefficient rows, at most 2 x 256 amplitudes, are not counted.
+# larger with a Coulomb phase's gathered block).  The partner form counts
+# its own rows through fock.check_capacity.
 # A rebuild also holds the previous B and the s x s work of the
 # eigen-decomposition: the damping D with its temporaries, K, LAPACK's copy
 # and workspace and the eigenvectors (5 complex s x s arrays' worth measured)

@@ -229,7 +229,8 @@ def _cold_peak(circuit):
     """``tracemalloc`` peak of one ``outcome_probabilities`` call with every
     cache of ``fock`` empty."""
     for cache in (fock.sector_basis, fock._lift_plan, fock._pair_plan,
-                  fock.rail_occupied_indices, fock.pair_occupied_indices):
+                  fock._sector_rows, fock.rail_occupied_indices,
+                  fock.pair_occupied_indices):
         cache.cache_clear()
     tracemalloc.start()
     try:

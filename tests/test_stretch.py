@@ -198,7 +198,7 @@ def test_stretch_rejects_rails_out_of_range(bad, where, path):
     good = [PhaseShifter(0, 0.3), WaveguideCoupler((0, 2), 0.1, 0.28),
             CoulombCoupler((1, 3), 0.5)]
     block = [WaveguideCoupler((i % 3, i % 3 + 1), 0.05, 0.28)
-             for i in range(gates._BLOCK_COUPLERS + 5)]
+             for i in range(fock._BLOCK_COUPLERS + 5)]
     elements = {"first": [bad] + good, "middle": good[:2] + [bad] + good[2:],
                 "trailing": good + [bad], "after a block": block + [bad]}[where]
     rail = next(r for r in bad.rails if not 0 <= r < 4)
@@ -289,14 +289,38 @@ def test_a_stretch_peaks_within_what_it_counts_for_its_rows(monkeypatch):
     monkeypatch.setattr(fock, "check_capacity",
                         lambda amount, *args: counted.append(amount) or check(amount, *args))
     state = np.ones(dim, dtype=complex)
+    # cold, so that the call also builds the sector's partner rows
+    fock._sector_rows.cache_clear()
     tracemalloc.start()
     try:
         apply_stretch(state, n_rails, columns, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(counted) == 1
-    assert peak <= 16 * counted[0]
+    assert len(counted) == 2
+    assert peak <= 16 * sum(counted)
+
+
+def test_thousands_of_phases_in_one_gap_are_placed_a_chunk_at_a_time(monkeypatch):
+    # 5 electrons on 10 rails: 252 masks, in partner form.  3000 Coulomb
+    # couplers between two couplers, and 3000 before the first: placed all
+    # at once they would count 56 bytes a mask each, 2.6M amplitudes, above
+    # the lowered cap; placed a chunk at a time the run fits under it, as
+    # applying each phase by itself does
+    n_rails, k = 10, 5
+    rng = np.random.default_rng(59)
+    gap = [CoulombCoupler(tuple(int(r) for r in rng.choice(n_rails, 2, replace=False)),
+                          float(rng.uniform(-1.0, 1.0))) for _ in range(3000)]
+    elements = gap + [_bs(0, 1)] + gap + [_bs(1, 2, 0.2), PhaseShifter(3, 0.4)]
+    dim = fock.sector_basis(n_rails, k).size
+    assert dim <= fock._MAX_ROW_MASKS
+    start = np.random.default_rng(61).standard_normal(dim) + 0j
+    expected = start.copy()
+    sectors.reference_stretch(expected, n_rails, elements, k)
+    monkeypatch.setattr(fock, "MAX_AMPLITUDES", 1 << 18)
+    state = start.copy()
+    apply_stretch(state, n_rails, elements, k)
+    assert np.max(np.abs(state - expected)) <= 1e-12
 
 
 def test_pair_plans_hold_no_more_bytes_than_the_index_blocks_they_replaced():
@@ -312,7 +336,7 @@ def test_pair_plans_hold_no_more_bytes_than_the_index_blocks_they_replaced():
 
 
 @pytest.mark.parametrize("mode", ["off", "factor"])
-def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode, monkeypatch):
+def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode):
     # 8 electrons on 16 rails: 12870 masks, above the partner form's bound,
     # so each coupler touches only the masks with an electron on its pair.
     # The run holds the state, the probabilities and one coupler's gathered
@@ -329,10 +353,7 @@ def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode, monkeypatc
     dim = fock.sector_basis(n_rails, 8).size
     assert dim > fock._MAX_ROW_MASKS
     expected = timing.outcome_probabilities(circuit, dephasing)[1]  # warm caches
-    # and no coupler builds partner rows over the sector
-    built, pair_rows = [], fock._pair_rows
-    monkeypatch.setattr(fock, "_pair_rows",
-                        lambda *args: built.append(args) or pair_rows(*args))
+    rows = fock._sector_rows.cache_info().currsize
     tracemalloc.start()
     try:
         probabilities = timing.outcome_probabilities(circuit, dephasing)[1]
@@ -341,4 +362,4 @@ def test_a_large_sector_run_holds_few_sectors_beside_its_caches(mode, monkeypatc
         tracemalloc.stop()
     assert np.array_equal(probabilities, expected)
     assert peak <= 3 * 16 * dim
-    assert not built
+    assert fock._sector_rows.cache_info().currsize == rows
