@@ -42,8 +42,20 @@ def diagnostics_of(text):
     # the number is reported even when the rail before it is wrong
     ("rails 1\nps q9 phi=1e400rad\n",
      [(2, 4, "rail q9 out of range (rails 1)"), (2, 7, "phi must be finite")]),
+    # an element line's order: len=, each bad rail, equal rails (only when
+    # every rail is valid), each keyed number, then the first range rule
+    ("rails 3\nbs q0 q0 lc=aum lt=0.28um\n",
+     [(2, 7, "coupler rails must be distinct"), (2, 10, "invalid number 'a' in lc")]),
+    ("rails 3\ncc q1 q1 chit=xrad\n",
+     [(2, 7, "coupler rails must be distinct"), (2, 10, "invalid number 'x' in chit")]),
+    ("rails 3\nps q9 phi=xrad len=-1um\n",
+     [(2, 16, "len must be >= 0"), (2, 4, "rail q9 out of range (rails 3)"),
+      (2, 7, "invalid number 'x' in phi")]),
+    ("rails 3\nfredkin q9 q8 q0\n", [(2, 9, "rail q9 out of range (rails 3)")]),
 ], ids=["rails superscript", "lc", "lt", "bs len", "ps len", "negative len",
-        "cc len", "segment", "negative segment", "delay", "phi after bad rail"])
+        "cc len", "segment", "negative segment", "delay", "phi after bad rail",
+        "bs equal rails before lc", "cc equal rails before chit",
+        "ps len before rail before phi", "fredkin bad rails"])
 def test_numeric_edge_cases_are_diagnostics(text, expected):
     assert diagnostics_of(text) == expected
     assert not parse(text).ok
