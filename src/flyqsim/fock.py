@@ -155,19 +155,22 @@ def require_integer(value, what: str):
 
 
 def require_float(value, what: str) -> float:
-    """``value`` as a ``float`` (numpy scalars and numeric strings too), else
-    ``ValueError``.
+    """``value`` as a ``float`` (numpy scalars and numeric strings too,
+    ``bool`` and ``np.bool_`` not), else ``ValueError``.
 
     The one number rule for element angles and lengths, segment lengths
     and pump delays: each is stored as the ``float`` it is checked as, so a
-    ``float32`` runs at the value it holds, in double precision.
+    ``float32`` runs at the value it holds, in double precision, and a
+    ``True`` is refused rather than read as 1.0.
     """
     if type(value) is float:
         return value
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def require_positive(value, what: str) -> float:

@@ -28,21 +28,24 @@ about it.  A number must be finite: a literal past the float range, such as
 ``1e400``, is an error at its word, as is a malformed one.
 
 The front end compiles each circuit once, into columns, and every stage
-reads them.  The parser dispatches every statement, macros included,
-through one keyword table and fills the columns of ``gates.ElementColumns``
-and three wire columns (rail, length, position) directly: it builds no
-element and no ``Segment``.  Each statement handler reads the canonical
-spelling, the one ``serialize`` writes, inline: a rail is a lookup in the
-``q<i>`` table, and a number is the word with its fixed ``key=`` and unit
-sliced off, read by one ``float`` call on a word without ``_``.  Any other
-spelling (``PHI=``, ``1UM``, ``q01``) goes to the general word helpers,
-which check every value and write the diagnostics.  One array check over
-the columns (``_refused``) is the circuit's single validation point: when it
-refuses a row that the inline read took (equal rails, a number that is not
-finite, a length out of range), the text is read again by the general
-helpers alone, so every diagnostic keeps its text, its column and its
-order.  A hand-built ``Circuit`` compiles its elements and segments to the
-same columns in its constructor, under the same check.
+reads them.  The parser fills the columns of ``gates.ElementColumns`` and
+three wire columns (rail, length, position) directly: it builds no element
+and no ``Segment``.  The line loop reads the canonical spelling of the
+``segment``, ``ps``, ``bs``, ``cc`` and macro lines, the one ``serialize``
+writes, inline: a rail is a lookup in the ``q<i>`` table, and a number is
+the word with its fixed ``key=`` and unit sliced off, read by one ``float``
+call on a word without ``_``.  Any other spelling (``PHI=``, ``1UM``,
+``q01``) goes to the statement handlers, dispatched through one keyword
+table, and their general word helpers, which check every value and write
+the diagnostics.  One handler reads every element statement, the
+primitives and the macros, from one table (``_ELEMENTS``): each keyword's
+kind code, usage and keyed numbers, with their units and range rules.  One
+array check over the columns (``_refused``) is the circuit's single
+validation point: when it refuses a row that the inline read took (equal
+rails, a number that is not finite, a length out of range), the text is
+read again by the general path alone, so every diagnostic keeps its text,
+its column and its order.  A hand-built ``Circuit`` compiles its elements
+and segments to the same columns in its constructor, under the same check.
 
 ``Circuit.elements``, ``segments`` and ``wire`` are built from the columns
 only when read, for a hand-built circuit too: a circuit keeps no element
@@ -54,11 +57,10 @@ a ``ps`` holds any finite phase, and whether the dots reach it is
 ``PhaseShifter.hardware_realizable``, read per element over
 ``Circuit.expanded``, which holds the macros' phases too.  A rail outside
 the register is a diagnostic here and a ``ValueError`` from ``Circuit``;
-only elements handed to ``gates.apply_stretch`` directly meet the ``fock``
-index helpers' rail check instead, which may raise after later elements
-of the stretch have changed the amplitudes.  ``serialize`` emits a
-canonical form that parses back to an equal circuit, and that it writes
-back byte for byte; it writes each element's line from its columns.
+elements handed to ``gates.apply_stretch`` directly meet its compile's
+rail check, which raises before the amplitudes change.  ``serialize``
+emits a canonical form that parses back to an equal circuit, and that it
+writes back byte for byte; it writes each element's line from its columns.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _literal(text: str) -> float | None:
     ``nan`` and digit groups such as ``1_0``.  A word without ``_`` that
     ``float`` reads as a finite value therefore matches the pattern, so this
     one ``float`` call is the whole test; ``_LineParser._number`` writes the
-    diagnostic when it fails.  The statement handlers make the same test
+    diagnostic when it fails.  ``_LineParser.feed`` makes the same test
     inline on the canonical spelling: a ``float`` call on a word without
     ``_``, whose value the column check refuses unless it is finite.
     """
@@ -360,27 +362,41 @@ class ParseResult:
         return [d for d in self.diagnostics if d.severity == "error"]
 
 
-# each macro keyword's kind code and word count
-_MACRO_ROWS = {name: (KEYWORDS.index(name), 1 + len(params))
-               for name, (params, _) in MACROS.items()}
+# every element statement: keyword -> (kind code, usage, keyed numbers as
+# (key, unit, range rule)).  A primitive also takes a trailing len=<x>um;
+# a macro's entry is derived from gates.MACROS and holds no number
+_ELEMENTS = {
+    "ps": (PS, "ps <rail> phi=<x>rad [len=<x>um]", (("phi", "rad", ""),)),
+    "bs": (BS, "bs <railA> <railB> lc=<x>um lt=<x>um [len=<x>um]",
+           (("lc", "um", ">= 0"), ("lt", "um", "> 0"))),
+    "cc": (CC, "cc <railA> <railB> chit=<x>rad [len=<x>um]", (("chit", "rad", ""),)),
+    **{name: (KEYWORDS.index(name), " ".join([name, *(f"<{p}>" for p in params)]), ())
+       for name, (params, _) in MACROS.items()},
+}
+_RULES = {"": lambda value: True, ">= 0": lambda value: value >= 0,
+          "> 0": lambda value: value > 0}
+# each macro keyword's kind code and word count, for the inline read
+_MACRO_ROWS = {name: (kind, 1 + ARITY[kind])
+               for name, (kind, _, _) in _ELEMENTS.items() if kind > CC}
 
 
 class _LineParser:
     """Single-pass statement parser collecting diagnostics.
 
     Each line is split into words with ``str.split`` and dispatched on its
-    keyword through ``_HANDLERS``, one table for every statement, the macro
-    keywords included.  An element or segment is one row of numbers: the
-    element's kind code, its three padded rails and its three numbers (see
-    ``gates.ElementColumns``), or the segment's rail, length and position.
-    With ``fast`` set, ``feed`` itself reads the canonical spelling of the
-    ``segment``, ``ps``, ``bs``, ``cc`` and macro lines, the one
-    ``serialize`` writes (the ``q<i>`` table, one ``float`` call per number,
-    once per distinct wire or transfer length word), and appends its row
-    unchecked, for ``_refused`` to check; only when that read fails does
-    the line go to its handler, whose ``_rail``, ``_split_len``,
-    ``_value_with_unit`` and ``_number`` accept the other spellings
-    (``PHI=``, ``1UM``, ``q01``, ``len=``) or write the diagnostic.  Without
+    keyword through ``_HANDLERS``, one table for every statement; every
+    element keyword, the macros included, goes to ``_stmt_element``.  An
+    element or segment is one row of numbers: the element's kind code, its
+    three padded rails and its three numbers (see ``gates.ElementColumns``),
+    or the segment's rail, length and position.  With ``fast`` set,
+    ``feed`` itself reads the canonical spelling of the ``segment``, ``ps``,
+    ``bs``, ``cc`` and macro lines, the one ``serialize`` writes (the
+    ``q<i>`` table, one ``float`` call per number, once per distinct wire
+    or transfer length word), and appends its row unchecked, for
+    ``_refused`` to check; only when that read fails does the line go to
+    its handler, whose ``_rail``, ``_split_len``, ``_value_with_unit`` and
+    ``_number`` accept the other spellings (``PHI=``, ``1UM``, ``q01``,
+    ``len=``) or write the diagnostic through ``diagnose``.  Without
     ``fast`` every line takes that general path, whose rows are checked as
     they are read.  A diagnostic points at a word by index; the word's
     column is computed only then, by ``_column``.
@@ -412,13 +428,9 @@ class _LineParser:
         starts = [match.start() for match in _WORD_RE.finditer(self._line)]
         return starts[index] + 1
 
-    def error(self, index: int, message: str) -> None:
+    def diagnose(self, index: int, message: str, severity: str = "error") -> None:
         self.diagnostics.append(ParseDiagnostic(
-            self._line_no, self._column(index), message, "error"))
-
-    def warning(self, index: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(
-            self._line_no, self._column(index), message, "warning"))
+            self._line_no, self._column(index), message, severity))
 
     # --- word helpers --------------------------------------------------
 
@@ -429,13 +441,13 @@ class _LineParser:
             return rail
         digits = text[1:]
         if text[:1] != "q" or not digits.isdecimal():
-            self.error(index, f"invalid rail identifier '{text}' "
-                              f"(rails are named q0..q{(self.n_rails or 1) - 1})")
+            self.diagnose(index, f"invalid rail identifier '{text}' "
+                                 f"(rails are named q0..q{(self.n_rails or 1) - 1})")
             return None
         rail = _decimal(digits)  # non-canonical spelling: q01, Unicode digits
         if self.n_rails is None or rail is None or rail >= self.n_rails:
-            self.error(index, f"rail {text} out of range "
-                              f"(rails {self.n_rails or 0})")
+            self.diagnose(index, f"rail {text} out of range "
+                                 f"(rails {self.n_rails or 0})")
             return None
         return rail
 
@@ -445,28 +457,29 @@ class _LineParser:
         if value is not None:
             return value
         if not _NUMBER_RE.fullmatch(text):
-            self.error(index, f"invalid number '{text}' in {what}")
+            self.diagnose(index, f"invalid number '{text}' in {what}")
         else:  # a literal past the float range, such as 1e400
-            self.error(index, f"{what} must be finite")
+            self.diagnose(index, f"{what} must be finite")
         return None
 
     def _value_with_unit(self, words, index, key: str, unit: str) -> float | None:
         """Parse ``key=<number><unit>``; key and unit are case-insensitive.
 
-        The handlers read the canonical spelling inline, so this runs for
-        ``sep`` delays and the other spellings, and writes the diagnostic.
+        ``_LineParser.feed`` reads the canonical spelling inline, so this
+        runs for ``sep`` delays and the other spellings, and writes the
+        diagnostic.
         """
         text = words[index]
         name, sep, raw = text.partition("=")
         if not sep:
-            self.error(index, f"expected {key}=<value>{unit}, got '{text}'")
+            self.diagnose(index, f"expected {key}=<value>{unit}, got '{text}'")
             return None
         if name.lower() != key:
-            self.error(index, f"expected attribute '{key}', got '{name}'")
+            self.diagnose(index, f"expected attribute '{key}', got '{name}'")
             return None
         if len(raw) < len(unit) or raw[-len(unit):].lower() != unit:
-            self.error(index, f"{key} requires a '{unit}' unit suffix, "
-                              f"got '{raw}'")
+            self.diagnose(index, f"{key} requires a '{unit}' unit suffix, "
+                                 f"got '{raw}'")
             return None
         return self._number(raw[:-len(unit)], index, key)
 
@@ -474,7 +487,7 @@ class _LineParser:
         if len(words) - 1 == count:
             return True
         # point at the first surplus word, or at the keyword when short
-        self.error(count + 1 if len(words) - 1 > count else 0, f"usage: {usage}")
+        self.diagnose(count + 1 if len(words) - 1 > count else 0, f"usage: {usage}")
         return False
 
     def _split_len(self, words) -> tuple[list, float | None]:
@@ -485,7 +498,7 @@ class _LineParser:
             return words, nan
         value = self._value_with_unit(words, index, "len", "um")
         if value is not None and value < 0:
-            self.error(index, "len must be >= 0")
+            self.diagnose(index, "len must be >= 0")
             value = None
         return words[:index], value
 
@@ -495,19 +508,19 @@ class _LineParser:
         if not self._expect_count(words, 1, "rails <n>"):
             return
         if self.n_rails is not None:
-            self.error(0, "duplicate rails declaration")
+            self.diagnose(0, "duplicate rails declaration")
             return
         text = words[1]
         if not text.isdecimal():
-            self.error(1, f"rail count must be a positive integer, got '{text}'")
+            self.diagnose(1, f"rail count must be a positive integer, got '{text}'")
             return
         count = _decimal(text)
         if count is not None and count < 1:
-            self.error(1, "rail count must be >= 1")
+            self.diagnose(1, "rail count must be >= 1")
             return
         if count is None or count > MAX_RAILS:
-            self.error(1, f"rail count {text if count is None else count} "
-                          f"exceeds the capacity of {MAX_RAILS}")
+            self.diagnose(1, f"rail count {text if count is None else count} "
+                             f"exceeds the capacity of {MAX_RAILS}")
             return
         self.n_rails = count
         self._rail_names = {f"q{rail}": rail for rail in range(count)}
@@ -518,14 +531,14 @@ class _LineParser:
         text = words[2]
         rail = self._rail(words, 1)
         if len(text) < 2 or text[-2:].lower() != "um":
-            self.error(2, f"segment length requires a 'um' suffix, "
-                          f"got '{text}'")
+            self.diagnose(2, f"segment length requires a 'um' suffix, "
+                             f"got '{text}'")
             return
         length = self._number(text[:-2], 2, "segment length")
         if length is None:
             return
         if length < 0:
-            self.error(2, "segment length must be >= 0")
+            self.diagnose(2, "segment length must be >= 0")
             return
         if rail is None:
             return
@@ -533,125 +546,84 @@ class _LineParser:
 
     def _stmt_sep(self, words):
         if len(words) not in (3, 4):
-            self.error(0, "usage: sep <rail> delay=<t>ps [empty]")
+            self.diagnose(0, "usage: sep <rail> delay=<t>ps [empty]")
             return
         rail = self._rail(words, 1)
         delay = self._value_with_unit(words, 2, "delay", "ps")
         emits = True
         if len(words) == 4:
             if words[3].lower() != "empty":
-                self.error(3, f"unexpected token '{words[3]}' "
-                              f"(only 'empty' may follow the delay)")
+                self.diagnose(3, f"unexpected token '{words[3]}' "
+                                 f"(only 'empty' may follow the delay)")
                 return
             emits = False
         if rail is None or delay is None:
             return
         if delay < 0:
-            self.error(2, "delay must be >= 0")
+            self.diagnose(2, "delay must be >= 0")
             return
         if rail in self._source_rails:
-            self.error(1, f"duplicate source for rail q{rail}")
+            self.diagnose(1, f"duplicate source for rail q{rail}")
             return
         self._source_rails.add(rail)
         self.sources.append(SepSource(rail, delay, emits))
-
-    def _stmt_ps(self, words):
-        words, length = self._split_len(words)
-        if len(words) != 3:
-            self._expect_count(words, 2, "ps <rail> phi=<x>rad [len=<x>um]")
-            return
-        rail = self._rail(words, 1)
-        phi = self._value_with_unit(words, 2, "phi", "rad")
-        if rail is None or phi is None or length is None:
-            return
-        self._elements += (PS, rail, rail, rail, phi, 0.0, length)
-
-    def _coupler_rails(self, words) -> tuple[int, int] | None:
-        rail_a = self._rail(words, 1)
-        rail_b = self._rail(words, 2)
-        if rail_a is None or rail_b is None:
-            return None
-        if rail_a == rail_b:
-            self.error(2, "coupler rails must be distinct")
-            return None
-        return rail_a, rail_b
-
-    def _stmt_bs(self, words):
-        words, length = self._split_len(words)
-        if len(words) != 5:
-            self._expect_count(
-                words, 4, "bs <railA> <railB> lc=<x>um lt=<x>um [len=<x>um]")
-            return
-        rails = self._coupler_rails(words)
-        lc = self._value_with_unit(words, 3, "lc", "um")
-        lt = self._value_with_unit(words, 4, "lt", "um")
-        if rails is None or lc is None or lt is None:
-            return
-        if lc < 0:
-            self.error(3, "lc must be >= 0")
-            return
-        if lt <= 0:
-            self.error(4, "lt must be > 0")
-            return
-        if length is not None:
-            self._elements += (BS, *rails, rails[1], lc, lt, length)
-
-    def _stmt_cc(self, words):
-        words, length = self._split_len(words)
-        if len(words) != 4:
-            self._expect_count(words, 3,
-                               "cc <railA> <railB> chit=<x>rad [len=<x>um]")
-            return
-        rails = self._coupler_rails(words)
-        chi_t = self._value_with_unit(words, 3, "chit", "rad")
-        if rails is None or chi_t is None or length is None:
-            return
-        self._elements += (CC, *rails, rails[1], chi_t, 0.0, length)
-
-    def _stmt_macro(self, words):
-        name = words[0].lower()
-        params = MACROS[name][0]
-        if len(words) - 1 != len(params):
-            self._expect_count(words, len(params), " ".join(
-                [name] + [f"<{param}>" for param in params]))
-            return
-        rails = []
-        for index in range(1, len(words)):
-            rail = self._rail(words, index)
-            if rail is None:
-                return
-            rails.append(rail)
-        if len(set(rails)) != len(rails):
-            self.error(1, "macro rails must be distinct")
-            return
-        self._elements += (KEYWORDS.index(name), rails[0], rails[1], rails[-1],
-                           0.0, 0.0, nan)
 
     def _stmt_dualrail(self, words):
         if not self._expect_count(words, 3, "dualrail <name> <rail0> <rail1>"):
             return
         name = words[1]
         if not _NAME_RE.fullmatch(name):
-            self.error(1, f"invalid register name '{name}'")
+            self.diagnose(1, f"invalid register name '{name}'")
             return
         rail0 = self._rail(words, 2)
         rail1 = self._rail(words, 3)
         if rail0 is None or rail1 is None:
             return
         if rail0 == rail1:
-            self.error(3, "register rails must be distinct")
+            self.diagnose(3, "register rails must be distinct")
             return
         if any(n == name for n, _ in self.registers):
-            self.error(1, f"duplicate register name '{name}'")
+            self.diagnose(1, f"duplicate register name '{name}'")
             return
         for rail, index in ((rail0, 2), (rail1, 3)):
             if rail in self._register_rails:
-                self.error(index, f"rail q{rail} already used by register "
-                                  f"'{self._register_rails[rail]}'")
+                self.diagnose(index, f"rail q{rail} already used by register "
+                                     f"'{self._register_rails[rail]}'")
                 return
         self._register_rails[rail0] = name
         self._register_rails[rail1] = name
         self.registers.append((name, (rail0, rail1)))
+
+    def _stmt_element(self, words):
+        """Every element statement, read by its ``_ELEMENTS`` entry.  The
+        diagnostics come in this order: the ``len=`` attribute, each bad
+        rail, equal rails when every rail is valid, each keyed number, then
+        the first range rule that fails."""
+        kind, usage, numbers = _ELEMENTS[words[0].lower()]
+        arity = ARITY[kind]
+        words, length = self._split_len(words) if kind <= CC else (words, nan)
+        if len(words) != 1 + arity + len(numbers):
+            self._expect_count(words, arity + len(numbers), usage)
+            return
+        rails = [self._rail(words, index) for index in range(1, 1 + arity)]
+        valid = None not in rails
+        if valid and len(set(rails)) < arity:
+            macro = kind > CC  # a coupler's error is at its second rail
+            self.diagnose(1 if macro else 2,
+                          f"{'macro' if macro else 'coupler'} rails must be distinct")
+            valid = False
+        values = [self._value_with_unit(words, index, key, unit)
+                  for index, (key, unit, _) in enumerate(numbers, 1 + arity)]
+        if not valid or None in values:
+            return
+        for index, ((key, _, rule), value) in enumerate(zip(numbers, values),
+                                                        1 + arity):
+            if not _RULES[rule](value):
+                self.diagnose(index, f"{key} must be {rule}")
+                return
+        if length is not None:  # rails and numbers padded to three and two
+            self._elements += (kind, rails[0], rails[:2][-1], rails[-1],
+                               *(values + [0.0, 0.0])[:2], length)
 
     def _stmt_set(self, words):
         if not self._expect_count(words, 1, "set <rail>"):
@@ -660,7 +632,7 @@ class _LineParser:
         if rail is None:
             return
         if rail in self.detectors:
-            self.warning(1, f"duplicate detector on rail q{rail}")
+            self.diagnose(1, f"duplicate detector on rail q{rail}", "warning")
             return
         self.detectors.append(rail)
 
@@ -670,12 +642,9 @@ class _LineParser:
         "rails": _stmt_rails,
         "segment": _stmt_segment,
         "sep": _stmt_sep,
-        "ps": _stmt_ps,
-        "bs": _stmt_bs,
-        "cc": _stmt_cc,
         "dualrail": _stmt_dualrail,
         "set": _stmt_set,
-        **dict.fromkeys(MACROS, _stmt_macro),
+        **dict.fromkeys(_ELEMENTS, _stmt_element),
     }
 
     def feed(self, text: str) -> None:
@@ -737,11 +706,11 @@ class _LineParser:
                 keyword = keyword.lower()
                 handler = handlers.get(keyword)
             if self.n_rails is None and keyword != "rails":
-                self.error(0, "no rails declared (the first statement must be "
-                              "'rails <n>')")
+                self.diagnose(0, "no rails declared (the first statement must be "
+                                 "'rails <n>')")
                 continue
             if handler is None:
-                self.error(0, f"unknown statement '{words[0]}'")
+                self.diagnose(0, f"unknown statement '{words[0]}'")
             else:
                 handler(self, words)
                 names = self._rail_names  # set by the rails statement

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from flyqsim.cli import RunConfig
 from flyqsim.gates import (
     CompositeGate,
     CoulombCoupler,
@@ -452,7 +453,15 @@ def test_float32_coupling_length_gives_the_double_precision_angle():
     lambda: SepSource(0, "late"),
     lambda: Circuit(2, segments=[Segment(0, "long", 0)]),
     lambda: Circuit(2, segments=[Segment(0, None, 0)]),
-], ids=["lc", "lt", "delay", "segment str", "segment None"])
+    # a bool is no number, as it is no rail: True once read as 1.0
+    lambda: PhaseShifter(0, True),
+    lambda: WaveguideCoupler((0, 1), True),
+    lambda: WaveguideCoupler((0, 1), 0.1, np.True_),
+    lambda: SepSource(0, True),
+    lambda: Circuit(2, segments=[Segment(0, True, 0)]),
+    lambda: RunConfig("run.fq", l_phi=True),
+], ids=["lc", "lt", "delay", "segment str", "segment None", "phi bool",
+        "lc bool", "lt numpy bool", "delay bool", "segment bool", "l_phi bool"])
 def test_non_numeric_lengths_and_delays_raise_value_error(build):
     with pytest.raises(ValueError, match="must be a number, got"):
         build()

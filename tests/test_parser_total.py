@@ -51,7 +51,8 @@ def diagnostics_of(text):
     ("rails 3\nps q9 phi=xrad len=-1um\n",
      [(2, 16, "len must be >= 0"), (2, 4, "rail q9 out of range (rails 3)"),
       (2, 7, "invalid number 'x' in phi")]),
-    ("rails 3\nfredkin q9 q8 q0\n", [(2, 9, "rail q9 out of range (rails 3)")]),
+    ("rails 3\nfredkin q9 q8 q0\n",
+     [(2, 9, "rail q9 out of range (rails 3)"), (2, 12, "rail q8 out of range (rails 3)")]),
 ], ids=["rails superscript", "lc", "lt", "bs len", "ps len", "negative len",
         "cc len", "segment", "negative segment", "delay", "phi after bad rail",
         "bs equal rails before lc", "cc equal rails before chit",
