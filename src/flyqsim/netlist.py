@@ -363,7 +363,7 @@ class ParseResult:
 
 
 # every element statement: keyword -> (kind code, usage, keyed numbers as
-# (key, unit, range rule)).  A primitive also takes a trailing len=<x>um;
+# (key, unit, range rule or "")).  A primitive also takes a trailing len=<x>um;
 # a macro's entry is derived from gates.MACROS and holds no number
 _ELEMENTS = {
     "ps": (PS, "ps <rail> phi=<x>rad [len=<x>um]", (("phi", "rad", ""),)),
@@ -373,8 +373,8 @@ _ELEMENTS = {
     **{name: (KEYWORDS.index(name), " ".join([name, *(f"<{p}>" for p in params)]), ())
        for name, (params, _) in MACROS.items()},
 }
-_RULES = {"": lambda value: True, ">= 0": lambda value: value >= 0,
-          "> 0": lambda value: value > 0}
+# a keyed number's range rule, by the words its diagnostic names it with
+_RULES = {">= 0": lambda value: value >= 0, "> 0": lambda value: value > 0}
 # each macro keyword's kind code and word count, for the inline read
 _MACRO_ROWS = {name: (kind, 1 + ARITY[kind])
                for name, (kind, _, _) in _ELEMENTS.items() if kind > CC}
@@ -618,7 +618,7 @@ class _LineParser:
             return
         for index, ((key, _, rule), value) in enumerate(zip(numbers, values),
                                                         1 + arity):
-            if not _RULES[rule](value):
+            if rule and not _RULES[rule](value):
                 self.diagnose(index, f"{key} must be {rule}")
                 return
         if length is not None:  # rails and numbers padded to three and two

@@ -453,7 +453,7 @@ def test_float32_coupling_length_gives_the_double_precision_angle():
     lambda: SepSource(0, "late"),
     lambda: Circuit(2, segments=[Segment(0, "long", 0)]),
     lambda: Circuit(2, segments=[Segment(0, None, 0)]),
-    # a bool is no number, as it is no rail: True once read as 1.0
+    # a bool is no number, as it is no rail (fock.require_integer)
     lambda: PhaseShifter(0, True),
     lambda: WaveguideCoupler((0, 1), True),
     lambda: WaveguideCoupler((0, 1), 0.1, np.True_),
