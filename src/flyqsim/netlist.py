@@ -602,8 +602,7 @@ class _LineParser:
         kind, usage, numbers = _ELEMENTS[words[0].lower()]
         arity = ARITY[kind]
         words, length = self._split_len(words) if kind <= CC else (words, nan)
-        if len(words) != 1 + arity + len(numbers):
-            self._expect_count(words, arity + len(numbers), usage)
+        if not self._expect_count(words, arity + len(numbers), usage):
             return
         rails = [self._rail(words, index) for index in range(1, 1 + arity)]
         valid = None not in rails
