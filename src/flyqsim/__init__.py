@@ -48,4 +48,4 @@ from .timing import (
     run_shots,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -1,11 +1,15 @@
-"""Electron-number sector engine for electrons on nanowire rails.
+"""Electron-number block engine for electrons on nanowire rails.
 
 Pumps load a fixed set of rails and every primitive conserves electron
 number, so a register of ``n_rails`` single-mode rails loaded with ``k``
-electrons never leaves the C(n, k) occupation patterns with ``k`` set bits.
-Its state is a complex amplitude vector over that sector only.  Basis
-convention (fixed throughout the package, and the reference for every sign
-below):
+electrons never leaves its sector, the C(n, k) occupation patterns with
+``k`` set bits (``sector_basis``).  It keeps more: a waveguide coupler moves
+an electron between its two rails only and the other primitives are
+diagonal, so the electron count of each group of rails the couplers connect
+is fixed too.  A run's state is a complex amplitude vector over its block,
+the masks that hold each group's count (``block_basis``), which is the
+sector when one group holds every rail.  Basis convention (fixed throughout
+the package, and the reference for every sign below):
 
 * basis mask: bit ``i`` set  <=>  rail ``i`` occupied;
 * the basis ket for ``mask`` is built by applying creation operators in
@@ -19,26 +23,32 @@ rails strictly between the pair.  A doubly occupied pair transforms with
 det(u).  Both rules are exercised against dense second-quantized oracles
 in the test suite (``tests/oracles.py``).
 
-The batch kernels take the electron count and address the first axis of a
-``(dim,)`` state vector or a ``(dim, m)`` batch of m columns as positions in
-``sector_basis(n_rails, k)``, the sector's masks in ascending order.  The
-columns are those of a factored or a dense density matrix
+The batch kernels take a block and address the first axis of a ``(dim,)``
+state vector or a ``(dim, m)`` batch of m columns as positions in
+``block_basis(n_rails, block)``, the block's masks in ascending order.  A
+block is a tuple of ``(group, count)`` pairs, a mask of rails and the
+electrons on them, the groups covering the rails; it is hashable, so it
+keys the caches below, and ``sector_block(n_rails, k)`` is the whole
+sector.  Its masks are the sorted product of each group's sector, spread
+onto the group's rails, so the sector is never formed.  The columns are
+those of a factored or a dense density matrix
 (``timing.outcome_probabilities``), or single-particle orbitals: the
 one-electron sector ``sector_basis(n_rails, 1)`` is the masks ``1 << r``
 in rail order.  One basis position is one contiguous row, so a gather
 moves whole rows.  ``apply_mode_unitaries`` applies a stretch compiled by
 ``gates.apply_stretch``, its two-rail mode unitaries and the diagonal
-phases between them, in one call.  On a sector of at most
+phases between them, in one call.  On a block of at most
 ``_MAX_ROW_MASKS`` masks each unitary goes in partner form, ``x <- A * x +
 B * x[partner]``, one gather, two products and a sum: the partner rows of
-every rail pair of the sector are built once, in one pass, and cached per
-sector (``_sector_rows``), each unitary's rows ``A`` and ``B`` are picked
+every rail pair within a group are built once, in one pass, and cached per
+block (``_sector_rows``), each unitary's rows ``A`` and ``B`` are picked
 from its nine coefficients a block at a time, and the phases after a
 unitary fold into its rows, so no phase gets a call of its own; the phases
 before the first unitary are one diagonal product.  Otherwise each unitary
 is one ``mode_unitary_batch``, which updates only the positions of its
 pair's cached plan (``_pair_plan``), and each phase one product on the
-masks it occupies.
+masks it occupies.  A unitary on rails of two groups, whose partners lie
+outside the block, is refused.
 
 Without a Coulomb coupler every element is linear in the rail modes, so
 the state is a Slater determinant of k single-particle orbitals.
@@ -51,18 +61,19 @@ rails per sector), a block of masks at a time.
 ``deterministic-factor`` mode when the circuit has no ``cc``; it agrees
 with the sector path to rounding, not bit for bit.
 
-Capacity: a run's work and memory grow with its sector, C(n, k), not with
-the rail count, so the sector is what is bounded.  ``sector_basis``
-refuses a sector of more than ``MAX_AMPLITUDES`` (2^24) masks with
-``CapacityError``, checked with ``math.comb`` before it allocates; every
-sector-sized array of a run is built after its ``sector_basis`` call, and
-``timing``'s monte-carlo forms count what they hold against the same cap
-through ``check_capacity``.  The rail count is a representation limit only:
-a mask is an int64 whose bit 63 is the sign, so ``MAX_RAILS`` is 63.  The
-cap counts amplitudes, 16 bytes each, 256 MiB at the cap.  It does not
-count the arrays a run builds beside them, 8 bytes per mask each: the
-basis, the probabilities, their running sum and the counts (512 MiB at the
-cap).  Nor does it count the free path's cached lift plans, 5 bytes per
+Capacity: a run's work and memory grow with its block, not with the rail
+count, so the block is what is bounded.  ``block_basis`` refuses a block of
+more than ``MAX_AMPLITUDES`` (2^24) masks with ``CapacityError``, counted
+with ``math.comb`` per group before it allocates, and ``sector_basis`` a
+sector; every block-sized array of a run is built after its
+``block_basis`` call (the free path's lift, after each ``sector_basis``
+call), and ``timing``'s monte-carlo forms count what they hold against the
+same cap through ``check_capacity``.  The rail count is a representation
+limit only: a mask is an int64 whose bit 63 is the sign, so ``MAX_RAILS``
+is 63.  The cap counts amplitudes, 16 bytes each, 256 MiB at the cap.  It
+does not count the arrays a run builds beside them, 8 bytes per mask each:
+the basis, the probabilities, their running sum and the counts (512 MiB at
+the cap).  Nor does it count the free path's cached lift plans, 5 bytes per
 electron per mask of every sector the lift goes through: 480 MiB at 24
 rails with 12 electrons and 2.0 GiB at 26 rails with 13 electrons, both
 admitted.  Nor does it count the cached pair indices of the position
@@ -71,7 +82,7 @@ updates, which run only above ``_MAX_ROW_MASKS`` masks: at 24 rails with
 entries), one ``pair_occupied_indices`` entry 5.2 MB (0.66 GB for 128)
 and one ``rail_occupied_indices`` entry 10.8 MB (0.26 GB for 24 rails),
 all computed figures.  The partner form counts what it builds through
-``check_capacity``: the partner rows of a sector's pairs when they are
+``check_capacity``: the partner rows of a block's pairs when they are
 built, 40 bytes a mask per pair, of which the cached entry keeps 10 (1.27
 MB at 63 rails with one electron, the largest entry, and at most 10.2 MB
 for the cache's 8), and per call 56 bytes a mask per unitary of a block
@@ -83,7 +94,7 @@ stretch, 240 bytes a unitary and 40 a phase.  For 1000 couplers over all
 call, and a cold call peaks at 1.82 MB.
 
 Readout is one counting sampler, ``sample_counts``: from the cumulative
-outcome probabilities and a block of uniforms it adds to a count array, by
+outcome probabilities and a batch of uniforms it adds to a count array, by
 inverse-CDF sampling, how many uniforms fall on each basis position,
 without forming a per-shot position.
 
@@ -101,13 +112,13 @@ import numpy as np
 
 # a mask is an int64 whose bit 63 is the sign, so rails q0 to q62
 MAX_RAILS = 63
-# the one capacity rule: no sector and no monte-carlo form beyond this many
-# complex amplitudes (256 MiB)
+# the one capacity rule: no sector, no block and no monte-carlo form beyond
+# this many complex amplitudes (256 MiB)
 MAX_AMPLITUDES = 1 << 24
 # masks per block of the lift and of its plans' construction, whose
 # temporaries hold up to 48 bytes a mask
 _LIFT_BLOCK = 1 << 12
-# apply_mode_unitaries uses partner rows on a sector of at most
+# apply_mode_unitaries uses partner rows on a block of at most
 # _MAX_ROW_MASKS masks, which also bounds what they hold.  Rows against one
 # position update per unitary on a 2-vCPU Xeon, measured with the earlier
 # rows cached per pair: 600 random primitives (222 couplers) took 3.7
@@ -250,6 +261,73 @@ def sector_basis(n_rails: int, n_electrons: int) -> np.ndarray:
     return basis
 
 
+def sector_block(n_rails: int, n_electrons: int) -> tuple:
+    """The whole ``n_electrons`` sector of ``n_rails`` rails as a block: one
+    group of every rail."""
+    return (((1 << n_rails) - 1, n_electrons),)
+
+
+@lru_cache(maxsize=64)
+def block_basis(n_rails: int, block: tuple) -> np.ndarray:
+    """Ascending masks of a block (cached, read-only).
+
+    ``block`` is a tuple of ``(group, count)`` pairs: ``group`` a mask of
+    rails, the groups disjoint and covering all ``n_rails`` rails, and
+    ``count`` the electrons the block's masks hold on that group's rails.
+    A one-group block is the sector, ``sector_basis(n_rails, count)``
+    itself.  Otherwise the masks are the sorted product of each group's
+    ``sector_basis``, spread onto the group's rails, so the sector is never
+    formed; a block of more than ``MAX_AMPLITUDES`` masks raises
+    ``CapacityError`` before anything is allocated.  A malformed block
+    raises ``ValueError``.
+    """
+    check_n_rails(n_rails)
+    covered = 0
+    for group, count in block:
+        require_integer(group, "block group")
+        require_integer(count, "block count")
+        if group <= 0 or group & covered or group >> n_rails:
+            raise ValueError(f"block groups must be disjoint nonempty masks of "
+                             f"{n_rails} rails, got {block}")
+        if not 0 <= count <= group.bit_count():
+            raise ValueError(f"a block group of {group.bit_count()} rails cannot "
+                             f"hold {count} electrons")
+        covered |= group
+    if covered != (1 << n_rails) - 1:
+        raise ValueError(f"block groups must cover all {n_rails} rails, got {block}")
+    if len(block) == 1:
+        return sector_basis(n_rails, block[0][1])
+    size = math.prod(math.comb(group.bit_count(), count) for group, count in block)
+    check_capacity(size, f"the block of {sum(count for _, count in block)} "
+                         f"electrons in {len(block)} rail groups of {n_rails} "
+                         f"rails has {size} amplitudes")
+    basis = np.zeros(1, dtype=np.int64)
+    for group, count in block:
+        rails = [rail for rail in range(n_rails) if (group >> rail) & 1]
+        local = sector_basis(len(rails), count)
+        placed = np.zeros_like(local)
+        for bit, rail in enumerate(rails):
+            placed |= ((local >> bit) & 1) << rail
+        # the groups' rails are disjoint, so or-ing adds the masks
+        basis = (basis[:, np.newaxis] | placed).ravel()
+    # the stable argsort that gates._held runs too: a first sort of another
+    # kind maps 128 to 256 KiB more of numpy's code in a run
+    basis = basis.take(basis.argsort(kind="stable"))
+    basis.setflags(write=False)
+    return basis
+
+
+def _group_labels(n_rails: int, block: tuple) -> np.ndarray:
+    """The index of each rail's group in ``block``."""
+    groups = np.array([group for group, _ in block], dtype=np.int64)
+    return ((groups[:, np.newaxis] >> np.arange(n_rails)) & 1).argmax(axis=0)
+
+
+def _refuse_joined(lo: int, hi: int):
+    raise ValueError(f"a coupler on rails {lo} and {hi} joins two groups "
+                     f"of the block")
+
+
 @lru_cache(maxsize=64, typed=True)
 def _lift_plan(n_rails: int, n_electrons: int):
     """Laplace-expansion plan into the ``n_electrons`` sector (cached, read-only).
@@ -320,13 +398,13 @@ def lift_columns(columns: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128, typed=True)
-def _pair_plan(n_rails: int, lo: int, hi: int, n_electrons: int):
+def _pair_plan(n_rails: int, lo: int, hi: int, block: tuple):
     """Partner plan of the rail pair ``lo < hi`` (cached, read-only).
 
-    Returns ``(positions, signs)`` over ``sector_basis(n_rails,
-    n_electrons)``.  ``positions`` (intp) lists the masks with only ``lo``
-    occupied within the pair, then their partners, the same masks with the
-    electron on ``hi``, then the masks with both occupied; ``signs``
+    Returns ``(positions, signs)`` over ``block_basis(n_rails, block)``.
+    ``positions`` (intp) lists the masks with only ``lo`` occupied within
+    the pair, then their partners, the same masks with the electron on
+    ``hi``, then the masks with both occupied; ``signs``
     (float64) holds the (-1)^k hopping sign of each ``lo``-only mask, k
     counting occupied rails strictly between the pair.  Every other mask is
     its own partner.  A plan holds 24 bytes per one-electron pair of masks
@@ -338,14 +416,18 @@ def _pair_plan(n_rails: int, lo: int, hi: int, n_electrons: int):
     ``ValueError`` for a rail outside ``[0, n_rails)`` or not an integer,
     and for one rail twice; only valid rails are cached, and the caches are
     typed so that ``True`` never finds the entry of rail 1, so the batch
-    kernels need no rail check of their own.
+    kernels need no rail check of their own.  A pair whose rails lie in two
+    groups of the block raises ``ValueError``: its partners are not in the
+    block.
     """
     check_rail(n_rails, lo)
     check_rail(n_rails, hi)
     if lo == hi:
         raise ValueError(f"a mode unitary needs two distinct rails, "
                          f"got rail {lo} twice")
-    basis = sector_basis(n_rails, n_electrons)
+    basis = block_basis(n_rails, block)
+    if not any((group >> lo) & (group >> hi) & 1 for group, _ in block):
+        _refuse_joined(lo, hi)
     lo_set = (basis >> lo) & 1
     hi_set = (basis >> hi) & 1
     lo_only = np.flatnonzero(lo_set > hi_set)
@@ -361,11 +443,11 @@ def _pair_plan(n_rails: int, lo: int, hi: int, n_electrons: int):
 
 
 @lru_cache(maxsize=128, typed=True)
-def rail_occupied_indices(n_rails: int, rail: int,
-                          n_electrons: int) -> np.ndarray:
-    """Basis positions in which ``rail`` is occupied (cached, read-only)."""
+def rail_occupied_indices(n_rails: int, rail: int, block: tuple) -> np.ndarray:
+    """Positions in ``block_basis(n_rails, block)`` in which ``rail`` is
+    occupied (cached, read-only)."""
     check_rail(n_rails, rail)
-    basis = sector_basis(n_rails, n_electrons)
+    basis = block_basis(n_rails, block)
     idx = np.flatnonzero((basis >> rail) & 1)
     idx.setflags(write=False)
     return idx
@@ -373,11 +455,12 @@ def rail_occupied_indices(n_rails: int, rail: int,
 
 @lru_cache(maxsize=128, typed=True)
 def pair_occupied_indices(n_rails: int, rail_a: int, rail_b: int,
-                          n_electrons: int) -> np.ndarray:
-    """Basis positions in which both rails are occupied (cached, read-only)."""
+                          block: tuple) -> np.ndarray:
+    """Positions in ``block_basis(n_rails, block)`` in which both rails are
+    occupied (cached, read-only)."""
     check_rail(n_rails, rail_a)
     check_rail(n_rails, rail_b)
-    basis = sector_basis(n_rails, n_electrons)
+    basis = block_basis(n_rails, block)
     idx = np.flatnonzero((basis >> rail_a) & (basis >> rail_b) & 1)
     idx.setflags(write=False)
     return idx
@@ -409,32 +492,38 @@ def _coefficients(u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8, typed=True)
-def _sector_rows(n_rails: int, n_electrons: int):
-    """Partner rows and coefficient classes of every rail pair of a sector
-    (cached, read-only).
+def _sector_rows(n_rails: int, block: tuple):
+    """Partner rows and coefficient classes of every rail pair within a
+    group of a block (cached, read-only).
 
-    Returns ``(bits, slot, partner, classes)`` over ``sector_basis(n_rails,
-    n_electrons)``, all pairs ``lo < hi`` built in one pass: ``bits`` is
-    ``(n_rails, dim)`` bool, row ``r`` true on the masks that occupy rail
-    ``r``; ``slot[lo, hi]`` is the row of the pair in ``partner``, a ``(p,
-    dim)`` intp array that holds, for every position, that of the same mask
-    with the pair's one electron on the other rail, or the position itself
-    with none or two; ``classes`` is ``(2, p, dim)`` int8, ``classes[0]``
-    picking each mask's own coefficient and ``classes[1]`` its partner's
-    (see ``_CLASSES``).  The building is counted through
-    ``check_capacity``, at 40 bytes a mask per pair; the entry keeps 10 of
-    them.  One entry per sector, not per pair, so a run misses once.
+    Returns ``(bits, slot, partner, classes)`` over ``block_basis(n_rails,
+    block)``, all pairs ``lo < hi`` of one group built in one pass: ``bits``
+    is ``(n_rails, dim)`` bool, row ``r`` true on the masks that occupy rail
+    ``r``; ``slot[lo, hi]`` is the row of the pair in ``partner``, or -1 for
+    rails of two groups; ``partner`` is a ``(p, dim)`` intp array that
+    holds, for every position, that of the same mask with the pair's one
+    electron on the other rail, or the position itself with none or two;
+    ``classes`` is ``(2, p, dim)`` int8, ``classes[0]`` picking each mask's
+    own coefficient and ``classes[1]`` its partner's (see ``_CLASSES``).
+    The building is counted through ``check_capacity``, at 40 bytes a mask
+    per pair; the entry keeps 10 of them.  One entry per block, not per
+    pair, so a run misses once.
     """
-    basis = sector_basis(n_rails, n_electrons)
+    basis = block_basis(n_rails, block)
     dim = basis.size
     lo, hi = np.triu_indices(n_rails, 1)
+    if len(block) > 1:
+        labels = _group_labels(n_rails, block)
+        joined = labels[lo] == labels[hi]
+        lo, hi = lo[joined], hi[joined]
     check_capacity((n_rails + 40 * lo.size) * dim // 16 + n_rails * n_rails + 1,
                    f"the partner rows of {lo.size} rail pairs over {dim} masks")
     bits = (basis & (1 << np.arange(n_rails))[:, np.newaxis]) != 0
     lo_bit, hi_bit = bits[lo], bits[hi]
-    # moving a pair's electron from the lower rail to the upper adds the same
-    # number to every such mask, so the i-th mask with only the lower rail
-    # occupied and the i-th with only the upper one are partners
+    # moving a pair's electron from the lower rail to the upper, within its
+    # group, adds the same number to every such mask of the block, so the
+    # i-th mask with only the lower rail occupied and the i-th with only the
+    # upper one are partners
     src = (lo_bit > hi_bit).ravel().nonzero()[0]
     dst = (hi_bit > lo_bit).ravel().nonzero()[0]
     partner = np.arange(lo.size * dim)
@@ -448,7 +537,7 @@ def _sector_rows(n_rails: int, n_electrons: int):
     code += hi_bit
     code += code
     code += below[hi - 1] ^ below[lo]
-    slot = np.zeros((n_rails, n_rails), dtype=np.intp)
+    slot = np.full((n_rails, n_rails), -1, dtype=np.intp)
     slot[lo, hi] = np.arange(lo.size)
     partner = partner.reshape(lo.size, dim)
     classes = _CLASSES.take(code, axis=1)
@@ -458,13 +547,13 @@ def _sector_rows(n_rails: int, n_electrons: int):
 
 
 def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
-                         u: np.ndarray, n_electrons: int, phases) -> None:
-    """Apply two-rail mode unitaries in turn to sector amplitudes, with the
+                         u: np.ndarray, block: tuple, phases) -> None:
+    """Apply two-rail mode unitaries in turn to block amplitudes, with the
     diagonal phases between them, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the update acts on alike; its first axis follows
-    ``sector_basis(n_rails, n_electrons)``.  Unitary ``j`` is the 2x2
+    ``block_basis(n_rails, block)``.  Unitary ``j`` is the 2x2
     ``u[j]`` of the ``(c, 2, 2)`` complex ``u`` on the rails of row ``j``
     of the ``(c, 2)`` intp ``pairs``, lower rail first, acting as
     ``mode_unitary_batch`` does.  ``phases`` is None or ``(after, rails_a,
@@ -472,12 +561,14 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     multiplies the masks that occupy both ``rails_a[i]`` and
     ``rails_b[i]`` (one rail when they are equal) by ``turns[i]`` just
     after unitary ``after[i]``, or before the first one when ``after[i] ==
-    -1``.  The rails are not checked.
+    -1``.  The rails are not checked against ``n_rails``, but a unitary
+    whose rails lie in two groups of the block raises ``ValueError`` before
+    ``batch`` changes.
 
-    On a sector of 2 to ``_MAX_ROW_MASKS`` masks every unitary goes in
+    On a block of 2 to ``_MAX_ROW_MASKS`` masks every unitary goes in
     partner form, ``x <- A * x + B * x[partner]``: one gather, two products
-    and a sum.  The partner rows and coefficient classes of the sector's
-    pairs are built once per sector (``_sector_rows``).  ``_BLOCK_COUPLERS``
+    and a sum.  The partner rows and coefficient classes of the block's
+    pairs are built once per block (``_sector_rows``).  ``_BLOCK_COUPLERS``
     unitaries at a time, each one's rows ``A`` and ``B`` are picked from its
     nine coefficients (``_coefficients``) by the classes of its pair, and
     the phases after it fold into both, ``A *= D`` and ``B *= D`` with
@@ -489,21 +580,24 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     with an electron on its pair, and each phase one product on the masks
     it occupies.
     """
-    basis = sector_basis(n_rails, n_electrons)
-    dim, count = basis.size, len(pairs)
+    dim, count = block_basis(n_rails, block).size, len(pairs)
     if not 1 < dim <= _MAX_ROW_MASKS:
-        _apply_by_positions(batch, n_rails, pairs, u, n_electrons, phases)
+        _apply_by_positions(batch, n_rails, pairs, u, block, phases)
         return
-    bits, slot, partner, classes = _sector_rows(n_rails, n_electrons)
+    bits, slot, partner, classes = _sector_rows(n_rails, block)
+    owned = slot[pairs[:, 0], pairs[:, 1]]
+    # one group holds every pair
+    if len(block) > 1 and count and owned.min() < 0:
+        _refuse_joined(*pairs[owned.argmin()].tolist())
     step = _BLOCK_COUPLERS
-    block = min(step, count)
+    width = min(step, count)
     n_phases = 0 if phases is None else phases[0].size
     # bytes a mask: 56 for each unitary of a block, its rows, their classes
     # and its partner row, and 56 for each phase placed at a time, the masks
     # it occupies and their places and turns.  Then the gathered copy of
     # batch, and the stretch as compiled: 240 bytes a unitary, its pair, its
     # u and its coefficients, and 40 a phase
-    check_capacity((56 * block + 56 * min(step, n_phases)) * dim // 16
+    check_capacity((56 * width + 56 * min(step, n_phases)) * dim // 16
                    + batch.size + 15 * count + 3 * n_phases + 1,
                    f"the rows of {count} unitaries over {dim} masks")
     # the phases before the first unitary, then those after each block's
@@ -519,17 +613,16 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     if not count:
         return
     coefficients = _coefficients(u)
-    owned = slot[pairs[:, 0], pairs[:, 1]]
     hop = np.empty_like(batch)
     # the per-unitary calls, looked up once and given positional arguments:
     # on 70 masks that took 1000 unitaries from 1.66 to 1.43 ms
     take, multiply, add = batch.take, np.multiply, np.add
     # one block's coefficient indices and A and B rows, reused
-    index = np.empty((2, block, dim), dtype=np.intp)
-    rows = np.empty((2, block, dim), dtype=np.complex128)
+    index = np.empty((2, width, dim), dtype=np.intp)
+    rows = np.empty((2, width, dim), dtype=np.complex128)
     own_rows, partner_rows = rows.reshape(2, -1)
     # the partner row of each unitary of a block
-    gather = np.empty((block, dim), dtype=np.intp)
+    gather = np.empty((width, dim), dtype=np.intp)
     offsets = np.arange(0, 9 * count, 9)[:, np.newaxis]
     for start, low, high in zip(range(0, count, step), bounds, bounds[1:]):
         own = owned[start:start + step]
@@ -569,21 +662,26 @@ def _phase_places(bits: np.ndarray, phases, low: int, high: int, start: int):
 
 
 def _apply_by_positions(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
-                        u: np.ndarray, n_electrons: int, phases) -> None:
+                        u: np.ndarray, block: tuple, phases) -> None:
     """``apply_mode_unitaries`` above ``_MAX_ROW_MASKS`` masks: each unitary
     one ``mode_unitary_batch`` and each phase one product on the masks that
     occupy its rails (the cached index helpers)."""
+    if len(block) > 1 and len(pairs):
+        labels = _group_labels(n_rails, block)
+        joined = labels[pairs[:, 0]] != labels[pairs[:, 1]]
+        if joined.any():
+            _refuse_joined(*pairs[joined.argmax()].tolist())
     pairs = pairs.tolist()
     after, rails_a, rails_b, turns = (((), (), (), ()) if phases is None else
                                       (values.tolist() for values in phases))
     phase = 0
     for j in range(-1, len(pairs)):
         if j >= 0:
-            mode_unitary_batch(batch, n_rails, pairs[j], u[j], n_electrons)
+            mode_unitary_batch(batch, n_rails, pairs[j], u[j], block)
         while phase < len(after) and after[phase] == j:
             a, b = rails_a[phase], rails_b[phase]
-            idx = (rail_occupied_indices(n_rails, a, n_electrons) if a == b else
-                   pair_occupied_indices(n_rails, a, b, n_electrons))
+            idx = (rail_occupied_indices(n_rails, a, block) if a == b else
+                   pair_occupied_indices(n_rails, a, b, block))
             # out of place: numpy rounds an in-place complex product of one
             # amplitude differently from a longer one
             batch[idx] = batch[idx] * turns[phase]
@@ -591,12 +689,13 @@ def _apply_by_positions(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
 
 
 def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
-                       n_electrons: int) -> None:
-    """Apply a two-rail mode unitary to sector amplitudes, in place.
+                       block: tuple) -> None:
+    """Apply a two-rail mode unitary to block amplitudes, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the update acts on alike; its first axis follows
-    ``sector_basis(n_rails, n_electrons)``.  ``u`` mixes the single-electron
+    ``block_basis(n_rails, block)``, and ``rails`` must lie in one of its
+    groups.  ``u`` mixes the single-electron
     amplitudes of ``rails``, first rail first; components with both rails
     empty are untouched, components with both occupied pick up det(u), and
     hopping amplitudes carry the (-1)^k sign of the module docstring.  It
@@ -607,7 +706,7 @@ def mode_unitary_batch(batch: np.ndarray, n_rails: int, rails, u: np.ndarray,
         # reorder so mode 0 is the lower rail; conjugate u by the swap
         r0, r1 = r1, r0
         u = u[::-1, ::-1]
-    positions, signs = _pair_plan(n_rails, r0, r1, n_electrons)
+    positions, signs = _pair_plan(n_rails, r0, r1, block)
     hops = signs.size
     lo_only, hi_only = positions[:hops], positions[hops:2 * hops]
     both = positions[2 * hops:]
@@ -634,9 +733,10 @@ def sample_counts(cumulative: np.ndarray, uniforms, out: np.ndarray) -> np.ndarr
     ``u * total``, so a position of zero probability is never counted, not
     even for ``u == 0.0``.  A draw that rounds up to the total, which only a
     subnormal total allows, falls on the last position of nonzero weight.
-    Over a sector, ``sector_basis`` maps positions back to masks.
+    Over a block, ``block_basis`` maps positions back to masks.
     Zero-probability masks only repeat a cumulative value, so a draw over a
-    sector selects the same mask as one over all 2^n masks would.
+    block selects the same mask as one over its whole sector or over all
+    2^n masks would.
 
     Only the counts are formed, from the draws ``u * total`` sorted: the
     shorter of the two sorted arrays is searched in the longer one.  With

@@ -57,17 +57,18 @@ the Hadamard trims are -pi/2 and the Fredkin arm bias is pi.
 ``PhaseShifter.hardware_realizable`` reports this per element, read over a
 circuit's primitive form; the parser accepts any finite phase.
 
-The elements act through one kernel, ``apply_stretch``, on sector
-amplitudes and on single-particle orbitals alike: orbitals are columns of
-the one-electron sector.  It compiles a stretch of primitives once, with
-a fixed number of array operations over its columns and no walk over its
-rows: each phase shifter is summed into the 2x2 matrix of the next coupler
-on its rail, and the Coulomb phases keep their places between the
-couplers.  ``fock.apply_mode_unitaries`` applies the compiled stretch,
-each coupler one gather, two products and a sum on a sector of at most
-256 masks.
+The elements act through one kernel, ``apply_stretch``, on block
+amplitudes (``fock.block_basis``) and on single-particle orbitals alike:
+orbitals are columns of the one-electron sector.  It compiles a stretch
+of primitives once, with a fixed number of array operations over its
+columns and no walk over its rows: each phase shifter is summed into the
+2x2 matrix of the next coupler on its rail, and the Coulomb phases keep
+their places between the couplers.  ``fock.apply_mode_unitaries`` applies
+the compiled stretch, each coupler one gather, two products and a sum on
+a block of at most 256 masks.
 ``apply_element_batch`` is that kernel on a one-element stretch.  A rail
-outside the register is refused before the amplitudes change.
+outside the register, or a coupler that joins two groups of the block, is
+refused before the amplitudes change.
 
 The brute-force oracles that check this kernel, dense ``2^n x 2^n``
 matrices built from ladder operators, live in the test suite
@@ -516,19 +517,20 @@ def _held(rows: int, n_rails: int, pairs: np.ndarray, bs: np.ndarray,
 
 
 def apply_stretch(batch: np.ndarray, n_rails: int, elements,
-                  n_electrons: int) -> None:
-    """Apply a stretch of elements, in order, to sector amplitudes, in place.
+                  block: tuple) -> None:
+    """Apply a stretch of elements, in order, to block amplitudes, in place.
 
     ``batch`` is one ``(dim,)`` state vector or a ``(dim, m)`` batch whose
     columns the stretch acts on alike; its first axis follows
-    ``fock.sector_basis(n_rails, n_electrons)``.  A phase shifter multiplies
+    ``fock.block_basis(n_rails, block)``, whose groups each waveguide
+    coupler's rails must share.  A phase shifter multiplies
     the components that occupy its rail by ``exp(i phi)``, a Coulomb coupler
     those that occupy both its rails by ``exp(-2i chi_t)``, and a waveguide
     coupler acts as the mode unitary ``coupler_matrix`` on its rails.  With
-    one electron the sector is the rails themselves, in order, so an
-    ``(n_rails, k)`` array of single-particle orbitals evolves as ``k``
-    columns of the one-electron sector: every hopping sign is +1 and a
-    Coulomb coupler acts as the identity.
+    one electron, ``fock.sector_block(n_rails, 1)``, the block is the rails
+    themselves, in order, so an ``(n_rails, k)`` array of single-particle
+    orbitals evolves as ``k`` columns of the one-electron sector: every
+    hopping sign is +1 and a Coulomb coupler acts as the identity.
 
     The stretch is compiled once (``_compile``), with array operations
     over its columns and no walk over its rows.  The phase shifters are
@@ -544,14 +546,15 @@ def apply_stretch(batch: np.ndarray, n_rails: int, elements,
 
     ``elements`` is an ``ElementColumns`` or a sequence of elements, which
     is compiled to one.  Before ``batch`` changes, a macro raises
-    ``TypeError`` and a rail outside ``[0, n_rails)`` ``ValueError``, as
-    ``fock.check_rail`` words it.
+    ``TypeError``, a rail outside ``[0, n_rails)`` ``ValueError``, as
+    ``fock.check_rail`` words it, and so does a coupler that joins two
+    groups of the block.
     """
     if not isinstance(elements, ElementColumns):
         elements = ElementColumns.of(elements)
     if len(elements):
         pairs, u, phases = _compile(elements, n_rails)
-        fock.apply_mode_unitaries(batch, n_rails, pairs, u, n_electrons, phases)
+        fock.apply_mode_unitaries(batch, n_rails, pairs, u, block, phases)
 
 
 def _compile(elements: ElementColumns, n_rails: int) -> tuple:
@@ -605,7 +608,7 @@ def _compile(elements: ElementColumns, n_rails: int) -> tuple:
 
 
 def apply_element_batch(batch: np.ndarray, n_rails: int, element: GateElement,
-                        n_electrons: int) -> None:
-    """Apply one element to sector amplitudes, in place: ``apply_stretch``
+                        block: tuple) -> None:
+    """Apply one element to block amplitudes, in place: ``apply_stretch``
     of a one-element stretch."""
-    apply_stretch(batch, n_rails, (element,), n_electrons)
+    apply_stretch(batch, n_rails, (element,), block)

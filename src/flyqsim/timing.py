@@ -41,15 +41,25 @@ they are fewer than the positions.  Because
 every shot consumes a fixed block and a count does not depend on the order
 of the draws, the histogram does not depend on how shots are chunked.
 
-Every element and every segment phase conserves electron number, so
-``run_shots`` samples only the sector of the k electrons its pumps load,
-over ``fock.sector_basis(n, k)``, the k-electron masks in ascending order.
-Sampled positions map back to masks through that basis.  The basis is
-built before any sector-sized array, so a sector above the one capacity
-rule of ``fock`` (2^24 amplitudes) is refused with ``fock.CapacityError``
-in every mode, whatever the rail count.
+Every element and every segment phase conserves electron number, and a
+waveguide coupler moves an electron between its own two rails only, while
+phase shifters and Coulomb couplers are diagonal.  So the electron count
+of each group of rails that the couplers connect never changes, and
+``run_shots`` samples only the run's block: the masks that keep the count
+the pumps load on every group.  ``outcome_probabilities`` finds the groups
+once per run, in one array pass over the couplers' rail pairs
+(``_block``), and builds the block's masks in ascending order
+(``fock.block_basis``): ``2^q`` masks for ``q`` dual-rail qubits, where
+the sector of their ``q`` electrons holds ``C(2q, q)``; with one group of
+every rail the block is the sector, ``fock.sector_basis(n, k)``.  Sampled
+positions map back to masks through that basis.  The basis is built
+before any block-sized array, so a block above the one capacity rule of
+``fock`` (2^24 amplitudes) is refused with ``fock.CapacityError`` in
+every mode, whatever the rail count.  The masks left out could only carry
+exact zeros, and a running sum over an ascending subset that drops only
+zeros has the same partial sums, so the counts are those of the sector.
 
-``outcome_probabilities`` reaches the sector by one of two paths, chosen
+``outcome_probabilities`` reaches the block by one of two paths, chosen
 by one condition: the circuit and the mode, nothing else.
 
 * Free path: ``off`` and ``deterministic-factor`` mode with no
@@ -59,19 +69,21 @@ by one condition: the circuit and the mode, nothing else.
   one-electron sector (``gates.apply_stretch``) and lifted to the sector
   once (``fock.lift_columns``): mask ``S`` has probability
   ``|det U[S, occ]|^2``.  With more electrons than empty rails the empty
-  rails' orbitals are lifted instead.  It agrees with the sector path to
-  rounding (about 1e-15), not bit for bit.
+  rails' orbitals are lifted instead.  The block's entries of the lifted
+  probabilities are kept; the sector's others are exact zeros.  It agrees
+  with the sector path to rounding (about 1e-15), not bit for bit.
 * Sector path: ``monte-carlo`` mode, or any ``cc``.  The stretch kernel
-  (``gates.apply_stretch``) evolves the sector amplitudes, one call per
+  (``gates.apply_stretch``) evolves the block's amplitudes, one call per
   stretch of elements: the whole circuit in ``off`` and
   ``deterministic-factor`` mode, the elements between two wire positions
-  with segments in ``monte-carlo`` mode.  The other masks could only carry
-  exact zeros.
+  with segments in ``monte-carlo`` mode.  The whole sector is the block of
+  one group, so there is no second form of this path.
 
 Both paths feed the same cumulative sum, so the stream contract above does
 not depend on the path.
 
-The sector path keeps one ``(C(n, k),)`` vector for as long as it can.  In
+The sector path keeps one ``(dim,)`` vector over the block for as long as
+it can.  In
 ``off`` and ``deterministic-factor`` modes that is the whole circuit.  In
 ``monte-carlo`` mode it is up to the first element position with a segment
 on a rail that is not definite over the support: some nonzero amplitudes
@@ -84,12 +96,12 @@ column at first; every stretch acts on ``B``'s columns.  At each position
 whose wire counts, ``B`` is rebuilt over its support of ``s`` rows from the
 eigenpairs of the dephased ``s x s`` block of ``rho``, so it keeps at most
 ``s`` columns.  A support above ``_DENSE_SUPPORT`` rows switches to the dense
-``(C(n, k), C(n, k))`` rho for the rest of the run, where a stretch is
+``(dim, dim)`` rho for the rest of the run, where a stretch is
 applied to the rows and then, after one conjugate transpose, to the rows
 again.  Under the same rule (``fock.check_capacity``) the run may hold no
 more than 2^24 amplitudes' worth of arrays at once (256 MiB), or it is
 refused with ``fock.CapacityError`` and the advice to use factor mode,
-which holds the sector and, while a coupler acts, about one more sector's
+which holds the block and, while a coupler acts, about one more block's
 worth.  The factored form counts, at each rebuild, the new ``B`` with two
 more ``B``'s worth of kernel temporaries, the previous ``B`` and six
 complex ``s x s`` arrays for the eigen-decomposition; the dense form
@@ -111,6 +123,7 @@ import numpy as np
 from . import fock
 from .dualrail import decode
 from .gates import (  # noqa: F401  perfbench/tracing.py wraps apply_element_batch here
+    BS,
     CC,
     apply_element_batch,
     apply_stretch,
@@ -141,7 +154,7 @@ _DENSE_SUPPORT = 256
 # copy, the kernel's gathered blocks (1.39 rho's worth), or the damping D
 # and its exp temporary (two float arrays): 2.39 rho's worth measured with
 # tracemalloc on a 252-mask circuit, counted as three complex (dim, dim)
-# arrays.  A dense rho has a support above _DENSE_SUPPORT, so its sector is
+# arrays.  A dense rho has a support above _DENSE_SUPPORT, so its block is
 # too large for the kernel's partner rows.
 _DENSE_COPIES = 3
 # the factored form holds B and, while a stretch acts on it, up to two more
@@ -420,24 +433,25 @@ def _coherence(masks: np.ndarray, rails: np.ndarray,
                   - 0.5 * (lost[:, np.newaxis] + lost[np.newaxis, :]))
 
 
-def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
+def _dephase(state: np.ndarray, dense: bool, group, basis: np.ndarray,
              l_phi: float) -> tuple[np.ndarray, bool]:
     """Average ``state`` over the Gaussian phases of one wire position,
     whose segments ``group`` holds as two lists, rails and lengths.
 
     ``state`` is the factored ``B`` of ``rho = B B^H`` (a ``(dim,)`` vector or
-    a ``(dim, r)`` array) or, when ``dense``, ``rho`` itself.  A segment on a
+    a ``(dim, r)`` array) or, when ``dense``, ``rho`` itself, over the
+    run's block, whose masks ``basis`` holds.  A segment on a
     rail definite over the support (the nonzero rows) multiplies ``rho`` by 1
     and is dropped.  A factored support above ``_DENSE_SUPPORT`` switches to
     the dense form; otherwise ``B`` is rebuilt over the support from the
     eigenpairs of ``K = D * (B B^H)``, dropping eigenvalues at or below
     ``s * eps * max``, so its rank stays at most the support size ``s``.
     """
-    dim = sector.size
+    dim = basis.size
     weight = (state.diagonal().real if dense
               else np.sum(np.abs(state.reshape(dim, -1)) ** 2, axis=1))
     support = np.flatnonzero(weight)
-    masks = sector[support]
+    masks = basis[support]
     mixed = int(np.bitwise_or.reduce(masks) ^ np.bitwise_and.reduce(masks))
     by_rail = {}
     for rail, length in zip(*group):
@@ -458,7 +472,7 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     rates = np.fromiter(by_rail.values(), dtype=np.float64)
     if dense:
         # rows and columns off the support are zero: damp them all alike
-        state *= _coherence(sector, rails, rates)
+        state *= _coherence(basis, rails, rates)
         return state, dense
     factor = state.reshape(dim, -1)[support]
     values, vectors = np.linalg.eigh(_coherence(masks, rails, rates)
@@ -477,6 +491,32 @@ def _dephase(state: np.ndarray, dense: bool, group, sector: np.ndarray,
     return state, dense
 
 
+def _block(n_rails: int, elements, loaded: int) -> tuple:
+    """The run's block, as ``fock.block_basis`` takes it: the groups of
+    rails that the waveguide couplers connect, each with the electrons
+    ``loaded`` puts on it.
+
+    A coupler moves an electron between its two rails only, and the phase
+    shifters and Coulomb couplers are diagonal, so the electron count of
+    each connected group of rails never changes.  The groups are found in
+    one array pass: each coupler marks its pair in a rail-by-rail matrix,
+    and boolean squaring closes it, as after ``j`` products it links the
+    rails joined by up to ``2^j`` couplers.  A rail no coupler reaches is a
+    group of its own.
+    """
+    ends = elements.ints.take((elements.kinds == BS).nonzero()[0], 0)
+    linked = np.eye(n_rails, dtype=bool)
+    linked[ends[:, 1], ends[:, 2]] = True
+    linked = linked | linked.T
+    for _ in range((n_rails - 1).bit_length()):
+        linked = linked @ linked
+    # each group's mask, listed at its lowest rail
+    weights = 1 << np.arange(n_rails)
+    masks = linked @ weights
+    groups = masks[(masks & -masks) == weights].tolist()
+    return tuple((group, (group & loaded).bit_count()) for group in groups)
+
+
 def _free_probabilities(circuit, loaded: int) -> np.ndarray:
     """Outcome probabilities of a circuit without Coulomb couplers.
 
@@ -488,14 +528,15 @@ def _free_probabilities(circuit, loaded: int) -> np.ndarray:
     sector once (``fock.lift_columns``).  When more rails are loaded than
     empty, the empty rails' orbitals are lifted instead: complementary
     minors of a unitary have equal moduli, and complementing the masks of a
-    sector reverses their ascending order.
+    sector reverses their ascending order.  The probabilities are over the
+    sector, ``fock.sector_basis``.
     """
     n_rails = circuit.n_rails
     holes = 2 * loaded.bit_count() > n_rails
     rails = [r for r in range(n_rails) if ((loaded >> r) & 1) != holes]
     columns = np.zeros((n_rails, len(rails)), dtype=np.complex128)
     columns[rails, np.arange(len(rails))] = 1.0
-    apply_stretch(columns, n_rails, circuit.columns, 1)
+    apply_stretch(columns, n_rails, circuit.columns, fock.sector_block(n_rails, 1))
     probabilities = np.abs(fock.lift_columns(columns)) ** 2
     return probabilities[::-1] if holes else probabilities
 
@@ -503,29 +544,36 @@ def _free_probabilities(circuit, loaded: int) -> np.ndarray:
 def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     """Exact detector-outcome probabilities of ``circuit.expanded``.
 
-    Returns ``(sector, p)``: ``p[j]`` is the probability, up to a common
-    normalization within rounding, of reading ``sector[j]``, the masks of
-    ``fock.sector_basis`` for the electron count the pumps load.  In
-    ``monte-carlo`` mode ``p`` is the diagonal of the density matrix
-    averaged over every segment phase; the other modes evolve one vector,
-    or, without a Coulomb coupler, the single-particle orbitals (see the
-    module docstring).  The schedule is not checked here.
+    Returns ``(basis, p)``: ``p[j]`` is the probability, up to a common
+    normalization within rounding, of reading ``basis[j]``, the masks of
+    the run's block (``fock.block_basis``): those that keep the electrons
+    the pumps load on each group of rails the couplers connect.  Every
+    other mask has probability exactly 0.  In ``monte-carlo`` mode ``p`` is
+    the diagonal of the density matrix averaged over every segment phase;
+    the other modes evolve one vector, or, without a Coulomb coupler, the
+    single-particle orbitals (see the module docstring).  The schedule is
+    not checked here.
     """
     dephasing = dephasing or DephasingModel()
     circuit = circuit.expanded
     n_rails = circuit.n_rails
-    # every element conserves electron number: evolve only the loaded sector
     loaded = fock.occupation_mask(
         n_rails, [src.rail for src in circuit.sources if src.emits])
-    n_electrons = loaded.bit_count()
-    sector = fock.sector_basis(n_rails, n_electrons)
-    mc = dephasing.mode == MODE_MC
     elements = circuit.columns
+    # every element keeps the electron count of each coupler-connected group
+    # of rails: evolve only the block of masks that the pumps' load fixes
+    block = _block(n_rails, elements, loaded)
+    basis = fock.block_basis(n_rails, block)
+    mc = dephasing.mode == MODE_MC
     if not mc and not (elements.kinds == CC).any():
-        return sector, _free_probabilities(circuit, loaded)
+        probabilities = _free_probabilities(circuit, loaded)
+        if len(block) > 1:  # the sector's other masks hold exact zeros
+            sector = fock.sector_basis(n_rails, loaded.bit_count())
+            probabilities = probabilities[sector.searchsorted(basis)]
+        return basis, probabilities
 
-    state = np.zeros(sector.size, dtype=np.complex128)
-    state[np.searchsorted(sector, loaded)] = 1.0
+    state = np.zeros(basis.size, dtype=np.complex128)
+    state[basis.searchsorted(loaded)] = 1.0
     dense = False
     rails, lengths, positions = (
         (column.tolist() for column in circuit.wire_columns) if mc else ((), (), ()))
@@ -536,19 +584,19 @@ def outcome_probabilities(circuit, dephasing: DephasingModel | None = None):
     for end in cuts + [len(elements)]:
         stretch = elements[start:end]
         if stretch:
-            apply_stretch(state, n_rails, stretch, n_electrons)
+            apply_stretch(state, n_rails, stretch, block)
             if dense:
                 # U rho is done; (U rho)^H = rho U^H, so U again gives U rho U^H
                 state = np.conjugate(state.T, order="C")
-                apply_stretch(state, n_rails, stretch, n_electrons)
+                apply_stretch(state, n_rails, stretch, block)
         if end < len(elements):  # the wire group at end: a slice of the wire
             group = slice(bisect_left(positions, end), bisect_right(positions, end))
             state, dense = _dephase(state, dense, (rails[group], lengths[group]),
-                                    sector, dephasing.l_phi)
+                                    basis, dephasing.l_phi)
         start = end
     if dense:
-        return sector, state.diagonal().real.clip(min=0.0)
-    return sector, np.sum(np.abs(state.reshape(sector.size, -1)) ** 2, axis=1)
+        return basis, state.diagonal().real.clip(min=0.0)
+    return basis, np.sum(np.abs(state.reshape(basis.size, -1)) ** 2, axis=1)
 
 
 def run_shots(circuit, n_shots: int,
@@ -582,17 +630,17 @@ def run_shots(circuit, n_shots: int,
     if violations and not allow_desync:
         raise CoincidenceError(violations)
 
-    sector, probabilities = outcome_probabilities(circuit, dephasing)
+    basis, probabilities = outcome_probabilities(circuit, dephasing)
     cumulative = np.cumsum(probabilities)
     stream = np.random.default_rng(np.random.Philox(master_seed))
-    total_counts = np.zeros(sector.size, dtype=np.int64)
+    total_counts = np.zeros(basis.size, dtype=np.int64)
     for start in range(0, n_shots, _SHOT_CHUNK):
         size = min(_SHOT_CHUNK, n_shots - start)
         fock.sample_counts(cumulative, stream.random(size), total_counts)
 
-    # the sector ascends, so the observed masks do too
+    # the block ascends, so the observed masks do too
     observed = np.flatnonzero(total_counts)
-    masks = sector[observed]
+    masks = basis[observed]
     mask_counts = total_counts[observed]
     logical_counts = None
     leak_count = 0

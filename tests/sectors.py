@@ -1,12 +1,16 @@
 """Sector-vector helpers shared by the engine suites.
 
-The package's only state is a vector over one electron-number sector,
-``fock.sector_basis(n_rails, k)``.  These helpers build the pump-loaded
+A run's state is a vector over its block, a part of one electron-number
+sector, ``fock.sector_basis(n_rails, k)``, that the kernels address as
+``fock.block_basis``; the whole sector is the block
+``fock.sector_block(n_rails, k)``.  These helpers build the pump-loaded
 vector, move between a sector and the 2^n masks that the dense oracles
 index, and evolve a 2^n vector by splitting it into its sectors, evolving
 each with ``apply_element_batch`` and scattering the pieces back, and
 keep the element-by-element update the stretch kernel replaced as its
 reference (``reference_element``, ``reference_stretch``).
+``sector_probabilities`` is a run's outcome probabilities by that
+reference over the whole sector, the reference for the block.
 """
 
 import numpy as np
@@ -65,7 +69,7 @@ def evolve(vector, n_rails: int, elements) -> np.ndarray:
     """A 2^n ``vector`` through ``elements``, sector by sector."""
     def update(piece, k):
         for element in elements:
-            apply_element_batch(piece, n_rails, element, k)
+            apply_element_batch(piece, n_rails, element, fock.sector_block(n_rails, k))
     return by_sector(vector, n_rails, update)
 
 
@@ -73,11 +77,13 @@ def evolve_mode_unitary(vector, n_rails: int, rails, u) -> np.ndarray:
     """A 2^n ``vector`` through one mode unitary, sector by sector."""
     return by_sector(
         vector, n_rails,
-        lambda piece, k: fock.mode_unitary_batch(piece, n_rails, rails, u, k))
+        lambda piece, k: fock.mode_unitary_batch(piece, n_rails, rails, u,
+                                                 fock.sector_block(n_rails, k)))
 
 
-def reference_element(batch, n_rails: int, element, k: int) -> None:
-    """One element on ``batch``, in place, by index gathers over the basis.
+def reference_element(batch, n_rails: int, element, block) -> None:
+    """One element on ``batch``, in place, by index gathers over
+    ``fock.block_basis(n_rails, block)``.
 
     The element-by-element update that the stretch kernel replaced, kept as
     its reference: phases multiply the positions that occupy their rails,
@@ -85,7 +91,7 @@ def reference_element(batch, n_rails: int, element, k: int) -> None:
     ``coupler_matrix``, its hopping amplitudes signed by the occupied rails
     between the pair, and scales doubly occupied masks by det(u).
     """
-    basis = fock.sector_basis(n_rails, k)
+    basis = fock.block_basis(n_rails, block)
     if isinstance(element, PhaseShifter):
         idx = np.flatnonzero((basis >> element.rail) & 1)
         batch[idx] = batch[idx] * np.exp(1j * element.phi)
@@ -112,7 +118,50 @@ def reference_element(batch, n_rails: int, element, k: int) -> None:
         batch[m11] = batch[m11] * (u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
 
 
-def reference_stretch(batch, n_rails: int, elements, k: int) -> None:
+def reference_stretch(batch, n_rails: int, elements, block) -> None:
     """``reference_element`` for each of ``elements`` in turn."""
     for element in elements:
-        reference_element(batch, n_rails, element, k)
+        reference_element(batch, n_rails, element, block)
+
+
+def sector_probabilities(circuit, l_phi=None):
+    """``(basis, p)`` of ``circuit.expanded`` over its whole sector, by
+    ``reference_element``: ``|amplitude|^2`` of one vector, or, with an
+    ``l_phi``, the diagonal of the density matrix that every element
+    conjugates, ``U rho U^H``, and that each wire position before an
+    element damps by ``exp(-1/2 sum_r l_r / l_phi [n_r(a) != n_r(b)])``,
+    the Gaussian phase average of the ``monte-carlo`` mode.
+    """
+    circuit = circuit.expanded
+    n_rails = circuit.n_rails
+    k, vector = loaded(n_rails, [s.rail for s in circuit.sources if s.emits])
+    block = fock.sector_block(n_rails, k)
+    basis = fock.sector_basis(n_rails, k)
+    elements = circuit.elements
+    if l_phi is None:
+        reference_stretch(vector, n_rails, elements, block)
+        return basis, np.abs(vector) ** 2
+    rho = np.outer(vector, vector.conj())
+    wire = {}
+    for segment in circuit.segments:
+        rates = wire.setdefault(segment.position, [0.0] * n_rails)
+        rates[segment.rail] += segment.length / l_phi
+    occupied = (basis[:, np.newaxis] >> np.arange(n_rails)) & 1
+    for position in range(len(elements)):
+        if position in wire:
+            differ = occupied[:, np.newaxis, :] != occupied[np.newaxis, :, :]
+            rho = rho * np.exp(-0.5 * (differ @ np.array(wire[position])))
+        rho = rho.copy()
+        reference_element(rho, n_rails, elements[position], block)  # U rho
+        rho = rho.conj().T.copy()  # rho U^H
+        reference_element(rho, n_rails, elements[position], block)
+    return basis, rho.diagonal().real.copy()
+
+
+def in_block(masks, block) -> np.ndarray:
+    """Which of ``masks`` lie in ``block``: those that hold, on each group
+    of rails, the group's count of electrons."""
+    keep = np.ones(len(masks), dtype=bool)
+    for group, count in block:
+        keep &= np.bitwise_count(np.asarray(masks) & group) == count
+    return keep

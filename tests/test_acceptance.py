@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 
+from flyqsim import fock
 from flyqsim.budget import L_PHI_PRESETS, analyze
 from flyqsim.cli import EXIT_DESYNC, EXIT_OK, RunConfig, run
 from flyqsim.gates import (
@@ -41,7 +42,7 @@ def evolve_basis_state(n_rails, mask, elements):
     in its electron-number sector and scattered back."""
     k, vector = sectors.basis_vector(n_rails, mask)
     for element in elements:
-        apply_element_batch(vector, n_rails, element, k)
+        apply_element_batch(vector, n_rails, element, fock.sector_block(n_rails, k))
     return sectors.scatter(vector, n_rails, k)
 
 

@@ -181,7 +181,9 @@ def test_missing_source_exits_2(tmp_path):
 
 
 def wide_superposed_netlist(n_qubits=9):
-    """Dual-rail qubits in superposition, then wire on every rail."""
+    """Dual-rail qubits in superposition, then wire on every rail, then a
+    coupler between each two neighbouring registers: one group of rails, so
+    the run's block is the whole sector."""
     n_rails = 2 * n_qubits
     lines = [f"rails {n_rails}"]
     lines += [f"sep q{r} delay=0ps" + ("" if r % 2 == 0 else " empty")
@@ -189,6 +191,7 @@ def wide_superposed_netlist(n_qubits=9):
     lines += [f"hadamard q{r} q{r + 1}" for r in range(0, n_rails, 2)]
     lines += [f"segment q{r} 3um" for r in range(n_rails)]
     lines += [f"hadamard q{r} q{r + 1}" for r in range(0, n_rails, 2)]
+    lines += [f"bs q{r} q{r + 1} lc=0.07um lt=0.28um" for r in range(1, n_rails - 1, 2)]
     return "\n".join(lines) + "\n"
 
 
@@ -202,6 +205,18 @@ def test_mc_run_above_the_capacity_exits_2(tmp_path):
     code, _ = run_cli(wide_superposed_netlist(), tmp_path, shots=10,
                       dephasing_mode="factor")
     assert code == EXIT_OK
+
+
+def test_mc_run_of_unlinked_registers_runs(tmp_path):
+    # without the linking couplers each register is a group of its own: the
+    # run holds the 2^9 masks that keep one electron in each
+    text = "".join(line for line in wide_superposed_netlist().splitlines(True)
+                   if not line.startswith("bs "))
+    code, output = run_cli(text, tmp_path, shots=10, dephasing_mode="mc",
+                           output_format="machine")
+    assert code == EXIT_OK
+    assert "coincidence=ok\n" in output
+    assert sum(counts_from_machine(output).values()) == 10
 
 
 def test_human_and_machine_counts_agree(tmp_path):
@@ -409,10 +424,11 @@ def pumped_netlist(n_rails, pumped, body=()):
 
 
 def test_wide_sector_past_the_cap_exits_2(tmp_path):
-    # 12 electrons on 40 rails: C(40, 12) masks, refused before any is built
+    # 12 electrons on 40 rails, every rail in one group of couplers: C(40,
+    # 12) masks, refused before any is built
     text = pumped_netlist(40, set(range(0, 24, 2)),
                           [f"bs q{r} q{r + 1} lc=0.14um lt=0.28um"
-                           for r in range(0, 39, 2)])
+                           for r in range(0, 39)])
     for mode in ("off", "factor", "mc"):
         code, output = run_cli(text, tmp_path, shots=10, dephasing_mode=mode)
         assert code == EXIT_PARSE

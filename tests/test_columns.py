@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import corpus
-from flyqsim import cli, gates, netlist
+from flyqsim import cli, fock, gates, netlist
 from flyqsim.cli import EXIT_OK, RunConfig
 from flyqsim.gates import (CompositeGate, CoulombCoupler, PhaseShifter,
                            WaveguideCoupler)
@@ -284,7 +284,7 @@ def test_apply_stretch_refuses_a_rail_past_the_float_range():
     # the columns clip it to 2**62, which the rail check names
     with pytest.raises(ValueError, match=f"rail index {2**62} out of range"):
         gates.apply_stretch(np.zeros(2, complex), 2,
-                            [PhaseShifter(HUGE, 0.1)], 1)
+                            [PhaseShifter(HUGE, 0.1)], fock.sector_block(2, 1))
 
 
 @pytest.mark.parametrize("name", [name for name, _ in _corpus_circuits()])

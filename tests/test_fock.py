@@ -39,7 +39,7 @@ def test_vacuum_single_rail():
 
 def test_vacuum_two_rails_all_zero_mask():
     k, vector = sectors.loaded(2, set())
-    apply_element_batch(vector, 2, WaveguideCoupler((0, 1), 0.14, 0.28), k)
+    apply_element_batch(vector, 2, WaveguideCoupler((0, 1), 0.14, 0.28), fock.sector_block(2, k))
     full = sectors.scatter(vector, 2, k)
     assert full[0] == 1.0
     assert np.count_nonzero(full) == 1
@@ -49,7 +49,7 @@ def test_vacuum_norm():
     k, vector = sectors.loaded(3, set())
     for element in (PhaseShifter(1, 0.4), WaveguideCoupler((0, 2), 0.1, 0.28),
                     CoulombCoupler((0, 1), 0.9)):
-        apply_element_batch(vector, 3, element, k)
+        apply_element_batch(vector, 3, element, fock.sector_block(3, k))
     assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -160,7 +160,7 @@ def test_prepare_occupation_out_of_range():
 def test_mode_unitary_identity():
     k, vector = sectors.loaded(2, {0})
     start = vector.copy()
-    mode_unitary_batch(vector, 2, (0, 1), np.eye(2), k)
+    mode_unitary_batch(vector, 2, (0, 1), np.eye(2), fock.sector_block(2, k))
     assert np.allclose(vector, start)
 
 
@@ -174,7 +174,7 @@ def test_mode_unitary_refuses_one_rail_twice(columns):
     start = batch.copy()
     cached = fock._pair_plan.cache_info().currsize
     with pytest.raises(ValueError, match="two distinct rails, got rail 1 twice"):
-        mode_unitary_batch(batch, 2, (1, 1), np.diag([1.0, -1.0]), 1)
+        mode_unitary_batch(batch, 2, (1, 1), np.diag([1.0, -1.0]), fock.sector_block(2, 1))
     assert np.array_equal(batch, start)
     assert fock._pair_plan.cache_info().currsize == cached
 
@@ -182,7 +182,7 @@ def test_mode_unitary_refuses_one_rail_twice(columns):
 def test_mode_unitary_adjacent_full_transfer():
     # electron on rail 0, full transfer: |10> -> i|01>
     k, vector = sectors.loaded(2, {0})
-    mode_unitary_batch(vector, 2, (0, 1), FULL_TRANSFER, k)
+    mode_unitary_batch(vector, 2, (0, 1), FULL_TRANSFER, fock.sector_block(2, k))
     expected = np.zeros(4, dtype=complex)
     expected[0b10] = 1j
     assert np.allclose(sectors.scatter(vector, 2, k), expected, atol=1e-12)
@@ -193,7 +193,7 @@ def test_mode_unitary_matches_dense_oracle_adjacent():
     dense = oracles.dense_mode_unitary(2, (0, 1), u)
     for mask in range(4):
         k, vector = sectors.basis_vector(2, mask)
-        mode_unitary_batch(vector, 2, (0, 1), u, k)
+        mode_unitary_batch(vector, 2, (0, 1), u, fock.sector_block(2, k))
         assert np.allclose(sectors.scatter(vector, 2, k), dense[:, mask],
                            atol=1e-10)
 
@@ -224,7 +224,7 @@ def test_mode_unitary_reversed_pair_convention():
 def test_mode_unitary_doubly_occupied_det_factor():
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     k, vector = sectors.loaded(2, {0, 1})
-    mode_unitary_batch(vector, 2, (0, 1), u, k)
+    mode_unitary_batch(vector, 2, (0, 1), u, fock.sector_block(2, k))
     det = np.linalg.det(u)
     assert sectors.scatter(vector, 2, k)[0b11] == pytest.approx(det, abs=1e-12)
 
@@ -243,10 +243,10 @@ def test_mode_unitary_rejects_equal_rails():
 
 def test_diagonal_phase_zero_is_identity():
     k, vector = sectors.loaded(2, {0})
-    mode_unitary_batch(vector, 2, (0, 1), BALANCED, k)
+    mode_unitary_batch(vector, 2, (0, 1), BALANCED, fock.sector_block(2, k))
     start = vector.copy()
-    apply_element_batch(vector, 2, PhaseShifter(0, 0.0), k)
-    apply_element_batch(vector, 2, CoulombCoupler((0, 1), 0.0), k)
+    apply_element_batch(vector, 2, PhaseShifter(0, 0.0), fock.sector_block(2, k))
+    apply_element_batch(vector, 2, CoulombCoupler((0, 1), 0.0), fock.sector_block(2, k))
     assert np.allclose(vector, start)
 
 
@@ -254,7 +254,7 @@ def test_diagonal_phase_global_phase_keeps_probabilities():
     # rail 0 is occupied in every component: its phase is a global phase
     k, vector = sectors.loaded(2, {0})
     start = vector.copy()
-    apply_element_batch(vector, 2, PhaseShifter(0, 0.7), k)
+    apply_element_batch(vector, 2, PhaseShifter(0, 0.7), fock.sector_block(2, k))
     assert fidelity(vector, start) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.abs(vector) ** 2, np.abs(start) ** 2)
 
@@ -270,7 +270,7 @@ def test_diagonal_phase_accepts_array():
     # a (dim, m) batch: the phase acts on every column alike
     k = 1
     batch = np.array([[1.0, 0.6], [1.0, 0.8]], dtype=complex)
-    apply_element_batch(batch, 2, PhaseShifter(1, np.pi), k)
+    apply_element_batch(batch, 2, PhaseShifter(1, np.pi), fock.sector_block(2, k))
     assert np.allclose(batch, [[1.0, 0.6], [-1.0, -0.8]], atol=1e-12)
 
 
@@ -293,7 +293,7 @@ def test_measure_basis_state_deterministic():
 
 def test_measure_balanced_superposition_statistics():
     k, vector = sectors.loaded(2, {0})
-    mode_unitary_batch(vector, 2, (0, 1), BALANCED, k)
+    mode_unitary_batch(vector, 2, (0, 1), BALANCED, fock.sector_block(2, k))
     rng = np.random.default_rng(123)
     shots = 100_000
     hits = read_masks(2, k, vector, rng.random(shots)).count(0b01)
@@ -303,7 +303,7 @@ def test_measure_balanced_superposition_statistics():
 def test_measure_vacuum_always_empty():
     rng = np.random.default_rng(7)
     k, vector = sectors.loaded(3, set())
-    apply_element_batch(vector, 3, WaveguideCoupler((0, 2), 0.2, 0.28), k)
+    apply_element_batch(vector, 3, WaveguideCoupler((0, 2), 0.2, 0.28), fock.sector_block(3, k))
     assert read_masks(3, k, vector, rng.random(10)) == [0] * 10
 
 
@@ -393,5 +393,5 @@ def test_norm_preserved_through_gate_sequence():
         theta = rng.uniform(0, np.pi)
         u = np.array([[np.cos(theta), 1j * np.sin(theta)],
                       [1j * np.sin(theta), np.cos(theta)]])
-        mode_unitary_batch(vector, 4, rails, u, k)
+        mode_unitary_batch(vector, 4, rails, u, fock.sector_block(4, k))
     assert abs(np.linalg.norm(vector) - 1.0) < 1e-10

@@ -74,7 +74,7 @@ def test_orbitals_evolve_as_the_single_particle_unitary(seed, path):
     for k in range(n_rails + 1):
         occupied = sorted(int(r) for r in rng.choice(n_rails, k, replace=False))
         columns = np.eye(n_rails, dtype=np.complex128)[:, occupied]
-        apply_stretch(columns, n_rails, elements, 1)
+        apply_stretch(columns, n_rails, elements, fock.sector_block(n_rails, 1))
         assert columns.shape == (n_rails, k)
         assert np.max(np.abs(columns - u[:, occupied]), initial=0.0) <= 1e-13
 
@@ -91,8 +91,8 @@ def test_lifted_amplitudes_match_sector_kernels(seed):
         state[np.searchsorted(sector, fock.occupation_mask(n_rails, occupied))] = 1.0
         columns = orbitals(n_rails, occupied)
         for element in elements:
-            apply_element_batch(state, n_rails, element, k)
-        apply_stretch(columns, n_rails, elements, 1)
+            apply_element_batch(state, n_rails, element, fock.sector_block(n_rails, k))
+        apply_stretch(columns, n_rails, elements, fock.sector_block(n_rails, 1))
         assert np.max(np.abs(fock.lift_columns(columns) - state)) <= 1e-12
 
 
@@ -187,7 +187,7 @@ def test_only_coulomb_free_off_and_factor_runs_skip_the_sector_kernels(
         return lift_columns(columns)
 
     def counting(*args, **kwargs):
-        electrons.append(args[3])
+        electrons.append(sum(count for _, count in args[3]))
         return apply_stretch(*args, **kwargs)
 
     monkeypatch.setattr(fock, "lift_columns", lifting)
@@ -218,6 +218,9 @@ def test_idle_coulomb_twin_matches_on_the_widest_register():
     rng = np.random.default_rng(63)
     elements = random_free_elements(rng, 63, 150)
     elements.append(WaveguideCoupler((62, 0), 0.2, 0.28))
+    # weak couplers between neighbours join every rail in one group, so the
+    # block is the whole sector
+    elements += [WaveguideCoupler((r, r + 1), 0.01, 0.28) for r in range(62)]
     circuit = loaded_circuit(63, elements, {0, 30, 62})
     sector, free = timing.outcome_probabilities(circuit)
     same, kernels = timing.outcome_probabilities(with_idle_coulomb(circuit))
@@ -228,8 +231,8 @@ def test_idle_coulomb_twin_matches_on_the_widest_register():
 def _cold_peak(circuit):
     """``tracemalloc`` peak of one ``outcome_probabilities`` call with every
     cache of ``fock`` empty."""
-    for cache in (fock.sector_basis, fock._lift_plan, fock._pair_plan,
-                  fock._sector_rows, fock.rail_occupied_indices,
+    for cache in (fock.sector_basis, fock.block_basis, fock._lift_plan,
+                  fock._pair_plan, fock._sector_rows, fock.rail_occupied_indices,
                   fock.pair_occupied_indices):
         cache.cache_clear()
     tracemalloc.start()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flyqsim import fock
 from flyqsim.fock import CapacityError
 from flyqsim.gates import (
     DEFAULT_TRANSFER_LENGTH_UM,
@@ -34,7 +35,7 @@ def random_vector(seed, n_rails):
 def evolved_from(n_rails, occupied, element):
     """The 2^n vector of pumps on ``occupied`` after ``element``."""
     k, vector = sectors.loaded(n_rails, occupied)
-    apply_element_batch(vector, n_rails, element, k)
+    apply_element_batch(vector, n_rails, element, fock.sector_block(n_rails, k))
     return sectors.scatter(vector, n_rails, k)
 
 
@@ -261,7 +262,7 @@ def test_apply_element_rejects_composites():
     # a macro has no kernel: a circuit hands its primitives, Circuit.expanded
     with pytest.raises(TypeError, match="not a gate element"):
         apply_element_batch(np.ones(1, dtype=complex), 2,
-                            CompositeGate("hadamard", (0, 1)), 0)
+                            CompositeGate("hadamard", (0, 1)), fock.sector_block(2, 0))
 
 
 @pytest.mark.parametrize("build", [
@@ -280,7 +281,7 @@ def test_elements_reject_rails_that_are_not_integers(build):
     lambda: build_dense_unitary(PhaseShifter(True, 0.1), 2),
     lambda: build_dense_unitary(PhaseShifter(0.5, 0.1), 2),
     lambda: apply_element_batch(np.ones(1, dtype=complex), 2,
-                                PhaseShifter(0.5, 0.1), 0),
+                                PhaseShifter(0.5, 0.1), fock.sector_block(2, 0)),
 ], ids=["bool rail dense", "float rail dense", "float rail engine"])
 def test_non_integer_rails_raise_value_error_not_a_wrong_matrix(use):
     # True once built the matrix for rail 1; 0.5 failed in a bit shift

@@ -41,14 +41,14 @@ def test_index_helpers_return_sector_positions():
     n_rails, k = 7, 3
     basis = fock.sector_basis(n_rails, k)
     for rail in range(n_rails):
-        idx = fock.rail_occupied_indices(n_rails, rail, k)
+        idx = fock.rail_occupied_indices(n_rails, rail, fock.sector_block(n_rails, k))
         assert np.array_equal(basis[idx], [m for m in basis if (m >> rail) & 1])
     for a in range(n_rails):
         for b in range(a + 1, n_rails):
-            idx = fock.pair_occupied_indices(n_rails, a, b, k)
+            idx = fock.pair_occupied_indices(n_rails, a, b, fock.sector_block(n_rails, k))
             assert np.array_equal(
                 basis[idx], [m for m in basis if (m >> a) & (m >> b) & 1])
-            positions, signs = fock._pair_plan(n_rails, a, b, k)
+            positions, signs = fock._pair_plan(n_rails, a, b, fock.sector_block(n_rails, k))
             hops = signs.size
             m10, m01 = positions[:hops], positions[hops:2 * hops]
             m11 = positions[2 * hops:]
@@ -82,13 +82,13 @@ def test_sector_evolution_matches_full_space_bit_for_bit(seed):
         start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         state = start.copy()
         for element in circuit.elements:
-            apply_element_batch(state, n_rails, element, k)
+            apply_element_batch(state, n_rails, element, fock.sector_block(n_rails, k))
         assert np.max(np.abs(state - sectors.restrict(total, n_rails, k) @ start),
                       initial=0.0) <= 1e-12 * np.linalg.norm(start)
 
     k, state = sectors.loaded(n_rails, occupied)
     for element in circuit.elements:
-        apply_element_batch(state, n_rails, element, k)
+        apply_element_batch(state, n_rails, element, fock.sector_block(n_rails, k))
     full = sectors.scatter(state, n_rails, k)
     column = total[:, fock.occupation_mask(n_rails, occupied)]
     assert np.max(np.abs(full - column)) <= 1e-12
@@ -215,14 +215,14 @@ def test_one_vector_evolves_like_a_batch_row_bit_for_bit(seed, space):
         column = start[basis, :1].copy()
         columns = start[basis].copy()
         for element in circuit.elements:
-            apply_element_batch(vector, n_rails, element, k)
-            apply_element_batch(column, n_rails, element, k)
-            apply_element_batch(columns, n_rails, element, k)
+            apply_element_batch(vector, n_rails, element, fock.sector_block(n_rails, k))
+            apply_element_batch(column, n_rails, element, fock.sector_block(n_rails, k))
+            apply_element_batch(columns, n_rails, element, fock.sector_block(n_rails, k))
             assert np.array_equal(vector, column[:, 0])
         for i in range(3):
             single = start[basis, i].copy()
             for element in circuit.elements:
-                apply_element_batch(single, n_rails, element, k)
+                apply_element_batch(single, n_rails, element, fock.sector_block(n_rails, k))
             assert np.array_equal(single, columns[:, i])
         evolved[basis] = columns
     if space == "full":
@@ -240,8 +240,8 @@ def test_mode_unitary_batch_takes_a_vector_or_a_batch():
         for rails in ((0, 5), (4, 1), (2, 3)):
             vector = start[:, 1].copy()
             batch = start.copy()
-            fock.mode_unitary_batch(vector, n_rails, rails, u, k)
-            fock.mode_unitary_batch(batch, n_rails, rails, u, k)
+            fock.mode_unitary_batch(vector, n_rails, rails, u, fock.sector_block(n_rails, k))
+            fock.mode_unitary_batch(batch, n_rails, rails, u, fock.sector_block(n_rails, k))
             assert np.array_equal(vector, batch[:, 1])
 
 
@@ -267,13 +267,13 @@ def test_apply_element_batch_rejects_rails_out_of_range(element, k, shape):
                               dtype=np.complex128)
         with pytest.raises(ValueError,
                            match=r"rail index -?\d+ out of range for 3 rails"):
-            apply_element_batch(amplitudes, 3, element, n_electrons)
+            apply_element_batch(amplitudes, 3, element, fock.sector_block(3, n_electrons))
 
 
 @pytest.mark.parametrize("lookup", [
-    lambda rail: fock.rail_occupied_indices(3, rail, 1),
-    lambda rail: fock.pair_occupied_indices(3, 0, rail, 1),
-    lambda rail: fock._pair_plan(3, 0, rail, 1),
+    lambda rail: fock.rail_occupied_indices(3, rail, fock.sector_block(3, 1)),
+    lambda rail: fock.pair_occupied_indices(3, 0, rail, fock.sector_block(3, 1)),
+    lambda rail: fock._pair_plan(3, 0, rail, fock.sector_block(3, 1)),
 ], ids=["rail", "pair", "mode block"])
 def test_index_helpers_reject_bool_rails_after_caching_the_integer(lookup):
     lookup(1)

@@ -66,7 +66,7 @@ def test_stretch_matches_the_dense_oracle_in_every_sector(seed, path):
             dim = fock.sector_basis(n_rails, k).size
             start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             state = start.copy()
-            apply_stretch(state, n_rails, elements, k)
+            apply_stretch(state, n_rails, elements, fock.sector_block(n_rails, k))
             expected = sectors.restrict(total, n_rails, k) @ start
             assert np.max(np.abs(state - expected)) <= 1e-12 * np.linalg.norm(start)
 
@@ -113,7 +113,7 @@ def test_folded_phases_match_the_dense_oracle(name, path):
         expected = sectors.restrict(total, n_rails, k) @ start
         vector, batch = start[:, 0].copy(), start.copy()
         for state in vector, batch:
-            apply_stretch(state, n_rails, elements, k)
+            apply_stretch(state, n_rails, elements, fock.sector_block(n_rails, k))
         assert np.max(np.abs(vector - expected[:, 0])) <= 1e-12
         assert np.max(np.abs(batch - expected)) <= 1e-12
 
@@ -126,11 +126,11 @@ def test_a_coulomb_coupler_is_the_identity_on_one_electron(name, path):
     free = [e for e in elements if not isinstance(e, CoulombCoupler)]
     start = np.random.default_rng(47).standard_normal((5, 3)) + 0j
     with_cc, without = start.copy(), start.copy()
-    apply_stretch(with_cc, 5, elements, 1)
-    apply_stretch(without, 5, free, 1)
+    apply_stretch(with_cc, 5, elements, fock.sector_block(5, 1))
+    apply_stretch(without, 5, free, fock.sector_block(5, 1))
     assert np.array_equal(with_cc, without)
     only_cc = start.copy()
-    apply_stretch(only_cc, 5, [e for e in elements if e not in free], 1)
+    apply_stretch(only_cc, 5, [e for e in elements if e not in free], fock.sector_block(5, 1))
     assert np.array_equal(only_cc, start)
 
 
@@ -147,14 +147,14 @@ def test_a_long_stretch_equals_its_pieces(seed):
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     start /= np.linalg.norm(start)
     whole = start.copy()
-    apply_stretch(whole, n_rails, elements, k)
+    apply_stretch(whole, n_rails, elements, fock.sector_block(n_rails, k))
     cuts = rng.choice(len(elements) + 1, size=7, replace=False).tolist()
     # and three short pieces
     first = int(rng.integers(len(elements) - 12))
     cuts = sorted(set(cuts + [first + 3, first + 6, first + 12]))
     pieces = start.copy()
     for begin, end in zip([0] + cuts, cuts + [len(elements)]):
-        apply_stretch(pieces, n_rails, elements[begin:end], k)
+        apply_stretch(pieces, n_rails, elements[begin:end], fock.sector_block(n_rails, k))
     assert np.max(np.abs(whole - pieces)) <= 1e-13
 
 
@@ -169,12 +169,12 @@ def test_vector_column_and_batch_evolve_alike_bit_for_bit(seed, path):
             start = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
             vector, column, batch = start[:, 0].copy(), start[:, :1].copy(), start.copy()
             for state in (vector, column, batch):
-                apply_stretch(state, n_rails, elements, k)
+                apply_stretch(state, n_rails, elements, fock.sector_block(n_rails, k))
             assert np.array_equal(vector, column[:, 0])
             assert np.array_equal(vector, batch[:, 0])
             for i in (1, 2):
                 single = start[:, i].copy()
-                apply_stretch(single, n_rails, elements, k)
+                apply_stretch(single, n_rails, elements, fock.sector_block(n_rails, k))
                 assert np.array_equal(single, batch[:, i])
 
 
@@ -207,13 +207,14 @@ def test_stretch_rejects_rails_out_of_range(bad, where, path):
         for state in np.ones(dim, dtype=complex), np.ones((dim, 2), dtype=complex):
             with pytest.raises(ValueError,
                                match=rf"rail index {rail} out of range for 4 rails"):
-                apply_stretch(state, 4, elements, k)
+                apply_stretch(state, 4, elements, fock.sector_block(4, k))
 
 
 def test_stretch_rejects_a_macro(path):
     with pytest.raises(TypeError, match="not a gate element"):
         apply_stretch(np.ones(3, dtype=complex), 3,
-                      [PhaseShifter(0, 0.1), CompositeGate("hadamard", (0, 1))], 1)
+                      [PhaseShifter(0, 0.1), CompositeGate("hadamard", (0, 1))],
+                      fock.sector_block(3, 1))
 
 
 def test_both_forms_keep_structural_zeros_exact(path):
@@ -230,8 +231,8 @@ def test_both_forms_keep_structural_zeros_exact(path):
     for occupied in ({0}, {0, 6}, {0, 4, 6}):
         k, state = sectors.loaded(8, occupied)
         reference = state.copy()
-        apply_stretch(state, 8, elements, k)
-        sectors.reference_stretch(reference, 8, elements, k)
+        apply_stretch(state, 8, elements, fock.sector_block(8, k))
+        sectors.reference_stretch(reference, 8, elements, fock.sector_block(8, k))
         assert np.array_equal(np.flatnonzero(state), np.flatnonzero(reference))
         assert np.count_nonzero(state) < state.size
         assert np.max(np.abs(state - reference)) <= 1e-12
@@ -293,7 +294,7 @@ def test_a_stretch_peaks_within_what_it_counts_for_its_rows(monkeypatch):
     fock._sector_rows.cache_clear()
     tracemalloc.start()
     try:
-        apply_stretch(state, n_rails, columns, k)
+        apply_stretch(state, n_rails, columns, fock.sector_block(n_rails, k))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,10 +317,11 @@ def test_thousands_of_phases_in_one_gap_are_placed_a_chunk_at_a_time(monkeypatch
     assert dim <= fock._MAX_ROW_MASKS
     start = np.random.default_rng(61).standard_normal(dim) + 0j
     expected = start.copy()
-    sectors.reference_stretch(expected, n_rails, elements, k)
+    sectors.reference_stretch(expected, n_rails, elements,
+                               fock.sector_block(n_rails, k))
     monkeypatch.setattr(fock, "MAX_AMPLITUDES", 1 << 18)
     state = start.copy()
-    apply_stretch(state, n_rails, elements, k)
+    apply_stretch(state, n_rails, elements, fock.sector_block(n_rails, k))
     assert np.max(np.abs(state - expected)) <= 1e-12
 
 
@@ -330,7 +332,7 @@ def test_pair_plans_hold_no_more_bytes_than_the_index_blocks_they_replaced():
         hops = math.comb(n_rails - 2, k - 1)
         both = math.comb(n_rails - 2, k - 2) if k >= 2 else 0
         for lo, hi in [(0, 1), (0, n_rails - 1), (n_rails // 2, n_rails - 2)]:
-            positions, signs = fock._pair_plan(n_rails, lo, hi, k)
+            positions, signs = fock._pair_plan(n_rails, lo, hi, fock.sector_block(n_rails, k))
             assert (signs.size, positions.size) == (hops, 2 * hops + both)
             assert positions.nbytes + signs.nbytes <= 24 * hops + 8 * both
 

@@ -380,7 +380,7 @@ def test_off_mode_follows_stream_contract():
     circuit = mach_zehnder(internal_phase=0.7)
     k, state = sectors.loaded(2, {0})
     for element in circuit.elements:
-        apply_element_batch(state, 2, element, k)
+        apply_element_batch(state, 2, element, fock.sector_block(2, k))
     # readout over all four masks: the scalar loop never lands on the
     # zero-probability masks outside the sector
     probabilities = np.abs(sectors.scatter(state, 2, k)) ** 2
@@ -527,9 +527,12 @@ def test_factored_and_dense_forms_agree(monkeypatch):
 
 def wide_superposed_circuit():
     """18 rails, 9 dual-rail qubits in superposition, then wire on every rail:
-    a support of 2^9 masks in the 48620-mask sector."""
+    a support of 2^9 masks.  A coupler between each two neighbouring
+    registers, after the qubits' second layer, joins all rails in one group,
+    so the block is the 48620-mask sector."""
     elements = [WaveguideCoupler((2 * k, 2 * k + 1), **BALANCED) for k in range(9)]
-    return Circuit(n_rails=18, elements=elements + elements,
+    links = [WaveguideCoupler((2 * k + 1, 2 * k + 2), 0.07) for k in range(8)]
+    return Circuit(n_rails=18, elements=elements + elements + links,
                    segments=[Segment(r, 3.0, 9) for r in range(18)],
                    sources=[SepSource(r, 0.0, emits=r % 2 == 0) for r in range(18)])
 
@@ -620,6 +623,8 @@ def test_sector_wider_than_a_chunk_over_several_chunks():
     for a, b in ((7, 8), (6, 9), (5, 8), (7, 10), (4, 9), (6, 11)):
         elements += [WaveguideCoupler((a, b), 0.05 + 0.01 * a, 0.28),
                      PhaseShifter(b, 0.3 * a)]
+    # a chain of weak couplers joins every rail, so the block is the sector
+    elements += [WaveguideCoupler((r, r + 1), 0.01, 0.28) for r in range(n_rails - 1)]
     circuit = Circuit(n_rails=n_rails, elements=elements,
                       sources=[SepSource(r, 0.0, emits=r < 8)
                                for r in range(n_rails)])
