@@ -317,15 +317,13 @@ def block_basis(n_rails: int, block: tuple) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=64)
 def _group_labels(n_rails: int, block: tuple) -> np.ndarray:
-    """The index of each rail's group in ``block``."""
+    """The index of each rail's group in ``block`` (cached, read-only)."""
     groups = np.array([group for group, _ in block], dtype=np.int64)
-    return ((groups[:, np.newaxis] >> np.arange(n_rails)) & 1).argmax(axis=0)
-
-
-def _refuse_joined(lo: int, hi: int):
-    raise ValueError(f"a coupler on rails {lo} and {hi} joins two groups "
-                     f"of the block")
+    labels = ((groups[:, np.newaxis] >> np.arange(n_rails)) & 1).argmax(axis=0)
+    labels.setflags(write=False)
+    return labels
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -427,7 +425,8 @@ def _pair_plan(n_rails: int, lo: int, hi: int, block: tuple):
                          f"got rail {lo} twice")
     basis = block_basis(n_rails, block)
     if not any((group >> lo) & (group >> hi) & 1 for group, _ in block):
-        _refuse_joined(lo, hi)
+        raise ValueError(f"a coupler on rails {lo} and {hi} joins two groups "
+                         f"of the block")
     lo_set = (basis >> lo) & 1
     hi_set = (basis >> hi) & 1
     lo_only = np.flatnonzero(lo_set > hi_set)
@@ -581,14 +580,18 @@ def apply_mode_unitaries(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     it occupies.
     """
     dim, count = block_basis(n_rails, block).size, len(pairs)
+    if len(block) > 1 and count:
+        labels = _group_labels(n_rails, block).take(pairs)
+        joined = labels[:, 0] != labels[:, 1]
+        if joined.any():
+            lo, hi = pairs[joined.argmax()].tolist()
+            raise ValueError(f"a coupler on rails {lo} and {hi} joins two "
+                             f"groups of the block")
     if not 1 < dim <= _MAX_ROW_MASKS:
         _apply_by_positions(batch, n_rails, pairs, u, block, phases)
         return
     bits, slot, partner, classes = _sector_rows(n_rails, block)
     owned = slot[pairs[:, 0], pairs[:, 1]]
-    # one group holds every pair
-    if len(block) > 1 and count and owned.min() < 0:
-        _refuse_joined(*pairs[owned.argmin()].tolist())
     step = _BLOCK_COUPLERS
     width = min(step, count)
     n_phases = 0 if phases is None else phases[0].size
@@ -666,11 +669,6 @@ def _apply_by_positions(batch: np.ndarray, n_rails: int, pairs: np.ndarray,
     """``apply_mode_unitaries`` above ``_MAX_ROW_MASKS`` masks: each unitary
     one ``mode_unitary_batch`` and each phase one product on the masks that
     occupy its rails (the cached index helpers)."""
-    if len(block) > 1 and len(pairs):
-        labels = _group_labels(n_rails, block)
-        joined = labels[pairs[:, 0]] != labels[pairs[:, 1]]
-        if joined.any():
-            _refuse_joined(*pairs[joined.argmax()].tolist())
     pairs = pairs.tolist()
     after, rails_a, rails_b, turns = (((), (), (), ()) if phases is None else
                                       (values.tolist() for values in phases))

@@ -34,9 +34,7 @@ and no ``Segment``.  The line loop reads the canonical spelling of the
 ``segment``, ``ps``, ``bs``, ``cc`` and macro lines, the one ``serialize``
 writes, inline: a rail is a lookup in the ``q<i>`` table, and a number is
 the word with its fixed ``key=`` and unit sliced off, read by one ``float``
-call on a word without ``_``; a primitive's trailing ``len=<x>um`` too,
-when it is finite and ``>= 0``, since the array check below does not read
-an explicit length.  Any other spelling (``PHI=``, ``1UM``,
+call on a word without ``_``.  Any other spelling (``PHI=``, ``1UM``,
 ``q01``) goes to the statement handlers, dispatched through one keyword
 table, and their general word helpers, which check every value and write
 the diagnostics.  One handler reads every element statement, the
@@ -111,18 +109,6 @@ def _literal(text: str) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) and "_" not in text else None
-
-
-def _footprint(word: str) -> float:
-    """Value of a canonical ``len=<x>um`` word that is finite and ``>= 0``
-    (``-0.0`` keeps its sign), else ``ValueError``: ``_LineParser.feed``
-    then leaves the line to its handler, which writes the diagnostic, as
-    the column check does not read an explicit length."""
-    if word[:4] == "len=" and word[-2:] == "um":
-        value = float(word[4:-2])
-        if 0.0 <= value < inf:
-            return value
-    raise ValueError(word)
 
 
 class Segment(NamedTuple):
@@ -672,10 +658,10 @@ class _LineParser:
             keyword = words[0]
             # the canonical spellings, which serialize writes, read inline:
             # q<i> rails, each number one float call on a word with its key=
-            # and unit, no "_" on the line, a primitive's trailing len=<x>um
-            # too (_footprint); the wire lengths and transfer lengths, which
-            # repeat, once per distinct word.  A rail not in the table or a
-            # number float cannot read leaves the line to its handler
+            # and unit, no "_" on the line; the wire lengths and transfer
+            # lengths, which repeat, once per distinct word.  A rail not in
+            # the table or a number float cannot read leaves the line to its
+            # handler
             if fast and "_" not in line:
                 try:
                     count = len(words)
@@ -687,26 +673,23 @@ class _LineParser:
                         if length is not None:
                             wire += (rail, length, len(elements) // 7)
                             continue
-                    elif keyword == "ps" and 3 <= count <= 4:
+                    elif keyword == "ps" and count == 3:
                         rail, x = names[words[1]], words[2]
                         if x[:4] == "phi=" and x[-3:] == "rad":
-                            elements += (PS, rail, rail, rail, float(x[4:-3]), 0.0,
-                                         nan if count == 3 else _footprint(words[3]))
+                            elements += (PS, rail, rail, rail, float(x[4:-3]), 0.0, nan)
                             continue
-                    elif keyword == "bs" and 5 <= count <= 6:
+                    elif keyword == "bs" and count == 5:
                         a, b, x, y = names[words[1]], names[words[2]], words[3], words[4]
                         transfer = transfers.get(y)
                         if transfer is None and y[:3] == "lt=" and y[-2:] == "um":
                             transfer = transfers[y] = float(y[3:-2])
                         if transfer is not None and x[:3] == "lc=" and x[-2:] == "um":
-                            elements += (BS, a, b, b, float(x[3:-2]), transfer,
-                                         nan if count == 5 else _footprint(words[5]))
+                            elements += (BS, a, b, b, float(x[3:-2]), transfer, nan)
                             continue
-                    elif keyword == "cc" and 4 <= count <= 5:
+                    elif keyword == "cc" and count == 4:
                         a, b, x = names[words[1]], names[words[2]], words[3]
                         if x[:5] == "chit=" and x[-3:] == "rad":
-                            elements += (CC, a, b, b, float(x[5:-3]), 0.0,
-                                         nan if count == 4 else _footprint(words[4]))
+                            elements += (CC, a, b, b, float(x[5:-3]), 0.0, nan)
                             continue
                     elif count == macros.get(keyword, (0, 0))[1]:
                         # two or three rails, padded to three

@@ -498,23 +498,28 @@ def _block(n_rails: int, elements, loaded: int) -> tuple:
 
     A coupler moves an electron between its two rails only, and the phase
     shifters and Coulomb couplers are diagonal, so the electron count of
-    each connected group of rails never changes.  The groups are found in
-    one array pass: each coupler marks its pair in a rail-by-rail matrix,
-    and boolean squaring closes it, as after ``j`` products it links the
-    rails joined by up to ``2^j`` couplers.  A rail no coupler reaches is a
-    group of its own.
+    each connected group of rails never changes.  One array pass over the
+    couplers gives each rail's neighbours as a mask; a search from each
+    rail not yet grouped then visits every rail once.  A rail no coupler
+    reaches is a group of its own.
     """
     ends = elements.ints.take((elements.kinds == BS).nonzero()[0], 0)
-    linked = np.eye(n_rails, dtype=bool)
+    linked = np.zeros((n_rails, n_rails), dtype=bool)
     linked[ends[:, 1], ends[:, 2]] = True
-    linked = linked | linked.T
-    for _ in range((n_rails - 1).bit_length()):
-        linked = linked @ linked
-    # each group's mask, listed at its lowest rail
-    weights = 1 << np.arange(n_rails)
-    masks = linked @ weights
-    groups = masks[(masks & -masks) == weights].tolist()
-    return tuple((group, (group & loaded).bit_count()) for group in groups)
+    near = ((linked | linked.T) @ (1 << np.arange(n_rails))).tolist()
+    block, grouped = [], 0
+    for rail in range(n_rails):
+        if not (grouped >> rail) & 1:
+            group = frontier = 1 << rail
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reached = near[low.bit_length() - 1] & ~group
+                group |= reached
+                frontier |= reached
+            grouped |= group
+            block.append((group, (group & loaded).bit_count()))
+    return tuple(block)
 
 
 def _free_probabilities(circuit, loaded: int) -> np.ndarray:

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from flyqsim.gates import (MACROS, CompositeGate, CoulombCoupler,
                            PhaseShifter, WaveguideCoupler)
-from flyqsim.netlist import (_NUMBER_RE, Circuit, Segment, _LineParser, parse,
-                             serialize)
+from flyqsim.netlist import _NUMBER_RE, Circuit, Segment, _LineParser, parse
 
 
 def diagnostics_of(text):
@@ -254,40 +253,3 @@ def test_a_phase_the_dots_cannot_reach_parses_on_both_paths(phi):
         element = result.circuit.elements[0]
         assert repr(element.phi) == repr(float(phi))
         assert not element.hardware_realizable
-
-
-def test_canonical_lines_with_footprints_parse_inline(monkeypatch):
-    # serialize writes a trailing len=<x>um for every explicit footprint; the
-    # inline read takes those lines too, so no element handler runs
-    circuit = Circuit(4, [PhaseShifter(0, 0.3, 0.1),
-                          WaveguideCoupler((2, 1), 0.1, 0.28, 2.5),
-                          CoulombCoupler((0, 3), 0.4, -0.0),
-                          PhaseShifter(1, -0.2),
-                          CompositeGate("hadamard", (1, 2)),
-                          CoulombCoupler((1, 2), 0.5, 1e-300)],
-                      segments=[Segment(3, 1.5, 2)])
-
-    def refuse(parser, words):
-        raise AssertionError(f"the handler read {words}")
-
-    for keyword in ("ps", "bs", "cc"):
-        monkeypatch.setitem(_LineParser._HANDLERS, keyword, refuse)
-    result = parse(serialize(circuit))
-    assert result.diagnostics == []
-    assert result.circuit == circuit
-    # len=-0.0um keeps its sign
-    assert math.copysign(1.0, result.circuit.elements[2].length) == -1.0
-
-
-@pytest.mark.parametrize("word, message", [
-    ("len=nanum", "invalid number 'nan' in len"),
-    ("len=infum", "invalid number 'inf' in len"),
-    ("len=-1um", "len must be >= 0"),
-])
-def test_a_footprint_the_inline_read_leaves_keeps_its_diagnostic(word, message):
-    # the column check reads no explicit length, so the inline read leaves a
-    # non-finite or negative one to the handler
-    for line, column in ((f"ps q0 phi=1rad {word}", 16),
-                         (f"bs q0 q1 lc=0.1um lt=0.28um {word}", 29),
-                         (f"cc q0 q1 chit=1rad {word}", 20)):
-        assert diagnostics_of(f"rails 2\n{line}\n") == [(2, column, message)]
